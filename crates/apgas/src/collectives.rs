@@ -10,15 +10,11 @@
 //! [`CollFrame`]s along those edges over any [`Transport`], repairing the
 //! tree around dead places by adopting their subtrees.
 //!
-//! Two integrations exist:
-//!
-//! * the in-process [`crate::Runtime`] keeps its local shared-memory
-//!   collectives (`crate::collective`) — no wire exists there, so the
-//!   tree would only add hops;
-//! * the socket engine in `dpx10-core` carries the same schedule on its
-//!   control protocol: `Stop`/`Abort` broadcast hops, a folded progress
-//!   reduce (the epoch barrier), and the `Resume` scatter that
-//!   distributes restored chunks by subtree.
+//! The socket driver in `dpx10-core` carries the same schedule on its
+//! control protocol: `Stop`/`Abort` broadcast hops, a folded progress
+//! reduce (the epoch barrier), and the `Resume` scatter that distributes
+//! restored chunks by subtree. (The in-process [`crate::Runtime`] has no
+//! wire, so a tree there would only add hops.)
 //!
 //! The binomial shape is the classic one: relative to the root, rank `r`
 //! parents to `r` with its highest set bit cleared, and its children are
@@ -649,9 +645,9 @@ mod tests {
             if me == 1 {
                 return None;
             }
-            if me == 0 {
-                tr.liveness().kill(ranks[1]);
-            }
+            // Every rank, not just the root: a child that raced ahead of
+            // the root's kill would hand its count to the corpse.
+            tr.liveness().kill(ranks[1]);
             let s = CollectiveSchedule::new(ranks.len(), 0);
             reduce(tr.as_ref(), &s, &ranks, me, 1u64, TICK)
                 .map(|entries| entries.into_iter().map(|(_, v)| v).sum())

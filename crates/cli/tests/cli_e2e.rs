@@ -104,3 +104,16 @@ fn chaos_rejects_a_zero_count() {
     assert_eq!(code, 2);
     assert!(stderr.contains("count"));
 }
+
+#[test]
+fn serve_over_place_processes_verifies_every_job() {
+    // README's quickstart: the launcher re-executes this binary once
+    // per worker place, so the job protocol crosses real process
+    // boundaries (the in-process serve tests run places as threads).
+    let (code, stdout, stderr) = dpx10(&[
+        "serve", "--jobs", "4", "--app", "lcs", "--places", "3", "--verify",
+    ]);
+    assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
+    assert_eq!(stdout.matches("verified").count(), 4, "{stdout}");
+    assert!(stdout.contains("done: 4/4 succeeded"), "{stdout}");
+}

@@ -6,11 +6,11 @@
 //! jobs admitted, scheduled and recovered concurrently over a mesh that
 //! outlives all of them. [`JobServer`] provides that layer:
 //!
-//! * **Namespacing** — every frame of a served job travels wrapped in
-//!   [`Wire::Job`]`(job_id, …)`, so one demux thread per place routes
-//!   traffic to per-job channels and one job's abort or park can never
-//!   destroy another job's frames. Bare (unwrapped) legacy frames are
-//!   treated as job 0, keeping a serve demux tolerant of pre-job peers.
+//! * **Namespacing** — every data and control frame of a served job
+//!   travels wrapped in [`Wire::Job`]`(job_id, …)`, so one demux thread
+//!   per place routes traffic to per-job channels and one job's abort
+//!   or park can never destroy another job's frames. The only bare
+//!   frames of a serve are the mesh-level `Die` and `Done`.
 //! * **Admission** — jobs run in a deterministic (priority descending,
 //!   submission order ascending) sequence with at most
 //!   [`JobServer::with_max_in_flight`] drivers live per place, and
@@ -28,21 +28,25 @@
 //!   whose placement contains the dead place; everything else keeps
 //!   running undisturbed on its own epoch chain.
 //!
+//! The epoch loop itself is not here. Each admitted job is one
+//! [`Driver`] — the socket engine's — seeded with the job's placement,
+//! a plane that wraps its frames in the job's namespace, and a seat in
+//! the shared pool in place of private worker threads; so jobs get the
+//! tree broadcast/reduce, the `Resume` scatter and both re-send
+//! insurances exactly as a solo run does.
+//!
 //! Place 0 coordinates every job (placements must include it) and is
 //! the only place that returns a [`ServeReport`].
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dpx10_apgas::codec::{decode_exact, encode_to_vec};
 use dpx10_apgas::mailbox::Envelope;
-use dpx10_apgas::{
-    ChaosRng, CoalesceConfig, CoalescingTransport, DeadPlaceError, PlaceId, SocketConfig,
-    SocketNode, Transport,
-};
-use dpx10_dag::{validate_pattern, DagPattern, VertexId};
-use dpx10_distarray::{recover, Dist, DistArray, RecoveryCostModel, Region2D};
+use dpx10_apgas::{ChaosRng, PlaceId, SocketConfig, SocketNode};
+use dpx10_dag::{validate_pattern, DagPattern};
 use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 use dpx10_sync::channel::{unbounded, Receiver, Sender};
 
@@ -51,22 +55,15 @@ use crate::config::EngineConfig;
 use crate::engine::{worker_rounds, Shared, WorkerBufs};
 use crate::error::EngineError;
 use crate::msg::Msg;
-use crate::socket_engine::{downgrade_schedule, AppPlane, Wire};
-use crate::state::{build_shards, collect_array};
-use crate::stats::{RunReport, ScheduleDowngrade};
+use crate::socket_engine::{
+    die, downgrade_schedule, AppPlane, Driver, EpochWorkers, Wire, SNAPSHOT_DEADLINE,
+};
 
 /// A job's control-frame receiver: `(src, unwrapped frame)`.
 type CtlReceiver<V> = Receiver<(PlaceId, Wire<V>)>;
 
 /// What a job's driver thread hands back: `Ok(Some)` only on place 0.
 type JobResult<V> = Result<Option<DagResult<V>>, EngineError>;
-
-/// How long a worker place waits for its per-job release after sending a
-/// snapshot (mirrors the single-job engine's deadline).
-const SNAPSHOT_DEADLINE: Duration = Duration::from_secs(60);
-
-/// How often a worker place re-sends unchanged per-job progress.
-const PROGRESS_INTERVAL: Duration = Duration::from_millis(50);
 
 /// One job of a serve: a DP application over a pattern, with its own
 /// engine configuration, an admission priority and an optional placement
@@ -347,10 +344,12 @@ impl<A: DpApp + 'static> JobServer<A> {
                 ctl: ctl_txs,
             };
             let (stop, dying, served_done) = (stop.clone(), dying.clone(), served_done.clone());
-            let soft_die = self.soft_die;
+            let (soft_die, recorder) = (self.soft_die, recorder.clone());
             std::thread::Builder::new()
                 .name(format!("dpx10-serve-demux{}", me.index()))
-                .spawn(move || serve_demux(node, routes, stop, dying, served_done, soft_die))
+                .spawn(move || {
+                    serve_demux(node, routes, stop, dying, served_done, soft_die, recorder)
+                })
                 .map_err(|e| EngineError::Socket(format!("spawn demux: {e}")))?
         };
 
@@ -422,6 +421,7 @@ impl<A: DpApp + 'static> JobServer<A> {
                 waits[j] = serve_start.elapsed();
                 recorder.instant_now(me.0, RUNTIME_WORKER, EventKind::JobAdmit, j as u64);
                 let spec = &self.jobs[j];
+                let (app, pattern) = (spec.app.clone(), spec.pattern.clone());
                 let mut config = spec.config.clone();
                 let downgrade = downgrade_schedule(&mut config);
                 // Serve-level concerns: checkpoint writers assume one
@@ -430,28 +430,41 @@ impl<A: DpApp + 'static> JobServer<A> {
                 config.checkpoint = None;
                 config.fault = None;
                 config.chaos = None;
-                let runner = JobRunner {
-                    job_id: j as u32,
-                    app: spec.app.clone(),
-                    pattern: spec.pattern.clone(),
-                    config,
-                    placement: placements[j].clone(),
-                    node: node.clone(),
-                    plane: planes[j].clone(),
-                    ctl_rx: ctl_rxs[j].take().expect("each job is admitted once"),
-                    me,
+                let placement = placements[j].clone();
+                let ctl_rx = ctl_rxs[j].take().expect("each job is admitted once");
+                let (node, plane, dying) = (node.clone(), planes[j].clone(), dying.clone());
+                let mut seat = PoolSeat {
                     pool: pool.clone(),
-                    dying: dying.clone(),
-                    recorder: recorder.clone(),
-                    downgrade,
+                    job: j,
                 };
+                let recorder = recorder.clone();
                 let tx = done_tx.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("dpx10-job{j}p{}", me.index()))
                     .spawn(move || {
-                        let result = runner.run();
-                        runner.release();
-                        let _ = tx.send((runner.job_id, result));
+                        let driver = Driver {
+                            app: &app,
+                            pattern: &pattern,
+                            config: &config,
+                            init: None,
+                            downgrade,
+                            node,
+                            plane,
+                            ctl_rx,
+                            participants: placement,
+                            me,
+                            dying,
+                            recorder,
+                        };
+                        // A driver that unwinds must still report, or the
+                        // admission loop would wait on it forever.
+                        let run = AssertUnwindSafe(|| driver.drive(&mut seat));
+                        let result = catch_unwind(run).unwrap_or_else(|_| {
+                            Err(EngineError::Job(format!("job {j}'s driver panicked")))
+                        });
+                        seat.detach();
+                        release(&driver);
+                        let _ = tx.send((j, result));
                     })
                     .expect("spawn job driver");
                 driver_handles.push(handle);
@@ -460,8 +473,8 @@ impl<A: DpApp + 'static> JobServer<A> {
             }
             if let Ok((jid, result)) = done_rx.recv_timeout(Duration::from_millis(5)) {
                 running -= 1;
-                recorder.instant_now(me.0, RUNTIME_WORKER, EventKind::JobDone, u64::from(jid));
-                results[jid as usize] = Some(result);
+                recorder.instant_now(me.0, RUNTIME_WORKER, EventKind::JobDone, jid as u64);
+                results[jid] = Some(result);
             }
         }
 
@@ -576,12 +589,28 @@ struct JobRoutes<V> {
     ctl: Vec<Sender<(PlaceId, Wire<V>)>>,
 }
 
+/// Place 0: releases a job's surviving workers, whatever its outcome
+/// was — the per-job twin of the single-job engine's
+/// release-before-goodbye (the frame leaves through the job's plane, so
+/// it arrives inside the job's namespace).
+fn release<A: DpApp>(driver: &Driver<'_, A>) {
+    if driver.me != PlaceId::ZERO {
+        return;
+    }
+    for p in driver
+        .participants
+        .iter()
+        .filter(|p| **p != driver.me && driver.node.liveness().is_alive(**p))
+    {
+        let _ = driver.plane.send_wire(*p, &Wire::Done);
+    }
+}
+
 /// Reads raw frames off the mesh and routes them to the owning job's
 /// channels. Bare `Die`/`Done` frames are mesh-level (planned fault /
-/// serve shutdown); any other bare frame is legacy single-job traffic
-/// and lands on job 0. Unknown job ids and undecodable payloads follow
-/// the single-job policy: the former are dropped, the latter mark the
-/// sender dead.
+/// serve shutdown); a serve has no other bare frames, so anything else
+/// unwrapped is dropped, as are unknown job ids. Undecodable payloads
+/// mark the sender dead, the single-job policy.
 fn serve_demux<V: VertexValue>(
     node: Arc<SocketNode>,
     routes: JobRoutes<V>,
@@ -589,33 +618,28 @@ fn serve_demux<V: VertexValue>(
     dying: Arc<AtomicBool>,
     served_done: Arc<AtomicBool>,
     soft_die: bool,
+    recorder: Recorder,
 ) {
     while !stop.load(Ordering::Acquire) {
         let Some((src, bytes)) = node.recv_bytes_timeout(Duration::from_millis(5)) else {
             continue;
         };
-        let routed = match decode_exact::<Wire<V>>(&bytes) {
-            Some(Wire::Job(job, inner)) => Some((job as usize, *inner)),
+        let (job, wire) = match decode_exact::<Wire<V>>(&bytes) {
+            Some(Wire::Job(job, inner)) => (job as usize, *inner),
             Some(Wire::Die) => {
-                dying.store(true, Ordering::Release);
-                if soft_die {
-                    node.crash();
-                } else {
-                    std::process::abort();
-                }
-                None
+                die(&node, &dying, soft_die, &recorder);
+                continue;
             }
             Some(Wire::Done) => {
                 served_done.store(true, Ordering::Release);
-                None
+                continue;
             }
-            Some(legacy) => Some((0, legacy)),
+            Some(_) => continue,
             None => {
                 node.liveness().mark_dead(src);
-                None
+                continue;
             }
         };
-        let Some((job, wire)) = routed else { continue };
         if job >= routes.app.len() {
             continue;
         }
@@ -664,18 +688,23 @@ impl<A: DpApp> JobPool<A> {
     }
 
     /// Hands an epoch's shared state to the pool.
-    fn attach(&self, job: u32, shared: Arc<Shared<A>>, slot: usize) {
-        *self.slots[job as usize].work.lock() = Some((shared, slot));
+    fn attach(&self, job: usize, shared: Arc<Shared<A>>, slot: usize) {
+        *self.slots[job].work.lock() = Some((shared, slot));
     }
 
-    /// Withdraws a job's epoch from the pool and waits until no pool
-    /// thread still works on it — the quiescence barrier that replaces
-    /// the single-job engine's thread join between epochs.
-    fn detach(&self, job: u32) {
-        let slot = &self.slots[job as usize];
-        *slot.work.lock() = None;
+    /// Withdraws a job's epoch (if one is attached) from the pool and
+    /// waits until no pool thread still works on it — the quiescence
+    /// barrier that replaces the single-job engine's thread join between
+    /// epochs — then books what the epoch published.
+    fn detach(&self, job: usize) {
+        let slot = &self.slots[job];
+        let epoch = slot.work.lock().take();
         while slot.busy.load(Ordering::Acquire) != 0 {
             std::thread::yield_now();
+        }
+        if let Some((shared, _)) = epoch {
+            let computed = shared.computed.load(Ordering::Relaxed);
+            self.published_base.fetch_add(computed, Ordering::Relaxed);
         }
     }
 
@@ -688,6 +717,24 @@ impl<A: DpApp> JobPool<A> {
             }
         }
         sum
+    }
+}
+
+/// One job's seat in the shared pool: the [`EpochWorkers`] a served
+/// job's [`Driver`] computes with, in place of private threads.
+struct PoolSeat<A: DpApp> {
+    pool: Arc<JobPool<A>>,
+    job: usize,
+}
+
+impl<A: DpApp> EpochWorkers<A> for PoolSeat<A> {
+    fn attach(&mut self, shared: &Arc<Shared<A>>, slot: usize) -> Result<(), EngineError> {
+        self.pool.attach(self.job, shared.clone(), slot);
+        Ok(())
+    }
+
+    fn detach(&mut self) {
+        self.pool.detach(self.job);
     }
 }
 
@@ -763,635 +810,10 @@ fn kill_watchdog<A: DpApp>(
 ) {
     while !stop.load(Ordering::Acquire) && !dying.load(Ordering::Acquire) {
         if pool.published() >= after_vertices {
-            recorder.instant_now(
-                node.me().0,
-                RUNTIME_WORKER,
-                EventKind::CtlDie,
-                after_vertices,
-            );
-            dying.store(true, Ordering::Release);
-            if soft_die {
-                node.crash();
-            } else {
-                std::process::abort();
-            }
+            die(&node, &dying, soft_die, &recorder);
             return;
         }
         std::thread::sleep(Duration::from_micros(500));
-    }
-}
-
-/// What a per-job control loop decided the epoch's fate is — the
-/// multi-job twin of the socket engine's flow states.
-enum JobFlow<V> {
-    Finished,
-    Fault,
-    Stalled {
-        finished: u64,
-    },
-    WorkerExit,
-    WorkerResume {
-        alive: Vec<u16>,
-        cells: Vec<(u64, V)>,
-    },
-    Died,
-}
-
-/// Drives one job on one place: the per-job epoch loop, isomorphic to
-/// the single-job socket engine's driver but with every control frame
-/// wrapped in [`Wire::Job`] and the compute delegated to the shared
-/// pool instead of private worker threads.
-struct JobRunner<A: DpApp> {
-    job_id: u32,
-    app: Arc<A>,
-    pattern: Arc<dyn DagPattern>,
-    config: EngineConfig,
-    placement: Vec<PlaceId>,
-    node: Arc<SocketNode>,
-    plane: Arc<AppPlane<A::Value>>,
-    ctl_rx: Receiver<(PlaceId, Wire<A::Value>)>,
-    me: PlaceId,
-    pool: Arc<JobPool<A>>,
-    dying: Arc<AtomicBool>,
-    recorder: Recorder,
-    downgrade: Option<ScheduleDowngrade>,
-}
-
-impl<A: DpApp + 'static> JobRunner<A> {
-    /// Sends a job-wrapped control frame.
-    fn send_ctl(&self, dst: PlaceId, wire: Wire<A::Value>) -> Result<(), DeadPlaceError> {
-        let framed = Wire::Job(self.job_id, Box::new(wire));
-        self.node
-            .send_bytes(dst, encode_to_vec(&framed))
-            .map(|_| ())
-    }
-
-    /// Place 0: releases this job's surviving workers, whatever the
-    /// outcome was — mirrors the single-job engine's
-    /// release-before-goodbye.
-    fn release(&self) {
-        if self.me != PlaceId::ZERO {
-            return;
-        }
-        for p in self
-            .placement
-            .iter()
-            .filter(|p| **p != self.me && self.node.liveness().is_alive(**p))
-        {
-            let _ = self.send_ctl(*p, Wire::Done);
-        }
-    }
-
-    fn run(&self) -> Result<Option<DagResult<A::Value>>, EngineError> {
-        if self.dying.load(Ordering::Acquire) {
-            return Ok(None);
-        }
-        let total = self.pattern.vertex_count();
-        let region = Region2D::new(self.pattern.height(), self.pattern.width());
-        let started = Instant::now();
-        let mut report = RunReport {
-            vertices_total: total,
-            schedule_downgrade: self.downgrade.clone(),
-            ..RunReport::default()
-        };
-        let mut alive: Vec<PlaceId> = self.placement.clone();
-        let mut prior: Option<DistArray<A::Value>> = None;
-        let mut pending_cells: Option<Vec<(u64, A::Value)>> = None;
-        let mut epoch: u32 = 0;
-
-        let final_array = loop {
-            report.epochs += 1;
-            self.plane.set_epoch(epoch);
-            let dist = Arc::new(Dist::new(
-                region,
-                self.config.dist_kind.clone(),
-                alive.clone(),
-            ));
-            if let Some(cells) = pending_cells.take() {
-                let mut arr = DistArray::new(dist.clone());
-                for (packed, v) in cells {
-                    let id = VertexId::unpack(packed);
-                    arr.set(id.i, id.j, v);
-                }
-                prior = Some(arr);
-            }
-            let Some(my_slot) = alive.iter().position(|p| *p == self.me) else {
-                // The coordinator counted us among this job's dead.
-                return Ok(None);
-            };
-            let agg =
-                crate::engine::agg_mode(&self.config, self.app.as_ref(), self.pattern.as_ref());
-            let (shards, prefinished) = build_shards(
-                self.pattern.as_ref(),
-                &dist,
-                prior.as_ref(),
-                None,
-                None,
-                self.config.cache_capacity,
-                agg,
-            );
-            if agg.is_some() {
-                crate::engine::seed_aggs(self.app.as_ref(), &shards);
-            }
-            self.recorder.instant_now(
-                self.me.0,
-                RUNTIME_WORKER,
-                EventKind::EpochStart,
-                u64::from(epoch),
-            );
-            if prefinished == total {
-                // Deterministic on every participant: all exit silently.
-                break collect_array(&shards, &dist);
-            }
-
-            let shared = Arc::new(Shared {
-                app: self.app.clone(),
-                stall_limit: self.config.stall_limit,
-                pattern: self.pattern.clone(),
-                dist: dist.clone(),
-                shards,
-                transport: {
-                    let base = self.plane.clone() as Arc<dyn Transport<Msg<A::Value>>>;
-                    match self.config.coalesce {
-                        // A per-job, per-epoch wrapper: coalescing lanes
-                        // are keyed by job for free, and an abandoned
-                        // epoch's buffered traffic dies with its wrapper.
-                        Some(bytes) => Arc::new(CoalescingTransport::new(
-                            base,
-                            CoalesceConfig::bytes(bytes),
-                            self.node.stats().clone(),
-                            self.recorder.clone(),
-                        )),
-                        None => base,
-                    }
-                },
-                topo: self.config.topology,
-                net: self.config.network,
-                schedule: self.config.schedule,
-                liveness: self.node.liveness().clone(),
-                stats: self.node.stats().clone(),
-                total,
-                finished_global: AtomicU64::new(prefinished),
-                computed: AtomicU64::new(0),
-                done: AtomicBool::new(false),
-                fault: AtomicBool::new(false),
-                stalled: AtomicBool::new(false),
-                // Serve-level faults go through `ServeKill`, never here.
-                fault_plan: Vec::new(),
-                time_kills: Vec::new(),
-                run_started: started,
-                shake: None,
-                worker_seq: AtomicU64::new(0),
-                checkpoint: None,
-                recorder: self.recorder.clone(),
-                comms: self.config.comms,
-                agg,
-            });
-            self.pool.attach(self.job_id, shared.clone(), my_slot);
-
-            let outcome = if self.me == PlaceId::ZERO {
-                self.coordinate(&shared, epoch, &alive, my_slot, total)
-            } else {
-                self.follow(&shared, epoch, my_slot)
-            };
-            shared.done.store(true, Ordering::Release); // belt and braces
-            self.pool.detach(self.job_id);
-            let computed = shared.computed.load(Ordering::Relaxed);
-            report.vertices_computed += computed;
-            self.pool
-                .published_base
-                .fetch_add(computed, Ordering::Relaxed);
-
-            match outcome? {
-                JobFlow::Finished => {
-                    let survivors = self.survivors(&alive);
-                    for p in &survivors {
-                        let _ = self.send_ctl(*p, Wire::Stop { epoch });
-                    }
-                    let mut arr = collect_array(&shared.shards, &dist);
-                    let lost = self.collect_snapshots(epoch, &alive, &mut arr, &mut report);
-                    if lost.is_empty() {
-                        break arr;
-                    }
-                    // A place died between the last vertex and its
-                    // snapshot: recover and re-run.
-                    let restored = self.recover_from(&arr, &lost, &mut report);
-                    self.resume_epoch(epoch, &mut alive, &restored);
-                    prior = Some(restored);
-                    epoch += 1;
-                }
-                JobFlow::Fault => {
-                    let dead: Vec<PlaceId> = alive
-                        .iter()
-                        .copied()
-                        .filter(|p| !self.node.liveness().is_alive(*p))
-                        .collect();
-                    let dead_u16: Vec<u16> = dead.iter().map(|p| p.0).collect();
-                    for p in self.survivors(&alive) {
-                        let _ = self.send_ctl(
-                            p,
-                            Wire::Abort {
-                                epoch,
-                                dead: dead_u16.clone(),
-                            },
-                        );
-                    }
-                    let mut arr = collect_array(&shared.shards, &dist);
-                    let lost = self.collect_snapshots(epoch, &alive, &mut arr, &mut report);
-                    let mut all_dead = dead;
-                    all_dead.extend(lost);
-                    all_dead.sort_unstable();
-                    all_dead.dedup();
-                    let restored = self.recover_from(&arr, &all_dead, &mut report);
-                    self.resume_epoch(epoch, &mut alive, &restored);
-                    prior = Some(restored);
-                    epoch += 1;
-                }
-                JobFlow::Stalled { finished } => {
-                    return Err(EngineError::Stalled { finished, total });
-                }
-                JobFlow::WorkerExit => return Ok(None),
-                JobFlow::Died => return Ok(None),
-                JobFlow::WorkerResume {
-                    alive: new_alive,
-                    cells,
-                } => {
-                    alive = new_alive.into_iter().map(PlaceId).collect();
-                    pending_cells = Some(cells);
-                    prior = None;
-                    epoch += 1;
-                }
-            }
-        };
-
-        if self.me != PlaceId::ZERO {
-            // Worker that left through the all-prefinished short-circuit.
-            return Ok(None);
-        }
-        report.wall_time = started.elapsed();
-        let result = DagResult::new(final_array, report);
-        self.app.app_finished(&result);
-        Ok(Some(result))
-    }
-
-    /// Alive peers of this job other than this place.
-    fn survivors(&self, alive: &[PlaceId]) -> Vec<PlaceId> {
-        alive
-            .iter()
-            .copied()
-            .filter(|p| *p != self.me && self.node.liveness().is_alive(*p))
-            .collect()
-    }
-
-    /// Place 0's per-job mid-epoch loop: fold progress into the finished
-    /// table and decide the epoch's fate. Liveness is consulted only for
-    /// this job's places — the fault-isolation pivot: a death elsewhere
-    /// in the mesh is not this job's problem.
-    fn coordinate(
-        &self,
-        shared: &Arc<Shared<A>>,
-        epoch: u32,
-        alive: &[PlaceId],
-        my_slot: usize,
-        total: u64,
-    ) -> Result<JobFlow<A::Value>, EngineError> {
-        let mut table: Vec<u64> = (0..alive.len())
-            .map(|s| shared.shards[s].finished_local.load(Ordering::Relaxed))
-            .collect();
-        let mut last_sum = u64::MAX;
-        let mut last_change = Instant::now();
-        loop {
-            match self.ctl_rx.recv_timeout(Duration::from_millis(2)) {
-                Ok((src, Wire::Progress { epoch: e, finished })) if e == epoch => {
-                    if let Some(s) = alive.iter().position(|p| *p == src) {
-                        table[s] = table[s].max(finished);
-                    }
-                }
-                Ok(_) | Err(_) => {} // stale traffic / timeout tick
-            }
-            table[my_slot] = shared.shards[my_slot]
-                .finished_local
-                .load(Ordering::Relaxed);
-            let sum: u64 = table.iter().sum();
-
-            let someone_died = alive.iter().any(|p| !self.node.liveness().is_alive(*p));
-            if someone_died || shared.fault.load(Ordering::Acquire) {
-                shared.fault.store(true, Ordering::Release);
-                self.recorder.instant_now(
-                    self.me.0,
-                    RUNTIME_WORKER,
-                    EventKind::Fault,
-                    u64::from(epoch),
-                );
-                return Ok(JobFlow::Fault);
-            }
-            if sum >= total {
-                shared.done.store(true, Ordering::Release);
-                self.recorder.instant_now(
-                    self.me.0,
-                    RUNTIME_WORKER,
-                    EventKind::CtlStop,
-                    u64::from(epoch),
-                );
-                return Ok(JobFlow::Finished);
-            }
-
-            if sum != last_sum {
-                last_sum = sum;
-                last_change = Instant::now();
-            } else if last_change.elapsed() > shared.stall_limit {
-                self.recorder
-                    .instant_now(self.me.0, RUNTIME_WORKER, EventKind::Stalled, sum);
-                shared.stalled.store(true, Ordering::Release);
-                shared.done.store(true, Ordering::Release);
-                return Ok(JobFlow::Stalled { finished: sum });
-            }
-        }
-    }
-
-    /// A worker place's per-job mid-epoch loop: stream progress to the
-    /// job's coordinator and obey its wrapped control frames. Unlike the
-    /// single-job engine there is no `Die` arm — planned deaths are
-    /// mesh-level (handled by the demux and the kill watchdog) and show
-    /// up here as the `dying` flag.
-    fn follow(
-        &self,
-        shared: &Arc<Shared<A>>,
-        epoch: u32,
-        my_slot: usize,
-    ) -> Result<JobFlow<A::Value>, EngineError> {
-        let mut last_reported = u64::MAX;
-        let mut last_progress = Instant::now();
-        let mut awaiting_release: Option<Instant> = None;
-        loop {
-            if self.dying.load(Ordering::Acquire) {
-                shared.fault.store(true, Ordering::Release);
-                return Ok(JobFlow::Died);
-            }
-            if !self.node.liveness().is_alive(PlaceId::ZERO) {
-                return Err(EngineError::Socket(
-                    "place 0 was lost; a job cannot continue without its coordinator".into(),
-                ));
-            }
-            if let Some(since) = awaiting_release {
-                if since.elapsed() > SNAPSHOT_DEADLINE {
-                    return Err(EngineError::Socket(
-                        "no release from the coordinator after snapshot".into(),
-                    ));
-                }
-            }
-
-            match self.ctl_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok((_, Wire::Stop { epoch: e })) if e == epoch => {
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlStop,
-                        u64::from(epoch),
-                    );
-                    shared.done.store(true, Ordering::Release);
-                    self.send_snapshot(shared, epoch, my_slot)?;
-                    awaiting_release = Some(Instant::now());
-                }
-                Ok((_, Wire::Abort { epoch: e, dead })) if e == epoch => {
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlAbort,
-                        u64::from(epoch),
-                    );
-                    for d in dead {
-                        self.node.liveness().mark_dead(PlaceId(d));
-                    }
-                    shared.fault.store(true, Ordering::Release);
-                    self.send_snapshot(shared, epoch, my_slot)?;
-                    awaiting_release = Some(Instant::now());
-                }
-                Ok((
-                    _,
-                    Wire::Resume {
-                        epoch: e,
-                        alive,
-                        cells,
-                        // The job server broadcasts full-set Resumes;
-                        // the metadata rider is only used by the
-                        // single-job socket engine's scatter.
-                        meta: _,
-                    },
-                )) if e == epoch + 1 => {
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlResume,
-                        u64::from(epoch + 1),
-                    );
-                    return Ok(JobFlow::WorkerResume { alive, cells });
-                }
-                Ok((_, Wire::Done)) => {
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlDone,
-                        u64::from(epoch),
-                    );
-                    return Ok(JobFlow::WorkerExit);
-                }
-                Ok(_) | Err(_) => {}
-            }
-
-            let finished = shared.shards[my_slot]
-                .finished_local
-                .load(Ordering::Relaxed);
-            if finished != last_reported || last_progress.elapsed() > PROGRESS_INTERVAL {
-                last_reported = finished;
-                last_progress = Instant::now();
-                let _ = self.send_ctl(PlaceId::ZERO, Wire::Progress { epoch, finished });
-            }
-        }
-    }
-
-    /// Sends this place's per-job slot snapshot to the coordinator.
-    /// Counter stats stay empty: the substrate's counters are mesh-level
-    /// and already live in the node's stats board; repeating them per
-    /// job would double-count them.
-    fn send_snapshot(
-        &self,
-        shared: &Arc<Shared<A>>,
-        epoch: u32,
-        my_slot: usize,
-    ) -> Result<(), EngineError> {
-        // Flush-before-snapshot: this job's buffered coalesced traffic
-        // hits the wire (or dies with a dead lane) before the epoch's
-        // cells are reported.
-        shared.transport.flush(self.me);
-        let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
-        let shard = &shared.shards[my_slot];
-        let mut cells = Vec::new();
-        for (li, &(i, j)) in shard.points.iter().enumerate() {
-            if shard.in_pattern[li] && shard.finished[li].load(Ordering::Acquire) {
-                let v = shard.values[li].get().expect("finished => set").clone();
-                cells.push((VertexId::new(i, j).pack(), v));
-            }
-        }
-        let sent = cells.len() as u64;
-        let result = self
-            .send_ctl(
-                PlaceId::ZERO,
-                Wire::Snapshot {
-                    epoch,
-                    cells,
-                    computed: shared.computed.load(Ordering::Relaxed),
-                    stats: Vec::new(),
-                },
-            )
-            .map_err(|e| EngineError::Socket(format!("snapshot delivery failed: {e}")));
-        if let Some(start) = rec_start {
-            self.recorder.span(
-                self.me.0,
-                RUNTIME_WORKER,
-                EventKind::Snapshot,
-                start,
-                self.recorder.now_ns(),
-                sent,
-            );
-        }
-        result
-    }
-
-    /// Place 0: waits for every live participant's snapshot of this
-    /// job, folding cells into `arr`; peers that never answer are marked
-    /// dead and returned.
-    fn collect_snapshots(
-        &self,
-        epoch: u32,
-        alive: &[PlaceId],
-        arr: &mut DistArray<A::Value>,
-        report: &mut RunReport,
-    ) -> Vec<PlaceId> {
-        let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
-        let mut pending: Vec<PlaceId> = alive.iter().copied().filter(|p| *p != self.me).collect();
-        let mut lost = Vec::new();
-        let deadline = Instant::now() + SNAPSHOT_DEADLINE;
-        loop {
-            pending.retain(|p| {
-                if self.node.liveness().is_alive(*p) {
-                    true
-                } else {
-                    lost.push(*p);
-                    false
-                }
-            });
-            if pending.is_empty() {
-                break;
-            }
-            if Instant::now() > deadline {
-                for p in pending.drain(..) {
-                    self.node.liveness().mark_dead(p);
-                    lost.push(p);
-                }
-                break;
-            }
-            let Ok((src, wire)) = self.ctl_rx.recv_timeout(Duration::from_millis(10)) else {
-                continue;
-            };
-            if let Wire::Snapshot {
-                epoch: e,
-                cells,
-                computed,
-                ..
-            } = wire
-            {
-                if e != epoch {
-                    continue;
-                }
-                let Some(k) = pending.iter().position(|p| *p == src) else {
-                    continue;
-                };
-                pending.swap_remove(k);
-                for (packed, v) in cells {
-                    let id = VertexId::unpack(packed);
-                    arr.set(id.i, id.j, v);
-                }
-                report.vertices_computed += computed;
-            }
-        }
-        if let Some(start) = rec_start {
-            self.recorder.span(
-                self.me.0,
-                RUNTIME_WORKER,
-                EventKind::Snapshot,
-                start,
-                self.recorder.now_ns(),
-                lost.len() as u64,
-            );
-        }
-        lost
-    }
-
-    /// Place 0: runs the paper's recovery over this job's snapshot.
-    fn recover_from(
-        &self,
-        snapshot: &DistArray<A::Value>,
-        dead: &[PlaceId],
-        report: &mut RunReport,
-    ) -> DistArray<A::Value> {
-        let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
-        let (restored, rec) = recover(
-            snapshot,
-            dead,
-            self.config.restore_manner,
-            &self.config.topology,
-            &self.config.network,
-            &RecoveryCostModel::default(),
-        );
-        report.recovery_time += rec.sim_time;
-        report.recoveries.push(rec);
-        if let Some(start) = rec_start {
-            self.recorder.span(
-                self.me.0,
-                RUNTIME_WORKER,
-                EventKind::Recovery,
-                start,
-                self.recorder.now_ns(),
-                u64::from(report.epochs),
-            );
-        }
-        restored
-    }
-
-    /// Place 0: prunes this job's `alive` list to the survivors and
-    /// sends each of them the restored state for the next epoch.
-    fn resume_epoch(&self, epoch: u32, alive: &mut Vec<PlaceId>, restored: &DistArray<A::Value>) {
-        alive.retain(|p| self.node.liveness().is_alive(*p));
-        self.recorder.instant_now(
-            self.me.0,
-            RUNTIME_WORKER,
-            EventKind::CtlResume,
-            u64::from(epoch + 1),
-        );
-        let mut cells = Vec::new();
-        let rdist = restored.dist();
-        for s in 0..rdist.num_slots() {
-            for (i, j, v, finished) in restored.iter_slot(s) {
-                if finished {
-                    cells.push((VertexId::new(i, j).pack(), v.clone()));
-                }
-            }
-        }
-        let alive_u16: Vec<u16> = alive.iter().map(|p| p.0).collect();
-        for p in alive.iter().filter(|p| **p != self.me) {
-            let _ = self.send_ctl(
-                *p,
-                Wire::Resume {
-                    epoch: epoch + 1,
-                    alive: alive_u16.clone(),
-                    cells: cells.clone(),
-                    // Full-set broadcast: every survivor gets every
-                    // cell, so no metadata rider is needed.
-                    meta: Vec::new(),
-                },
-            );
-        }
     }
 }
 
@@ -1399,6 +821,7 @@ impl<A: DpApp + 'static> JobRunner<A> {
 mod tests {
     use super::*;
     use crate::app::DepView;
+    use dpx10_dag::VertexId;
 
     struct Nop;
     impl DpApp for Nop {

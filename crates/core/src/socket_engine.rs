@@ -11,6 +11,16 @@
 //! (cheap: it is metadata plus prefinished values), then each place runs
 //! workers only for its own slot and exchanges [`Msg`]s over the wire.
 //!
+//! The epoch loop and its control protocol live in one place, the
+//! crate-private `Driver`. [`SocketEngine::run`] instantiates it once
+//! per process; the multi-job server ([`crate::jobs`]) instantiates it
+//! once per job. The two hosts differ in three inputs only: the
+//! participant list that seeds the epoch roster (the mesh's members vs
+//! the job's placement), the frame namespace ([`AppPlane`]'s optional
+//! job id, which wraps data and control frames alike in [`Wire::Job`]),
+//! and who runs an epoch's workers (`EpochWorkers`: private threads vs
+//! the server's shared pool).
+//!
 //! # The control protocol
 //!
 //! Vertex traffic alone cannot terminate a distributed run — no process
@@ -28,7 +38,8 @@
 //!   children), gathers a `Snapshot` of every slot's values, and
 //!   releases everyone with `Done`;
 //! * a detected failure (connection loss / missed heartbeats feeding the
-//!   shared liveness board, or a planned `Die`) makes place 0 tree-
+//!   shared liveness board, or a planned `Die`, which the victim's demux
+//!   thread obeys by crashing without a goodbye) makes place 0 tree-
 //!   broadcast `Abort`, gather the survivors' snapshots, run the paper's
 //!   recovery (§VI-D), and restart everyone with a `Resume` *scatter* —
 //!   each tree hop carries the restored values of the receiver's
@@ -54,7 +65,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dpx10_apgas::codec::{decode_exact, encode_to_vec};
+use dpx10_apgas::codec::decode_exact;
 use dpx10_apgas::mailbox::Envelope;
 use dpx10_apgas::{
     fold_counts, ChaosRng, CoalesceConfig, CoalescingTransport, Codec, CollectiveSchedule,
@@ -67,7 +78,7 @@ use dpx10_sync::channel::{unbounded, Receiver, Sender};
 
 use crate::app::{DagResult, DpApp, VertexValue};
 use crate::config::{EngineConfig, InitOverride};
-use crate::engine::{worker_loop, Shared};
+use crate::engine::{agg_mode, seed_aggs, worker_loop, Shared};
 use crate::error::EngineError;
 use crate::msg::Msg;
 use crate::schedule::ScheduleStrategy;
@@ -93,7 +104,7 @@ pub(crate) fn downgrade_schedule(config: &mut EngineConfig) -> Option<ScheduleDo
 /// How long place 0 waits for a survivor's snapshot before writing the
 /// place off as dead (generous: the transport's own heartbeat timeout
 /// fires much earlier for real failures).
-const SNAPSHOT_DEADLINE: Duration = Duration::from_secs(60);
+pub(crate) const SNAPSHOT_DEADLINE: Duration = Duration::from_secs(60);
 
 /// How often a worker place re-sends its progress even when the count has
 /// not moved (keeps the coordinator's view fresh without flooding).
@@ -110,21 +121,25 @@ const CONCLUDE_RESEND: Duration = Duration::from_millis(500);
 /// scatter relay dying with its subtree's hop in hand.
 const RESUME_RESEND: Duration = Duration::from_millis(250);
 
+/// Cumulative per-place counters carried by every [`Wire::Snapshot`]:
+/// `[tasks, msgs, bytes, net_ns, cache_hits, cache_misses, busy_ns,
+/// batches_sent, batched_msgs, pulls_sent, pulls_deduped, pushes_sent,
+/// pull_roundtrips_avoided]`.
+const STAT_COUNTERS: usize = 13;
+
+/// Wire tag of [`Wire::Job`], shared by its `Codec` arm and
+/// [`AppPlane::send_wire`] (which writes the envelope without boxing).
+const JOB_TAG: u8 = 8;
+
 /// Everything that crosses a socket during a run: vertex traffic
 /// ([`Wire::App`]) and the control protocol, all epoch-tagged.
 ///
-/// `pub(crate)` because the multi-job server ([`crate::jobs`]) speaks
-/// the same protocol, namespaced per job by the [`Wire::Job`] wrapper.
+/// `pub(crate)` because the multi-job server ([`crate::jobs`]) routes
+/// and releases with the same frames, namespaced per job by the
+/// [`Wire::Job`] wrapper.
 pub(crate) enum Wire<V> {
     /// A vertex-protocol message of the given epoch.
     App(u32, Msg<V>),
-    /// Worker → place 0: my slot has `finished` vertices done.
-    Progress {
-        /// Epoch the count belongs to.
-        epoch: u32,
-        /// Finished vertices of the sender's slot (monotone).
-        finished: u64,
-    },
     /// Place 0 → workers: every vertex is finished; snapshot your slot.
     Stop {
         /// Epoch being concluded.
@@ -145,12 +160,9 @@ pub(crate) enum Wire<V> {
         cells: Vec<(u64, V)>,
         /// Vertices this place computed during the epoch.
         computed: u64,
-        /// Cumulative place counters: `[tasks, msgs, bytes, net_ns,
-        /// cache_hits, cache_misses, busy_ns, batches_sent,
-        /// batched_msgs, pulls_sent, pulls_deduped, pushes_sent,
-        /// pull_roundtrips_avoided]`. Decoders accept any shorter
-        /// prefix (older peers) and leave the missing tail at zero.
-        stats: Vec<u64>,
+        /// Cumulative place counters (see [`STAT_COUNTERS`]); a frame
+        /// with any other count is malformed.
+        stats: [u64; STAT_COUNTERS],
     },
     /// Place 0 → survivors (scattered down the tree): recovery done,
     /// start the next epoch.
@@ -166,20 +178,22 @@ pub(crate) enum Wire<V> {
         /// Packed ids of *every* restored finished cell — the global
         /// metadata that unblocks dependencies on cells whose values
         /// were scattered to another subtree (pulls still go to the
-        /// owner, which holds the value). Decode tolerates its absence
-        /// (legacy frames), meaning `cells` is the full set.
+        /// owner, which holds the value).
         meta: Vec<u64>,
     },
     /// Place 0 → a worker: abort the process immediately (planned fault
     /// injection — dies without a goodbye so peers *detect* the death).
+    /// Addresses the place, not a job: only the single-job engine's
+    /// coordinator sends it (a serve's planned faults are `ServeKill`s),
+    /// and both demuxes obey it themselves.
     Die,
-    /// Place 0 → workers: the run is over, exit cleanly.
+    /// Place 0 → workers: the run is over, exit cleanly. Wrapped in
+    /// [`Wire::Job`] it releases one job; bare it ends the run or serve.
     Done,
     /// A frame belonging to one job of a multi-job serve: the `job_id`
     /// namespace joins the epoch already carried by the inner frame.
-    /// Decode is tolerant in both directions: old single-job peers never
-    /// emit tag 8 and ignore nothing, while a serve demux treats a bare
-    /// (unwrapped) legacy frame as belonging to job 0.
+    /// A serve wraps every data and control frame; the single-job
+    /// engine wraps none.
     Job(u32, Box<Wire<V>>),
     /// One hop of a tree broadcast ([`CollectiveSchedule`]): the
     /// receiver handles the inner frame as if it had arrived directly,
@@ -207,11 +221,6 @@ impl<V: Codec> Codec for Wire<V> {
                 epoch.encode(buf);
                 msg.encode(buf);
             }
-            Wire::Progress { epoch, finished } => {
-                buf.push(1);
-                epoch.encode(buf);
-                finished.encode(buf);
-            }
             Wire::Stop { epoch } => {
                 buf.push(2);
                 epoch.encode(buf);
@@ -231,7 +240,7 @@ impl<V: Codec> Codec for Wire<V> {
                 epoch.encode(buf);
                 cells.encode(buf);
                 computed.encode(buf);
-                stats.encode(buf);
+                stats.to_vec().encode(buf);
             }
             Wire::Resume {
                 epoch,
@@ -248,7 +257,7 @@ impl<V: Codec> Codec for Wire<V> {
             Wire::Die => buf.push(6),
             Wire::Done => buf.push(7),
             Wire::Job(job, inner) => {
-                buf.push(8);
+                buf.push(JOB_TAG);
                 job.encode(buf);
                 inner.encode(buf);
             }
@@ -267,10 +276,6 @@ impl<V: Codec> Codec for Wire<V> {
     fn decode(src: &mut &[u8]) -> Option<Self> {
         match u8::decode(src)? {
             0 => Some(Wire::App(u32::decode(src)?, Msg::decode(src)?)),
-            1 => Some(Wire::Progress {
-                epoch: u32::decode(src)?,
-                finished: u64::decode(src)?,
-            }),
             2 => Some(Wire::Stop {
                 epoch: u32::decode(src)?,
             }),
@@ -282,23 +287,17 @@ impl<V: Codec> Codec for Wire<V> {
                 epoch: u32::decode(src)?,
                 cells: Vec::decode(src)?,
                 computed: u64::decode(src)?,
-                stats: Vec::decode(src)?,
+                stats: Vec::decode(src)?.try_into().ok()?,
             }),
             5 => Some(Wire::Resume {
                 epoch: u32::decode(src)?,
                 alive: Vec::decode(src)?,
                 cells: Vec::decode(src)?,
-                // Tolerant tail: a legacy peer's frame ends here, which
-                // means "cells is the full restored set".
-                meta: if src.is_empty() {
-                    Vec::new()
-                } else {
-                    Vec::decode(src)?
-                },
+                meta: Vec::decode(src)?,
             }),
             6 => Some(Wire::Die),
             7 => Some(Wire::Done),
-            8 => Some(Wire::Job(u32::decode(src)?, Box::new(Wire::decode(src)?))),
+            JOB_TAG => Some(Wire::Job(u32::decode(src)?, Box::new(Wire::decode(src)?))),
             9 => Some(Wire::Bcast(Box::new(Wire::decode(src)?))),
             10 => Some(Wire::Reduce {
                 epoch: u32::decode(src)?,
@@ -311,7 +310,6 @@ impl<V: Codec> Codec for Wire<V> {
     fn wire_size(&self) -> usize {
         1 + match self {
             Wire::App(epoch, msg) => epoch.wire_size() + Codec::wire_size(msg),
-            Wire::Progress { epoch, finished } => epoch.wire_size() + finished.wire_size(),
             Wire::Stop { epoch } => epoch.wire_size(),
             Wire::Abort { epoch, dead } => epoch.wire_size() + dead.wire_size(),
             Wire::Snapshot {
@@ -319,7 +317,7 @@ impl<V: Codec> Codec for Wire<V> {
                 cells,
                 computed,
                 stats,
-            } => epoch.wire_size() + cells.wire_size() + computed.wire_size() + stats.wire_size(),
+            } => epoch.wire_size() + cells.wire_size() + computed.wire_size() + 8 + 8 * stats.len(),
             Wire::Resume {
                 epoch,
                 alive,
@@ -349,10 +347,10 @@ pub(crate) struct AppPlane<V> {
     early: dpx10_sync::Mutex<Vec<(u32, Envelope<Msg<V>>)>>,
     liveness: LivenessBoard,
     /// `Some(job_id)` when this plane carries one job of a multi-job
-    /// serve: outbound frames get wrapped in [`Wire::Job`] so the remote
-    /// demux can route them to the right job's channels. `None` is the
-    /// classic single-job engine (bare frames, fully wire-compatible
-    /// with pre-job peers).
+    /// serve: outbound frames — vertex traffic and control alike — get
+    /// wrapped in [`Wire::Job`] so the remote demux can route them to
+    /// the right job's channels. `None` is the single-job engine (bare
+    /// frames).
     job: Option<u32>,
 }
 
@@ -376,8 +374,21 @@ impl<V: VertexValue> AppPlane<V> {
 
     /// Advances the plane to `epoch` (done between epochs, with the
     /// workers quiesced).
-    pub(crate) fn set_epoch(&self, epoch: u32) {
+    fn set_epoch(&self, epoch: u32) {
         self.epoch.store(epoch, Ordering::Release);
+    }
+
+    /// Frames `wire` — inside this plane's [`Wire::Job`] envelope when
+    /// it carries a served job — and sends it to `dst`. Every outbound
+    /// frame of a driver, data or control, goes through here.
+    pub(crate) fn send_wire(&self, dst: PlaceId, wire: &Wire<V>) -> Result<(), DeadPlaceError> {
+        let mut buf = Vec::with_capacity(5 + Codec::wire_size(wire));
+        if let Some(job) = self.job {
+            buf.push(JOB_TAG);
+            job.encode(&mut buf);
+        }
+        wire.encode(&mut buf);
+        self.node.send_bytes(dst, buf).map(|_| ())
     }
 
     /// Classifies one demuxed frame against `current`: deliver, park for
@@ -421,12 +432,7 @@ impl<V: VertexValue> Transport<Msg<V>> for AppPlane<V> {
         _wire_bytes: usize,
     ) -> Result<(), DeadPlaceError> {
         debug_assert_eq!(src, self.node.me(), "socket places only send as themselves");
-        let wire = Wire::App(self.epoch.load(Ordering::Acquire), msg);
-        let bytes = match self.job {
-            Some(job) => encode_to_vec(&Wire::Job(job, Box::new(wire))),
-            None => encode_to_vec(&wire),
-        };
-        self.node.send_bytes(dst, bytes).map(|_| ())
+        self.send_wire(dst, &Wire::App(self.epoch.load(Ordering::Acquire), msg))
     }
 
     fn try_recv(&self, _at: PlaceId) -> Option<Envelope<Msg<V>>> {
@@ -466,15 +472,35 @@ impl<V: VertexValue> Transport<Msg<V>> for AppPlane<V> {
     }
 }
 
+/// A planned fault landed on this place: die the way a crashed process
+/// dies — no goodbye frame, so the peers must *detect* it. `dying`
+/// tells this place's drivers to stop. In soft-die mode only the
+/// sockets die (the place is a thread of a test process that must
+/// survive).
+pub(crate) fn die(node: &SocketNode, dying: &AtomicBool, soft_die: bool, recorder: &Recorder) {
+    let me = node.me().0;
+    recorder.instant_now(me, RUNTIME_WORKER, EventKind::CtlDie, u64::from(me));
+    dying.store(true, Ordering::Release);
+    if soft_die {
+        node.crash();
+    } else {
+        std::process::abort();
+    }
+}
+
 /// Reads raw frames off the mesh and splits them: vertex traffic to the
 /// [`AppPlane`]'s channel, control messages to the control channel. A
-/// payload that fails to decode marks its sender dead — same policy as
-/// the typed transport.
+/// planned `Die` addresses the place rather than the driver and is
+/// obeyed here. A payload that fails to decode marks its sender dead —
+/// same policy as the typed transport.
 fn demux_loop<V: VertexValue>(
     node: Arc<SocketNode>,
     app_tx: Sender<(u32, Envelope<Msg<V>>)>,
     ctl_tx: Sender<(PlaceId, Wire<V>)>,
     stop: Arc<AtomicBool>,
+    dying: Arc<AtomicBool>,
+    soft_die: bool,
+    recorder: Recorder,
 ) {
     while !stop.load(Ordering::Acquire) {
         let Some((src, bytes)) = node.recv_bytes_timeout(Duration::from_millis(5)) else {
@@ -484,6 +510,7 @@ fn demux_loop<V: VertexValue>(
             Some(Wire::App(epoch, msg)) => {
                 let _ = app_tx.send((epoch, Envelope { src, msg }));
             }
+            Some(Wire::Die) => die(&node, &dying, soft_die, &recorder),
             Some(wire) => {
                 let _ = ctl_tx.send((src, wire));
             }
@@ -494,39 +521,57 @@ fn demux_loop<V: VertexValue>(
     }
 }
 
+/// Whether every place id, cell id and count a peer's control frame
+/// carries is one this run can index: place ids inside the mesh's slot
+/// space, packed cell ids inside the pattern's region, finished counts
+/// no larger than the region (so a table of them cannot overflow its
+/// sum). Peers control these bytes; the driver's tables must never be
+/// indexed by them unchecked.
+fn well_formed<V>(wire: &Wire<V>, slots: u16, region: Region2D) -> bool {
+    let cell_ok = |packed: u64| {
+        let id = VertexId::unpack(packed);
+        region.contains(id.i, id.j)
+    };
+    match wire {
+        Wire::Abort { dead, .. } => dead.iter().all(|d| *d < slots),
+        Wire::Snapshot { cells, .. } => cells.iter().all(|(c, _)| cell_ok(*c)),
+        Wire::Resume {
+            alive, cells, meta, ..
+        } => {
+            // Slot order: ascending, led by the coordinator.
+            alive.first() == Some(&0)
+                && alive.windows(2).all(|w| w[0] < w[1])
+                && alive.last().is_some_and(|p| *p < slots)
+                && cells.iter().all(|(c, _)| cell_ok(*c))
+                && meta.iter().all(|c| cell_ok(*c))
+        }
+        Wire::Reduce { counts, .. } => counts.iter().all(|(_, n)| *n <= region.len()),
+        Wire::Bcast(inner) => well_formed(inner, slots, region),
+        Wire::App(..) | Wire::Stop { .. } | Wire::Die | Wire::Done | Wire::Job(..) => true,
+    }
+}
+
 /// What a control loop decided the epoch's fate is.
 enum Flow<V> {
     /// Place 0: every vertex finished.
     Finished,
     /// Place 0: a place died (or a planned fault fired); recover.
     Fault,
-    /// Place 0: global progress froze.
-    Stalled {
-        /// Vertices finished when the watchdog gave up.
-        finished: u64,
-    },
     /// Worker: the run is over.
     WorkerExit,
-    /// Worker: recovery finished, start the next epoch.
-    WorkerResume {
-        /// Surviving places in slot order.
-        alive: Vec<u16>,
-        /// The restored finished cells scattered to this place's
-        /// subtree (already relayed onwards before this flow returned).
-        cells: Vec<(u64, V)>,
-        /// Packed ids of every restored finished cell (empty on a
-        /// legacy full-broadcast frame).
-        meta: Vec<u64>,
-    },
-    /// Worker: a planned `Die` arrived in soft-die mode; the node has
-    /// already crashed its sockets.
+    /// Worker: recovery finished, start the next epoch from this
+    /// scatter hop (already relayed onwards before the flow returned).
+    WorkerResume(ResumeState<V>),
+    /// Worker: a planned fault crashed this place's sockets (soft-die
+    /// mode; otherwise the process is already gone).
     Died,
 }
 
-/// Place 0's record of one `Resume` scatter: everything needed to
-/// rebuild a survivor's bundle if the tree hop carrying it died with a
-/// relay (the coordinator re-sends directly to peers it has not heard
-/// from in the resumed epoch).
+/// One `Resume` scatter as a place holds it: on place 0 everything
+/// needed to rebuild any survivor's bundle if the tree hop carrying it
+/// died with a relay (the coordinator re-sends directly to peers it has
+/// not heard from in the resumed epoch); on a worker the hop it
+/// received, to split among its own schedule children.
 struct ResumeState<V> {
     /// The epoch being resumed *into* (old + 1).
     epoch: u32,
@@ -534,8 +579,9 @@ struct ResumeState<V> {
     alive: Vec<u16>,
     /// Packed ids of every restored finished cell.
     meta: Vec<u64>,
-    /// Every restored finished cell (re-bucketed per subtree on
-    /// demand — re-sends are rare).
+    /// The restored finished cells held here — all of them on place 0,
+    /// the receiver's subtree's on a worker (filtered per subtree on
+    /// demand: scatters and re-sends are rare).
     cells: Vec<(u64, V)>,
 }
 
@@ -654,26 +700,36 @@ impl<A: DpApp + 'static> SocketEngine<A> {
         let (app_tx, app_rx) = unbounded();
         let (ctl_tx, ctl_rx) = unbounded();
         let stop = Arc::new(AtomicBool::new(false));
+        let dying = Arc::new(AtomicBool::new(false));
         let demux = {
             let node = node.clone();
-            let stop = stop.clone();
+            let (stop, dying, recorder) = (stop.clone(), dying.clone(), recorder.clone());
+            let soft_die = self.soft_die;
             std::thread::Builder::new()
                 .name(format!("dpx10-demux{}", me.index()))
-                .spawn(move || demux_loop(node, app_tx, ctl_tx, stop))
+                .spawn(move || demux_loop(node, app_tx, ctl_tx, stop, dying, soft_die, recorder))
                 .map_err(|e| EngineError::Socket(format!("spawn demux: {e}")))?
         };
-        let plane = Arc::new(AppPlane::new(node.clone(), app_rx, None));
 
         let driver = Driver {
-            engine: self,
-            node: node.clone(),
-            plane,
+            app: &self.app,
+            pattern: &self.pattern,
+            config: &self.config,
+            init: self.init.as_ref(),
+            downgrade: self.downgrade.clone(),
+            plane: Arc::new(AppPlane::new(node.clone(), app_rx, None)),
             ctl_rx,
+            // The mesh's *live membership*, not `0..places`: on an
+            // elastic mesh the slot space has holes where places drained
+            // out, and pinning them back in would make the snapshot
+            // collector wait on peers that will never answer.
+            participants: node.roster().members(),
+            node: node.clone(),
             me,
-            places,
+            dying,
             recorder,
         };
-        let result = driver.drive(total);
+        let result = driver.drive(&mut PrivateThreads::default());
 
         // Whatever happened — success, stall, error — release the
         // workers before the goodbye, or a coordinator error would
@@ -682,7 +738,7 @@ impl<A: DpApp + 'static> SocketEngine<A> {
             // Release live members only; drained slots have no outbox.
             for p in node.roster().members() {
                 if p != me {
-                    let _ = node.send_bytes(p, encode_to_vec(&Wire::<A::Value>::Done));
+                    let _ = driver.plane.send_wire(p, &Wire::Done);
                 }
             }
         }
@@ -693,43 +749,115 @@ impl<A: DpApp + 'static> SocketEngine<A> {
     }
 }
 
-/// Per-run state shared by the epoch loop and the control loops.
-struct Driver<'a, A: DpApp> {
-    engine: &'a SocketEngine<A>,
-    node: Arc<SocketNode>,
-    plane: Arc<AppPlane<A::Value>>,
-    ctl_rx: Receiver<(PlaceId, Wire<A::Value>)>,
-    me: PlaceId,
-    places: u16,
-    recorder: Recorder,
+/// Who computes an epoch's vertices on this place — the one seam
+/// between the [`Driver`] and its host besides plain data.
+pub(crate) trait EpochWorkers<A: DpApp> {
+    /// Starts workers on slot `slot` of `shared`.
+    fn attach(&mut self, shared: &Arc<Shared<A>>, slot: usize) -> Result<(), EngineError>;
+    /// Returns once no worker touches the attached epoch any more (the
+    /// driver has already raised `shared.done`).
+    fn detach(&mut self);
+}
+
+/// The single-job engine's workers: `threads_per_place` private
+/// threads, spawned per epoch and joined at its end.
+#[derive(Default)]
+struct PrivateThreads {
+    handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl<A: DpApp + 'static> EpochWorkers<A> for PrivateThreads {
+    fn attach(&mut self, shared: &Arc<Shared<A>>, slot: usize) -> Result<(), EngineError> {
+        let me = shared.dist.places()[slot];
+        for t in 0..shared.topo.threads_per_place {
+            let sh = shared.clone();
+            let handle = std::thread::Builder::new()
+                .name(format!("dpx10-p{}w{t}", me.index()))
+                .spawn(move || worker_loop(sh, slot))
+                .map_err(|e| EngineError::Socket(format!("spawn worker: {e}")))?;
+            self.handles.push(handle);
+        }
+        Ok(())
+    }
+
+    fn detach(&mut self) {
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// One place's share of one DAG run over a socket mesh: the epoch loop
+/// and the control loops, whether the DAG is the process's only one
+/// ([`SocketEngine::run`]) or one job of a serve ([`crate::jobs`]).
+pub(crate) struct Driver<'a, A: DpApp> {
+    pub(crate) app: &'a Arc<A>,
+    pub(crate) pattern: &'a Arc<dyn DagPattern>,
+    pub(crate) config: &'a EngineConfig,
+    pub(crate) init: Option<&'a InitOverride<A::Value>>,
+    pub(crate) downgrade: Option<ScheduleDowngrade>,
+    pub(crate) node: Arc<SocketNode>,
+    /// Carries the frame namespace: every outbound frame, data or
+    /// control, leaves through [`AppPlane::send_wire`].
+    pub(crate) plane: Arc<AppPlane<A::Value>>,
+    pub(crate) ctl_rx: Receiver<(PlaceId, Wire<A::Value>)>,
+    /// The places that run this DAG, in slot order; seeds the epoch
+    /// roster `alive`, which only ever shrinks.
+    pub(crate) participants: Vec<PlaceId>,
+    pub(crate) me: PlaceId,
+    /// Raised by the demux (planned `Die`) or a kill watchdog once this
+    /// place is crashing.
+    pub(crate) dying: Arc<AtomicBool>,
+    pub(crate) recorder: Recorder,
 }
 
 impl<A: DpApp + 'static> Driver<'_, A> {
     fn send_ctl(&self, dst: PlaceId, wire: &Wire<A::Value>) -> Result<(), DeadPlaceError> {
-        self.node.send_bytes(dst, encode_to_vec(wire)).map(|_| ())
+        self.plane.send_wire(dst, wire)
     }
 
-    fn drive(&self, total: u64) -> Result<Option<DagResult<A::Value>>, EngineError> {
-        let cfg = &self.engine.config;
-        let pattern = &self.engine.pattern;
-        let region = Region2D::new(pattern.height(), pattern.width());
+    fn region(&self) -> Region2D {
+        Region2D::new(self.pattern.height(), self.pattern.width())
+    }
+
+    /// The next control frame, or `None` on a timeout tick. A frame that
+    /// names a place, cell or count this run cannot index is treated
+    /// like an undecodable payload: dropped, its sender marked dead.
+    fn recv_ctl(&self, timeout: Duration) -> Option<(PlaceId, Wire<A::Value>)> {
+        let (src, wire) = self.ctl_rx.recv_timeout(timeout).ok()?;
+        let slots = self.node.liveness().num_places();
+        if well_formed(&wire, slots, self.region()) {
+            Some((src, wire))
+        } else {
+            self.node.liveness().mark_dead(src);
+            None
+        }
+    }
+
+    /// Runs the DAG to completion on this place. `Ok(Some(result))` on
+    /// place 0, `Ok(None)` on every other participant.
+    pub(crate) fn drive(
+        &self,
+        workers: &mut dyn EpochWorkers<A>,
+    ) -> Result<Option<DagResult<A::Value>>, EngineError> {
+        let cfg = self.config;
+        let pattern = self.pattern;
+        let total = pattern.vertex_count();
+        let region = self.region();
         let started = Instant::now();
         let mut report = RunReport {
             vertices_total: total,
-            schedule_downgrade: self.engine.downgrade.clone(),
+            schedule_downgrade: self.downgrade.clone(),
             ..RunReport::default()
         };
-        // Seed the epoch roster from the mesh's *live membership*, not
-        // `0..places`: on an elastic mesh the slot space has holes where
-        // places drained out, and pinning them back in would make the
-        // snapshot collector wait on peers that will never answer.
-        let mut alive: Vec<PlaceId> = self.node.roster().members();
+        let mut alive: Vec<PlaceId> = self.participants.clone();
         let mut prior: Option<DistArray<A::Value>> = None;
         // A `Resume` scatter's restored cells + finished-set metadata,
         // parked until the next epoch's restore step consumes them.
         #[allow(clippy::type_complexity)]
         let mut pending_cells: Option<(Vec<(u64, A::Value)>, Vec<u64>)> = None;
-        let mut peer_stats: Vec<[u64; 13]> = vec![[0; 13]; self.places as usize];
+        let slots = self.node.liveness().num_places() as usize;
+        let mut peer_stats = vec![[0u64; STAT_COUNTERS]; slots];
         // Place 0's record of the last `Resume` scatter, kept so the
         // next epoch's coordinator loop can re-send a survivor's bundle
         // if a relay hop died with its carrier.
@@ -743,7 +871,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
 
         let final_array = loop {
             report.epochs += 1;
-            self.plane.epoch.store(epoch, Ordering::Release);
+            self.plane.set_epoch(epoch);
             let dist = Arc::new(Dist::new(region, cfg.dist_kind.clone(), alive.clone()));
             let mut scatter_meta: Option<HashSet<u64>> = None;
             if let Some((cells, meta)) = pending_cells.take() {
@@ -758,22 +886,20 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                     arr.set(id.i, id.j, v);
                 }
                 prior = Some(arr);
-                if !meta.is_empty() {
-                    scatter_meta = Some(meta.into_iter().collect());
-                }
+                scatter_meta = Some(meta.into_iter().collect());
             }
             let Some(my_slot) = alive.iter().position(|p| *p == self.me) else {
                 // The coordinator counted us among the dead (e.g. a
                 // false-positive timeout); nothing left to contribute.
                 return Ok(None);
             };
-            let agg = crate::engine::agg_mode(cfg, self.engine.app.as_ref(), pattern.as_ref());
+            let agg = agg_mode(cfg, self.app.as_ref(), pattern.as_ref());
             let (shards, prefinished) = build_shards(
                 pattern.as_ref(),
                 &dist,
                 prior.as_ref(),
                 scatter_meta.as_ref(),
-                self.engine.init.as_ref(),
+                self.init,
                 cfg.cache_capacity,
                 agg,
             );
@@ -782,7 +908,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 // holds (its own subtree after a Resume scatter).
                 // Meta-only finished cells stay gaps; the ranged execute
                 // path pulls them from their owner on demand.
-                crate::engine::seed_aggs(self.engine.app.as_ref(), &shards);
+                seed_aggs(self.app.as_ref(), &shards);
             }
             self.recorder.instant_now(
                 self.me.0,
@@ -802,7 +928,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
             }
 
             let shared = Arc::new(Shared {
-                app: self.engine.app.clone(),
+                app: self.app.clone(),
                 stall_limit: cfg.stall_limit,
                 pattern: pattern.clone(),
                 dist: dist.clone(),
@@ -813,7 +939,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                         // A fresh wrapper each epoch: buffered traffic of
                         // an abandoned epoch dies with it, and flushes
                         // always carry the current epoch tag (workers are
-                        // joined before `plane.epoch` advances).
+                        // detached before the plane's epoch advances).
                         Some(bytes) => Arc::new(CoalescingTransport::new(
                             base,
                             CoalesceConfig::bytes(bytes),
@@ -835,7 +961,8 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 done: AtomicBool::new(false),
                 fault: AtomicBool::new(false),
                 stalled: AtomicBool::new(false),
-                // Planned faults go through `Wire::Die` from place 0.
+                // Planned faults go through `Wire::Die` from place 0 (or
+                // a serve's kill watchdog), never the worker loop.
                 fault_plan: Vec::new(),
                 time_kills: Vec::new(),
                 run_started: started,
@@ -851,16 +978,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 recorder: self.recorder.clone(),
                 agg,
             });
-
-            let mut handles = Vec::new();
-            for t in 0..cfg.topology.threads_per_place {
-                let sh = shared.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("dpx10-p{}w{t}", self.me.index()))
-                    .spawn(move || worker_loop(sh, my_slot))
-                    .map_err(|e| EngineError::Socket(format!("spawn worker: {e}")))?;
-                handles.push(handle);
-            }
+            workers.attach(&shared, my_slot)?;
 
             let outcome = if self.me == PlaceId::ZERO {
                 self.coordinate(
@@ -877,109 +995,86 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 self.follow(&shared, epoch, &alive, my_slot, busy_total)
             };
             shared.done.store(true, Ordering::Release); // belt and braces
-            for h in handles {
-                let _ = h.join();
-            }
+            workers.detach();
             report.vertices_computed += shared.computed.load(Ordering::Relaxed);
             busy_total += shared.shards[my_slot].busy_ns.load(Ordering::Relaxed);
 
-            match outcome? {
-                Flow::Finished => {
-                    self.bcast_ctl(&alive, Wire::Stop { epoch });
-                    let mut arr = collect_array(&shared.shards, &dist);
-                    let lost = self.collect_snapshots(
-                        epoch,
-                        &alive,
-                        &Wire::Stop { epoch },
-                        &mut arr,
-                        &mut peer_stats,
-                        &mut report,
-                    );
-                    if lost.is_empty() {
-                        break arr;
-                    }
-                    // A place died between the last vertex and its
-                    // snapshot: its values are gone, recover and re-run.
-                    let restored = self.recover_from(&arr, &lost, &mut report);
-                    resume = Some(self.resume_epoch(epoch, &mut alive, &restored)?);
-                    prior = Some(restored);
-                    epoch += 1;
-                }
-                Flow::Fault => {
-                    let dead: Vec<PlaceId> = alive
+            let (finished, mut dead): (bool, Vec<PlaceId>) = match outcome? {
+                Flow::Finished => (true, Vec::new()),
+                Flow::Fault => (
+                    false,
+                    alive
                         .iter()
                         .copied()
                         .filter(|p| !self.node.liveness().is_alive(*p))
-                        .collect();
-                    let dead_u16: Vec<u16> = dead.iter().map(|p| p.0).collect();
-                    self.bcast_ctl(
-                        &alive,
-                        Wire::Abort {
-                            epoch,
-                            dead: dead_u16.clone(),
-                        },
-                    );
-                    let mut arr = collect_array(&shared.shards, &dist);
-                    let lost = self.collect_snapshots(
-                        epoch,
-                        &alive,
-                        &Wire::Abort {
-                            epoch,
-                            dead: dead_u16,
-                        },
-                        &mut arr,
-                        &mut peer_stats,
-                        &mut report,
-                    );
-                    let mut all_dead = dead;
-                    all_dead.extend(lost);
-                    all_dead.sort_unstable();
-                    all_dead.dedup();
-                    let restored = self.recover_from(&arr, &all_dead, &mut report);
-                    resume = Some(self.resume_epoch(epoch, &mut alive, &restored)?);
-                    prior = Some(restored);
-                    epoch += 1;
-                }
-                Flow::Stalled { finished } => {
-                    return Err(EngineError::Stalled { finished, total });
-                }
-                Flow::WorkerExit => return Ok(None),
-                Flow::Died => return Ok(None),
-                Flow::WorkerResume {
-                    alive: new_alive,
-                    cells,
-                    meta,
-                } => {
-                    alive = new_alive.into_iter().map(PlaceId).collect();
-                    pending_cells = Some((cells, meta));
+                        .collect(),
+                ),
+                Flow::WorkerExit | Flow::Died => return Ok(None),
+                Flow::WorkerResume(st) => {
+                    alive = st.alive.into_iter().map(PlaceId).collect();
+                    pending_cells = Some((st.cells, st.meta));
                     prior = None; // rebuilt from `pending_cells` above
                     epoch += 1;
+                    continue;
                 }
+            };
+            // Place 0 concludes the epoch: tree-broadcast the verdict (one
+            // `Bcast` hop per schedule child; the receivers relay onwards)
+            // and gather every survivor's snapshot into our own copy.
+            let conclude = || {
+                if finished {
+                    return Wire::Stop { epoch };
+                }
+                Wire::Abort {
+                    epoch,
+                    dead: dead.iter().map(|p| p.0).collect(),
+                }
+            };
+            self.relay_hops(&alive, my_slot, &Wire::Bcast(Box::new(conclude())));
+            let mut arr = collect_array(&shared.shards, &dist);
+            let lost = self.collect_snapshots(
+                epoch,
+                &alive,
+                &conclude(),
+                &mut arr,
+                &mut peer_stats,
+                &mut report,
+            );
+            dead.extend(lost);
+            dead.sort_unstable();
+            dead.dedup();
+            if finished && dead.is_empty() {
+                break arr;
             }
+            // Places died — mid-epoch, or between the last vertex and
+            // their snapshot: their values are gone, recover and re-run.
+            let restored = self.recover_from(&arr, &dead, &mut report);
+            resume = Some(self.resume_epoch(epoch, &mut alive, &restored));
+            prior = Some(restored);
+            epoch += 1;
         };
 
-        if self.me != PlaceId::ZERO {
-            // Worker that left through the all-prefinished short-circuit.
-            return Ok(None);
-        }
-
         report.wall_time = started.elapsed();
-        let mut comm = self.node.stats().snapshot();
-        for stats in peer_stats.iter().skip(1) {
-            comm.tasks_run += stats[0];
-            comm.messages_sent += stats[1];
-            comm.bytes_sent += stats[2];
-            comm.net_time += Duration::from_nanos(stats[3]);
-            comm.cache_hits += stats[4];
-            comm.cache_misses += stats[5];
-            comm.batches_sent += stats[7];
-            comm.batched_msgs += stats[8];
-            comm.pulls_sent += stats[9];
-            comm.pulls_deduped += stats[10];
-            comm.pushes_sent += stats[11];
-            comm.pull_roundtrips_avoided += stats[12];
+        if self.plane.job.is_none() {
+            // A served job leaves `comm` at its default: the substrate's
+            // counters are mesh-level, not attributable to one job.
+            let mut comm = self.node.stats().snapshot();
+            for stats in peer_stats.iter().skip(1) {
+                comm.tasks_run += stats[0];
+                comm.messages_sent += stats[1];
+                comm.bytes_sent += stats[2];
+                comm.net_time += Duration::from_nanos(stats[3]);
+                comm.cache_hits += stats[4];
+                comm.cache_misses += stats[5];
+                comm.batches_sent += stats[7];
+                comm.batched_msgs += stats[8];
+                comm.pulls_sent += stats[9];
+                comm.pulls_deduped += stats[10];
+                comm.pushes_sent += stats[11];
+                comm.pull_roundtrips_avoided += stats[12];
+            }
+            report.comm = comm;
         }
-        report.comm = comm;
         // In the final epoch's slot order (matching the simulator): our
         // own accumulator for place 0, the last snapshot's busy counter
         // for every peer.
@@ -994,7 +1089,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
             })
             .collect();
         let result = DagResult::new(final_array, report);
-        self.engine.app.app_finished(&result);
+        self.app.app_finished(&result);
         Ok(Some(result))
     }
 
@@ -1005,82 +1100,56 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         CollectiveSchedule::new(alive.len(), root)
     }
 
-    /// Forwards a broadcast hop to `me_rank`'s schedule children; a
-    /// child that is dead or unreachable is replaced by its own
-    /// children, so the frame still reaches every live subtree.
-    fn relay_hops(&self, alive: &[PlaceId], me_rank: usize, hop: &Wire<A::Value>) {
-        let sched = self.schedule(alive);
-        let mut work = sched.children(me_rank);
-        while let Some(c) = work.pop() {
-            let p = alive[c];
-            if !self.node.liveness().is_alive(p) || self.send_ctl(p, hop).is_err() {
-                work.extend(sched.children(c));
-            }
-        }
-    }
-
-    /// Place 0: launches a tree broadcast of `frame` — one [`Wire::Bcast`]
-    /// hop per schedule child; the receivers relay onwards.
-    fn bcast_ctl(&self, alive: &[PlaceId], frame: Wire<A::Value>) {
-        let me_rank = self.schedule(alive).root();
-        self.relay_hops(alive, me_rank, &Wire::Bcast(Box::new(frame)));
-    }
-
-    /// Sends the `Resume` scatter hops from `me_rank` in the new
-    /// epoch's schedule: each child receives the restored cells of its
-    /// whole subtree plus the global finished-set metadata; a dead
-    /// child's subtree is adopted. Cells are bucketed by the *new*
-    /// distribution, whose slot order is `alive`'s order.
-    fn scatter_resume(
+    /// Reaches every schedule child of `me_rank` through `send(rank)`; a
+    /// child that is dead or unreachable is replaced by its own children
+    /// (tree repair), so every live subtree still gets its frame.
+    fn fan_out(
         &self,
         alive: &[PlaceId],
         me_rank: usize,
-        new_epoch: u32,
-        alive_u16: &[u16],
-        meta: &[u64],
-        cells: &[(u64, A::Value)],
+        send: impl Fn(usize) -> Result<(), DeadPlaceError>,
     ) {
         let sched = self.schedule(alive);
-        if sched.children(me_rank).is_empty() {
-            return;
-        }
-        let region = Region2D::new(self.engine.pattern.height(), self.engine.pattern.width());
-        let ndist = Dist::new(region, self.engine.config.dist_kind.clone(), alive.to_vec());
-        let mut by_rank: Vec<Vec<(u64, A::Value)>> = vec![Vec::new(); alive.len()];
-        for (packed, v) in cells {
-            let id = VertexId::unpack(*packed);
-            by_rank[ndist.slot_of(id.i, id.j)].push((*packed, v.clone()));
-        }
         let mut work = sched.children(me_rank);
         while let Some(c) = work.pop() {
-            let bundle: Vec<(u64, A::Value)> = sched
-                .subtree(c)
-                .into_iter()
-                .flat_map(|r| by_rank[r].iter().cloned())
-                .collect();
-            let frame = Wire::Resume {
-                epoch: new_epoch,
-                alive: alive_u16.to_vec(),
-                cells: bundle,
-                meta: meta.to_vec(),
-            };
-            let p = alive[c];
-            if !self.node.liveness().is_alive(p) || self.send_ctl(p, &frame).is_err() {
+            if !self.node.liveness().is_alive(alive[c]) || send(c).is_err() {
                 work.extend(sched.children(c));
             }
         }
     }
 
-    /// Rebuilds the `Resume` frame rank `rank` should have received
-    /// from the scatter: its subtree's restored cells plus the global
-    /// metadata (used by the re-send insurance, so a survivor stranded
-    /// by a dead relay still enters the epoch).
-    fn resume_frame_for(&self, st: &ResumeState<A::Value>, rank: usize) -> Wire<A::Value> {
+    /// Forwards a broadcast hop to `me_rank`'s schedule children.
+    fn relay_hops(&self, alive: &[PlaceId], me_rank: usize, hop: &Wire<A::Value>) {
+        self.fan_out(alive, me_rank, |c| self.send_ctl(alive[c], hop));
+    }
+
+    /// Sends the `Resume` scatter hops from `me_rank` in the new epoch's
+    /// schedule: each child receives the restored cells of its whole
+    /// subtree plus the global finished-set metadata.
+    fn scatter_resume(&self, st: &ResumeState<A::Value>, me_rank: usize) {
         let places: Vec<PlaceId> = st.alive.iter().copied().map(PlaceId).collect();
-        let sched = self.schedule(&places);
-        let sub = sched.subtree(rank);
-        let region = Region2D::new(self.engine.pattern.height(), self.engine.pattern.width());
-        let ndist = Dist::new(region, self.engine.config.dist_kind.clone(), places);
+        self.fan_out(&places, me_rank, |c| {
+            self.send_ctl(places[c], &self.resume_frame_for(st, &places, c))
+        });
+    }
+
+    /// The `Resume` frame of rank `rank`: the restored cells its subtree
+    /// owns under the *new* distribution (whose slot order is the
+    /// survivors' order) plus the global metadata. Built per hop by the
+    /// scatter, and again by the re-send insurance, so a survivor
+    /// stranded by a dead relay still enters the epoch.
+    fn resume_frame_for(
+        &self,
+        st: &ResumeState<A::Value>,
+        places: &[PlaceId],
+        rank: usize,
+    ) -> Wire<A::Value> {
+        let sub = self.schedule(places).subtree(rank);
+        let ndist = Dist::new(
+            self.region(),
+            self.config.dist_kind.clone(),
+            places.to_vec(),
+        );
         let cells = st
             .cells
             .iter()
@@ -1120,22 +1189,21 @@ impl<A: DpApp + 'static> Driver<'_, A> {
             .map(|s| shared.shards[s].finished_local.load(Ordering::Relaxed))
             .collect();
         // Every planned kill, as (victim, progress threshold) or
-        // (victim, wall-clock delay): the legacy single fault plus the
-        // chaos plan's kills. All fire as `Wire::Die` to the victim.
+        // (victim, wall-clock delay): the single fault plan plus the
+        // chaos plan's kills. All fire as a bare `Wire::Die` to the
+        // victim (a serve clears both plans; its kills are `ServeKill`s).
         let to_threshold = |frac: f64| ((frac * total as f64).ceil() as u64).clamp(1, total);
-        let cfg = &self.engine.config;
-        let mut progress_kills: Vec<(PlaceId, u64)> = cfg
-            .fault
-            .iter()
-            .map(|p| (p.place, to_threshold(p.after_fraction)))
+        let cfg = self.config;
+        let fault = cfg.fault.iter();
+        let kills: Vec<(PlaceId, KillTrigger)> = fault
+            .map(|p| (p.place, KillTrigger::Progress(p.after_fraction)))
+            .chain(
+                cfg.chaos
+                    .iter()
+                    .flat_map(|p| &p.kills)
+                    .map(|k| (k.place, k.trigger)),
+            )
             .collect();
-        let mut time_kills: Vec<(PlaceId, Duration)> = Vec::new();
-        for k in cfg.chaos.iter().flat_map(|p| p.kills.iter()) {
-            match k.trigger {
-                KillTrigger::Progress(f) => progress_kills.push((k.place, to_threshold(f))),
-                KillTrigger::After(t) => time_kills.push((k.place, t)),
-            }
-        }
         let mut last_sum = u64::MAX;
         let mut last_change = Instant::now();
         // Which places have reported anything this epoch: a `Reduce`
@@ -1147,15 +1215,8 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         let mut next_nudge = Instant::now() + RESUME_RESEND;
 
         loop {
-            match self.ctl_rx.recv_timeout(Duration::from_millis(2)) {
-                Ok((src, Wire::Progress { epoch: e, finished })) if e == epoch => {
-                    // Legacy direct form; current peers send `Reduce`.
-                    if let Some(s) = alive.iter().position(|p| *p == src) {
-                        table[s] = table[s].max(finished);
-                        heard[s] = true;
-                    }
-                }
-                Ok((src, Wire::Reduce { epoch: e, counts })) if e == epoch => {
+            match self.recv_ctl(Duration::from_millis(2)) {
+                Some((src, Wire::Reduce { epoch: e, counts })) if e == epoch => {
                     if let Some(s) = alive.iter().position(|p| *p == src) {
                         heard[s] = true;
                     }
@@ -1166,14 +1227,14 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                         }
                     }
                 }
-                Ok(_) | Err(_) => {} // stale traffic / timeout tick
+                _ => {} // stale traffic / timeout tick
             }
             if let Some(st) = resume {
                 if Instant::now() >= next_nudge {
                     next_nudge = Instant::now() + RESUME_RESEND;
                     for (s, p) in alive.iter().enumerate() {
                         if !heard[s] && *p != self.me && self.node.liveness().is_alive(*p) {
-                            let _ = self.send_ctl(*p, &self.resume_frame_for(st, s));
+                            let _ = self.send_ctl(*p, &self.resume_frame_for(st, alive, s));
                         }
                     }
                 }
@@ -1183,26 +1244,12 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 .load(Ordering::Relaxed);
             let sum: u64 = table.iter().sum();
 
-            for &(victim, threshold) in &progress_kills {
-                if sum >= threshold
-                    && !kills_fired.contains(&victim)
-                    && self.node.liveness().is_alive(victim)
-                {
-                    kills_fired.push(victim);
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlDie,
-                        u64::from(victim.0),
-                    );
-                    let _ = self.send_ctl(victim, &Wire::Die);
-                }
-            }
-            for &(victim, after) in &time_kills {
-                if started.elapsed() >= after
-                    && !kills_fired.contains(&victim)
-                    && self.node.liveness().is_alive(victim)
-                {
+            for &(victim, trigger) in &kills {
+                let due = match trigger {
+                    KillTrigger::Progress(frac) => sum >= to_threshold(frac),
+                    KillTrigger::After(delay) => started.elapsed() >= delay,
+                };
+                if due && !kills_fired.contains(&victim) && self.node.liveness().is_alive(victim) {
                     kills_fired.push(victim);
                     self.recorder.instant_now(
                         self.me.0,
@@ -1244,7 +1291,10 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                     .instant_now(self.me.0, RUNTIME_WORKER, EventKind::Stalled, sum);
                 shared.stalled.store(true, Ordering::Release);
                 shared.done.store(true, Ordering::Release);
-                return Ok(Flow::Stalled { finished: sum });
+                return Err(EngineError::Stalled {
+                    finished: sum,
+                    total,
+                });
             }
         }
     }
@@ -1288,8 +1338,16 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 }
             }
 
-            let received = match self.ctl_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok((src, Wire::Bcast(inner))) => {
+            let received = self.recv_ctl(Duration::from_millis(5));
+            // Checked after the receive: the demux raises `dying` before
+            // it forwards anything that arrived behind the `Die`, so a
+            // crashing place never acts on a later frame.
+            if self.dying.load(Ordering::Acquire) {
+                shared.fault.store(true, Ordering::Release);
+                return Ok(Flow::Died);
+            }
+            let received = match received {
+                Some((src, Wire::Bcast(inner))) => {
                     // A tree hop: relay to our schedule children first
                     // (adopting dead subtrees), then handle the inner
                     // frame as if it had arrived directly. A duplicate
@@ -1302,39 +1360,31 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                     let Wire::Bcast(inner) = hop else {
                         unreachable!()
                     };
-                    Ok((src, *inner))
+                    Some((src, *inner))
                 }
                 other => other,
             };
             match received {
-                Ok((_, Wire::Stop { epoch: e })) if e == epoch && !concluded => {
+                Some((_, verdict @ (Wire::Stop { epoch: e } | Wire::Abort { epoch: e, .. })))
+                    if e == epoch && !concluded =>
+                {
                     concluded = true;
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlStop,
-                        u64::from(epoch),
-                    );
-                    shared.done.store(true, Ordering::Release);
+                    let kind = if let Wire::Abort { dead, .. } = verdict {
+                        for d in dead {
+                            self.node.liveness().mark_dead(PlaceId(d));
+                        }
+                        shared.fault.store(true, Ordering::Release);
+                        EventKind::CtlAbort
+                    } else {
+                        shared.done.store(true, Ordering::Release);
+                        EventKind::CtlStop
+                    };
+                    self.recorder
+                        .instant_now(self.me.0, RUNTIME_WORKER, kind, u64::from(epoch));
                     self.send_snapshot(shared, epoch, my_slot, busy_before)?;
                     awaiting_release = Some(Instant::now());
                 }
-                Ok((_, Wire::Abort { epoch: e, dead })) if e == epoch && !concluded => {
-                    concluded = true;
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlAbort,
-                        u64::from(epoch),
-                    );
-                    for d in dead {
-                        self.node.liveness().mark_dead(PlaceId(d));
-                    }
-                    shared.fault.store(true, Ordering::Release);
-                    self.send_snapshot(shared, epoch, my_slot, busy_before)?;
-                    awaiting_release = Some(Instant::now());
-                }
-                Ok((
+                Some((
                     _,
                     Wire::Resume {
                         epoch: e,
@@ -1356,39 +1406,22 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                     // own epoch guards; stranded places the relay never
                     // reaches get direct insurance re-sends from the
                     // coordinator.)
-                    let new_places: Vec<PlaceId> = new_alive.iter().copied().map(PlaceId).collect();
-                    if let Some(r) = new_places.iter().position(|p| *p == self.me) {
-                        self.scatter_resume(&new_places, r, e, &new_alive, &meta, &cells);
-                    }
-                    return Ok(Flow::WorkerResume {
+                    let st = ResumeState {
+                        epoch: e,
                         alive: new_alive,
-                        cells,
                         meta,
-                    });
+                        cells,
+                    };
+                    if let Some(r) = st.alive.iter().position(|p| *p == self.me.0) {
+                        self.scatter_resume(&st, r);
+                    }
+                    return Ok(Flow::WorkerResume(st));
                 }
-                Ok((_, Wire::Reduce { epoch: e, counts })) if e == epoch => {
+                Some((_, Wire::Reduce { epoch: e, counts })) if e == epoch => {
                     // A child's subtree counts; folded into our next hop.
                     fold_counts(&mut child_counts, &counts);
                 }
-                Ok((_, Wire::Die)) => {
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlDie,
-                        u64::from(epoch),
-                    );
-                    // Planned fault: die the way a crashed process dies —
-                    // no goodbye frame, so the peers must *detect* it. In
-                    // soft-die mode only the sockets die (the place is a
-                    // thread of a test process that must survive).
-                    if self.engine.soft_die {
-                        self.node.crash();
-                        shared.fault.store(true, Ordering::Release);
-                        return Ok(Flow::Died);
-                    }
-                    std::process::abort();
-                }
-                Ok((_, Wire::Done)) => {
+                Some((_, Wire::Done)) => {
                     self.recorder.instant_now(
                         self.me.0,
                         RUNTIME_WORKER,
@@ -1397,7 +1430,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                     );
                     return Ok(Flow::WorkerExit);
                 }
-                Ok(_) | Err(_) => {}
+                _ => {}
             }
 
             let finished = shared.shards[my_slot]
@@ -1446,7 +1479,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
             }
         }
         let mine = self.node.stats().place(self.me);
-        let stats = vec![
+        let stats = [
             mine.tasks_run.load(Ordering::Relaxed),
             mine.messages_sent.load(Ordering::Relaxed),
             mine.bytes_sent.load(Ordering::Relaxed),
@@ -1495,7 +1528,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         alive: &[PlaceId],
         conclude: &Wire<A::Value>,
         arr: &mut DistArray<A::Value>,
-        peer_stats: &mut [[u64; 13]],
+        peer_stats: &mut [[u64; STAT_COUNTERS]],
         report: &mut RunReport,
     ) -> Vec<PlaceId> {
         let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
@@ -1539,7 +1572,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                     let _ = self.send_ctl(*p, conclude);
                 }
             }
-            let Ok((src, wire)) = self.ctl_rx.recv_timeout(Duration::from_millis(10)) else {
+            let Some((src, wire)) = self.recv_ctl(Duration::from_millis(10)) else {
                 continue;
             };
             if let Wire::Snapshot {
@@ -1561,12 +1594,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                     arr.set(id.i, id.j, v);
                 }
                 report.vertices_computed += computed;
-                if stats.len() >= 6 {
-                    let row = &mut peer_stats[src.index()];
-                    for (dst, s) in row.iter_mut().zip(stats) {
-                        *dst = s;
-                    }
-                }
+                peer_stats[src.index()] = stats;
             }
         }
         if let Some(start) = rec_start {
@@ -1593,9 +1621,9 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         let (restored, rec) = recover(
             snapshot,
             dead,
-            self.engine.config.restore_manner,
-            &self.engine.config.topology,
-            &self.engine.config.network,
+            self.config.restore_manner,
+            &self.config.topology,
+            &self.config.network,
             &RecoveryCostModel::default(),
         );
         report.recovery_time += rec.sim_time;
@@ -1624,7 +1652,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         epoch: u32,
         alive: &mut Vec<PlaceId>,
         restored: &DistArray<A::Value>,
-    ) -> Result<ResumeState<A::Value>, EngineError> {
+    ) -> ResumeState<A::Value> {
         alive.retain(|p| self.node.liveness().is_alive(*p));
         self.recorder.instant_now(
             self.me.0,
@@ -1641,28 +1669,26 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 }
             }
         }
-        let meta: Vec<u64> = cells.iter().map(|(packed, _)| *packed).collect();
-        let alive_u16: Vec<u16> = alive.iter().map(|p| p.0).collect();
-        let me_rank = alive
-            .iter()
-            .position(|p| *p == self.me)
-            .unwrap_or_else(|| self.schedule(alive).root());
+        let st = ResumeState {
+            epoch: epoch + 1,
+            alive: alive.iter().map(|p| p.0).collect(),
+            meta: cells.iter().map(|(packed, _)| *packed).collect(),
+            cells,
+        };
         // A hop failure here means the peer died *after* recovery; the
         // adoption inside the scatter plus the next epoch's liveness
         // check and re-send insurance catch it.
-        self.scatter_resume(alive, me_rank, epoch + 1, &alive_u16, &meta, &cells);
-        Ok(ResumeState {
-            epoch: epoch + 1,
-            alive: alive_u16,
-            meta,
-            cells,
-        })
+        self.scatter_resume(&st, self.schedule(alive).root());
+        st
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::DepView;
+    use dpx10_apgas::codec::encode_to_vec;
+    use dpx10_dag::builtin::Grid2;
 
     #[test]
     fn wire_round_trips() {
@@ -1674,10 +1700,6 @@ mod tests {
                     value: -7,
                 },
             ),
-            Wire::Progress {
-                epoch: 1,
-                finished: 42,
-            },
             Wire::Stop { epoch: 0 },
             Wire::Abort {
                 epoch: 2,
@@ -1687,7 +1709,7 @@ mod tests {
                 epoch: 1,
                 cells: vec![(VertexId::new(0, 0).pack(), 9)],
                 computed: 5,
-                stats: vec![1, 2, 3, 4, 5, 6, 7],
+                stats: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13],
             },
             Wire::Resume {
                 epoch: 2,
@@ -1730,36 +1752,55 @@ mod tests {
     #[test]
     fn wire_rejects_unknown_tag() {
         assert!(decode_exact::<Wire<i64>>(&[99]).is_none());
+        // Tag 1 was the direct `Progress` report; `Reduce` replaced it.
+        let mut progress = vec![1u8];
+        1u32.encode(&mut progress);
+        42u64.encode(&mut progress);
+        assert!(decode_exact::<Wire<i64>>(&progress).is_none());
     }
 
     #[test]
-    fn resume_decode_tolerates_missing_meta() {
-        // A legacy peer's Resume ends after `cells`; the decoder must
-        // treat the absent metadata as "cells is the full set" — both
-        // bare and wrapped in the serve protocol's Job envelope.
-        let mut legacy = vec![5u8];
-        3u32.encode(&mut legacy);
-        vec![0u16, 1].encode(&mut legacy);
-        vec![(VertexId::new(2, 2).pack(), 11i64)].encode(&mut legacy);
-        let Some(Wire::Resume {
-            epoch,
-            alive,
-            cells,
-            meta,
-        }) = decode_exact::<Wire<i64>>(&legacy)
-        else {
-            panic!("legacy Resume did not decode");
-        };
-        assert_eq!((epoch, alive.len(), cells.len()), (3, 2, 1));
-        assert!(meta.is_empty());
+    fn resume_truncated_after_cells_is_rejected() {
+        // The finished-set metadata is a mandatory field — bare and
+        // wrapped in the serve protocol's Job envelope.
+        let mut truncated = vec![5u8];
+        3u32.encode(&mut truncated);
+        vec![0u16, 1].encode(&mut truncated);
+        vec![(VertexId::new(2, 2).pack(), 11i64)].encode(&mut truncated);
+        assert!(decode_exact::<Wire<i64>>(&truncated).is_none());
 
-        let mut wrapped = vec![8u8];
+        let mut wrapped = vec![JOB_TAG];
         9u32.encode(&mut wrapped);
-        wrapped.extend_from_slice(&legacy);
-        let Some(Wire::Job(9, inner)) = decode_exact::<Wire<i64>>(&wrapped) else {
-            panic!("wrapped legacy Resume did not decode");
-        };
-        assert!(matches!(*inner, Wire::Resume { ref meta, .. } if meta.is_empty()));
+        wrapped.extend_from_slice(&truncated);
+        assert!(decode_exact::<Wire<i64>>(&wrapped).is_none());
+
+        // With the field present, both forms decode.
+        Vec::<u64>::new().encode(&mut truncated);
+        Vec::<u64>::new().encode(&mut wrapped);
+        assert!(decode_exact::<Wire<i64>>(&truncated).is_some());
+        assert!(decode_exact::<Wire<i64>>(&wrapped).is_some());
+    }
+
+    #[test]
+    fn snapshot_takes_exactly_thirteen_counters() {
+        for (n, ok) in [
+            (0usize, false),
+            (6, false),
+            (12, false),
+            (13, true),
+            (14, false),
+        ] {
+            let mut buf = vec![4u8];
+            1u32.encode(&mut buf);
+            Vec::<(u64, i64)>::new().encode(&mut buf);
+            5u64.encode(&mut buf);
+            vec![7u64; n].encode(&mut buf);
+            assert_eq!(
+                decode_exact::<Wire<i64>>(&buf).is_some(),
+                ok,
+                "{n} counters"
+            );
+        }
     }
 
     #[test]
@@ -1770,5 +1811,133 @@ mod tests {
         1u32.encode(&mut buf);
         u64::MAX.encode(&mut buf); // vec length prefix
         assert!(decode_exact::<Wire<i64>>(&buf).is_none());
+    }
+
+    /// Frames that decode fine but name a place outside the mesh, a cell
+    /// outside the region or an impossible count.
+    fn hostile_frames() -> Vec<(&'static str, Wire<u64>)> {
+        let outside = VertexId::new(6, 0).pack();
+        vec![
+            (
+                "abort naming place 9999",
+                Wire::Bcast(Box::new(Wire::Abort {
+                    epoch: 0,
+                    dead: vec![9999],
+                })),
+            ),
+            (
+                "resume naming place 9999",
+                Wire::Resume {
+                    epoch: 1,
+                    alive: vec![0, 1, 9999],
+                    cells: Vec::new(),
+                    meta: Vec::new(),
+                },
+            ),
+            (
+                "resume without the coordinator",
+                Wire::Resume {
+                    epoch: 1,
+                    alive: vec![1],
+                    cells: Vec::new(),
+                    meta: Vec::new(),
+                },
+            ),
+            (
+                "resume cell outside the region",
+                Wire::Resume {
+                    epoch: 1,
+                    alive: vec![0, 1],
+                    cells: vec![(outside, 7)],
+                    meta: vec![outside],
+                },
+            ),
+            (
+                "snapshot cell outside the region",
+                Wire::Snapshot {
+                    epoch: 0,
+                    cells: vec![(outside, 7)],
+                    computed: 1,
+                    stats: [0; STAT_COUNTERS],
+                },
+            ),
+            (
+                "reduce count beyond the region",
+                Wire::Reduce {
+                    epoch: 0,
+                    counts: vec![(1, u64::MAX)],
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn frames_naming_foreign_places_or_cells_are_malformed() {
+        let region = Region2D::new(6, 6);
+        for (what, wire) in hostile_frames() {
+            let back: Wire<u64> = decode_exact(&encode_to_vec(&wire)).expect(what);
+            assert!(!well_formed(&back, 2, region), "{what}");
+        }
+        let inside = VertexId::new(5, 5).pack();
+        let fine: Vec<Wire<u64>> = vec![
+            Wire::Abort {
+                epoch: 0,
+                dead: vec![1],
+            },
+            Wire::Resume {
+                epoch: 1,
+                alive: vec![0, 1],
+                cells: vec![(inside, 7)],
+                meta: vec![inside],
+            },
+            Wire::Snapshot {
+                epoch: 0,
+                cells: vec![(inside, 7)],
+                computed: 1,
+                stats: [0; STAT_COUNTERS],
+            },
+            Wire::Reduce {
+                epoch: 0,
+                counts: vec![(1, 36)],
+            },
+        ];
+        for wire in fine {
+            assert!(well_formed(&wire, 2, region));
+        }
+    }
+
+    struct Sum;
+    impl DpApp for Sum {
+        type Value = u64;
+        fn compute(&self, _id: VertexId, deps: &DepView<'_, u64>) -> u64 {
+            1 + deps.iter().map(|(_, v)| *v).sum::<u64>()
+        }
+    }
+
+    /// A real worker place against a coordinator that speaks garbage:
+    /// every hostile frame must end the worker's run with an error (it
+    /// writes place 0 off), never unwind its driver thread.
+    #[test]
+    fn a_worker_fed_hostile_control_frames_errors_out_without_panicking() {
+        for (what, wire) in hostile_frames() {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().unwrap().to_string();
+            let worker = std::thread::spawn(move || {
+                SocketEngine::new(Sum, Grid2::new(6, 6), EngineConfig::flat(2))
+                    .run(SocketConfig::worker(PlaceId(1), 2, addr))
+            });
+            let rogue = SocketNode::connect(SocketConfig::coordinator(listener, 2)).expect("mesh");
+            rogue
+                .send_bytes(PlaceId(1), encode_to_vec(&wire))
+                .expect("frame leaves");
+            let outcome = worker
+                .join()
+                .unwrap_or_else(|_| panic!("{what}: worker panicked"));
+            assert!(
+                matches!(outcome, Err(EngineError::Socket(_))),
+                "{what}: worker should have written the coordinator off"
+            );
+            rogue.shutdown();
+        }
     }
 }

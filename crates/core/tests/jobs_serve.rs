@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use dpx10_apgas::SocketConfig;
 use dpx10_core::{
-    DepView, DpApp, EngineConfig, JobServer, JobSpec, PlaceId, ScheduleStrategy, ServeReport,
-    ThreadedEngine,
+    DagResult, DepView, DpApp, EngineConfig, EngineError, JobServer, JobSpec, PlaceId,
+    ScheduleStrategy, ServeReport, ThreadedEngine,
 };
 use dpx10_dag::{builtin, DagPattern, VertexId};
 
@@ -42,9 +42,9 @@ fn solo_fingerprint(pattern: impl DagPattern + Clone + 'static) -> u64 {
 /// Runs `places` serve participants as threads in this process and
 /// returns place 0's report. `build` must produce the same server on
 /// every call — the serve contract.
-fn serve_mesh(
+fn serve_mesh<A: DpApp<Value = u64> + 'static>(
     places: u16,
-    build: impl Fn() -> JobServer<MixApp> + Send + Sync + 'static,
+    build: impl Fn() -> JobServer<A> + Send + Sync + 'static,
 ) -> ServeReport<u64> {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap().to_string();
@@ -225,4 +225,48 @@ fn served_jobs_record_the_work_stealing_downgrade() {
         .expect("downgrade recorded");
     assert_eq!(downgrade.requested, ScheduleStrategy::WorkStealing);
     assert_eq!(downgrade.effective, ScheduleStrategy::Local);
+}
+
+/// `MixApp` whose completion hook panics on demand — the hook runs on
+/// the job's driver thread of place 0, so this unwinds a driver.
+struct Fragile {
+    boom: bool,
+}
+
+impl DpApp for Fragile {
+    type Value = u64;
+    fn compute(&self, id: VertexId, deps: &DepView<'_, u64>) -> u64 {
+        MixApp.compute(id, deps)
+    }
+    fn app_finished(&self, _result: &DagResult<u64>) {
+        assert!(!self.boom, "app_finished blew up");
+    }
+}
+
+#[test]
+fn a_panicking_driver_fails_its_job_and_the_serve_still_returns() {
+    let report = serve_mesh(2, || {
+        let mut server = JobServer::new();
+        for (name, boom) in [("boom", true), ("fine", false)] {
+            server
+                .submit(JobSpec::new(
+                    name,
+                    Fragile { boom },
+                    builtin::RowWave::new(6, 6),
+                    EngineConfig::flat(2),
+                ))
+                .unwrap();
+        }
+        server
+    });
+    assert_eq!(report.jobs.len(), 2);
+    assert_eq!(report.succeeded(), 1, "exactly the panicking job failed");
+    assert!(
+        matches!(report.jobs[0].result, Err(EngineError::Job(_))),
+        "the unwound driver is reported as a failed job"
+    );
+    assert_eq!(
+        report.jobs[1].result.as_ref().unwrap().fingerprint(),
+        solo_fingerprint(builtin::RowWave::new(6, 6)),
+    );
 }

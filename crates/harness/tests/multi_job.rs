@@ -1,5 +1,5 @@
 //! Chaos differential oracle for the multi-job scheduler: several
-//! concurrent jobs share one 3-place socket mesh while a pinned,
+//! concurrent jobs share one 3- or 5-place socket mesh while a pinned,
 //! deterministic kill takes a place down mid-serve. The oracle for
 //! every job — faulted or not — is its solo single-place threaded run;
 //! fault isolation is asserted structurally: only jobs with vertices on
@@ -12,7 +12,8 @@ use std::time::Duration;
 
 use dpx10_apgas::SocketConfig;
 use dpx10_core::{
-    EngineConfig, JobServer, JobSpec, PlaceId, ServeKill, ServeReport, ThreadedEngine,
+    DistKind, EngineConfig, JobOutcome, JobServer, JobSpec, PlaceId, ServeKill, ServeReport,
+    ThreadedEngine,
 };
 use dpx10_dag::{builtin, DagPattern};
 use dpx10_harness::MixApp;
@@ -129,41 +130,124 @@ fn place_death_mid_serve_recovers_only_the_affected_jobs() {
         solo_fingerprint(builtin::Diagonal::new(11, 11)),
     ];
     for (job, solo) in report.jobs.iter().zip(solos) {
-        let result = job.result.as_ref().expect("job succeeded");
-        assert_eq!(
-            result.fingerprint(),
-            solo,
-            "job {} diverged from its solo oracle after the fault",
+        // Survivors: {0, 1} either way — the wide jobs lost place 2, the
+        // pinned ones never had it.
+        assert_job(job, solo, job.name.starts_with("wide"), 2);
+    }
+}
+
+/// One job's fate after a mid-serve place death: the solo fingerprint
+/// always; a recovery exactly when the job had vertices on the victim;
+/// one busy-time entry per place of its final epoch.
+fn assert_job(job: &JobOutcome<u64>, solo: u64, in_blast_radius: bool, survivors: usize) {
+    let result = job.result.as_ref().expect("job succeeded");
+    assert_eq!(
+        result.fingerprint(),
+        solo,
+        "job {} diverged from its solo oracle after the fault",
+        job.name
+    );
+    let rep = result.report();
+    if in_blast_radius {
+        // Blast radius: the job lost a place and must have recovered
+        // into a second (or later) epoch.
+        assert!(
+            rep.epochs >= 2,
+            "job {} had vertices on the dead place but ran {} epoch(s)",
+            job.name,
+            rep.epochs
+        );
+        assert!(
+            !rep.recoveries.is_empty(),
+            "job {} recorded no recovery pass",
             job.name
         );
-        let rep = result.report();
-        if job.name.starts_with("wide") {
-            // Blast radius: the full-mesh jobs lost a place and must
-            // have recovered into a second (or later) epoch.
-            assert!(
-                rep.epochs >= 2,
-                "job {} had vertices on the dead place but ran {} epoch(s)",
-                job.name,
-                rep.epochs
-            );
-            assert!(
-                !rep.recoveries.is_empty(),
-                "job {} recorded no recovery pass",
-                job.name
-            );
-        } else {
-            // Isolation: jobs pinned away from the victim never even
-            // notice the death.
-            assert_eq!(
-                rep.epochs, 1,
-                "pinned job {} was dragged into a recovery it did not need",
-                job.name
-            );
-            assert!(
-                rep.recoveries.is_empty(),
-                "pinned job {} recorded a recovery",
-                job.name
-            );
-        }
+    } else {
+        // Isolation: jobs pinned away from the victim never even
+        // notice the death.
+        assert_eq!(
+            rep.epochs, 1,
+            "pinned job {} was dragged into a recovery it did not need",
+            job.name
+        );
+        assert!(
+            rep.recoveries.is_empty(),
+            "pinned job {} recorded a recovery",
+            job.name
+        );
+    }
+    assert_eq!(
+        rep.place_busy.len(),
+        survivors,
+        "job {} reports busy time per surviving place",
+        job.name
+    );
+}
+
+#[test]
+fn relay_death_on_five_places_is_repaired_under_job_wrapping() {
+    // The control tree over places 0..5 is 0 -> {1, 2, 4}, 1 -> {3}:
+    // place 1 relays every broadcast hop to place 3 and folds its
+    // progress. Killing place 1 makes the full-mesh jobs adopt place 3
+    // into the root's hops, scatter their `Resume` down a four-place
+    // tree (0 -> {2, 3}, 2 -> {4}) and fall back on the re-send
+    // insurance for anything the corpse swallowed — all inside
+    // `Wire::Job`. The job pinned to {0, 2, 4} has its own three-place
+    // tree and must not notice.
+    //
+    // Columns are dealt round-robin, so place 1 owns columns 1, 6, 11, …
+    // of the wide jobs: column 1 (24 + 22 cells) needs only place 0, but
+    // column 6 needs columns 2..=5 — every other place. A kill at 60
+    // published vertices therefore lands after the whole mesh has
+    // admitted the wide jobs, and long before they can finish (place 1
+    // owns 230 of their cells).
+    let wide = || EngineConfig::flat(5).with_dist(DistKind::CyclicCol);
+    let report = serve_mesh(5, move || {
+        let mut server = JobServer::new()
+            .with_max_in_flight(3)
+            .with_soft_die()
+            .with_kill(ServeKill {
+                place: PlaceId(1),
+                after_vertices: 60,
+            });
+        server
+            .submit(JobSpec::new(
+                "wide-grid3",
+                MixApp,
+                builtin::Grid3::new(24, 25),
+                wide(),
+            ))
+            .unwrap();
+        server
+            .submit(JobSpec::new(
+                "wide-grid2",
+                MixApp,
+                builtin::Grid2::new(22, 25),
+                wide(),
+            ))
+            .unwrap();
+        server
+            .submit(
+                JobSpec::new(
+                    "pinned-rowwave",
+                    MixApp,
+                    builtin::RowWave::new(12, 12),
+                    EngineConfig::flat(3),
+                )
+                .pinned_to(vec![PlaceId(0), PlaceId(2), PlaceId(4)]),
+            )
+            .unwrap();
+        server
+    });
+
+    assert_eq!(report.succeeded(), 3);
+    let solos = [
+        solo_fingerprint(builtin::Grid3::new(24, 25)),
+        solo_fingerprint(builtin::Grid2::new(22, 25)),
+        solo_fingerprint(builtin::RowWave::new(12, 12)),
+    ];
+    for (job, solo) in report.jobs.iter().zip(solos) {
+        let wide = job.name.starts_with("wide");
+        assert_job(job, solo, wide, if wide { 4 } else { 3 });
     }
 }
