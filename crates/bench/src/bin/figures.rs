@@ -22,8 +22,7 @@ use dpx10_bench::{
     run_recovery, run_sim, run_sim_with, sim_overhead_pair, threaded_overhead_pair, AppKind, Chart,
     Table,
 };
-use dpx10_core::{DistKind, PlaceId, RestoreManner, RunReport, ScheduleStrategy};
-use dpx10_sim::SimFaultPlan;
+use dpx10_core::{DistKind, FaultPlan, PlaceId, RestoreManner, RunReport, ScheduleStrategy};
 
 /// The pinned plan digest for figure-sourced registry rows: there is no
 /// plan TOML to hash, but rows still need a stable digest so the same
@@ -460,7 +459,7 @@ fn ablation(opts: &Opts) {
     ] {
         let report = run_sim_with(AppKind::Swlag, opts.vertices / 5, 4, |c| {
             c.with_restore(manner)
-                .with_fault(SimFaultPlan::mid_run(PlaceId(7)))
+                .with_fault(FaultPlan::mid_run(PlaceId(7)))
         });
         restore.row(&[
             name.to_string(),

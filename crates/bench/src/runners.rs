@@ -8,7 +8,7 @@ use dpx10_baseline::{framework_cost_model, native_cost_model, NativeSwlag};
 use dpx10_core::{
     DistKind, EngineConfig, FaultPlan, PlaceId, RestoreManner, RunReport, ThreadedEngine,
 };
-use dpx10_sim::{SimConfig, SimEngine, SimFaultPlan};
+use dpx10_sim::{SimConfig, SimEngine};
 
 /// The four evaluation applications of §VIII.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -186,7 +186,7 @@ pub fn run_recovery(
     let clean = run_sim(AppKind::Swlag, vertices, nodes).sim_time;
     let report = run_sim_with(AppKind::Swlag, vertices, nodes, |c| {
         c.with_restore(manner)
-            .with_fault(SimFaultPlan::mid_run(PlaceId(Topo::victim(nodes))))
+            .with_fault(FaultPlan::mid_run(PlaceId(Topo::victim(nodes))))
     });
     (clean, report.sim_time, report.recovery_time)
 }

@@ -18,7 +18,7 @@ use dpx10_core::{
 };
 use dpx10_dag::{critical_path_len, wavefront_profile, BuiltinKind, DagPattern, VertexId};
 use dpx10_obs::{chrome, summary as obs_summary, EventKind, Recorder, Registry, Trace};
-use dpx10_sim::{CostModel, SimConfig, SimEngine, SimFaultPlan, TraceBuffer};
+use dpx10_sim::{CostModel, SimConfig, SimEngine, TraceBuffer};
 
 use crate::args::{AppChoice, EngineChoice, RunArgs};
 
@@ -258,7 +258,7 @@ where
                 config = config.with_dist(kind.clone());
             }
             if let Some((place, fraction)) = args.fault {
-                config = config.with_fault(SimFaultPlan {
+                config = config.with_fault(FaultPlan {
                     place,
                     after_fraction: fraction,
                 });

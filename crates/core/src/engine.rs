@@ -4,20 +4,21 @@
 //! substrate: distribute + initialise the DAG over places, seed the ready
 //! lists with zero-indegree vertices, run one worker (of
 //! `threads_per_place` threads) per place until every vertex is finished,
-//! then invoke `appFinished`. Fault tolerance follows §VI-D: a
+//! then invoke `appFinished`. The per-vertex protocol itself lives in
+//! [`crate::protocol`]; this module is its real-time driver — the worker
+//! loop and the `Worker` sink — shared with the socket places and the
+//! job pool. Fault tolerance follows §VI-D: a
 //! `DeadPlaceError` ends the epoch, the paper's recovery rebuilds the
 //! distributed array over the survivors, and a fresh epoch resumes from
 //! the restored state.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dpx10_apgas::{
-    mailbox::Envelope, ChaosRng, ChaosTransport, CoalesceConfig, CoalescingTransport, Codec,
-    FinishScope, KillTrigger, LocalTransport, NetworkModel, PlaceId, Runtime, RuntimeConfig,
-    Topology, Transport,
+    mailbox::Envelope, ChaosRng, ChaosTransport, CoalesceConfig, CoalescingTransport, FinishScope,
+    KillTrigger, LocalTransport, PlaceId, Runtime, RuntimeConfig, Transport,
 };
 use dpx10_dag::{validate_pattern, AggSpec, DagPattern, DepInterval, VertexId};
 use dpx10_distarray::{recover, Dist, DistArray, RecoveryCostModel, Region2D};
@@ -25,11 +26,13 @@ use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 
 use crate::app::{AggView, DagResult, DepView, DpApp};
 use crate::checkpoint::CheckpointWriters;
-use crate::config::{CommsMode, EngineConfig, InitOverride};
+use crate::config::{EngineConfig, InitOverride};
 use crate::error::EngineError;
 use crate::msg::Msg;
-use crate::schedule::{min_comm_choice, random_choice, ScheduleStrategy};
-use crate::state::{build_shards, collect_array, local_index, Fill, Shard};
+use crate::protocol::{agg_record, gather, handle_msg, prepare, publish, Place, Sink, WorkerBufs};
+use crate::schedule::ScheduleStrategy;
+use crate::socket_engine::data_well_formed;
+use crate::state::{build_shards, collect_array, Shard};
 use crate::stats::RunReport;
 
 /// The threaded engine: one instance runs one application to completion.
@@ -224,17 +227,23 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
             }
 
             let shared = Arc::new(Shared {
-                app: self.app.clone(),
+                place: Place {
+                    app: self.app.clone(),
+                    pattern: pattern.clone(),
+                    dist: dist.clone(),
+                    shards,
+                    stats: rt.stats().clone(),
+                    topo,
+                    net: self.config.network,
+                    schedule: self.config.schedule,
+                    comms: self.config.comms,
+                    agg,
+                },
                 stall_limit: self.config.stall_limit,
-                pattern: pattern.clone(),
-                dist: dist.clone(),
-                shards,
                 transport,
-                topo,
-                net: self.config.network,
-                schedule: self.config.schedule,
+                // Every sender is a thread of this process.
+                check_peers: false,
                 liveness: rt.liveness().clone(),
-                stats: rt.stats().clone(),
                 total,
                 finished_global: AtomicU64::new(prefinished),
                 computed: AtomicU64::new(0),
@@ -253,16 +262,13 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
                 worker_seq: AtomicU64::new(0),
                 checkpoint: checkpoint.clone(),
                 recorder: self.recorder.clone(),
-                comms: self.config.comms,
-                agg,
             });
 
             run_epoch(&rt, &shared);
 
             report.vertices_computed += shared.computed.load(Ordering::Relaxed);
-            for (slot, shard) in shared.shards.iter().enumerate() {
-                busy_by_place[shared.dist.places()[slot].index()] +=
-                    shard.busy_ns.load(Ordering::Relaxed);
+            for (slot, shard) in shared.place.shards.iter().enumerate() {
+                busy_by_place[dist.places()[slot].index()] += shard.busy_ns.load(Ordering::Relaxed);
             }
 
             if shared.stalled.load(Ordering::Acquire) {
@@ -273,7 +279,7 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
             }
 
             if shared.done.load(Ordering::Acquire) {
-                break collect_array(&shared.shards, &dist);
+                break collect_array(&shared.place.shards, &dist);
             }
 
             // Fault: run the paper's recovery and start a new epoch.
@@ -283,7 +289,7 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
                 .copied()
                 .filter(|&p| !rt.liveness().is_alive(p))
                 .collect();
-            let snapshot = collect_array(&shared.shards, &dist);
+            let snapshot = collect_array(&shared.place.shards, &dist);
             let rec_start = self.recorder.now_ns();
             let (restored, rec) = recover(
                 &snapshot,
@@ -321,20 +327,18 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
     }
 }
 
-/// Everything an epoch's workers share. `pub(crate)` because the socket
-/// engine drives the same worker loop over its own transport.
+/// Everything an epoch's workers share: the protocol state plus what
+/// this driver of it needs. `pub(crate)` because the socket engine
+/// drives the same worker loop over its own transport.
 pub(crate) struct Shared<A: DpApp> {
-    pub(crate) app: Arc<A>,
+    pub(crate) place: Place<A>,
     pub(crate) stall_limit: Duration,
-    pub(crate) pattern: Arc<dyn DagPattern>,
-    pub(crate) dist: Arc<Dist>,
-    pub(crate) shards: Vec<Shard<A::Value>>,
     pub(crate) transport: Arc<dyn Transport<Msg<A::Value>>>,
-    pub(crate) topo: Topology,
-    pub(crate) net: NetworkModel,
-    pub(crate) schedule: ScheduleStrategy,
+    /// Whether inbound messages come from other processes and must pass
+    /// [`crate::socket_engine::data_well_formed`] before they may index
+    /// a shard.
+    pub(crate) check_peers: bool,
     pub(crate) liveness: dpx10_apgas::LivenessBoard,
-    pub(crate) stats: dpx10_apgas::StatsBoard,
     pub(crate) total: u64,
     pub(crate) finished_global: AtomicU64,
     pub(crate) computed: AtomicU64,
@@ -352,12 +356,6 @@ pub(crate) struct Shared<A: DpApp> {
     pub(crate) worker_seq: AtomicU64,
     pub(crate) checkpoint: Option<Arc<CheckpointWriters<A::Value>>>,
     pub(crate) recorder: Recorder,
-    /// How remote values travel: pull round-trips or eager pushes.
-    pub(crate) comms: CommsMode,
-    /// `Some(spec)` iff this run executes interval dependencies through
-    /// the prefix-aggregation lanes (app declares a spec, pattern has an
-    /// interval view, and the config knob is on).
-    pub(crate) agg: Option<AggSpec>,
 }
 
 /// Whether a run executes through the prefix-aggregation lanes: the
@@ -399,24 +397,6 @@ pub(crate) fn seed_aggs<A: DpApp>(app: &A, shards: &[Shard<A::Value>]) {
     }
 }
 
-/// Folds a finished cell's aggregation keys into the receiving place's
-/// lanes. Called from every value-delivery path (local publish, `Done`,
-/// `PushVal`, `PullVal`); the lanes are idempotent per cell, so
-/// overlapping deliveries are harmless.
-#[inline]
-pub(crate) fn agg_record<A: DpApp>(
-    shared: &Shared<A>,
-    slot: usize,
-    id: VertexId,
-    value: &A::Value,
-) {
-    if shared.agg.is_some() {
-        if let Some(table) = &shared.shards[slot].aggs {
-            table.record(id, |axis| shared.app.agg_key(axis, id, value));
-        }
-    }
-}
-
 /// One armed progress-triggered kill.
 pub(crate) struct FaultTrigger {
     pub(crate) victim: PlaceId,
@@ -429,13 +409,70 @@ impl<A: DpApp> Shared<A> {
     pub(crate) fn should_stop(&self) -> bool {
         self.done.load(Ordering::Acquire) || self.fault.load(Ordering::Acquire)
     }
+}
 
-    pub(crate) fn send(&self, src: PlaceId, dst: PlaceId, msg: Msg<A::Value>) {
+/// The [`Sink`] of every real-time driver — threaded engine, socket
+/// place, job pool: one worker thread acting on an epoch's [`Shared`].
+struct Worker<'a, A: DpApp> {
+    shared: &'a Shared<A>,
+    /// Process-wide worker id: the trace track this thread records onto.
+    wid: u16,
+}
+
+impl<A: DpApp> Sink<A::Value> for Worker<'_, A> {
+    fn send(&mut self, src: PlaceId, dst: PlaceId, msg: Msg<A::Value>) {
+        let sh = self.shared;
         let bytes = msg.wire_size();
-        self.recorder
+        sh.recorder
             .instant_now(src.0, RUNTIME_WORKER, EventKind::MsgSend, bytes as u64);
-        if self.transport.send(src, dst, msg, bytes).is_err() {
-            self.fault.store(true, Ordering::Release);
+        if sh.transport.send(src, dst, msg, bytes).is_err() {
+            sh.fault.store(true, Ordering::Release);
+        }
+    }
+
+    #[inline]
+    fn ready(&mut self, slot: usize, li: u32) {
+        self.shared.place.shards[slot].ready.push(li);
+    }
+
+    #[inline]
+    fn stamp(&mut self, place: PlaceId, kind: EventKind, arg: u64) {
+        self.shared
+            .recorder
+            .instant_now(place.0, self.wid, kind, arg);
+    }
+
+    fn exec(
+        &mut self,
+        slot: usize,
+        src: PlaceId,
+        id: VertexId,
+        dep_ids: Vec<VertexId>,
+        dep_values: Vec<A::Value>,
+    ) {
+        let view = DepView::new(&dep_ids, &dep_values);
+        let value = compute_timed(self.shared, slot, self.wid, id, &view);
+        let me = self.shared.place.dist.places()[slot];
+        self.send(me, src, Msg::ExecResult { id, value });
+    }
+
+    /// Checkpoint, advance the finished counter, trigger termination
+    /// and any planned fault.
+    fn finished(&mut self, slot: usize, id: VertexId, value: &A::Value) {
+        let sh = self.shared;
+        sh.computed.fetch_add(1, Ordering::Relaxed);
+        if let Some(ckpt) = &sh.checkpoint {
+            ckpt.on_publish(sh.place.dist.places()[slot], id, value);
+        }
+        let g = sh.finished_global.fetch_add(1, Ordering::AcqRel) + 1;
+        if g >= sh.total {
+            sh.done.store(true, Ordering::Release);
+        }
+        for trig in &sh.fault_plan {
+            if g >= trig.threshold && !trig.fired.swap(true, Ordering::AcqRel) {
+                sh.liveness.kill(trig.victim);
+                sh.fault.store(true, Ordering::Release);
+            }
         }
     }
 }
@@ -443,8 +480,8 @@ impl<A: DpApp> Shared<A> {
 /// Runs one epoch: spawns the workers, babysits progress, joins them.
 fn run_epoch<A: DpApp + 'static>(rt: &Runtime, shared: &Arc<Shared<A>>) {
     let scope = FinishScope::new();
-    let threads = shared.topo.threads_per_place;
-    for (slot, place) in shared.dist.places().iter().enumerate() {
+    let threads = shared.place.topo.threads_per_place;
+    for (slot, place) in shared.place.dist.places().iter().enumerate() {
         for _ in 0..threads {
             let shared = shared.clone();
             // A dead place fails the spawn; the epoch then ends through
@@ -487,7 +524,7 @@ fn run_epoch<A: DpApp + 'static>(rt: &Runtime, shared: &Arc<Shared<A>>) {
 /// The inbox is `shared.transport`'s — the same loop serves the threaded
 /// engine (mailboxes) and each place process of the socket engine.
 pub(crate) fn worker_loop<A: DpApp>(shared: Arc<Shared<A>>, slot: usize) {
-    let me = shared.dist.places()[slot];
+    let me = shared.place.dist.places()[slot];
     let mut bufs = WorkerBufs::default();
     let mut idle_rounds = 0u32;
     // Process-wide worker id: the trace track this thread records onto,
@@ -526,7 +563,7 @@ pub(crate) fn worker_loop<A: DpApp>(shared: Arc<Shared<A>>, slot: usize) {
                 .transport
                 .recv_timeout(me, Duration::from_micros(500))
             {
-                handle_msg(&shared, slot, wid, env, &mut bufs);
+                deliver(&shared, slot, wid, env, &mut bufs);
                 idle_rounds = 0;
             }
         }
@@ -548,7 +585,8 @@ pub(crate) fn worker_rounds<A: DpApp>(
     bufs: &mut WorkerBufs,
     shaker: &mut Option<ChaosRng>,
 ) -> bool {
-    let me = shared.dist.places()[slot];
+    let me = shared.place.dist.places()[slot];
+    let ready = &shared.place.shards[slot].ready;
     let (drain_budget, ready_budget) = match shaker.as_mut() {
         Some(rng) => {
             if rng.chance(0.05) {
@@ -562,7 +600,7 @@ pub(crate) fn worker_rounds<A: DpApp>(
     for _ in 0..drain_budget {
         match shared.transport.try_recv(me) {
             Some(env) => {
-                handle_msg(shared, slot, wid, env, bufs);
+                deliver(shared, slot, wid, env, bufs);
                 progress = true;
             }
             None => break,
@@ -577,7 +615,7 @@ pub(crate) fn worker_rounds<A: DpApp>(
             while popped < ready_budget {
                 let mut batch: Vec<u32> = Vec::with_capacity(4);
                 for _ in 0..1 + rng.below(3) {
-                    match shared.shards[slot].ready.pop() {
+                    match ready.pop() {
                         Some(li) => {
                             shared.recorder.instant_now(
                                 me.0,
@@ -604,7 +642,7 @@ pub(crate) fn worker_rounds<A: DpApp>(
         }
         None => {
             for _ in 0..ready_budget {
-                match shared.shards[slot].ready.pop() {
+                match ready.pop() {
                     Some(li) => {
                         shared
                             .recorder
@@ -617,28 +655,10 @@ pub(crate) fn worker_rounds<A: DpApp>(
             }
         }
     }
-    if !progress && shared.schedule == ScheduleStrategy::WorkStealing {
+    if !progress && shared.place.schedule == ScheduleStrategy::WorkStealing {
         progress = try_steal(shared, slot, wid, bufs);
     }
     progress
-}
-
-/// Reusable per-worker scratch buffers (hot path: no fresh allocations
-/// per vertex).
-pub(crate) struct WorkerBufs {
-    deps: Vec<VertexId>,
-    anti: Vec<VertexId>,
-    groups: HashMap<u16, Vec<VertexId>>,
-}
-
-impl Default for WorkerBufs {
-    fn default() -> Self {
-        WorkerBufs {
-            deps: Vec::with_capacity(8),
-            anti: Vec::with_capacity(8),
-            groups: HashMap::new(),
-        }
-    }
 }
 
 /// Work stealing (extension strategy): pop a ready vertex from the most
@@ -650,234 +670,45 @@ fn try_steal<A: DpApp>(
     wid: u16,
     bufs: &mut WorkerBufs,
 ) -> bool {
-    let victim = (0..shared.shards.len())
+    let place = &shared.place;
+    let victim = (0..place.shards.len())
         .filter(|&s| s != thief_slot)
-        .max_by_key(|&s| shared.shards[s].ready.len());
+        .max_by_key(|&s| place.shards[s].ready.len());
     let Some(victim) = victim else { return false };
-    if shared.shards[victim].ready.is_empty() {
+    if place.shards[victim].ready.is_empty() {
         return false;
     }
-    let Some(li) = shared.shards[victim].ready.pop() else {
+    let Some(li) = place.shards[victim].ready.pop() else {
         return false;
     };
-    let thief = shared.dist.places()[thief_slot];
-    let owner = shared.dist.places()[victim];
+    let thief = place.dist.places()[thief_slot];
+    let owner = place.dist.places()[victim];
     // Task descriptor over, result back: two small control messages.
-    let over = shared.net.transfer_time(&shared.topo, owner, thief, 16);
-    shared.stats.place(owner).on_send(16, over);
-    let back = shared.net.transfer_time(&shared.topo, thief, owner, 16);
-    shared.stats.place(thief).on_send(16, back);
+    let over = place.net.transfer_time(&place.topo, owner, thief, 16);
+    place.stats.place(owner).on_send(16, over);
+    let back = place.net.transfer_time(&place.topo, thief, owner, 16);
+    place.stats.place(thief).on_send(16, back);
     execute(shared, victim, wid, li, bufs);
     true
 }
 
-/// Handles one inbound message.
-fn handle_msg<A: DpApp>(
-    shared: &Arc<Shared<A>>,
+/// Hands one inbound message to the protocol. On a socket mesh the
+/// sender is another process: a message naming a cell this place cannot
+/// index is dropped and its sender written off, exactly like an
+/// undecodable payload.
+fn deliver<A: DpApp>(
+    shared: &Shared<A>,
     slot: usize,
     wid: u16,
     env: Envelope<Msg<A::Value>>,
     bufs: &mut WorkerBufs,
 ) {
-    let me = shared.dist.places()[slot];
-    match env.msg {
-        Msg::Done {
-            from,
-            value,
-            targets,
-        } => handle_done(shared, slot, from, value, targets),
-        Msg::Pull { id } => handle_pull(shared, slot, me, env.src, id),
-        Msg::PullVal { id, value } => handle_pull_val(shared, slot, wid, me, id, value),
-        Msg::Exec {
-            id,
-            dep_ids,
-            dep_values,
-        } => {
-            let view = DepView::new(&dep_ids, &dep_values);
-            let value = compute_timed(shared, slot, wid, id, &view);
-            shared.send(me, env.src, Msg::ExecResult { id, value });
-        }
-        Msg::ExecResult { id, value } => {
-            let li = local_index(&shared.dist, id);
-            publish(shared, slot, li, id, value, bufs);
-        }
-        // The batch variants replay the per-message handlers in send
-        // order, so a coalesced run takes exactly the uncoalesced code
-        // paths (the equivalence the differential oracle checks).
-        Msg::DoneBatch { entries } => {
-            for (from, value, targets) in entries {
-                handle_done(shared, slot, from, value, targets);
-            }
-        }
-        Msg::PullBatch { ids } => {
-            for id in ids {
-                handle_pull(shared, slot, me, env.src, id);
-            }
-        }
-        Msg::PullValBatch { entries } => {
-            for (id, value) in entries {
-                handle_pull_val(shared, slot, wid, me, id, value);
-            }
-        }
-        Msg::PushVal {
-            from,
-            value,
-            targets,
-        } => handle_push(shared, slot, from, value, targets),
-        Msg::PushValBatch { entries } => {
-            for (from, value, targets) in entries {
-                handle_push(shared, slot, from, value, targets);
-            }
-        }
-        // Relocation traffic belongs to the elastic engine; the static
-        // in-process engine never changes chunk ownership mid-run.
-        Msg::ChunkOffer { .. } | Msg::ChunkData { .. } | Msg::ChunkAck { .. } => {}
-    }
-}
-
-/// [`Msg::Done`]: land the value in the consumer cache, decrement the
-/// receiver-owned dependents.
-fn handle_done<A: DpApp>(
-    shared: &Arc<Shared<A>>,
-    slot: usize,
-    from: VertexId,
-    value: A::Value,
-    targets: Vec<VertexId>,
-) {
-    let shard = &shared.shards[slot];
-    // Fold before decrementing: when a target's indegree hits zero its
-    // interval lanes must already cover this cell.
-    agg_record(shared, slot, from, &value);
-    shard.cache.lock().insert(from.pack(), value);
-    for t in targets {
-        decrement(shared, slot, t);
-    }
-}
-
-/// [`Msg::PushVal`]: a `Done` whose value is additionally *pinned* for
-/// every unfinished target, so the target's later gather finds it even
-/// after cache eviction — the pull round-trip never happens. A target
-/// whose parked slot already has a pull in flight (the consumer raced
-/// ahead) is filled right here; the eventual `PullVal` reply then finds
-/// the slot occupied and is a no-op for it.
-fn handle_push<A: DpApp>(
-    shared: &Arc<Shared<A>>,
-    slot: usize,
-    from: VertexId,
-    value: A::Value,
-    targets: Vec<VertexId>,
-) {
-    let shard = &shared.shards[slot];
-    agg_record(shared, slot, from, &value);
-    shard.cache.lock().insert(from.pack(), value.clone());
-    {
-        let mut pending = shard.pending.lock();
-        for t in &targets {
-            let tli = local_index(&shared.dist, *t);
-            if shard.finished[tli as usize].load(Ordering::Acquire) {
-                continue;
-            }
-            let entry = pending
-                .parked
-                .entry(tli)
-                .or_insert_with(|| crate::state::Parked {
-                    fills: HashMap::new(),
-                    remaining: 0,
-                });
-            match entry.fills.get_mut(&from.pack()) {
-                // Already parked with a pull outstanding: fill the slot
-                // now; re-ready when it was the last missing dep (the
-                // decrement below is a no-op then — the vertex parked
-                // *after* its indegree hit zero).
-                Some(fill @ Fill::Missing) => {
-                    *fill = Fill::Pushed(value.clone());
-                    entry.remaining -= 1;
-                    if entry.remaining == 0 {
-                        shard.ready.push(tli);
-                    }
-                }
-                // A pull or an earlier push beat us; keep the first.
-                Some(_) => {}
-                // Not yet gathered: pin for the upcoming gather.
-                None => {
-                    entry.fills.insert(from.pack(), Fill::Pushed(value.clone()));
-                }
-            }
-        }
-    }
-    for t in targets {
-        decrement(shared, slot, t);
-    }
-}
-
-/// [`Msg::Pull`]: reply with the finished value of `id`.
-fn handle_pull<A: DpApp>(
-    shared: &Arc<Shared<A>>,
-    slot: usize,
-    me: PlaceId,
-    src: PlaceId,
-    id: VertexId,
-) {
-    let shard = &shared.shards[slot];
-    let li = local_index(&shared.dist, id);
-    debug_assert!(
-        shard.finished[li as usize].load(Ordering::Acquire),
-        "pull of unfinished vertex {id}"
-    );
-    let value = shard.value(li).clone();
-    shared.send(me, src, Msg::PullVal { id, value });
-}
-
-/// [`Msg::PullVal`]: cache the value and fill every parked waiter.
-fn handle_pull_val<A: DpApp>(
-    shared: &Arc<Shared<A>>,
-    slot: usize,
-    wid: u16,
-    me: PlaceId,
-    id: VertexId,
-    value: A::Value,
-) {
-    let shard = &shared.shards[slot];
-    shared
-        .recorder
-        .instant_now(me.0, wid, EventKind::PullFill, id.pack());
-    agg_record(shared, slot, id, &value);
-    shard.cache.lock().insert(id.pack(), value.clone());
-    let mut pending = shard.pending.lock();
-    if let Some(waiters) = pending.waiters.remove(&id.pack()) {
-        for wli in waiters {
-            if let Some(p) = pending.parked.get_mut(&wli) {
-                // A slot already filled (e.g. by a racing push) keeps
-                // its value; the reply only lands on Missing slots.
-                if let Some(fill @ Fill::Missing) = p.fills.get_mut(&id.pack()) {
-                    *fill = Fill::Pulled(value.clone());
-                    p.remaining -= 1;
-                    if p.remaining == 0 {
-                        shard.ready.push(wli);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Decrements the indegree of locally-owned `t`; readies it at zero.
-///
-/// Targets already finished are skipped: after a recovery, a recomputed
-/// vertex publishes again and would otherwise decrement dependents that
-/// were restored as finished (whose epoch-start indegree is zero).
-#[inline]
-fn decrement<A: DpApp>(shared: &Shared<A>, slot: usize, t: VertexId) {
-    let shard = &shared.shards[slot];
-    let li = local_index(&shared.dist, t);
-    if shard.finished[li as usize].load(Ordering::Acquire) {
+    if shared.check_peers && !data_well_formed(&shared.place, slot, &env.msg) {
+        shared.liveness.mark_dead(env.src);
         return;
     }
-    let old = shard.indegree[li as usize].fetch_sub(1, Ordering::AcqRel);
-    debug_assert!(old >= 1, "indegree underflow at {t}");
-    if old == 1 {
-        shard.ready.push(li);
-    }
+    let mut sink = Worker { shared, wid };
+    handle_msg(&shared.place, &mut sink, slot, env.src, env.msg, bufs);
 }
 
 /// Runs the app's `compute`, charging the elapsed wall time to the
@@ -892,9 +723,9 @@ fn compute_timed<A: DpApp>(
 ) -> A::Value {
     let started = Instant::now();
     let rec_start = self_rec_start(shared);
-    let value = shared.app.compute(id, view);
+    let value = shared.place.app.compute(id, view);
     let elapsed = started.elapsed().as_nanos() as u64;
-    shared.shards[slot]
+    shared.place.shards[slot]
         .busy_ns
         .fetch_add(elapsed, Ordering::Relaxed);
     if let Some(start_ns) = rec_start {
@@ -903,7 +734,7 @@ fn compute_timed<A: DpApp>(
         // extrapolated end can overshoot past the next span's start on
         // the same worker, breaking the nesting oracle.
         shared.recorder.span(
-            shared.dist.places()[slot].0,
+            shared.place.dist.places()[slot].0,
             wid,
             EventKind::VertexCompute,
             start_ns,
@@ -923,70 +754,40 @@ fn self_rec_start<A: DpApp>(shared: &Shared<A>) -> Option<u64> {
 
 /// Executes one owned ready vertex: gather → (maybe ship) → compute →
 /// publish.
-fn execute<A: DpApp>(
-    shared: &Arc<Shared<A>>,
-    slot: usize,
-    wid: u16,
-    li: u32,
-    bufs: &mut WorkerBufs,
-) {
-    let shard = &shared.shards[slot];
+fn execute<A: DpApp>(shared: &Shared<A>, slot: usize, wid: u16, li: u32, bufs: &mut WorkerBufs) {
+    let place = &shared.place;
+    let shard = &place.shards[slot];
     let (i, j) = shard.points[li as usize];
     let id = VertexId::new(i, j);
     debug_assert!(shard.in_pattern[li as usize]);
     if shard.finished[li as usize].load(Ordering::Acquire) {
         return;
     }
+    let mut sink = Worker { shared, wid };
 
-    if shared.agg.is_some() {
-        execute_ranged(shared, slot, wid, li, id, bufs);
+    if place.agg.is_some() {
+        execute_ranged(&mut sink, slot, li, id, bufs);
         return;
     }
 
-    bufs.deps.clear();
-    shared.pattern.dependencies(i, j, &mut bufs.deps);
-
-    let Some(values) = gather(shared, slot, wid, li, &bufs.deps) else {
+    let Some((target, values)) = prepare(place, &mut sink, slot, li, bufs) else {
         return; // parked awaiting pulls
     };
 
-    let me = shared.dist.places()[slot];
-    let target = match shared.schedule {
-        ScheduleStrategy::Local | ScheduleStrategy::WorkStealing => me,
-        ScheduleStrategy::Random => random_choice(id, shared.dist.places()),
-        ScheduleStrategy::MinComm => {
-            let homes: Vec<PlaceId> = bufs
-                .deps
-                .iter()
-                .map(|d| shared.dist.place_of(d.i, d.j))
-                .collect();
-            let bytes: Vec<usize> = values.iter().map(Codec::wire_size).collect();
-            let result_bytes = values.first().map_or(8, |v| v.wire_size());
-            min_comm_choice(
-                me,
-                shared.dist.places(),
-                &homes,
-                &bytes,
-                result_bytes,
-                &shared.topo,
-                &shared.net,
-            )
-        }
-    };
-
+    let me = place.dist.places()[slot];
     if target != me && shared.liveness.is_alive(target) {
         let msg = Msg::Exec {
             id,
             dep_ids: bufs.deps.clone(),
             dep_values: values,
         };
-        shared.send(me, target, msg);
+        sink.send(me, target, msg);
         return;
     }
 
     let view = DepView::new(&bufs.deps, &values);
     let value = compute_timed(shared, slot, wid, id, &view);
-    publish(shared, slot, li, id, value, bufs);
+    publish(place, &mut sink, slot, li, id, value, bufs);
 }
 
 /// The nested-dataflow execute path: point dependencies gather like any
@@ -1006,15 +807,16 @@ fn execute<A: DpApp>(
 /// remote-execution schedules (`Random`/`MinComm`) and their `Msg::Exec`
 /// shipping don't apply here.
 fn execute_ranged<A: DpApp>(
-    shared: &Arc<Shared<A>>,
+    sink: &mut Worker<'_, A>,
     slot: usize,
-    wid: u16,
     li: u32,
     id: VertexId,
     bufs: &mut WorkerBufs,
 ) {
-    let shard = &shared.shards[slot];
-    let range = shared
+    let shared = sink.shared;
+    let place = &shared.place;
+    let shard = &place.shards[slot];
+    let range = place
         .pattern
         .as_range()
         .expect("agg mode implies an interval view");
@@ -1029,13 +831,13 @@ fn execute_ranged<A: DpApp>(
         table.interval_missing(iv, &mut bufs.deps);
     }
 
-    let Some(values) = gather(shared, slot, wid, li, &bufs.deps) else {
+    let Some(values) = gather(place, sink, slot, li, &bufs.deps) else {
         return; // parked awaiting pulls (points and/or lane gaps)
     };
     // Fold everything gathered: the lane-gap cells need it, the point
     // cells are harmless thanks to per-cell idempotence.
     for (k, d) in bufs.deps.iter().enumerate() {
-        agg_record(shared, slot, *d, &values[k]);
+        agg_record(place, slot, *d, &values[k]);
     }
 
     let view = DepView::new(&bufs.deps[..n_points], &values[..n_points]);
@@ -1044,206 +846,22 @@ fn execute_ranged<A: DpApp>(
         "lanes incomplete at zero indegree for {id}"
     );
     let started = Instant::now();
-    let rec_start = self_rec_start(shared.as_ref());
+    let rec_start = self_rec_start(shared);
     let value = {
         let aggs = AggView::new(table);
-        shared.app.compute_ranged(id, &view, &aggs)
+        place.app.compute_ranged(id, &view, &aggs)
     };
     let elapsed = started.elapsed().as_nanos() as u64;
     shard.busy_ns.fetch_add(elapsed, Ordering::Relaxed);
     if let Some(start_ns) = rec_start {
         shared.recorder.span(
-            shared.dist.places()[slot].0,
-            wid,
+            place.dist.places()[slot].0,
+            sink.wid,
             EventKind::VertexCompute,
             start_ns,
             shared.recorder.now_ns(),
             id.pack(),
         );
     }
-    publish(shared, slot, li, id, value, bufs);
-}
-
-/// Gathers dependency values: local reads, then cache, then previously
-/// pulled fills; parks the vertex and issues pulls for anything missing.
-fn gather<A: DpApp>(
-    shared: &Arc<Shared<A>>,
-    slot: usize,
-    wid: u16,
-    li: u32,
-    deps: &[VertexId],
-) -> Option<Vec<A::Value>> {
-    let shard = &shared.shards[slot];
-    if deps.is_empty() {
-        return Some(Vec::new());
-    }
-    let me = shared.dist.places()[slot];
-
-    let mut vals: Vec<Option<A::Value>> = Vec::with_capacity(deps.len());
-    {
-        let cache = shard.cache.lock();
-        for d in deps {
-            if shared.dist.slot_of(d.i, d.j) == slot {
-                let dli = local_index(&shared.dist, *d);
-                vals.push(Some(shard.value(dli).clone()));
-            } else if let Some(v) = cache.get(d.pack()) {
-                shared.stats.place(me).on_cache_hit();
-                shared
-                    .recorder
-                    .instant_now(me.0, wid, EventKind::CacheHit, d.pack());
-                vals.push(Some(v.clone()));
-            } else {
-                vals.push(None);
-            }
-        }
-    }
-
-    if vals.iter().all(Option::is_some) {
-        shard.pending.lock().parked.remove(&li);
-        return Some(vals.into_iter().map(Option::unwrap).collect());
-    }
-
-    // Try previously pulled (or eagerly pushed) fills, then park for the
-    // rest. Consuming a pushed fill is the round-trip the push saved; it
-    // demotes to Pulled so a later re-gather of a still-parked vertex
-    // doesn't count it twice.
-    let mut pending = shard.pending.lock();
-    if let Some(p) = pending.parked.get_mut(&li) {
-        for (k, d) in deps.iter().enumerate() {
-            if vals[k].is_none() {
-                if let Some(fill) = p.fills.get_mut(&d.pack()) {
-                    if let Fill::Pushed(v) = fill {
-                        let v = v.clone();
-                        shared.stats.place(me).on_pull_roundtrip_avoided();
-                        vals[k] = Some(v.clone());
-                        *fill = Fill::Pulled(v);
-                    } else if let Some(v) = fill.value() {
-                        vals[k] = Some(v.clone());
-                    }
-                }
-            }
-        }
-    }
-    if vals.iter().all(Option::is_some) {
-        pending.parked.remove(&li);
-        return Some(vals.into_iter().map(Option::unwrap).collect());
-    }
-
-    let mut newly_missing: Vec<VertexId> = Vec::new();
-    {
-        let entry = pending
-            .parked
-            .entry(li)
-            .or_insert_with(|| crate::state::Parked {
-                fills: HashMap::new(),
-                remaining: 0,
-            });
-        for (k, d) in deps.iter().enumerate() {
-            if vals[k].is_none() && !entry.fills.contains_key(&d.pack()) {
-                entry.fills.insert(d.pack(), Fill::Missing);
-                entry.remaining += 1;
-                newly_missing.push(*d);
-            }
-        }
-    }
-    let mut to_pull: Vec<VertexId> = Vec::new();
-    for d in newly_missing {
-        let waiters = pending.waiters.entry(d.pack()).or_default();
-        if waiters.is_empty() {
-            to_pull.push(d);
-        } else {
-            // The dedup hub: an identical pull is already in flight, so
-            // this waiter rides it instead of re-asking the owner.
-            shared.stats.place(me).on_pull_deduped();
-        }
-        waiters.push(li);
-    }
-    drop(pending);
-
-    for d in &to_pull {
-        shared.stats.place(me).on_cache_miss();
-        shared.stats.place(me).on_pull_sent();
-        shared
-            .recorder
-            .instant_now(me.0, wid, EventKind::CacheMiss, d.pack());
-        shared
-            .recorder
-            .instant_now(me.0, wid, EventKind::PullIssue, d.pack());
-        let owner = shared.dist.place_of(d.i, d.j);
-        shared.send(me, owner, Msg::Pull { id: *d });
-    }
-    None
-}
-
-/// Publishes a computed value: store, flag, decrement anti-dependencies
-/// (locally or by message), advance the finished counter, trigger
-/// termination and any planned fault.
-fn publish<A: DpApp>(
-    shared: &Arc<Shared<A>>,
-    slot: usize,
-    li: u32,
-    id: VertexId,
-    value: A::Value,
-    bufs: &mut WorkerBufs,
-) {
-    let shard = &shared.shards[slot];
-    shard.values[li as usize].set(value.clone()).ok();
-    if shard.finished[li as usize].swap(true, Ordering::AcqRel) {
-        return; // double publication guard
-    }
-    // Fold the local cell before any dependent can become ready.
-    agg_record(shared, slot, id, &value);
-    shard.finished_local.fetch_add(1, Ordering::Relaxed);
-    shared.computed.fetch_add(1, Ordering::Relaxed);
-    if let Some(ckpt) = &shared.checkpoint {
-        ckpt.on_publish(shared.dist.places()[slot], id, &value);
-    }
-
-    bufs.anti.clear();
-    shared.pattern.anti_dependencies(id.i, id.j, &mut bufs.anti);
-
-    let me = shared.dist.places()[slot];
-    for t in &bufs.anti {
-        let tslot = shared.dist.slot_of(t.i, t.j);
-        if tslot == slot {
-            decrement(shared.as_ref(), slot, *t);
-        } else {
-            bufs.groups
-                .entry(shared.dist.places()[tslot].0)
-                .or_default()
-                .push(*t);
-        }
-    }
-    for (q, targets) in bufs.groups.drain() {
-        let msg = match shared.comms {
-            CommsMode::Pull => Msg::Done {
-                from: id,
-                value: value.clone(),
-                targets,
-            },
-            // Push mode: same decrements, but the receiver pins the
-            // value for its parked dependents instead of hoping the
-            // cache keeps it.
-            CommsMode::Push => {
-                shared.stats.place(me).on_push_sent();
-                Msg::PushVal {
-                    from: id,
-                    value: value.clone(),
-                    targets,
-                }
-            }
-        };
-        shared.send(me, PlaceId(q), msg);
-    }
-
-    let g = shared.finished_global.fetch_add(1, Ordering::AcqRel) + 1;
-    if g >= shared.total {
-        shared.done.store(true, Ordering::Release);
-    }
-    for trig in &shared.fault_plan {
-        if g >= trig.threshold && !trig.fired.swap(true, Ordering::AcqRel) {
-            shared.liveness.kill(trig.victim);
-            shared.fault.store(true, Ordering::Release);
-        }
-    }
+    publish(place, sink, slot, li, id, value, bufs);
 }

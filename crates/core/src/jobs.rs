@@ -52,9 +52,10 @@ use dpx10_sync::channel::{unbounded, Receiver, Sender};
 
 use crate::app::{DagResult, DpApp, VertexValue};
 use crate::config::EngineConfig;
-use crate::engine::{worker_rounds, Shared, WorkerBufs};
+use crate::engine::{worker_rounds, Shared};
 use crate::error::EngineError;
 use crate::msg::Msg;
+use crate::protocol::WorkerBufs;
 use crate::socket_engine::{
     die, downgrade_schedule, AppPlane, Driver, EpochWorkers, Wire, SNAPSHOT_DEADLINE,
 };
@@ -462,7 +463,7 @@ impl<A: DpApp + 'static> JobServer<A> {
                         let result = catch_unwind(run).unwrap_or_else(|_| {
                             Err(EngineError::Job(format!("job {j}'s driver panicked")))
                         });
-                        seat.detach();
+                        let _ = seat.detach(); // a pool seat's detach cannot fail
                         release(&driver);
                         let _ = tx.send((j, result));
                     })
@@ -733,8 +734,9 @@ impl<A: DpApp> EpochWorkers<A> for PoolSeat<A> {
         Ok(())
     }
 
-    fn detach(&mut self) {
+    fn detach(&mut self) -> Result<(), EngineError> {
         self.pool.detach(self.job);
+        Ok(())
     }
 }
 

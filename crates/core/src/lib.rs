@@ -9,8 +9,12 @@
 //! * [`ThreadedEngine`] — real concurrent execution on the APGAS
 //!   substrate (places as worker-thread pools), including live fault
 //!   injection and the paper's recovery method;
-//! * the simulator engine in `dpx10-sim` — the same semantics under a
-//!   deterministic virtual clock, for cluster-scale experiments.
+//! * the simulator engine in `dpx10-sim` — the same protocol code under
+//!   a deterministic virtual clock, for cluster-scale experiments.
+//!
+//! What a place does with a ready vertex and with each message is
+//! implemented once, in the doc-hidden `protocol` module; the engines
+//! are its drivers.
 //!
 //! The §VI-E refinement knobs (distribution, initialisation override,
 //! scheduling strategy, cache size, restore manner) all live in
@@ -56,6 +60,8 @@ pub mod engine;
 pub mod error;
 pub mod jobs;
 pub mod msg;
+#[doc(hidden)]
+pub mod protocol;
 pub mod schedule;
 pub mod socket_engine;
 pub mod spill;

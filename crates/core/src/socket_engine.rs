@@ -81,8 +81,9 @@ use crate::config::{EngineConfig, InitOverride};
 use crate::engine::{agg_mode, seed_aggs, worker_loop, Shared};
 use crate::error::EngineError;
 use crate::msg::Msg;
+use crate::protocol::Place;
 use crate::schedule::ScheduleStrategy;
-use crate::state::{build_shards, collect_array};
+use crate::state::{build_shards, collect_array, local_index};
 use crate::stats::{RunReport, ScheduleDowngrade};
 
 /// Applies the socket backend's scheduling restrictions to `config` and
@@ -551,6 +552,55 @@ fn well_formed<V>(wire: &Wire<V>, slots: u16, region: Region2D) -> bool {
     }
 }
 
+/// The data-plane half of [`well_formed`]: whether every cell id a
+/// peer's vertex-protocol message carries is one `slot` may act on.
+/// Every id must be a vertex of the pattern; `Done`/`PushVal` targets,
+/// pulled cells and shipped-back results must be owned here (a foreign
+/// id would index another cell of this shard); a pulled cell must be
+/// finished; a shipped `Exec` must carry exactly the pattern's
+/// dependencies, one value each (the app's `compute` indexes them).
+/// Checked per message by the socket places' workers — a frame's epoch
+/// decides which distribution it is held against.
+pub(crate) fn data_well_formed<A: DpApp>(
+    place: &Place<A>,
+    slot: usize,
+    msg: &Msg<A::Value>,
+) -> bool {
+    let dist = &place.dist;
+    let cell =
+        |id: &VertexId| dist.region().contains(id.i, id.j) && place.pattern.contains(id.i, id.j);
+    let mine = |id: &VertexId| cell(id) && dist.slot_of(id.i, id.j) == slot;
+    let done = |from: &VertexId, targets: &[VertexId]| cell(from) && targets.iter().all(mine);
+    let pull = |id: &VertexId| {
+        mine(id)
+            && place.shards[slot].finished[local_index(dist, *id) as usize].load(Ordering::Acquire)
+    };
+    match msg {
+        Msg::Done { from, targets, .. } | Msg::PushVal { from, targets, .. } => done(from, targets),
+        Msg::DoneBatch { entries } | Msg::PushValBatch { entries } => {
+            entries.iter().all(|(from, _, targets)| done(from, targets))
+        }
+        Msg::Pull { id } => pull(id),
+        Msg::PullBatch { ids } => ids.iter().all(pull),
+        Msg::PullVal { id, .. } => cell(id),
+        Msg::PullValBatch { entries } => entries.iter().all(|(id, _)| cell(id)),
+        Msg::ExecResult { id, .. } => mine(id),
+        Msg::Exec {
+            id,
+            dep_ids,
+            dep_values,
+        } => {
+            cell(id) && dep_values.len() == dep_ids.len() && {
+                let mut deps = Vec::with_capacity(dep_ids.len());
+                place.pattern.dependencies(id.i, id.j, &mut deps);
+                deps == *dep_ids
+            }
+        }
+        // Ignored by the static engines' handlers.
+        Msg::ChunkOffer { .. } | Msg::ChunkData { .. } | Msg::ChunkAck { .. } => true,
+    }
+}
+
 /// What a control loop decided the epoch's fate is.
 enum Flow<V> {
     /// Place 0: every vertex finished.
@@ -755,8 +805,9 @@ pub(crate) trait EpochWorkers<A: DpApp> {
     /// Starts workers on slot `slot` of `shared`.
     fn attach(&mut self, shared: &Arc<Shared<A>>, slot: usize) -> Result<(), EngineError>;
     /// Returns once no worker touches the attached epoch any more (the
-    /// driver has already raised `shared.done`).
-    fn detach(&mut self);
+    /// driver has already raised `shared.done`); an error means a worker
+    /// did not end cleanly.
+    fn detach(&mut self) -> Result<(), EngineError>;
 }
 
 /// The single-job engine's workers: `threads_per_place` private
@@ -768,8 +819,8 @@ struct PrivateThreads {
 
 impl<A: DpApp + 'static> EpochWorkers<A> for PrivateThreads {
     fn attach(&mut self, shared: &Arc<Shared<A>>, slot: usize) -> Result<(), EngineError> {
-        let me = shared.dist.places()[slot];
-        for t in 0..shared.topo.threads_per_place {
+        let me = shared.place.dist.places()[slot];
+        for t in 0..shared.place.topo.threads_per_place {
             let sh = shared.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("dpx10-p{}w{t}", me.index()))
@@ -780,10 +831,20 @@ impl<A: DpApp + 'static> EpochWorkers<A> for PrivateThreads {
         Ok(())
     }
 
-    fn detach(&mut self) {
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+    fn detach(&mut self) -> Result<(), EngineError> {
+        // Join every thread before reporting that any panicked.
+        let panicked = self
+            .handles
+            .drain(..)
+            .map(|h| h.join())
+            .filter(Result::is_err)
+            .count();
+        if panicked > 0 {
+            return Err(EngineError::Socket(format!(
+                "{panicked} worker thread(s) panicked"
+            )));
         }
+        Ok(())
     }
 }
 
@@ -928,11 +989,19 @@ impl<A: DpApp + 'static> Driver<'_, A> {
             }
 
             let shared = Arc::new(Shared {
-                app: self.app.clone(),
+                place: Place {
+                    app: self.app.clone(),
+                    pattern: pattern.clone(),
+                    dist: dist.clone(),
+                    shards,
+                    stats: self.node.stats().clone(),
+                    topo: cfg.topology,
+                    net: cfg.network,
+                    schedule: cfg.schedule,
+                    comms: cfg.comms,
+                    agg,
+                },
                 stall_limit: cfg.stall_limit,
-                pattern: pattern.clone(),
-                dist: dist.clone(),
-                shards,
                 transport: {
                     let base = self.plane.clone() as Arc<dyn Transport<Msg<A::Value>>>;
                     match cfg.coalesce {
@@ -949,12 +1018,10 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                         None => base,
                     }
                 },
-                topo: cfg.topology,
-                net: cfg.network,
-                schedule: cfg.schedule,
-                comms: cfg.comms,
+                // Peers are other processes: their bytes are checked
+                // before they index a shard.
+                check_peers: true,
                 liveness: self.node.liveness().clone(),
-                stats: self.node.stats().clone(),
                 total,
                 finished_global: AtomicU64::new(prefinished),
                 computed: AtomicU64::new(0),
@@ -976,7 +1043,6 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 worker_seq: AtomicU64::new(0),
                 checkpoint: None,
                 recorder: self.recorder.clone(),
-                agg,
             });
             workers.attach(&shared, my_slot)?;
 
@@ -995,9 +1061,9 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 self.follow(&shared, epoch, &alive, my_slot, busy_total)
             };
             shared.done.store(true, Ordering::Release); // belt and braces
-            workers.detach();
+            workers.detach()?;
             report.vertices_computed += shared.computed.load(Ordering::Relaxed);
-            busy_total += shared.shards[my_slot].busy_ns.load(Ordering::Relaxed);
+            busy_total += shared.place.shards[my_slot].busy_ns.load(Ordering::Relaxed);
 
             let (finished, mut dead): (bool, Vec<PlaceId>) = match outcome? {
                 Flow::Finished => (true, Vec::new()),
@@ -1031,7 +1097,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 }
             };
             self.relay_hops(&alive, my_slot, &Wire::Bcast(Box::new(conclude())));
-            let mut arr = collect_array(&shared.shards, &dist);
+            let mut arr = collect_array(&shared.place.shards, &dist);
             let lost = self.collect_snapshots(
                 epoch,
                 &alive,
@@ -1186,7 +1252,11 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         // Seeded from our own deterministic copy of every shard, so the
         // table starts at each slot's prefinished count.
         let mut table: Vec<u64> = (0..alive.len())
-            .map(|s| shared.shards[s].finished_local.load(Ordering::Relaxed))
+            .map(|s| {
+                shared.place.shards[s]
+                    .finished_local
+                    .load(Ordering::Relaxed)
+            })
             .collect();
         // Every planned kill, as (victim, progress threshold) or
         // (victim, wall-clock delay): the single fault plan plus the
@@ -1239,7 +1309,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                     }
                 }
             }
-            table[my_slot] = shared.shards[my_slot]
+            table[my_slot] = shared.place.shards[my_slot]
                 .finished_local
                 .load(Ordering::Relaxed);
             let sum: u64 = table.iter().sum();
@@ -1433,7 +1503,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 _ => {}
             }
 
-            let finished = shared.shards[my_slot]
+            let finished = shared.place.shards[my_slot]
                 .finished_local
                 .load(Ordering::Relaxed);
             if finished != last_reported || last_progress.elapsed() > PROGRESS_INTERVAL {
@@ -1470,7 +1540,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         // snapshot never precedes traffic it already counted.
         shared.transport.flush(self.me);
         let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
-        let shard = &shared.shards[my_slot];
+        let shard = &shared.place.shards[my_slot];
         let mut cells = Vec::new();
         for (li, &(i, j)) in shard.points.iter().enumerate() {
             if shard.in_pattern[li] && shard.finished[li].load(Ordering::Acquire) {
@@ -1906,6 +1976,154 @@ mod tests {
         }
     }
 
+    /// Vertex-protocol messages a hostile peer could send to slot 1 of a
+    /// Grid2 6×6 run on two block-column places (slot 1 owns columns
+    /// 3..6): the five shapes of [`data_well_formed`]'s contract, bare
+    /// and inside every batch variant.
+    fn hostile_data_frames() -> Vec<(&'static str, Msg<u64>)> {
+        let outside = VertexId::new(9, 9);
+        let foreign = VertexId::new(2, 1); // a vertex, but slot 0's
+        let mine = VertexId::new(2, 4);
+        let done = |targets: Vec<VertexId>| (VertexId::new(2, 2), 7, targets);
+        vec![
+            (
+                "done target outside the region",
+                Msg::Done {
+                    from: VertexId::new(2, 2),
+                    value: 7,
+                    targets: vec![mine, outside],
+                },
+            ),
+            (
+                "push target owned by another slot",
+                Msg::PushVal {
+                    from: VertexId::new(2, 2),
+                    value: 7,
+                    targets: vec![foreign],
+                },
+            ),
+            ("pull of an unfinished cell", Msg::Pull { id: mine }),
+            ("pull of a foreign cell", Msg::Pull { id: foreign }),
+            (
+                "result for a foreign cell",
+                Msg::ExecResult {
+                    id: foreign,
+                    value: 7,
+                },
+            ),
+            (
+                "exec with the wrong dependencies",
+                Msg::Exec {
+                    id: mine,
+                    dep_ids: vec![VertexId::new(0, 0)],
+                    dep_values: vec![7],
+                },
+            ),
+            (
+                "exec with a missing value",
+                Msg::Exec {
+                    id: mine,
+                    dep_ids: vec![VertexId::new(1, 4), VertexId::new(2, 3)],
+                    dep_values: vec![7],
+                },
+            ),
+            (
+                "pulled value outside the region",
+                Msg::PullVal {
+                    id: outside,
+                    value: 7,
+                },
+            ),
+            (
+                "done batch hiding a foreign target",
+                Msg::DoneBatch {
+                    entries: vec![done(vec![mine]), done(vec![foreign])],
+                },
+            ),
+            (
+                "push batch hiding an outside target",
+                Msg::PushValBatch {
+                    entries: vec![done(vec![mine]), done(vec![outside])],
+                },
+            ),
+            (
+                "pull batch hiding an unfinished cell",
+                Msg::PullBatch {
+                    ids: vec![VertexId::new(0, 3), mine],
+                },
+            ),
+            (
+                "pulled-value batch hiding an outside cell",
+                Msg::PullValBatch {
+                    entries: vec![(VertexId::new(0, 0), 7), (outside, 7)],
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn data_frames_naming_unowned_or_unfinished_cells_are_malformed() {
+        let pattern: Arc<dyn DagPattern> = Arc::new(Grid2::new(6, 6));
+        let cfg = EngineConfig::flat(2);
+        let dist = Arc::new(Dist::new(
+            Region2D::new(6, 6),
+            cfg.dist_kind.clone(),
+            vec![PlaceId(0), PlaceId(1)],
+        ));
+        let (shards, _) = build_shards::<u64>(pattern.as_ref(), &dist, None, None, None, 4, None);
+        // (0, 3) is finished at slot 1; everything else is not.
+        let li = local_index(&dist, VertexId::new(0, 3)) as usize;
+        shards[1].values[li].set(1).unwrap();
+        shards[1].finished[li].store(true, Ordering::Release);
+        let place = Place {
+            app: Arc::new(Sum),
+            pattern,
+            dist,
+            shards,
+            stats: dpx10_apgas::StatsBoard::new(2),
+            topo: cfg.topology,
+            net: cfg.network,
+            schedule: cfg.schedule,
+            comms: cfg.comms,
+            agg: None,
+        };
+        for (what, msg) in hostile_data_frames() {
+            let wire: Wire<u64> =
+                decode_exact(&encode_to_vec(&Wire::App(0, msg))).expect("decodes");
+            let Wire::App(_, msg) = wire else {
+                unreachable!()
+            };
+            assert!(!data_well_formed(&place, 1, &msg), "{what}");
+        }
+        let mine = VertexId::new(2, 4);
+        let fine: Vec<Msg<u64>> = vec![
+            Msg::Done {
+                from: VertexId::new(2, 2),
+                value: 7,
+                targets: vec![VertexId::new(2, 3), VertexId::new(3, 3)],
+            },
+            Msg::PushValBatch {
+                entries: vec![(VertexId::new(2, 2), 7, vec![VertexId::new(2, 3)])],
+            },
+            Msg::Pull {
+                id: VertexId::new(0, 3),
+            },
+            Msg::PullVal {
+                id: VertexId::new(2, 2),
+                value: 7,
+            },
+            Msg::ExecResult { id: mine, value: 7 },
+            Msg::Exec {
+                id: mine,
+                dep_ids: vec![VertexId::new(1, 4), VertexId::new(2, 3)],
+                dep_values: vec![7, 7],
+            },
+        ];
+        for msg in fine {
+            assert!(data_well_formed(&place, 1, &msg), "{msg:?}");
+        }
+    }
+
     struct Sum;
     impl DpApp for Sum {
         type Value = u64;
@@ -1915,11 +2133,16 @@ mod tests {
     }
 
     /// A real worker place against a coordinator that speaks garbage:
-    /// every hostile frame must end the worker's run with an error (it
-    /// writes place 0 off), never unwind its driver thread.
+    /// every hostile frame — control, or vertex traffic for the epoch
+    /// the worker is computing — must end the worker's run with an error
+    /// (it writes place 0 off), never unwind one of its threads.
     #[test]
     fn a_worker_fed_hostile_control_frames_errors_out_without_panicking() {
-        for (what, wire) in hostile_frames() {
+        let (what, data) = hostile_data_frames().swap_remove(0);
+        let frames = hostile_frames()
+            .into_iter()
+            .chain([(what, Wire::App(0, data))]);
+        for (what, wire) in frames {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
             let addr = listener.local_addr().unwrap().to_string();
             let worker = std::thread::spawn(move || {

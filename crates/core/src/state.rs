@@ -1,4 +1,5 @@
-//! Per-place runtime state of the threaded engine.
+//! Per-place runtime state of an epoch, shared by every driver of
+//! [`crate::protocol`].
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -47,6 +48,15 @@ pub struct Parked<V> {
     pub fills: HashMap<u64, Fill<V>>,
     /// Number of still-[`Fill::Missing`] entries.
     pub remaining: usize,
+}
+
+impl<V> Default for Parked<V> {
+    fn default() -> Self {
+        Parked {
+            fills: HashMap::new(),
+            remaining: 0,
+        }
+    }
 }
 
 /// Pull bookkeeping of one place; a single lock guards both maps so the

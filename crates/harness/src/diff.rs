@@ -9,7 +9,7 @@ use dpx10_core::{
 };
 use dpx10_dag::topological_order;
 use dpx10_obs::{oracle as trace_oracle, Recorder, Trace};
-use dpx10_sim::{SimConfig, SimEngine, SimFaultPlan};
+use dpx10_sim::{SimConfig, SimEngine};
 
 use crate::app::{oracle, MixApp};
 use crate::scenario::Scenario;
@@ -220,7 +220,7 @@ fn check_sim(
         .with_cache(sc.cache)
         .with_comms(comms);
     if let Some((place, frac)) = first_progress_kill(plan) {
-        config = config.with_fault(SimFaultPlan {
+        config = config.with_fault(FaultPlan {
             place,
             after_fraction: frac,
         });
@@ -435,7 +435,7 @@ pub fn write_failure_trace(seed: u64) -> Option<std::path::PathBuf> {
         .with_schedule(sc.schedule)
         .with_cache(sc.cache);
     if let Some((place, frac)) = first_progress_kill(&sc.plan) {
-        config = config.with_fault(SimFaultPlan {
+        config = config.with_fault(FaultPlan {
             place,
             after_fraction: frac,
         });

@@ -2,8 +2,8 @@
 
 use std::time::Duration;
 
-use dpx10_apgas::{NetworkModel, PlaceId, Topology};
-use dpx10_core::ScheduleStrategy;
+use dpx10_apgas::{NetworkModel, Topology};
+use dpx10_core::{FaultPlan, ScheduleStrategy};
 use dpx10_distarray::{DistKind, RecoveryCostModel, RestoreManner};
 
 use crate::ready::ReadyPolicy;
@@ -45,27 +45,6 @@ impl CostModel {
     }
 }
 
-/// A planned failure in simulated execution: kill `place` once
-/// `after_fraction` of the vertices have finished (the paper kills a node
-/// "in the middle of the execution", §VIII-C).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SimFaultPlan {
-    /// The victim (never place 0).
-    pub place: PlaceId,
-    /// Progress fraction triggering the kill.
-    pub after_fraction: f64,
-}
-
-impl SimFaultPlan {
-    /// Kill `place` at 50 % progress.
-    pub fn mid_run(place: PlaceId) -> Self {
-        SimFaultPlan {
-            place,
-            after_fraction: 0.5,
-        }
-    }
-}
-
 /// Full simulator configuration; mirrors
 /// [`dpx10_core::EngineConfig`] plus the [`CostModel`].
 #[derive(Clone)]
@@ -82,8 +61,9 @@ pub struct SimConfig {
     pub cache_capacity: usize,
     /// Restore manner after a fault.
     pub restore_manner: RestoreManner,
-    /// Optional planned failure.
-    pub fault: Option<SimFaultPlan>,
+    /// Optional planned failure (the paper kills a node "in the middle
+    /// of the execution", §VIII-C).
+    pub fault: Option<FaultPlan>,
     /// Virtual-time prices.
     pub cost: CostModel,
     /// Ready-list ordering per place (extension; see `sim::ready`).
@@ -143,7 +123,7 @@ impl SimConfig {
     }
 
     /// Plans a fault.
-    pub fn with_fault(mut self, fault: SimFaultPlan) -> Self {
+    pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = Some(fault);
         self
     }
@@ -170,6 +150,7 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpx10_apgas::PlaceId;
 
     #[test]
     fn paper_config_shape() {
@@ -184,7 +165,7 @@ mod tests {
         let c = SimConfig::flat(3)
             .with_cache(9)
             .with_cost(CostModel::with_compute(120))
-            .with_fault(SimFaultPlan::mid_run(PlaceId(2)));
+            .with_fault(FaultPlan::mid_run(PlaceId(2)));
         assert_eq!(c.cache_capacity, 9);
         assert_eq!(c.cost.compute, Duration::from_nanos(120));
         assert_eq!(c.fault.unwrap().place, PlaceId(2));

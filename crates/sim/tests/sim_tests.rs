@@ -5,9 +5,9 @@
 
 use std::time::Duration;
 
-use dpx10_core::{DepView, DistKind, DpApp, PlaceId, ScheduleStrategy};
+use dpx10_core::{DepView, DistKind, DpApp, FaultPlan, PlaceId, ScheduleStrategy};
 use dpx10_dag::{builtin::*, topological_order, DagPattern, KnapsackDag, VertexId};
-use dpx10_sim::{CostModel, SimConfig, SimEngine, SimFaultPlan};
+use dpx10_sim::{CostModel, SimConfig, SimEngine};
 
 struct MixApp;
 
@@ -158,7 +158,7 @@ fn fault_recovery_correct_and_costly() {
     let faulty = SimEngine::new(
         MixApp,
         pattern,
-        SimConfig::flat(4).with_fault(SimFaultPlan::mid_run(PlaceId(3))),
+        SimConfig::flat(4).with_fault(FaultPlan::mid_run(PlaceId(3))),
     )
     .run()
     .unwrap();
@@ -177,7 +177,7 @@ fn fault_on_place_zero_rejected() {
     let engine = SimEngine::new(
         MixApp,
         Grid2::new(4, 4),
-        SimConfig::flat(2).with_fault(SimFaultPlan::mid_run(PlaceId(0))),
+        SimConfig::flat(2).with_fault(FaultPlan::mid_run(PlaceId(0))),
     );
     assert!(engine.run().is_err());
 }
@@ -271,7 +271,7 @@ fn traced_fault_run_records_recovery_event() {
     let engine = SimEngine::new(
         MixApp,
         Grid3::new(30, 30),
-        SimConfig::flat(4).with_fault(SimFaultPlan::mid_run(PlaceId(3))),
+        SimConfig::flat(4).with_fault(FaultPlan::mid_run(PlaceId(3))),
     );
     let (_, trace) = engine.run_traced(1_000_000).unwrap();
     let recoveries = trace

@@ -63,7 +63,7 @@ fn main() {
         SimConfig::paper(4)
             .with_dist(DistKind::BlockRow)
             .with_restore(RestoreManner::CopyRemote)
-            .with_fault(SimFaultPlan::mid_run(PlaceId(5))),
+            .with_fault(FaultPlan::mid_run(PlaceId(5))),
     )
     .run()
     .expect("simulated run survives");

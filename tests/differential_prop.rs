@@ -128,7 +128,7 @@ proptest! {
             kind.instantiate(h, w),
             SimConfig::flat(places)
                 .with_restore(manner)
-                .with_fault(SimFaultPlan { place: PlaceId(victim), after_fraction: fraction }),
+                .with_fault(FaultPlan { place: PlaceId(victim), after_fraction: fraction }),
         )
         .run()
         .expect("sim survives");

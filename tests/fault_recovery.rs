@@ -44,7 +44,7 @@ fn sim_mtp_survives_fault_under_both_restore_manners() {
             MtpApp::new(h, w, seed).pattern(),
             SimConfig::paper(2)
                 .with_restore(manner)
-                .with_fault(SimFaultPlan::mid_run(PlaceId(3))),
+                .with_fault(FaultPlan::mid_run(PlaceId(3))),
         )
         .run()
         .unwrap();
@@ -65,7 +65,7 @@ fn recovery_accounting_is_coherent() {
     let result = SimEngine::new(
         MtpApp::new(50, 50, 9),
         MtpApp::new(50, 50, 9).pattern(),
-        SimConfig::flat(5).with_fault(SimFaultPlan::mid_run(PlaceId(4))),
+        SimConfig::flat(5).with_fault(FaultPlan::mid_run(PlaceId(4))),
     )
     .run()
     .unwrap();
@@ -100,7 +100,7 @@ fn copy_remote_recomputes_less_than_recompute_remote() {
             SimConfig::flat(4)
                 .with_dist(DistKind::BlockRow)
                 .with_restore(manner)
-                .with_fault(SimFaultPlan::mid_run(PlaceId(2))),
+                .with_fault(FaultPlan::mid_run(PlaceId(2))),
         )
         .run()
         .unwrap()
