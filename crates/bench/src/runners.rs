@@ -6,7 +6,8 @@ use std::time::Duration;
 use dpx10_apps::{workload, KnapsackApp, LpsApp, MtpApp, SwlagApp};
 use dpx10_baseline::{framework_cost_model, native_cost_model, NativeSwlag};
 use dpx10_core::{
-    DistKind, EngineConfig, FaultPlan, PlaceId, RestoreManner, RunReport, ThreadedEngine,
+    run_tiled_threaded, DistKind, EngineConfig, FaultPlan, PlaceId, RestoreManner, RunReport,
+    ThreadedEngine,
 };
 use dpx10_sim::{SimConfig, SimEngine};
 
@@ -154,25 +155,40 @@ pub fn sim_overhead_pair(vertices: u64, nodes: u16) -> (Duration, Duration) {
 }
 
 /// Fig. 12 pairing with *real wall time* on this machine: the threaded
-/// DPX10 engine vs the hand-written pipeline, same sequences, cache
-/// disabled. On a 1-core host both run serially, so the ratio isolates
-/// per-vertex framework overhead exactly.
-pub fn threaded_overhead_pair(side: usize, places: u16) -> (Duration, Duration) {
+/// DPX10 engine, per cell and with `tile × tile` blocking, vs the
+/// hand-written pipeline, same sequences, cache disabled. On a 1-core
+/// host all three run serially, so the ratios isolate per-vertex
+/// framework overhead exactly. Returns (per-cell, tiled, native); the
+/// tiled time is the whole `run_tiled_threaded` call, tile-table scan
+/// included.
+pub fn threaded_overhead_pair(
+    side: usize,
+    places: u16,
+    tile: u32,
+) -> (Duration, Duration, Duration) {
     let a = workload::dna(side, 1);
     let b = workload::dna(side, 2);
+    let config = EngineConfig::flat(places).with_cache(0);
 
     let app = SwlagApp::new(a.clone(), b.clone());
     let pattern = app.pattern();
-    let fw = ThreadedEngine::new(app, pattern, EngineConfig::flat(places).with_cache(0))
+    let fw = ThreadedEngine::new(app, pattern, config.clone())
         .run()
         .unwrap()
         .report()
         .wall_time;
 
+    let app = SwlagApp::new(a.clone(), b.clone());
+    let pattern = app.pattern();
+    let t0 = std::time::Instant::now();
+    let run = run_tiled_threaded(app, pattern, tile, config).unwrap();
+    let tiled = t0.elapsed();
+    std::hint::black_box(run.tiles());
+
     let t0 = std::time::Instant::now();
     let native = NativeSwlag::new(a, b, places);
     std::hint::black_box(native.run());
-    (fw, t0.elapsed())
+    (fw, tiled, t0.elapsed())
 }
 
 /// Fig. 13 runner: SWLAG with a mid-run failure on a `nodes`-node

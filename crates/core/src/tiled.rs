@@ -2,12 +2,22 @@
 //! scheduled vertex.
 //!
 //! Pairs with [`dpx10_dag::TiledDag`]: the engine schedules *tiles*, and
-//! [`TiledApp`] computes each tile's cells serially in an intra-tile
-//! topological order, reading boundary cells out of the neighbouring
-//! tiles' values. This amortises the framework's per-vertex cost over
-//! `t²` cells and turns `t` boundary messages into one — the classic
-//! block-wavefront optimisation the paper leaves as future work
-//! ("sophisticated scheduling and cache techniques", §X).
+//! [`TiledApp`] computes each tile's cells serially, reading boundary
+//! cells out of the neighbouring tiles' values. This amortises the
+//! framework's per-vertex cost over `t²` cells and turns `t` boundary
+//! messages into one — the classic block-wavefront optimisation the
+//! paper leaves as future work ("sophisticated scheduling and cache
+//! techniques", §X).
+//!
+//! Dataflow stops at the tile boundary (Tang's nested-dataflow model):
+//! inside a tile there are exactly two execution paths, chosen by what
+//! [`TiledDag`]'s construction scan observed of the pattern. When every
+//! in-tile edge respects one fixed lexicographic order
+//! ([`TiledDag::sweep`] — all library patterns), the tile is two nested
+//! loops over its dense row-major buffer with one `dependencies` call
+//! per cell. Otherwise (a custom pattern whose in-tile edges point in
+//! mixed directions) the tile runs Kahn's algorithm over a dense
+//! indegree vector.
 //!
 //! ```
 //! use dpx10_core::tiled::run_tiled_threaded;
@@ -26,10 +36,11 @@
 //! assert_eq!(run.get(0, 0), 1);
 //! ```
 
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use dpx10_apgas::Codec;
+use dpx10_dag::tiled::TileSweep;
 use dpx10_dag::{DagPattern, TiledDag, VertexId};
 
 use crate::app::{DagResult, DepView, DpApp, VertexValue};
@@ -67,17 +78,188 @@ pub struct TiledApp<A, P> {
     geometry: Arc<TiledDag<P>>,
 }
 
+/// Which of the two in-tile paths computed a tile.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum TilePath {
+    Sweep,
+    Kahn,
+}
+
 impl<A: DpApp, P: DagPattern> TiledApp<A, P> {
     /// Wraps `inner` over the tile geometry.
     pub fn new(inner: A, geometry: Arc<TiledDag<P>>) -> Self {
         TiledApp { inner, geometry }
     }
 
-    /// Tile-local dense index of cell `(i, j)` within tile `t`.
-    fn cell_index(geo: &TiledDag<P>, t: VertexId, i: u32, j: u32) -> usize {
-        let (ri, rj) = geo.cell_bounds(t.i, t.j);
-        debug_assert!(ri.contains(&i) && rj.contains(&j));
-        ((i - ri.start) * (rj.end - rj.start) + (j - rj.start)) as usize
+    /// Computes every cell of `tile`, reporting the path taken.
+    fn compute_tile(
+        &self,
+        tile: VertexId,
+        homes: &DepView<'_, TileValue<A::Value>>,
+    ) -> (TileValue<A::Value>, TilePath) {
+        let geo = self.geometry.as_ref();
+        let (ri, rj) = geo.cell_bounds(tile.i, tile.j);
+        let (height, width) = (ri.end - ri.start, rj.end - rj.start);
+        let mut kernel = TileKernel {
+            app: &self.inner,
+            geo,
+            origin: (ri.start, rj.start),
+            height,
+            width,
+            cells: vec![A::Value::default(); height as usize * width as usize],
+            homes,
+            home: 0,
+            vals: Vec::new(),
+        };
+        let path = match geo.sweep() {
+            Some(sweep) => {
+                match sweep {
+                    TileSweep::RowsUpColsUp => kernel.sweep(sweep, ri, rj),
+                    TileSweep::RowsDownColsUp => kernel.sweep(sweep, ri.rev(), rj),
+                }
+                TilePath::Sweep
+            }
+            None => {
+                kernel.kahn(ri, rj);
+                TilePath::Kahn
+            }
+        };
+        let cells = kernel.cells;
+        (TileValue { cells }, path)
+    }
+}
+
+/// One tile being computed: its dense output buffer plus the buffers
+/// reused from cell to cell.
+struct TileKernel<'a, A: DpApp, P> {
+    app: &'a A,
+    geo: &'a TiledDag<P>,
+    /// First row and column of the tile.
+    origin: (u32, u32),
+    height: u32,
+    width: u32,
+    /// Row-major results; masked cells stay `default()`.
+    cells: Vec<A::Value>,
+    /// The neighbouring tiles' values, in tile-dependency order.
+    homes: &'a DepView<'a, TileValue<A::Value>>,
+    /// Position in `homes` of the neighbour the last out-of-tile edge
+    /// read; runs of edges into one neighbour resolve it once.
+    home: usize,
+    vals: Vec<A::Value>,
+}
+
+impl<A: DpApp, P: DagPattern> TileKernel<'_, A, P> {
+    /// Offset of `(i, j)` in `cells` if the tile covers it: two range
+    /// compares against the origin, no division.
+    #[inline]
+    fn local(&self, id: VertexId) -> Option<usize> {
+        let (di, dj) = (
+            id.i.wrapping_sub(self.origin.0),
+            id.j.wrapping_sub(self.origin.1),
+        );
+        (di < self.height && dj < self.width)
+            .then(|| di as usize * self.width as usize + dj as usize)
+    }
+
+    /// Computes cell `id` from `deps`, its pattern dependencies, all of
+    /// which are finished: in-tile ones in `cells`, the rest in `homes`.
+    fn cell(&mut self, id: VertexId, deps: &[VertexId]) {
+        self.vals.clear();
+        for &d in deps {
+            let value = match self.local(d) {
+                Some(idx) => self.cells[idx].clone(),
+                None => {
+                    let (home, idx) = self.geo.cell_index(d.i, d.j);
+                    if self.homes.ids().get(self.home) != Some(&home) {
+                        self.home = self
+                            .homes
+                            .ids()
+                            .iter()
+                            .position(|&t| t == home)
+                            .unwrap_or_else(|| panic!("tile {home} missing for cell dep {d}"));
+                    }
+                    self.homes.values()[self.home].cells[idx].clone()
+                }
+            };
+            self.vals.push(value);
+        }
+        let value = self.app.compute(id, &DepView::new(deps, &self.vals));
+        let idx = self.local(id).expect("computed cell lies in its tile");
+        self.cells[idx] = value;
+    }
+
+    /// The static path: visit the cells in `sweep` order.
+    fn sweep(&mut self, sweep: TileSweep, rows: impl Iterator<Item = u32>, cols: Range<u32>) {
+        let inner = self.geo.inner();
+        let mut deps = Vec::new();
+        for i in rows {
+            for j in cols.clone() {
+                if !inner.contains(i, j) {
+                    continue;
+                }
+                let id = VertexId::new(i, j);
+                deps.clear();
+                inner.dependencies(i, j, &mut deps);
+                debug_assert!(
+                    deps.iter()
+                        .all(|&d| self.local(d).is_none() || sweep.respects(d, id)),
+                    "in-tile edge into {id} against the {sweep:?} sweep"
+                );
+                self.cell(id, &deps);
+            }
+        }
+    }
+
+    /// The fallback for patterns no fixed sweep fits: Kahn's algorithm
+    /// over the tile, indegree counting only same-tile dependencies.
+    fn kahn(&mut self, rows: Range<u32>, cols: Range<u32>) {
+        let inner = self.geo.inner();
+        // Each cell's dependencies are queried once and kept for its
+        // execution: cell `k`'s are `deps[offsets[k]..offsets[k + 1]]`.
+        let mut deps = Vec::new();
+        let mut offsets = Vec::with_capacity(self.cells.len() + 1);
+        let mut indegree = Vec::with_capacity(self.cells.len());
+        let mut ready = Vec::new();
+        for i in rows {
+            for j in cols.clone() {
+                let start = deps.len();
+                offsets.push(start);
+                if !inner.contains(i, j) {
+                    indegree.push(0);
+                    continue;
+                }
+                inner.dependencies(i, j, &mut deps);
+                let local = deps[start..]
+                    .iter()
+                    .filter(|&&d| self.local(d).is_some())
+                    .count();
+                indegree.push(local as u32);
+                if local == 0 {
+                    ready.push(VertexId::new(i, j));
+                }
+            }
+        }
+        offsets.push(deps.len());
+
+        let mut antis = Vec::new();
+        while let Some(id) = ready.pop() {
+            let k = self.local(id).expect("ready cell lies in its tile");
+            self.cell(id, &deps[offsets[k]..offsets[k + 1]]);
+            antis.clear();
+            inner.anti_dependencies(id.i, id.j, &mut antis);
+            for &a in &antis {
+                if let Some(k) = self.local(a) {
+                    indegree[k] -= 1;
+                    if indegree[k] == 0 {
+                        ready.push(a);
+                    }
+                }
+            }
+        }
+        debug_assert!(
+            indegree.iter().all(|&d| d == 0),
+            "unscheduled intra-tile cells"
+        );
     }
 }
 
@@ -93,74 +275,7 @@ where
         tile: VertexId,
         tile_deps: &DepView<'_, TileValue<A::Value>>,
     ) -> TileValue<A::Value> {
-        let geo = self.geometry.as_ref();
-        let (ri, rj) = geo.cell_bounds(tile.i, tile.j);
-        let width = (rj.end - rj.start) as usize;
-        let len = (ri.end - ri.start) as usize * width;
-        let mut cells: Vec<A::Value> = vec![A::Value::default(); len];
-        let mut done = vec![false; len];
-
-        // Intra-tile Kahn: indegree counts only same-tile dependencies.
-        let mut indegree: HashMap<u64, u32> = HashMap::new();
-        let mut ready: Vec<VertexId> = Vec::new();
-        let mut deps_buf = Vec::new();
-        for cell in geo.cells_of(tile.i, tile.j) {
-            deps_buf.clear();
-            geo.inner().dependencies(cell.i, cell.j, &mut deps_buf);
-            let local = deps_buf
-                .iter()
-                .filter(|d| geo.tile_of(d.i, d.j) == tile)
-                .count() as u32;
-            if local == 0 {
-                ready.push(cell);
-            } else {
-                indegree.insert(cell.pack(), local);
-            }
-        }
-
-        let mut dep_vals: Vec<A::Value> = Vec::new();
-        let mut anti_buf = Vec::new();
-        while let Some(cell) = ready.pop() {
-            deps_buf.clear();
-            geo.inner().dependencies(cell.i, cell.j, &mut deps_buf);
-            dep_vals.clear();
-            for d in &deps_buf {
-                let home = geo.tile_of(d.i, d.j);
-                let v = if home == tile {
-                    let idx = Self::cell_index(geo, tile, d.i, d.j);
-                    debug_assert!(done[idx], "intra-tile order violated at {d}");
-                    cells[idx].clone()
-                } else {
-                    let neighbour = tile_deps
-                        .get(home.i, home.j)
-                        .unwrap_or_else(|| panic!("tile {home} missing for cell dep {d}"));
-                    neighbour.cells[Self::cell_index(geo, home, d.i, d.j)].clone()
-                };
-                dep_vals.push(v);
-            }
-            let view = DepView::new(&deps_buf, &dep_vals);
-            let value = self.inner.compute(cell, &view);
-            let idx = Self::cell_index(geo, tile, cell.i, cell.j);
-            cells[idx] = value;
-            done[idx] = true;
-
-            anti_buf.clear();
-            geo.inner().anti_dependencies(cell.i, cell.j, &mut anti_buf);
-            for t in &anti_buf {
-                if geo.tile_of(t.i, t.j) != tile {
-                    continue;
-                }
-                if let Some(slot) = indegree.get_mut(&t.pack()) {
-                    *slot -= 1;
-                    if *slot == 0 {
-                        indegree.remove(&t.pack());
-                        ready.push(*t);
-                    }
-                }
-            }
-        }
-        debug_assert!(indegree.is_empty(), "unscheduled intra-tile cells");
-        TileValue { cells }
+        self.compute_tile(tile, tile_deps).0
     }
 }
 
@@ -186,11 +301,8 @@ impl<V: VertexValue, P: DagPattern> TiledRun<V, P> {
         if !self.geometry.inner().contains(i, j) {
             return None;
         }
-        let t = self.geometry.tile_of(i, j);
-        let tile = self.result.try_get(t.i, t.j)?;
-        let (ri, rj) = self.geometry.cell_bounds(t.i, t.j);
-        let idx = ((i - ri.start) * (rj.end - rj.start) + (j - rj.start)) as usize;
-        Some(tile.cells[idx].clone())
+        let (t, idx) = self.geometry.cell_index(i, j);
+        Some(self.result.try_get(t.i, t.j)?.cells[idx].clone())
     }
 
     /// The tile-level result and run report.
@@ -220,6 +332,8 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use dpx10_dag::builtin::{Grid3, IntervalUpper};
     use dpx10_dag::KnapsackDag;
@@ -239,9 +353,9 @@ mod tests {
         }
     }
 
-    fn untiled_oracle(pattern: &dyn DagPattern) -> std::collections::HashMap<VertexId, u64> {
+    fn untiled_oracle(pattern: &dyn DagPattern) -> HashMap<VertexId, u64> {
         let order = dpx10_dag::topological_order(pattern).unwrap();
-        let mut out = std::collections::HashMap::new();
+        let mut out = HashMap::new();
         let mut deps = Vec::new();
         for id in order {
             deps.clear();
@@ -289,6 +403,99 @@ mod tests {
         for (id, v) in &expect {
             assert_eq!(run.try_get(id.i, id.j), Some(*v), "{id}");
         }
+    }
+
+    #[test]
+    fn try_get_is_none_outside_the_matrix_and_the_mask() {
+        let run =
+            run_tiled_threaded(MixApp, IntervalUpper::new(10), 4, EngineConfig::flat(2)).unwrap();
+        assert!(run.try_get(9, 9).is_some());
+        assert_eq!(run.try_get(9, 8), None, "masked, in an existing tile");
+        assert_eq!(
+            run.try_get(9, 0),
+            None,
+            "masked, in a tile that does not exist"
+        );
+        assert_eq!(run.try_get(10, 3), None, "row out of range");
+        assert_eq!(run.try_get(3, 10), None, "column out of range");
+        assert_eq!(run.try_get(u32::MAX, u32::MAX), None);
+    }
+
+    /// Computes every tile through `compute_tile` in a tile-level
+    /// topological order — no engine — and returns the cell values and
+    /// the path each tile took.
+    fn drive<P: DagPattern + 'static>(
+        pattern: P,
+        tile: u32,
+    ) -> (HashMap<VertexId, u64>, Vec<TilePath>) {
+        let geometry = Arc::new(TiledDag::new(pattern, tile));
+        let app = TiledApp::new(MixApp, geometry.clone());
+        let mut tiles: HashMap<VertexId, TileValue<u64>> = HashMap::new();
+        let mut paths = Vec::new();
+        let mut deps = Vec::new();
+        for t in dpx10_dag::topological_order(geometry.as_ref()).unwrap() {
+            deps.clear();
+            geometry.dependencies(t.i, t.j, &mut deps);
+            let vals: Vec<TileValue<u64>> = deps.iter().map(|d| tiles[d].clone()).collect();
+            let (value, path) = app.compute_tile(t, &DepView::new(&deps, &vals));
+            tiles.insert(t, value);
+            paths.push(path);
+        }
+        let mut cells = HashMap::new();
+        for (t, value) in &tiles {
+            for cell in geometry.cells_of(t.i, t.j) {
+                cells.insert(cell, value.cells[geometry.cell_index(cell.i, cell.j).1]);
+            }
+        }
+        (cells, paths)
+    }
+
+    #[test]
+    fn library_patterns_take_the_sweep_path() {
+        fn check<P: DagPattern + Clone + 'static>(pattern: P, tile: u32) {
+            let (cells, paths) = drive(pattern.clone(), tile);
+            assert!(paths.len() > 1, "more than one tile");
+            assert!(paths.iter().all(|&p| p == TilePath::Sweep), "{paths:?}");
+            assert_eq!(cells, untiled_oracle(&pattern));
+        }
+        check(Grid3::new(13, 11), 4);
+        check(IntervalUpper::new(11), 3);
+        check(KnapsackDag::new(vec![3, 1, 4, 2], 10), 4);
+    }
+
+    #[test]
+    fn mixed_direction_pattern_takes_the_kahn_path() {
+        // Even rows depend on their left neighbour, odd rows on their
+        // right: no sweep fits, and three stacked tiles read each other.
+        let (height, width) = (9, 4);
+        let zigzag = || {
+            dpx10_dag::CustomDag::new(height, width)
+                .with_dependencies(move |i, j, out| {
+                    if i > 0 {
+                        out.push(VertexId::new(i - 1, j));
+                    }
+                    if i % 2 == 0 && j > 0 {
+                        out.push(VertexId::new(i, j - 1));
+                    }
+                    if i % 2 == 1 && j + 1 < width {
+                        out.push(VertexId::new(i, j + 1));
+                    }
+                })
+                .with_anti_dependencies(|i, j, out, (h, w)| {
+                    if i + 1 < h {
+                        out.push(VertexId::new(i + 1, j));
+                    }
+                    if i % 2 == 0 && j + 1 < w {
+                        out.push(VertexId::new(i, j + 1));
+                    }
+                    if i % 2 == 1 && j > 0 {
+                        out.push(VertexId::new(i, j - 1));
+                    }
+                })
+        };
+        let (cells, paths) = drive(zigzag(), 4);
+        assert_eq!(paths, vec![TilePath::Kahn; 3]);
+        assert_eq!(cells, untiled_oracle(&zigzag()));
     }
 
     #[test]

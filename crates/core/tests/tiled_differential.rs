@@ -9,13 +9,14 @@
 //! `Untileable` — refusing is correct, computing wrong values is not.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dpx10_core::tiled::run_tiled_threaded;
 use dpx10_core::{DepView, DpApp, EngineConfig, EngineError};
 use dpx10_dag::builtin::{
     ColWave, Diagonal, FullPrevRowCol, Grid2, Grid3, IntervalUpper, Pyramid, RowWave,
 };
-use dpx10_dag::{topological_order, DagPattern, VertexId};
+use dpx10_dag::{topological_order, CustomDag, DagPattern, VertexId};
 use proptest::prelude::*;
 
 /// Differential app: any misrouted boundary cell or broken intra-tile
@@ -136,5 +137,59 @@ fn one_big_tile_swallows_every_builtin() {
     for pat in 0..8 {
         check_builtin(pat, 6, 6, 6, true).unwrap();
         check_builtin(pat, 6, 6, 16, true).unwrap();
+    }
+}
+
+/// Even rows depend on their left neighbour, odd rows on their right,
+/// every row on the one above. No fixed in-tile sweep respects both row
+/// kinds, so a tile holding two rows runs the Kahn fallback.
+fn zigzag(height: u32, width: u32) -> Arc<CustomDag> {
+    let pattern = CustomDag::new(height, width)
+        .with_dependencies(move |i, j, out| {
+            if i > 0 {
+                out.push(VertexId::new(i - 1, j));
+            }
+            if i % 2 == 0 && j > 0 {
+                out.push(VertexId::new(i, j - 1));
+            }
+            if i % 2 == 1 && j + 1 < width {
+                out.push(VertexId::new(i, j + 1));
+            }
+        })
+        .with_anti_dependencies(|i, j, out, (h, w)| {
+            if i + 1 < h {
+                out.push(VertexId::new(i + 1, j));
+            }
+            if i % 2 == 0 && j + 1 < w {
+                out.push(VertexId::new(i, j + 1));
+            }
+            if i % 2 == 1 && j > 0 {
+                out.push(VertexId::new(i, j - 1));
+            }
+        });
+    Arc::new(pattern)
+}
+
+proptest! {
+    /// Tiles at least as wide as the matrix stack vertically, so the
+    /// zig-zag rows never make two tiles wait on each other.
+    #[test]
+    fn kahn_fallback_matches_serial_oracle(h in 2u32..14, w in 2u32..7, extra in 0u32..4) {
+        check(zigzag(h, w), w + extra, true)?;
+    }
+}
+
+#[test]
+fn zigzag_across_tile_columns_is_refused_not_miscomputed() {
+    let refused = run_tiled_threaded(MixApp, zigzag(6, 8), 3, EngineConfig::flat(2));
+    assert!(matches!(refused, Err(EngineError::Untileable(_))));
+}
+
+#[test]
+fn masked_interval_with_a_tile_that_does_not_divide_the_side() {
+    // 11 = 3·3 + 2: the last tile row and column are clipped, the
+    // diagonal tiles are half masked, the lower-left ones do not exist.
+    for tile in [3, 4, 5, 7] {
+        check(IntervalUpper::new(11), tile, true).unwrap();
     }
 }

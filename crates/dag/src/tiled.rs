@@ -8,9 +8,19 @@
 //! automatically, so every pattern in the library (and any custom one)
 //! can be run blocked without re-deriving its dependency structure. The
 //! matching application adapter lives in `dpx10_core::tiled`.
+//!
+//! Construction scans every cell's `dependencies` exactly once and
+//! keeps what it learns in a table: each tile's dependency and
+//! anti-dependency lists (flat CSR, anti lists by transposition), which
+//! tiles exist, and which fixed in-tile sweep ([`TileSweep`]) every
+//! in-tile edge respects. Every tile-level query afterwards is a
+//! lookup. The table holds one id per tile-level edge: O(tiles) for the
+//! wavefront family, but O(T³) for a `T × T` tiling of a 2D/1D pattern
+//! such as `FullPrevRowCol`, whose tiles each depend on a whole tile
+//! row and column.
 
-use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
 
 use crate::{DagPattern, VertexId};
 
@@ -34,14 +44,71 @@ impl fmt::Display for TilingCycle {
 
 impl std::error::Error for TilingCycle {}
 
+/// A fixed lexicographic order over a tile's cells — columns always
+/// ascending within a row — that every in-tile edge of a pattern
+/// respects, so the tile can be computed by two nested loops.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TileSweep {
+    /// Rows ascending: the wavefront family, whose edges point up and
+    /// to the left.
+    RowsUpColsUp,
+    /// Rows descending: interval patterns, whose edges point down and
+    /// to the left.
+    RowsDownColsUp,
+}
+
+impl TileSweep {
+    /// Whether this sweep visits `dep` strictly before `cell`.
+    #[inline]
+    pub fn respects(self, dep: VertexId, cell: VertexId) -> bool {
+        let earlier_row = match self {
+            TileSweep::RowsUpColsUp => dep.i < cell.i,
+            TileSweep::RowsDownColsUp => dep.i > cell.i,
+        };
+        // `|`, `&`: the scan asks this of every in-tile edge, twice.
+        earlier_row | ((dep.i == cell.i) & (dep.j < cell.j))
+    }
+}
+
+/// Per-tile id lists in one flat buffer: row `k` is
+/// `ids[offsets[k]..offsets[k + 1]]`.
+#[derive(Clone, Debug, Default)]
+struct Csr {
+    offsets: Vec<usize>,
+    ids: Vec<VertexId>,
+}
+
+impl Csr {
+    fn row(&self, k: usize) -> &[VertexId] {
+        &self.ids[self.offsets[k]..self.offsets[k + 1]]
+    }
+}
+
+/// What the construction scan learnt, indexed by row-major tile number.
+#[derive(Clone, Debug, Default)]
+struct TileTable {
+    /// Whether the tile covers at least one cell of the pattern.
+    exists: Vec<bool>,
+    /// Number of existing tiles.
+    count: u64,
+    /// Tile-level dependencies, each list in ascending id order (the
+    /// simulator's virtual clock depends on that order).
+    deps: Csr,
+    /// Tile-level anti-dependencies, ascending likewise.
+    antis: Csr,
+    /// The in-tile sweep every in-tile edge respects, if one does.
+    sweep: Option<TileSweep>,
+}
+
 /// A tile-level view of an underlying pattern: tile `(I, J)` covers the
 /// cells `i ∈ [I·t, min((I+1)·t, h))`, `j ∈ [J·t, min((J+1)·t, w))`, and
 /// exists iff it covers at least one cell of the underlying pattern.
 ///
 /// Tile `(A, B)` is a dependency of tile `(I, J)` iff some covered cell
-/// of `(I, J)` depends on some covered cell of `(A, B)` — computed by
-/// scanning the covered cells' queries, so the derived pattern inherits
-/// the underlying contract (validated in tests for the whole library).
+/// of `(I, J)` depends on some covered cell of `(A, B)` — learnt by one
+/// scan of the covered cells' `dependencies` at construction, so the
+/// derived pattern inherits the underlying contract (validated in tests
+/// for the whole library).
 ///
 /// Not every pattern tiles: if cells of two tiles depend on each other
 /// (e.g. the [`crate::builtin::Pyramid`] stencil, whose `(i-1, j-1)`
@@ -55,6 +122,7 @@ pub struct TiledDag<P> {
     tile: u32,
     tiles_high: u32,
     tiles_wide: u32,
+    table: TileTable,
 }
 
 impl<P: DagPattern> TiledDag<P> {
@@ -70,17 +138,22 @@ impl<P: DagPattern> TiledDag<P> {
 
     /// Wraps `inner` with `tile × tile` blocking, or reports that the
     /// blocking would be cyclic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile` is zero or a dependency of `inner` lies outside
+    /// its `height × width` rectangle (a containment violation).
     pub fn try_new(inner: P, tile: u32) -> Result<Self, TilingCycle> {
         assert!(tile > 0, "tile size must be positive");
-        let tiles_high = inner.height().div_ceil(tile);
-        let tiles_wide = inner.width().div_ceil(tile);
-        let tiled = TiledDag {
+        let mut tiled = TiledDag {
+            tiles_high: inner.height().div_ceil(tile),
+            tiles_wide: inner.width().div_ceil(tile),
             inner,
             tile,
-            tiles_high,
-            tiles_wide,
+            table: TileTable::default(),
         };
-        if crate::topo::topological_order(&tiled).is_none() {
+        tiled.table = tiled.scan();
+        if tiled.has_tile_cycle() {
             return Err(TilingCycle { tile });
         }
         Ok(tiled)
@@ -102,9 +175,21 @@ impl<P: DagPattern> TiledDag<P> {
         VertexId::new(i / self.tile, j / self.tile)
     }
 
+    /// The tile owning cell `(i, j)` and the cell's offset in that
+    /// tile's dense row-major value buffer. `(i, j)` must lie inside
+    /// the underlying `height × width` rectangle.
+    #[inline]
+    pub fn cell_index(&self, i: u32, j: u32) -> (VertexId, usize) {
+        debug_assert!(i < self.inner.height() && j < self.inner.width());
+        let t = self.tile_of(i, j);
+        let (i0, j0) = (t.i * self.tile, t.j * self.tile);
+        let width = self.tile.min(self.inner.width() - j0);
+        (t, (i - i0) as usize * width as usize + (j - j0) as usize)
+    }
+
     /// The cell ranges covered by tile `(ti, tj)`:
     /// `(i0..i1, j0..j1)` clipped to the underlying matrix.
-    pub fn cell_bounds(&self, ti: u32, tj: u32) -> (std::ops::Range<u32>, std::ops::Range<u32>) {
+    pub fn cell_bounds(&self, ti: u32, tj: u32) -> (Range<u32>, Range<u32>) {
         let i0 = ti * self.tile;
         let j0 = tj * self.tile;
         (
@@ -124,29 +209,144 @@ impl<P: DagPattern> TiledDag<P> {
         })
     }
 
-    /// Collects the distinct neighbour tiles of `(ti, tj)` through
-    /// `query` (dependencies or anti-dependencies of covered cells).
-    fn neighbour_tiles(
-        &self,
-        ti: u32,
-        tj: u32,
-        query: impl Fn(u32, u32, &mut Vec<VertexId>),
-        out: &mut Vec<VertexId>,
-    ) {
-        let me = VertexId::new(ti, tj);
-        let mut set: BTreeSet<u64> = BTreeSet::new();
+    /// The fixed in-tile order that every in-tile edge of the wrapped
+    /// pattern respects at this tile size, or `None` if its in-tile
+    /// edges point in mixed directions. Observed from the pattern's own
+    /// `dependencies` answers during construction.
+    pub fn sweep(&self) -> Option<TileSweep> {
+        self.table.sweep
+    }
+
+    /// Row-major number of tile `(ti, tj)`, if it is inside the grid.
+    #[inline]
+    fn tile_number(&self, ti: u32, tj: u32) -> Option<usize> {
+        (ti < self.tiles_high && tj < self.tiles_wide).then(|| self.listed(VertexId::new(ti, tj)))
+    }
+
+    /// Row-major number of a tile known to be inside the grid.
+    #[inline]
+    fn listed(&self, t: VertexId) -> usize {
+        t.i as usize * self.tiles_wide as usize + t.j as usize
+    }
+
+    /// The one pass over the inner pattern's `dependencies`.
+    fn scan(&self) -> TileTable {
+        let tiles = self.tiles_high as usize * self.tiles_wide as usize;
+        let mut exists = Vec::with_capacity(tiles);
+        let mut deps = Csr {
+            offsets: Vec::with_capacity(tiles + 1),
+            ids: Vec::new(),
+        };
+        deps.offsets.push(0);
+        // `seen[t] == k` once tile `t` is on tile `k`'s list.
+        let mut seen = vec![usize::MAX; tiles];
+        let (mut rows_up, mut rows_down) = (true, true);
         let mut buf = Vec::new();
-        for cell in self.cells_of(ti, tj) {
-            buf.clear();
-            query(cell.i, cell.j, &mut buf);
-            for d in &buf {
-                let t = self.tile_of(d.i, d.j);
-                if t != me {
-                    set.insert(t.pack());
+        for ti in 0..self.tiles_high {
+            for tj in 0..self.tiles_wide {
+                let k = exists.len();
+                let (ri, rj) = self.cell_bounds(ti, tj);
+                let (height, width) = (ri.end - ri.start, rj.end - rj.start);
+                let mut covered = false;
+                for i in ri.clone() {
+                    for j in rj.clone() {
+                        if !self.inner.contains(i, j) {
+                            continue;
+                        }
+                        covered = true;
+                        let cell = VertexId::new(i, j);
+                        buf.clear();
+                        self.inner.dependencies(i, j, &mut buf);
+                        for &d in &buf {
+                            let in_rows = d.i.wrapping_sub(ri.start) < height;
+                            let in_cols = d.j.wrapping_sub(rj.start) < width;
+                            if in_rows & in_cols {
+                                rows_up &= TileSweep::RowsUpColsUp.respects(d, cell);
+                                rows_down &= TileSweep::RowsDownColsUp.respects(d, cell);
+                                continue;
+                            }
+                            // Divide only along the axis that left the tile.
+                            let home = VertexId::new(
+                                if in_rows { ti } else { d.i / self.tile },
+                                if in_cols { tj } else { d.j / self.tile },
+                            );
+                            assert!(
+                                home.i < self.tiles_high && home.j < self.tiles_wide,
+                                "dependency {d} of {cell} lies outside the pattern"
+                            );
+                            let t = self.listed(home);
+                            if seen[t] != k {
+                                seen[t] = k;
+                                deps.ids.push(home);
+                            }
+                        }
+                    }
+                }
+                exists.push(covered);
+                deps.ids[deps.offsets[k]..].sort_unstable();
+                deps.offsets.push(deps.ids.len());
+            }
+        }
+
+        // Anti lists by transposition. Consumers are visited in
+        // ascending order, so every anti list comes out ascending too.
+        let mut offsets = vec![0usize; tiles + 1];
+        for &d in &deps.ids {
+            offsets[self.listed(d) + 1] += 1;
+        }
+        for k in 0..tiles {
+            offsets[k + 1] += offsets[k];
+        }
+        let mut next = offsets.clone();
+        let mut ids = vec![VertexId::new(0, 0); deps.ids.len()];
+        for ti in 0..self.tiles_high {
+            for tj in 0..self.tiles_wide {
+                let consumer = VertexId::new(ti, tj);
+                for &d in deps.row(self.listed(consumer)) {
+                    let slot = &mut next[self.listed(d)];
+                    ids[*slot] = consumer;
+                    *slot += 1;
                 }
             }
         }
-        out.extend(set.into_iter().map(VertexId::unpack));
+
+        TileTable {
+            count: exists.iter().filter(|&&e| e).count() as u64,
+            exists,
+            deps,
+            antis: Csr { offsets, ids },
+            sweep: if rows_up {
+                Some(TileSweep::RowsUpColsUp)
+            } else if rows_down {
+                Some(TileSweep::RowsDownColsUp)
+            } else {
+                None
+            },
+        }
+    }
+
+    /// Kahn's algorithm over the table: a tile that never becomes ready
+    /// sits on (or behind) a tile-level cycle.
+    fn has_tile_cycle(&self) -> bool {
+        let table = &self.table;
+        let mut indegree: Vec<usize> = (0..table.exists.len())
+            .map(|k| table.deps.row(k).len())
+            .collect();
+        let mut ready: Vec<usize> = (0..indegree.len())
+            .filter(|&k| table.exists[k] && indegree[k] == 0)
+            .collect();
+        let mut ordered = 0u64;
+        while let Some(k) = ready.pop() {
+            ordered += 1;
+            for &a in table.antis.row(k) {
+                let a = self.listed(a);
+                indegree[a] -= 1;
+                if indegree[a] == 0 {
+                    ready.push(a);
+                }
+            }
+        }
+        ordered != table.count
     }
 }
 
@@ -160,30 +360,29 @@ impl<P: DagPattern> DagPattern for TiledDag<P> {
     }
 
     fn contains(&self, ti: u32, tj: u32) -> bool {
-        ti < self.tiles_high && tj < self.tiles_wide && self.cells_of(ti, tj).next().is_some()
+        self.tile_number(ti, tj)
+            .is_some_and(|k| self.table.exists[k])
     }
 
     fn dependencies(&self, ti: u32, tj: u32, out: &mut Vec<VertexId>) {
-        self.neighbour_tiles(ti, tj, |i, j, buf| self.inner.dependencies(i, j, buf), out);
+        if let Some(k) = self.tile_number(ti, tj) {
+            out.extend_from_slice(self.table.deps.row(k));
+        }
     }
 
     fn anti_dependencies(&self, ti: u32, tj: u32, out: &mut Vec<VertexId>) {
-        self.neighbour_tiles(
-            ti,
-            tj,
-            |i, j, buf| self.inner.anti_dependencies(i, j, buf),
-            out,
-        );
+        if let Some(k) = self.tile_number(ti, tj) {
+            out.extend_from_slice(self.table.antis.row(k));
+        }
+    }
+
+    fn indegree(&self, ti: u32, tj: u32) -> u32 {
+        self.tile_number(ti, tj)
+            .map_or(0, |k| self.table.deps.row(k).len() as u32)
     }
 
     fn vertex_count(&self) -> u64 {
-        let mut n = 0;
-        for ti in 0..self.tiles_high {
-            for tj in 0..self.tiles_wide {
-                n += self.contains(ti, tj) as u64;
-            }
-        }
-        n
+        self.table.count
     }
 
     fn name(&self) -> &str {
@@ -193,25 +392,179 @@ impl<P: DagPattern> DagPattern for TiledDag<P> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::builtin::{Grid3, IntervalUpper};
-    use crate::{validate_pattern, BuiltinKind, KnapsackDag};
+    use crate::{
+        validate_pattern, BandedGrid3, BuiltinKind, CustomDag, GapDag, IntervalSplits, KnapsackDag,
+        RangedDag,
+    };
+
+    /// The neighbour tiles of `(ti, tj)` as a fresh scan of the inner
+    /// pattern's `query` derives them: distinct, ascending.
+    fn scanned<P: DagPattern>(
+        p: &TiledDag<P>,
+        ti: u32,
+        tj: u32,
+        query: impl Fn(&P, u32, u32, &mut Vec<VertexId>),
+    ) -> Vec<VertexId> {
+        let mut set = BTreeSet::new();
+        let mut buf = Vec::new();
+        for cell in p.cells_of(ti, tj) {
+            buf.clear();
+            query(p.inner(), cell.i, cell.j, &mut buf);
+            set.extend(buf.iter().map(|d| p.tile_of(d.i, d.j)));
+        }
+        set.remove(&VertexId::new(ti, tj));
+        set.into_iter().collect()
+    }
+
+    /// The memoised table answers every tile-level query exactly as a
+    /// fresh scan of `dependencies` / `anti_dependencies` would, element
+    /// for element — in particular the transposed anti lists equal what
+    /// the inner pattern's own `anti_dependencies` says.
+    fn assert_table_matches_scan<P: DagPattern>(p: &TiledDag<P>, what: &str) {
+        let (mut deps, mut antis) = (Vec::new(), Vec::new());
+        let mut count = 0;
+        for ti in 0..p.height() {
+            for tj in 0..p.width() {
+                let exists = p.cells_of(ti, tj).next().is_some();
+                assert_eq!(p.contains(ti, tj), exists, "{what}: contains({ti}, {tj})");
+                count += exists as u64;
+                deps.clear();
+                antis.clear();
+                p.dependencies(ti, tj, &mut deps);
+                p.anti_dependencies(ti, tj, &mut antis);
+                let want = scanned(p, ti, tj, P::dependencies);
+                assert_eq!(deps, want, "{what}: dependencies({ti}, {tj})");
+                assert_eq!(p.indegree(ti, tj) as usize, want.len(), "{what}: indegree");
+                let want = scanned(p, ti, tj, P::anti_dependencies);
+                assert_eq!(antis, want, "{what}: anti_dependencies({ti}, {tj})");
+            }
+        }
+        assert_eq!(p.vertex_count(), count, "{what}: vertex_count");
+        assert!(!p.contains(p.height(), 0) && !p.contains(0, p.width()));
+        validate_pattern(p).unwrap_or_else(|e| panic!("{what}: {e}"));
+    }
+
+    /// Even rows depend on their left neighbour, odd rows on their
+    /// right, every row on the one above: no fixed lexicographic sweep
+    /// fits a tile that holds two rows.
+    fn zigzag(height: u32, width: u32) -> CustomDag {
+        CustomDag::new(height, width)
+            .with_dependencies(move |i, j, out| {
+                if i > 0 {
+                    out.push(VertexId::new(i - 1, j));
+                }
+                if i % 2 == 0 && j > 0 {
+                    out.push(VertexId::new(i, j - 1));
+                }
+                if i % 2 == 1 && j + 1 < width {
+                    out.push(VertexId::new(i, j + 1));
+                }
+            })
+            .with_anti_dependencies(|i, j, out, (h, w)| {
+                if i + 1 < h {
+                    out.push(VertexId::new(i + 1, j));
+                }
+                if i % 2 == 0 && j + 1 < w {
+                    out.push(VertexId::new(i, j + 1));
+                }
+                if i % 2 == 1 && j > 0 {
+                    out.push(VertexId::new(i, j - 1));
+                }
+            })
+    }
 
     #[test]
     fn tiled_builtins_validate() {
         for kind in BuiltinKind::ALL {
-            for tile in [1u32, 2, 3, 5] {
+            for tile in [1u32, 2, 3, 5, 11, 64] {
                 match TiledDag::try_new(kind.instantiate(11, 9), tile) {
-                    Ok(p) => {
-                        validate_pattern(&p).unwrap_or_else(|e| panic!("{kind:?} tile {tile}: {e}"))
-                    }
+                    Ok(p) => assert_table_matches_scan(&p, &format!("{kind:?} tile {tile}")),
                     Err(_) => assert!(
-                        kind == BuiltinKind::Pyramid && tile > 1,
+                        kind == BuiltinKind::Pyramid && (2..11).contains(&tile),
                         "only the pyramid stencil refuses tiling, not {kind:?} at {tile}"
                     ),
                 }
             }
         }
+    }
+
+    #[test]
+    fn table_matches_scan_beyond_the_builtins() {
+        for tile in [1u32, 2, 3, 5, 16] {
+            let what = |name: &str| format!("{name} tile {tile}");
+            let knapsack = KnapsackDag::new(vec![2, 5, 3, 1], 11);
+            assert_table_matches_scan(&TiledDag::new(knapsack, tile), &what("knapsack"));
+            let splits = IntervalSplits::new(10);
+            assert_table_matches_scan(&TiledDag::new(splits, tile), &what("splits"));
+            let banded = BandedGrid3::new(13, 3);
+            assert_table_matches_scan(&TiledDag::new(banded, tile), &what("banded"));
+            let gap = RangedDag::new(GapDag::new(9, 7));
+            assert_table_matches_scan(&TiledDag::new(gap, tile), &what("gap"));
+        }
+        // One tile column: the zig-zag rows never cross a tile boundary.
+        assert_table_matches_scan(&TiledDag::new(zigzag(9, 4), 4), "zigzag");
+    }
+
+    #[test]
+    fn sweep_is_read_off_the_in_tile_edges() {
+        use TileSweep::{RowsDownColsUp, RowsUpColsUp};
+        for kind in BuiltinKind::ALL {
+            for tile in [1u32, 2, 3, 5, 16] {
+                let Ok(p) = TiledDag::try_new(kind.instantiate(11, 11), tile) else {
+                    continue;
+                };
+                // A 1x1 tile has no in-tile edge, so the first sweep fits.
+                let want = match kind {
+                    BuiltinKind::IntervalUpper if tile > 1 => RowsDownColsUp,
+                    _ => RowsUpColsUp,
+                };
+                assert_eq!(p.sweep(), Some(want), "{kind:?} tile {tile}");
+            }
+        }
+        let sweep_of = |p: &dyn DagPattern| TiledDag::new(p, 4).sweep();
+        assert_eq!(
+            sweep_of(&KnapsackDag::new(vec![2, 5, 3], 11)),
+            Some(RowsUpColsUp)
+        );
+        assert_eq!(sweep_of(&BandedGrid3::new(13, 3)), Some(RowsUpColsUp));
+        assert_eq!(
+            sweep_of(&RangedDag::new(GapDag::new(9, 7))),
+            Some(RowsUpColsUp)
+        );
+        assert_eq!(sweep_of(&IntervalSplits::new(10)), Some(RowsDownColsUp));
+        assert_eq!(sweep_of(&zigzag(9, 4)), None);
+        assert_eq!(TiledDag::new(zigzag(9, 4), 1).sweep(), Some(RowsUpColsUp));
+    }
+
+    #[test]
+    fn zigzag_wider_than_its_tile_is_a_tile_cycle() {
+        // Rows 0 and 1 of one tile pull from its right *and* left
+        // neighbours; the table's cycle check must see it.
+        let refused = TiledDag::try_new(zigzag(4, 8), 2).err();
+        assert_eq!(refused, Some(TilingCycle { tile: 2 }));
+    }
+
+    #[test]
+    fn cell_index_is_the_dense_row_major_offset() {
+        let p = TiledDag::new(Grid3::new(10, 7), 4);
+        for i in 0..10 {
+            for j in 0..7 {
+                let (t, idx) = p.cell_index(i, j);
+                assert_eq!(t, p.tile_of(i, j));
+                let (ri, rj) = p.cell_bounds(t.i, t.j);
+                let width = (rj.end - rj.start) as usize;
+                assert_eq!(
+                    idx,
+                    (i - ri.start) as usize * width + (j - rj.start) as usize
+                );
+            }
+        }
+        // Clipped last column: width 3, so row 1 starts at offset 3.
+        assert_eq!(p.cell_index(9, 4), (VertexId::new(2, 1), 3));
     }
 
     #[test]
