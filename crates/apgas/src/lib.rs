@@ -66,7 +66,7 @@ pub use membership::{MemberState, MembershipError, RosterBoard};
 pub use network::NetworkModel;
 pub use place::{PlaceId, Topology};
 pub use runtime::{Runtime, RuntimeConfig};
-pub use socket::launch::{launch_places, PlaceChildren};
+pub use socket::launch::{launch_places, local_mesh, PlaceChildren};
 pub use socket::{JoinConfig, SocketChaos, SocketConfig, SocketNode, SocketTransport};
 pub use stats::{PlaceStats, StatsBoard, StatsSnapshot};
 pub use transport::{LocalTransport, Transport};

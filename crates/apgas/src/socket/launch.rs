@@ -1,4 +1,5 @@
-//! Spawning place processes on the local machine.
+//! Spawning places on the local machine: one OS process each
+//! ([`launch_places`]) or one thread each ([`local_mesh`]).
 //!
 //! `dpx10 run --backend sockets` turns one invocation into `N` place
 //! processes: the launcher binds a bootstrap listener, re-executes its
@@ -13,6 +14,7 @@ use std::net::TcpListener;
 use std::process::{Child, Command, ExitStatus, Stdio};
 
 use super::SocketConfig;
+use crate::place::PlaceId;
 
 /// The spawned worker processes of a socket run.
 ///
@@ -100,4 +102,50 @@ pub fn launch_places(places: u16, args: &[String]) -> io::Result<(SocketConfig, 
     let mut cfg = SocketConfig::coordinator(listener, places);
     cfg.max_places = max_places;
     Ok((cfg, PlaceChildren { children }))
+}
+
+/// Runs a whole `places`-place mesh inside this process over real TCP:
+/// binds a loopback bootstrap listener, runs `place` for places
+/// `1..places` on scoped threads and for the coordinator on the calling
+/// thread, and joins them all.
+///
+/// `place` is what one place does with its [`SocketConfig`] — build an
+/// engine or server, run it — under the engines' contract: the
+/// coordinator returns `Ok(Some(result))`, every worker `Ok(None)`.
+/// Anything else (an error, a panic, a worker holding a result, a
+/// coordinator without one) is an `Err` naming the place.
+pub fn local_mesh<T, E, F>(places: u16, place: F) -> Result<T, String>
+where
+    F: Fn(SocketConfig) -> Result<Option<T>, E> + Sync,
+    T: Send,
+    E: std::fmt::Display + Send,
+{
+    let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
+    let addr = listener
+        .local_addr()
+        .map_err(|e| format!("no local addr: {e}"))?
+        .to_string();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..places)
+            .map(|p| {
+                let (place, addr) = (&place, addr.clone());
+                scope.spawn(move || place(SocketConfig::worker(PlaceId(p), places, addr)))
+            })
+            .collect();
+        let outcome = place(SocketConfig::coordinator(listener, places));
+        let mut failure = None;
+        for (p, worker) in (1..places).zip(workers) {
+            let problem = match worker.join() {
+                Ok(Ok(None)) => continue,
+                Ok(Ok(Some(_))) => "returned a result".to_string(),
+                Ok(Err(e)) => format!("failed: {e}"),
+                Err(_) => "panicked".to_string(),
+            };
+            failure.get_or_insert(format!("worker place {p} {problem}"));
+        }
+        let result = outcome
+            .map_err(|e| format!("coordinator failed: {e}"))?
+            .ok_or("coordinator returned no result")?;
+        failure.map_or(Ok(result), Err)
+    })
 }

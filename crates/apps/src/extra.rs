@@ -22,6 +22,7 @@ use dpx10_dag::{
 };
 
 /// Levenshtein edit distance between two byte strings.
+#[derive(Clone, Debug)]
 pub struct EditDistanceApp {
     /// First string.
     pub a: Vec<u8>,
@@ -66,6 +67,7 @@ impl DpApp for EditDistanceApp {
 }
 
 /// Needleman-Wunsch global alignment score with linear gap penalty.
+#[derive(Clone, Debug)]
 pub struct NeedlemanWunschApp {
     /// First sequence.
     pub a: Vec<u8>,
@@ -182,6 +184,7 @@ impl DpApp for BandedEditDistanceApp {
 
 /// Nussinov RNA folding: maximum number of non-crossing base pairs in
 /// `seq[i..=j]`, on the interval-splits pattern.
+#[derive(Clone, Debug)]
 pub struct NussinovApp {
     /// RNA sequence over `AUGC`.
     pub seq: Vec<u8>,

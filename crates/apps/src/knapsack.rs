@@ -17,6 +17,7 @@ pub struct Item {
 }
 
 /// The 0/1-Knapsack application.
+#[derive(Clone, Debug)]
 pub struct KnapsackApp {
     /// The item set (1-based in the recurrence: item `i` is
     /// `items[i-1]`).

@@ -11,6 +11,7 @@ use dpx10_dag::{builtin::Grid3, VertexId};
 /// but computes the classic longest common *subsequence* recurrence
 /// (`F[i,j] = F[i-1,j-1]+1` on match, else `max` of neighbours); we
 /// implement the recurrence as given.
+#[derive(Clone, Debug)]
 pub struct LcsApp {
     /// First string.
     pub a: Vec<u8>,

@@ -6,11 +6,13 @@
 //! Palindromic Subsequence (LPS) and the 0/1 Knapsack Problem (0/1KP).
 //! All of them (plus the §IV LCS walk-through) live here, each with a
 //! serial reference implementation ([`serial`]) the engines are
-//! differentially tested against, and deterministic workload generators
-//! ([`workload`]) for the benchmark harness.
+//! differentially tested against, deterministic workload generators
+//! ([`workload`]), and the [`catalog`] that sizes and builds every app
+//! for the CLI, the experiment registry and the figure harness.
 
 #![warn(missing_docs)]
 
+pub mod catalog;
 pub mod extra;
 pub mod gap;
 pub mod knapsack;
@@ -23,6 +25,7 @@ pub mod serial;
 pub mod swlag;
 pub mod workload;
 
+pub use catalog::{with_app, AppKind, AppVisitor, CatalogApp};
 pub use extra::{
     BandedEditDistanceApp, EditDistanceApp, MatrixChainApp, NeedlemanWunschApp, NussinovApp,
 };

@@ -13,6 +13,7 @@ use dpx10_core::{DepView, DpApp};
 use dpx10_dag::{builtin::IntervalUpper, VertexId};
 
 /// The LPS application over one string.
+#[derive(Clone, Debug)]
 pub struct LpsApp {
     /// The subject string.
     pub text: Vec<u8>,

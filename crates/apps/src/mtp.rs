@@ -23,6 +23,7 @@ pub fn edge_weight(seed: u64, from_i: u32, from_j: u32, to_i: u32, to_j: u32) ->
 }
 
 /// The MTP application over an `h × w` street grid.
+#[derive(Clone, Debug)]
 pub struct MtpApp {
     /// Grid height.
     pub height: u32,

@@ -43,6 +43,7 @@ impl Scoring {
 
 /// The paper's Fig. 7 application: Smith-Waterman with a linear gap
 /// penalty, one `Int` per vertex.
+#[derive(Clone, Debug)]
 pub struct SwLinearApp {
     /// First sequence.
     pub a: Vec<u8>,
@@ -122,6 +123,7 @@ impl Codec for SwCell {
 /// the paper's headline evaluation app. Each vertex computes the Gotoh
 /// triple, so its per-vertex work is ~1.5× the linear variant's (the cost
 /// model in `dpx10-sim` prices it accordingly).
+#[derive(Clone, Debug)]
 pub struct SwlagApp {
     /// First sequence.
     pub a: Vec<u8>,

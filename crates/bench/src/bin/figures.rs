@@ -17,12 +17,14 @@ use std::time::Duration;
 
 use std::cell::RefCell;
 
+use dpx10_apps::{CatalogApp, GapApp, SwlagApp};
 use dpx10_bench::registry::{self, RunRecord};
 use dpx10_bench::{
-    run_recovery, run_sim, run_sim_with, sim_overhead_pair, threaded_overhead_pair, AppKind, Chart,
-    Table,
+    run_recovery, run_sim, run_sim_with, sim_overhead_pair, threaded_overhead_pair, Chart,
+    PaperApp, Table, KNAPSACK, MTP, PAPER_APPS, SWLAG,
 };
 use dpx10_core::{DistKind, FaultPlan, PlaceId, RestoreManner, RunReport, ScheduleStrategy};
+use dpx10_dag::DagPattern;
 
 /// The pinned plan digest for figure-sourced registry rows: there is no
 /// plan TOML to hash, but rows still need a stable digest so the same
@@ -44,23 +46,23 @@ impl Opts {
     /// Records one figure run as a registry row. The simulator figures
     /// report makespans, not result digests, so the fingerprint column
     /// carries the `-` placeholder the seed-import rows pinned.
-    fn record(&self, figure: &str, app: AppKind, vertices: u64, nodes: u16, report: &RunReport) {
+    fn record(&self, figure: &str, app: &PaperApp, vertices: u64, nodes: u16, report: &RunReport) {
         if self.registry.is_none() {
             return;
         }
         let git = registry::git_describe();
         let host = registry::host_fingerprint();
-        let cell = format!("{figure}/sim/{}/v{vertices}/n{nodes}", app.name());
+        let cell = format!("{figure}/sim/{}/v{vertices}/n{nodes}", app.name);
         self.rows.borrow_mut().push(RunRecord {
             prov: RunRecord::provenance(FIGURES_PLAN_DIGEST, &cell, &git, &host),
             plan: "figures".into(),
             cell,
-            seed: 1,
+            seed: app.seed,
             git,
             host,
             source: "figures".into(),
             backend: "sim".into(),
-            pattern: app.name().into(),
+            pattern: app.name.into(),
             vertices,
             places: nodes,
             coalesce: "off".into(),
@@ -178,9 +180,9 @@ fn fig10(opts: &Opts) {
     let mut last: Option<Vec<Duration>> = None;
     let mut series: Vec<Vec<(f64, f64)>> = vec![Vec::new(); 4];
     for &n in &nodes {
-        let row: Vec<Duration> = AppKind::ALL
+        let row: Vec<Duration> = PAPER_APPS
             .iter()
-            .map(|&app| {
+            .map(|app| {
                 let report = run_sim(app, opts.vertices, n);
                 opts.record("fig10", app, opts.vertices, n, &report);
                 report.sim_time
@@ -203,8 +205,8 @@ fn fig10(opts: &Opts) {
     }
     emit(table, opts);
     let mut chart = Chart::new("Fig 10: runtime vs nodes", "nodes", "simulated seconds");
-    for (k, app) in AppKind::ALL.iter().enumerate() {
-        chart = chart.series(app.name(), series[k].clone());
+    for (k, app) in PAPER_APPS.iter().enumerate() {
+        chart = chart.series(app.name, series[k].clone());
     }
     emit_chart(chart, opts);
 
@@ -213,9 +215,9 @@ fn fig10(opts: &Opts) {
         "Fig 10 summary: speedup 2 nodes -> 12 nodes (paper: ~4x for a-c, ~3x for d)",
         &["app", "speedup"],
     );
-    for (k, app) in AppKind::ALL.iter().enumerate() {
+    for (k, app) in PAPER_APPS.iter().enumerate() {
         speedups.row(&[
-            app.name().to_string(),
+            app.name.to_string(),
             format!("{:.2}", first[k].as_secs_f64() / last[k].as_secs_f64()),
         ]);
     }
@@ -236,9 +238,9 @@ fn fig11(opts: &Opts) {
     let mut series: Vec<Vec<(f64, f64)>> = vec![Vec::new(); 4];
     for k in 1..=10u64 {
         let v = max * k / 10;
-        let row: Vec<Duration> = AppKind::ALL
+        let row: Vec<Duration> = PAPER_APPS
             .iter()
-            .map(|&app| {
+            .map(|app| {
                 let report = run_sim(app, v, 10);
                 opts.record("fig11", app, v, 10, &report);
                 report.sim_time
@@ -263,8 +265,8 @@ fn fig11(opts: &Opts) {
         "vertices",
         "simulated seconds",
     );
-    for (k, app) in AppKind::ALL.iter().enumerate() {
-        chart = chart.series(app.name(), series[k].clone());
+    for (k, app) in PAPER_APPS.iter().enumerate() {
+        chart = chart.series(app.name, series[k].clone());
     }
     emit_chart(chart, opts);
     println!(
@@ -410,7 +412,7 @@ fn ablation(opts: &Opts) {
         &["capacity", "makespan_s", "hits", "misses"],
     );
     for &cap in &[0usize, 1, 16, 256, 4096] {
-        let report = run_sim_with(AppKind::Swlag, opts.vertices / 5, 4, |c| {
+        let report = run_sim_with(&SWLAG, opts.vertices / 5, 4, |c| {
             c.with_dist(DistKind::CyclicCol).with_cache(cap)
         });
         cache.row(&[
@@ -428,9 +430,7 @@ fn ablation(opts: &Opts) {
         &["strategy", "makespan_s", "messages", "bytes"],
     );
     for strat in ScheduleStrategy::ALL {
-        let report = run_sim_with(AppKind::Mtp, opts.vertices / 5, 4, |c| {
-            c.with_schedule(strat)
-        });
+        let report = run_sim_with(&MTP, opts.vertices / 5, 4, |c| c.with_schedule(strat));
         sched.row(&[
             strat.name().to_string(),
             secs(report.sim_time),
@@ -450,9 +450,7 @@ fn ablation(opts: &Opts) {
         ("block-col", DistKind::BlockCol),
         ("cyclic-row", DistKind::CyclicRow),
     ] {
-        let report = run_sim_with(AppKind::Knapsack, opts.vertices / 5, 4, |c| {
-            c.with_dist(kind)
-        });
+        let report = run_sim_with(&KNAPSACK, opts.vertices / 5, 4, |c| c.with_dist(kind));
         dist.row(&[
             name.to_string(),
             secs(report.sim_time),
@@ -470,7 +468,7 @@ fn ablation(opts: &Opts) {
         ("recompute-remote", RestoreManner::RecomputeRemote),
         ("copy-remote", RestoreManner::CopyRemote),
     ] {
-        let report = run_sim_with(AppKind::Swlag, opts.vertices / 5, 4, |c| {
+        let report = run_sim_with(&SWLAG, opts.vertices / 5, 4, |c| {
             c.with_restore(manner)
                 .with_fault(FaultPlan::mid_run(PlaceId(7)))
         });
@@ -491,7 +489,7 @@ fn ablation(opts: &Opts) {
     {
         use dpx10_sim::ReadyPolicy;
         for policy in ReadyPolicy::ALL {
-            let report = run_sim_with(AppKind::Swlag, opts.vertices / 5, 4, |c| {
+            let report = run_sim_with(&SWLAG, opts.vertices / 5, 4, |c| {
                 c.with_ready_policy(policy)
             });
             let util = report.utilization(6).unwrap_or(0.0) * 100.0;
@@ -511,20 +509,18 @@ fn ablation(opts: &Opts) {
         &["tile", "scheduled_vertices", "makespan_s", "messages"],
     );
     {
-        use dpx10_apps::{workload, SwlagApp};
         use dpx10_core::tiled::TiledApp;
         use dpx10_dag::TiledDag;
         use dpx10_sim::{CostModel, SimConfig, SimEngine};
         use std::sync::Arc;
 
-        let n = workload::side_for_vertices(opts.vertices / 5) as usize;
         for &tile in &[1u32, 4, 16, 64] {
-            let app = SwlagApp::new(workload::dna(n, 1), workload::dna(n, 2));
+            let app = SwlagApp::sized(opts.vertices / 5, SWLAG.seed);
             let geometry = Arc::new(TiledDag::new(app.pattern(), tile));
             let tiled_app = TiledApp::new(app, geometry.clone());
             // The macro-vertex costs t^2 cell computations; overhead is
             // paid once per tile.
-            let cell = 90u64;
+            let cell = SwlagApp::SIM_COMPUTE_NS;
             let cost = CostModel {
                 compute: std::time::Duration::from_nanos(cell * (tile as u64).pow(2)),
                 ..CostModel::default()
@@ -602,22 +598,20 @@ fn ablation(opts: &Opts) {
 /// lookup, so its curve tracks the O(1)-degree apps of Fig. 10, while
 /// the enumerated path pays the O(n) interval walk per cell.
 fn nested(opts: &Opts) {
-    use dpx10_apps::{workload, GapApp};
     use dpx10_core::{EngineConfig, ThreadedEngine};
 
-    let side = workload::side_for_vertices(opts.vertices / 4);
+    let app = GapApp::sized(opts.vertices / 4, 1);
     let places = [2u16, 4, 6, 8, 10, 12];
     let mut table = Table::new(
         format!(
             "Fig 10-style: GAP runtime vs places ({} vertices, nested dataflow)",
-            u64::from(side) * u64::from(side)
+            app.pattern().vertex_count()
         ),
         &["places", "agg_on_s", "agg_off_s", "agg_off_over_on"],
     );
     let (mut on_pts, mut off_pts) = (Vec::new(), Vec::new());
     for &p in &places {
         let run = |agg: bool| {
-            let app = GapApp::new(side, side, 1);
             ThreadedEngine::new(
                 app,
                 app.pattern(),
@@ -664,4 +658,25 @@ fn r_squared(x: &[f64], y: &[f64]) -> f64 {
         return 1.0;
     }
     (sxy * sxy) / (sxx * syy)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_rows_record_the_seed_the_figure_ran_with() {
+        let opts = Opts {
+            vertices: 0,
+            csv: None,
+            svg: None,
+            registry: Some(PathBuf::from("unused.csv")),
+            rows: RefCell::new(Vec::new()),
+        };
+        for app in &PAPER_APPS {
+            opts.record("fig10", app, 1_000, 2, &RunReport::default());
+        }
+        let seeds: Vec<u64> = opts.rows.borrow().iter().map(|row| row.seed).collect();
+        assert_eq!(seeds, [1, 42, 3, 4]);
+    }
 }

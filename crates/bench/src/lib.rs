@@ -1,9 +1,11 @@
-//! Shared machinery for the evaluation harness: one runner per
-//! application on the simulated cluster, plus small table/CSV helpers.
+//! The experiment registry (declarative plans, provenance-hashed rows,
+//! the tighten-only ratchet) and the runners behind the paper's figures,
+//! plus small table/CSV/chart helpers.
 //!
-//! Every figure of the paper's §VIII is regenerated from these runners
-//! by the `figures` binary; the Criterion benches reuse them at smaller
-//! scales. Workload generation is excluded from all timings, as in the
+//! This crate records deterministic KPIs and fingerprints; wall-clock
+//! and per-layer timing is `dpxbench`'s job (`benchmark/`). Every figure
+//! of the paper's §VIII is regenerated from [`runners`] by the `figures`
+//! binary. Workload generation is excluded from all timings, as in the
 //! paper ("the time for initializing the cluster, generating test
 //! graphs, and verifying results was not included").
 
@@ -19,7 +21,7 @@ pub mod table;
 pub mod toml_lite;
 
 pub use chart::{Chart, Series};
-pub use plan::{AblationPlan, Backend, BenchApp, DistChoice, Experiment};
+pub use plan::{AblationPlan, Backend, DistChoice, Experiment};
 pub use ratchet::{BaselineCell, RatchetReport, RatchetSpec, Tolerance};
 pub use registry::{RunRecord, CSV_HEADER};
 pub use runners::*;

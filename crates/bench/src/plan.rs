@@ -33,7 +33,8 @@
 
 use std::fmt;
 
-use dpx10_core::{CommsMode, ScheduleStrategy};
+use dpx10_apps::AppKind;
+use dpx10_core::ScheduleStrategy;
 use dpx10_distarray::DistKind;
 
 use crate::registry::fnv1a;
@@ -46,8 +47,7 @@ pub enum Backend {
     Sim,
     /// The threaded engine (one OS thread per place).
     Threads,
-    /// The in-process socket mesh (one thread per place over real TCP,
-    /// the `dpx10 bench` idiom).
+    /// The in-process socket mesh (one thread per place over real TCP).
     Sockets,
 }
 
@@ -70,58 +70,6 @@ impl Backend {
 
     fn parse(s: &str) -> Option<Backend> {
         Self::ALL.iter().find(|(n, _)| *n == s).map(|&(_, b)| b)
-    }
-}
-
-/// Which application (DAG pattern + kernel) a cell runs — the plan's
-/// `pattern` axis, named after the paper's DAG-pattern abstraction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BenchApp {
-    /// Smith-Waterman, linear + affine gap (paper headline app).
-    Swlag,
-    /// Manhattan Tourists Problem.
-    Mtp,
-    /// Longest Palindromic Subsequence.
-    Lps,
-    /// 0/1 Knapsack.
-    Knapsack,
-    /// Longest Common Subsequence.
-    Lcs,
-    /// Levenshtein edit distance.
-    EditDistance,
-    /// Needleman-Wunsch global alignment.
-    NeedlemanWunsch,
-    /// Least-Weight Subsequence (interval deps + prefix-min lanes).
-    Lws,
-    /// Gap-penalty alignment (row+col interval deps).
-    Gap,
-}
-
-impl BenchApp {
-    /// All runnable apps with their plan-file names.
-    pub const ALL: [(&'static str, BenchApp); 9] = [
-        ("swlag", BenchApp::Swlag),
-        ("mtp", BenchApp::Mtp),
-        ("lps", BenchApp::Lps),
-        ("knapsack", BenchApp::Knapsack),
-        ("lcs", BenchApp::Lcs),
-        ("edit-distance", BenchApp::EditDistance),
-        ("needleman-wunsch", BenchApp::NeedlemanWunsch),
-        ("lws", BenchApp::Lws),
-        ("gap", BenchApp::Gap),
-    ];
-
-    /// The plan-file name.
-    pub fn name(self) -> &'static str {
-        Self::ALL
-            .iter()
-            .find(|&&(_, a)| a == self)
-            .map(|&(n, _)| n)
-            .expect("every app is in ALL")
-    }
-
-    fn parse(s: &str) -> Option<BenchApp> {
-        Self::ALL.iter().find(|(n, _)| *n == s).map(|&(_, a)| a)
     }
 }
 
@@ -205,8 +153,9 @@ pub struct AblationPlan {
     pub seed: u64,
     /// Engine axis.
     pub backend: Vec<Backend>,
-    /// Application axis.
-    pub pattern: Vec<BenchApp>,
+    /// Application axis (the plan's `pattern` key, named after the
+    /// paper's DAG-pattern abstraction).
+    pub pattern: Vec<AppKind>,
     /// Problem-scale axis (vertex counts).
     pub vertices: Vec<u64>,
     /// Place-count axis.
@@ -237,7 +186,7 @@ pub struct Experiment {
     /// Engine.
     pub backend: Backend,
     /// Application.
-    pub app: BenchApp,
+    pub app: AppKind,
     /// Problem scale.
     pub vertices: u64,
     /// Places.
@@ -252,10 +201,6 @@ pub struct Experiment {
     pub dist: DistChoice,
     /// Scheduling strategy.
     pub schedule: ScheduleStrategy,
-    /// Anti-dependency delivery mode (plans always expand to the pull
-    /// plane; the `dpx10 bench --comms push` comparison constructs push
-    /// cells directly, keeping plan digests and cell ids stable).
-    pub comms: CommsMode,
     /// The cell's workload seed, derived from the plan seed and the
     /// cell id (stable under plan edits that leave this cell in place).
     pub seed: u64,
@@ -348,7 +293,7 @@ impl AblationPlan {
             .iter()
             .map(|v| {
                 v.as_str()
-                    .and_then(BenchApp::parse)
+                    .and_then(AppKind::parse)
                     .ok_or(format!("bad pattern {v:?}"))
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -478,7 +423,7 @@ impl AblationPlan {
             };
         }
         check_axis!(backend, |b: &Backend| b.name());
-        check_axis!(pattern, |a: &BenchApp| a.name());
+        check_axis!(pattern, |a: &AppKind| a.name());
         check_axis!(vertices, |v: &u64| v.to_string());
         check_axis!(places, |p: &u16| p.to_string());
         check_axis!(coalesce, |c: &Option<usize>| coalesce_name(*c));
@@ -543,7 +488,6 @@ impl AblationPlan {
                                         cache,
                                         dist: self.dist,
                                         schedule: self.schedule,
-                                        comms: CommsMode::Pull,
                                         seed,
                                     });
                                 }

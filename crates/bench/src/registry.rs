@@ -165,13 +165,8 @@ impl RunRecord {
     /// [`to_csv`]: RunRecord::to_csv
     pub fn from_csv(line: &str) -> Result<RunRecord, String> {
         let f: Vec<&str> = line.split(',').collect();
-        // 21 fields is the pre-`pull_roundtrips` schema; its missing
-        // KPI reads as 0 so historical rows stay loadable.
-        if f.len() != 21 && f.len() != 22 {
-            return Err(format!(
-                "registry row has {} fields, expected 21 or 22",
-                f.len()
-            ));
+        if f.len() != 22 {
+            return Err(format!("registry row has {} fields, expected 22", f.len()));
         }
         let uint = |i: usize, name: &str| -> Result<u64, String> {
             f[i].parse::<u64>()
@@ -203,11 +198,7 @@ impl RunRecord {
             bytes: uint(18, "bytes")?,
             sim_us: uint(19, "sim_us")?,
             wall_us: uint(20, "wall_us")?,
-            pull_roundtrips: if f.len() > 21 {
-                uint(21, "pull_roundtrips")?
-            } else {
-                0
-            },
+            pull_roundtrips: uint(21, "pull_roundtrips")?,
         })
     }
 
@@ -444,12 +435,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_21_field_row_parses_with_zero_pull_roundtrips() {
+    fn row_without_pull_roundtrips_is_rejected() {
         let full = record("sim/lcs/v1000/p2/coff/t1/k64", 1234).to_csv();
-        let legacy = full.rsplit_once(',').unwrap().0;
-        let parsed = RunRecord::from_csv(legacy).unwrap();
-        assert_eq!(parsed.pull_roundtrips, 0);
-        assert_eq!(parsed.wall_us, 1234);
+        let short = full.rsplit_once(',').unwrap().0;
+        let err = RunRecord::from_csv(short).unwrap_err();
+        assert!(err.contains("21 fields, expected 22"), "{err}");
     }
 
     #[test]

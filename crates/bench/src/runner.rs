@@ -3,126 +3,23 @@
 //! One cell maps to one engine run: the deterministic simulator, the
 //! threaded engine (tiled when the cell asks for `tile > 1`), or an
 //! in-process socket mesh — every place a thread of this process over
-//! real TCP, the `dpx10 bench` / chaos-harness idiom. Workloads are
-//! rebuilt from the cell's derived seed exactly the way the CLI builds
-//! them, so a registry cell and the equivalent `dpx10 run` invocation
-//! compute the same DAG.
+//! real TCP. Workloads come from the cell's derived seed through the
+//! app catalog, the same way `dpx10 run` builds them, so a registry
+//! cell and the equivalent `dpx10 run` invocation compute the same DAG.
 
-use std::net::TcpListener;
-
-use dpx10_apgas::{PlaceId, SocketConfig};
-use dpx10_apps::{
-    workload, EditDistanceApp, GapApp, KnapsackApp, LcsApp, LpsApp, LwsApp, MtpApp,
-    NeedlemanWunschApp, SwlagApp,
-};
-use dpx10_core::{
-    run_tiled_threaded, DpApp, EngineConfig, RunReport, SocketEngine, ThreadedEngine, VertexValue,
-};
-use dpx10_dag::DagPattern;
+use dpx10_apgas::local_mesh;
+use dpx10_apps::{with_app, AppVisitor, CatalogApp};
+use dpx10_core::{run_tiled_threaded, EngineConfig, RunReport, SocketEngine, ThreadedEngine};
 use dpx10_sim::{CostModel, SimConfig, SimEngine};
 
-use crate::plan::{Backend, BenchApp, Experiment};
+use crate::plan::{Backend, Experiment};
 use crate::registry::RunRecord;
-
-/// Knapsack capacity pinned across the harness (matches the CLI).
-const KNAPSACK_CAPACITY: u32 = 999;
 
 /// Runs one cell, returning the result fingerprint and the engine's
 /// report.
 pub fn run_cell(exp: &Experiment) -> Result<(u64, RunReport), String> {
-    let seed = exp.seed;
-    let vertices = exp.vertices;
-    match exp.app {
-        BenchApp::Swlag => {
-            let n = workload::side_for_vertices(vertices) as usize;
-            run_backend(exp, move || {
-                let app = SwlagApp::new(workload::dna(n, seed), workload::dna(n, seed + 1));
-                let pattern = app.pattern();
-                (app, pattern)
-            })
-        }
-        BenchApp::Mtp => {
-            let n = workload::side_for_vertices(vertices) + 1;
-            run_backend(exp, move || {
-                let app = MtpApp::new(n, n, seed);
-                let pattern = app.pattern();
-                (app, pattern)
-            })
-        }
-        BenchApp::Lps => {
-            let n = ((vertices as f64 * 2.0).sqrt() as usize).max(2);
-            run_backend(exp, move || {
-                let app = LpsApp::new(workload::letters(n, seed));
-                let pattern = app.pattern();
-                (app, pattern)
-            })
-        }
-        BenchApp::Knapsack => {
-            let shape = workload::knapsack_shape_for_vertices(vertices, KNAPSACK_CAPACITY);
-            run_backend(exp, move || {
-                let app =
-                    KnapsackApp::new(workload::knapsack_items(shape, 64, seed), KNAPSACK_CAPACITY);
-                let pattern = app.pattern();
-                (app, pattern)
-            })
-        }
-        BenchApp::Lcs => {
-            let n = workload::side_for_vertices(vertices) as usize;
-            run_backend(exp, move || {
-                let app = LcsApp::new(workload::letters(n, seed), workload::letters(n, seed + 1));
-                let pattern = app.pattern();
-                (app, pattern)
-            })
-        }
-        BenchApp::EditDistance => {
-            let n = workload::side_for_vertices(vertices) as usize;
-            run_backend(exp, move || {
-                let app = EditDistanceApp::new(
-                    workload::letters(n, seed),
-                    workload::letters(n, seed + 1),
-                );
-                let pattern = app.pattern();
-                (app, pattern)
-            })
-        }
-        BenchApp::NeedlemanWunsch => {
-            let n = workload::side_for_vertices(vertices) as usize;
-            run_backend(exp, move || {
-                let app =
-                    NeedlemanWunschApp::new(workload::dna(n, seed), workload::dna(n, seed + 1));
-                let pattern = app.pattern();
-                (app, pattern)
-            })
-        }
-        BenchApp::Lws => {
-            // One cell per vertex: a 1×n row with prefix-min lanes. Runs
-            // aggregated (the engine default), so the baseline's
-            // pull_roundtrips column ratchets the O(1)-reads invariant.
-            let n = (vertices as u32).max(2);
-            run_backend(exp, move || {
-                let app = LwsApp::new(n, seed);
-                let pattern = app.pattern();
-                (app, pattern)
-            })
-        }
-        BenchApp::Gap => {
-            let n = workload::side_for_vertices(vertices);
-            run_backend(exp, move || {
-                let app = GapApp::new(n, n, seed);
-                let pattern = app.pattern();
-                (app, pattern)
-            })
-        }
-    }
-}
-
-/// SWLAG's affine-gap cell costs ~1.5x a plain DP cell in the
-/// simulator's cost model (same constants as `dpx10 run`).
-fn compute_ns(app: BenchApp) -> u64 {
-    match app {
-        BenchApp::Swlag => 90,
-        _ => 60,
-    }
+    with_app(exp.app, exp.vertices, exp.seed, RunCell(exp))
+        .map_err(|e| format!("{}: {e}", exp.cell))
 }
 
 /// The cell's engine config (threads/sockets path).
@@ -130,109 +27,51 @@ fn engine_config(exp: &Experiment) -> EngineConfig {
     let mut config = EngineConfig::flat(exp.places)
         .with_schedule(exp.schedule)
         .with_cache(exp.cache)
-        .with_coalesce(exp.coalesce)
-        .with_comms(exp.comms);
+        .with_coalesce(exp.coalesce);
     if let Some(kind) = exp.dist.kind() {
         config = config.with_dist(kind);
     }
     config
 }
 
-/// Dispatches a cell to its backend. `make` rebuilds the app + pattern
-/// from owned data so the socket path can instantiate one copy per
-/// in-process place.
-fn run_backend<A, P, F>(exp: &Experiment, make: F) -> Result<(u64, RunReport), String>
-where
-    A: DpApp + 'static,
-    A::Value: VertexValue,
-    P: DagPattern + Clone + 'static,
-    F: Fn() -> (A, P) + Send + Clone + 'static,
-{
-    match exp.backend {
-        Backend::Sim => {
-            let mut config = SimConfig::flat(exp.places)
-                .with_schedule(exp.schedule)
-                .with_cache(exp.cache)
-                .with_comms(exp.comms)
-                .with_cost(CostModel::with_compute(compute_ns(exp.app)));
-            if let Some(kind) = exp.dist.kind() {
-                config = config.with_dist(kind);
-            }
-            let (app, pattern) = make();
-            let result = SimEngine::new(app, pattern, config)
-                .run()
-                .map_err(|e| format!("{}: sim run failed: {e}", exp.cell))?;
-            Ok((result.fingerprint(), result.report().clone()))
-        }
-        Backend::Threads if exp.tile > 1 => {
-            let (app, pattern) = make();
-            let run = run_tiled_threaded(app, pattern, exp.tile, engine_config(exp))
-                .map_err(|e| format!("{}: tiled run failed: {e}", exp.cell))?;
-            Ok((run.tiles().fingerprint(), run.tiles().report().clone()))
-        }
-        Backend::Threads => {
-            let (app, pattern) = make();
-            let result = ThreadedEngine::new(app, pattern, engine_config(exp))
-                .run()
-                .map_err(|e| format!("{}: threaded run failed: {e}", exp.cell))?;
-            Ok((result.fingerprint(), result.report().clone()))
-        }
-        Backend::Sockets => socket_run(exp, make),
-    }
-}
+/// Dispatches a cell's app to the cell's backend.
+struct RunCell<'a>(&'a Experiment);
 
-/// Runs a cell over an in-process socket mesh: the coordinator on this
-/// thread, every other place a spawned thread of this process joining
-/// over real TCP on a loopback ephemeral port.
-fn socket_run<A, P, F>(exp: &Experiment, make: F) -> Result<(u64, RunReport), String>
-where
-    A: DpApp + 'static,
-    A::Value: VertexValue,
-    P: DagPattern + Clone + 'static,
-    F: Fn() -> (A, P) + Send + Clone + 'static,
-{
-    let places = exp.places;
-    let config = engine_config(exp);
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| format!("no local addr: {e}"))?
-        .to_string();
-    let mut workers = Vec::new();
-    for p in 1..places {
-        let addr = addr.clone();
-        let config = config.clone();
-        let make = make.clone();
-        workers.push(std::thread::spawn(move || {
-            let (app, pattern) = make();
-            SocketEngine::new(app, pattern, config).run(SocketConfig::worker(
-                PlaceId(p),
-                places,
-                addr,
-            ))
-        }));
-    }
-    let (app, pattern) = make();
-    let outcome =
-        SocketEngine::new(app, pattern, config).run(SocketConfig::coordinator(listener, places));
-    for (idx, w) in workers.into_iter().enumerate() {
-        match w.join() {
-            Ok(Ok(None)) => {}
-            Ok(other) => {
-                return Err(format!(
-                    "{}: worker place {} did not shut down cleanly: {:?}",
-                    exp.cell,
-                    idx + 1,
-                    other.map(|r| r.map(|_| "unexpected result"))
-                ));
+impl AppVisitor for RunCell<'_> {
+    type Out = Result<(u64, RunReport), String>;
+
+    fn visit<A: CatalogApp>(self, app: A) -> Self::Out {
+        let exp = self.0;
+        let pattern = app.dag();
+        let result = match exp.backend {
+            Backend::Sim => {
+                let mut config = SimConfig::flat(exp.places)
+                    .with_schedule(exp.schedule)
+                    .with_cache(exp.cache)
+                    .with_cost(CostModel::with_compute(A::SIM_COMPUTE_NS));
+                if let Some(kind) = exp.dist.kind() {
+                    config = config.with_dist(kind);
+                }
+                SimEngine::new(app, pattern, config)
+                    .run()
+                    .map_err(|e| format!("sim run failed: {e}"))?
             }
-            Err(_) => return Err(format!("{}: worker place {} panicked", exp.cell, idx + 1)),
-        }
+            Backend::Threads if exp.tile > 1 => {
+                let run = run_tiled_threaded(app, pattern, exp.tile, engine_config(exp))
+                    .map_err(|e| format!("tiled run failed: {e}"))?;
+                return Ok((run.tiles().fingerprint(), run.tiles().report().clone()));
+            }
+            Backend::Threads => ThreadedEngine::new(app, pattern, engine_config(exp))
+                .run()
+                .map_err(|e| format!("threaded run failed: {e}"))?,
+            // Coordinator on this thread, every other place a thread of
+            // this process joining over loopback TCP.
+            Backend::Sockets => local_mesh(exp.places, |socket| {
+                SocketEngine::new(app.clone(), pattern.clone(), engine_config(exp)).run(socket)
+            })?,
+        };
+        Ok((result.fingerprint(), result.report().clone()))
     }
-    let result = outcome
-        .map_err(|e| format!("{}: coordinator failed: {e}", exp.cell))?
-        .ok_or(format!("{}: coordinator returned no result", exp.cell))?;
-    Ok((result.fingerprint(), result.report().clone()))
 }
 
 /// The wall-time scale injected by `DPX10_BENCH_WALL_SCALE` — the CI

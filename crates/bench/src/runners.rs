@@ -1,133 +1,102 @@
-//! Application runners on the simulated cluster (and the two Fig. 12
-//! comparators), parameterised exactly along the paper's sweep axes.
+//! The simulated-cluster runners behind the paper's figures (and the
+//! two Fig. 12 comparators), parameterised along the paper's sweep axes.
 
 use std::time::Duration;
 
-use dpx10_apps::{workload, KnapsackApp, LpsApp, MtpApp, SwlagApp};
+use dpx10_apps::{with_app, workload, AppKind, AppVisitor, CatalogApp, SwlagApp};
 use dpx10_baseline::{framework_cost_model, native_cost_model, NativeSwlag};
 use dpx10_core::{
     run_tiled_threaded, DistKind, EngineConfig, FaultPlan, PlaceId, RestoreManner, RunReport,
     ThreadedEngine,
 };
-use dpx10_sim::{SimConfig, SimEngine};
+use dpx10_sim::{CostModel, SimConfig, SimEngine};
 
-/// The four evaluation applications of §VIII.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AppKind {
-    /// Smith-Waterman, linear + affine gap.
-    Swlag,
-    /// Manhattan Tourists Problem.
-    Mtp,
-    /// Longest Palindromic Subsequence.
-    Lps,
-    /// 0/1 Knapsack Problem.
-    Knapsack,
-}
-
-impl AppKind {
-    /// All four, in the paper's order.
-    pub const ALL: [AppKind; 4] = [
-        AppKind::Swlag,
-        AppKind::Mtp,
-        AppKind::Lps,
-        AppKind::Knapsack,
-    ];
-
-    /// Display name as used in the figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            AppKind::Swlag => "SWLAG",
-            AppKind::Mtp => "MTP",
-            AppKind::Lps => "LPS",
-            AppKind::Knapsack => "0/1KP",
-        }
-    }
-
-    /// SWLAG's affine-gap cell does roughly 1.5× the work of the other
-    /// apps' cells; the cost model reflects that (DESIGN.md §6).
-    fn compute_ns(self) -> u64 {
-        match self {
-            AppKind::Swlag => 90,
-            _ => 60,
-        }
-    }
-
+/// One of the four evaluation applications of §VIII, as the figures
+/// run it.
+#[derive(Clone, Debug)]
+pub struct PaperApp {
+    /// The catalog app.
+    pub kind: AppKind,
+    /// The name the figures print.
+    pub name: &'static str,
+    /// The workload seed the committed `results/*.csv` were generated
+    /// from.
+    pub seed: u64,
     /// The paper's knapsack runs distribute by row (the recurrence only
     /// looks one row up); grids use the framework default (by column).
-    fn dist(self) -> DistKind {
-        match self {
-            AppKind::Knapsack => DistKind::BlockRow,
-            _ => DistKind::BlockCol,
-        }
-    }
+    pub dist: DistKind,
 }
 
-/// Knapsack capacity used throughout the harness.
-pub const KNAPSACK_CAPACITY: u32 = 999;
+/// Smith-Waterman, linear + affine gap.
+pub const SWLAG: PaperApp = PaperApp {
+    kind: AppKind::Swlag,
+    name: "SWLAG",
+    seed: 1,
+    dist: DistKind::BlockCol,
+};
+/// Manhattan Tourists Problem.
+pub const MTP: PaperApp = PaperApp {
+    kind: AppKind::Mtp,
+    name: "MTP",
+    seed: 42,
+    dist: DistKind::BlockCol,
+};
+/// Longest Palindromic Subsequence.
+pub const LPS: PaperApp = PaperApp {
+    kind: AppKind::Lps,
+    name: "LPS",
+    seed: 3,
+    dist: DistKind::BlockCol,
+};
+/// 0/1 Knapsack Problem.
+pub const KNAPSACK: PaperApp = PaperApp {
+    kind: AppKind::Knapsack,
+    name: "0/1KP",
+    seed: 4,
+    dist: DistKind::BlockRow,
+};
+
+/// All four, in the paper's order.
+pub const PAPER_APPS: [PaperApp; 4] = [SWLAG, MTP, LPS, KNAPSACK];
 
 /// Runs `app` with ~`vertices` vertices on a simulated `nodes`-node
 /// paper cluster, returning the run report (`sim_time` = makespan).
-pub fn run_sim(app: AppKind, vertices: u64, nodes: u16) -> RunReport {
+pub fn run_sim(app: &PaperApp, vertices: u64, nodes: u16) -> RunReport {
     run_sim_with(app, vertices, nodes, |c| c)
 }
 
 /// [`run_sim`] with a config hook for ablations.
 pub fn run_sim_with(
-    app: AppKind,
+    app: &PaperApp,
     vertices: u64,
     nodes: u16,
     tweak: impl FnOnce(SimConfig) -> SimConfig,
 ) -> RunReport {
-    let config = tweak(
-        SimConfig::paper(nodes)
-            .with_dist(app.dist())
-            .with_cost(dpx10_sim::CostModel::with_compute(app.compute_ns())),
-    );
-    match app {
-        AppKind::Swlag => {
-            let n = workload::side_for_vertices(vertices) as usize;
-            let a = SwlagApp::new(workload::dna(n, 1), workload::dna(n, 2));
-            let pattern = a.pattern();
-            SimEngine::new(a, pattern, config)
-                .run()
-                .unwrap()
-                .report()
-                .clone()
-        }
-        AppKind::Mtp => {
-            let n = workload::side_for_vertices(vertices) + 1;
-            let a = MtpApp::new(n, n, 42);
-            let pattern = a.pattern();
-            SimEngine::new(a, pattern, config)
-                .run()
-                .unwrap()
-                .report()
-                .clone()
-        }
-        AppKind::Lps => {
-            let n = ((vertices as f64 * 2.0).sqrt() as usize).max(2);
-            let a = LpsApp::new(workload::letters(n, 3));
-            let pattern = a.pattern();
-            SimEngine::new(a, pattern, config)
-                .run()
-                .unwrap()
-                .report()
-                .clone()
-        }
-        AppKind::Knapsack => {
-            let items = workload::knapsack_items(
-                workload::knapsack_shape_for_vertices(vertices, KNAPSACK_CAPACITY),
-                64,
-                4,
-            );
-            let a = KnapsackApp::new(items, KNAPSACK_CAPACITY);
-            let pattern = a.pattern();
-            SimEngine::new(a, pattern, config)
-                .run()
-                .unwrap()
-                .report()
-                .clone()
-        }
+    let config = |cost| {
+        tweak(
+            SimConfig::paper(nodes)
+                .with_dist(app.dist.clone())
+                .with_cost(cost),
+        )
+    };
+    with_app(app.kind, vertices, app.seed, SimRun(config))
+}
+
+/// Runs the visited app on the simulator under the config `.0` builds
+/// from the app's cost model.
+struct SimRun<F>(F);
+
+impl<F: FnOnce(CostModel) -> SimConfig> AppVisitor for SimRun<F> {
+    type Out = RunReport;
+
+    fn visit<A: CatalogApp>(self, app: A) -> RunReport {
+        let config = (self.0)(CostModel::with_compute(A::SIM_COMPUTE_NS));
+        let pattern = app.dag();
+        SimEngine::new(app, pattern, config)
+            .run()
+            .unwrap()
+            .report()
+            .clone()
     }
 }
 
@@ -141,17 +110,15 @@ pub fn run_sim_with(
 /// and the per-vertex overhead becomes invisible (ratio → 1.000), which
 /// hides exactly the quantity Fig. 12 measures.
 pub fn sim_overhead_pair(vertices: u64, nodes: u16) -> (Duration, Duration) {
-    let n = workload::side_for_vertices(vertices) as usize;
     let run = |cost| {
-        let a = SwlagApp::new(workload::dna(n, 1), workload::dna(n, 2));
-        let pattern = a.pattern();
-        SimEngine::new(a, pattern, SimConfig::paper(nodes).with_cost(cost))
-            .run()
-            .unwrap()
-            .report()
-            .sim_time
+        let visitor = SimRun(|_| SimConfig::paper(nodes).with_cost(cost));
+        with_app(SWLAG.kind, vertices, SWLAG.seed, visitor).sim_time
     };
-    (run(framework_cost_model(90)), run(native_cost_model(90)))
+    let cell_ns = SwlagApp::SIM_COMPUTE_NS;
+    (
+        run(framework_cost_model(cell_ns)),
+        run(native_cost_model(cell_ns)),
+    )
 }
 
 /// Fig. 12 pairing with *real wall time* on this machine: the threaded
@@ -199,8 +166,8 @@ pub fn run_recovery(
     nodes: u16,
     manner: RestoreManner,
 ) -> (Duration, Duration, Duration) {
-    let clean = run_sim(AppKind::Swlag, vertices, nodes).sim_time;
-    let report = run_sim_with(AppKind::Swlag, vertices, nodes, |c| {
+    let clean = run_sim(&SWLAG, vertices, nodes).sim_time;
+    let report = run_sim_with(&SWLAG, vertices, nodes, |c| {
         c.with_restore(manner)
             .with_fault(FaultPlan::mid_run(PlaceId(Topo::victim(nodes))))
     });
@@ -216,31 +183,13 @@ impl Topo {
     }
 }
 
-/// A threaded-engine fault run for the recovery tests/benches on real
-/// threads (small scale).
-pub fn threaded_recovery(side: u32, places: u16) -> RunReport {
-    let app = MtpApp::new(side, side, 5);
-    let pattern = app.pattern();
-    ThreadedEngine::new(
-        app,
-        pattern,
-        EngineConfig::flat(places)
-            .with_dist(DistKind::BlockRow)
-            .with_fault(FaultPlan::mid_run(PlaceId(places - 1))),
-    )
-    .run()
-    .unwrap()
-    .report()
-    .clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn runners_produce_sane_reports() {
-        for app in AppKind::ALL {
+        for app in &PAPER_APPS {
             let report = run_sim(app, 20_000, 2);
             assert!(report.sim_time > Duration::ZERO, "{app:?}");
             assert_eq!(report.vertices_computed, report.vertices_total);

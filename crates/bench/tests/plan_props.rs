@@ -3,7 +3,8 @@
 //! list), the provenance-bearing digest is invariant under TOML field
 //! reordering, and shrunk plans stay valid strict sub-plans.
 
-use dpx10_bench::plan::{AblationPlan, Backend, BenchApp};
+use dpx10_apps::AppKind;
+use dpx10_bench::plan::{AblationPlan, Backend};
 use proptest::prelude::*;
 
 /// Builds a random-but-valid plan from drawn axis parameters. Axes are
@@ -27,10 +28,7 @@ fn plan_from(
         .iter()
         .map(|&(_, b)| b)
         .collect();
-    plan.pattern = BenchApp::ALL[..patterns.clamp(1, BenchApp::ALL.len())]
-        .iter()
-        .map(|&(_, a)| a)
-        .collect();
+    plan.pattern = AppKind::ALL[..patterns.clamp(1, AppKind::ALL.len())].to_vec();
     let dedup_sorted = |mut v: Vec<u64>, floor: u64| -> Vec<u64> {
         v.iter_mut().for_each(|x| *x = (*x).max(floor));
         v.sort_unstable();

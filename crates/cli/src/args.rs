@@ -5,67 +5,8 @@
 use std::fmt;
 
 use dpx10_apgas::PlaceId;
+use dpx10_apps::AppKind;
 use dpx10_core::{CommsMode, DistKind, RestoreManner, ScheduleStrategy};
-
-/// Which application to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AppChoice {
-    /// Smith-Waterman, linear + affine gap.
-    Swlag,
-    /// Smith-Waterman, linear gap (the paper's Fig. 7 demo).
-    SwLinear,
-    /// Manhattan Tourists Problem.
-    Mtp,
-    /// Longest Palindromic Subsequence.
-    Lps,
-    /// 0/1 Knapsack.
-    Knapsack,
-    /// Longest Common Subsequence.
-    Lcs,
-    /// Levenshtein edit distance.
-    EditDistance,
-    /// Needleman-Wunsch global alignment.
-    NeedlemanWunsch,
-    /// Nussinov RNA folding (2D/1D).
-    Nussinov,
-    /// Least-Weight Subsequence (interval deps, prefix-aggregated).
-    Lws,
-    /// GAP: edit distance with general gap penalties (interval deps).
-    Gap,
-}
-
-impl AppChoice {
-    /// All runnable apps with their CLI names.
-    pub const ALL: [(&'static str, AppChoice); 11] = [
-        ("swlag", AppChoice::Swlag),
-        ("sw-linear", AppChoice::SwLinear),
-        ("mtp", AppChoice::Mtp),
-        ("lps", AppChoice::Lps),
-        ("knapsack", AppChoice::Knapsack),
-        ("lcs", AppChoice::Lcs),
-        ("edit-distance", AppChoice::EditDistance),
-        ("needleman-wunsch", AppChoice::NeedlemanWunsch),
-        ("nussinov", AppChoice::Nussinov),
-        ("lws", AppChoice::Lws),
-        ("gap", AppChoice::Gap),
-    ];
-
-    fn parse(s: &str) -> Option<AppChoice> {
-        Self::ALL
-            .iter()
-            .find(|(name, _)| *name == s)
-            .map(|&(_, app)| app)
-    }
-
-    /// The CLI name.
-    pub fn name(self) -> &'static str {
-        Self::ALL
-            .iter()
-            .find(|&&(_, app)| app == self)
-            .map(|&(name, _)| name)
-            .expect("every app is in ALL")
-    }
-}
 
 /// Which engine executes the run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,7 +23,7 @@ pub enum EngineChoice {
 #[derive(Clone, Debug)]
 pub struct RunArgs {
     /// The application.
-    pub app: AppChoice,
+    pub app: AppKind,
     /// The engine.
     pub engine: EngineChoice,
     /// Problem scale as a vertex count.
@@ -120,7 +61,7 @@ pub struct RunArgs {
 impl Default for RunArgs {
     fn default() -> Self {
         RunArgs {
-            app: AppChoice::Swlag,
+            app: AppKind::Swlag,
             engine: EngineChoice::Sim,
             vertices: 250_000,
             nodes: 4,
@@ -182,25 +123,13 @@ impl Default for ChaosArgs {
     }
 }
 
-/// A parsed `dpx10 bench` invocation. Without `--plan`: the comms-plane
-/// baseline, one run with coalescing off and one with it on, written as
-/// JSON. With `--plan FILE`: the declarative ablation registry — expand
-/// the plan, run every cell, append to the registry CSV, and optionally
+/// A parsed `dpx10 bench` invocation: expand a declarative ablation
+/// plan, run every cell, append to the registry CSV, and optionally
 /// ratchet against a committed baseline.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchArgs {
-    /// Problem scale as a vertex count.
-    pub vertices: u64,
-    /// Socket-mesh places.
-    pub places: u16,
-    /// Byte budget of the coalescing-on run.
-    pub coalesce: usize,
-    /// Workload seed.
-    pub seed: u64,
-    /// Output JSON path.
-    pub out: String,
-    /// Ablation plan TOML to run instead of the comms baseline.
-    pub plan: Option<String>,
+    /// Ablation plan TOML to run.
+    pub plan: String,
     /// Compare the plan run against its committed baseline and exit
     /// nonzero on regression.
     pub ratchet: bool,
@@ -210,34 +139,11 @@ pub struct BenchArgs {
     pub baseline: Option<String>,
     /// Registry CSV to append to.
     pub registry: String,
-    /// Per-run JSON path override (default `results/runs/<plan>-<git>.json`).
+    /// Per-run JSON path override (default
+    /// `results/runs/<plan>-<unix seconds>-<pid>.json`).
     pub run_json: Option<String>,
     /// Aggregate the registry into a trend JSON artifact here.
     pub trend: Option<String>,
-    /// `push` switches the baseline to pull-vs-push anti-dependency
-    /// delivery (same mesh, coalescing pinned) instead of coalescing
-    /// off-vs-on.
-    pub comms: CommsMode,
-}
-
-impl Default for BenchArgs {
-    fn default() -> Self {
-        BenchArgs {
-            vertices: 250_000,
-            places: 3,
-            coalesce: 4096,
-            seed: 1,
-            out: "BENCH_comms.json".into(),
-            plan: None,
-            ratchet: false,
-            update_baseline: false,
-            baseline: None,
-            registry: "results/registry.csv".into(),
-            run_json: None,
-            trend: None,
-            comms: CommsMode::Pull,
-        }
-    }
 }
 
 /// A parsed `dpx10 serve` invocation: several DP jobs multiplexed over
@@ -250,7 +156,7 @@ pub struct ServeArgs {
     /// Sweep size when no jobfile is given.
     pub jobs: u32,
     /// Sweep application (must share the serve value type).
-    pub app: AppChoice,
+    pub app: AppKind,
     /// Sweep problem scale as a vertex count.
     pub vertices: u64,
     /// Mesh places.
@@ -270,9 +176,6 @@ pub struct ServeArgs {
     pub elastic: bool,
     /// Elastic-mesh place capacity (joins are refused beyond it).
     pub capacity: u16,
-    /// Write the drain-vs-kill relocation benchmark JSON here
-    /// (elastic mode only).
-    pub bench_out: Option<String>,
     /// Anti-dependency delivery mode for every job on the mesh.
     pub comms: CommsMode,
 }
@@ -282,7 +185,7 @@ impl Default for ServeArgs {
         ServeArgs {
             jobfile: None,
             jobs: 4,
-            app: AppChoice::Lcs,
+            app: AppKind::Lcs,
             vertices: 2_500,
             places: 3,
             max_in_flight: 4,
@@ -292,7 +195,6 @@ impl Default for ServeArgs {
             trace_out: None,
             elastic: false,
             capacity: 6,
-            bench_out: None,
             comms: CommsMode::Pull,
         }
     }
@@ -455,7 +357,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     }
                     "--app" => {
                         let name = value("--app")?;
-                        serve.app = AppChoice::parse(&name)
+                        serve.app = AppKind::parse(&name)
                             .ok_or(ParseError(format!("unknown app {name}; try `dpx10 apps`")))?
                     }
                     "--vertices" => {
@@ -483,7 +385,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                             .parse()
                             .map_err(|_| ParseError("bad --capacity".into()))?
                     }
-                    "--bench-out" => serve.bench_out = Some(value("--bench-out")?),
                     "--comms" => serve.comms = parse_comms(&value("--comms")?)?,
                     other => return err(format!("unknown serve flag {other}")),
                 }
@@ -499,9 +400,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             }
             if serve.capacity < serve.places {
                 return err("--capacity must be at least --places (joins only add)");
-            }
-            if serve.bench_out.is_some() && !serve.elastic {
-                return err("--bench-out needs --elastic (it benchmarks relocation)");
             }
             Ok(Command::Serve(serve))
         }
@@ -556,7 +454,15 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             Ok(Command::Chaos(chaos))
         }
         Some("bench") => {
-            let mut bench = BenchArgs::default();
+            let mut bench = BenchArgs {
+                plan: String::new(),
+                ratchet: false,
+                update_baseline: false,
+                baseline: None,
+                registry: "results/registry.csv".into(),
+                run_json: None,
+                trend: None,
+            };
             while let Some(flag) = it.next() {
                 let mut value = |name: &str| {
                     it.next()
@@ -564,26 +470,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         .ok_or(ParseError(format!("{name} needs a value")))
                 };
                 match flag {
-                    "--vertices" => {
-                        bench.vertices = value("--vertices")?
-                            .parse()
-                            .map_err(|_| ParseError("bad --vertices".into()))?
-                    }
-                    "--places" => {
-                        bench.places = value("--places")?
-                            .parse()
-                            .map_err(|_| ParseError("bad --places".into()))?
-                    }
-                    "--coalesce" => {
-                        bench.coalesce = match parse_coalesce(&value("--coalesce")?)? {
-                            Some(n) => n,
-                            None => return err("bench needs a non-zero coalescing budget"),
-                        }
-                    }
-                    "--seed" => bench.seed = parse_seed(&value("--seed")?)?,
-                    "--comms" => bench.comms = parse_comms(&value("--comms")?)?,
-                    "--out" => bench.out = value("--out")?,
-                    "--plan" => bench.plan = Some(value("--plan")?),
+                    "--plan" => bench.plan = value("--plan")?,
                     "--ratchet" => bench.ratchet = true,
                     "--update-baseline" => bench.update_baseline = true,
                     "--baseline" => bench.baseline = Some(value("--baseline")?),
@@ -593,22 +480,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     other => return err(format!("unknown bench flag {other}")),
                 }
             }
-            if bench.plan.is_none() {
-                if bench.places < 2 {
-                    return err("bench needs at least 2 places (it measures inter-place frames)");
-                }
-                if bench.ratchet || bench.update_baseline || bench.baseline.is_some() {
-                    return err("--ratchet/--update-baseline/--baseline need --plan FILE");
-                }
-                if bench.run_json.is_some() || bench.trend.is_some() {
-                    return err("--run-json/--trend need --plan FILE");
-                }
+            if bench.plan.is_empty() {
+                return err("bench needs --plan FILE (wall-clock benchmarking is dpxbench's job)");
             }
             if bench.update_baseline && !bench.ratchet {
                 return err("--update-baseline needs --ratchet (it tightens the ratchet)");
-            }
-            if bench.plan.is_some() && bench.comms == CommsMode::Push {
-                return err("--comms push is the baseline comparison; plans pin their own cells");
             }
             Ok(Command::Bench(bench))
         }
@@ -616,7 +492,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let app_name = it
                 .next()
                 .ok_or(ParseError("run needs an app name".into()))?;
-            let app = AppChoice::parse(app_name).ok_or(ParseError(format!(
+            let app = AppKind::parse(app_name).ok_or(ParseError(format!(
                 "unknown app {app_name}; try `dpx10 apps`"
             )))?;
             let mut run = RunArgs {
@@ -725,7 +601,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
 
 /// The help text.
 pub fn usage() -> String {
-    let apps: Vec<&str> = AppChoice::ALL.iter().map(|&(n, _)| n).collect();
+    let apps: Vec<&str> = AppKind::ALL.iter().map(|app| app.name()).collect();
     format!(
         "dpx10 — distributed dynamic programming (DPX10 reproduction)\n\
          \n\
@@ -734,7 +610,7 @@ pub fn usage() -> String {
          \x20 dpx10 serve [flags]          run concurrent jobs on one shared place mesh\n\
          \x20 dpx10 join --coordinator A   join a running socket mesh as a new place\n\
          \x20 dpx10 chaos [flags]          seeded differential chaos testing\n\
-         \x20 dpx10 bench [flags]          comms-plane baseline: coalescing off vs on\n\
+         \x20 dpx10 bench --plan F [flags] run an ablation plan through the registry\n\
          \x20 dpx10 apps                   list applications\n\
          \x20 dpx10 patterns [--size HxW]  analyse the built-in DAG patterns\n\
          \x20 dpx10 trace summarize FILE   validate + summarise an exported trace\n\
@@ -786,8 +662,6 @@ pub fn usage() -> String {
          \x20                         drain mid-sweep, chunks relocate live\n\
          \x20 --capacity N            elastic place capacity, joins refused beyond\n\
          \x20                         it (default 6)\n\
-         \x20 --bench-out FILE        write the drain-and-rebalance vs kill-and-\n\
-         \x20                         recompute benchmark JSON (needs --elastic)\n\
          \x20 --comms pull|push       anti-dependency delivery for every job\n\
          \n\
          JOIN FLAGS:\n\
@@ -808,16 +682,9 @@ pub fn usage() -> String {
          \x20                         every run fingerprint-checked against solo\n\
          \n\
          BENCH FLAGS:\n\
-         \x20 --vertices N            problem scale (default 250000)\n\
-         \x20 --places N              socket-mesh places (default 3)\n\
-         \x20 --coalesce BYTES        budget of the coalescing-on run (default 4096)\n\
-         \x20 --seed N                workload seed (default 1)\n\
-         \x20 --comms pull|push       `push` compares pull-vs-push delivery on the\n\
-         \x20                         same mesh instead of coalescing off-vs-on\n\
-         \x20 --out FILE              JSON output path (default BENCH_comms.json)\n\
-         \x20 --plan FILE             run a declarative ablation plan instead: expand\n\
-         \x20                         the grid, run every cell, append provenance-\n\
-         \x20                         hashed rows to the registry CSV\n\
+         \x20 --plan FILE             the declarative ablation plan to run (required):\n\
+         \x20                         expand the grid, run every cell, append\n\
+         \x20                         provenance-hashed rows to the registry CSV\n\
          \x20 --ratchet               compare the plan run against its committed\n\
          \x20                         baseline, exit nonzero on regression\n\
          \x20 --update-baseline       tighten (or create) the baseline from this run;\n\
@@ -858,7 +725,7 @@ mod tests {
         let Command::Run(run) = parse_ok(&["run", "swlag"]) else {
             panic!()
         };
-        assert_eq!(run.app, AppChoice::Swlag);
+        assert_eq!(run.app, AppKind::Swlag);
         assert_eq!(run.engine, EngineChoice::Sim);
         assert_eq!(run.vertices, 250_000);
         assert!(run.fault.is_none());
@@ -891,7 +758,7 @@ mod tests {
         ]) else {
             panic!()
         };
-        assert_eq!(run.app, AppChoice::Knapsack);
+        assert_eq!(run.app, AppKind::Knapsack);
         assert_eq!(run.engine, EngineChoice::Threaded);
         assert_eq!(run.vertices, 5000);
         assert_eq!(run.places, 3);
@@ -1003,12 +870,12 @@ mod tests {
         let Command::Run(run) = parse_ok(&["run", "lws", "--agg", "off"]) else {
             panic!()
         };
-        assert_eq!(run.app, AppChoice::Lws);
+        assert_eq!(run.app, AppKind::Lws);
         assert!(!run.agg);
         let Command::Run(run) = parse_ok(&["run", "gap", "--agg", "on"]) else {
             panic!()
         };
-        assert_eq!(run.app, AppChoice::Gap);
+        assert_eq!(run.app, AppKind::Gap);
         assert!(run.agg);
         let Command::Chaos(chaos) = parse_ok(&["chaos", "--agg", "off"]) else {
             panic!()
@@ -1033,10 +900,6 @@ mod tests {
             panic!()
         };
         assert_eq!(chaos.comms, CommsMode::Push);
-        let Command::Bench(bench) = parse_ok(&["bench", "--comms", "push"]) else {
-            panic!()
-        };
-        assert_eq!(bench.comms, CommsMode::Push);
         let Command::Serve(serve) = parse_ok(&["serve", "--comms", "push"]) else {
             panic!()
         };
@@ -1046,41 +909,7 @@ mod tests {
             .contains("bad --comms"));
         assert!(parse_err(&["bench", "--plan", "p.toml", "--comms", "push"])
             .0
-            .contains("baseline comparison"));
-    }
-
-    #[test]
-    fn bench_flags_parse() {
-        let Command::Bench(bench) = parse_ok(&["bench"]) else {
-            panic!()
-        };
-        assert_eq!(bench, BenchArgs::default());
-        let Command::Bench(bench) = parse_ok(&[
-            "bench",
-            "--vertices",
-            "10000",
-            "--places",
-            "2",
-            "--coalesce",
-            "8192",
-            "--seed",
-            "0x2a",
-            "--out",
-            "results/b.json",
-        ]) else {
-            panic!()
-        };
-        assert_eq!(bench.vertices, 10_000);
-        assert_eq!(bench.places, 2);
-        assert_eq!(bench.coalesce, 8192);
-        assert_eq!(bench.seed, 42);
-        assert_eq!(bench.out, "results/b.json");
-        assert!(parse_err(&["bench", "--places", "1"])
-            .0
-            .contains("at least 2"));
-        assert!(parse_err(&["bench", "--coalesce", "off"])
-            .0
-            .contains("non-zero"));
+            .contains("unknown bench flag --comms"));
     }
 
     #[test]
@@ -1102,15 +931,15 @@ mod tests {
         ]) else {
             panic!()
         };
-        assert_eq!(bench.plan.as_deref(), Some("plans/pinned-small.toml"));
+        assert_eq!(bench.plan, "plans/pinned-small.toml");
         assert!(bench.ratchet);
         assert!(bench.update_baseline);
         assert_eq!(bench.baseline.as_deref(), Some("b.toml"));
         assert_eq!(bench.registry, "r.csv");
         assert_eq!(bench.run_json.as_deref(), Some("run.json"));
         assert_eq!(bench.trend.as_deref(), Some("trend.json"));
-        // A plan run ignores --places floors (the plan carries its own
-        // axes), but ratchet flags without a plan are refused.
+        // The plan is the only workload source: no plan, no run.
+        assert!(parse_err(&["bench"]).0.contains("--plan"));
         assert!(parse_err(&["bench", "--ratchet"]).0.contains("--plan"));
         assert!(parse_err(&["bench", "--trend", "t.json"])
             .0
@@ -1149,7 +978,7 @@ mod tests {
             panic!()
         };
         assert_eq!(serve.jobs, 6);
-        assert_eq!(serve.app, AppChoice::EditDistance);
+        assert_eq!(serve.app, AppKind::EditDistance);
         assert_eq!(serve.vertices, 900);
         assert_eq!(serve.places, 4);
         assert_eq!(serve.max_in_flight, 2);
@@ -1176,30 +1005,19 @@ mod tests {
 
     #[test]
     fn elastic_serve_flags_parse() {
-        let Command::Serve(serve) = parse_ok(&[
-            "serve",
-            "--elastic",
-            "--capacity",
-            "8",
-            "--bench-out",
-            "results/BENCH_elastic.json",
-        ]) else {
+        let Command::Serve(serve) = parse_ok(&["serve", "--elastic", "--capacity", "8"]) else {
             panic!()
         };
         assert!(serve.elastic);
         assert_eq!(serve.capacity, 8);
-        assert_eq!(
-            serve.bench_out.as_deref(),
-            Some("results/BENCH_elastic.json")
-        );
         assert!(
             parse_err(&["serve", "--elastic", "--places", "4", "--capacity", "3"])
                 .0
                 .contains("--capacity")
         );
-        assert!(parse_err(&["serve", "--bench-out", "b.json"])
+        assert!(parse_err(&["serve", "--elastic", "--bench-out", "b.json"])
             .0
-            .contains("--elastic"));
+            .contains("unknown serve flag --bench-out"));
     }
 
     #[test]
@@ -1228,17 +1046,19 @@ mod tests {
 
     #[test]
     fn every_app_name_round_trips() {
-        for (name, app) in AppChoice::ALL {
-            assert_eq!(AppChoice::parse(name), Some(app));
-            assert_eq!(app.name(), name);
+        for app in AppKind::ALL {
+            let Command::Run(run) = parse_ok(&["run", app.name()]) else {
+                panic!()
+            };
+            assert_eq!(run.app, app);
         }
     }
 
     #[test]
     fn usage_mentions_every_app() {
         let text = usage();
-        for (name, _) in AppChoice::ALL {
-            assert!(text.contains(name), "usage misses {name}");
+        for app in AppKind::ALL {
+            assert!(text.contains(app.name()), "usage misses {}", app.name());
         }
     }
 }

@@ -1,26 +1,23 @@
 //! Command implementations.
 
-use std::net::TcpListener;
+use std::any::Any;
 use std::time::Duration;
 
 use dpx10_apgas::{
-    launch_places, ElasticEvent, ElasticPlan, ElasticVerb, JoinConfig, PlaceId, SocketConfig,
-    SocketNode, Topology,
+    launch_places, local_mesh, ElasticEvent, ElasticPlan, ElasticVerb, JoinConfig, PlaceId,
+    SocketConfig, SocketNode, Topology,
 };
-use dpx10_apps::{
-    workload, EditDistanceApp, GapApp, KnapsackApp, LcsApp, LpsApp, LwsApp, MtpApp,
-    NeedlemanWunschApp, NussinovApp, SwLinearApp, SwlagApp,
-};
+use dpx10_apps::{with_app, AppKind, AppVisitor, CatalogApp};
 use dpx10_bench::{AblationPlan, RatchetSpec};
 use dpx10_core::{
-    DagResult, DepView, DpApp, ElasticConfig, ElasticEngine, ElasticReport, ElasticServer,
-    EngineConfig, FaultPlan, RunReport, ServeReport, SocketEngine, ThreadedEngine, VertexValue,
+    DagResult, DpApp, ElasticConfig, ElasticEngine, ElasticReport, ElasticServer, EngineConfig,
+    FaultPlan, RunReport, ServeReport, SocketEngine, ThreadedEngine,
 };
-use dpx10_dag::{critical_path_len, wavefront_profile, BuiltinKind, DagPattern, VertexId};
+use dpx10_dag::{critical_path_len, wavefront_profile, BuiltinKind, DagPattern};
 use dpx10_obs::{chrome, summary as obs_summary, EventKind, Recorder, Registry, Trace};
 use dpx10_sim::{CostModel, SimConfig, SimEngine, TraceBuffer};
 
-use crate::args::{AppChoice, EngineChoice, RunArgs};
+use crate::args::{EngineChoice, RunArgs};
 
 /// A run's outcome in CLI form.
 pub struct RunSummary {
@@ -96,146 +93,28 @@ impl RunSummary {
 /// the sockets backend re-executes the binary with it so every place
 /// process rebuilds the identical workload.
 pub fn run(args: &RunArgs, raw: &[String]) -> Result<RunSummary, String> {
-    match args.app {
-        AppChoice::Swlag => {
-            let n = workload::side_for_vertices(args.vertices) as usize;
-            let app = SwlagApp::new(workload::dna(n, args.seed), workload::dna(n, args.seed + 1));
-            let pattern = app.pattern();
-            let last = n as u32;
-            execute(args, raw, app, pattern, 90, move |r| {
-                format!("H({last}, {last}) = {:?}", r.get(last, last).h)
-            })
-        }
-        AppChoice::SwLinear => {
-            let n = workload::side_for_vertices(args.vertices) as usize;
-            let app =
-                SwLinearApp::new(workload::dna(n, args.seed), workload::dna(n, args.seed + 1));
-            let pattern = app.pattern();
-            let last = n as u32;
-            execute(args, raw, app, pattern, 60, move |r| {
-                format!("H({last}, {last}) = {}", r.get(last, last))
-            })
-        }
-        AppChoice::Mtp => {
-            let n = workload::side_for_vertices(args.vertices) + 1;
-            let app = MtpApp::new(n, n, args.seed);
-            let pattern = app.pattern();
-            execute(args, raw, app, pattern, 60, move |r| {
-                format!("longest path = {}", r.get(n - 1, n - 1))
-            })
-        }
-        AppChoice::Lps => {
-            let n = ((args.vertices as f64 * 2.0).sqrt() as usize).max(2);
-            let app = LpsApp::new(workload::letters(n, args.seed));
-            let pattern = app.pattern();
-            let last = n as u32 - 1;
-            execute(args, raw, app, pattern, 60, move |r| {
-                format!("longest palindromic subsequence = {}", r.get(0, last))
-            })
-        }
-        AppChoice::Knapsack => {
-            let capacity = 999;
-            let items = workload::knapsack_items(
-                workload::knapsack_shape_for_vertices(args.vertices, capacity),
-                64,
-                args.seed,
-            );
-            let rows = items.len() as u32;
-            let app = KnapsackApp::new(items, capacity);
-            let pattern = app.pattern();
-            execute(args, raw, app, pattern, 60, move |r| {
-                format!("optimum value = {}", r.get(rows, capacity))
-            })
-        }
-        AppChoice::Lcs => {
-            let n = workload::side_for_vertices(args.vertices) as usize;
-            let app = LcsApp::new(
-                workload::letters(n, args.seed),
-                workload::letters(n, args.seed + 1),
-            );
-            let pattern = app.pattern();
-            let last = n as u32;
-            execute(args, raw, app, pattern, 60, move |r| {
-                format!("LCS length = {}", r.get(last, last))
-            })
-        }
-        AppChoice::EditDistance => {
-            let n = workload::side_for_vertices(args.vertices) as usize;
-            let app = EditDistanceApp::new(
-                workload::letters(n, args.seed),
-                workload::letters(n, args.seed + 1),
-            );
-            let pattern = app.pattern();
-            let last = n as u32;
-            execute(args, raw, app, pattern, 60, move |r| {
-                format!("edit distance = {}", r.get(last, last))
-            })
-        }
-        AppChoice::NeedlemanWunsch => {
-            let n = workload::side_for_vertices(args.vertices) as usize;
-            let app = NeedlemanWunschApp::new(
-                workload::dna(n, args.seed),
-                workload::dna(n, args.seed + 1),
-            );
-            let pattern = app.pattern();
-            let last = n as u32;
-            execute(args, raw, app, pattern, 60, move |r| {
-                format!("global alignment score = {}", r.get(last, last))
-            })
-        }
-        AppChoice::Nussinov => {
-            // 2D/1D: keep the default scale modest.
-            let n = ((args.vertices as f64 * 2.0).sqrt() as usize).clamp(2, 512);
-            let rna: Vec<u8> = workload::dna(n, args.seed)
-                .into_iter()
-                .map(|c| if c == b'T' { b'U' } else { c })
-                .collect();
-            let app = NussinovApp::new(rna);
-            let pattern = app.pattern();
-            let last = n as u32 - 1;
-            execute(args, raw, app, pattern, 60, move |r| {
-                format!("max base pairs = {}", r.get(0, last))
-            })
-        }
-        AppChoice::Lws => {
-            // 1-D: every vertex is a position of the single-row DAG.
-            let n = (args.vertices as u32).max(2);
-            let app = LwsApp::new(n, args.seed);
-            let pattern = app.pattern();
-            execute(args, raw, app, pattern, 60, move |r| {
-                format!("least weight D({}) = {}", n - 1, r.get(0, n - 1))
-            })
-        }
-        AppChoice::Gap => {
-            let n = workload::side_for_vertices(args.vertices);
-            let app = GapApp::new(n, n, args.seed);
-            let pattern = app.pattern();
-            execute(args, raw, app, pattern, 60, move |r| {
-                format!(
-                    "gap alignment cost G({0}, {0}) = {1}",
-                    n - 1,
-                    r.get(n - 1, n - 1)
-                )
-            })
-        }
+    with_app(args.app, args.vertices, args.seed, Execute { args, raw })
+}
+
+/// Runs the catalog-built app on the selected engine.
+struct Execute<'a> {
+    args: &'a RunArgs,
+    raw: &'a [String],
+}
+
+impl AppVisitor for Execute<'_> {
+    type Out = Result<RunSummary, String>;
+
+    fn visit<A: CatalogApp>(self, app: A) -> Self::Out {
+        execute(self.args, self.raw, app)
     }
 }
 
 /// Runs one app on the selected engine.
-fn execute<A, P, F>(
-    args: &RunArgs,
-    raw: &[String],
-    app: A,
-    pattern: P,
-    compute_ns: u64,
-    answer: F,
-) -> Result<RunSummary, String>
-where
-    A: DpApp + 'static,
-    P: DagPattern + 'static,
-    F: FnOnce(&DagResult<A::Value>) -> String,
-    A::Value: VertexValue,
-{
+fn execute<A: CatalogApp>(args: &RunArgs, raw: &[String], app: A) -> Result<RunSummary, String> {
+    let pattern = app.dag();
+    let cell = app.answer_cell();
+    let answer = |r: &DagResult<A::Value>| A::headline(cell, &r.get(cell.0, cell.1));
     // Observability is opt-in: the recorder stays disabled (a no-op on
     // every hot path) unless an export file was requested.
     let want_obs = args.trace_out.is_some() || args.metrics_out.is_some();
@@ -253,7 +132,7 @@ where
                 .with_cache(args.cache)
                 .with_restore(args.restore)
                 .with_comms(args.comms)
-                .with_cost(CostModel::with_compute(compute_ns));
+                .with_cost(CostModel::with_compute(A::SIM_COMPUTE_NS));
             if let Some(kind) = &args.dist {
                 config = config.with_dist(kind.clone());
             }
@@ -676,213 +555,17 @@ fn run_elastic_chaos(args: &crate::args::ChaosArgs) -> (String, bool) {
     (out, failed.is_empty())
 }
 
-/// `dpx10 bench`: with `--plan FILE`, runs a declarative ablation plan
-/// through the experiment registry; otherwise the comms-plane baseline.
-/// The baseline runs SWLAG twice over an in-process socket mesh —
-/// coalescing off, then on at the requested byte budget — and writes
-/// the frame/byte/wall-time comparison to a JSON file. The
-/// cyclic-column distribution puts every column boundary across a place
-/// boundary, so the uncoalesced run pays one transport frame per remote
-/// `Done` and the comparison measures the comms plane rather than the
-/// distribution's boundary traffic.
-///
-/// Errs (process exit 1) if the two runs' result fingerprints differ: a
-/// coalesced run must be byte-for-byte the same computation.
-pub fn run_bench(args: &crate::args::BenchArgs) -> Result<String, String> {
-    if let Some(plan_path) = &args.plan {
-        return run_bench_plan(args, plan_path);
-    }
-    if args.comms == dpx10_core::CommsMode::Push {
-        return run_bench_push(args);
-    }
-    let off = bench_swlag_sockets(args, None, dpx10_core::CommsMode::Pull, 4096)?;
-    let mut on = bench_swlag_sockets(args, Some(args.coalesce), dpx10_core::CommsMode::Pull, 4096)?;
-    // Test hook: force the mismatch path so the exit-nonzero contract
-    // stays pinned by a smoke test without a real equivalence bug.
-    if std::env::var("DPX10_BENCH_FORCE_FP_MISMATCH").as_deref() == Ok("1") {
-        on.0 ^= 1;
-    }
-    let n = workload::side_for_vertices(args.vertices) as usize;
-    if off.0 != on.0 {
-        return Err(format!(
-            "coalescing changed the result: fingerprint {:#018x} (off) vs {:#018x} (on)",
-            off.0, on.0
-        ));
-    }
-    let (fingerprint, off) = (off.0, off.1);
-    let on = on.1;
-    let ratio = off.comm.messages_sent as f64 / on.comm.messages_sent.max(1) as f64;
-    let json = format!(
-        "{{\n  \"app\": \"swlag\",\n  \"vertices\": {},\n  \"side\": {n},\n  \"places\": {},\n  \"dist\": \"cyclic-col\",\n  \"seed\": {},\n  \"coalesce_bytes\": {},\n  \"fingerprint\": \"{fingerprint:#018x}\",\n  \"off\": {},\n  \"on\": {},\n  \"frame_reduction\": {ratio:.2}\n}}\n",
-        args.vertices,
-        args.places,
-        args.seed,
-        args.coalesce,
-        bench_mode_json(&off),
-        bench_mode_json(&on),
-    );
-    std::fs::write(&args.out, &json).map_err(|e| format!("write {}: {e}", args.out))?;
-    let mut out = format!(
-        "bench: swlag, {} vertices ({n}x{n}), {} places, cyclic-col, seed {}\n",
-        args.vertices, args.places, args.seed
-    );
-    out.push_str(&format!(
-        "coalesce off:  {:>9} frames, {:>11} bytes, {:?}\n",
-        off.comm.messages_sent, off.comm.bytes_sent, off.wall_time
-    ));
-    out.push_str(&format!(
-        "coalesce {:>4}: {:>9} frames, {:>11} bytes, {:?} ({} batches carrying {} messages)\n",
-        args.coalesce,
-        on.comm.messages_sent,
-        on.comm.bytes_sent,
-        on.wall_time,
-        on.comm.batches_sent,
-        on.comm.batched_msgs
-    ));
-    out.push_str(&format!(
-        "frame reduction: {ratio:.1}x, fingerprints match ({fingerprint:#018x})\n"
-    ));
-    out.push_str(&format!("wrote {}\n", args.out));
-    Ok(out)
-}
-
-/// The remote-value cache pinned by the pull-vs-push baseline. Small
-/// enough that the SWLAG anti-diagonal working set spills it, so the
-/// pull plane actually pays cache-miss round-trips for push to remove;
-/// at the default 4096 the FIFO cache absorbs nearly every remote read
-/// and both modes would measure zero.
-const PUSH_BENCH_CACHE: usize = 256;
-
-/// `dpx10 bench --comms push`: the anti-dependency delivery baseline.
-/// Runs the same SWLAG socket-mesh cell twice — pull mode, then push
-/// mode — with the cache pinned small (see [`PUSH_BENCH_CACHE`]) and
-/// coalescing off, so the comparison isolates the delivery plane:
-/// every avoided `Pull`/`PullVal` round-trip shows up directly in the
-/// frame counts. Errs if the two fingerprints differ — push is a
-/// transport optimisation, never a different computation.
-fn run_bench_push(args: &crate::args::BenchArgs) -> Result<String, String> {
-    let pull = bench_swlag_sockets(args, None, dpx10_core::CommsMode::Pull, PUSH_BENCH_CACHE)?;
-    let mut push = bench_swlag_sockets(args, None, dpx10_core::CommsMode::Push, PUSH_BENCH_CACHE)?;
-    // Same exit-nonzero smoke hook as the coalescing baseline.
-    if std::env::var("DPX10_BENCH_FORCE_FP_MISMATCH").as_deref() == Ok("1") {
-        push.0 ^= 1;
-    }
-    if pull.0 != push.0 {
-        return Err(format!(
-            "push mode changed the result: fingerprint {:#018x} (pull) vs {:#018x} (push)",
-            pull.0, push.0
-        ));
-    }
-    let (fingerprint, pull) = (pull.0, pull.1);
-    let push = push.1;
-    let n = workload::side_for_vertices(args.vertices) as usize;
-    let reduction = 1.0 - push.comm.pulls_sent as f64 / pull.comm.pulls_sent.max(1) as f64;
-    let json = format!(
-        "{{\n  \"app\": \"swlag\",\n  \"vertices\": {},\n  \"side\": {n},\n  \"places\": {},\n  \"dist\": \"cyclic-col\",\n  \"seed\": {},\n  \"cache\": {PUSH_BENCH_CACHE},\n  \"fingerprint\": \"{fingerprint:#018x}\",\n  \"pull\": {},\n  \"push\": {},\n  \"pull_reduction\": {reduction:.2}\n}}\n",
-        args.vertices,
-        args.places,
-        args.seed,
-        bench_comms_json(&pull),
-        bench_comms_json(&push),
-    );
-    std::fs::write(&args.out, &json).map_err(|e| format!("write {}: {e}", args.out))?;
-    let mut out = format!(
-        "bench: swlag, {} vertices ({n}x{n}), {} places, cyclic-col, cache {PUSH_BENCH_CACHE}, seed {}\n",
-        args.vertices, args.places, args.seed
-    );
-    out.push_str(&format!(
-        "comms pull: {:>9} pulls, {:>9} frames, {:>11} bytes, {:?}\n",
-        pull.comm.pulls_sent, pull.comm.messages_sent, pull.comm.bytes_sent, pull.wall_time
-    ));
-    out.push_str(&format!(
-        "comms push: {:>9} pulls, {:>9} frames, {:>11} bytes, {:?} ({} pushes, {} round-trips avoided)\n",
-        push.comm.pulls_sent,
-        push.comm.messages_sent,
-        push.comm.bytes_sent,
-        push.wall_time,
-        push.comm.pushes_sent,
-        push.comm.pull_roundtrips_avoided
-    ));
-    out.push_str(&format!(
-        "pull round-trips reduced {:.1}%, fingerprints match ({fingerprint:#018x})\n",
-        reduction * 100.0
-    ));
-    out.push_str(&format!("wrote {}\n", args.out));
-    Ok(out)
-}
-
-/// One comms mode as a JSON object string (pull-vs-push baseline).
-fn bench_comms_json(r: &RunReport) -> String {
-    format!(
-        "{{ \"pulls_sent\": {}, \"pushes_sent\": {}, \"pull_roundtrips_avoided\": {}, \"frames\": {}, \"bytes\": {}, \"wall_ms\": {} }}",
-        r.comm.pulls_sent,
-        r.comm.pushes_sent,
-        r.comm.pull_roundtrips_avoided,
-        r.comm.messages_sent,
-        r.comm.bytes_sent,
-        r.wall_time.as_millis()
-    )
-}
-
-/// One bench mode as a JSON object string.
-fn bench_mode_json(r: &RunReport) -> String {
-    format!(
-        "{{ \"frames\": {}, \"bytes\": {}, \"wall_ms\": {}, \"batches\": {}, \"batched_messages\": {} }}",
-        r.comm.messages_sent,
-        r.comm.bytes_sent,
-        r.wall_time.as_millis(),
-        r.comm.batches_sent,
-        r.comm.batched_msgs
-    )
-}
-
-/// Runs the comms-baseline SWLAG configuration through the shared
-/// registry runner: an in-process socket mesh (every place a thread of
-/// this process, same idiom as the chaos harness), cyclic-column
-/// distribution, default cache. Returns the result fingerprint plus the
-/// coordinator's report.
-fn bench_swlag_sockets(
-    args: &crate::args::BenchArgs,
-    coalesce: Option<usize>,
-    comms: dpx10_core::CommsMode,
-    cache: usize,
-) -> Result<(u64, RunReport), String> {
-    let cell = dpx10_bench::Experiment {
-        plan: "comms-baseline".into(),
-        plan_digest: 0,
-        index: 0,
-        cell: format!(
-            "sockets/swlag/v{}/p{}/c{}/t1/k{cache}/m{}",
-            args.vertices,
-            args.places,
-            coalesce.map_or("off".into(), |b| b.to_string()),
-            comms.name()
-        ),
-        backend: dpx10_bench::Backend::Sockets,
-        app: dpx10_bench::BenchApp::Swlag,
-        vertices: args.vertices,
-        places: args.places,
-        coalesce,
-        tile: 1,
-        cache,
-        dist: dpx10_bench::DistChoice::CyclicCol,
-        schedule: dpx10_core::ScheduleStrategy::Local,
-        seed: args.seed,
-        comms,
-    };
-    dpx10_bench::runner::run_cell(&cell)
-}
-
-/// `dpx10 bench --plan`: expand the plan, run every cell, append
+/// `dpx10 bench`: expand the plan, run every cell, append
 /// provenance-hashed rows to the registry CSV, write the per-run JSON,
 /// and optionally compare against (or tighten) the committed ratchet
 /// baseline. Stdout carries only deterministic data — fingerprints and
 /// the deterministic KPIs — so two consecutive runs of the same plan
 /// print byte-identical text; wall times and file paths that embed
 /// timestamps go to stderr.
-fn run_bench_plan(args: &crate::args::BenchArgs, plan_path: &str) -> Result<String, String> {
+pub fn run_bench(args: &crate::args::BenchArgs) -> Result<String, String> {
     use std::path::Path;
 
+    let plan_path = &args.plan;
     let text = std::fs::read_to_string(plan_path).map_err(|e| format!("read {plan_path}: {e}"))?;
     let plan = AblationPlan::parse(&text).map_err(|e| format!("{plan_path}: {e}"))?;
     plan.validate().map_err(|e| format!("{plan_path}: {e}"))?;
@@ -995,64 +678,19 @@ fn run_bench_plan(args: &crate::args::BenchArgs, plan_path: &str) -> Result<Stri
     Ok(out)
 }
 
-/// The applications `dpx10 serve` can multiplex: a [`JobServer`] runs
-/// one value type per mesh, so serve offers the builtin apps that share
-/// `Value = u32` and dispatches per job.
-enum ServeJobApp {
-    Lcs(LcsApp),
-    EditDistance(EditDistanceApp),
-    Lps(LpsApp),
-    Nussinov(NussinovApp),
-    Lws(LwsApp),
-    Gap(GapApp),
-}
-
-impl DpApp for ServeJobApp {
-    type Value = u32;
-    fn compute(&self, id: VertexId, deps: &DepView<'_, u32>) -> u32 {
-        match self {
-            ServeJobApp::Lcs(app) => app.compute(id, deps),
-            ServeJobApp::EditDistance(app) => app.compute(id, deps),
-            ServeJobApp::Lps(app) => app.compute(id, deps),
-            ServeJobApp::Nussinov(app) => app.compute(id, deps),
-            ServeJobApp::Lws(app) => app.compute(id, deps),
-            ServeJobApp::Gap(app) => app.compute(id, deps),
-        }
-    }
-    fn agg_spec(&self) -> Option<dpx10_core::AggSpec> {
-        match self {
-            ServeJobApp::Lws(app) => app.agg_spec(),
-            ServeJobApp::Gap(app) => app.agg_spec(),
-            _ => None,
-        }
-    }
-    fn agg_key(&self, axis: dpx10_core::Axis, id: VertexId, value: &u32) -> i64 {
-        match self {
-            ServeJobApp::Lws(app) => app.agg_key(axis, id, value),
-            ServeJobApp::Gap(app) => app.agg_key(axis, id, value),
-            _ => unimplemented!("no aggregation for this serve app"),
-        }
-    }
-    fn compute_ranged(
-        &self,
-        id: VertexId,
-        points: &DepView<'_, u32>,
-        aggs: &dpx10_core::AggView<'_>,
-    ) -> u32 {
-        match self {
-            ServeJobApp::Lws(app) => app.compute_ranged(id, points, aggs),
-            ServeJobApp::Gap(app) => app.compute_ranged(id, points, aggs),
-            _ => unimplemented!("no ranged compute for this serve app"),
-        }
-    }
-}
+/// The app type `dpx10 serve` multiplexes: a [`JobServer`] runs one
+/// value type per mesh, so serve takes the catalog apps whose values are
+/// `u32`, type-erased.
+///
+/// [`JobServer`]: dpx10_core::JobServer
+type ServeJobApp = Box<dyn DpApp<Value = u32>>;
 
 /// One job to serve, as plain data so every place rebuilds it
 /// identically (the serve contract).
 #[derive(Clone)]
 struct ServeJobDef {
     name: String,
-    app: AppChoice,
+    app: AppKind,
     vertices: u64,
     seed: u64,
     priority: u8,
@@ -1060,58 +698,21 @@ struct ServeJobDef {
 
 /// Builds the app + pattern a job definition describes.
 fn serve_app_for(def: &ServeJobDef) -> Result<(ServeJobApp, Box<dyn DagPattern>), String> {
-    match def.app {
-        AppChoice::Lcs => {
-            let n = workload::side_for_vertices(def.vertices) as usize;
-            let app = LcsApp::new(
-                workload::letters(n, def.seed),
-                workload::letters(n, def.seed + 1),
-            );
-            let pattern = app.pattern();
-            Ok((ServeJobApp::Lcs(app), Box::new(pattern)))
+    struct Erase;
+    impl AppVisitor for Erase {
+        type Out = Option<(ServeJobApp, Box<dyn DagPattern>)>;
+        fn visit<A: CatalogApp>(self, app: A) -> Self::Out {
+            let pattern = app.dag();
+            // The downcast succeeds exactly when `A::Value` is `u32`.
+            let app: Box<dyn Any> = Box::new(Box::new(app) as Box<dyn DpApp<Value = A::Value>>);
+            let app = app.downcast::<ServeJobApp>().ok()?;
+            Some((*app, Box::new(pattern)))
         }
-        AppChoice::EditDistance => {
-            let n = workload::side_for_vertices(def.vertices) as usize;
-            let app = EditDistanceApp::new(
-                workload::letters(n, def.seed),
-                workload::letters(n, def.seed + 1),
-            );
-            let pattern = app.pattern();
-            Ok((ServeJobApp::EditDistance(app), Box::new(pattern)))
-        }
-        AppChoice::Lps => {
-            let n = ((def.vertices as f64 * 2.0).sqrt() as usize).max(2);
-            let app = LpsApp::new(workload::letters(n, def.seed));
-            let pattern = app.pattern();
-            Ok((ServeJobApp::Lps(app), Box::new(pattern)))
-        }
-        AppChoice::Nussinov => {
-            let n = ((def.vertices as f64 * 2.0).sqrt() as usize).clamp(2, 512);
-            let rna: Vec<u8> = workload::dna(n, def.seed)
-                .into_iter()
-                .map(|c| if c == b'T' { b'U' } else { c })
-                .collect();
-            let app = NussinovApp::new(rna);
-            let pattern = app.pattern();
-            Ok((ServeJobApp::Nussinov(app), Box::new(pattern)))
-        }
-        AppChoice::Lws => {
-            let n = (def.vertices as u32).max(2);
-            let app = LwsApp::new(n, def.seed);
-            let pattern = app.pattern();
-            Ok((ServeJobApp::Lws(app), Box::new(pattern)))
-        }
-        AppChoice::Gap => {
-            let n = workload::side_for_vertices(def.vertices);
-            let app = GapApp::new(n, n, def.seed);
-            let pattern = app.pattern();
-            Ok((ServeJobApp::Gap(app), Box::new(pattern)))
-        }
-        other => Err(format!(
-            "app {} cannot be served (serve apps share one value type: lcs, edit-distance, lps, nussinov, lws, gap)",
-            AppChoice::name(other)
-        )),
     }
+    with_app(def.app, def.vertices, def.seed, Erase).ok_or(format!(
+        "app {} cannot be served (serve apps share one value type: lcs, edit-distance, lps, nussinov, lws, gap)",
+        def.app.name()
+    ))
 }
 
 /// The job's solo oracle: the same app on a single-place threaded
@@ -1140,15 +741,11 @@ fn parse_jobfile(text: &str) -> Result<Vec<ServeJobDef>, String> {
                 lineno + 1
             ));
         }
-        let app = AppChoice::ALL
-            .iter()
-            .find(|(name, _)| *name == fields[0])
-            .map(|&(_, app)| app)
-            .ok_or(format!(
-                "jobfile line {}: unknown app {}",
-                lineno + 1,
-                fields[0]
-            ))?;
+        let app = AppKind::parse(fields[0]).ok_or(format!(
+            "jobfile line {}: unknown app {}",
+            lineno + 1,
+            fields[0]
+        ))?;
         let vertices: u64 = fields[1]
             .parse()
             .map_err(|_| format!("jobfile line {}: bad vertices {}", lineno + 1, fields[1]))?;
@@ -1229,7 +826,7 @@ fn serve_defs(args: &crate::args::ServeArgs) -> Result<Vec<ServeJobDef>, String>
 }
 
 /// `dpx10 serve`: several DP jobs on one shared in-process socket mesh
-/// (every place a thread, same idiom as `bench`). Jobs come from a
+/// (every place a thread). Jobs come from a
 /// jobfile or a `--jobs N --app A` sweep; `--verify` re-runs every job
 /// solo and errs on any fingerprint divergence.
 pub fn run_serve(args: &crate::args::ServeArgs) -> Result<String, String> {
@@ -1246,59 +843,30 @@ pub fn run_serve(args: &crate::args::ServeArgs) -> Result<String, String> {
     let places = args.places;
     let max_in_flight = args.max_in_flight;
     let comms = args.comms;
-    let build = {
-        let defs = defs.clone();
-        let recorder = recorder.clone();
-        move || -> Result<dpx10_core::JobServer<ServeJobApp>, String> {
-            let mut server = dpx10_core::JobServer::new()
-                .with_max_in_flight(max_in_flight)
-                .with_recorder(recorder.clone());
-            for def in &defs {
-                let (app, pattern) = serve_app_for(def)?;
-                let mut config = EngineConfig {
-                    topology: Topology::flat(places),
-                    ..EngineConfig::paper(1)
-                };
-                config.comms = comms;
-                server
-                    .submit(
-                        dpx10_core::JobSpec::new(def.name.clone(), app, pattern, config)
-                            .with_priority(def.priority),
-                    )
-                    .map_err(|e| e.to_string())?;
-            }
-            Ok(server)
+    // Every place builds the identical server (the serve contract).
+    let build = || -> Result<dpx10_core::JobServer<ServeJobApp>, String> {
+        let mut server = dpx10_core::JobServer::new()
+            .with_max_in_flight(max_in_flight)
+            .with_recorder(recorder.clone());
+        for def in &defs {
+            let (app, pattern) = serve_app_for(def)?;
+            let mut config = EngineConfig {
+                topology: Topology::flat(places),
+                ..EngineConfig::paper(1)
+            };
+            config.comms = comms;
+            server
+                .submit(
+                    dpx10_core::JobSpec::new(def.name.clone(), app, pattern, config)
+                        .with_priority(def.priority),
+                )
+                .map_err(|e| e.to_string())?;
         }
+        Ok(server)
     };
-
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| format!("no local addr: {e}"))?
-        .to_string();
-    let build = std::sync::Arc::new(build);
-    let mut workers = Vec::new();
-    for p in 1..places {
-        let addr = addr.clone();
-        let build = build.clone();
-        workers.push(std::thread::spawn(move || -> Result<(), String> {
-            match build()?.serve(SocketConfig::worker(PlaceId(p), places, addr)) {
-                Ok(None) => Ok(()),
-                Ok(Some(_)) => Err(format!("worker place {p} returned a report")),
-                Err(e) => Err(format!("worker place {p}: {e}")),
-            }
-        }));
-    }
-    let outcome = build()
-        .map_err(|e| e.to_string())?
-        .serve(SocketConfig::coordinator(listener, places));
-    for (idx, w) in workers.into_iter().enumerate() {
-        w.join()
-            .map_err(|_| format!("worker place {} panicked", idx + 1))??;
-    }
-    let report = outcome
-        .map_err(|e| format!("coordinator failed: {e}"))?
-        .ok_or("coordinator returned no report")?;
+    let report = local_mesh(places, |socket| {
+        build()?.serve(socket).map_err(|e| e.to_string())
+    })?;
 
     let mut out = format!(
         "serve: {} job(s), {} places, admission cap {}\n",
@@ -1545,72 +1113,10 @@ fn run_serve_elastic(args: &crate::args::ServeArgs) -> Result<String, String> {
             .map_err(|e| format!("write metrics {path}: {e}"))?;
         out.push_str(&format!("wrote {path}\n"));
     }
-    if let Some(path) = &args.bench_out {
-        out.push_str(&elastic_bench(&defs[0], args.places, args.capacity, path)?);
-    }
     if !failures.is_empty() {
         return Err(failures.join("; "));
     }
     Ok(out)
-}
-
-/// One elastic-bench mode as a JSON object string.
-fn elastic_mode_json(r: &ElasticReport) -> String {
-    format!(
-        "{{ \"chunks_relocated\": {}, \"cells_moved\": {}, \"chunk_bytes\": {}, \"computed\": {}, \"recomputed\": {} }}",
-        r.chunks_relocated, r.cells_moved, r.chunk_bytes, r.computed, r.recomputed
-    )
-}
-
-/// The relocation benchmark: the same job loses place 1 at half
-/// progress, once as a graceful drain (chunks relocate live) and once
-/// as an abrupt kill (the paper's §VI-D recompute path). Both must
-/// produce the solo fingerprint; the JSON records what relocation
-/// saved.
-fn elastic_bench(
-    def: &ServeJobDef,
-    places: u16,
-    capacity: u16,
-    path: &str,
-) -> Result<String, String> {
-    let ev = |at: f64, verb: ElasticVerb| ElasticEvent { at, verb };
-    let run_mode = |verb: ElasticVerb| -> Result<ElasticReport, String> {
-        let (app, pattern) = serve_app_for(def)?;
-        let plan = ElasticPlan {
-            seed: def.seed,
-            events: vec![ev(0.50, verb)],
-        };
-        let run = ElasticEngine::new(app, pattern, ElasticConfig::new(places, capacity))
-            .with_plan(plan)
-            .run()
-            .map_err(|e| format!("bench {}: {e}", def.name))?;
-        let solo = serve_solo_fingerprint(def)?;
-        if run.fingerprint() != solo {
-            return Err(format!(
-                "bench {} fingerprint {:#018x} != solo {:#018x}",
-                def.name,
-                run.fingerprint(),
-                solo
-            ));
-        }
-        Ok(run.report().clone())
-    };
-    let drain = run_mode(ElasticVerb::Drain { place: PlaceId(1) })?;
-    let kill = run_mode(ElasticVerb::Kill { place: PlaceId(1) })?;
-    let cells_saved = kill.recomputed.saturating_sub(drain.recomputed);
-    let json = format!(
-        "{{\n  \"app\": \"{}\",\n  \"vertices\": {},\n  \"seed\": {},\n  \"places\": {places},\n  \"capacity\": {capacity},\n  \"scenario\": \"place 1 leaves at 50% progress\",\n  \"drain_and_rebalance\": {},\n  \"kill_and_recompute\": {},\n  \"cells_saved_by_relocation\": {cells_saved}\n}}\n",
-        def.app.name(),
-        def.vertices,
-        def.seed,
-        elastic_mode_json(&drain),
-        elastic_mode_json(&kill),
-    );
-    std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
-    Ok(format!(
-        "bench: drain relocated {} chunk(s) ({} cells, 0 recomputed); kill recomputed {} cell(s); relocation saved {cells_saved} cell(s)\nwrote {path}\n",
-        drain.chunks_relocated, drain.cells_moved, kill.recomputed
-    ))
 }
 
 /// `dpx10 join`: dials a running socket mesh's coordinator, completes
@@ -1639,21 +1145,8 @@ pub fn run_join(coordinator: &str) -> Result<String, String> {
 /// `dpx10 apps`: one line per application.
 pub fn list_apps() -> String {
     let mut out = String::from("applications (paper SVIII + extensions):\n");
-    let note = |app: AppChoice| match app {
-        AppChoice::Swlag => "Smith-Waterman, linear+affine gap (paper headline app)",
-        AppChoice::SwLinear => "Smith-Waterman, linear gap (paper Fig. 7 demo)",
-        AppChoice::Mtp => "Manhattan Tourists Problem",
-        AppChoice::Lps => "Longest Palindromic Subsequence",
-        AppChoice::Knapsack => "0/1 Knapsack (custom data-dependent pattern)",
-        AppChoice::Lcs => "Longest Common Subsequence (paper Fig. 1 walk-through)",
-        AppChoice::EditDistance => "Levenshtein distance (extension)",
-        AppChoice::NeedlemanWunsch => "global alignment (extension)",
-        AppChoice::Nussinov => "RNA folding, 2D/1D interval-splits (extension)",
-        AppChoice::Lws => "Least-Weight Subsequence, interval deps + prefix-min (extension)",
-        AppChoice::Gap => "general gap penalties, row+col interval deps (extension)",
-    };
-    for (_, app) in AppChoice::ALL {
-        out.push_str(&format!("  {:<18} {}\n", app.name(), note(app)));
+    for app in AppKind::ALL {
+        out.push_str(&format!("  {:<18} {}\n", app.name(), app.describe()));
     }
     out
 }
@@ -1685,7 +1178,7 @@ mod tests {
 
     #[test]
     fn every_app_runs_small_on_sim() {
-        for (_, app) in AppChoice::ALL {
+        for app in AppKind::ALL {
             let args = RunArgs {
                 app,
                 vertices: 2_000,
@@ -1701,7 +1194,7 @@ mod tests {
     #[test]
     fn threaded_engine_runs_too() {
         let args = RunArgs {
-            app: AppChoice::Lcs,
+            app: AppKind::Lcs,
             engine: EngineChoice::Threaded,
             vertices: 2_500,
             places: 2,
@@ -1715,7 +1208,7 @@ mod tests {
     #[test]
     fn fault_run_reports_recovery() {
         let args = RunArgs {
-            app: AppChoice::Mtp,
+            app: AppKind::Mtp,
             vertices: 10_000,
             nodes: 2,
             fault: Some((dpx10_apgas::PlaceId(3), 0.5)),
@@ -1729,7 +1222,7 @@ mod tests {
     #[test]
     fn timeline_requested_is_rendered() {
         let args = RunArgs {
-            app: AppChoice::Swlag,
+            app: AppKind::Swlag,
             vertices: 5_000,
             nodes: 2,
             timeline: true,
@@ -1744,8 +1237,8 @@ mod tests {
     #[test]
     fn listings_are_complete() {
         let apps = list_apps();
-        for (name, _) in AppChoice::ALL {
-            assert!(apps.contains(name), "{name} missing from listing");
+        for app in AppKind::ALL {
+            assert!(apps.contains(app.name()), "{app:?} missing from listing");
         }
         let pats = list_patterns(12, 12);
         assert!(pats.contains("grid3"));

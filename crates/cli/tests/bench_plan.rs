@@ -1,5 +1,5 @@
-//! End-to-end tests of `dpx10 bench` plan mode and the ratchet exit
-//! codes, driving the real binary. Each test works in its own temp
+//! End-to-end tests of `dpx10 bench` and the ratchet exit codes,
+//! driving the real binary. Each test works in its own temp
 //! directory so registry/baseline files never collide; the committed
 //! pinned plan is exercised at a reduced scale through an equivalent
 //! generated plan to keep the suite fast.
@@ -170,29 +170,20 @@ fn malformed_plan_and_baseline_diagnose() {
 }
 
 #[test]
-fn comms_baseline_exits_nonzero_on_fingerprint_mismatch() {
-    // The off-vs-on equivalence check is a contract, not a warning: a
-    // forced mismatch (test hook) must fail the whole command.
-    let dir = plan_dir("fp-mismatch");
-    let args = [
-        "bench",
-        "--vertices",
-        "2000",
-        "--places",
-        "2",
-        "--out",
-        "bench.json",
-    ];
-    let (code, _, stderr) = dpx10_in(&dir, &[("DPX10_BENCH_FORCE_FP_MISMATCH", "1")], &args);
-    assert_eq!(code, 1, "a fingerprint mismatch must exit nonzero");
-    assert!(stderr.contains("coalescing changed the result"), "{stderr}");
-    // The failed run bails before writing the JSON comparison…
-    assert!(!dir.join("bench.json").exists());
-    // …while the same invocation without the fault hook passes.
-    let (code, stdout, stderr) = dpx10_in(&dir, &[], &args);
-    assert_eq!(code, 0, "stderr: {stderr}");
-    assert!(stdout.contains("fingerprints match"), "{stdout}");
-    assert!(dir.join("bench.json").exists());
+fn bench_is_plan_only_and_the_deleted_flags_are_unknown() {
+    let dir = plan_dir("plan-only");
+    let (code, _, stderr) = dpx10_in(&dir, &[], &["bench"]);
+    assert_eq!(code, 2, "stderr: {stderr}");
+    assert!(stderr.contains("bench needs --plan FILE"), "{stderr}");
+    let (code, _, stderr) = dpx10_in(&dir, &[], &["bench", "--comms", "push"]);
+    assert_eq!(code, 2);
+    assert!(stderr.contains("unknown bench flag --comms"), "{stderr}");
+    let (code, _, stderr) = dpx10_in(&dir, &[], &["serve", "--bench-out", "x"]);
+    assert_eq!(code, 2);
+    assert!(
+        stderr.contains("unknown serve flag --bench-out"),
+        "{stderr}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 

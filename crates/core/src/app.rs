@@ -135,6 +135,37 @@ pub trait DpApp: Send + Sync {
     }
 }
 
+/// A boxed app is an app: lets one engine or job server run apps of
+/// different concrete types that share a value type.
+impl<A: DpApp + ?Sized> DpApp for Box<A> {
+    type Value = A::Value;
+
+    fn compute(&self, id: VertexId, deps: &DepView<'_, Self::Value>) -> Self::Value {
+        (**self).compute(id, deps)
+    }
+
+    fn app_finished(&self, result: &DagResult<Self::Value>) {
+        (**self).app_finished(result)
+    }
+
+    fn agg_spec(&self) -> Option<AggSpec> {
+        (**self).agg_spec()
+    }
+
+    fn agg_key(&self, axis: Axis, id: VertexId, value: &Self::Value) -> i64 {
+        (**self).agg_key(axis, id, value)
+    }
+
+    fn compute_ranged(
+        &self,
+        id: VertexId,
+        points: &DepView<'_, Self::Value>,
+        aggs: &AggView<'_>,
+    ) -> Self::Value {
+        (**self).compute_ranged(id, points, aggs)
+    }
+}
+
 /// Read access to the per-place prefix-aggregation lanes, handed to
 /// [`DpApp::compute_ranged`]. By the time a vertex executes, the engine
 /// has ensured every interval the pattern declared for it is answerable.

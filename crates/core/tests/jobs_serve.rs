@@ -5,10 +5,7 @@
 //! are a pure function of the DAG, so any cross-job frame leakage or
 //! scheduling corruption changes a fingerprint.
 
-use std::net::TcpListener;
-use std::sync::Arc;
-
-use dpx10_apgas::SocketConfig;
+use dpx10_apgas::local_mesh;
 use dpx10_core::{
     DagResult, DepView, DpApp, EngineConfig, EngineError, JobServer, JobSpec, PlaceId,
     ScheduleStrategy, ServeReport, ThreadedEngine,
@@ -44,28 +41,10 @@ fn solo_fingerprint(pattern: impl DagPattern + Clone + 'static) -> u64 {
 /// every call — the serve contract.
 fn serve_mesh<A: DpApp<Value = u64> + 'static>(
     places: u16,
-    build: impl Fn() -> JobServer<A> + Send + Sync + 'static,
+    build: impl Fn() -> JobServer<A> + Sync,
 ) -> ServeReport<u64> {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().unwrap().to_string();
-    let build = Arc::new(build);
-    let mut workers = Vec::new();
-    for p in 1..places {
-        let addr = addr.clone();
-        let build = build.clone();
-        workers.push(std::thread::spawn(move || {
-            build().serve(SocketConfig::worker(PlaceId(p), places, addr))
-        }));
-    }
-    let report = build()
-        .serve(SocketConfig::coordinator(listener, places))
-        .expect("coordinator serves")
-        .expect("coordinator returns the report");
-    for w in workers {
-        let worker_report = w.join().expect("worker thread exits");
-        assert!(matches!(worker_report, Ok(None)), "workers return Ok(None)");
-    }
-    report
+    local_mesh(places, |socket| build().serve(socket))
+        .expect("coordinator returns the report, workers return Ok(None)")
 }
 
 #[test]

@@ -4,12 +4,8 @@
 //! [`RunReport`](dpx10_core::RunReport) instead of silently swapping
 //! the schedule (the historical behaviour this test exists to prevent).
 
-use std::net::TcpListener;
-
-use dpx10_apgas::SocketConfig;
-use dpx10_core::{
-    DagResult, DepView, DpApp, EngineConfig, PlaceId, ScheduleStrategy, SocketEngine,
-};
+use dpx10_apgas::local_mesh;
+use dpx10_core::{DagResult, DepView, DpApp, EngineConfig, ScheduleStrategy, SocketEngine};
 use dpx10_dag::{builtin::Grid2, VertexId};
 
 struct MixApp;
@@ -28,28 +24,10 @@ impl DpApp for MixApp {
 }
 
 fn run_mesh(places: u16, config: EngineConfig) -> DagResult<u64> {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().unwrap().to_string();
-    let mut workers = Vec::new();
-    for p in 1..places {
-        let addr = addr.clone();
-        let config = config.clone();
-        workers.push(std::thread::spawn(move || {
-            SocketEngine::new(MixApp, Grid2::new(9, 9), config).run(SocketConfig::worker(
-                PlaceId(p),
-                places,
-                addr,
-            ))
-        }));
-    }
-    let result = SocketEngine::new(MixApp, Grid2::new(9, 9), config)
-        .run(SocketConfig::coordinator(listener, places))
-        .expect("coordinator completes")
-        .expect("coordinator returns the result");
-    for w in workers {
-        assert!(matches!(w.join().expect("worker exits"), Ok(None)));
-    }
-    result
+    local_mesh(places, |socket| {
+        SocketEngine::new(MixApp, Grid2::new(9, 9), config.clone()).run(socket)
+    })
+    .expect("coordinator returns the result, workers yield none")
 }
 
 #[test]

@@ -4,12 +4,11 @@
 //! only process boundaries are missing (the CLI integration tests cover
 //! those, including SIGKILL fault injection).
 
-use std::net::TcpListener;
 use std::sync::Arc;
 
-use dpx10_apgas::SocketConfig;
+use dpx10_apgas::local_mesh;
 use dpx10_core::{
-    DepView, DistKind, DpApp, EngineConfig, PlaceId, ScheduleStrategy, SocketEngine, ThreadedEngine,
+    DepView, DistKind, DpApp, EngineConfig, ScheduleStrategy, SocketEngine, ThreadedEngine,
 };
 use dpx10_dag::{builtin::Grid3, topological_order, DagPattern, VertexId};
 
@@ -51,39 +50,14 @@ fn run_mesh<P: DagPattern + Clone + 'static>(
     config: EngineConfig,
     init: Option<dpx10_core::InitOverride<u64>>,
 ) -> dpx10_core::DagResult<u64> {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().unwrap().to_string();
-    let mut workers = Vec::new();
-    for p in 1..places {
-        let addr = addr.clone();
-        let pattern = pattern.clone();
-        let config = config.clone();
-        let init = init.clone();
-        workers.push(std::thread::spawn(move || {
-            let mut engine = SocketEngine::new(MixApp, pattern, config);
-            if let Some(init) = init {
-                engine = engine.with_init(init);
-            }
-            engine.run(SocketConfig::worker(PlaceId(p), places, addr))
-        }));
-    }
-    let mut engine = SocketEngine::new(MixApp, pattern, config);
-    if let Some(init) = init {
-        engine = engine.with_init(init);
-    }
-    let result = engine
-        .run(SocketConfig::coordinator(listener, places))
-        .expect("coordinator completes")
-        .expect("coordinator returns the result");
-    for w in workers {
-        let worker_result = w.join().expect("worker thread exits");
-        assert!(
-            matches!(worker_result, Ok(None)),
-            "workers yield no result: {:?}",
-            worker_result.map(|r| r.is_some())
-        );
-    }
-    result
+    local_mesh(places, |socket| {
+        let mut engine = SocketEngine::new(MixApp, pattern.clone(), config.clone());
+        if let Some(init) = init.clone() {
+            engine = engine.with_init(init);
+        }
+        engine.run(socket)
+    })
+    .expect("coordinator returns the result, workers yield none")
 }
 
 #[test]

@@ -1,9 +1,8 @@
 //! The differential runner: one seed, four backends, one verdict.
 
-use std::net::TcpListener;
 use std::time::Duration;
 
-use dpx10_apgas::{ChaosPlan, KillTrigger, PlaceId, SocketChaos, SocketConfig};
+use dpx10_apgas::{local_mesh, ChaosPlan, KillTrigger, PlaceId, SocketChaos, SocketConfig};
 use dpx10_core::{
     CommsMode, DagResult, EngineConfig, FaultPlan, RunReport, SocketEngine, ThreadedEngine,
 };
@@ -312,63 +311,15 @@ fn check_sockets(
     engine_plan.flap = None;
     let config = engine_config(sc, &engine_plan, opts);
 
-    let listener = TcpListener::bind("127.0.0.1:0")
-        .map_err(|e| fail("sockets", format!("bind failed: {e}")))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| fail("sockets", format!("no local addr: {e}")))?
-        .to_string();
-    let tighten = |mut cfg: SocketConfig, chaos: Option<SocketChaos>| {
+    let result = local_mesh(sc.places, |mut cfg: SocketConfig| {
         cfg.heartbeat = Duration::from_millis(25);
         cfg.peer_timeout = Duration::from_millis(600);
-        cfg.chaos = chaos;
-        cfg
-    };
-
-    let mut workers = Vec::new();
-    for p in 1..sc.places {
-        let addr = addr.clone();
-        let pattern = sc.pattern.clone();
-        let config = config.clone();
-        let places = sc.places;
-        workers.push(std::thread::spawn(move || {
-            SocketEngine::new(MixApp, pattern, config)
-                .with_soft_die()
-                .run(tighten(SocketConfig::worker(PlaceId(p), places, addr), net))
-        }));
-    }
-    let outcome = SocketEngine::new(MixApp, sc.pattern.clone(), config.clone())
-        .with_soft_die()
-        .run(tighten(SocketConfig::coordinator(listener, sc.places), net));
-
-    let mut worker_failure = None;
-    for (idx, w) in workers.into_iter().enumerate() {
-        match w.join() {
-            Ok(Ok(None)) => {}
-            Ok(other) => {
-                worker_failure.get_or_insert(fail(
-                    "sockets",
-                    format!(
-                        "worker place {} did not shut down cleanly: {:?}",
-                        idx + 1,
-                        other.map(|r| r.map(|_| "unexpected result"))
-                    ),
-                ));
-            }
-            Err(_) => {
-                worker_failure.get_or_insert(fail(
-                    "sockets",
-                    format!("worker place {} panicked", idx + 1),
-                ));
-            }
-        }
-    }
-    let result = outcome
-        .map_err(|e| fail("sockets", format!("coordinator failed: {e}")))?
-        .ok_or_else(|| fail("sockets", "coordinator returned no result"))?;
-    if let Some(f) = worker_failure {
-        return Err(f);
-    }
+        cfg.chaos = net;
+        SocketEngine::new(MixApp, sc.pattern.clone(), config.clone())
+            .with_soft_die()
+            .run(cfg)
+    })
+    .map_err(|e| fail("sockets", e))?;
     check_values("sockets", sc, expect, &result)?;
     check_recovery("sockets", plan, result.report(), u64::from(sc.places))
 }

@@ -4,10 +4,9 @@
 //! oracle, same `DagResult` fingerprint as an uncoalesced run, and the
 //! recovery invariants intact when a place dies with batches in flight.
 
-use std::net::TcpListener;
 use std::time::Duration;
 
-use dpx10_apgas::{ChaosPlan, KillSpec, KillTrigger, PlaceId, SocketConfig};
+use dpx10_apgas::{local_mesh, ChaosPlan, KillSpec, KillTrigger, PlaceId, SocketConfig};
 use dpx10_core::{DagResult, EngineConfig, SocketEngine, ThreadedEngine};
 use dpx10_dag::builtin::{FullPrevRowCol, Grid3};
 use dpx10_harness::{oracle, run_seed, ChaosOptions, MixApp};
@@ -121,35 +120,14 @@ fn socket_place_killed_mid_flush_recovers_batched_vertices() {
     let config = EngineConfig::flat(places)
         .with_chaos(plan)
         .with_coalesce(Some(128));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let tighten = |mut cfg: SocketConfig| {
+    let result = local_mesh(places, |mut cfg: SocketConfig| {
         cfg.heartbeat = Duration::from_millis(25);
         cfg.peer_timeout = Duration::from_millis(600);
-        cfg
-    };
-    let mut workers = Vec::new();
-    for p in 1..places {
-        let addr = addr.clone();
-        let config = config.clone();
-        workers.push(std::thread::spawn(move || {
-            SocketEngine::new(MixApp, Grid3::new(h, w), config)
-                .with_soft_die()
-                .run(tighten(SocketConfig::worker(PlaceId(p), places, addr)))
-        }));
-    }
-    let outcome = SocketEngine::new(MixApp, Grid3::new(h, w), config)
-        .with_soft_die()
-        .run(tighten(SocketConfig::coordinator(listener, places)));
-    for w in workers {
-        assert!(
-            matches!(w.join().expect("worker thread"), Ok(None)),
-            "workers must shut down cleanly"
-        );
-    }
-    let result = outcome
-        .expect("coordinator survives")
-        .expect("coordinator holds the result");
+        SocketEngine::new(MixApp, Grid3::new(h, w), config.clone())
+            .with_soft_die()
+            .run(cfg)
+    })
+    .expect("coordinator holds the result and workers shut down cleanly");
     assert_matches_oracle(&result, &Grid3::new(h, w));
     let report = result.report();
     assert!(report.epochs >= 2, "the kill must have aborted an epoch");

@@ -6,11 +6,9 @@
 //! the dead place recover (epochs ≥ 2), jobs pinned away from it never
 //! see a second epoch.
 
-use std::net::TcpListener;
-use std::sync::Arc;
 use std::time::Duration;
 
-use dpx10_apgas::SocketConfig;
+use dpx10_apgas::{local_mesh, SocketConfig};
 use dpx10_core::{
     DistKind, EngineConfig, JobOutcome, JobServer, JobSpec, PlaceId, ServeKill, ServeReport,
     ThreadedEngine,
@@ -32,32 +30,9 @@ fn tighten(mut cfg: SocketConfig) -> SocketConfig {
     cfg
 }
 
-fn serve_mesh(
-    places: u16,
-    build: impl Fn() -> JobServer<MixApp> + Send + Sync + 'static,
-) -> ServeReport<u64> {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().unwrap().to_string();
-    let build = Arc::new(build);
-    let mut workers = Vec::new();
-    for p in 1..places {
-        let addr = addr.clone();
-        let build = build.clone();
-        workers.push(std::thread::spawn(move || {
-            build().serve(tighten(SocketConfig::worker(PlaceId(p), places, addr)))
-        }));
-    }
-    let report = build()
-        .serve(tighten(SocketConfig::coordinator(listener, places)))
-        .expect("coordinator serves")
-        .expect("coordinator returns the report");
-    for w in workers {
-        assert!(
-            matches!(w.join().expect("worker thread exits"), Ok(None)),
-            "workers (including the victim) shut down cleanly"
-        );
-    }
-    report
+fn serve_mesh(places: u16, build: impl Fn() -> JobServer<MixApp> + Sync) -> ServeReport<u64> {
+    local_mesh(places, |cfg| build().serve(tighten(cfg)))
+        .expect("coordinator returns the report; workers (including the victim) shut down cleanly")
 }
 
 #[test]

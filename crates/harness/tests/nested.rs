@@ -6,11 +6,10 @@
 //! sim-vs-threads agreement here is itself a differential check of the
 //! prefix-aggregated path against the brute one.
 
-use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dpx10_apgas::{ChaosPlan, KillSpec, KillTrigger, NetChaos, PlaceId, SocketConfig};
+use dpx10_apgas::{local_mesh, ChaosPlan, KillSpec, KillTrigger, NetChaos, PlaceId, SocketConfig};
 use dpx10_apps::{serial, GapApp, LwsApp};
 use dpx10_core::{
     DagResult, DpApp, EngineConfig, RunReport, SocketEngine, ThreadedEngine, VertexValue,
@@ -78,43 +77,16 @@ where
     A: DpApp + Clone + 'static,
     A::Value: VertexValue,
     P: DagPattern + 'static,
-    F: Fn() -> P + Clone + Send + 'static,
+    F: Fn() -> P + Sync,
 {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let tighten = |mut sc: SocketConfig| {
+    local_mesh(places, |mut sc: SocketConfig| {
         sc.heartbeat = Duration::from_millis(25);
         sc.peer_timeout = Duration::from_millis(600);
-        sc
-    };
-    let mut workers = Vec::new();
-    for p in 1..places {
-        let app = app.clone();
-        let pattern_of = pattern_of.clone();
-        let cfg = cfg.clone();
-        let addr = addr.clone();
-        workers.push(std::thread::spawn(move || {
-            SocketEngine::new(app, pattern_of(), cfg)
-                .with_soft_die()
-                .run(tighten(SocketConfig::worker(PlaceId(p), places, addr)))
-        }));
-    }
-    let outcome = SocketEngine::new(app, pattern_of(), cfg)
-        .with_soft_die()
-        .run(tighten(SocketConfig::coordinator(listener, places)));
-    for (idx, w) in workers.into_iter().enumerate() {
-        let joined = w
-            .join()
-            .unwrap_or_else(|_| panic!("worker {} panicked", idx + 1));
-        assert!(
-            matches!(joined, Ok(None)),
-            "worker place {} did not shut down cleanly",
-            idx + 1
-        );
-    }
-    outcome
-        .expect("coordinator run")
-        .expect("coordinator result")
+        SocketEngine::new(app.clone(), pattern_of(), cfg.clone())
+            .with_soft_die()
+            .run(sc)
+    })
+    .expect("coordinator result, workers shut down cleanly")
 }
 
 fn mesh_config(places: u16, agg: bool, plan: Option<ChaosPlan>) -> EngineConfig {

@@ -2,10 +2,9 @@
 //! same epoch, and faults triggered at the very start (0 % progress) or
 //! the very end (100 % — during result collection) of a run.
 
-use std::net::TcpListener;
 use std::time::Duration;
 
-use dpx10_apgas::{ChaosPlan, KillSpec, KillTrigger, PlaceId, SocketConfig};
+use dpx10_apgas::{local_mesh, ChaosPlan, KillSpec, KillTrigger, PlaceId, SocketConfig};
 use dpx10_core::{DagResult, EngineConfig, FaultPlan, SocketEngine, ThreadedEngine};
 use dpx10_dag::builtin::Grid3;
 use dpx10_harness::{oracle, MixApp};
@@ -89,34 +88,13 @@ fn socket_place_dying_during_result_collection() {
         place: PlaceId(2),
         after_fraction: 1.0,
     });
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let tighten = |mut cfg: SocketConfig| {
+    let result = local_mesh(places, |mut cfg: SocketConfig| {
         cfg.heartbeat = Duration::from_millis(25);
         cfg.peer_timeout = Duration::from_millis(600);
-        cfg
-    };
-    let mut workers = Vec::new();
-    for p in 1..places {
-        let addr = addr.clone();
-        let config = config.clone();
-        workers.push(std::thread::spawn(move || {
-            SocketEngine::new(MixApp, Grid3::new(h, w), config)
-                .with_soft_die()
-                .run(tighten(SocketConfig::worker(PlaceId(p), places, addr)))
-        }));
-    }
-    let outcome = SocketEngine::new(MixApp, Grid3::new(h, w), config)
-        .with_soft_die()
-        .run(tighten(SocketConfig::coordinator(listener, places)));
-    for w in workers {
-        assert!(
-            matches!(w.join().expect("worker thread"), Ok(None)),
-            "workers must shut down cleanly"
-        );
-    }
-    let result = outcome
-        .expect("coordinator survives")
-        .expect("coordinator holds the result");
+        SocketEngine::new(MixApp, Grid3::new(h, w), config.clone())
+            .with_soft_die()
+            .run(cfg)
+    })
+    .expect("coordinator holds the result and workers shut down cleanly");
     assert_matches_oracle(&result, h, w);
 }
