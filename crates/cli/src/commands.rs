@@ -944,13 +944,10 @@ pub fn run_serve(args: &crate::args::ServeArgs) -> Result<String, String> {
 }
 
 /// Renders a mesh-size timeline (`3 -> 4 -> 5 -> 4 -> 3`) from the
-/// report's membership-change samples.
-fn mesh_timeline(founding: u16, sizes: &[(u64, u16)]) -> String {
-    let mut out = founding.to_string();
-    for &(_, n) in sizes {
-        out.push_str(&format!(" -> {n}"));
-    }
-    out
+/// report's samples: the founding mesh, then every membership change.
+fn mesh_timeline(sizes: &[(u64, u16)]) -> String {
+    let sizes: Vec<String> = sizes.iter().map(|&(_, n)| n.to_string()).collect();
+    sizes.join(" -> ")
 }
 
 /// `dpx10 serve --elastic`: the same job sweep, but on the elastic mesh.
@@ -1019,7 +1016,7 @@ fn run_serve_elastic(args: &crate::args::ServeArgs) -> Result<String, String> {
             "  {:<20} fingerprint {:#018x}  mesh {}  relocated {} chunk(s) carrying {} cell(s)",
             def.name,
             run.fingerprint(),
-            mesh_timeline(args.places, &r.mesh_sizes),
+            mesh_timeline(&r.mesh_sizes),
             r.chunks_relocated,
             r.cells_moved
         ));
@@ -1175,6 +1172,14 @@ pub fn list_patterns(height: u32, width: u32) -> String {
 mod tests {
     use super::*;
     use crate::args::RunArgs;
+
+    #[test]
+    fn mesh_timeline_starts_at_the_founding_size_once() {
+        // `ElasticReport::mesh_sizes` opens with `(0, founding)`.
+        let sizes = [(0, 3), (15, 4), (26, 5), (80, 4), (101, 3)];
+        assert_eq!(mesh_timeline(&sizes), "3 -> 4 -> 5 -> 4 -> 3");
+        assert_eq!(mesh_timeline(&sizes[..1]), "3");
+    }
 
     #[test]
     fn every_app_runs_small_on_sim() {

@@ -117,3 +117,31 @@ fn serve_over_place_processes_verifies_every_job() {
     assert_eq!(stdout.matches("verified").count(), 4, "{stdout}");
     assert!(stdout.contains("done: 4/4 succeeded"), "{stdout}");
 }
+
+#[test]
+fn elastic_chaos_sweep_passes_its_first_seeds() {
+    // Joins, drains, relocations and kills against the solo fingerprint
+    // and the serial oracle, through the front door.
+    let (code, stdout, stderr) = dpx10(&["chaos", "--elastic", "--start", "0", "--count", "3"]);
+    assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stdout.contains("3 passed, 0 failed"), "{stdout}");
+}
+
+#[test]
+fn elastic_serve_verifies_every_job_without_recompute() {
+    // README's elastic quickstart: every job's mesh grows 3 -> 5 and
+    // drains back, chunks relocate, nothing is computed twice.
+    let (code, stdout, stderr) = dpx10(&["serve", "--elastic", "--jobs", "2"]);
+    assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
+    let jobs: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains("fingerprint"))
+        .collect();
+    assert_eq!(jobs.len(), 2, "{stdout}");
+    for job in jobs {
+        assert!(job.ends_with("verified"), "{job}");
+        assert!(job.contains("mesh 3 -> 4 -> 5 -> 4 -> 3"), "{job}");
+        assert!(!job.contains("relocated 0 chunk"), "{job}");
+    }
+    assert!(stdout.contains(", 0 recomputed"), "{stdout}");
+}

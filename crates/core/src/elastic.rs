@@ -7,14 +7,19 @@
 //! running computation, drain out of it gracefully, and hand their
 //! chunks over *live* — relocation, not recompute.
 //!
-//! The engine here is a deterministic single-threaded machine: every
-//! place is a [`Member`] with a byte-encoded inbox, and the main loop
-//! gives each member one round-robin turn (process one message, or
-//! compute one ready cell). All inter-place traffic travels as real
-//! [`Msg`] codec bytes, so the protocol exercised is exactly what the
-//! socket backend would put on a wire. Determinism is what makes the
-//! differential oracle possible: the same workload with and without a
-//! churn plan must produce identical fingerprints.
+//! The engine is one more driver of [`crate::protocol`], deterministic
+//! and single-threaded. The DAG is cut into `2 × capacity` column
+//! blocks; each block is one protocol place — a [`Shard`] — for the
+//! whole run, and each mesh [`Member`] holds some of them. The protocol
+//! keeps addressing fixed slot ids; only the driver's `send` resolves
+//! slot → current holder, through the *sender's* [`ChunkMap`], and
+//! stamps the sender's fence epoch. The main loop gives every member
+//! one round-robin turn (process one packet, or run one ready cell
+//! through `prepare` → `compute` → `publish`). All inter-place traffic
+//! travels as real [`Msg`] codec bytes, so the protocol exercised is
+//! exactly what the socket backend would put on a wire. Determinism is
+//! what makes the differential oracle possible: the same workload with
+//! and without a churn plan must produce identical fingerprints.
 //!
 //! # The relocation protocol
 //!
@@ -28,13 +33,14 @@
 //!  target ──ChunkAck{slot,e+1}─▶ every member     (commit broadcast)
 //! ```
 //!
-//! The shipped [`ChunkState`] carries finished values, ready-counters,
-//! the ready queue and the relevant cache residents, so the new owner
-//! resumes exactly where the old one stopped. Between ship and commit,
-//! messages fence on the [`ChunkMap`] epoch: future-stamped traffic
-//! parks and replays, past-stamped `Done`s forward to the new owner,
-//! past-stamped `Pull`s drop and are re-issued by the requester when
-//! its own fence advances (the commit broadcast guarantees it does).
+//! The shipped [`ChunkState`] is the slot's whole shard — finished
+//! values, ready-counters, the ready list and the cache residents — so
+//! the new holder resumes exactly where the old one stopped. Between
+//! ship and commit, messages fence on the [`ChunkMap`] epoch:
+//! future-stamped traffic parks and replays, past-stamped values and
+//! decrements forward to the new owner, past-stamped `Pull`s drop and
+//! are re-issued by the requester — from its shards' own pull waiters —
+//! when its fence advances (the commit broadcast guarantees it does).
 //!
 //! # Membership verbs
 //!
@@ -44,32 +50,41 @@
 //! * **Drain** — the place stops computing, relocates every chunk it
 //!   holds, and leaves once the mesh has acknowledged all of them.
 //!   Nothing is recomputed.
-//! * **Kill** — abrupt death: the victim's chunks are rebuilt from the
-//!   DAG pattern at new owners (the paper's recompute path), crediting
-//!   dependencies whose values survive elsewhere.
+//! * **Kill** — abrupt death, recovered the way every engine does: the
+//!   survivors' finished values become the prior of a fresh
+//!   [`build_shards`], which recounts every indegree from the finished
+//!   set, and only what died with the victim runs again.
 //!
 //! An optional [`ElasticPolicy`] watches the ready backlog and fires
 //! joins/drains automatically — the autoscaler of the job server.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 use dpx10_apgas::codec::{decode_exact, encode_to_vec};
-use dpx10_apgas::{Codec, ElasticPlan, ElasticVerb, PlaceId, RosterBoard};
+use dpx10_apgas::{
+    Codec, ElasticEvent, ElasticPlan, ElasticVerb, NetworkModel, PlaceId, RosterBoard, StatsBoard,
+    Topology,
+};
 use dpx10_dag::{validate_pattern, DagPattern, VertexId};
-use dpx10_distarray::{ChunkMap, ChunkState, EpochVerdict};
-use dpx10_obs::{Counter, EventKind, Gauge, Recorder, Registry, RUNTIME_WORKER};
+use dpx10_distarray::{ChunkMap, ChunkState, Dist, DistArray, DistKind, EpochVerdict, Region2D};
+use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 
-use crate::app::{DepView, DpApp};
+use crate::app::{DagResult, DepView, DpApp, VertexValue};
+use crate::config::{CommsMode, EngineConfig};
 use crate::error::EngineError;
 use crate::msg::Msg;
-
-/// Patterns above this vertex count skip the O(V·E) contract check.
-const VALIDATE_LIMIT: u64 = 65_536;
+use crate::protocol::{handle_msg, prepare, publish, Place, Sink, WorkerBufs};
+use crate::schedule::ScheduleStrategy;
+use crate::state::{build_shards, collect_array, Shard};
+use crate::stats::RunReport;
 
 /// Consecutive all-idle rounds before the engine declares a stall.
 const IDLE_LIMIT: u32 = 64;
 
-/// Configuration of an elastic run.
+/// Configuration of an elastic run. The DAG is cut into `2 × capacity`
+/// chunks, so a joiner's fair share is never empty.
 #[derive(Clone, Debug)]
 pub struct ElasticConfig {
     /// Founding members (places `0..founding`). Ignored when
@@ -77,8 +92,6 @@ pub struct ElasticConfig {
     pub founding: u16,
     /// Maximum places the mesh may ever grow to (roster capacity).
     pub capacity: u16,
-    /// Distribution slots (chunks). `0` = auto: `2 * capacity`.
-    pub slots: u16,
     /// Autoscaling policy; `None` = membership changes only by plan.
     pub policy: Option<ElasticPolicy>,
     /// Explicit member set (possibly non-contiguous, after earlier
@@ -92,7 +105,6 @@ impl ElasticConfig {
         ElasticConfig {
             founding,
             capacity,
-            slots: 0,
             policy: None,
             initial_members: None,
         }
@@ -140,7 +152,8 @@ pub struct ElasticReport {
     pub parked_replayed: u64,
     /// Past-stamped pulls dropped at the fence.
     pub stale_dropped: u64,
-    /// Past-stamped `Done`s forwarded to the re-registered owner.
+    /// Past-stamped values and decrements forwarded to the
+    /// re-registered owner.
     pub forwarded: u64,
     /// Places that joined mid-run.
     pub joins: u64,
@@ -148,8 +161,9 @@ pub struct ElasticReport {
     pub drains: u64,
     /// Abrupt deaths processed.
     pub kills: u64,
-    /// `(finished vertices at the time, member count)` after every
-    /// membership change — the mesh-size timeline.
+    /// `(finished vertices at the time, member count)`: the founding
+    /// mesh, then one entry per membership change — the mesh-size
+    /// timeline.
     pub mesh_sizes: Vec<(u64, u16)>,
     /// Members still in the mesh at the end, ascending.
     pub final_members: Vec<u16>,
@@ -159,26 +173,38 @@ pub struct ElasticReport {
     pub final_epoch: u64,
 }
 
-/// A finished elastic run: every vertex value plus the run's metrics.
+/// A finished elastic run: the result every engine returns, plus the
+/// mesh's own metrics.
 pub struct ElasticRun<V> {
-    values: BTreeMap<u64, V>,
+    result: DagResult<V>,
     report: ElasticReport,
 }
 
-impl<V: Clone> ElasticRun<V> {
+impl<V: VertexValue> ElasticRun<V> {
     /// The result of vertex `(i, j)`.
     ///
     /// # Panics
     ///
     /// Panics if `(i, j)` was not part of the DAG.
     pub fn get(&self, i: u32, j: u32) -> V {
-        self.try_get(i, j)
-            .unwrap_or_else(|| panic!("vertex ({i}, {j}) was not computed"))
+        self.result.get(i, j)
     }
 
     /// The result of `(i, j)`, or `None` for cells outside the DAG.
     pub fn try_get(&self, i: u32, j: u32) -> Option<V> {
-        self.values.get(&VertexId::new(i, j).pack()).cloned()
+        self.result.try_get(i, j)
+    }
+
+    /// [`DagResult::fingerprint`] of the run's result, so an elastic
+    /// run compares directly against any other engine's.
+    pub fn fingerprint(&self) -> u64 {
+        self.result.fingerprint()
+    }
+
+    /// The result as every engine returns it; its report carries the
+    /// protocol's own counters (pulls, cache hits, …).
+    pub fn result(&self) -> &DagResult<V> {
+        &self.result
     }
 
     /// Metrics of the run.
@@ -187,62 +213,40 @@ impl<V: Clone> ElasticRun<V> {
     }
 }
 
-impl<V: dpx10_apgas::Codec> ElasticRun<V> {
-    /// The same FNV-1a digest as `DagResult::fingerprint`: every cell's
-    /// packed id and encoded value in canonical order — so an elastic
-    /// run compares directly against any other engine's result.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |b: u8| {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        let mut buf = Vec::new();
-        for (id, v) in &self.values {
-            buf.clear();
-            v.encode(&mut buf);
-            for b in id.to_le_bytes() {
-                eat(b);
-            }
-            for &b in &buf {
-                eat(b);
-            }
-        }
-        h
-    }
-}
-
 /// A serialized message in flight, stamped with the sender's fence
 /// epoch at send time.
 struct Packet {
+    /// The sending member.
     src: u16,
+    /// `(source slot, destination slot)` of vertex-protocol traffic —
+    /// what the fence rules on. `None` for relocation control, which is
+    /// addressed to a member and bypasses the fence.
+    route: Option<(u16, u16)>,
     epoch: u64,
     bytes: Vec<u8>,
 }
 
-/// One distribution slot's live state at its current holder.
-struct Chunk<V> {
-    holder: u16,
-    finished: HashMap<u64, V>,
-    /// Remaining indegree of unfinished, not-yet-ready cells.
-    indegree: HashMap<u64, u32>,
-    /// Cells whose counted dependencies are met, in arrival order.
-    ready: VecDeque<u64>,
-    /// Pulls for cells not finished yet: packed id → requesters.
-    deferred: HashMap<u64, Vec<u16>>,
-}
-
-/// One place of the deterministic mesh.
-struct Member<V> {
+/// One place of the deterministic mesh. Its share of the protocol state
+/// is the shards of the slots it holds.
+struct Member {
     map: ChunkMap,
     inbox: VecDeque<Packet>,
+    /// Protocol packets held at the fence until the map catches up.
     parked: Vec<Packet>,
-    cache: HashMap<u64, V>,
-    /// Pulls issued and not yet answered — re-issued on every epoch
-    /// advance, which is what survives relocation races.
-    pending_pulls: BTreeSet<u64>,
     draining: bool,
     drain_started_ns: u64,
+}
+
+impl Member {
+    fn new(map: ChunkMap) -> Self {
+        Member {
+            map,
+            inbox: VecDeque::new(),
+            parked: Vec::new(),
+            draining: false,
+            drain_started_ns: 0,
+        }
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -257,6 +261,7 @@ enum RelocStage {
 }
 
 /// The single relocation in flight (they serialize the fence).
+#[derive(Debug)]
 struct Relocation {
     slot: u16,
     from: u16,
@@ -266,36 +271,29 @@ struct Relocation {
     acks_outstanding: BTreeSet<u16>,
     /// The epoch the commit broadcast carries.
     commit_epoch: u64,
-    /// Finished cells inside the shipped payload (for progress repair
-    /// if the payload is lost to a kill).
-    shipped_cells: u64,
     started_ns: u64,
 }
 
 /// The elastic mesh engine. Construct with [`ElasticEngine::new`],
-/// optionally attach a churn plan / recorder / metrics registry, then
+/// optionally attach a churn plan / recorder, then
 /// [`run`](ElasticEngine::run).
-pub struct ElasticEngine<A, P> {
-    app: A,
-    pattern: P,
+pub struct ElasticEngine<A: DpApp> {
+    app: Arc<A>,
+    pattern: Arc<dyn DagPattern>,
     config: ElasticConfig,
     plan: ElasticPlan,
     recorder: Recorder,
-    mesh_gauge: Option<Gauge>,
-    reloc_counter: Option<Counter>,
 }
 
-impl<A: DpApp, P: DagPattern> ElasticEngine<A, P> {
+impl<A: DpApp> ElasticEngine<A> {
     /// A quiet engine (no churn plan) over `app` and `pattern`.
-    pub fn new(app: A, pattern: P, config: ElasticConfig) -> Self {
+    pub fn new(app: A, pattern: impl DagPattern + 'static, config: ElasticConfig) -> Self {
         ElasticEngine {
-            app,
-            pattern,
+            app: Arc::new(app),
+            pattern: Arc::new(pattern),
             config,
             plan: ElasticPlan::quiet(0),
             recorder: Recorder::disabled(),
-            mesh_gauge: None,
-            reloc_counter: None,
         }
     }
 
@@ -312,1411 +310,108 @@ impl<A: DpApp, P: DagPattern> ElasticEngine<A, P> {
         self
     }
 
-    /// Attaches a metrics registry: exports the `dpx10_mesh_size` gauge
-    /// and `dpx10_chunks_relocated` counter.
-    pub fn with_registry(mut self, registry: &Registry) -> Self {
-        self.mesh_gauge = Some(registry.gauge(
-            "dpx10_mesh_size",
-            "Current member count of the elastic mesh",
-            &[],
-        ));
-        self.reloc_counter = Some(registry.counter(
-            "dpx10_chunks_relocated",
-            "Chunks shipped whole via live relocation",
-            &[],
-        ));
-        self
-    }
-
     /// Runs the DAG to completion under the configured churn plan.
     pub fn run(&self) -> Result<ElasticRun<A::Value>, EngineError> {
-        let total = self.pattern.vertex_count();
-        if total <= VALIDATE_LIMIT {
-            validate_pattern(&self.pattern).map_err(EngineError::InvalidPattern)?;
-        }
-        let members = match &self.config.initial_members {
-            Some(m) => {
-                let mut m = m.clone();
-                m.sort_unstable();
-                m.dedup();
-                if !m.contains(&0) {
-                    return Err(EngineError::Job(
-                        "elastic mesh: place 0 must be a member".into(),
-                    ));
-                }
-                m
-            }
-            None => {
-                if self.config.founding == 0 {
-                    return Err(EngineError::Job(
-                        "elastic mesh: at least one founding member".into(),
-                    ));
-                }
-                (0..self.config.founding).collect()
-            }
-        };
-        let mut machine = Machine::new(self, total, members);
-        machine.run()
+        Machine::new(self)?.run()
     }
 }
 
-/// The deterministic mesh machine — all state of one run.
-struct Machine<'a, A: DpApp, P: DagPattern> {
-    app: &'a A,
-    pattern: &'a P,
-    recorder: &'a Recorder,
+/// One run: the protocol's state and the mesh that drives it.
+struct Machine<A: DpApp> {
+    /// One shard per chunk slot, addressed by the protocol as place
+    /// `PlaceId(slot)` whoever holds it.
+    place: Place<A>,
+    mesh: Mesh,
+    bufs: WorkerBufs,
+    /// Remote-value cache entries per chunk.
+    cache_capacity: usize,
+}
+
+/// Everything of a run that is not vertex-protocol state — membership,
+/// the fence, the relocation in flight and the books — and the
+/// protocol's [`Sink`].
+struct Mesh {
+    recorder: Recorder,
     policy: Option<ElasticPolicy>,
-    mesh_gauge: Option<Gauge>,
-    reloc_counter: Option<Counter>,
-    total: u64,
-    slots: u16,
-    /// Slot → packed cell ids, in local-index order.
-    slot_cells: Vec<Vec<u64>>,
-    /// Packed id → (slot, local index).
-    slot_index: HashMap<u64, (u16, u32)>,
-    chunks: Vec<Option<Chunk<A::Value>>>,
-    members: BTreeMap<u16, Member<A::Value>>,
+    /// Slot → the member its shard lives at; `None` while the shard is a
+    /// payload on the wire.
+    holder: Vec<Option<u16>>,
+    /// Slot → runnable local vertices, in arrival order.
+    ready: Vec<VecDeque<u32>>,
+    members: BTreeMap<u16, Member>,
+    /// The member whose turn is running: protocol sends leave from it.
+    acting: u16,
     roster: RosterBoard,
-    next_place: u16,
     in_flight: Option<Relocation>,
     /// `(slot, preferred target)` — targets are re-validated (and
     /// retargeted) when the relocation starts.
     reloc_queue: VecDeque<(u16, u16)>,
-    events: Vec<dpx10_apgas::ElasticEvent>,
-    next_event: usize,
-    ever_finished: HashSet<u64>,
-    current_finished: u64,
+    /// The plan's events still to fire, ascending.
+    events: VecDeque<ElasticEvent>,
+    finished: u64,
     last_policy_check: u64,
     report: ElasticReport,
 }
 
-impl<'a, A: DpApp, P: DagPattern> Machine<'a, A, P> {
-    fn new(engine: &'a ElasticEngine<A, P>, total: u64, members: Vec<u16>) -> Self {
-        let capacity = engine
-            .config
-            .capacity
-            .max(members.iter().copied().max().unwrap_or(0) + 1)
-            .max(1);
-        let slots = if engine.config.slots == 0 {
-            (2 * capacity).max(1)
-        } else {
-            engine.config.slots
-        };
-        let (width, height) = (engine.pattern.width(), engine.pattern.height());
-        // Column → slot by even ranges; enumerate each slot's cells
-        // row-major so local indices are stable across holders.
-        let mut cols_of_slot: Vec<Vec<u32>> = vec![Vec::new(); slots as usize];
-        for j in 0..width {
-            let s = (j as u64 * slots as u64 / width.max(1) as u64) as u16;
-            cols_of_slot[s as usize].push(j);
-        }
-        let mut slot_cells: Vec<Vec<u64>> = vec![Vec::new(); slots as usize];
-        let mut slot_index = HashMap::new();
-        for s in 0..slots {
-            for i in 0..height {
-                for &j in &cols_of_slot[s as usize] {
-                    if engine.pattern.contains(i, j) {
-                        let packed = VertexId::new(i, j).pack();
-                        slot_index.insert(packed, (s, slot_cells[s as usize].len() as u32));
-                        slot_cells[s as usize].push(packed);
-                    }
-                }
-            }
-        }
-        let next_place = members.iter().copied().max().unwrap_or(0) + 1;
-        let roster = RosterBoard::new(next_place, capacity);
-        for p in 0..next_place {
-            if !members.contains(&p) {
-                // Resumed meshes may have holes (earlier drains); the
-                // roster records them as Left so ids are not reused.
-                let _ = roster.start_drain(PlaceId(p));
-                let _ = roster.leave(PlaceId(p));
-            }
-        }
-        let owners: Vec<PlaceId> = (0..slots)
-            .map(|s| PlaceId(members[s as usize % members.len()]))
-            .collect();
-        let map = ChunkMap::new(owners.clone());
-        let mut chunks: Vec<Option<Chunk<A::Value>>> = Vec::with_capacity(slots as usize);
-        for s in 0..slots {
-            let mut chunk = Chunk {
-                holder: owners[s as usize].0,
-                finished: HashMap::new(),
-                indegree: HashMap::new(),
-                ready: VecDeque::new(),
-                deferred: HashMap::new(),
-            };
-            for &packed in &slot_cells[s as usize] {
-                let v = VertexId::unpack(packed);
-                let deg = engine.pattern.indegree(v.i, v.j);
-                if deg == 0 {
-                    chunk.ready.push_back(packed);
-                } else {
-                    chunk.indegree.insert(packed, deg);
-                }
-            }
-            chunks.push(Some(chunk));
-        }
-        let member_map: BTreeMap<u16, Member<A::Value>> = members
-            .iter()
-            .map(|&p| {
-                (
-                    p,
-                    Member {
-                        map: map.clone(),
-                        inbox: VecDeque::new(),
-                        parked: Vec::new(),
-                        cache: HashMap::new(),
-                        pending_pulls: BTreeSet::new(),
-                        draining: false,
-                        drain_started_ns: 0,
-                    },
-                )
-            })
-            .collect();
-        let mut events = engine.plan.events.clone();
-        events.sort_by(|a, b| a.at.partial_cmp(&b.at).unwrap_or(std::cmp::Ordering::Equal));
-        let report = ElasticReport {
-            total,
-            mesh_sizes: vec![(0, members.len() as u16)],
-            ..ElasticReport::default()
-        };
-        if let Some(g) = &engine.mesh_gauge {
-            g.set(members.len() as f64);
-        }
-        Machine {
-            app: &engine.app,
-            pattern: &engine.pattern,
-            recorder: &engine.recorder,
-            policy: engine.config.policy.clone(),
-            mesh_gauge: engine.mesh_gauge.clone(),
-            reloc_counter: engine.reloc_counter.clone(),
-            total,
-            slots,
-            slot_cells,
-            slot_index,
-            chunks,
-            members: member_map,
-            roster,
-            next_place,
-            in_flight: None,
-            reloc_queue: VecDeque::new(),
-            events,
-            next_event: 0,
-            ever_finished: HashSet::new(),
-            current_finished: 0,
-            last_policy_check: 0,
-            report,
-        }
+impl<V: VertexValue> Sink<V> for Mesh {
+    fn send(&mut self, src: PlaceId, dst: PlaceId, msg: Msg<V>) {
+        self.route(self.acting, src.0, dst.0, &msg);
     }
 
-    // ---- main loop ------------------------------------------------
-
-    fn run(&mut self) -> Result<ElasticRun<A::Value>, EngineError> {
-        let step_limit = 200 * self.total.max(1) + 20_000;
-        let mut steps = 0u64;
-        let mut idle_rounds = 0u32;
-        while self.current_finished < self.total {
-            self.fire_due_events();
-            self.policy_tick();
-            self.start_next_relocation();
-            let mut any = false;
-            let order: Vec<u16> = self.members.keys().copied().collect();
-            for p in order {
-                if self.members.contains_key(&p) {
-                    any |= self.member_turn(p);
-                }
-            }
-            any |= self.complete_drains();
-            steps += 1;
-            if any {
-                idle_rounds = 0;
-            } else {
-                idle_rounds += 1;
-            }
-            if idle_rounds > IDLE_LIMIT || steps > step_limit {
-                if std::env::var_os("DPX10_ELASTIC_DEBUG").is_some() {
-                    self.debug_dump();
-                }
-                return Err(EngineError::Stalled {
-                    finished: self.current_finished,
-                    total: self.total,
-                });
-            }
-        }
-        // Settle: finish in-flight relocations and complete pending
-        // drains so the final membership is clean for the next job.
-        let mut settle = 0u32;
-        while self.in_flight.is_some()
-            || !self.reloc_queue.is_empty()
-            || self.members.values().any(|m| m.draining)
-            || self.members.values().any(|m| !m.inbox.is_empty())
-        {
-            self.start_next_relocation();
-            let order: Vec<u16> = self.members.keys().copied().collect();
-            for p in order {
-                if self.members.contains_key(&p) {
-                    self.member_turn(p);
-                }
-            }
-            self.complete_drains();
-            settle += 1;
-            if settle > 100_000 {
-                break; // report the mesh as-is rather than spin
-            }
-        }
-        self.report.final_members = self.members.keys().copied().collect();
-        self.report.next_place = self.next_place;
-        self.report.final_epoch = self
-            .members
-            .values()
-            .map(|m| m.map.epoch())
-            .max()
-            .unwrap_or(0);
-        let mut values = BTreeMap::new();
-        for chunk in self.chunks.iter().flatten() {
-            for (&id, v) in &chunk.finished {
-                values.insert(id, v.clone());
-            }
-        }
-        Ok(ElasticRun {
-            values,
-            report: std::mem::take(&mut self.report),
-        })
+    fn ready(&mut self, slot: usize, li: u32) {
+        self.ready[slot].push_back(li);
     }
 
-    fn member_turn(&mut self, p: u16) -> bool {
-        if let Some(pkt) = self.members.get_mut(&p).and_then(|m| m.inbox.pop_front()) {
-            self.process_packet(p, pkt);
-            return true;
-        }
-        if self.members.get(&p).map_or(true, |m| m.draining) {
-            return false;
-        }
-        self.try_execute(p)
+    fn stamp(&mut self, _place: PlaceId, _kind: EventKind, _arg: u64) {}
+
+    fn exec(&mut self, _: usize, _: PlaceId, id: VertexId, _: Vec<VertexId>, _: Vec<V>) {
+        unreachable!("the elastic mesh runs every vertex at its owner, {id} included");
     }
 
-    // ---- events & policy ------------------------------------------
-
-    fn fire_due_events(&mut self) {
-        while self.next_event < self.events.len() {
-            let ev = self.events[self.next_event];
-            let due = (ev.at * self.total as f64).ceil() as u64;
-            if self.current_finished < due {
-                break;
-            }
-            self.next_event += 1;
-            match ev.verb {
-                ElasticVerb::Join => {
-                    self.do_join();
-                }
-                ElasticVerb::Drain { place } => {
-                    self.do_drain(place.0);
-                }
-                ElasticVerb::Relocate { slot } => {
-                    let slot = slot % self.slots;
-                    if let Some(to) = self.least_loaded_excluding(self.holder_of(slot)) {
-                        self.reloc_queue.push_back((slot, to));
-                    }
-                }
-                ElasticVerb::Kill { place } => {
-                    self.do_kill(place.0);
-                }
-            }
-        }
-    }
-
-    fn policy_tick(&mut self) {
-        let Some(policy) = self.policy.clone() else {
-            return;
-        };
-        if self.in_flight.is_some()
-            || !self.reloc_queue.is_empty()
-            || self.members.values().any(|m| m.draining)
-            || self.current_finished < self.last_policy_check + policy.check_every
-        {
-            return;
-        }
-        self.last_policy_check = self.current_finished;
-        let backlog: usize = self.chunks.iter().flatten().map(|c| c.ready.len()).sum();
-        let count = self.members.len();
-        let avg = backlog / count.max(1);
-        if avg > policy.grow_backlog && (count as u16) < policy.max_places {
-            self.do_join();
-        } else if avg < policy.shrink_backlog && (count as u16) > policy.min_places {
-            // Shed the highest-id member; place 0 never drains.
-            if let Some(&victim) = self.members.keys().max() {
-                if victim != 0 {
-                    self.do_drain(victim);
-                }
-            }
-        }
-    }
-
-    // ---- membership verbs -----------------------------------------
-
-    fn do_join(&mut self) -> bool {
-        let Some(p) = self
-            .roster
-            .admit(format!("elastic:v{}", self.roster.version()))
-        else {
-            return false; // at capacity
-        };
-        self.roster.activate(p).expect("admitted slot activates");
-        self.next_place = self.next_place.max(p.0 + 1);
-        // The joiner adopts the highest-epoch map in the mesh: it is
-        // never behind a commit broadcast it will not receive.
-        let map = self
-            .members
-            .values()
-            .max_by_key(|m| m.map.epoch())
-            .map(|m| m.map.clone())
-            .expect("a mesh has members");
-        let now = self.recorder.now_ns();
-        self.recorder.span(
-            p.0,
-            RUNTIME_WORKER,
-            EventKind::Join,
-            now,
-            now,
-            u64::from(p.0),
-        );
-        self.members.insert(
-            p.0,
-            Member {
-                map,
-                inbox: VecDeque::new(),
-                parked: Vec::new(),
-                cache: HashMap::new(),
-                pending_pulls: BTreeSet::new(),
-                draining: false,
-                drain_started_ns: 0,
-            },
-        );
-        self.report.joins += 1;
-        self.note_mesh_size();
-        // Rebalance: queue the joiner's fair share, peeled off the
-        // most-loaded members.
-        let share = (self.slots as usize / self.members.len()).max(1);
-        let mut queued_slots: BTreeSet<u16> = self.reloc_queue.iter().map(|&(s, _)| s).collect();
-        if let Some(rel) = &self.in_flight {
-            queued_slots.insert(rel.slot);
-        }
-        let mut taken_from: BTreeMap<u16, usize> = BTreeMap::new();
-        for _ in 0..share {
-            let mut donor: Option<(u16, usize)> = None;
-            for &q in self.members.keys() {
-                if q == p.0 || self.members[&q].draining {
-                    continue;
-                }
-                let load = self
-                    .held_slots(q)
-                    .into_iter()
-                    .filter(|s| !queued_slots.contains(s))
-                    .count()
-                    .saturating_sub(*taken_from.get(&q).unwrap_or(&0));
-                if load >= 2 && donor.map_or(true, |(_, best)| load > best) {
-                    donor = Some((q, load));
-                }
-            }
-            let Some((q, _)) = donor else { break };
-            let Some(slot) = self
-                .held_slots(q)
-                .into_iter()
-                .rfind(|s| !queued_slots.contains(s))
-            else {
-                break;
-            };
-            queued_slots.insert(slot);
-            *taken_from.entry(q).or_insert(0) += 1;
-            self.reloc_queue.push_back((slot, p.0));
-        }
-        true
-    }
-
-    fn do_drain(&mut self, place: u16) -> bool {
-        if place == 0 {
-            return false;
-        }
-        let non_draining = self.members.values().filter(|m| !m.draining).count();
-        let eligible = self
-            .members
-            .get(&place)
-            .is_some_and(|m| !m.draining && non_draining >= 2);
-        if !eligible || self.roster.start_drain(PlaceId(place)).is_err() {
-            return false;
-        }
-        let now = self.recorder.now_ns();
-        let m = self.members.get_mut(&place).expect("checked above");
-        m.draining = true;
-        m.drain_started_ns = now;
-        self.report.drains += 1;
-        // Queue everything it holds; round-robin over the least-loaded
-        // survivors. Targets are re-validated at relocation start.
-        let mut targets: Vec<u16> = self
-            .members
-            .iter()
-            .filter(|(&q, m)| q != place && !m.draining)
-            .map(|(&q, _)| q)
-            .collect();
-        targets.sort_by_key(|&q| (self.held_slots(q).len(), q));
-        for (k, slot) in self.held_slots(place).into_iter().enumerate() {
-            self.reloc_queue
-                .push_back((slot, targets[k % targets.len()]));
-        }
-        true
-    }
-
-    fn do_kill(&mut self, victim: u16) -> bool {
-        if victim == 0 || !self.members.contains_key(&victim) || self.members.len() <= 1 {
-            return false;
-        }
-        self.report.kills += 1;
-        let mut extra_lost: Vec<u16> = Vec::new();
-        self.resolve_in_flight_for_kill(victim, &mut extra_lost);
-        // Lost chunks: everything the victim held, plus a payload that
-        // died in its inbox mid-relocation.
-        let mut lost: Vec<u16> = self.held_slots(victim);
-        lost.extend(extra_lost);
-        lost.sort_unstable();
-        lost.dedup();
-        for &s in &lost {
-            if let Some(chunk) = self.chunks[s as usize].take() {
-                self.current_finished -= chunk.finished.len() as u64;
-            }
-        }
-        self.members.remove(&victim);
-        self.roster.mark_dead(PlaceId(victim));
-        self.note_mesh_size();
-        // Epoch repair: a kill mid-relocation can leave the shipper one
-        // epoch ahead. Everyone adopts the highest-epoch map before the
-        // uniform relocations below, so fences stay identical.
-        let truth = self
-            .members
-            .values()
-            .max_by_key(|m| m.map.epoch())
-            .map(|m| m.map.clone())
-            .expect("place 0 survives");
-        let laggards: Vec<u16> = self
-            .members
-            .iter()
-            .filter(|(_, m)| m.map.epoch() < truth.epoch())
-            .map(|(&q, _)| q)
-            .collect();
-        for q in laggards {
-            self.members.get_mut(&q).expect("listed").map = truth.clone();
-        }
-        // Rebuild each lost slot at a survivor — the paper's recompute
-        // path. Dependencies whose values survive in other chunks are
-        // credited; everything else recomputes in DAG order.
-        for &slot in &lost {
-            let to = self.least_loaded_excluding(None).expect("place 0 survives");
-            for m in self.members.values_mut() {
-                m.map.relocate(slot, PlaceId(to));
-            }
-            let mut chunk = Chunk {
-                holder: to,
-                finished: HashMap::new(),
-                indegree: HashMap::new(),
-                ready: VecDeque::new(),
-                deferred: HashMap::new(),
-            };
-            let mut deps = Vec::new();
-            for &packed in &self.slot_cells[slot as usize] {
-                let v = VertexId::unpack(packed);
-                deps.clear();
-                self.pattern.dependencies(v.i, v.j, &mut deps);
-                let mut deg = 0u32;
-                for d in &deps {
-                    let dp = d.pack();
-                    let ds = self.slot_index[&dp].0;
-                    let satisfied = self.chunks[ds as usize]
-                        .as_ref()
-                        .is_some_and(|c| c.finished.contains_key(&dp));
-                    if !satisfied {
-                        deg += 1;
-                    }
-                }
-                if deg == 0 {
-                    chunk.ready.push_back(packed);
-                } else {
-                    chunk.indegree.insert(packed, deg);
-                }
-            }
-            self.chunks[slot as usize] = Some(chunk);
-        }
-        // The victim's inbox died with it, and it may have carried
-        // `Done` decrements for chunks that survive elsewhere (a chunk
-        // force-delivered mid-relocation, or traffic the victim would
-        // have forwarded). Recount every surviving chunk's counters
-        // from ground truth: overcounts are exactly the lost
-        // decrements; undercounts (a decrement still legitimately in
-        // flight to a survivor) only make a cell ready early, where the
-        // gather's pull fallback fetches the missing values.
-        self.recount_indegrees();
-        // Everyone's fence advanced: replay parked traffic and re-issue
-        // unanswered pulls (some were addressed to the dead place).
-        let all: Vec<u16> = self.members.keys().copied().collect();
-        for q in all {
-            self.replay_parked(q);
-            self.reissue_pulls(q);
-        }
-        true
-    }
-
-    /// Recomputes `indegree` for every unfinished cell in every
-    /// surviving chunk from the global finished state, promoting cells
-    /// whose outstanding count drops to zero. Iterates in slot/cell
-    /// order so the repair is deterministic.
-    fn recount_indegrees(&mut self) {
-        let mut deps = Vec::new();
-        for slot in 0..self.slots {
-            if self.chunks[slot as usize].is_none() {
-                continue;
-            }
-            let counted: Vec<u64> = self.slot_cells[slot as usize]
-                .iter()
-                .copied()
-                .filter(|p| {
-                    self.chunks[slot as usize]
-                        .as_ref()
-                        .is_some_and(|c| c.indegree.contains_key(p))
-                })
-                .collect();
-            for packed in counted {
-                let v = VertexId::unpack(packed);
-                deps.clear();
-                self.pattern.dependencies(v.i, v.j, &mut deps);
-                let mut deg = 0u32;
-                for d in &deps {
-                    let dp = d.pack();
-                    let ds = self.slot_index[&dp].0;
-                    let satisfied = self.chunks[ds as usize]
-                        .as_ref()
-                        .is_some_and(|c| c.finished.contains_key(&dp));
-                    if !satisfied {
-                        deg += 1;
-                    }
-                }
-                let chunk = self.chunks[slot as usize].as_mut().expect("checked above");
-                if deg == 0 {
-                    chunk.indegree.remove(&packed);
-                    chunk.ready.push_back(packed);
-                } else {
-                    chunk.indegree.insert(packed, deg);
-                }
-            }
-        }
-    }
-
-    fn resolve_in_flight_for_kill(&mut self, victim: u16, extra_lost: &mut Vec<u16>) {
-        let Some(rel) = self.in_flight.take() else {
-            return;
-        };
-        match rel.stage {
-            RelocStage::Offered => {
-                // Nothing shipped; the chunk is safe wherever it is. If
-                // the holder died it is in the lost scan; a dead target
-                // just aborts (drain leftovers re-queue themselves).
-                if rel.from != victim && rel.to != victim {
-                    self.in_flight = Some(rel);
-                }
-            }
-            RelocStage::Shipped => {
-                if rel.to == victim {
-                    // The payload died in the victim's inbox: the slot
-                    // is lost and recomputes. The progress its finished
-                    // cells contributed comes off the clock here (the
-                    // chunk itself is already gone from the shipper).
-                    self.current_finished -= rel.shipped_cells;
-                    extra_lost.push(rel.slot);
-                } else {
-                    // The payload survives in a live inbox — deliver it
-                    // now so the kill barrier sees a committed world.
-                    let (to, slot) = (rel.to, rel.slot);
-                    self.in_flight = Some(rel);
-                    self.force_deliver_chunk_data(to, slot);
-                    self.force_commit(victim);
-                }
-            }
-            RelocStage::Committing => {
-                self.in_flight = Some(rel);
-                self.force_commit(victim);
-            }
-        }
-    }
-
-    /// Applies the commit broadcast at every member that has not
-    /// processed it yet (the kill barrier cannot wait for inboxes).
-    /// The broadcast packets still queued become harmless no-ops.
-    fn force_commit(&mut self, victim: u16) {
-        let Some(rel) = self.in_flight.take() else {
-            return;
-        };
-        for q in rel.acks_outstanding {
-            if q == victim || !self.members.contains_key(&q) {
-                continue;
-            }
-            let m = self.members.get_mut(&q).expect("checked");
-            m.map
-                .observe_relocation(rel.slot, PlaceId(rel.to), rel.commit_epoch);
-            self.replay_parked(q);
-            self.reissue_pulls(q);
-        }
-    }
-
-    /// Pulls a specific in-flight `ChunkData` out of `target`'s inbox
-    /// and processes it immediately (preserving the order of the rest).
-    fn force_deliver_chunk_data(&mut self, target: u16, slot: u16) {
-        let Some(m) = self.members.get_mut(&target) else {
-            return;
-        };
-        let mut found = None;
-        for (k, pkt) in m.inbox.iter().enumerate() {
-            if let Some(Msg::ChunkData { slot: s, .. }) = decode_exact::<Msg<A::Value>>(&pkt.bytes)
-            {
-                if s == slot {
-                    found = Some(k);
-                    break;
-                }
-            }
-        }
-        if let Some(k) = found {
-            let pkt = m.inbox.remove(k).expect("index just found");
-            self.process_packet(target, pkt);
-        }
-    }
-
-    fn complete_drains(&mut self) -> bool {
-        let mut changed = false;
-        let draining: Vec<u16> = self
-            .members
-            .iter()
-            .filter(|(_, m)| m.draining)
-            .map(|(&p, _)| p)
-            .collect();
-        for d in draining {
-            let held = self.held_slots(d);
-            // Re-queue leftovers (aborted relocations, late arrivals).
-            let queued: BTreeSet<u16> = self.reloc_queue.iter().map(|&(s, _)| s).collect();
-            for s in &held {
-                let in_flight = self.in_flight.as_ref().is_some_and(|r| r.slot == *s);
-                if !queued.contains(s) && !in_flight {
-                    if let Some(to) = self.least_loaded_excluding(Some(d)) {
-                        self.reloc_queue.push_back((*s, to));
-                    }
-                }
-            }
-            let involved = self
-                .in_flight
-                .as_ref()
-                .is_some_and(|r| r.from == d || r.to == d);
-            let m = &self.members[&d];
-            if held.is_empty() && !involved && m.inbox.is_empty() && m.parked.is_empty() {
-                let start = m.drain_started_ns;
-                let now = self.recorder.now_ns();
-                self.recorder.span(
-                    d,
-                    RUNTIME_WORKER,
-                    EventKind::Drain,
-                    start,
-                    now,
-                    u64::from(d),
-                );
-                let _ = self.roster.leave(PlaceId(d));
-                self.members.remove(&d);
-                self.note_mesh_size();
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    // ---- relocation -----------------------------------------------
-
-    fn start_next_relocation(&mut self) {
-        if self.in_flight.is_some() {
-            return;
-        }
-        while let Some((slot, want_to)) = self.reloc_queue.pop_front() {
-            let Some(from) = self.holder_of(slot) else {
-                continue; // slot lost to a kill while queued
-            };
-            if !self.members.contains_key(&from) {
-                continue;
-            }
-            let valid = |p: u16, mach: &Self| {
-                p != from && mach.members.get(&p).is_some_and(|m| !m.draining)
-            };
-            let to = if valid(want_to, self) {
-                Some(want_to)
-            } else {
-                self.least_loaded_excluding(Some(from))
-            };
-            let Some(to) = to else { continue };
-            let chunk = self.chunks[slot as usize]
-                .as_ref()
-                .expect("holder_of checked");
-            let epoch = self.members[&from].map.epoch();
-            let cells = chunk.finished.len() as u32;
-            let bytes = self.package(from, slot).wire_size() as u64;
-            let started_ns = self.recorder.now_ns();
-            self.post(
-                from,
-                to,
-                Msg::ChunkOffer {
-                    slot,
-                    epoch,
-                    cells,
-                    bytes,
-                },
-                epoch,
-            );
-            self.in_flight = Some(Relocation {
-                slot,
-                from,
-                to,
-                stage: RelocStage::Offered,
-                acks_outstanding: BTreeSet::new(),
-                commit_epoch: 0,
-                shipped_cells: 0,
-                started_ns,
-            });
-            return;
-        }
-    }
-
-    /// Serializes `slot`'s live state at `holder` into a [`ChunkState`]
-    /// — finished cells, ready-counters, the ready queue in order, and
-    /// the cache residents the unfinished cells still depend on.
-    fn package(&self, holder: u16, slot: u16) -> ChunkState<A::Value> {
-        let chunk = self.chunks[slot as usize]
-            .as_ref()
-            .expect("holder ships what it holds");
-        let local = |packed: u64| self.slot_index[&packed].1;
-        let mut finished: Vec<(u32, A::Value)> = chunk
-            .finished
-            .iter()
-            .map(|(&id, v)| (local(id), v.clone()))
-            .collect();
-        finished.sort_unstable_by_key(|&(l, _)| l);
-        let mut indegree: Vec<(u32, u32)> = chunk
-            .indegree
-            .iter()
-            .map(|(&id, &d)| (local(id), d))
-            .collect();
-        indegree.sort_unstable_by_key(|&(l, _)| l);
-        let ready: Vec<u32> = chunk.ready.iter().map(|&id| local(id)).collect();
-        // Cache residents that unfinished cells still need, in cell
-        // order (deterministic across the mesh).
-        let member = &self.members[&holder];
-        let mut cache: Vec<(u64, A::Value)> = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut deps = Vec::new();
-        for &packed in &self.slot_cells[slot as usize] {
-            if chunk.finished.contains_key(&packed) {
-                continue;
-            }
-            let v = VertexId::unpack(packed);
-            deps.clear();
-            self.pattern.dependencies(v.i, v.j, &mut deps);
-            for d in &deps {
-                let dp = d.pack();
-                if let Some(val) = member.cache.get(&dp) {
-                    if seen.insert(dp) {
-                        cache.push((dp, val.clone()));
-                    }
-                }
-            }
-        }
-        ChunkState {
-            slot,
-            finished,
-            indegree,
-            ready,
-            cache,
-            spill: Vec::new(),
-        }
-    }
-
-    /// The holder received the target's accept: ship the chunk and
-    /// advance the local fence. From here until the commit broadcast
-    /// lands everywhere, the mesh runs split-epoch — exactly what the
-    /// fence exists for.
-    fn ship_chunk(&mut self, holder: u16, ack_epoch: u64) {
-        let (slot, to) = {
-            let rel = self.in_flight.as_ref().expect("accept implies in-flight");
-            (rel.slot, rel.to)
-        };
-        let my_epoch = self.members[&holder].map.epoch();
-        if ack_epoch != my_epoch || self.holder_of(slot) != Some(holder) {
-            // A kill moved the world since the offer: abort; drain
-            // leftovers re-queue themselves.
-            self.in_flight = None;
-            return;
-        }
-        let state = self.package(holder, slot);
-        let shipped_cells = state.finished.len() as u64;
-        let bytes = encode_to_vec(&state);
-        self.chunks[slot as usize] = None;
-        self.post(
-            holder,
-            to,
-            Msg::ChunkData {
-                slot,
-                epoch: my_epoch,
-                chunk: bytes,
-            },
-            my_epoch,
-        );
-        let m = self.members.get_mut(&holder).expect("holder is a member");
-        m.map.relocate(slot, PlaceId(to)).expect("owner changes");
-        let rel = self.in_flight.as_mut().expect("still in flight");
-        rel.stage = RelocStage::Shipped;
-        rel.shipped_cells = shipped_cells;
-        self.replay_parked(holder);
-        self.reissue_pulls(holder);
-    }
-
-    /// The target installs a shipped chunk, re-registers ownership and
-    /// broadcasts the commit `ChunkAck` that advances every fence.
-    fn install_chunk(&mut self, target: u16, slot: u16, epoch: u64, payload: &[u8]) {
-        let matches = self
-            .in_flight
-            .as_ref()
-            .is_some_and(|r| r.slot == slot && r.to == target && r.stage == RelocStage::Shipped);
-        if !matches {
-            return; // stale payload from an aborted relocation
-        }
-        let Some(state) = decode_exact::<ChunkState<A::Value>>(payload) else {
-            debug_assert!(false, "a shipped chunk always decodes");
-            self.in_flight = None;
-            return;
-        };
-        let cells = &self.slot_cells[slot as usize];
-        let mut chunk = Chunk {
-            holder: target,
-            finished: HashMap::new(),
-            indegree: HashMap::new(),
-            ready: VecDeque::new(),
-            deferred: HashMap::new(),
-        };
-        for (l, v) in state.finished {
-            chunk.finished.insert(cells[l as usize], v);
-        }
-        for (l, d) in state.indegree {
-            chunk.indegree.insert(cells[l as usize], d);
-        }
-        for l in state.ready {
-            chunk.ready.push_back(cells[l as usize]);
-        }
-        self.report.cells_moved += chunk.finished.len() as u64;
-        self.report.chunk_bytes += payload.len() as u64;
-        self.report.chunks_relocated += 1;
-        if let Some(c) = &self.reloc_counter {
-            c.inc();
-        }
-        self.chunks[slot as usize] = Some(chunk);
-        let m = self.members.get_mut(&target).expect("target is a member");
-        for (k, v) in state.cache {
-            m.cache.entry(k).or_insert(v);
-        }
-        let commit_epoch = m
-            .map
-            .relocate(slot, PlaceId(target))
-            .expect("adoption changes the owner");
-        debug_assert_eq!(commit_epoch, epoch + 1, "single relocation in flight");
-        let rel = self.in_flight.as_mut().expect("matched above");
-        rel.stage = RelocStage::Committing;
-        rel.commit_epoch = commit_epoch;
-        rel.acks_outstanding = self
-            .members
-            .keys()
-            .copied()
-            .filter(|&q| q != target)
-            .collect();
-        let acks: Vec<u16> = self
-            .in_flight
-            .as_ref()
-            .expect("just set")
-            .acks_outstanding
-            .iter()
-            .copied()
-            .collect();
-        for q in acks {
-            self.post(
-                target,
-                q,
-                Msg::ChunkAck {
-                    slot,
-                    epoch: commit_epoch,
-                },
-                commit_epoch,
-            );
-        }
-        self.replay_parked(target);
-        self.reissue_pulls(target);
-    }
-
-    // ---- message processing ---------------------------------------
-
-    fn process_packet(&mut self, p: u16, pkt: Packet) {
-        let Some(msg) = decode_exact::<Msg<A::Value>>(&pkt.bytes) else {
-            debug_assert!(false, "in-mesh packets always decode");
-            return;
-        };
-        match msg {
-            Msg::Done {
-                from,
-                value,
-                targets,
-            } => self.on_done(p, pkt, from, value, targets),
-            Msg::Pull { id } => self.on_pull(p, pkt, id),
-            Msg::PullVal { id, value } => {
-                let m = self.members.get_mut(&p).expect("processing own inbox");
-                m.cache.insert(id.pack(), value);
-                m.pending_pulls.remove(&id.pack());
-            }
-            Msg::ChunkOffer { slot, epoch, .. } => {
-                // Accept when this is the relocation in flight; a stale
-                // offer (aborted by a kill) is ignored.
-                let accept = self.in_flight.as_ref().is_some_and(|r| {
-                    r.slot == slot
-                        && r.from == pkt.src
-                        && r.to == p
-                        && r.stage == RelocStage::Offered
-                });
-                if accept {
-                    let my_epoch = self.members[&p].map.epoch();
-                    self.post(
-                        p,
-                        pkt.src,
-                        Msg::ChunkAck {
-                            slot,
-                            epoch: my_epoch,
-                        },
-                        epoch,
-                    );
-                }
-            }
-            Msg::ChunkData { slot, epoch, chunk } => self.install_chunk(p, slot, epoch, &chunk),
-            Msg::ChunkAck { slot, epoch } => self.on_chunk_ack(p, pkt.src, slot, epoch),
-            // A push is a `Done` with value pinning; the elastic mesh
-            // keeps its own unbounded member caches, so plain `on_done`
-            // already preserves the value until consumption.
-            Msg::PushVal {
-                from,
-                value,
-                targets,
-            } => self.on_done(p, pkt, from, value, targets),
-            // Exec traffic belongs to the threaded engine's schedulers;
-            // the elastic mesh never emits it.
-            Msg::Exec { .. }
-            | Msg::ExecResult { .. }
-            | Msg::DoneBatch { .. }
-            | Msg::PullBatch { .. }
-            | Msg::PullValBatch { .. }
-            | Msg::PushValBatch { .. } => {}
-        }
-    }
-
-    fn on_done(
-        &mut self,
-        p: u16,
-        pkt: Packet,
-        from: VertexId,
-        value: A::Value,
-        targets: Vec<VertexId>,
-    ) {
-        let Some(&first) = targets.first() else {
-            return;
-        };
-        let slot = self.slot_index[&first.pack()].0;
-        // Holding the chunk makes the decrements valid whatever the
-        // stamp says — cell identity does not change across epochs.
-        if self.holder_of(slot) == Some(p) {
-            let m = self.members.get_mut(&p).expect("processing own inbox");
-            m.cache.insert(from.pack(), value);
-            self.decrement(slot, &targets);
-            return;
-        }
-        let m = self.members.get_mut(&p).expect("processing own inbox");
-        match m.map.admit(pkt.epoch) {
-            EpochVerdict::Park => m.parked.push(pkt),
-            EpochVerdict::Deliver | EpochVerdict::Stale => {
-                let owner = m.map.owner(slot);
-                if owner == Some(PlaceId(p)) {
-                    // Registered to us but the payload has not landed
-                    // yet: hold the decrements until it does.
-                    m.parked.push(pkt);
-                } else if let Some(o) = owner {
-                    let epoch = m.map.epoch();
-                    self.report.forwarded += 1;
-                    self.post(
-                        p,
-                        o.0,
-                        Msg::Done {
-                            from,
-                            value,
-                            targets,
-                        },
-                        epoch,
-                    );
-                }
-            }
-        }
-    }
-
-    fn on_pull(&mut self, p: u16, pkt: Packet, id: VertexId) {
-        let packed = id.pack();
-        let slot = self.slot_index[&packed].0;
-        if self.holder_of(slot) == Some(p) {
-            let chunk = self.chunks[slot as usize]
-                .as_mut()
-                .expect("holder_of checked");
-            if let Some(v) = chunk.finished.get(&packed).cloned() {
-                let epoch = self.members[&p].map.epoch();
-                self.post(p, pkt.src, Msg::PullVal { id, value: v }, epoch);
-            } else {
-                chunk.deferred.entry(packed).or_default().push(pkt.src);
-            }
-            return;
-        }
-        let m = self.members.get_mut(&p).expect("processing own inbox");
-        match m.map.admit(pkt.epoch) {
-            EpochVerdict::Park => m.parked.push(pkt),
-            EpochVerdict::Deliver | EpochVerdict::Stale => {
-                if m.map.owner(slot) == Some(PlaceId(p)) {
-                    m.parked.push(pkt); // data en route
-                } else {
-                    // Drop; the requester re-issues when its fence
-                    // advances (the commit broadcast guarantees it).
-                    self.report.stale_dropped += 1;
-                }
-            }
-        }
-    }
-
-    fn on_chunk_ack(&mut self, p: u16, src: u16, slot: u16, epoch: u64) {
-        // The holder's accept?
-        let is_accept = self.in_flight.as_ref().is_some_and(|r| {
-            r.slot == slot && r.from == p && r.to == src && r.stage == RelocStage::Offered
-        });
-        if is_accept {
-            self.ship_chunk(p, epoch);
-            return;
-        }
-        // A commit broadcast: adopt the new registration (the sender is
-        // the new owner) and retire the ack.
-        let m = self.members.get_mut(&p).expect("processing own inbox");
-        if m.map.observe_relocation(slot, PlaceId(src), epoch) {
-            self.replay_parked(p);
-            self.reissue_pulls(p);
-        }
-        let done = self.in_flight.as_mut().is_some_and(|rel| {
-            if rel.slot == slot && rel.stage == RelocStage::Committing && rel.commit_epoch == epoch
-            {
-                rel.acks_outstanding.remove(&p);
-                rel.acks_outstanding.is_empty()
-            } else {
-                false
-            }
-        });
-        if done {
-            let rel = self.in_flight.take().expect("just matched");
-            let now = self.recorder.now_ns();
-            self.recorder.span(
-                rel.to,
-                RUNTIME_WORKER,
-                EventKind::Relocate,
-                rel.started_ns,
-                now,
-                u64::from(rel.slot),
-            );
-        }
-    }
-
-    // ---- execution ------------------------------------------------
-
-    fn try_execute(&mut self, p: u16) -> bool {
-        let mut issued = false;
-        for slot in self.held_slots(p) {
-            let Some(&packed) = self.chunks[slot as usize]
-                .as_ref()
-                .and_then(|c| c.ready.front())
-            else {
-                continue;
-            };
-            let v = VertexId::unpack(packed);
-            let mut dep_ids = Vec::new();
-            self.pattern.dependencies(v.i, v.j, &mut dep_ids);
-            let mut vals: Vec<A::Value> = Vec::with_capacity(dep_ids.len());
-            let mut missing: Vec<u64> = Vec::new();
-            for d in &dep_ids {
-                let dp = d.pack();
-                let ds = self.slot_index[&dp].0;
-                let local = self.chunks[ds as usize]
-                    .as_ref()
-                    .filter(|c| c.holder == p)
-                    .and_then(|c| c.finished.get(&dp));
-                if let Some(val) = local {
-                    vals.push(val.clone());
-                } else if let Some(val) = self.members[&p].cache.get(&dp) {
-                    vals.push(val.clone());
-                } else {
-                    missing.push(dp);
-                }
-            }
-            if missing.is_empty() {
-                let chunk = self.chunks[slot as usize].as_mut().expect("held");
-                chunk.ready.pop_front();
-                let view = DepView::new(&dep_ids, &vals);
-                let value = self.app.compute(v, &view);
-                self.publish(p, slot, packed, value);
-                return true;
-            }
-            // A counted-ready cell can still miss values (relocation,
-            // rebuild after a kill): pull the holes and rotate the cell
-            // so the rest of the chunk is not blocked behind it.
-            for dp in missing {
-                let ds = self.slot_index[&dp].0;
-                let m = self.members.get_mut(&p).expect("executing member");
-                if m.pending_pulls.insert(dp) {
-                    let owner = m.map.owner(ds);
-                    if owner != Some(PlaceId(p)) {
-                        if let Some(o) = owner {
-                            let epoch = m.map.epoch();
-                            self.post(
-                                p,
-                                o.0,
-                                Msg::Pull {
-                                    id: VertexId::unpack(dp),
-                                },
-                                epoch,
-                            );
-                            issued = true;
-                        }
-                    }
-                    // Registered to us but not held: the value arrives
-                    // with the chunk; the pending entry replays later.
-                }
-            }
-            let chunk = self.chunks[slot as usize].as_mut().expect("held");
-            let head = chunk.ready.pop_front().expect("front seen above");
-            chunk.ready.push_back(head);
-        }
-        issued
-    }
-
-    fn publish(&mut self, p: u16, slot: u16, packed: u64, value: A::Value) {
-        let first_time = self.ever_finished.insert(packed);
+    fn finished(&mut self, _slot: usize, _id: VertexId, _value: &V) {
         self.report.computed += 1;
-        if !first_time {
-            self.report.recomputed += 1;
-        }
-        self.current_finished += 1;
-        let id = VertexId::unpack(packed);
-        let chunk = self.chunks[slot as usize]
-            .as_mut()
-            .expect("publisher holds");
-        chunk.indegree.remove(&packed);
-        chunk.finished.insert(packed, value.clone());
-        let waiters = chunk.deferred.remove(&packed).unwrap_or_default();
-        let epoch = self.members[&p].map.epoch();
-        for r in waiters {
-            self.post(
-                p,
-                r,
-                Msg::PullVal {
-                    id,
-                    value: value.clone(),
-                },
-                epoch,
-            );
-        }
-        // Fan out to dependents: locally-held slots decrement in place;
-        // remote ones get a `Done` per (owner, slot) — targets share a
-        // slot so the receiver's fence has one slot to rule on.
-        let mut anti = Vec::new();
-        self.pattern.anti_dependencies(id.i, id.j, &mut anti);
-        let mut remote: BTreeMap<u16, Vec<VertexId>> = BTreeMap::new();
-        for t in anti {
-            let ts = self.slot_index[&t.pack()].0;
-            if self.holder_of(ts) == Some(p) {
-                self.decrement(ts, &[t]);
-            } else {
-                remote.entry(ts).or_default().push(t);
-            }
-        }
-        for (ts, targets) in remote {
-            let m = &self.members[&p];
-            let Some(owner) = m.map.owner(ts) else {
-                continue;
-            };
-            let epoch = m.map.epoch();
-            self.post(
-                p,
-                owner.0,
-                Msg::Done {
-                    from: id,
-                    value: value.clone(),
-                    targets,
-                },
-                epoch,
-            );
+        self.finished += 1;
+    }
+}
+
+impl Mesh {
+    /// Protocol traffic from slot `src` (at member `from`) to slot
+    /// `dst`: the *sender's* map says who holds `dst` now.
+    fn route<V: VertexValue>(&mut self, from: u16, src: u16, dst: u16, msg: &Msg<V>) {
+        if let Some(owner) = self.members[&from].map.owner(dst) {
+            self.post(from, owner.0, Some((src, dst)), msg);
         }
     }
 
-    /// Decrements ready-counters in a held chunk. Absent entries are
-    /// skipped (already ready or finished), which makes a forwarded
-    /// duplicate after a rebuild harmless: a cell that turns ready
-    /// early just rotates in the queue pulling its missing values.
-    fn decrement(&mut self, slot: u16, targets: &[VertexId]) {
-        let chunk = self.chunks[slot as usize]
-            .as_mut()
-            .expect("decrement at holder");
-        for t in targets {
-            let tp = t.pack();
-            if let Some(d) = chunk.indegree.get_mut(&tp) {
-                *d = d.saturating_sub(1);
-                if *d == 0 {
-                    chunk.indegree.remove(&tp);
-                    chunk.ready.push_back(tp);
-                }
-            }
-        }
+    /// Encodes `msg` into `to`'s inbox under `src`'s current epoch.
+    fn post<V: VertexValue>(&mut self, src: u16, to: u16, route: Option<(u16, u16)>, msg: &Msg<V>) {
+        let epoch = self.members[&src].map.epoch();
+        let bytes = encode_to_vec(msg);
+        self.deliver(
+            to,
+            Packet {
+                src,
+                route,
+                epoch,
+                bytes,
+            },
+        );
     }
 
-    // ---- fence replay ---------------------------------------------
-
-    fn replay_parked(&mut self, p: u16) {
-        let Some(m) = self.members.get_mut(&p) else {
-            return;
-        };
-        if m.parked.is_empty() {
-            return;
-        }
-        let parked = std::mem::take(&mut m.parked);
-        self.report.parked_replayed += parked.len() as u64;
-        for pkt in parked {
+    fn deliver(&mut self, to: u16, pkt: Packet) {
+        // A departed member: the mesh shrugs.
+        if let Some(m) = self.members.get_mut(&to) {
             m.inbox.push_back(pkt);
         }
     }
 
-    fn reissue_pulls(&mut self, p: u16) {
-        let Some(m) = self.members.get(&p) else {
-            return;
-        };
-        let pending: Vec<u64> = m.pending_pulls.iter().copied().collect();
-        for dp in pending {
-            let ds = self.slot_index[&dp].0;
-            if self.holder_of(ds) == Some(p) {
-                // The chunk came to us; take the value directly if it
-                // is finished, otherwise local execution produces it.
-                let have = self.chunks[ds as usize]
-                    .as_ref()
-                    .and_then(|c| c.finished.get(&dp).cloned());
-                if let Some(v) = have {
-                    let m = self.members.get_mut(&p).expect("still a member");
-                    m.cache.insert(dp, v);
-                    m.pending_pulls.remove(&dp);
-                }
-                continue;
-            }
-            let m = self.members.get_mut(&p).expect("still a member");
-            let Some(owner) = m.map.owner(ds) else {
-                continue;
-            };
-            if owner == PlaceId(p) {
-                continue; // payload en route
-            }
-            let epoch = m.map.epoch();
-            self.report.replayed_pulls += 1;
-            self.post(
-                p,
-                owner.0,
-                Msg::Pull {
-                    id: VertexId::unpack(dp),
-                },
-                epoch,
-            );
-        }
-    }
-
-    // ---- small helpers --------------------------------------------
-
-    fn debug_dump(&self) {
-        eprintln!("== elastic stall dump ==");
-        eprintln!(
-            "finished {}/{} in_flight {:?} queue {:?}",
-            self.current_finished,
-            self.total,
-            self.in_flight
-                .as_ref()
-                .map(|r| (r.slot, r.from, r.to, format!("{:?}", r.stage))),
-            self.reloc_queue
-        );
-        for (s, c) in self.chunks.iter().enumerate() {
-            match c {
-                Some(c) => {
-                    if c.finished.len() < self.slot_cells[s].len() {
-                        let ready: Vec<String> = c
-                            .ready
-                            .iter()
-                            .map(|&p| format!("{}", VertexId::unpack(p)))
-                            .collect();
-                        let mut indeg: Vec<String> = c
-                            .indegree
-                            .iter()
-                            .map(|(&p, &d)| format!("{}:{d}", VertexId::unpack(p)))
-                            .collect();
-                        indeg.sort();
-                        eprintln!(
-                            "slot {s} holder {} fin {}/{} ready {ready:?} indeg {indeg:?} deferred {}",
-                            c.holder,
-                            c.finished.len(),
-                            self.slot_cells[s].len(),
-                            c.deferred.len()
-                        );
-                    }
-                }
-                None => eprintln!("slot {s} MISSING"),
-            }
-        }
-        for (&p, m) in &self.members {
-            let pend: Vec<String> = m
-                .pending_pulls
-                .iter()
-                .map(|&d| format!("{}", VertexId::unpack(d)))
-                .collect();
-            eprintln!(
-                "member {p} epoch {} inbox {} parked {} pending {pend:?} draining {}",
-                m.map.epoch(),
-                m.inbox.len(),
-                m.parked.len(),
-                m.draining
-            );
-        }
-    }
-
-    fn post(&mut self, src: u16, to: u16, msg: Msg<A::Value>, epoch: u64) {
-        let Some(m) = self.members.get_mut(&to) else {
-            return; // a departed member: the mesh shrugs
-        };
-        m.inbox.push_back(Packet {
-            src,
-            epoch,
-            bytes: encode_to_vec(&msg),
-        });
-    }
-
-    fn holder_of(&self, slot: u16) -> Option<u16> {
-        self.chunks.get(slot as usize)?.as_ref().map(|c| c.holder)
+    fn slots(&self) -> u16 {
+        self.holder.len() as u16
     }
 
     fn held_slots(&self, p: u16) -> Vec<u16> {
-        (0..self.slots)
-            .filter(|&s| self.holder_of(s) == Some(p))
+        (0..self.slots())
+            .filter(|&s| self.holder[s as usize] == Some(p))
             .collect()
     }
 
@@ -1731,12 +426,747 @@ impl<'a, A: DpApp, P: DagPattern> Machine<'a, A, P> {
             .map(|(_, q)| q)
     }
 
+    /// The members `keep` holds for, ascending.
+    fn members_that(&self, keep: impl Fn(&Member) -> bool) -> Vec<u16> {
+        let kept = self.members.iter().filter(|(_, m)| keep(m));
+        kept.map(|(&p, _)| p).collect()
+    }
+
+    /// `(slot, from, to)` of the relocation in flight, if it is at `stage`.
+    fn relocating(&self, stage: RelocStage) -> Option<(u16, u16, u16)> {
+        let rel = self.in_flight.as_ref().filter(|rel| rel.stage == stage);
+        rel.map(|rel| (rel.slot, rel.from, rel.to))
+    }
+
+    /// The highest-epoch map in the mesh: whoever adopts it is never
+    /// behind a commit broadcast it will not receive.
+    fn newest_map(&self) -> ChunkMap {
+        let newest = self.members.values().max_by_key(|m| m.map.epoch());
+        newest.expect("place 0 is always a member").map.clone()
+    }
+
+    /// A membership or relocation span from `start_ns` to now on
+    /// `place`'s runtime track.
+    fn span(&self, place: u16, kind: EventKind, start_ns: u64, arg: u16) {
+        let now = self.recorder.now_ns();
+        self.recorder
+            .span(place, RUNTIME_WORKER, kind, start_ns, now, u64::from(arg));
+    }
+
     fn note_mesh_size(&mut self) {
-        self.report
-            .mesh_sizes
-            .push((self.current_finished, self.members.len() as u16));
-        if let Some(g) = &self.mesh_gauge {
-            g.set(self.members.len() as f64);
+        let sample = (self.finished, self.members.len() as u16);
+        self.report.mesh_sizes.push(sample);
+    }
+
+    /// `p`'s fence advanced: what it parked re-enters its inbox.
+    fn replay_parked(&mut self, p: u16) {
+        if let Some(m) = self.members.get_mut(&p) {
+            self.report.parked_replayed += m.parked.len() as u64;
+            m.inbox.extend(m.parked.drain(..));
+        }
+    }
+}
+
+impl<A: DpApp> Machine<A> {
+    fn new(engine: &ElasticEngine<A>) -> Result<Self, EngineError> {
+        let pattern = engine.pattern.clone();
+        let total = pattern.vertex_count();
+        // What every engine does unless told otherwise: the validation
+        // rule and the cache size of the default configuration.
+        let defaults = EngineConfig::paper(1);
+        if defaults.validate_pattern && total <= defaults.validate_limit {
+            validate_pattern(pattern.as_ref())?;
+        }
+        let mut members = match &engine.config.initial_members {
+            Some(m) => m.clone(),
+            None => (0..engine.config.founding).collect(),
+        };
+        members.sort_unstable();
+        members.dedup();
+        if members.first() != Some(&0) {
+            return Err(EngineError::Job(
+                "elastic mesh: place 0 must be a member".into(),
+            ));
+        }
+        let next_place = members[members.len() - 1] + 1;
+        let capacity = engine.config.capacity.max(next_place);
+        let slots = 2 * capacity;
+        let dist = Arc::new(Dist::new(
+            Region2D::new(pattern.height(), pattern.width()),
+            DistKind::BlockCol,
+            (0..slots).map(PlaceId).collect(),
+        ));
+        let roster = RosterBoard::new(next_place, capacity);
+        for p in (0..next_place).filter(|p| !members.contains(p)) {
+            // Resumed meshes may have holes (earlier drains); the roster
+            // records them as Left so ids are not reused.
+            let _ = roster.start_drain(PlaceId(p));
+            let _ = roster.leave(PlaceId(p));
+        }
+        let holder: Vec<Option<u16>> = (0..slots as usize)
+            .map(|s| Some(members[s % members.len()]))
+            .collect();
+        let map = ChunkMap::new(holder.iter().flatten().map(|&p| PlaceId(p)).collect());
+        let mut events = engine.plan.events.clone();
+        events.sort_by(|a, b| a.at.partial_cmp(&b.at).unwrap_or(std::cmp::Ordering::Equal));
+        let mut machine = Machine {
+            place: Place {
+                app: engine.app.clone(),
+                pattern,
+                dist,
+                shards: Vec::new(),
+                stats: StatsBoard::new(slots),
+                topo: Topology::flat(slots),
+                net: NetworkModel::tianhe_like(),
+                schedule: ScheduleStrategy::Local,
+                comms: CommsMode::Pull,
+                agg: None,
+            },
+            mesh: Mesh {
+                recorder: engine.recorder.clone(),
+                policy: engine.config.policy.clone(),
+                holder,
+                ready: vec![VecDeque::new(); slots as usize],
+                acting: 0,
+                report: ElasticReport {
+                    total,
+                    next_place,
+                    mesh_sizes: vec![(0, members.len() as u16)],
+                    ..ElasticReport::default()
+                },
+                members: members
+                    .into_iter()
+                    .map(|p| (p, Member::new(map.clone())))
+                    .collect(),
+                roster,
+                in_flight: None,
+                reloc_queue: VecDeque::new(),
+                events: events.into(),
+                finished: 0,
+                last_policy_check: 0,
+            },
+            bufs: WorkerBufs::default(),
+            cache_capacity: defaults.cache_capacity,
+        };
+        machine.build(None);
+        Ok(machine)
+    }
+
+    // ---- main loop ------------------------------------------------
+
+    fn run(mut self) -> Result<ElasticRun<A::Value>, EngineError> {
+        self.drive()?;
+        Ok(self.finish())
+    }
+
+    fn finish(mut self) -> ElasticRun<A::Value> {
+        // Quiescent as `protocol_order.rs` demands of every driver.
+        debug_assert!(self.place.shards.iter().all(|shard| {
+            let pending = shard.pending.lock();
+            let closed = |open: &AtomicU32| open.load(Ordering::Acquire) == 0;
+            pending.parked.is_empty()
+                && pending.waiters.is_empty()
+                && shard.indegree.iter().all(closed)
+        }));
+        let mut report = std::mem::take(&mut self.mesh.report);
+        report.final_members = self.mesh.members.keys().copied().collect();
+        report.final_epoch = self.mesh.newest_map().epoch();
+        let run_report = RunReport {
+            vertices_total: report.total,
+            vertices_computed: report.computed,
+            comm: self.place.stats.snapshot(),
+            epochs: 1 + report.kills as u32,
+            ..RunReport::default()
+        };
+        let array = collect_array(&self.place.shards, &self.place.dist);
+        ElasticRun {
+            result: DagResult::new(array, run_report),
+            report,
+        }
+    }
+
+    /// Runs until every vertex has finished, then settles: in-flight
+    /// relocations finish and pending drains complete, so the final
+    /// membership is clean for the next job.
+    fn drive(&mut self) -> Result<(), EngineError> {
+        let total = self.mesh.report.total;
+        let step_limit = 200 * total.max(1) + 20_000;
+        let (mut steps, mut idle_rounds) = (0u64, 0u32);
+        loop {
+            let mesh = &self.mesh;
+            let computing = mesh.finished < total;
+            let busy = |m: &Member| m.draining || !m.inbox.is_empty();
+            if computing {
+                self.fire_due_events();
+                self.policy_tick();
+            } else if mesh.in_flight.is_none()
+                && mesh.reloc_queue.is_empty()
+                && !mesh.members.values().any(busy)
+            {
+                return Ok(());
+            }
+            idle_rounds = if self.round() { 0 } else { idle_rounds + 1 };
+            steps += 1;
+            if idle_rounds > IDLE_LIMIT || steps > step_limit {
+                if !computing {
+                    return Ok(()); // report the mesh as-is rather than spin
+                }
+                // A stall is an engine bug by definition: say where.
+                let mesh = &self.mesh;
+                let members = mesh.members.iter();
+                let backlog = members.map(|(p, m)| (p, m.inbox.len(), m.parked.len()));
+                eprintln!(
+                    "elastic mesh stalled at {}/{total}: relocating {:?}; (member, inbox, parked \
+                     at the fence) {:?}",
+                    mesh.finished,
+                    mesh.in_flight,
+                    backlog.collect::<Vec<_>>()
+                );
+                let finished = mesh.finished;
+                return Err(EngineError::Stalled { finished, total });
+            }
+        }
+    }
+
+    /// One round-robin pass: the next relocation starts if none is in
+    /// flight, every member takes a turn, finished drains leave.
+    fn round(&mut self) -> bool {
+        self.start_next_relocation();
+        let mut any = false;
+        let order: Vec<u16> = self.mesh.members.keys().copied().collect();
+        for p in order {
+            any |= self.member_turn(p);
+        }
+        any | self.complete_drains()
+    }
+
+    /// One packet, or — for a member that is not draining — one ready
+    /// vertex of the first held slot that has one.
+    fn member_turn(&mut self, p: u16) -> bool {
+        let Some(m) = self.mesh.members.get_mut(&p) else {
+            return false; // killed earlier this round
+        };
+        if let Some(pkt) = m.inbox.pop_front() {
+            self.process_packet(p, pkt);
+            return true;
+        }
+        if m.draining {
+            return false;
+        }
+        for slot in self.mesh.held_slots(p) {
+            if let Some(li) = self.mesh.ready[slot as usize].pop_front() {
+                self.execute(p, slot as usize, li);
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The owner-side path every driver runs: gather (or park on
+    /// pulls), compute, publish.
+    fn execute(&mut self, p: u16, slot: usize, li: u32) {
+        let shard = &self.place.shards[slot];
+        if shard.finished[li as usize].load(Ordering::Acquire) {
+            return;
+        }
+        self.mesh.acting = p;
+        let Some((_, values)) = prepare(&self.place, &mut self.mesh, slot, li, &mut self.bufs)
+        else {
+            return; // parked awaiting pulls
+        };
+        let (i, j) = shard.points[li as usize];
+        let id = VertexId::new(i, j);
+        let view = DepView::new(&self.bufs.deps, &values);
+        let value = self.place.app.compute(id, &view);
+        publish(
+            &self.place,
+            &mut self.mesh,
+            slot,
+            li,
+            id,
+            value,
+            &mut self.bufs,
+        );
+    }
+
+    /// Builds every shard — fresh, or from the survivors' finished
+    /// values after a kill — and returns how many cells start finished.
+    fn build(&mut self, prior: Option<&DistArray<A::Value>>) -> u64 {
+        let place = &mut self.place;
+        let pattern = place.pattern.as_ref();
+        let (shards, kept) = build_shards(
+            pattern,
+            &place.dist,
+            prior,
+            None,
+            None,
+            self.cache_capacity,
+            None,
+        );
+        place.shards = shards;
+        (0..self.mesh.slots()).for_each(|slot| self.adopt_ready(slot));
+        kept
+    }
+
+    /// Puts the shard `state` describes in its slot.
+    fn install(&mut self, state: ChunkState<A::Value>, cache_capacity: usize) {
+        let (place, slot) = (&mut self.place, state.slot);
+        let pattern = place.pattern.as_ref();
+        place.shards[slot as usize] =
+            Shard::from_chunk(pattern, &place.dist, state, cache_capacity);
+        self.adopt_ready(slot);
+    }
+
+    /// Moves what [`build_shards`] / [`Shard::from_chunk`] queued on the
+    /// shard's own ready list onto the mesh's.
+    fn adopt_ready(&mut self, slot: u16) {
+        let shard = &self.place.shards[slot as usize];
+        self.mesh.ready[slot as usize] = std::iter::from_fn(|| shard.ready.pop()).collect();
+    }
+
+    // ---- events & policy ------------------------------------------
+
+    fn fire_due_events(&mut self) {
+        while let Some(&ev) = self.mesh.events.front() {
+            let due = (ev.at * self.mesh.report.total as f64).ceil() as u64;
+            if self.mesh.finished < due {
+                break;
+            }
+            self.mesh.events.pop_front();
+            match ev.verb {
+                ElasticVerb::Join => self.do_join(),
+                ElasticVerb::Drain { place } => self.do_drain(place.0),
+                ElasticVerb::Relocate { slot } => {
+                    let slot = slot % self.mesh.slots();
+                    let from = self.mesh.holder[slot as usize];
+                    if let Some(to) = self.mesh.least_loaded_excluding(from) {
+                        self.mesh.reloc_queue.push_back((slot, to));
+                    }
+                }
+                ElasticVerb::Kill { place } => self.do_kill(place.0),
+            }
+        }
+    }
+
+    fn policy_tick(&mut self) {
+        let mesh = &self.mesh;
+        let Some(policy) = mesh.policy.clone() else {
+            return;
+        };
+        if mesh.in_flight.is_some()
+            || !mesh.reloc_queue.is_empty()
+            || mesh.members.values().any(|m| m.draining)
+            || mesh.finished < mesh.last_policy_check + policy.check_every
+        {
+            return;
+        }
+        let backlog: usize = mesh.ready.iter().map(VecDeque::len).sum();
+        let count = mesh.members.len();
+        let avg = backlog / count.max(1);
+        self.mesh.last_policy_check = self.mesh.finished;
+        if avg > policy.grow_backlog && (count as u16) < policy.max_places {
+            self.do_join();
+        } else if avg < policy.shrink_backlog && (count as u16) > policy.min_places {
+            // Shed the highest-id member; place 0 never drains.
+            if let Some(&victim) = self.mesh.members.keys().max() {
+                self.do_drain(victim);
+            }
+        }
+    }
+
+    // ---- membership verbs -----------------------------------------
+
+    fn do_join(&mut self) {
+        let mesh = &mut self.mesh;
+        let addr = format!("elastic:v{}", mesh.roster.version());
+        let Some(p) = mesh.roster.admit(addr) else {
+            return; // at capacity
+        };
+        mesh.roster.activate(p).expect("admitted slot activates");
+        mesh.report.next_place = mesh.report.next_place.max(p.0 + 1);
+        mesh.span(p.0, EventKind::Join, mesh.recorder.now_ns(), p.0);
+        let joiner = Member::new(mesh.newest_map());
+        mesh.members.insert(p.0, joiner);
+        mesh.report.joins += 1;
+        mesh.note_mesh_size();
+        // Rebalance: queue the joiner's fair share, peeled off the
+        // most-loaded members. `spare` holds, per donor, the chunks it
+        // has that are not moving already and how many it has given; a
+        // donor's load counts each gift twice, so it keeps half.
+        let share = (mesh.slots() as usize / mesh.members.len()).max(1);
+        let mut moving: BTreeSet<u16> = mesh.reloc_queue.iter().map(|&(s, _)| s).collect();
+        moving.extend(mesh.in_flight.as_ref().map(|rel| rel.slot));
+        let donors = mesh.members_that(|m| !m.draining);
+        let donors = donors.into_iter().filter(|&q| q != p.0);
+        let mut spare: Vec<(Vec<u16>, usize)> = donors.map(|q| (mesh.held_slots(q), 0)).collect();
+        spare
+            .iter_mut()
+            .for_each(|(left, _)| left.retain(|s| !moving.contains(s)));
+        let load = |(left, given): &(Vec<u16>, usize)| left.len().saturating_sub(*given);
+        for _ in 0..share {
+            // Reversed, so that the lowest id wins a tie.
+            let best = spare.iter_mut().rev().max_by_key(|d| load(d));
+            let Some(donor) = best.filter(|d| load(d) >= 2) else {
+                break;
+            };
+            donor.1 += 1;
+            let slot = donor.0.pop().expect("a load of two has a chunk");
+            mesh.reloc_queue.push_back((slot, p.0));
+        }
+    }
+
+    fn do_drain(&mut self, place: u16) {
+        let mesh = &mut self.mesh;
+        let non_draining = mesh.members.values().filter(|m| !m.draining).count();
+        let eligible = place != 0
+            && non_draining >= 2
+            && mesh.members.get(&place).is_some_and(|m| !m.draining);
+        if !eligible || mesh.roster.start_drain(PlaceId(place)).is_err() {
+            return;
+        }
+        let m = mesh.members.get_mut(&place).expect("checked above");
+        m.draining = true;
+        m.drain_started_ns = mesh.recorder.now_ns();
+        mesh.report.drains += 1;
+        // Queue everything it holds; round-robin over the least-loaded
+        // survivors. Targets are re-validated at relocation start.
+        let mut targets = mesh.members_that(|m| !m.draining);
+        targets.sort_by_key(|&q| (mesh.held_slots(q).len(), q));
+        for (k, slot) in mesh.held_slots(place).into_iter().enumerate() {
+            mesh.reloc_queue
+                .push_back((slot, targets[k % targets.len()]));
+        }
+    }
+
+    /// Abrupt death, recovered like a fault in any other engine: the
+    /// epoch ends, the survivors' finished values seed the next one.
+    fn do_kill(&mut self, victim: u16) {
+        if victim == 0 || !self.mesh.members.contains_key(&victim) || self.mesh.members.len() <= 1 {
+            return;
+        }
+        self.mesh.report.kills += 1;
+        // Lost: everything the victim held, plus a payload that died in
+        // its inbox mid-relocation.
+        let mut lost = self.mesh.held_slots(victim);
+        lost.extend(self.resolve_in_flight_for_kill(victim));
+        for &slot in &lost {
+            self.vacate(slot);
+        }
+        let mesh = &mut self.mesh;
+        mesh.members.remove(&victim);
+        mesh.roster.mark_dead(PlaceId(victim));
+        // Epoch repair: a kill mid-relocation can leave the shipper or
+        // the target one epoch ahead. Everyone adopts the newest map
+        // before the uniform re-registrations below, so fences stay
+        // identical.
+        let truth = mesh.newest_map();
+        for m in mesh.members.values_mut() {
+            if m.map.epoch() < truth.epoch() {
+                m.map = truth.clone();
+            }
+            // The abandoned epoch's protocol traffic dies with it, as
+            // under every engine; relocation control survives.
+            m.inbox.retain(|pkt| pkt.route.is_none());
+            m.parked.clear();
+        }
+        for &slot in &lost {
+            let to = mesh.least_loaded_excluding(None).expect("place 0 survives");
+            mesh.holder[slot as usize] = Some(to);
+            for m in mesh.members.values_mut() {
+                m.map.relocate(slot, PlaceId(to));
+            }
+        }
+        // The paper's recovery (§VI-D): keep the surviving finished
+        // cells, recount every indegree from them, recompute the rest.
+        let prior = collect_array(&self.place.shards, &self.place.dist);
+        let kept = self.build(Some(&prior));
+        self.mesh.report.recomputed += self.mesh.finished - kept;
+        self.mesh.finished = kept;
+        self.mesh.note_mesh_size();
+    }
+
+    /// Settles the relocation in flight before a kill's recovery. What
+    /// is left of a commit broadcast is covered by the epoch repair (the
+    /// target's map is the newest) and its queued acks become no-ops.
+    /// Returns the slot whose payload died with the victim, if any.
+    fn resolve_in_flight_for_kill(&mut self, victim: u16) -> Option<u16> {
+        let rel = self.mesh.in_flight.take()?;
+        match rel.stage {
+            // Nothing shipped: between two survivors the hand-over just
+            // carries on; a dead holder's chunk is lost with the rest; a
+            // dead target aborts (drain leftovers re-queue themselves).
+            RelocStage::Offered if rel.from != victim && rel.to != victim => {
+                self.mesh.in_flight = Some(rel);
+            }
+            // The payload died in the victim's inbox: the slot is lost.
+            RelocStage::Shipped if rel.to == victim => return Some(rel.slot),
+            // The payload survives in a live inbox: install it now, so
+            // the recovery sees its finished cells.
+            RelocStage::Shipped => {
+                let (to, slot) = (rel.to, rel.slot);
+                self.mesh.in_flight = Some(rel);
+                let inbox = &mut self.mesh.members.get_mut(&to).expect("a survivor").inbox;
+                let at = inbox.iter().position(|pkt| {
+                    pkt.route.is_none()
+                        && matches!(
+                            decode_exact::<Msg<A::Value>>(&pkt.bytes),
+                            Some(Msg::ChunkData { slot: s, .. }) if s == slot
+                        )
+                });
+                let pkt = at.and_then(|at| inbox.remove(at));
+                self.process_packet(to, pkt.expect("a shipped payload is in the inbox"));
+                self.mesh.in_flight = None;
+            }
+            RelocStage::Offered | RelocStage::Committing => {}
+        }
+        None
+    }
+
+    fn complete_drains(&mut self) -> bool {
+        let mesh = &mut self.mesh;
+        let mut changed = false;
+        for d in mesh.members_that(|m| m.draining) {
+            let held = mesh.held_slots(d);
+            // Re-queue leftovers (aborted relocations, late arrivals).
+            let rel = mesh.in_flight.as_ref();
+            let mut busy: BTreeSet<u16> = mesh.reloc_queue.iter().map(|&(s, _)| s).collect();
+            busy.extend(rel.map(|rel| rel.slot));
+            for &s in held.iter().filter(|s| !busy.contains(s)) {
+                if let Some(to) = mesh.least_loaded_excluding(Some(d)) {
+                    mesh.reloc_queue.push_back((s, to));
+                }
+            }
+            let involved = rel.is_some_and(|r| r.from == d || r.to == d);
+            let m = &mesh.members[&d];
+            if held.is_empty() && !involved && m.inbox.is_empty() && m.parked.is_empty() {
+                mesh.span(d, EventKind::Drain, m.drain_started_ns, d);
+                let _ = mesh.roster.leave(PlaceId(d));
+                mesh.members.remove(&d);
+                mesh.note_mesh_size();
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    // ---- relocation -----------------------------------------------
+
+    fn start_next_relocation(&mut self) {
+        if self.mesh.in_flight.is_some() {
+            return;
+        }
+        while let Some((slot, want_to)) = self.mesh.reloc_queue.pop_front() {
+            let mesh = &self.mesh;
+            // A slot lost to a kill while queued has a new holder or
+            // none; either way the plan's intent is gone.
+            let Some(from) = mesh.holder[slot as usize] else {
+                continue;
+            };
+            let takes = |q: &u16| *q != from && mesh.members.get(q).is_some_and(|m| !m.draining);
+            let wanted = Some(want_to).filter(takes);
+            let Some(to) = wanted.or_else(|| mesh.least_loaded_excluding(Some(from))) else {
+                continue;
+            };
+            let state = self.package(slot);
+            let offer = Msg::<A::Value>::ChunkOffer {
+                slot,
+                epoch: mesh.members[&from].map.epoch(),
+                cells: state.finished.len() as u32,
+                bytes: state.wire_size() as u64,
+            };
+            let started_ns = mesh.recorder.now_ns();
+            self.mesh.post(from, to, None, &offer);
+            self.mesh.in_flight = Some(Relocation {
+                slot,
+                from,
+                to,
+                stage: RelocStage::Offered,
+                acks_outstanding: BTreeSet::new(),
+                commit_epoch: 0,
+                started_ns,
+            });
+            return;
+        }
+    }
+
+    /// `slot`'s shard as the bytes-to-be of a `ChunkData`.
+    fn package(&self, slot: u16) -> ChunkState<A::Value> {
+        let ready = self.mesh.ready[slot as usize].iter().copied();
+        self.place.shards[slot as usize].to_chunk(slot, ready)
+    }
+
+    /// `slot`'s shard left this process's memory (shipped, or died with
+    /// its holder): nothing of it may be read again.
+    fn vacate(&mut self, slot: u16) {
+        self.install(ChunkState::empty(slot), 0);
+        self.mesh.holder[slot as usize] = None;
+    }
+
+    /// The holder received the target's accept: ship the chunk and
+    /// advance the local fence. From here until the commit broadcast
+    /// lands everywhere, the mesh runs split-epoch — exactly what the
+    /// fence exists for.
+    fn ship_chunk(&mut self, holder: u16, ack_epoch: u64) {
+        let mesh = &mut self.mesh;
+        let rel = mesh.in_flight.take().expect("accept implies in-flight");
+        let (slot, to) = (rel.slot, rel.to);
+        let my_epoch = mesh.members[&holder].map.epoch();
+        if ack_epoch != my_epoch || mesh.holder[slot as usize] != Some(holder) {
+            // A kill moved the world since the offer: abort; drain
+            // leftovers re-queue themselves.
+            return;
+        }
+        mesh.in_flight = Some(Relocation {
+            stage: RelocStage::Shipped,
+            ..rel
+        });
+        let data = Msg::<A::Value>::ChunkData {
+            slot,
+            epoch: my_epoch,
+            chunk: encode_to_vec(&self.package(slot)),
+        };
+        self.vacate(slot);
+        let mesh = &mut self.mesh;
+        mesh.post(holder, to, None, &data);
+        let m = mesh.members.get_mut(&holder).expect("holder is a member");
+        m.map.relocate(slot, PlaceId(to)).expect("owner changes");
+        self.fence_advanced(holder, slot);
+    }
+
+    /// The target installs a shipped chunk, re-registers ownership and
+    /// broadcasts the commit `ChunkAck` that advances every fence.
+    fn install_chunk(&mut self, target: u16, slot: u16, epoch: u64, payload: &[u8]) {
+        let shipped = self.mesh.relocating(RelocStage::Shipped);
+        if !shipped.is_some_and(|(s, _, to)| s == slot && to == target) {
+            return; // stale payload from an aborted relocation
+        }
+        let state: ChunkState<A::Value> = decode_exact(payload).expect("a shipped chunk decodes");
+        self.mesh.report.cells_moved += state.finished.len() as u64;
+        self.mesh.report.chunk_bytes += payload.len() as u64;
+        self.mesh.report.chunks_relocated += 1;
+        self.install(state, self.cache_capacity);
+        let mesh = &mut self.mesh;
+        mesh.holder[slot as usize] = Some(target);
+        let m = mesh.members.get_mut(&target).expect("target is a member");
+        let commit = m.map.relocate(slot, PlaceId(target));
+        let commit_epoch = commit.expect("adoption changes the owner");
+        debug_assert_eq!(commit_epoch, epoch + 1, "single relocation in flight");
+        let commit = Msg::<A::Value>::ChunkAck {
+            slot,
+            epoch: commit_epoch,
+        };
+        let mut others: BTreeSet<u16> = mesh.members.keys().copied().collect();
+        others.remove(&target);
+        for &q in &others {
+            mesh.post(target, q, None, &commit);
+        }
+        let rel = mesh.in_flight.as_mut().expect("matched above");
+        rel.stage = RelocStage::Committing;
+        rel.commit_epoch = commit_epoch;
+        rel.acks_outstanding = others;
+        self.fence_advanced(target, slot);
+    }
+
+    // ---- message processing ---------------------------------------
+
+    /// Relocation control goes to its handler; protocol traffic passes
+    /// the epoch fence, and what it admits goes to [`handle_msg`].
+    fn process_packet(&mut self, p: u16, mut pkt: Packet) {
+        let msg = decode_exact::<Msg<A::Value>>(&pkt.bytes).expect("in-mesh packets decode");
+        let Some((src_slot, slot)) = pkt.route else {
+            return self.on_control(p, pkt.src, msg);
+        };
+        let mesh = &mut self.mesh;
+        if mesh.holder[slot as usize] == Some(p) {
+            // Holding the shard makes the message valid whatever its
+            // stamp says — cell identity does not change across epochs.
+            mesh.acting = p;
+            let src = PlaceId(src_slot);
+            handle_msg(&self.place, mesh, slot as usize, src, msg, &mut self.bufs);
+            return;
+        }
+        let m = mesh.members.get_mut(&p).expect("processing own inbox");
+        let owner = m.map.owner(slot);
+        if m.map.admit(pkt.epoch) == EpochVerdict::Park || owner == Some(PlaceId(p)) {
+            // From an epoch this member has not reached, or registered
+            // here with the payload still en route: hold it.
+            m.parked.push(pkt);
+        } else if matches!(msg, Msg::Pull { .. }) {
+            // Drop; the requester re-issues when its fence advances
+            // (the commit broadcast guarantees it does).
+            mesh.report.stale_dropped += 1;
+        } else if let Some(owner) = owner {
+            // Values and decrements follow the chunk to where this
+            // member's map says it went.
+            (pkt.src, pkt.epoch) = (p, m.map.epoch());
+            mesh.report.forwarded += 1;
+            mesh.deliver(owner.0, pkt);
+        }
+    }
+
+    fn on_control(&mut self, p: u16, src: u16, msg: Msg<A::Value>) {
+        match msg {
+            Msg::ChunkOffer { slot, .. } => {
+                // Accept when this is the relocation in flight; a stale
+                // offer (aborted by a kill) is ignored.
+                if self.mesh.relocating(RelocStage::Offered) == Some((slot, src, p)) {
+                    let epoch = self.mesh.members[&p].map.epoch();
+                    let ack = Msg::<A::Value>::ChunkAck { slot, epoch };
+                    self.mesh.post(p, src, None, &ack);
+                }
+            }
+            Msg::ChunkData { slot, epoch, chunk } => self.install_chunk(p, slot, epoch, &chunk),
+            Msg::ChunkAck { slot, epoch } => self.on_chunk_ack(p, src, slot, epoch),
+            _ => debug_assert!(false, "protocol traffic is routed to a slot"),
+        }
+    }
+
+    fn on_chunk_ack(&mut self, p: u16, src: u16, slot: u16, epoch: u64) {
+        // The holder's accept?
+        if self.mesh.relocating(RelocStage::Offered) == Some((slot, p, src)) {
+            return self.ship_chunk(p, epoch);
+        }
+        // A commit broadcast: adopt the new registration (the sender is
+        // the new owner) and retire the ack.
+        let m = self.mesh.members.get_mut(&p).expect("processing own inbox");
+        if m.map.observe_relocation(slot, PlaceId(src), epoch) {
+            self.fence_advanced(p, slot);
+        }
+        let mesh = &mut self.mesh;
+        let done = mesh.in_flight.as_mut().is_some_and(|rel| {
+            let committing = rel.slot == slot
+                && rel.stage == RelocStage::Committing
+                && rel.commit_epoch == epoch;
+            committing && {
+                rel.acks_outstanding.remove(&p);
+                rel.acks_outstanding.is_empty()
+            }
+        });
+        if done {
+            let rel = mesh.in_flight.take().expect("just matched");
+            mesh.span(rel.to, EventKind::Relocate, rel.started_ns, rel.slot);
+        }
+    }
+
+    /// `p` learnt that `moved` changed hands. What it parked at the
+    /// fence replays, and every pull its shards still await from that
+    /// slot goes out again — the old holder drops pulls that reach it
+    /// after the hand-over.
+    fn fence_advanced(&mut self, p: u16, moved: u16) {
+        self.mesh.replay_parked(p);
+        for slot in self.mesh.held_slots(p) {
+            let pending = self.place.shards[slot as usize].pending.lock();
+            // Hash-map order must not decide the order of sends.
+            let mut awaited: Vec<u64> = pending.waiters.keys().copied().collect();
+            drop(pending);
+            awaited.sort_unstable();
+            for id in awaited.into_iter().map(VertexId::unpack) {
+                if self.place.dist.slot_of(id.i, id.j) == moved as usize {
+                    self.mesh.report.replayed_pulls += 1;
+                    let pull = Msg::<A::Value>::Pull { id };
+                    self.mesh.route(p, slot, moved, &pull);
+                }
+            }
         }
     }
 }
@@ -1746,7 +1176,6 @@ impl<'a, A: DpApp, P: DagPattern> Machine<'a, A, P> {
 /// the autoscaling job server of the elastic mesh.
 pub struct ElasticServer {
     capacity: u16,
-    slots: u16,
     policy: Option<ElasticPolicy>,
     recorder: Recorder,
     members: Vec<u16>,
@@ -1761,7 +1190,6 @@ impl ElasticServer {
         let founding = founding.max(1);
         ElasticServer {
             capacity: capacity.max(founding),
-            slots: 0,
             policy: None,
             recorder: Recorder::disabled(),
             members: (0..founding).collect(),
@@ -1794,16 +1222,15 @@ impl ElasticServer {
 
     /// Runs one job on the current mesh under `plan`, then adopts the
     /// membership the run ended with.
-    pub fn run_job<A: DpApp, P: DagPattern>(
+    pub fn run_job<A: DpApp>(
         &mut self,
         app: A,
-        pattern: P,
+        pattern: impl DagPattern + 'static,
         plan: ElasticPlan,
     ) -> Result<ElasticRun<A::Value>, EngineError> {
         let config = ElasticConfig {
             founding: self.members.len() as u16,
             capacity: self.capacity.max(self.next_place),
-            slots: self.slots,
             policy: self.policy.clone(),
             initial_members: Some(self.members.clone()),
         };
@@ -2050,6 +1477,78 @@ mod tests {
                     "seed {seed:#x}: churn without kills never recomputes"
                 );
             }
+        }
+    }
+
+    /// A 12×12 machine to drive by hand.
+    fn machine(founding: u16, events: Vec<ElasticEvent>) -> Machine<Mix> {
+        let plan = ElasticPlan { seed: 21, events };
+        let engine = ElasticEngine::new(Mix, Grid3::new(12, 12), ElasticConfig::new(founding, 6));
+        Machine::new(&engine.with_plan(plan)).expect("a valid mesh")
+    }
+
+    #[test]
+    fn chunk_ships_with_a_vertex_parked_on_an_unanswered_pull() {
+        // The kill's recount readies cells whose restored dependencies
+        // sit in no cache: they park and pull. The relocation queued in
+        // the same breath then ships slot 1 from its new holder while
+        // one of them still waits for its `PullVal`.
+        let mut m = machine(
+            3,
+            vec![
+                ev(0.30, ElasticVerb::Relocate { slot: 1 }),
+                ev(0.30, ElasticVerb::Kill { place: PlaceId(1) }),
+            ],
+        );
+        let mut shipped_parked = false;
+        while m.mesh.finished < m.mesh.report.total {
+            m.fire_due_events();
+            // The holder ships in the turn it spends on the accept, so
+            // its shard is at ship time what it is now.
+            let parked = m
+                .mesh
+                .relocating(RelocStage::Offered)
+                .is_some_and(|(slot, ..)| {
+                    let pending = m.place.shards[slot as usize].pending.lock();
+                    pending.parked.values().any(|p| p.remaining > 0)
+                });
+            m.round();
+            shipped_parked |= parked && m.mesh.relocating(RelocStage::Offered).is_none();
+        }
+        m.drive().expect("the mesh settles");
+        assert!(shipped_parked, "the plan must ship a parked vertex");
+        let run = m.finish(); // asserts quiescence
+        assert_eq!(run.fingerprint(), solo_fingerprint());
+        assert_eq!(run.report().chunks_relocated, 1, "shipped, not aborted");
+        assert!(run.report().recomputed > 0);
+    }
+
+    #[test]
+    fn a_payload_on_the_wire_outlives_a_third_place_and_dies_with_its_target() {
+        for target_dies in [false, true] {
+            // Four members hold three chunks each: slot 3 goes to place
+            // 0, which leaves place 1 the least loaded for slot 7 — and
+            // a hand-over from 3 down to 1 stays `Shipped` across a round.
+            let mut m = machine(
+                4,
+                vec![
+                    ev(0.20, ElasticVerb::Relocate { slot: 3 }),
+                    ev(0.40, ElasticVerb::Relocate { slot: 7 }),
+                ],
+            );
+            while m.mesh.relocating(RelocStage::Shipped).map(|rel| rel.0) != Some(7) {
+                assert!(m.mesh.finished < m.mesh.report.total, "never shipped");
+                m.fire_due_events();
+                m.round();
+            }
+            assert_eq!(m.mesh.relocating(RelocStage::Shipped), Some((7, 3, 1)));
+            m.do_kill(if target_dies { 1 } else { 2 });
+            m.drive().expect("the mesh settles");
+            let run = m.finish();
+            assert_eq!(run.fingerprint(), solo_fingerprint());
+            let r = run.report();
+            assert_eq!(r.chunks_relocated, if target_dies { 1 } else { 2 });
+            assert_eq!(r.computed - r.recomputed, r.total);
         }
     }
 }

@@ -9,7 +9,7 @@ use dpx10_sync::Mutex;
 use dpx10_sync::SegQueue;
 
 use dpx10_dag::{AggSpec, DagPattern, VertexId};
-use dpx10_distarray::{AggTable, Dist, DistArray};
+use dpx10_distarray::{AggTable, ChunkState, Dist, DistArray};
 
 use crate::app::VertexValue;
 use crate::cache::FifoCache;
@@ -121,6 +121,114 @@ impl<V: VertexValue> Shard<V> {
             .get()
             .expect("value read before publication")
     }
+
+    /// The shard of `slot` with its geometry filled in and nothing
+    /// finished, counted or ready.
+    fn empty(
+        pattern: &dyn DagPattern,
+        dist: &Dist,
+        slot: usize,
+        cache_capacity: usize,
+        agg: Option<AggSpec>,
+    ) -> Self {
+        let len = dist.chunk_len(slot);
+        let (mut points, mut in_pattern) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        for (i, j) in dist.iter_slot(slot) {
+            points.push((i, j));
+            in_pattern.push(pattern.contains(i, j));
+        }
+        Shard {
+            total_local: in_pattern.iter().filter(|&&c| c).count() as u64,
+            points,
+            in_pattern,
+            indegree: (0..len).map(|_| AtomicU32::new(0)).collect(),
+            finished: (0..len).map(|_| AtomicBool::new(false)).collect(),
+            values: (0..len).map(|_| OnceLock::new()).collect(),
+            ready: SegQueue::new(),
+            cache: Mutex::new(FifoCache::new(cache_capacity)),
+            pending: Mutex::new(Pending::default()),
+            finished_local: AtomicU64::new(0),
+            busy_ns: AtomicU64::new(0),
+            aggs: agg.map(|spec| AggTable::new(pattern.height(), pattern.width(), spec)),
+        }
+    }
+
+    /// Marks local vertex `li` finished with `value`, outside the
+    /// protocol (a restored or relocated cell).
+    fn restore(&self, li: usize, value: V) {
+        self.values[li].set(value).ok();
+        self.finished[li].store(true, Ordering::Relaxed);
+        self.finished_local.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The movable state of this shard — what live relocation ships to
+    /// the slot's next holder (the elastic mesh; every other driver's
+    /// ownership is fixed for an epoch). `ready` is the driver's ready
+    /// list for the shard, in order. A vertex parked on a pull travels
+    /// as a ready vertex and the fills it already collected as the
+    /// newest cache residents: the next holder gathers again and pulls
+    /// whatever is still missing.
+    pub fn to_chunk(&self, slot: u16, ready: impl IntoIterator<Item = u32>) -> ChunkState<V> {
+        let mut state = ChunkState::empty(slot);
+        state.ready = ready.into_iter().collect();
+        let queued: HashSet<u32> = state.ready.iter().copied().collect();
+        for li in (0..self.points.len()).filter(|&li| self.in_pattern[li]) {
+            let li32 = li as u32;
+            if self.finished[li].load(Ordering::Acquire) {
+                state.finished.push((li32, self.value(li32).clone()));
+                continue;
+            }
+            match self.indegree[li].load(Ordering::Acquire) {
+                0 if queued.contains(&li32) => {}
+                0 => state.ready.push(li32),
+                open => state.indegree.push((li32, open)),
+            }
+        }
+        state.cache = self
+            .cache
+            .lock()
+            .iter()
+            .map(|(k, v)| (k, v.clone()))
+            .collect();
+        // Hash-map order must not reach the wire: the mesh is
+        // deterministic down to its payload bytes.
+        let mut fills: Vec<(u64, V)> = Vec::new();
+        for parked in self.pending.lock().parked.values() {
+            for (&dep, fill) in &parked.fills {
+                fills.extend(fill.value().map(|v| (dep, v.clone())));
+            }
+        }
+        fills.sort_unstable_by_key(|&(dep, _)| dep);
+        state.cache.extend(fills);
+        state
+    }
+
+    /// The shard a relocated [`ChunkState`] describes: same finished
+    /// values and indegrees, the ready vertices queued on `ready`, the
+    /// cache refilled oldest first.
+    pub fn from_chunk(
+        pattern: &dyn DagPattern,
+        dist: &Dist,
+        state: ChunkState<V>,
+        cache_capacity: usize,
+    ) -> Self {
+        let shard = Shard::empty(pattern, dist, state.slot as usize, cache_capacity, None);
+        for (li, value) in state.finished {
+            shard.restore(li as usize, value);
+        }
+        for (li, open) in state.indegree {
+            shard.indegree[li as usize].store(open, Ordering::Relaxed);
+        }
+        for li in state.ready {
+            shard.ready.push(li);
+        }
+        let mut cache = shard.cache.lock();
+        for (dep, value) in state.cache {
+            cache.insert(dep, value);
+        }
+        drop(cache);
+        shard
+    }
 }
 
 /// Builds the shards of an epoch.
@@ -176,32 +284,13 @@ pub fn build_shards<V: VertexValue>(
     let mut deps_buf = Vec::new();
     let shards = (0..dist.num_slots())
         .map(|slot| {
-            let len = dist.chunk_len(slot);
-            let mut shard = Shard {
-                points: Vec::with_capacity(len),
-                in_pattern: vec![false; len],
-                indegree: (0..len).map(|_| AtomicU32::new(0)).collect(),
-                finished: (0..len).map(|_| AtomicBool::new(false)).collect(),
-                values: (0..len).map(|_| OnceLock::new()).collect(),
-                ready: SegQueue::new(),
-                cache: Mutex::new(FifoCache::new(cache_capacity)),
-                pending: Mutex::new(Pending::default()),
-                finished_local: AtomicU64::new(0),
-                total_local: 0,
-                busy_ns: AtomicU64::new(0),
-                aggs: agg.map(|spec| AggTable::new(pattern.height(), pattern.width(), spec)),
-            };
-            for (li, (i, j)) in dist.iter_slot(slot).enumerate() {
-                shard.points.push((i, j));
-                if !pattern.contains(i, j) {
+            let shard = Shard::empty(pattern, dist, slot, cache_capacity, agg);
+            for (li, &(i, j)) in shard.points.iter().enumerate() {
+                if !shard.in_pattern[li] {
                     continue;
                 }
-                shard.in_pattern[li] = true;
-                shard.total_local += 1;
                 if let Some(v) = is_prefinished(i, j) {
-                    shard.values[li].set(v).ok();
-                    shard.finished[li].store(true, Ordering::Relaxed);
-                    shard.finished_local.fetch_add(1, Ordering::Relaxed);
+                    shard.restore(li, v);
                     prefinished_total += 1;
                     continue;
                 }

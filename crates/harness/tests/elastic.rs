@@ -12,7 +12,8 @@
 //!   with chunks provably relocated, not recomputed.
 
 use dpx10_apgas::{ElasticEvent, ElasticPlan, ElasticVerb, PlaceId};
-use dpx10_core::{ElasticConfig, ElasticEngine, ElasticRun};
+use dpx10_apps::{with_app, AppKind, AppVisitor, CatalogApp};
+use dpx10_core::{ElasticConfig, ElasticEngine, ElasticRun, EngineConfig, ThreadedEngine};
 use dpx10_dag::builtin::Grid3;
 use dpx10_harness::{oracle, MixApp};
 
@@ -163,9 +164,11 @@ fn drain_under_load_relocates_every_chunk() {
 #[test]
 fn kill_barrier_replays_unanswered_pulls() {
     // A join rebalances chunks to the newcomer, the kill lands one
-    // cell later and the survivor drains out: pulls that were in
-    // flight to the dead place must re-issue when the barrier
-    // advances every fence (`replayed_pulls`).
+    // cell later and the survivor drains out. Pulls in flight to the
+    // dead place end with the epoch, like every other message of it;
+    // the recovery's recount readies their requesters again, and
+    // those must pull the restored values afresh — every cache was
+    // rebuilt empty.
     let solo = run_elastic(12, 12, 1, 1, ElasticPlan::quiet(0)).fingerprint();
     let plan = ElasticPlan {
         seed: 0xF3A2,
@@ -181,8 +184,8 @@ fn kill_barrier_replays_unanswered_pulls() {
     let r = run.report();
     assert_eq!((r.joins, r.kills, r.drains), (1, 1, 1));
     assert!(
-        r.replayed_pulls > 0,
-        "the barrier must re-issue the pulls the dead place swallowed: {r:?}"
+        run.result().report().comm.pulls_sent > 0,
+        "the recovery epoch must pull the restored dependencies again: {r:?}"
     );
     assert_eq!(r.computed - r.recomputed, r.total);
 }
@@ -262,5 +265,69 @@ fn shrunk_plans_still_replay_deterministically() {
             solo,
             "shrunk plan {shrunk} diverged from solo"
         );
+    }
+}
+
+/// Runs a catalog app under `plan` on a 3-of-6 mesh and on a solo
+/// [`ThreadedEngine`]; returns the elastic report once the two
+/// fingerprints agree.
+struct UnderChurn(ElasticPlan);
+
+impl AppVisitor for UnderChurn {
+    type Out = dpx10_core::ElasticReport;
+
+    fn visit<A: CatalogApp>(self, app: A) -> Self::Out {
+        let solo = ThreadedEngine::new(app.clone(), app.dag(), EngineConfig::flat(1))
+            .run()
+            .expect("solo run completes");
+        let pattern = app.dag();
+        let run = ElasticEngine::new(app, pattern, ElasticConfig::new(3, 6))
+            .with_plan(self.0.clone())
+            .run()
+            .expect("elastic run completes");
+        assert_eq!(run.fingerprint(), solo.fingerprint(), "plan {}", self.0);
+        let r = run.report();
+        assert_eq!(r.computed - r.recomputed, r.total, "plan {}", self.0);
+        r.clone()
+    }
+}
+
+#[test]
+fn catalog_apps_survive_churn_with_the_threaded_fingerprint() {
+    // Values that are not `u64` (SWLAG's three-score cell) and patterns
+    // that are not a full grid (LPS's upper triangle, knapsack's
+    // data-dependent edges) cross the relocation codec and the kill's
+    // recount like MixApp on Grid3 does.
+    let grow_drain = ElasticPlan {
+        seed: 0x6A0,
+        events: vec![
+            ev(0.10, ElasticVerb::Join),
+            ev(0.18, ElasticVerb::Join),
+            ev(0.55, ElasticVerb::Drain { place: PlaceId(3) }),
+            ev(0.70, ElasticVerb::Drain { place: PlaceId(4) }),
+        ],
+    };
+    let kill = ElasticPlan {
+        seed: 0x6A1,
+        events: vec![
+            ev(0.25, ElasticVerb::Relocate { slot: 4 }),
+            ev(0.45, ElasticVerb::Kill { place: PlaceId(2) }),
+        ],
+    };
+    for kind in [AppKind::Swlag, AppKind::Lps, AppKind::Knapsack] {
+        let r = with_app(kind, 400, 11, UnderChurn(grow_drain.clone()));
+        assert_eq!((r.joins, r.drains, r.kills), (2, 2, 0), "{}", kind.name());
+        assert!(r.chunks_relocated >= 1, "{}: {r:?}", kind.name());
+        assert_eq!(r.recomputed, 0, "{}: graceful churn", kind.name());
+        assert_eq!(r.final_members, vec![0, 1, 2], "{}", kind.name());
+
+        let r = with_app(kind, 400, 11, UnderChurn(kill.clone()));
+        assert_eq!(r.kills, 1, "{}", kind.name());
+        assert!(
+            r.recomputed > 0,
+            "{}: the victim held finished cells",
+            kind.name()
+        );
+        assert_eq!(r.final_members, vec![0, 1], "{}", kind.name());
     }
 }
