@@ -647,10 +647,6 @@ impl<M: Send + Clone> Transport<M> for ChaosTransport<M> {
             None => self.pop_held(at, u64::MAX, true),
         }
     }
-
-    fn shutdown(&self) {
-        self.inner.shutdown()
-    }
 }
 
 #[cfg(test)]

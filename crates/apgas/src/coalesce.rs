@@ -222,13 +222,6 @@ impl<M: Coalescible> crate::Transport<M> for CoalescingTransport<M> {
         }
         self.inner.flush(at);
     }
-
-    fn shutdown(&self) {
-        for s in 0..self.places {
-            self.flush(PlaceId(s));
-        }
-        self.inner.shutdown();
-    }
 }
 
 #[cfg(test)]

@@ -19,10 +19,10 @@
 //! * [`Codec`] — a small hand-rolled wire format: the byte count a value
 //!   occupies on the interconnect, and the actual encoding the socket
 //!   backend puts on the wire.
-//! * [`Transport`] — the seam between engines and substrates, with two
-//!   implementations: [`LocalTransport`] (places as threads, transfers
-//!   priced by the cost model) and [`socket`] (one OS process per place
-//!   over a real TCP mesh, transfers counted as framed bytes).
+//! * [`Transport`] — the seam between engines and substrates, over two
+//!   of them: [`LocalTransport`] (places as threads, transfers priced by
+//!   the cost model) and the [`socket`] byte mesh (one OS process per
+//!   place over real TCP, transfers counted as framed bytes).
 //! * [`fault`] — per-place liveness flags and [`DeadPlaceError`],
 //!   mirroring Resilient X10's failure reporting, including its documented
 //!   limitation that place 0 must survive. The socket transport feeds the
@@ -67,6 +67,6 @@ pub use network::NetworkModel;
 pub use place::{PlaceId, Topology};
 pub use runtime::{Runtime, RuntimeConfig};
 pub use socket::launch::{launch_places, local_mesh, PlaceChildren};
-pub use socket::{JoinConfig, SocketChaos, SocketConfig, SocketNode, SocketTransport};
+pub use socket::{JoinConfig, SocketChaos, SocketConfig, SocketNode};
 pub use stats::{PlaceStats, StatsBoard, StatsSnapshot};
 pub use transport::{LocalTransport, Transport};

@@ -4,7 +4,7 @@
 //!
 //! Where the in-process [`LocalTransport`](crate::transport::LocalTransport)
 //! *models* a network, this backend has a real one: every message is
-//! encoded with [`Codec`], wrapped in a length-prefixed [`frame`], and
+//! encoded with [`crate::Codec`], wrapped in a length-prefixed [`frame`], and
 //! written to a socket. The [`StatsBoard`] consequently records the bytes
 //! actually framed, with zero simulated network time.
 //!
@@ -40,7 +40,6 @@ pub mod frame;
 pub mod launch;
 
 use std::io::{self, Write};
-use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -51,13 +50,10 @@ use dpx10_sync::channel::{self, Receiver, RecvTimeoutError, Sender};
 use dpx10_sync::Mutex;
 
 use crate::chaos::ChaosRng;
-use crate::codec::{decode_exact, Codec};
 use crate::fault::{DeadPlaceError, LivenessBoard};
-use crate::mailbox::Envelope;
 use crate::membership::{MemberState, RosterBoard};
 use crate::place::PlaceId;
 use crate::stats::StatsBoard;
-use crate::transport::Transport;
 use frame::{Frame, FrameError};
 
 /// Frames a writer queues before senders block (bounds memory if a peer
@@ -359,9 +355,7 @@ fn register_link(fabric: &Arc<LinkFabric>, peer: PlaceId, stream: TcpStream) -> 
     Ok(())
 }
 
-/// One place's end of the byte-level socket mesh.
-///
-/// Typed use goes through [`SocketTransport`]; this level moves opaque
+/// One place's end of the byte-level socket mesh: it moves opaque
 /// payload bytes and owns the liveness/stats/roster boards of the
 /// process.
 pub struct SocketNode {
@@ -615,11 +609,6 @@ impl SocketNode {
             n as u64,
         );
         Ok(n)
-    }
-
-    /// Non-blocking receive of the next inbound payload.
-    pub fn try_recv_bytes(&self) -> Option<(PlaceId, Vec<u8>)> {
-        self.inbound_rx.try_recv().ok()
     }
 
     /// Blocking receive with timeout.
@@ -1163,100 +1152,6 @@ fn handshake_worker(
     Ok((links, listener, addrs))
 }
 
-// ---------------------------------------------------------------------
-// Typed facade
-// ---------------------------------------------------------------------
-
-/// [`Transport`] adapter over a [`SocketNode`]: encodes `M` with
-/// [`Codec`] on send, decodes on receive. A payload that fails to decode
-/// marks the *sender* dead (its stream is corrupt) instead of panicking.
-pub struct SocketTransport<M> {
-    node: Arc<SocketNode>,
-    _marker: PhantomData<fn() -> M>,
-}
-
-impl<M> SocketTransport<M> {
-    /// Wraps a connected node.
-    pub fn new(node: Arc<SocketNode>) -> Self {
-        SocketTransport {
-            node,
-            _marker: PhantomData,
-        }
-    }
-
-    /// The underlying byte-level node.
-    pub fn node(&self) -> &Arc<SocketNode> {
-        &self.node
-    }
-
-    fn decode_or_mark(&self, src: PlaceId, bytes: &[u8]) -> Option<M>
-    where
-        M: Codec,
-    {
-        match decode_exact::<M>(bytes) {
-            Some(msg) => Some(msg),
-            None => {
-                if src != self.node.me() {
-                    mark_peer(&self.node.fabric, src);
-                }
-                None
-            }
-        }
-    }
-}
-
-impl<M: Codec + Send> Transport<M> for SocketTransport<M> {
-    fn num_places(&self) -> u16 {
-        self.node.places
-    }
-
-    fn liveness(&self) -> &LivenessBoard {
-        self.node.liveness()
-    }
-
-    fn send(
-        &self,
-        src: PlaceId,
-        dst: PlaceId,
-        msg: M,
-        _wire_bytes: usize,
-    ) -> Result<(), DeadPlaceError> {
-        debug_assert_eq!(src, self.node.me(), "socket sends originate locally");
-        let mut buf = Vec::with_capacity(msg.wire_size().saturating_add(8));
-        msg.encode(&mut buf);
-        self.node.send_bytes(dst, buf).map(|_| ())
-    }
-
-    fn try_recv(&self, at: PlaceId) -> Option<Envelope<M>> {
-        debug_assert_eq!(at, self.node.me(), "socket receives are local");
-        loop {
-            let (src, bytes) = self.node.try_recv_bytes()?;
-            if let Some(msg) = self.decode_or_mark(src, &bytes) {
-                return Some(Envelope { src, msg });
-            }
-        }
-    }
-
-    fn recv_timeout(&self, at: PlaceId, timeout: Duration) -> Option<Envelope<M>> {
-        debug_assert_eq!(at, self.node.me(), "socket receives are local");
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let (src, bytes) = self.node.recv_bytes_timeout(remaining)?;
-            if let Some(msg) = self.decode_or_mark(src, &bytes) {
-                return Some(Envelope { src, msg });
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-        }
-    }
-
-    fn shutdown(&self) {
-        self.node.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1369,30 +1264,6 @@ mod tests {
         nodes[0].send_bytes(PlaceId(1), vec![9]).unwrap();
         let (src, payload) = nodes[1].recv_bytes_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!((src, payload), (PlaceId(0), vec![9]));
-    }
-
-    #[test]
-    fn typed_transport_round_trips_and_rejects_corruption() {
-        let mut nodes = mesh(2).into_iter();
-        let a: SocketTransport<(u64, String)> =
-            SocketTransport::new(Arc::new(nodes.next().unwrap()));
-        let b: SocketTransport<(u64, String)> =
-            SocketTransport::new(Arc::new(nodes.next().unwrap()));
-        a.send(PlaceId(0), PlaceId(1), (42, "hi".into()), 0)
-            .unwrap();
-        let env = b.recv_timeout(PlaceId(1), Duration::from_secs(5)).unwrap();
-        assert_eq!(env.src, PlaceId(0));
-        assert_eq!(env.msg, (42, "hi".into()));
-
-        // Corrupt payload: raw bytes that do not decode as the type.
-        b.node().send_bytes(PlaceId(0), vec![1, 2, 3]).unwrap();
-        assert!(a
-            .recv_timeout(PlaceId(0), Duration::from_millis(300))
-            .is_none());
-        assert!(
-            !a.liveness().is_alive(PlaceId(1)),
-            "corrupt sender marked dead"
-        );
     }
 
     #[test]

@@ -45,6 +45,28 @@ pub struct PlaceStats {
 }
 
 impl PlaceStats {
+    /// These counters in the order a socket place puts them on the
+    /// wire, with `busy_ns` — the place's compute time, which is not a
+    /// substrate counter — in seventh position.
+    pub fn to_counters(&self, busy_ns: u64) -> [u64; STAT_COUNTERS] {
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        [
+            read(&self.tasks_run),
+            read(&self.messages_sent),
+            read(&self.bytes_sent),
+            read(&self.net_time_ns),
+            read(&self.cache_hits),
+            read(&self.cache_misses),
+            busy_ns,
+            read(&self.batches_sent),
+            read(&self.batched_msgs),
+            read(&self.pulls_sent),
+            read(&self.pulls_deduped),
+            read(&self.pushes_sent),
+            read(&self.pull_roundtrips_avoided),
+        ]
+    }
+
     /// Records one executed task.
     #[inline]
     pub fn on_task(&self) {
@@ -124,24 +146,21 @@ impl StatsBoard {
         &self.places[place.index()]
     }
 
+    /// Every place's counters summed, in [`PlaceStats::to_counters`]
+    /// order (summing is how counter arrays merge).
+    pub fn to_counters(&self) -> [u64; STAT_COUNTERS] {
+        let mut sum = [0; STAT_COUNTERS];
+        for place in self.places.iter() {
+            for (total, counter) in sum.iter_mut().zip(place.to_counters(0)) {
+                *total += counter;
+            }
+        }
+        sum
+    }
+
     /// Aggregates all places into a snapshot.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut s = StatsSnapshot::default();
-        for p in self.places.iter() {
-            s.tasks_run += p.tasks_run.load(Ordering::Relaxed);
-            s.messages_sent += p.messages_sent.load(Ordering::Relaxed);
-            s.bytes_sent += p.bytes_sent.load(Ordering::Relaxed);
-            s.net_time += Duration::from_nanos(p.net_time_ns.load(Ordering::Relaxed));
-            s.cache_hits += p.cache_hits.load(Ordering::Relaxed);
-            s.cache_misses += p.cache_misses.load(Ordering::Relaxed);
-            s.batches_sent += p.batches_sent.load(Ordering::Relaxed);
-            s.batched_msgs += p.batched_msgs.load(Ordering::Relaxed);
-            s.pulls_sent += p.pulls_sent.load(Ordering::Relaxed);
-            s.pulls_deduped += p.pulls_deduped.load(Ordering::Relaxed);
-            s.pushes_sent += p.pushes_sent.load(Ordering::Relaxed);
-            s.pull_roundtrips_avoided += p.pull_roundtrips_avoided.load(Ordering::Relaxed);
-        }
-        s
+        StatsSnapshot::from_counters(self.to_counters()).0
     }
 }
 
@@ -175,7 +194,31 @@ pub struct StatsSnapshot {
     pub pull_roundtrips_avoided: u64,
 }
 
+/// How many counters a place reports when an epoch ends: the twelve of
+/// a [`StatsSnapshot`] plus its compute time.
+pub const STAT_COUNTERS: usize = 13;
+
 impl StatsSnapshot {
+    /// Inverse of [`PlaceStats::to_counters`]: the snapshot and the busy
+    /// nanoseconds.
+    pub fn from_counters(c: [u64; STAT_COUNTERS]) -> (Self, u64) {
+        let snapshot = StatsSnapshot {
+            tasks_run: c[0],
+            messages_sent: c[1],
+            bytes_sent: c[2],
+            net_time: Duration::from_nanos(c[3]),
+            cache_hits: c[4],
+            cache_misses: c[5],
+            batches_sent: c[7],
+            batched_msgs: c[8],
+            pulls_sent: c[9],
+            pulls_deduped: c[10],
+            pushes_sent: c[11],
+            pull_roundtrips_avoided: c[12],
+        };
+        (snapshot, c[6])
+    }
+
     /// Cache hit rate in `[0, 1]`; `None` when the cache saw no traffic.
     pub fn cache_hit_rate(&self) -> Option<f64> {
         let total = self.cache_hits + self.cache_misses;

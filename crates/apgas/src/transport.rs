@@ -10,10 +10,10 @@
 //!   serialization), and each send is *priced* through the
 //!   [`NetworkModel`] so experiments can report what the transfer would
 //!   have cost on a real interconnect.
-//! * [`crate::socket::SocketTransport`] — one OS process per place,
-//!   connected by a TCP mesh. Messages are encoded with [`crate::Codec`],
-//!   framed, and the stats record the bytes *actually* written to the
-//!   socket; no network model is involved.
+//! * [`crate::socket`] — one OS process per place, connected by a TCP
+//!   mesh. The engine's plane over a [`crate::SocketNode`] encodes with
+//!   [`crate::Codec`] and frames, and the stats record the bytes
+//!   *actually* written to the socket; no network model is involved.
 //!
 //! The trait is object safe: engines hold an `Arc<dyn Transport<M>>`.
 
@@ -61,10 +61,6 @@ pub trait Transport<M: Send>: Send + Sync {
     fn flush(&self, at: PlaceId) {
         let _ = at;
     }
-
-    /// Tears the transport down (flush, close connections). Idempotent;
-    /// the default does nothing, which is right for in-process channels.
-    fn shutdown(&self) {}
 }
 
 /// The in-process transport: every place's inbox lives in this struct,
@@ -160,6 +156,5 @@ mod tests {
         assert_eq!(t.num_places(), 2);
         let env = t.recv_timeout(PlaceId(1), Duration::from_secs(1)).unwrap();
         assert_eq!(env.msg, 9);
-        t.shutdown(); // default no-op
     }
 }

@@ -67,12 +67,13 @@ use dpx10_apgas::{
     Codec, ElasticEvent, ElasticPlan, ElasticVerb, NetworkModel, PlaceId, RosterBoard, StatsBoard,
     Topology,
 };
-use dpx10_dag::{validate_pattern, DagPattern, VertexId};
+use dpx10_dag::{DagPattern, VertexId};
 use dpx10_distarray::{ChunkMap, ChunkState, Dist, DistArray, DistKind, EpochVerdict, Region2D};
 use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 
 use crate::app::{DagResult, DepView, DpApp, VertexValue};
 use crate::config::{CommsMode, EngineConfig};
+use crate::epoch::validate;
 use crate::error::EngineError;
 use crate::msg::Msg;
 use crate::protocol::{handle_msg, prepare, publish, Place, Sink, WorkerBufs};
@@ -474,9 +475,7 @@ impl<A: DpApp> Machine<A> {
         // What every engine does unless told otherwise: the validation
         // rule and the cache size of the default configuration.
         let defaults = EngineConfig::paper(1);
-        if defaults.validate_pattern && total <= defaults.validate_limit {
-            validate_pattern(pattern.as_ref())?;
-        }
+        validate(&defaults, pattern.as_ref())?;
         let mut members = match &engine.config.initial_members {
             Some(m) => m.clone(),
             None => (0..engine.config.founding).collect(),

@@ -7,33 +7,30 @@
 //! then invoke `appFinished`. The per-vertex protocol itself lives in
 //! [`crate::protocol`]; this module is its real-time driver — the worker
 //! loop and the `Worker` sink — shared with the socket places and the
-//! job pool. Fault tolerance follows §VI-D: a
-//! `DeadPlaceError` ends the epoch, the paper's recovery rebuilds the
-//! distributed array over the survivors, and a fresh epoch resumes from
-//! the restored state.
+//! job pool. The epoch loop and §VI-D's recovery live in
+//! [`crate::epoch`]; [`ThreadedEngine`] is the host of that loop whose
+//! places are all worker pools of one process.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dpx10_apgas::{
-    mailbox::Envelope, ChaosRng, ChaosTransport, CoalesceConfig, CoalescingTransport, FinishScope,
-    KillTrigger, LocalTransport, PlaceId, Runtime, RuntimeConfig, Transport,
+    mailbox::Envelope, ChaosRng, ChaosTransport, FinishScope, LocalTransport, PlaceId, Runtime,
+    RuntimeConfig, Transport,
 };
-use dpx10_dag::{validate_pattern, AggSpec, DagPattern, DepInterval, VertexId};
-use dpx10_distarray::{recover, Dist, DistArray, RecoveryCostModel, Region2D};
+use dpx10_dag::{DagPattern, DepInterval, VertexId};
 use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 
 use crate::app::{AggView, DagResult, DepView, DpApp};
 use crate::checkpoint::CheckpointWriters;
 use crate::config::{EngineConfig, InitOverride};
+use crate::epoch::{drive, preflight, EpochWorkers, Host, Run};
 use crate::error::EngineError;
 use crate::msg::Msg;
 use crate::protocol::{agg_record, gather, handle_msg, prepare, publish, Place, Sink, WorkerBufs};
 use crate::schedule::ScheduleStrategy;
 use crate::socket_engine::data_well_formed;
-use crate::state::{build_shards, collect_array, Shard};
-use crate::stats::RunReport;
 
 /// The threaded engine: one instance runs one application to completion.
 pub struct ThreadedEngine<A: DpApp> {
@@ -72,258 +69,94 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
     /// Runs the computation to completion (surviving any planned fault)
     /// and returns the full result set.
     pub fn run(&self) -> Result<DagResult<A::Value>, EngineError> {
-        let pattern = &self.pattern;
-        let total = pattern.vertex_count();
-        if self.config.validate_pattern && total <= self.config.validate_limit {
-            validate_pattern(pattern.as_ref())?;
-        }
-        let chaos_kills: Vec<dpx10_apgas::KillSpec> = self
-            .config
-            .chaos
-            .as_ref()
-            .map(|p| p.kills.clone())
-            .unwrap_or_default();
-        for victim in self
-            .config
-            .fault
-            .iter()
-            .map(|p| p.place)
-            .chain(chaos_kills.iter().map(|k| k.place))
-        {
-            if victim == PlaceId::ZERO
-                || victim.index() >= self.config.topology.num_places() as usize
-            {
-                return Err(EngineError::BadFaultPlan(format!(
-                    "{victim} is not a killable place"
-                )));
-            }
-        }
-
-        let topo = self.config.topology;
+        let cfg = &self.config;
+        let topo = cfg.topology;
+        preflight(cfg, self.pattern.as_ref())?;
         let rt = Runtime::new(RuntimeConfig {
             topology: topo,
-            network: self.config.network,
+            network: cfg.network,
         });
-        let region = Region2D::new(pattern.height(), pattern.width());
-
-        let checkpoint = match &self.config.checkpoint {
-            Some(cfg) => Some(Arc::new(
-                CheckpointWriters::create(cfg, topo.num_places())
+        let checkpoint = match &cfg.checkpoint {
+            Some(ckpt) => Some(Arc::new(
+                CheckpointWriters::create(ckpt, topo.num_places())
                     .map_err(|e| EngineError::BadFaultPlan(format!("checkpoint: {e}")))?,
             )),
             None => None,
         };
-        let started = Instant::now();
-        let mut report = RunReport {
-            vertices_total: total,
-            ..RunReport::default()
-        };
-        let mut prior: Option<DistArray<A::Value>> = None;
-        let mut alive: Vec<PlaceId> = rt.places().collect();
-        let mut busy_by_place = vec![0u64; topo.num_places() as usize];
-
-        let final_array = loop {
-            report.epochs += 1;
-            self.recorder.instant_now(
-                0,
-                RUNTIME_WORKER,
-                EventKind::EpochStart,
-                u64::from(report.epochs),
-            );
-            let dist = Arc::new(Dist::new(
-                region,
-                self.config.dist_kind.clone(),
-                alive.clone(),
-            ));
-            let agg = agg_mode(&self.config, self.app.as_ref(), pattern.as_ref());
-            let (shards, prefinished) = build_shards(
-                pattern.as_ref(),
-                &dist,
-                prior.as_ref(),
-                None,
-                self.init.as_ref(),
-                self.config.cache_capacity,
-                agg,
-            );
-            if agg.is_some() {
-                // Recovery/init epochs: prefinished cells never publish
-                // again, so their keys must be reseeded into every
-                // place's lanes (the in-process engine holds the full
-                // prior array, so no place is left with gaps).
-                seed_aggs(self.app.as_ref(), &shards);
-            }
-
-            if prefinished == total {
-                break collect_array(&shards, &dist);
-            }
-
+        // Fresh mailboxes each epoch: an abandoned epoch's messages must
+        // not reach the next one.
+        let mut transport = |_epoch: u32| {
             let mut transport: Arc<dyn Transport<Msg<A::Value>>> = Arc::new(LocalTransport::new(
                 topo,
-                self.config.network,
+                cfg.network,
                 rt.liveness().clone(),
                 rt.stats().clone(),
             ));
-            if let Some(plan) = &self.config.chaos {
-                if !plan.net.is_off() {
-                    // `Done` and `PushVal` carry indegree decrements,
-                    // which are not idempotent — everything else on this
-                    // plane is.
-                    let dup_safe: dpx10_apgas::chaos::DupSafe<Msg<A::Value>> = Arc::new(|m| {
-                        !matches!(
-                            m,
-                            Msg::Done { .. }
-                                | Msg::DoneBatch { .. }
-                                | Msg::PushVal { .. }
-                                | Msg::PushValBatch { .. }
-                        )
-                    });
-                    transport = Arc::new(ChaosTransport::new(
-                        transport, plan.net, plan.seed, dup_safe,
-                    ));
-                }
-            }
-            if let Some(max_bytes) = self.config.coalesce {
-                // Built fresh each epoch (outside the chaos layer so
-                // flushed batches still face injected delay/dup):
-                // buffered traffic of an abandoned epoch dies here.
-                transport = Arc::new(CoalescingTransport::new(
-                    transport,
-                    CoalesceConfig::bytes(max_bytes),
-                    rt.stats().clone(),
-                    self.recorder.clone(),
+            if let Some(plan) = cfg.chaos.as_ref().filter(|p| !p.net.is_off()) {
+                // `Done` and `PushVal` carry indegree decrements, which
+                // are not idempotent — everything else on this plane is.
+                let dup_safe: dpx10_apgas::chaos::DupSafe<Msg<A::Value>> = Arc::new(|m| {
+                    !matches!(
+                        m,
+                        Msg::Done { .. }
+                            | Msg::DoneBatch { .. }
+                            | Msg::PushVal { .. }
+                            | Msg::PushValBatch { .. }
+                    )
+                });
+                transport = Arc::new(ChaosTransport::new(
+                    transport, plan.net, plan.seed, dup_safe,
                 ));
             }
-
-            // Progress-triggered kills, one-shot across epochs: don't
-            // re-kill after recovery. The legacy single-fault plan and
-            // the chaos plan's kills arm side by side.
-            let to_threshold = |frac: f64| ((frac * total as f64).ceil() as u64).clamp(1, total);
-            let mut fault_plan: Vec<FaultTrigger> = Vec::new();
-            let mut time_kills: Vec<(PlaceId, Duration)> = Vec::new();
-            for (victim, frac) in self
-                .config
-                .fault
-                .iter()
-                .map(|p| (p.place, p.after_fraction))
-                .chain(chaos_kills.iter().filter_map(|k| match k.trigger {
-                    KillTrigger::Progress(f) => Some((k.place, f)),
-                    KillTrigger::After(_) => None,
-                }))
-            {
-                if rt.liveness().is_alive(victim) {
-                    fault_plan.push(FaultTrigger {
-                        victim,
-                        threshold: to_threshold(frac),
-                        fired: AtomicBool::new(false),
-                    });
-                }
-            }
-            for k in &chaos_kills {
-                if let KillTrigger::After(t) = k.trigger {
-                    if rt.liveness().is_alive(k.place) {
-                        time_kills.push((k.place, t));
-                    }
-                }
-            }
-
-            let shared = Arc::new(Shared {
-                place: Place {
-                    app: self.app.clone(),
-                    pattern: pattern.clone(),
-                    dist: dist.clone(),
-                    shards,
-                    stats: rt.stats().clone(),
-                    topo,
-                    net: self.config.network,
-                    schedule: self.config.schedule,
-                    comms: self.config.comms,
-                    agg,
-                },
-                stall_limit: self.config.stall_limit,
-                transport,
-                // Every sender is a thread of this process.
-                check_peers: false,
-                liveness: rt.liveness().clone(),
-                total,
-                finished_global: AtomicU64::new(prefinished),
-                computed: AtomicU64::new(0),
-                done: AtomicBool::new(false),
-                fault: AtomicBool::new(false),
-                stalled: AtomicBool::new(false),
-                fault_plan,
-                time_kills,
-                run_started: started,
-                shake: self
-                    .config
-                    .chaos
-                    .as_ref()
-                    .filter(|p| p.shake)
-                    .map(|p| p.seed),
-                worker_seq: AtomicU64::new(0),
-                checkpoint: checkpoint.clone(),
-                recorder: self.recorder.clone(),
-            });
-
-            run_epoch(&rt, &shared);
-
-            report.vertices_computed += shared.computed.load(Ordering::Relaxed);
-            for (slot, shard) in shared.place.shards.iter().enumerate() {
-                busy_by_place[dist.places()[slot].index()] += shard.busy_ns.load(Ordering::Relaxed);
-            }
-
-            if shared.stalled.load(Ordering::Acquire) {
-                return Err(EngineError::Stalled {
-                    finished: shared.finished_global.load(Ordering::Relaxed),
-                    total,
-                });
-            }
-
-            if shared.done.load(Ordering::Acquire) {
-                break collect_array(&shared.place.shards, &dist);
-            }
-
-            // Fault: run the paper's recovery and start a new epoch.
-            debug_assert!(shared.fault.load(Ordering::Acquire));
-            let dead: Vec<PlaceId> = alive
-                .iter()
-                .copied()
-                .filter(|&p| !rt.liveness().is_alive(p))
-                .collect();
-            let snapshot = collect_array(&shared.place.shards, &dist);
-            let rec_start = self.recorder.now_ns();
-            let (restored, rec) = recover(
-                &snapshot,
-                &dead,
-                self.config.restore_manner,
-                &topo,
-                &self.config.network,
-                &RecoveryCostModel::default(),
-            );
-            self.recorder.span(
-                0,
-                RUNTIME_WORKER,
-                EventKind::Recovery,
-                rec_start,
-                self.recorder.now_ns(),
-                u64::from(report.epochs),
-            );
-            report.recovery_time += rec.sim_time;
-            report.recoveries.push(rec);
-            prior = Some(restored);
-            alive.retain(|p| rt.liveness().is_alive(*p));
+            transport
         };
+        let places = rt.places().collect();
+        let run = Run::new(&self.app, &self.pattern, cfg, self.init.as_ref(), places);
+        // Every participant is a worker pool of this process.
+        let host = Host {
+            me: PlaceId::ZERO,
+            liveness: rt.liveness().clone(),
+            stats: rt.stats().clone(),
+            recorder: self.recorder.clone(),
+            transport: &mut transport,
+            workers: &mut Activities {
+                rt: &rt,
+                scope: FinishScope::new(),
+            },
+            kill: &|victim| {
+                rt.liveness().kill(victim);
+            },
+            checkpoint,
+            mesh: None,
+        };
+        Ok(drive(run, host)?.expect("place 0 holds the result"))
+    }
+}
 
-        report.wall_time = started.elapsed();
-        // Per-place busy time from the measured compute intervals, in
-        // the final epoch's slot order (matching the simulator).
-        report.place_busy = alive
-            .iter()
-            .map(|p| Duration::from_nanos(busy_by_place[p.index()]))
-            .collect();
-        report.comm = rt.stats_snapshot();
-        let result = DagResult::new(final_array, report);
-        self.app.app_finished(&result);
-        Ok(result)
+/// An epoch's workers as the paper spawns them: `finish { at (p) async
+/// worker }`, `threads_per_place` activities on each place's pool.
+struct Activities<'a> {
+    rt: &'a Runtime,
+    scope: FinishScope,
+}
+
+impl<A: DpApp + 'static> EpochWorkers<A> for Activities<'_> {
+    fn attach(&mut self, shared: &Arc<Shared<A>>, slot: usize) -> Result<(), EngineError> {
+        let place = shared.place.dist.places()[slot];
+        for _ in 0..shared.place.topo.threads_per_place {
+            let shared = shared.clone();
+            // A dead place fails the spawn; the epoch then ends through
+            // the fault flag set by the first blocked sender.
+            let _ = self
+                .rt
+                .spawn_at(place, &self.scope, move || worker_loop(shared, slot));
+        }
+        Ok(())
+    }
+
+    fn detach(&mut self) -> Result<(), EngineError> {
+        self.scope.wait();
+        Ok(())
     }
 }
 
@@ -332,7 +165,6 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
 /// drives the same worker loop over its own transport.
 pub(crate) struct Shared<A: DpApp> {
     pub(crate) place: Place<A>,
-    pub(crate) stall_limit: Duration,
     pub(crate) transport: Arc<dyn Transport<Msg<A::Value>>>,
     /// Whether inbound messages come from other processes and must pass
     /// [`crate::socket_engine::data_well_formed`] before they may index
@@ -344,57 +176,16 @@ pub(crate) struct Shared<A: DpApp> {
     pub(crate) computed: AtomicU64,
     pub(crate) done: AtomicBool,
     pub(crate) fault: AtomicBool,
-    pub(crate) stalled: AtomicBool,
+    /// Progress-triggered kills that fire exactly, from the worker that
+    /// publishes the threshold vertex (empty where the global finished
+    /// count is not visible: on a mesh the coordinator polls instead).
     pub(crate) fault_plan: Vec<FaultTrigger>,
-    /// Wall-clock-triggered kills, fired by the epoch watchdog.
-    pub(crate) time_kills: Vec<(PlaceId, Duration)>,
-    /// When the whole run started (time kills are relative to it).
-    pub(crate) run_started: Instant,
     /// Schedule-shaker seed; `Some` randomizes the worker loops.
     pub(crate) shake: Option<u64>,
     /// Hands each worker a distinct id (trace track + shaker substream).
     pub(crate) worker_seq: AtomicU64,
     pub(crate) checkpoint: Option<Arc<CheckpointWriters<A::Value>>>,
     pub(crate) recorder: Recorder,
-}
-
-/// Whether a run executes through the prefix-aggregation lanes: the
-/// config knob is on, the app declares a spec, and the pattern exposes
-/// an interval view. All three must hold — any classic app or pattern
-/// silently takes the enumerated path.
-pub(crate) fn agg_mode<A: DpApp>(
-    config: &EngineConfig,
-    app: &A,
-    pattern: &dyn DagPattern,
-) -> Option<AggSpec> {
-    if !config.aggregation || pattern.as_range().is_none() {
-        return None;
-    }
-    app.agg_spec()
-}
-
-/// Reseeds every shard's aggregation lanes from the values already
-/// published in (any) shard — the prefinished cells of a recovery or
-/// init epoch, which will never flow through a delivery path again.
-/// Cells finished without a value (the socket engine's meta-only
-/// restores) stay out; the consumer-side pull fallback covers them.
-pub(crate) fn seed_aggs<A: DpApp>(app: &A, shards: &[Shard<A::Value>]) {
-    for src in shards {
-        for (li, &(i, j)) in src.points.iter().enumerate() {
-            if !src.in_pattern[li] {
-                continue;
-            }
-            let Some(v) = src.values[li].get() else {
-                continue;
-            };
-            let id = VertexId::new(i, j);
-            for dst in shards {
-                if let Some(table) = &dst.aggs {
-                    table.record(id, |axis| app.agg_key(axis, id, v));
-                }
-            }
-        }
-    }
 }
 
 /// One armed progress-triggered kill.
@@ -475,47 +266,6 @@ impl<A: DpApp> Sink<A::Value> for Worker<'_, A> {
             }
         }
     }
-}
-
-/// Runs one epoch: spawns the workers, babysits progress, joins them.
-fn run_epoch<A: DpApp + 'static>(rt: &Runtime, shared: &Arc<Shared<A>>) {
-    let scope = FinishScope::new();
-    let threads = shared.place.topo.threads_per_place;
-    for (slot, place) in shared.place.dist.places().iter().enumerate() {
-        for _ in 0..threads {
-            let shared = shared.clone();
-            // A dead place fails the spawn; the epoch then ends through
-            // the fault flag set by the first blocked sender.
-            let _ = rt.spawn_at(*place, &scope, move || worker_loop(shared, slot));
-        }
-    }
-
-    // Watchdog: workers park briefly when idle, so they notice the flags
-    // quickly; if global progress freezes without done/fault, flag a
-    // stall so `run` can fail instead of hanging.
-    let mut last = shared.finished_global.load(Ordering::Relaxed);
-    let mut last_change = Instant::now();
-    while !shared.should_stop() {
-        std::thread::sleep(Duration::from_millis(2));
-        // Wall-clock chaos kills fire from here, not from publish:
-        // "kill after T" must work even while no vertex is finishing.
-        for &(victim, after) in &shared.time_kills {
-            if shared.run_started.elapsed() >= after && shared.liveness.is_alive(victim) {
-                shared.liveness.kill(victim);
-                shared.fault.store(true, Ordering::Release);
-            }
-        }
-        let now = shared.finished_global.load(Ordering::Relaxed);
-        if now != last {
-            last = now;
-            last_change = Instant::now();
-        } else if last_change.elapsed() > shared.stall_limit {
-            shared.stalled.store(true, Ordering::Release);
-            shared.done.store(true, Ordering::Release); // unblock workers
-            break;
-        }
-    }
-    scope.wait();
 }
 
 /// The per-thread worker: drain messages, execute ready vertices, steal

@@ -1,0 +1,560 @@
+//! The epoch loop: paper §VI-A's execution overview (distribute, seed
+//! the ready lists, run workers until every vertex is finished) wrapped
+//! in §VI-D's recovery rule (keep the surviving finished cells,
+//! redistribute over the survivors, recompute the rest).
+//!
+//! The steps are plain functions — [`preflight`], [`Run::begin`],
+//! [`Run::recover`], [`Run::finish`] — which the simulator calls from
+//! its own event loop. The real-time engines share the loop too,
+//! `drive`: the threaded engine, a socket place and a served job are
+//! its hosts (DESIGN.md §5 has the table).
+
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use dpx10_apgas::{
+    ChaosRng, CoalesceConfig, CoalescingTransport, KillTrigger, LivenessBoard, PlaceId, StatsBoard,
+    StatsSnapshot, Transport,
+};
+use dpx10_dag::{validate_pattern, DagPattern, VertexId};
+use dpx10_distarray::{Dist, DistArray, RecoveryCostModel, Region2D};
+use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
+
+use crate::app::{DagResult, DpApp};
+use crate::checkpoint::CheckpointWriters;
+use crate::config::{EngineConfig, InitOverride};
+use crate::engine::{FaultTrigger, Shared};
+use crate::error::EngineError;
+use crate::msg::Msg;
+use crate::protocol::Place;
+use crate::state::{build_shards, collect_array, Shard};
+use crate::stats::RunReport;
+
+/// How often a coordinator judges the epoch: kills, liveness, completion.
+pub(crate) const TICK: Duration = Duration::from_millis(2);
+
+/// Validates `pattern` when `cfg` asks for it and the DAG is small
+/// enough (validation enumerates every edge).
+pub fn validate(cfg: &EngineConfig, pattern: &dyn DagPattern) -> Result<(), EngineError> {
+    if cfg.validate_pattern && pattern.vertex_count() <= cfg.validate_limit {
+        validate_pattern(pattern)?;
+    }
+    Ok(())
+}
+
+/// Rejects a planned kill of place 0 (Resilient X10's documented limit)
+/// or of a place outside `0..places`.
+pub fn killable(
+    places: u16,
+    victims: impl IntoIterator<Item = PlaceId>,
+) -> Result<(), EngineError> {
+    for victim in victims {
+        if victim == PlaceId::ZERO || victim.index() >= places as usize {
+            return Err(EngineError::BadFaultPlan(format!(
+                "{victim} is not a killable place"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Every kill `cfg` plans: the single fault plan plus the chaos plan's.
+fn planned_kills(cfg: &EngineConfig) -> Vec<(PlaceId, KillTrigger)> {
+    let fault = cfg.fault.iter();
+    let fault = fault.map(|p| (p.place, KillTrigger::Progress(p.after_fraction)));
+    let chaos = cfg.chaos.iter().flat_map(|p| &p.kills);
+    fault.chain(chaos.map(|k| (k.place, k.trigger))).collect()
+}
+
+/// Every engine's pre-flight: a valid pattern and killable victims.
+pub fn preflight(cfg: &EngineConfig, pattern: &dyn DagPattern) -> Result<(), EngineError> {
+    validate(cfg, pattern)?;
+    let victims = planned_kills(cfg).into_iter().map(|(p, _)| p);
+    killable(cfg.topology.num_places(), victims)
+}
+
+/// The finished count at which a kill planned after `frac` of the DAG
+/// fires: at least one vertex, at most all of them.
+pub fn kill_threshold(frac: f64, total: u64) -> u64 {
+    ((frac * total as f64).ceil() as u64).clamp(1, total)
+}
+
+/// Reseeds every shard's aggregation lanes from the values already
+/// published in (any) shard — the prefinished cells of a recovery or
+/// init epoch, which will never flow through a delivery path again.
+/// Cells finished without a value (a socket place's meta-only restores)
+/// stay out; the consumer-side pull fallback covers them.
+fn seed_aggs<A: DpApp>(app: &A, shards: &[Shard<A::Value>]) {
+    for src in shards {
+        for (li, &(i, j)) in src.points.iter().enumerate() {
+            if !src.in_pattern[li] {
+                continue;
+            }
+            let Some(v) = src.values[li].get() else {
+                continue;
+            };
+            let id = VertexId::new(i, j);
+            for dst in shards {
+                if let Some(table) = &dst.aggs {
+                    table.record(id, |axis| app.agg_key(axis, id, v));
+                }
+            }
+        }
+    }
+}
+
+/// What a `Resume` scatter hands a socket place: the finished
+/// `(packed id, value)` cells of its subtree, and every finished id.
+pub type Scatter<V> = (Vec<(u64, V)>, Vec<u64>);
+
+/// What a run carries from epoch to epoch, and the steps that advance
+/// it; workers, clock and traces are the caller's.
+pub struct Run<'a, A: DpApp> {
+    app: &'a Arc<A>,
+    pattern: &'a Arc<dyn DagPattern>,
+    cfg: &'a EngineConfig,
+    init: Option<&'a InitOverride<A::Value>>,
+    started: Instant,
+    /// The report so far.
+    pub report: RunReport,
+    /// The surviving participants, in slot order; only ever shrinks.
+    pub alive: Vec<PlaceId>,
+    /// The recovered array the next epoch starts from.
+    pub prior: Option<DistArray<A::Value>>,
+}
+
+impl<'a, A: DpApp> Run<'a, A> {
+    /// A run on `participants`; its wall clock starts here.
+    pub fn new(
+        app: &'a Arc<A>,
+        pattern: &'a Arc<dyn DagPattern>,
+        cfg: &'a EngineConfig,
+        init: Option<&'a InitOverride<A::Value>>,
+        participants: Vec<PlaceId>,
+    ) -> Self {
+        let report = RunReport {
+            vertices_total: pattern.vertex_count(),
+            ..RunReport::default()
+        };
+        Run {
+            app,
+            pattern,
+            cfg,
+            init,
+            started: Instant::now(),
+            report,
+            alive: participants,
+            prior: None,
+        }
+    }
+
+    /// Begins the next epoch: distributes the region over the survivors
+    /// and builds their shards from what is already finished — the
+    /// recovered `prior`, the init override, or (on a socket place,
+    /// which holds its subtree's values only) a `Resume` scatter.
+    /// Returns the protocol state and how many cells start finished:
+    /// at `report.vertices_total`, the shards already hold the result.
+    pub fn begin(
+        &mut self,
+        scatter: Option<Scatter<A::Value>>,
+        stats: &StatsBoard,
+    ) -> (Place<A>, u64) {
+        self.report.epochs += 1;
+        let (cfg, pattern) = (self.cfg, self.pattern.as_ref());
+        let region = Region2D::new(pattern.height(), pattern.width());
+        let dist = Arc::new(Dist::new(region, cfg.dist_kind.clone(), self.alive.clone()));
+        let mut meta: Option<HashSet<u64>> = None;
+        if let Some((cells, ids)) = scatter {
+            // Cells whose values went to another subtree still unblock
+            // their dependents here; the owner serves the value.
+            let mut arr = DistArray::new(dist.clone());
+            for (packed, v) in cells {
+                let id = VertexId::unpack(packed);
+                arr.set(id.i, id.j, v);
+            }
+            self.prior = Some(arr);
+            meta = Some(ids.into_iter().collect());
+        }
+        // Lanes need the knob on, an app with a spec and a pattern with
+        // an interval view; anything else takes the enumerated path.
+        let ranged = cfg.aggregation && pattern.as_range().is_some();
+        let agg = self.app.agg_spec().filter(|_| ranged);
+        let (shards, prefinished) = build_shards(
+            pattern,
+            &dist,
+            self.prior.as_ref(),
+            meta.as_ref(),
+            self.init,
+            cfg.cache_capacity,
+            agg,
+        );
+        if agg.is_some() {
+            // Prefinished cells never publish again: reseed their keys.
+            seed_aggs(self.app.as_ref(), &shards);
+        }
+        let place = Place {
+            app: self.app.clone(),
+            pattern: self.pattern.clone(),
+            dist,
+            shards,
+            stats: stats.clone(),
+            topo: cfg.topology,
+            net: cfg.network,
+            schedule: cfg.schedule,
+            comms: cfg.comms,
+            agg,
+        };
+        (place, prefinished)
+    }
+
+    /// The paper's recovery over the abandoned epoch's `snapshot`: books
+    /// the pass, prunes `dead` from the roster, leaves the restored array
+    /// as the next `prior`. Returns the pass's modelled duration.
+    pub fn recover(
+        &mut self,
+        snapshot: &DistArray<A::Value>,
+        dead: &[PlaceId],
+        costs: &RecoveryCostModel,
+    ) -> Duration {
+        let cfg = self.cfg;
+        let (restored, rec) = dpx10_distarray::recover(
+            snapshot,
+            dead,
+            cfg.restore_manner,
+            &cfg.topology,
+            &cfg.network,
+            costs,
+        );
+        self.report.recovery_time += rec.sim_time;
+        self.report.recoveries.push(rec);
+        self.prior = Some(restored);
+        self.alive.retain(|p| !dead.contains(p));
+        rec.sim_time
+    }
+
+    /// Completes the report and hands the result to `appFinished`.
+    pub fn finish(
+        mut self,
+        array: DistArray<A::Value>,
+        comm: StatsSnapshot,
+        place_busy: Vec<Duration>,
+    ) -> DagResult<A::Value> {
+        self.report.wall_time = self.started.elapsed();
+        self.report.comm = comm;
+        self.report.place_busy = place_busy;
+        let result = DagResult::new(array, self.report);
+        self.app.app_finished(&result);
+        result
+    }
+}
+
+/// Who computes an epoch's vertices for a host.
+pub(crate) trait EpochWorkers<A: DpApp> {
+    /// Starts workers on `slot`; called once per slot the host runs.
+    fn attach(&mut self, shared: &Arc<Shared<A>>, slot: usize) -> Result<(), EngineError>;
+    /// Returns once no worker touches the epoch any more (`shared.done`
+    /// is already up); an error means a worker did not end cleanly.
+    fn detach(&mut self) -> Result<(), EngineError>;
+}
+
+/// How an epoch ended on one host.
+pub(crate) enum Flow<V> {
+    /// Coordinator: every vertex finished.
+    Finished,
+    /// Coordinator: a place died (or a planned kill fired); recover.
+    Fault,
+    /// Follower: released by the coordinator, or crashed by a kill.
+    Exit,
+    /// Follower: enter the next epoch on these survivors (in slot
+    /// order) from this scatter.
+    Resume(Vec<PlaceId>, Scatter<V>),
+}
+
+/// What the loop asks of a host whose other participants run in other
+/// processes — the one seam to a mesh.
+pub(crate) trait Mesh<A: DpApp> {
+    /// Follower: runs `epoch`, reporting to and obeying the coordinator.
+    fn follow(
+        &mut self,
+        shared: &Arc<Shared<A>>,
+        epoch: u32,
+        busy_before: u64,
+    ) -> Result<Flow<A::Value>, EngineError>;
+    /// Coordinator: waits one [`TICK`], folding the finished counts the
+    /// other places report into `table` (one entry per slot).
+    fn progress(&mut self, epoch: u32, alive: &[PlaceId], table: &mut [u64]);
+    /// Coordinator: announces how `epoch` ended (finished, or aborted
+    /// over the dead) and gathers every other survivor's finished cells
+    /// into `arr`, computed count into `computed` and cumulative compute
+    /// time into `busy` (by place). Returns who never answered.
+    fn conclude(
+        &mut self,
+        epoch: u32,
+        alive: &[PlaceId],
+        aborted: Option<&[PlaceId]>,
+        arr: &mut DistArray<A::Value>,
+        computed: &mut u64,
+        busy: &mut [u64],
+    ) -> Vec<PlaceId>;
+    /// Coordinator: starts `epoch` on the survivors from `restored`.
+    fn resume(&mut self, epoch: u32, alive: &[PlaceId], restored: &DistArray<A::Value>);
+    /// The run's communication counters, every place's.
+    fn comm(&self) -> StatsSnapshot;
+}
+
+/// The process an epoch loop runs in.
+pub(crate) struct Host<'a, A: DpApp> {
+    /// The place this process acts as; place 0 coordinates.
+    pub me: PlaceId,
+    pub liveness: LivenessBoard,
+    pub stats: StatsBoard,
+    pub recorder: Recorder,
+    /// An epoch's transport, before the loop adds coalescing.
+    pub transport: &'a mut dyn FnMut(u32) -> Arc<dyn Transport<Msg<A::Value>>>,
+    pub workers: &'a mut dyn EpochWorkers<A>,
+    /// Delivers a planned kill to its victim.
+    pub kill: &'a dyn Fn(PlaceId),
+    /// Spill-to-disk writers (one process must own every place's file).
+    pub checkpoint: Option<Arc<CheckpointWriters<A::Value>>>,
+    /// `None`: every participant's workers run here; else only `me`'s.
+    pub mesh: Option<&'a mut dyn Mesh<A>>,
+}
+
+/// Runs `run` to completion on `host`. `Ok(Some(result))` on the
+/// coordinator, `Ok(None)` on every other place.
+pub(crate) fn drive<A: DpApp + 'static>(
+    mut run: Run<'_, A>,
+    mut host: Host<'_, A>,
+) -> Result<Option<DagResult<A::Value>>, EngineError> {
+    let (cfg, total, me) = (run.cfg, run.report.vertices_total, host.me);
+    let (recorder, liveness) = (host.recorder.clone(), host.liveness.clone());
+    // On a mesh no place sees the global finished count: the coordinator
+    // polls every kill. Alone, progress kills are armed in
+    // `Shared::fault_plan` and fire exactly. A kill sits on one side only.
+    let mut polled = planned_kills(cfg);
+    let mut exact: Vec<(PlaceId, u64)> = Vec::new();
+    if host.mesh.is_none() {
+        polled.retain(|&(victim, trigger)| match trigger {
+            KillTrigger::Progress(frac) => {
+                exact.push((victim, kill_threshold(frac, total)));
+                false
+            }
+            KillTrigger::After(_) => true,
+        });
+    }
+    // The shaker seed: per process, so places don't mirror each other.
+    let shake = cfg.chaos.as_ref().filter(|p| p.shake).map(|p| p.seed);
+    let shake = shake.map(|seed| match host.mesh {
+        Some(_) => ChaosRng::new(seed).fork(u64::from(me.0)).next_u64(),
+        None => seed,
+    });
+    // Compute time by place, across epochs (shards are rebuilt each).
+    let mut busy = vec![0u64; liveness.num_places() as usize];
+    let mut scatter = None;
+    let mut epoch: u32 = 0;
+
+    let final_array = loop {
+        let Some(my_slot) = run.alive.iter().position(|p| *p == me) else {
+            // The coordinator wrote us off (a false-positive timeout).
+            return Ok(None);
+        };
+        let (place, prefinished) = run.begin(scatter.take(), &host.stats);
+        recorder.instant_now(me.0, RUNTIME_WORKER, EventKind::EpochStart, epoch.into());
+        if prefinished == total {
+            if me != PlaceId::ZERO {
+                // A scattered prior may leave finished flags without
+                // values; only the coordinator holds the full array.
+                return Ok(None);
+            }
+            break collect_array(&place.shards, &place.dist);
+        }
+
+        let mut transport = (host.transport)(epoch);
+        if let Some(bytes) = cfg.coalesce {
+            // Fresh each epoch (an abandoned epoch's buffers die with
+            // it) and outermost (batches still face injected delay/dup).
+            transport = Arc::new(CoalescingTransport::new(
+                transport,
+                CoalesceConfig::bytes(bytes),
+                host.stats.clone(),
+                recorder.clone(),
+            ));
+        }
+        let shared = Arc::new(Shared {
+            place,
+            transport,
+            // Another process's bytes are checked before indexing.
+            check_peers: host.mesh.is_some(),
+            liveness: liveness.clone(),
+            total,
+            finished_global: AtomicU64::new(prefinished),
+            computed: AtomicU64::new(0),
+            done: AtomicBool::new(false),
+            fault: AtomicBool::new(false),
+            fault_plan: exact
+                .iter()
+                .filter(|(victim, _)| liveness.is_alive(*victim))
+                .map(|&(victim, threshold)| FaultTrigger {
+                    victim,
+                    threshold,
+                    fired: AtomicBool::new(false),
+                })
+                .collect(),
+            shake,
+            worker_seq: AtomicU64::new(0),
+            checkpoint: host.checkpoint.clone(),
+            recorder: recorder.clone(),
+        });
+        let hosted = match host.mesh {
+            Some(_) => my_slot..my_slot + 1,
+            None => 0..run.alive.len(),
+        };
+        for slot in hosted.clone() {
+            host.workers.attach(&shared, slot)?;
+        }
+
+        let outcome = if me == PlaceId::ZERO {
+            let clock = (run.started, cfg.stall_limit);
+            coordinate(&shared, &mut host, epoch, &hosted, clock, &mut polled)
+        } else {
+            let mesh = host.mesh.as_mut().expect("only a mesh has followers");
+            mesh.follow(&shared, epoch, busy[me.index()])
+        };
+        shared.done.store(true, Ordering::Release); // belt and braces
+        host.workers.detach()?;
+        let computed = &mut run.report.vertices_computed;
+        *computed += shared.computed.load(Ordering::Relaxed);
+        for slot in hosted {
+            let spent = &shared.place.shards[slot].busy_ns;
+            busy[run.alive[slot].index()] += spent.load(Ordering::Relaxed);
+        }
+
+        let (finished, mut dead) = match outcome? {
+            Flow::Finished => (true, Vec::new()),
+            Flow::Fault => {
+                let dead = run.alive.iter().copied().filter(|p| !liveness.is_alive(*p));
+                (false, dead.collect())
+            }
+            Flow::Exit => return Ok(None),
+            Flow::Resume(alive, restored) => {
+                run.alive = alive;
+                run.prior = None; // rebuilt from the scatter by `begin`
+                scatter = Some(restored);
+                epoch += 1;
+                continue;
+            }
+        };
+        let mut arr = collect_array(&shared.place.shards, &shared.place.dist);
+        if let Some(mesh) = &mut host.mesh {
+            let aborted = (!finished).then_some(dead.as_slice());
+            dead.extend(mesh.conclude(epoch, &run.alive, aborted, &mut arr, computed, &mut busy));
+            dead.sort_unstable();
+            dead.dedup();
+        }
+        if finished && dead.is_empty() {
+            break arr;
+        }
+        // Places died, mid-epoch or before handing their share over.
+        let rec_start = recorder.now_ns();
+        run.recover(&arr, &dead, &RecoveryCostModel::default());
+        let rec_end = recorder.now_ns();
+        recorder.span(
+            me.0,
+            RUNTIME_WORKER,
+            EventKind::Recovery,
+            rec_start,
+            rec_end,
+            epoch.into(),
+        );
+        epoch += 1;
+        if let (Some(mesh), Some(restored)) = (&mut host.mesh, &run.prior) {
+            mesh.resume(epoch, &run.alive, restored);
+        }
+    };
+
+    let comm = match &host.mesh {
+        Some(mesh) => mesh.comm(),
+        None => host.stats.snapshot(),
+    };
+    // In the final epoch's slot order (matching the simulator).
+    let busy = run.alive.iter().map(|p| busy[p.index()]);
+    let place_busy = busy.map(Duration::from_nanos).collect();
+    Ok(Some(run.finish(final_array, comm, place_busy)))
+}
+
+/// The coordinator's mid-epoch loop: sum the finished table, fire due
+/// kills, decide the epoch's fate — *before* the first wait, so a run
+/// shorter than a tick pays none.
+fn coordinate<A: DpApp>(
+    shared: &Shared<A>,
+    host: &mut Host<'_, A>,
+    epoch: u32,
+    hosted: &std::ops::Range<usize>,
+    (started, stall_limit): (Instant, Duration),
+    polled: &mut Vec<(PlaceId, KillTrigger)>,
+) -> Result<Flow<A::Value>, EngineError> {
+    let (total, me) = (shared.total, host.me);
+    let alive = shared.place.dist.places();
+    let stamp = |kind, arg: u64| shared.recorder.instant_now(me.0, RUNTIME_WORKER, kind, arg);
+    // Our own copy of another process's shard gives its prefinished
+    // count; hosted slots are re-read every tick.
+    let finished_local = |s: usize| {
+        let count = &shared.place.shards[s].finished_local;
+        count.load(Ordering::Relaxed)
+    };
+    let mut table: Vec<u64> = (0..alive.len()).map(finished_local).collect();
+    let mut last_sum = u64::MAX;
+    let mut last_change = Instant::now();
+    loop {
+        for s in hosted.clone() {
+            table[s] = finished_local(s);
+        }
+        let sum: u64 = table.iter().sum();
+
+        // A due kill leaves the plan: each fires at most once a run.
+        polled.retain(|&(victim, trigger)| {
+            let due = match trigger {
+                KillTrigger::Progress(frac) => sum >= kill_threshold(frac, total),
+                // Fires even while no vertex is finishing.
+                KillTrigger::After(delay) => started.elapsed() >= delay,
+            };
+            if due && shared.liveness.is_alive(victim) {
+                stamp(EventKind::CtlDie, u64::from(victim.0));
+                (host.kill)(victim);
+            }
+            !due
+        });
+
+        // Completion outranks a simultaneous death: a place that cannot
+        // hand its share over is caught when the epoch is concluded.
+        if sum >= total {
+            shared.done.store(true, Ordering::Release);
+            stamp(EventKind::CtlStop, u64::from(epoch));
+            return Ok(Flow::Finished);
+        }
+        let someone_died = alive.iter().any(|p| !shared.liveness.is_alive(*p));
+        if someone_died || shared.fault.load(Ordering::Acquire) {
+            shared.fault.store(true, Ordering::Release);
+            stamp(EventKind::Fault, u64::from(epoch));
+            return Ok(Flow::Fault);
+        }
+        if sum != last_sum {
+            last_sum = sum;
+            last_change = Instant::now();
+        } else if last_change.elapsed() > stall_limit {
+            // A broken custom pattern or an engine bug: don't hang.
+            stamp(EventKind::Stalled, sum);
+            shared.done.store(true, Ordering::Release); // unblock workers
+            return Err(EngineError::Stalled {
+                finished: sum,
+                total,
+            });
+        }
+        match &mut host.mesh {
+            Some(mesh) => mesh.progress(epoch, alive, &mut table),
+            None => std::thread::sleep(TICK),
+        }
+    }
+}

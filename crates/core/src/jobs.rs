@@ -46,19 +46,18 @@ use std::time::{Duration, Instant};
 use dpx10_apgas::codec::{decode_exact, encode_to_vec};
 use dpx10_apgas::mailbox::Envelope;
 use dpx10_apgas::{ChaosRng, PlaceId, SocketConfig, SocketNode};
-use dpx10_dag::{validate_pattern, DagPattern};
+use dpx10_dag::DagPattern;
 use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 use dpx10_sync::channel::{unbounded, Receiver, Sender};
 
 use crate::app::{DagResult, DpApp, VertexValue};
 use crate::config::EngineConfig;
 use crate::engine::{worker_rounds, Shared};
+use crate::epoch::{killable, validate, EpochWorkers, Run};
 use crate::error::EngineError;
 use crate::msg::Msg;
 use crate::protocol::WorkerBufs;
-use crate::socket_engine::{
-    die, downgrade_schedule, AppPlane, Driver, EpochWorkers, Wire, SNAPSHOT_DEADLINE,
-};
+use crate::socket_engine::{die, downgrade_schedule, AppPlane, Driver, Wire, SNAPSHOT_DEADLINE};
 
 /// A job's control-frame receiver: `(src, unwrapped frame)`.
 type CtlReceiver<V> = Receiver<(PlaceId, Wire<V>)>;
@@ -77,8 +76,8 @@ pub struct JobSpec<A: DpApp> {
     /// The dependency pattern the job solves.
     pub pattern: Arc<dyn DagPattern>,
     /// Per-job engine configuration. Its topology must have exactly as
-    /// many places as the job's placement; checkpointing and fault plans
-    /// are serve-level concerns and get cleared at admission.
+    /// many places as the job's placement; fault plans are a serve-level
+    /// concern and get cleared at admission.
     pub config: EngineConfig,
     /// Admission priority: higher runs earlier. Ties break by
     /// submission order.
@@ -296,22 +295,15 @@ impl<A: DpApp + 'static> JobServer<A> {
         // the founding count — slots drained out of an elastic mesh are
         // not schedulable.
         let members = node.roster().members();
-        let placements = match self.resolve_placements(&members) {
+        let victims = self.kill.iter().map(|k| k.place);
+        let checked = killable(places, victims).and(self.resolve_placements(&members));
+        let placements = match checked {
             Ok(p) => p,
             Err(e) => {
                 node.shutdown();
                 return Err(e);
             }
         };
-        if let Some(kill) = self.kill {
-            if kill.place == PlaceId::ZERO || kill.place.index() >= places as usize {
-                node.shutdown();
-                return Err(EngineError::BadFaultPlan(format!(
-                    "{} is not a killable place",
-                    kill.place
-                )));
-            }
-        }
 
         // Per-job channels and planes exist before any job is admitted,
         // so traffic from a place that admitted a job earlier than us
@@ -425,10 +417,7 @@ impl<A: DpApp + 'static> JobServer<A> {
                 let (app, pattern) = (spec.app.clone(), spec.pattern.clone());
                 let mut config = spec.config.clone();
                 let downgrade = downgrade_schedule(&mut config);
-                // Serve-level concerns: checkpoint writers assume one
-                // process owns all places' files, and faults are injected
-                // by `ServeKill`, not per job.
-                config.checkpoint = None;
+                // Faults are a serve-level concern (`ServeKill`).
                 config.fault = None;
                 config.chaos = None;
                 let placement = placements[j].clone();
@@ -443,28 +432,28 @@ impl<A: DpApp + 'static> JobServer<A> {
                 let handle = std::thread::Builder::new()
                     .name(format!("dpx10-job{j}p{}", me.index()))
                     .spawn(move || {
-                        let driver = Driver {
-                            app: &app,
+                        let mut run = Run::new(&app, &pattern, &config, None, placement.clone());
+                        run.report.schedule_downgrade = downgrade;
+                        let mut driver = Driver {
                             pattern: &pattern,
                             config: &config,
-                            init: None,
-                            downgrade,
                             node,
                             plane,
                             ctl_rx,
-                            participants: placement,
                             me,
                             dying,
                             recorder,
+                            peer_stats: Default::default(),
+                            resume: None,
                         };
                         // A driver that unwinds must still report, or the
                         // admission loop would wait on it forever.
-                        let run = AssertUnwindSafe(|| driver.drive(&mut seat));
-                        let result = catch_unwind(run).unwrap_or_else(|_| {
+                        let drive = AssertUnwindSafe(|| driver.drive(run, &mut seat));
+                        let result = catch_unwind(drive).unwrap_or_else(|_| {
                             Err(EngineError::Job(format!("job {j}'s driver panicked")))
                         });
                         let _ = seat.detach(); // a pool seat's detach cannot fail
-                        release(&driver);
+                        release(&driver, &placement);
                         let _ = tx.send((j, result));
                     })
                     .expect("spawn job driver");
@@ -574,10 +563,7 @@ impl<A: DpApp + 'static> JobServer<A> {
                     placement.len()
                 )));
             }
-            let total = spec.pattern.vertex_count();
-            if spec.config.validate_pattern && total <= spec.config.validate_limit {
-                validate_pattern(spec.pattern.as_ref())?;
-            }
+            validate(&spec.config, spec.pattern.as_ref())?;
             placements.push(placement);
         }
         Ok(placements)
@@ -594,12 +580,11 @@ struct JobRoutes<V> {
 /// was — the per-job twin of the single-job engine's
 /// release-before-goodbye (the frame leaves through the job's plane, so
 /// it arrives inside the job's namespace).
-fn release<A: DpApp>(driver: &Driver<'_, A>) {
+fn release<A: DpApp>(driver: &Driver<'_, A>, participants: &[PlaceId]) {
     if driver.me != PlaceId::ZERO {
         return;
     }
-    for p in driver
-        .participants
+    for p in participants
         .iter()
         .filter(|p| **p != driver.me && driver.node.liveness().is_alive(**p))
     {

@@ -57,6 +57,8 @@ pub mod checkpoint;
 pub mod config;
 pub mod elastic;
 pub mod engine;
+#[doc(hidden)]
+pub mod epoch;
 pub mod error;
 pub mod jobs;
 pub mod msg;

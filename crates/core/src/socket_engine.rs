@@ -11,15 +11,15 @@
 //! (cheap: it is metadata plus prefinished values), then each place runs
 //! workers only for its own slot and exchanges [`Msg`]s over the wire.
 //!
-//! The epoch loop and its control protocol live in one place, the
-//! crate-private `Driver`. [`SocketEngine::run`] instantiates it once
-//! per process; the multi-job server ([`crate::jobs`]) instantiates it
-//! once per job. The two hosts differ in three inputs only: the
-//! participant list that seeds the epoch roster (the mesh's members vs
-//! the job's placement), the frame namespace ([`AppPlane`]'s optional
+//! The epoch loop is [`crate::epoch`]'s, shared with the threaded
+//! engine; a place's *mesh side* of it — the control protocol below —
+//! lives here, in the crate-private `Driver`. [`SocketEngine::run`]
+//! instantiates it once per process; the multi-job server
+//! ([`crate::jobs`]) once per job. The two differ in three inputs only:
+//! the participant list that seeds the epoch roster (the mesh's members
+//! vs the job's placement), the frame namespace ([`AppPlane`]'s optional
 //! job id, which wraps data and control frames alike in [`Wire::Job`]),
-//! and who runs an epoch's workers (`EpochWorkers`: private threads vs
-//! the server's shared pool).
+//! and who runs an epoch's workers (private threads vs the shared pool).
 //!
 //! # The control protocol
 //!
@@ -61,30 +61,32 @@
 //! [`dpx10_apgas::NetworkModel`] prices nothing here.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dpx10_apgas::codec::decode_exact;
 use dpx10_apgas::mailbox::Envelope;
+use dpx10_apgas::stats::STAT_COUNTERS;
 use dpx10_apgas::{
-    fold_counts, ChaosRng, CoalesceConfig, CoalescingTransport, Codec, CollectiveSchedule,
-    DeadPlaceError, KillTrigger, LivenessBoard, PlaceId, SocketConfig, SocketNode, Transport,
+    fold_counts, Codec, CollectiveSchedule, DeadPlaceError, LivenessBoard, PlaceId, SocketConfig,
+    SocketNode, StatsSnapshot, Transport,
 };
-use dpx10_dag::{validate_pattern, DagPattern, VertexId};
-use dpx10_distarray::{recover, Dist, DistArray, RecoveryCostModel, Region2D};
+use dpx10_dag::{DagPattern, VertexId};
+use dpx10_distarray::{Dist, DistArray, Region2D};
 use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 use dpx10_sync::channel::{unbounded, Receiver, Sender};
 
 use crate::app::{DagResult, DpApp, VertexValue};
 use crate::config::{EngineConfig, InitOverride};
-use crate::engine::{agg_mode, seed_aggs, worker_loop, Shared};
+use crate::engine::{worker_loop, Shared};
+use crate::epoch::{self, preflight, EpochWorkers, Flow, Host, Mesh, Run, TICK};
 use crate::error::EngineError;
 use crate::msg::Msg;
 use crate::protocol::Place;
 use crate::schedule::ScheduleStrategy;
-use crate::state::{build_shards, collect_array, local_index};
-use crate::stats::{RunReport, ScheduleDowngrade};
+use crate::state::local_index;
+use crate::stats::ScheduleDowngrade;
 
 /// Applies the socket backend's scheduling restrictions to `config` and
 /// returns a record of what changed (shared with the multi-job server,
@@ -122,12 +124,6 @@ const CONCLUDE_RESEND: Duration = Duration::from_millis(500);
 /// scatter relay dying with its subtree's hop in hand.
 const RESUME_RESEND: Duration = Duration::from_millis(250);
 
-/// Cumulative per-place counters carried by every [`Wire::Snapshot`]:
-/// `[tasks, msgs, bytes, net_ns, cache_hits, cache_misses, busy_ns,
-/// batches_sent, batched_msgs, pulls_sent, pulls_deduped, pushes_sent,
-/// pull_roundtrips_avoided]`.
-const STAT_COUNTERS: usize = 13;
-
 /// Wire tag of [`Wire::Job`], shared by its `Codec` arm and
 /// [`AppPlane::send_wire`] (which writes the envelope without boxing).
 const JOB_TAG: u8 = 8;
@@ -161,8 +157,9 @@ pub(crate) enum Wire<V> {
         cells: Vec<(u64, V)>,
         /// Vertices this place computed during the epoch.
         computed: u64,
-        /// Cumulative place counters (see [`STAT_COUNTERS`]); a frame
-        /// with any other count is malformed.
+        /// Cumulative place counters, in
+        /// [`dpx10_apgas::PlaceStats::to_counters`] order; a frame with
+        /// any other count is malformed.
         stats: [u64; STAT_COUNTERS],
     },
     /// Place 0 → survivors (scattered down the tree): recovery done,
@@ -492,8 +489,8 @@ pub(crate) fn die(node: &SocketNode, dying: &AtomicBool, soft_die: bool, recorde
 /// Reads raw frames off the mesh and splits them: vertex traffic to the
 /// [`AppPlane`]'s channel, control messages to the control channel. A
 /// planned `Die` addresses the place rather than the driver and is
-/// obeyed here. A payload that fails to decode marks its sender dead —
-/// same policy as the typed transport.
+/// obeyed here. A payload that fails to decode marks its sender dead
+/// (its stream is corrupt) instead of panicking.
 fn demux_loop<V: VertexValue>(
     node: Arc<SocketNode>,
     app_tx: Sender<(u32, Envelope<Msg<V>>)>,
@@ -601,28 +598,12 @@ pub(crate) fn data_well_formed<A: DpApp>(
     }
 }
 
-/// What a control loop decided the epoch's fate is.
-enum Flow<V> {
-    /// Place 0: every vertex finished.
-    Finished,
-    /// Place 0: a place died (or a planned fault fired); recover.
-    Fault,
-    /// Worker: the run is over.
-    WorkerExit,
-    /// Worker: recovery finished, start the next epoch from this
-    /// scatter hop (already relayed onwards before the flow returned).
-    WorkerResume(ResumeState<V>),
-    /// Worker: a planned fault crashed this place's sockets (soft-die
-    /// mode; otherwise the process is already gone).
-    Died,
-}
-
 /// One `Resume` scatter as a place holds it: on place 0 everything
 /// needed to rebuild any survivor's bundle if the tree hop carrying it
 /// died with a relay (the coordinator re-sends directly to peers it has
 /// not heard from in the resumed epoch); on a worker the hop it
 /// received, to split among its own schedule children.
-struct ResumeState<V> {
+pub(crate) struct ResumeState<V> {
     /// The epoch being resumed *into* (old + 1).
     epoch: u32,
     /// Surviving places of the scatter, in slot order.
@@ -658,8 +639,6 @@ impl<A: DpApp + 'static> SocketEngine<A> {
     /// silently.
     pub fn new(app: A, pattern: impl DagPattern + 'static, mut config: EngineConfig) -> Self {
         let downgrade = downgrade_schedule(&mut config);
-        // Checkpoint writers assume one process owns all places' files.
-        config.checkpoint = None;
         SocketEngine {
             app: Arc::new(app),
             pattern: Arc::new(pattern),
@@ -701,10 +680,8 @@ impl<A: DpApp + 'static> SocketEngine<A> {
     /// other place (the result lives with the coordinator; workers just
     /// exit).
     pub fn run(&self, socket: SocketConfig) -> Result<Option<DagResult<A::Value>>, EngineError> {
-        let total = self.pattern.vertex_count();
-        if self.config.validate_pattern && total <= self.config.validate_limit {
-            validate_pattern(self.pattern.as_ref())?;
-        }
+        preflight(&self.config, self.pattern.as_ref())?;
+        let topology_places = self.config.topology.num_places();
 
         // `DPX10_SOCKET_TRACE=1` is an alias for "record and echo every
         // event to stderr" — the recorder's echo subscriber replaces the
@@ -712,8 +689,7 @@ impl<A: DpApp + 'static> SocketEngine<A> {
         let mut recorder = self.recorder.clone();
         if std::env::var_os("DPX10_SOCKET_TRACE").is_some() {
             if !recorder.enabled() {
-                recorder =
-                    Recorder::with_capacity(self.config.topology.num_places() as usize, 1 << 12);
+                recorder = Recorder::with_capacity(topology_places as usize, 1 << 12);
             }
             recorder.set_echo(true);
         }
@@ -728,23 +704,10 @@ impl<A: DpApp + 'static> SocketEngine<A> {
         );
         let me = node.me();
         let places = node.places();
-        if self.config.topology.num_places() != places {
+        if topology_places != places {
             return Err(EngineError::Socket(format!(
-                "topology has {} places but the mesh has {places}",
-                self.config.topology.num_places()
+                "topology has {topology_places} places but the mesh has {places}"
             )));
-        }
-        for victim in self.config.fault.iter().map(|p| p.place).chain(
-            self.config
-                .chaos
-                .iter()
-                .flat_map(|p| p.kills.iter().map(|k| k.place)),
-        ) {
-            if victim == PlaceId::ZERO || victim.index() >= places as usize {
-                return Err(EngineError::BadFaultPlan(format!(
-                    "{victim} is not a killable place"
-                )));
-            }
         }
 
         let (app_tx, app_rx) = unbounded();
@@ -761,25 +724,32 @@ impl<A: DpApp + 'static> SocketEngine<A> {
                 .map_err(|e| EngineError::Socket(format!("spawn demux: {e}")))?
         };
 
-        let driver = Driver {
-            app: &self.app,
+        // The mesh's *live membership*, not `0..places`: on an elastic
+        // mesh the slot space has holes where places drained out, and
+        // pinning them back in would make the snapshot collector wait on
+        // peers that will never answer.
+        let (config, participants) = (&self.config, node.roster().members());
+        let mut run = Run::new(
+            &self.app,
+            &self.pattern,
+            config,
+            self.init.as_ref(),
+            participants,
+        );
+        run.report.schedule_downgrade = self.downgrade.clone();
+        let mut driver = Driver {
             pattern: &self.pattern,
-            config: &self.config,
-            init: self.init.as_ref(),
-            downgrade: self.downgrade.clone(),
+            config,
             plane: Arc::new(AppPlane::new(node.clone(), app_rx, None)),
             ctl_rx,
-            // The mesh's *live membership*, not `0..places`: on an
-            // elastic mesh the slot space has holes where places drained
-            // out, and pinning them back in would make the snapshot
-            // collector wait on peers that will never answer.
-            participants: node.roster().members(),
             node: node.clone(),
             me,
             dying,
             recorder,
+            peer_stats: Default::default(),
+            resume: None,
         };
-        let result = driver.drive(&mut PrivateThreads::default());
+        let result = driver.drive(run, &mut PrivateThreads::default());
 
         // Whatever happened — success, stall, error — release the
         // workers before the goodbye, or a coordinator error would
@@ -797,17 +767,6 @@ impl<A: DpApp + 'static> SocketEngine<A> {
         let _ = demux.join();
         result
     }
-}
-
-/// Who computes an epoch's vertices on this place — the one seam
-/// between the [`Driver`] and its host besides plain data.
-pub(crate) trait EpochWorkers<A: DpApp> {
-    /// Starts workers on slot `slot` of `shared`.
-    fn attach(&mut self, shared: &Arc<Shared<A>>, slot: usize) -> Result<(), EngineError>;
-    /// Returns once no worker touches the attached epoch any more (the
-    /// driver has already raised `shared.done`); an error means a worker
-    /// did not end cleanly.
-    fn detach(&mut self) -> Result<(), EngineError>;
 }
 
 /// The single-job engine's workers: `threads_per_place` private
@@ -848,28 +807,29 @@ impl<A: DpApp + 'static> EpochWorkers<A> for PrivateThreads {
     }
 }
 
-/// One place's share of one DAG run over a socket mesh: the epoch loop
-/// and the control loops, whether the DAG is the process's only one
-/// ([`SocketEngine::run`]) or one job of a serve ([`crate::jobs`]).
+/// One place's mesh side of one DAG run: the control loops, whether the
+/// DAG is the process's only one ([`SocketEngine::run`]) or one job of a
+/// serve ([`crate::jobs`]).
 pub(crate) struct Driver<'a, A: DpApp> {
-    pub(crate) app: &'a Arc<A>,
     pub(crate) pattern: &'a Arc<dyn DagPattern>,
     pub(crate) config: &'a EngineConfig,
-    pub(crate) init: Option<&'a InitOverride<A::Value>>,
-    pub(crate) downgrade: Option<ScheduleDowngrade>,
     pub(crate) node: Arc<SocketNode>,
     /// Carries the frame namespace: every outbound frame, data or
     /// control, leaves through [`AppPlane::send_wire`].
     pub(crate) plane: Arc<AppPlane<A::Value>>,
     pub(crate) ctl_rx: Receiver<(PlaceId, Wire<A::Value>)>,
-    /// The places that run this DAG, in slot order; seeds the epoch
-    /// roster `alive`, which only ever shrinks.
-    pub(crate) participants: Vec<PlaceId>,
     pub(crate) me: PlaceId,
     /// Raised by the demux (planned `Die`) or a kill watchdog once this
     /// place is crashing.
     pub(crate) dying: Arc<AtomicBool>,
     pub(crate) recorder: Recorder,
+    /// Place 0: every peer's cumulative counters as of its last snapshot.
+    pub(crate) peer_stats: HashMap<PlaceId, [u64; STAT_COUNTERS]>,
+    /// Place 0: the last `Resume` scatter, kept to re-send a survivor's
+    /// bundle if a relay hop died with its carrier; the places heard from
+    /// since (a `Reduce` entry for a place can only originate there, so
+    /// it proves the place entered the epoch); when to nudge the others.
+    pub(crate) resume: Option<(ResumeState<A::Value>, HashSet<PlaceId>, Instant)>,
 }
 
 impl<A: DpApp + 'static> Driver<'_, A> {
@@ -895,268 +855,36 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         }
     }
 
-    /// Runs the DAG to completion on this place. `Ok(Some(result))` on
-    /// place 0, `Ok(None)` on every other participant.
+    /// Runs `run` to completion on this place, as a host of the shared
+    /// epoch loop. `Ok(Some(result))` on place 0, `Ok(None)` on every
+    /// other participant.
     pub(crate) fn drive(
-        &self,
+        &mut self,
+        run: Run<'_, A>,
         workers: &mut dyn EpochWorkers<A>,
     ) -> Result<Option<DagResult<A::Value>>, EngineError> {
-        let cfg = self.config;
-        let pattern = self.pattern;
-        let total = pattern.vertex_count();
-        let region = self.region();
-        let started = Instant::now();
-        let mut report = RunReport {
-            vertices_total: total,
-            schedule_downgrade: self.downgrade.clone(),
-            ..RunReport::default()
+        let plane = self.plane.clone();
+        let host = Host {
+            me: self.me,
+            liveness: self.node.liveness().clone(),
+            stats: self.node.stats().clone(),
+            recorder: self.recorder.clone(),
+            // Workers are quiesced between epochs, so every flush
+            // carries the current epoch's tag.
+            transport: &mut |epoch| {
+                plane.set_epoch(epoch);
+                plane.clone()
+            },
+            workers,
+            // The victim's demux obeys by crashing without a goodbye.
+            // (A serve clears its jobs' plans; its kills are `ServeKill`s.)
+            kill: &|victim| {
+                let _ = plane.send_wire(victim, &Wire::Die);
+            },
+            checkpoint: None,
+            mesh: Some(self),
         };
-        let mut alive: Vec<PlaceId> = self.participants.clone();
-        let mut prior: Option<DistArray<A::Value>> = None;
-        // A `Resume` scatter's restored cells + finished-set metadata,
-        // parked until the next epoch's restore step consumes them.
-        #[allow(clippy::type_complexity)]
-        let mut pending_cells: Option<(Vec<(u64, A::Value)>, Vec<u64>)> = None;
-        let slots = self.node.liveness().num_places() as usize;
-        let mut peer_stats = vec![[0u64; STAT_COUNTERS]; slots];
-        // Place 0's record of the last `Resume` scatter, kept so the
-        // next epoch's coordinator loop can re-send a survivor's bundle
-        // if a relay hop died with its carrier.
-        let mut resume: Option<ResumeState<A::Value>> = None;
-        // This place's compute time, summed across epochs (the shards —
-        // and their busy counters — are rebuilt every epoch).
-        let mut busy_total: u64 = 0;
-        // Victims whose planned `Die` has been sent — one-shot per run.
-        let mut kills_fired: Vec<PlaceId> = Vec::new();
-        let mut epoch: u32 = 0;
-
-        let final_array = loop {
-            report.epochs += 1;
-            self.plane.set_epoch(epoch);
-            let dist = Arc::new(Dist::new(region, cfg.dist_kind.clone(), alive.clone()));
-            let mut scatter_meta: Option<HashSet<u64>> = None;
-            if let Some((cells, meta)) = pending_cells.take() {
-                // Rebuild our subtree's slice of the restored array the
-                // `Resume` scatter delivered; the metadata names every
-                // finished cell globally, so cells whose values went to
-                // another subtree still unblock their dependents here
-                // (their values are pulled from the owner on demand).
-                let mut arr = DistArray::new(dist.clone());
-                for (packed, v) in cells {
-                    let id = VertexId::unpack(packed);
-                    arr.set(id.i, id.j, v);
-                }
-                prior = Some(arr);
-                scatter_meta = Some(meta.into_iter().collect());
-            }
-            let Some(my_slot) = alive.iter().position(|p| *p == self.me) else {
-                // The coordinator counted us among the dead (e.g. a
-                // false-positive timeout); nothing left to contribute.
-                return Ok(None);
-            };
-            let agg = agg_mode(cfg, self.app.as_ref(), pattern.as_ref());
-            let (shards, prefinished) = build_shards(
-                pattern.as_ref(),
-                &dist,
-                prior.as_ref(),
-                scatter_meta.as_ref(),
-                self.init,
-                cfg.cache_capacity,
-                agg,
-            );
-            if agg.is_some() {
-                // Reseed lanes from whatever restored values this place
-                // holds (its own subtree after a Resume scatter).
-                // Meta-only finished cells stay gaps; the ranged execute
-                // path pulls them from their owner on demand.
-                seed_aggs(self.app.as_ref(), &shards);
-            }
-            self.recorder.instant_now(
-                self.me.0,
-                RUNTIME_WORKER,
-                EventKind::EpochStart,
-                u64::from(epoch),
-            );
-            if prefinished == total {
-                if self.me != PlaceId::ZERO {
-                    // A scattered prior covers this place's subtree
-                    // only, so its shards may hold finished flags
-                    // without values — only place 0, which keeps the
-                    // full restored array, can collect the result.
-                    return Ok(None);
-                }
-                break collect_array(&shards, &dist);
-            }
-
-            let shared = Arc::new(Shared {
-                place: Place {
-                    app: self.app.clone(),
-                    pattern: pattern.clone(),
-                    dist: dist.clone(),
-                    shards,
-                    stats: self.node.stats().clone(),
-                    topo: cfg.topology,
-                    net: cfg.network,
-                    schedule: cfg.schedule,
-                    comms: cfg.comms,
-                    agg,
-                },
-                stall_limit: cfg.stall_limit,
-                transport: {
-                    let base = self.plane.clone() as Arc<dyn Transport<Msg<A::Value>>>;
-                    match cfg.coalesce {
-                        // A fresh wrapper each epoch: buffered traffic of
-                        // an abandoned epoch dies with it, and flushes
-                        // always carry the current epoch tag (workers are
-                        // detached before the plane's epoch advances).
-                        Some(bytes) => Arc::new(CoalescingTransport::new(
-                            base,
-                            CoalesceConfig::bytes(bytes),
-                            self.node.stats().clone(),
-                            self.recorder.clone(),
-                        )),
-                        None => base,
-                    }
-                },
-                // Peers are other processes: their bytes are checked
-                // before they index a shard.
-                check_peers: true,
-                liveness: self.node.liveness().clone(),
-                total,
-                finished_global: AtomicU64::new(prefinished),
-                computed: AtomicU64::new(0),
-                done: AtomicBool::new(false),
-                fault: AtomicBool::new(false),
-                stalled: AtomicBool::new(false),
-                // Planned faults go through `Wire::Die` from place 0 (or
-                // a serve's kill watchdog), never the worker loop.
-                fault_plan: Vec::new(),
-                time_kills: Vec::new(),
-                run_started: started,
-                // The schedule shaker works on this backend too; each
-                // place derives its own substream so its workers don't
-                // mirror another place's decisions.
-                shake: cfg.chaos.as_ref().filter(|p| p.shake).map(|p| {
-                    let mut rng = ChaosRng::new(p.seed).fork(u64::from(self.me.0));
-                    rng.next_u64()
-                }),
-                worker_seq: AtomicU64::new(0),
-                checkpoint: None,
-                recorder: self.recorder.clone(),
-            });
-            workers.attach(&shared, my_slot)?;
-
-            let outcome = if self.me == PlaceId::ZERO {
-                self.coordinate(
-                    &shared,
-                    epoch,
-                    &alive,
-                    my_slot,
-                    total,
-                    started,
-                    &mut kills_fired,
-                    resume.as_ref().filter(|st| st.epoch == epoch),
-                )
-            } else {
-                self.follow(&shared, epoch, &alive, my_slot, busy_total)
-            };
-            shared.done.store(true, Ordering::Release); // belt and braces
-            workers.detach()?;
-            report.vertices_computed += shared.computed.load(Ordering::Relaxed);
-            busy_total += shared.place.shards[my_slot].busy_ns.load(Ordering::Relaxed);
-
-            let (finished, mut dead): (bool, Vec<PlaceId>) = match outcome? {
-                Flow::Finished => (true, Vec::new()),
-                Flow::Fault => (
-                    false,
-                    alive
-                        .iter()
-                        .copied()
-                        .filter(|p| !self.node.liveness().is_alive(*p))
-                        .collect(),
-                ),
-                Flow::WorkerExit | Flow::Died => return Ok(None),
-                Flow::WorkerResume(st) => {
-                    alive = st.alive.into_iter().map(PlaceId).collect();
-                    pending_cells = Some((st.cells, st.meta));
-                    prior = None; // rebuilt from `pending_cells` above
-                    epoch += 1;
-                    continue;
-                }
-            };
-            // Place 0 concludes the epoch: tree-broadcast the verdict (one
-            // `Bcast` hop per schedule child; the receivers relay onwards)
-            // and gather every survivor's snapshot into our own copy.
-            let conclude = || {
-                if finished {
-                    return Wire::Stop { epoch };
-                }
-                Wire::Abort {
-                    epoch,
-                    dead: dead.iter().map(|p| p.0).collect(),
-                }
-            };
-            self.relay_hops(&alive, my_slot, &Wire::Bcast(Box::new(conclude())));
-            let mut arr = collect_array(&shared.place.shards, &dist);
-            let lost = self.collect_snapshots(
-                epoch,
-                &alive,
-                &conclude(),
-                &mut arr,
-                &mut peer_stats,
-                &mut report,
-            );
-            dead.extend(lost);
-            dead.sort_unstable();
-            dead.dedup();
-            if finished && dead.is_empty() {
-                break arr;
-            }
-            // Places died — mid-epoch, or between the last vertex and
-            // their snapshot: their values are gone, recover and re-run.
-            let restored = self.recover_from(&arr, &dead, &mut report);
-            resume = Some(self.resume_epoch(epoch, &mut alive, &restored));
-            prior = Some(restored);
-            epoch += 1;
-        };
-
-        report.wall_time = started.elapsed();
-        if self.plane.job.is_none() {
-            // A served job leaves `comm` at its default: the substrate's
-            // counters are mesh-level, not attributable to one job.
-            let mut comm = self.node.stats().snapshot();
-            for stats in peer_stats.iter().skip(1) {
-                comm.tasks_run += stats[0];
-                comm.messages_sent += stats[1];
-                comm.bytes_sent += stats[2];
-                comm.net_time += Duration::from_nanos(stats[3]);
-                comm.cache_hits += stats[4];
-                comm.cache_misses += stats[5];
-                comm.batches_sent += stats[7];
-                comm.batched_msgs += stats[8];
-                comm.pulls_sent += stats[9];
-                comm.pulls_deduped += stats[10];
-                comm.pushes_sent += stats[11];
-                comm.pull_roundtrips_avoided += stats[12];
-            }
-            report.comm = comm;
-        }
-        // In the final epoch's slot order (matching the simulator): our
-        // own accumulator for place 0, the last snapshot's busy counter
-        // for every peer.
-        report.place_busy = alive
-            .iter()
-            .map(|p| {
-                if *p == self.me {
-                    Duration::from_nanos(busy_total)
-                } else {
-                    Duration::from_nanos(peer_stats[p.index()][6])
-                }
-            })
-            .collect();
-        let result = DagResult::new(final_array, report);
-        self.app.app_finished(&result);
-        Ok(Some(result))
+        epoch::drive(run, host)
     }
 
     /// The epoch's tree schedule over `alive`, rooted at place 0's rank
@@ -1233,152 +961,68 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         }
     }
 
-    /// Place 0's mid-epoch loop: fold the tree-reduced progress reports
-    /// into the finished table, fire any planned kills, re-send `Resume`
-    /// bundles to survivors a dead relay may have stranded, and decide
-    /// the epoch's fate.
-    #[allow(clippy::too_many_arguments)]
-    fn coordinate(
+    /// Sends this place's slot snapshot to place 0.
+    fn send_snapshot(
         &self,
         shared: &Arc<Shared<A>>,
         epoch: u32,
-        alive: &[PlaceId],
         my_slot: usize,
-        total: u64,
-        started: Instant,
-        kills_fired: &mut Vec<PlaceId>,
-        resume: Option<&ResumeState<A::Value>>,
-    ) -> Result<Flow<A::Value>, EngineError> {
-        // Seeded from our own deterministic copy of every shard, so the
-        // table starts at each slot's prefinished count.
-        let mut table: Vec<u64> = (0..alive.len())
-            .map(|s| {
-                shared.place.shards[s]
-                    .finished_local
-                    .load(Ordering::Relaxed)
-            })
-            .collect();
-        // Every planned kill, as (victim, progress threshold) or
-        // (victim, wall-clock delay): the single fault plan plus the
-        // chaos plan's kills. All fire as a bare `Wire::Die` to the
-        // victim (a serve clears both plans; its kills are `ServeKill`s).
-        let to_threshold = |frac: f64| ((frac * total as f64).ceil() as u64).clamp(1, total);
-        let cfg = self.config;
-        let fault = cfg.fault.iter();
-        let kills: Vec<(PlaceId, KillTrigger)> = fault
-            .map(|p| (p.place, KillTrigger::Progress(p.after_fraction)))
-            .chain(
-                cfg.chaos
-                    .iter()
-                    .flat_map(|p| &p.kills)
-                    .map(|k| (k.place, k.trigger)),
-            )
-            .collect();
-        let mut last_sum = u64::MAX;
-        let mut last_change = Instant::now();
-        // Which places have reported anything this epoch: a `Reduce`
-        // entry for a place can only originate at that place, so it
-        // doubles as proof the place entered the epoch (used by the
-        // resume re-send insurance below).
-        let mut heard = vec![false; alive.len()];
-        heard[my_slot] = true;
-        let mut next_nudge = Instant::now() + RESUME_RESEND;
-
-        loop {
-            match self.recv_ctl(Duration::from_millis(2)) {
-                Some((src, Wire::Reduce { epoch: e, counts })) if e == epoch => {
-                    if let Some(s) = alive.iter().position(|p| *p == src) {
-                        heard[s] = true;
-                    }
-                    for (pid, n) in counts {
-                        if let Some(s) = alive.iter().position(|p| p.0 == pid) {
-                            table[s] = table[s].max(n);
-                            heard[s] = true;
-                        }
-                    }
-                }
-                _ => {} // stale traffic / timeout tick
-            }
-            if let Some(st) = resume {
-                if Instant::now() >= next_nudge {
-                    next_nudge = Instant::now() + RESUME_RESEND;
-                    for (s, p) in alive.iter().enumerate() {
-                        if !heard[s] && *p != self.me && self.node.liveness().is_alive(*p) {
-                            let _ = self.send_ctl(*p, &self.resume_frame_for(st, alive, s));
-                        }
-                    }
-                }
-            }
-            table[my_slot] = shared.place.shards[my_slot]
-                .finished_local
-                .load(Ordering::Relaxed);
-            let sum: u64 = table.iter().sum();
-
-            for &(victim, trigger) in &kills {
-                let due = match trigger {
-                    KillTrigger::Progress(frac) => sum >= to_threshold(frac),
-                    KillTrigger::After(delay) => started.elapsed() >= delay,
-                };
-                if due && !kills_fired.contains(&victim) && self.node.liveness().is_alive(victim) {
-                    kills_fired.push(victim);
-                    self.recorder.instant_now(
-                        self.me.0,
-                        RUNTIME_WORKER,
-                        EventKind::CtlDie,
-                        u64::from(victim.0),
-                    );
-                    let _ = self.send_ctl(victim, &Wire::Die);
-                }
-            }
-
-            let someone_died = alive.iter().any(|p| !self.node.liveness().is_alive(*p));
-            if someone_died || shared.fault.load(Ordering::Acquire) {
-                shared.fault.store(true, Ordering::Release);
-                self.recorder.instant_now(
-                    self.me.0,
-                    RUNTIME_WORKER,
-                    EventKind::Fault,
-                    u64::from(epoch),
-                );
-                return Ok(Flow::Fault);
-            }
-            if sum >= total {
-                shared.done.store(true, Ordering::Release);
-                self.recorder.instant_now(
-                    self.me.0,
-                    RUNTIME_WORKER,
-                    EventKind::CtlStop,
-                    u64::from(epoch),
-                );
-                return Ok(Flow::Finished);
-            }
-
-            if sum != last_sum {
-                last_sum = sum;
-                last_change = Instant::now();
-            } else if last_change.elapsed() > shared.stall_limit {
-                self.recorder
-                    .instant_now(self.me.0, RUNTIME_WORKER, EventKind::Stalled, sum);
-                shared.stalled.store(true, Ordering::Release);
-                shared.done.store(true, Ordering::Release);
-                return Err(EngineError::Stalled {
-                    finished: sum,
-                    total,
-                });
+        busy_before: u64,
+    ) -> Result<(), EngineError> {
+        // Flush-before-snapshot barrier: anything still buffered in the
+        // coalescing layer goes to the wire (or dies with a dead lane)
+        // before this epoch's counters and cells are reported, so the
+        // snapshot never precedes traffic it already counted.
+        shared.transport.flush(self.me);
+        let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
+        let shard = &shared.place.shards[my_slot];
+        let mut cells = Vec::new();
+        for (li, &(i, j)) in shard.points.iter().enumerate() {
+            if shard.in_pattern[li] && shard.finished[li].load(Ordering::Acquire) {
+                let v = shard.values[li].get().expect("finished => set").clone();
+                cells.push((VertexId::new(i, j).pack(), v));
             }
         }
+        let busy = busy_before + shard.busy_ns.load(Ordering::Relaxed);
+        let stats = self.node.stats().place(self.me).to_counters(busy);
+        let sent = cells.len() as u64;
+        let result = self
+            .send_ctl(
+                PlaceId::ZERO,
+                &Wire::Snapshot {
+                    epoch,
+                    cells,
+                    computed: shared.computed.load(Ordering::Relaxed),
+                    stats,
+                },
+            )
+            .map_err(|e| EngineError::Socket(format!("snapshot delivery failed: {e}")));
+        if let Some(start) = rec_start {
+            self.recorder.span(
+                self.me.0,
+                RUNTIME_WORKER,
+                EventKind::Snapshot,
+                start,
+                self.recorder.now_ns(),
+                sent,
+            );
+        }
+        result
     }
+}
 
+impl<A: DpApp + 'static> Mesh<A> for Driver<'_, A> {
     /// A worker place's mid-epoch loop: fold subtree progress up the
     /// tree to place 0 and obey (and relay) its control messages.
     fn follow(
-        &self,
+        &mut self,
         shared: &Arc<Shared<A>>,
         epoch: u32,
-        alive: &[PlaceId],
-        my_slot: usize,
         busy_before: u64,
     ) -> Result<Flow<A::Value>, EngineError> {
+        let alive = shared.place.dist.places();
+        let my_slot = alive.iter().position(|p| *p == self.me);
+        let my_slot = my_slot.expect("a place follows only epochs it is a participant of");
         let sched = self.schedule(alive);
         let mut last_reported = u64::MAX;
         let mut last_progress = Instant::now();
@@ -1414,7 +1058,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
             // crashing place never acts on a later frame.
             if self.dying.load(Ordering::Acquire) {
                 shared.fault.store(true, Ordering::Release);
-                return Ok(Flow::Died);
+                return Ok(Flow::Exit);
             }
             let received = match received {
                 Some((src, Wire::Bcast(inner))) => {
@@ -1485,7 +1129,8 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                     if let Some(r) = st.alive.iter().position(|p| *p == self.me.0) {
                         self.scatter_resume(&st, r);
                     }
-                    return Ok(Flow::WorkerResume(st));
+                    let alive = st.alive.into_iter().map(PlaceId).collect();
+                    return Ok(Flow::Resume(alive, (st.cells, st.meta)));
                 }
                 Some((_, Wire::Reduce { epoch: e, counts })) if e == epoch => {
                     // A child's subtree counts; folded into our next hop.
@@ -1498,7 +1143,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                         EventKind::CtlDone,
                         u64::from(epoch),
                     );
-                    return Ok(Flow::WorkerExit);
+                    return Ok(Flow::Exit);
                 }
                 _ => {}
             }
@@ -1526,81 +1171,60 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         }
     }
 
-    /// Sends this place's slot snapshot to place 0.
-    fn send_snapshot(
-        &self,
-        shared: &Arc<Shared<A>>,
-        epoch: u32,
-        my_slot: usize,
-        busy_before: u64,
-    ) -> Result<(), EngineError> {
-        // Flush-before-snapshot barrier: anything still buffered in the
-        // coalescing layer goes to the wire (or dies with a dead lane)
-        // before this epoch's counters and cells are reported, so the
-        // snapshot never precedes traffic it already counted.
-        shared.transport.flush(self.me);
-        let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
-        let shard = &shared.place.shards[my_slot];
-        let mut cells = Vec::new();
-        for (li, &(i, j)) in shard.points.iter().enumerate() {
-            if shard.in_pattern[li] && shard.finished[li].load(Ordering::Acquire) {
-                let v = shard.values[li].get().expect("finished => set").clone();
-                cells.push((VertexId::new(i, j).pack(), v));
+    /// One tick of place 0's mid-epoch loop: fold a tree-reduced
+    /// progress report into the finished table, and re-send `Resume`
+    /// bundles to survivors a dead relay may have stranded.
+    fn progress(&mut self, epoch: u32, alive: &[PlaceId], table: &mut [u64]) {
+        // Taken out so the re-sends below may borrow `self`.
+        let mut resume = self.resume.take().filter(|(st, ..)| st.epoch == epoch);
+        if let Some((src, Wire::Reduce { epoch: e, counts })) = self.recv_ctl(TICK) {
+            let counts = counts.into_iter().map(|(pid, n)| (PlaceId(pid), n));
+            for (p, n) in std::iter::once((src, 0)).chain(counts) {
+                let Some(s) = alive.iter().position(|a| *a == p).filter(|_| e == epoch) else {
+                    continue;
+                };
+                table[s] = table[s].max(n);
+                if let Some((_, heard, _)) = &mut resume {
+                    heard.insert(p);
+                }
             }
         }
-        let mine = self.node.stats().place(self.me);
-        let stats = [
-            mine.tasks_run.load(Ordering::Relaxed),
-            mine.messages_sent.load(Ordering::Relaxed),
-            mine.bytes_sent.load(Ordering::Relaxed),
-            mine.net_time_ns.load(Ordering::Relaxed),
-            mine.cache_hits.load(Ordering::Relaxed),
-            mine.cache_misses.load(Ordering::Relaxed),
-            busy_before + shard.busy_ns.load(Ordering::Relaxed),
-            mine.batches_sent.load(Ordering::Relaxed),
-            mine.batched_msgs.load(Ordering::Relaxed),
-            mine.pulls_sent.load(Ordering::Relaxed),
-            mine.pulls_deduped.load(Ordering::Relaxed),
-            mine.pushes_sent.load(Ordering::Relaxed),
-            mine.pull_roundtrips_avoided.load(Ordering::Relaxed),
-        ];
-        let sent = cells.len() as u64;
-        let result = self
-            .send_ctl(
-                PlaceId::ZERO,
-                &Wire::Snapshot {
-                    epoch,
-                    cells,
-                    computed: shared.computed.load(Ordering::Relaxed),
-                    stats,
-                },
-            )
-            .map_err(|e| EngineError::Socket(format!("snapshot delivery failed: {e}")));
-        if let Some(start) = rec_start {
-            self.recorder.span(
-                self.me.0,
-                RUNTIME_WORKER,
-                EventKind::Snapshot,
-                start,
-                self.recorder.now_ns(),
-                sent,
-            );
+        if let Some((st, heard, next_nudge)) = &mut resume {
+            if Instant::now() >= *next_nudge {
+                *next_nudge = Instant::now() + RESUME_RESEND;
+                for (s, p) in alive.iter().enumerate() {
+                    if !heard.contains(p) && self.node.liveness().is_alive(*p) {
+                        let _ = self.send_ctl(*p, &self.resume_frame_for(st, alive, s));
+                    }
+                }
+            }
         }
-        result
+        self.resume = resume;
     }
 
-    /// Place 0: waits for every live peer's snapshot, folding cells into
-    /// `arr` and counters into `peer_stats`; peers that never answer are
-    /// marked dead and returned.
-    fn collect_snapshots(
-        &self,
+    /// Place 0: tree-broadcasts the verdict (one `Bcast` hop per
+    /// schedule child; the receivers relay onwards), then waits for every
+    /// live peer's snapshot, folding in its cells and (cumulative)
+    /// counters; peers that never answer are marked dead and returned.
+    fn conclude(
+        &mut self,
         epoch: u32,
         alive: &[PlaceId],
-        conclude: &Wire<A::Value>,
+        aborted: Option<&[PlaceId]>,
         arr: &mut DistArray<A::Value>,
-        peer_stats: &mut [[u64; STAT_COUNTERS]],
-        report: &mut RunReport,
+        computed_total: &mut u64,
+        busy: &mut [u64],
     ) -> Vec<PlaceId> {
+        let conclude = || match aborted {
+            None => Wire::Stop { epoch },
+            Some(dead) => Wire::Abort {
+                epoch,
+                dead: dead.iter().map(|p| p.0).collect(),
+            },
+        };
+        let root = self.schedule(alive).root();
+        self.relay_hops(alive, root, &Wire::Bcast(Box::new(conclude())));
+        let conclude = conclude();
         let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
         // Start from every peer of the epoch, not just the currently
         // live ones: a place whose death was already detected (e.g. a
@@ -1639,7 +1263,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 // snapshot. Receivers that got the tree hop already
                 // ignore the duplicate.
                 for p in &pending {
-                    let _ = self.send_ctl(*p, conclude);
+                    let _ = self.send_ctl(*p, &conclude);
                 }
             }
             let Some((src, wire)) = self.recv_ctl(Duration::from_millis(10)) else {
@@ -1663,8 +1287,9 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                     let id = VertexId::unpack(packed);
                     arr.set(id.i, id.j, v);
                 }
-                report.vertices_computed += computed;
-                peer_stats[src.index()] = stats;
+                *computed_total += computed;
+                busy[src.index()] = StatsSnapshot::from_counters(stats).1;
+                self.peer_stats.insert(src, stats);
             }
         }
         if let Some(start) = rec_start {
@@ -1680,55 +1305,16 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         lost
     }
 
-    /// Place 0: runs the paper's recovery over the collected snapshot.
-    fn recover_from(
-        &self,
-        snapshot: &DistArray<A::Value>,
-        dead: &[PlaceId],
-        report: &mut RunReport,
-    ) -> DistArray<A::Value> {
-        let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
-        let (restored, rec) = recover(
-            snapshot,
-            dead,
-            self.config.restore_manner,
-            &self.config.topology,
-            &self.config.network,
-            &RecoveryCostModel::default(),
-        );
-        report.recovery_time += rec.sim_time;
-        report.recoveries.push(rec);
-        if let Some(start) = rec_start {
-            self.recorder.span(
-                self.me.0,
-                RUNTIME_WORKER,
-                EventKind::Recovery,
-                start,
-                self.recorder.now_ns(),
-                u64::from(report.epochs),
-            );
-        }
-        restored
-    }
-
-    /// Place 0: prunes `alive` to the survivors and scatters the
-    /// restored state down the new epoch's tree — each schedule child
-    /// receives its subtree's finished values plus the packed ids of
-    /// *every* finished cell. Returns the scatter record so the next
-    /// epoch's coordinator loop can re-send a survivor's bundle if a
-    /// relay hop died with its carrier.
-    fn resume_epoch(
-        &self,
-        epoch: u32,
-        alive: &mut Vec<PlaceId>,
-        restored: &DistArray<A::Value>,
-    ) -> ResumeState<A::Value> {
-        alive.retain(|p| self.node.liveness().is_alive(*p));
+    /// Place 0: scatters the restored state down the tree of `epoch`,
+    /// the one being resumed into — each schedule child receives its
+    /// subtree's finished values plus the packed ids of *every* finished
+    /// cell — and remembers the scatter for the re-send insurance.
+    fn resume(&mut self, epoch: u32, alive: &[PlaceId], restored: &DistArray<A::Value>) {
         self.recorder.instant_now(
             self.me.0,
             RUNTIME_WORKER,
             EventKind::CtlResume,
-            u64::from(epoch + 1),
+            u64::from(epoch),
         );
         let mut cells = Vec::new();
         let rdist = restored.dist();
@@ -1740,7 +1326,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
             }
         }
         let st = ResumeState {
-            epoch: epoch + 1,
+            epoch,
             alive: alive.iter().map(|p| p.0).collect(),
             meta: cells.iter().map(|(packed, _)| *packed).collect(),
             cells,
@@ -1749,7 +1335,23 @@ impl<A: DpApp + 'static> Driver<'_, A> {
         // adoption inside the scatter plus the next epoch's liveness
         // check and re-send insurance catch it.
         self.scatter_resume(&st, self.schedule(alive).root());
-        st
+        self.resume = Some((st, HashSet::from([self.me]), Instant::now() + RESUME_RESEND));
+    }
+
+    fn comm(&self) -> StatsSnapshot {
+        let mut comm = StatsSnapshot::default();
+        if self.plane.job.is_none() {
+            // A served job leaves `comm` at its default: the substrate's
+            // counters are mesh-level, not attributable to one job.
+            let mut sum = self.node.stats().to_counters();
+            for peer in self.peer_stats.values() {
+                for (total, counter) in sum.iter_mut().zip(peer) {
+                    *total += counter;
+                }
+            }
+            comm = StatsSnapshot::from_counters(sum).0;
+        }
+        comm
     }
 }
 
@@ -2063,30 +1665,21 @@ mod tests {
 
     #[test]
     fn data_frames_naming_unowned_or_unfinished_cells_are_malformed() {
-        let pattern: Arc<dyn DagPattern> = Arc::new(Grid2::new(6, 6));
+        let (app, pattern) = (
+            Arc::new(Sum),
+            Arc::new(Grid2::new(6, 6)) as Arc<dyn DagPattern>,
+        );
         let cfg = EngineConfig::flat(2);
-        let dist = Arc::new(Dist::new(
-            Region2D::new(6, 6),
-            cfg.dist_kind.clone(),
-            vec![PlaceId(0), PlaceId(1)],
-        ));
-        let (shards, _) = build_shards::<u64>(pattern.as_ref(), &dist, None, None, None, 4, None);
         // (0, 3) is finished at slot 1; everything else is not.
-        let li = local_index(&dist, VertexId::new(0, 3)) as usize;
-        shards[1].values[li].set(1).unwrap();
-        shards[1].finished[li].store(true, Ordering::Release);
-        let place = Place {
-            app: Arc::new(Sum),
-            pattern,
-            dist,
-            shards,
-            stats: dpx10_apgas::StatsBoard::new(2),
-            topo: cfg.topology,
-            net: cfg.network,
-            schedule: cfg.schedule,
-            comms: cfg.comms,
-            agg: None,
-        };
+        let init: InitOverride<u64> = Arc::new(|i, j| (i == 0 && j == 3).then_some(1));
+        let mut run = Run::new(
+            &app,
+            &pattern,
+            &cfg,
+            Some(&init),
+            vec![PlaceId(0), PlaceId(1)],
+        );
+        let (place, _) = run.begin(None, &dpx10_apgas::StatsBoard::new(2));
         for (what, msg) in hostile_data_frames() {
             let wire: Wire<u64> =
                 decode_exact(&encode_to_vec(&Wire::App(0, msg))).expect("decodes");

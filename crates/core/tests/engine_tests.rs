@@ -223,6 +223,24 @@ fn init_override_prefinished_cells_are_respected() {
 }
 
 #[test]
+fn init_override_finishing_every_cell_runs_no_epoch() {
+    struct NeverApp;
+    impl DpApp for NeverApp {
+        type Value = u64;
+        fn compute(&self, id: VertexId, _deps: &DepView<'_, u64>) -> u64 {
+            panic!("{id} was prefinished; nothing is left to compute");
+        }
+    }
+    let init: dpx10_core::InitOverride<u64> = Arc::new(|i, j| Some(u64::from(10 * i + j)));
+    let engine =
+        ThreadedEngine::new(NeverApp, Grid3::new(6, 6), EngineConfig::flat(2)).with_init(init);
+    let result = engine.run().unwrap();
+    assert_eq!(result.get(2, 3), 23);
+    assert_eq!(result.report().epochs, 1);
+    assert_eq!(result.report().vertices_computed, 0);
+}
+
+#[test]
 fn app_finished_hook_runs_once_with_full_results() {
     struct HookApp {
         calls: Arc<AtomicU64>,

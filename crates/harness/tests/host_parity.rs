@@ -1,0 +1,96 @@
+//! The epoch loop has three real-time hosts; the same configuration
+//! must mean the same thing on each. One planned kill, run through the
+//! threaded engine (every place a worker pool of one process) and
+//! through a socket mesh (every place its own host), is held to the
+//! same report shape, the same values and the same trace numbering.
+
+use std::time::Duration;
+
+use dpx10_apgas::{local_mesh, PlaceId, SocketConfig};
+use dpx10_core::{DagResult, DistKind, EngineConfig, FaultPlan, SocketEngine, ThreadedEngine};
+use dpx10_dag::builtin::Grid3;
+use dpx10_harness::{oracle, MixApp};
+use dpx10_obs::{EventKind, Recorder};
+
+const PLACES: u16 = 3;
+// Large enough that the mesh's coordinator, which polls progress every
+// couple of milliseconds, sees the 40 % threshold long before the end.
+const SIDE: u32 = 128;
+
+fn config() -> EngineConfig {
+    EngineConfig::flat(PLACES)
+        .with_dist(DistKind::BlockRow)
+        .with_fault(FaultPlan {
+            place: PlaceId(2),
+            after_fraction: 0.4,
+        })
+}
+
+fn on_threads(recorder: Recorder) -> DagResult<u64> {
+    ThreadedEngine::new(MixApp, Grid3::new(SIDE, SIDE), config())
+        .with_recorder(recorder)
+        .run()
+        .expect("the threaded run survives the kill")
+}
+
+fn on_the_mesh(recorder: Recorder) -> DagResult<u64> {
+    local_mesh(PLACES, |mut cfg: SocketConfig| {
+        cfg.heartbeat = Duration::from_millis(25);
+        cfg.peer_timeout = Duration::from_millis(600);
+        SocketEngine::new(MixApp, Grid3::new(SIDE, SIDE), config())
+            .with_soft_die()
+            .with_recorder(recorder.clone())
+            .run(cfg)
+    })
+    .expect("the coordinator holds the result and the workers shut down cleanly")
+}
+
+#[test]
+fn one_kill_reads_the_same_on_threads_and_on_a_mesh() {
+    let threads = on_threads(Recorder::disabled());
+    let mesh = on_the_mesh(Recorder::disabled());
+
+    for (id, want) in oracle(&Grid3::new(SIDE, SIDE)) {
+        assert_eq!(threads.try_get(id.i, id.j), Some(want), "threads at {id}");
+    }
+    assert_eq!(threads.fingerprint(), mesh.fingerprint());
+
+    for (host, result) in [("threads", &threads), ("mesh", &mesh)] {
+        let report = result.report();
+        assert!(report.epochs >= 2, "{host}: the kill must have fired");
+        assert_eq!(
+            report.recoveries.len() as u32,
+            report.epochs - 1,
+            "{host}: one recovery per abandoned epoch"
+        );
+        assert_eq!(
+            report.place_busy.len(),
+            usize::from(PLACES) - 1,
+            "{host}: busy time is reported for the survivors"
+        );
+        assert_eq!(report.vertices_total, u64::from(SIDE * SIDE), "{host}");
+        assert!(report.vertices_computed >= report.vertices_total, "{host}");
+    }
+}
+
+#[test]
+fn traces_number_epochs_from_zero_on_every_host() {
+    // `EpochStart` carries the 0-based epoch that starts, the `Recovery`
+    // span the 0-based epoch that was abandoned — as on the simulator.
+    type Host = fn(Recorder) -> DagResult<u64>;
+    for (host, run) in [("threads", on_threads as Host), ("mesh", on_the_mesh)] {
+        let recorder = Recorder::with_capacity(usize::from(PLACES), 1 << 18);
+        let result = run(recorder.clone());
+        assert_eq!(result.report().epochs, 2, "{host}");
+        let trace = recorder.drain();
+        assert!(trace.complete(), "{host}: the ring must not have wrapped");
+        let of = |kind: EventKind| {
+            let events = trace.events.iter();
+            events.filter(move |e| e.kind == kind && e.place == 0)
+        };
+        let starts: Vec<u64> = of(EventKind::EpochStart).map(|e| e.arg).collect();
+        assert_eq!(starts, [0, 1], "{host}: EpochStart args on place 0");
+        let recoveries: Vec<u64> = of(EventKind::Recovery).map(|e| e.arg).collect();
+        assert_eq!(recoveries, [0], "{host}: one Recovery span, of epoch 0");
+    }
+}

@@ -1,10 +1,12 @@
 //! Recovery edge cases at the engine level: several places dying in the
-//! same epoch, and faults triggered at the very start (0 % progress) or
-//! the very end (100 % — during result collection) of a run.
+//! same epoch, faults triggered at the very start (0 % progress) or the
+//! very end (100 % — during result collection) of a run, by the wall
+//! clock instead of by progress, and under a perturbed, coalesced
+//! transport.
 
 use std::time::Duration;
 
-use dpx10_apgas::{local_mesh, ChaosPlan, KillSpec, KillTrigger, PlaceId, SocketConfig};
+use dpx10_apgas::{local_mesh, ChaosPlan, KillSpec, KillTrigger, NetChaos, PlaceId, SocketConfig};
 use dpx10_core::{DagResult, EngineConfig, FaultPlan, SocketEngine, ThreadedEngine};
 use dpx10_dag::builtin::Grid3;
 use dpx10_harness::{oracle, MixApp};
@@ -97,4 +99,51 @@ fn socket_place_dying_during_result_collection() {
     })
     .expect("coordinator holds the result and workers shut down cleanly");
     assert_matches_oracle(&result, h, w);
+}
+
+#[test]
+fn wall_clock_kill_fires_while_the_epoch_runs() {
+    // `After(ZERO)` is due at the coordinator's first look at the epoch,
+    // whatever the progress: the one path to a kill that no publishing
+    // worker takes. The DAG outlives a tick, so the kill lands mid-run.
+    let mut plan = ChaosPlan::quiet(0x71CC);
+    plan.kills.push(KillSpec {
+        place: PlaceId(1),
+        trigger: KillTrigger::After(Duration::ZERO),
+    });
+    let config = EngineConfig::flat(3).with_chaos(plan);
+    let result = ThreadedEngine::new(MixApp, Grid3::new(300, 300), config)
+        .run()
+        .expect("run survives a timed kill");
+    assert_matches_oracle(&result, 300, 300);
+    assert!(result.report().epochs >= 2, "the kill must have fired");
+}
+
+#[test]
+fn recovery_under_delay_dup_and_a_tiny_coalescing_budget() {
+    // Mailboxes → chaos → coalescing, in that order, and rebuilt for the
+    // epoch after the kill: batches must still face the injected delay
+    // and duplication, and nothing buffered in the abandoned epoch may
+    // leak into the next one.
+    let mut plan = ChaosPlan::quiet(0x57AC);
+    plan.net = NetChaos {
+        delay_prob: 0.2,
+        max_delay_ticks: 3,
+        dup_prob: 0.2,
+        drop_prob: 0.0,
+    };
+    plan.kills.push(KillSpec {
+        place: PlaceId(2),
+        trigger: KillTrigger::Progress(0.4),
+    });
+    let config = EngineConfig::flat(3)
+        .with_chaos(plan)
+        .with_coalesce(Some(96));
+    let result = ThreadedEngine::new(MixApp, Grid3::new(24, 24), config)
+        .run()
+        .expect("run survives a kill under a perturbed transport");
+    assert_matches_oracle(&result, 24, 24);
+    let report = result.report();
+    assert!(report.epochs >= 2, "the kill must have fired");
+    assert!(report.comm.batches_sent > 0, "the run must have coalesced");
 }

@@ -6,20 +6,21 @@
 //! queue, the cost model (each place has `W` worker slots, a dispatched
 //! vertex occupies one for `framework_overhead + compute`, messages
 //! arrive after the network model's transfer time), the policy ready
-//! queues, the trace buffer and the epoch loop. Runs are bit-for-bit
-//! deterministic.
+//! queues, the trace buffer and the epoch loop — whose steps (pre-flight,
+//! begin, recover, finish) are [`dpx10_core::epoch`]'s, the ones the
+//! real-time engines run. Runs are bit-for-bit deterministic.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dpx10_apgas::{PlaceId, StatsBoard};
+use dpx10_core::epoch::{kill_threshold, preflight, Run};
 use dpx10_core::protocol::{handle_msg, prepare, publish, Place, Sink, WorkerBufs};
-use dpx10_core::state::{build_shards, collect_array};
-use dpx10_core::{msg::Msg, DagResult, DepView, DpApp, EngineError, InitOverride, RunReport};
-use dpx10_dag::{validate_pattern, DagPattern, VertexId};
-use dpx10_distarray::{recover, Dist, DistArray, Region2D};
+use dpx10_core::state::collect_array;
+use dpx10_core::{msg::Msg, DagResult, DepView, DpApp, EngineConfig, EngineError, InitOverride};
+use dpx10_dag::{DagPattern, VertexId};
 use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 
 use crate::cost::SimConfig;
@@ -144,32 +145,28 @@ impl<A: DpApp + 'static> SimEngine<A> {
         &self,
         trace_capacity: usize,
     ) -> Result<(DagResult<A::Value>, Option<TraceBuffer>), EngineError> {
-        let pattern = self.pattern.as_ref();
         let cfg = &self.config;
-        let total = pattern.vertex_count();
-        if total <= 10_000 && cfg!(debug_assertions) {
-            validate_pattern(pattern)?;
-        }
-        if let Some(plan) = &cfg.fault {
-            if plan.place == PlaceId::ZERO
-                || plan.place.index() >= cfg.topology.num_places() as usize
-            {
-                return Err(EngineError::BadFaultPlan(format!(
-                    "{} is not a killable place",
-                    plan.place
-                )));
-            }
-        }
-
-        let wall_start = Instant::now();
-        let region = Region2D::new(pattern.height(), pattern.width());
-        let mut alive: Vec<PlaceId> = cfg.topology.places().collect();
-        let mut prior: Option<DistArray<A::Value>> = None;
-        let mut base: SimTime = 0;
-        let mut report = RunReport {
-            vertices_total: total,
-            ..RunReport::default()
+        // What the shared steps read. The simulator always executes
+        // through the enumerated adapter view (no aggregation lanes).
+        let steps = EngineConfig {
+            topology: cfg.topology,
+            network: cfg.network,
+            dist_kind: cfg.dist_kind.clone(),
+            schedule: cfg.schedule,
+            comms: cfg.comms,
+            cache_capacity: cfg.cache_capacity,
+            restore_manner: cfg.restore_manner,
+            fault: cfg.fault,
+            aggregation: false,
+            ..EngineConfig::paper(1)
         };
+        preflight(&steps, self.pattern.as_ref())?;
+
+        let places = cfg.topology.places().collect();
+        let mut run = Run::new(&self.app, &self.pattern, &steps, self.init.as_ref(), places);
+        let total = run.report.vertices_total;
+        let mut base: SimTime = 0;
+        let mut place_busy: Vec<Duration> = Vec::new();
         // Cumulative across epochs, like the real backends' boards.
         let stats = StatsBoard::new(cfg.topology.num_places());
         let mut fault_pending = cfg.fault;
@@ -178,22 +175,12 @@ impl<A: DpApp + 'static> SimEngine<A> {
         let mut bufs = WorkerBufs::default();
 
         let final_array = loop {
-            report.epochs += 1;
-            let dist = Arc::new(Dist::new(region, cfg.dist_kind.clone(), alive.clone()));
-            // The simulator always executes through the enumerated
-            // adapter view (no aggregation lanes).
-            let (shards, prefinished) = build_shards(
-                pattern,
-                &dist,
-                prior.as_ref(),
-                None,
-                self.init.as_ref(),
-                cfg.cache_capacity,
-                None,
-            );
+            let (place, prefinished) = run.begin(None, &stats);
+            let dist = place.dist.clone();
             let nslots = dist.num_slots();
             // Move the seeded FIFO ready lists into policy queues.
-            let ready: Vec<ReadyQueue> = shards
+            let ready: Vec<ReadyQueue> = place
+                .shards
                 .iter()
                 .map(|shard| {
                     let mut q = ReadyQueue::new(cfg.ready_policy);
@@ -204,18 +191,6 @@ impl<A: DpApp + 'static> SimEngine<A> {
                     q
                 })
                 .collect();
-            let place = Place {
-                app: self.app.clone(),
-                pattern: self.pattern.clone(),
-                dist: dist.clone(),
-                shards,
-                stats: stats.clone(),
-                topo: cfg.topology,
-                net: cfg.network,
-                schedule: cfg.schedule,
-                comms: cfg.comms,
-                agg: None,
-            };
             let mut ep = Epoch {
                 place: &place,
                 now: base,
@@ -225,10 +200,8 @@ impl<A: DpApp + 'static> SimEngine<A> {
                 queue: EventQueue::new(),
                 finished: prefinished,
                 total,
-                threshold: fault_pending.map(|p| {
-                    let at = ((p.after_fraction * total as f64).ceil() as u64).clamp(1, total);
-                    (p.place, at)
-                }),
+                threshold: fault_pending
+                    .map(|p| (p.place, kill_threshold(p.after_fraction, total))),
                 fault_at: None,
                 last_publish: base,
                 busy_ns: vec![0; nslots],
@@ -243,7 +216,7 @@ impl<A: DpApp + 'static> SimEngine<A> {
                 RUNTIME_WORKER,
                 EventKind::EpochStart,
                 base,
-                u64::from(report.epochs - 1),
+                u64::from(run.report.epochs - 1),
             );
 
             if prefinished == total {
@@ -312,11 +285,11 @@ impl<A: DpApp + 'static> SimEngine<A> {
 
             makespan_ns = makespan_ns.max(ep.last_publish);
             full_trace = ep.trace.take();
-            if report.place_busy.len() < ep.busy_ns.len() {
-                report.place_busy.resize(ep.busy_ns.len(), Duration::ZERO);
+            if place_busy.len() < ep.busy_ns.len() {
+                place_busy.resize(ep.busy_ns.len(), Duration::ZERO);
             }
             for (slot, &ns) in ep.busy_ns.iter().enumerate() {
-                report.place_busy[slot] += Duration::from_nanos(ns);
+                place_busy[slot] += Duration::from_nanos(ns);
             }
 
             match outcome {
@@ -330,21 +303,14 @@ impl<A: DpApp + 'static> SimEngine<A> {
                 EpochEnd::Fault(victim) => {
                     let fault_time = ep.fault_at.expect("fault recorded").1;
                     let snapshot = collect_array(&place.shards, &dist);
-                    let (restored, rec) = recover(
-                        &snapshot,
-                        &[victim],
-                        cfg.restore_manner,
-                        &cfg.topology,
-                        &cfg.network,
-                        &cfg.cost.recovery,
-                    );
-                    base = fault_time + rec.sim_time.as_nanos() as SimTime;
+                    let took = run.recover(&snapshot, &[victim], &cfg.cost.recovery);
+                    base = fault_time + took.as_nanos() as SimTime;
                     self.recorder.instant(
                         victim.0,
                         RUNTIME_WORKER,
                         EventKind::Fault,
                         fault_time,
-                        u64::from(report.epochs - 1),
+                        u64::from(run.report.epochs - 1),
                     );
                     self.recorder.span(
                         0,
@@ -352,7 +318,7 @@ impl<A: DpApp + 'static> SimEngine<A> {
                         EventKind::Recovery,
                         fault_time,
                         base,
-                        u64::from(report.epochs - 1),
+                        u64::from(run.report.epochs - 1),
                     );
                     if let Some(buf) = &mut full_trace {
                         buf.record(TraceEvent {
@@ -362,22 +328,15 @@ impl<A: DpApp + 'static> SimEngine<A> {
                             kind: TraceKind::Recovery,
                         });
                     }
-                    report.recovery_time += rec.sim_time;
-                    report.recoveries.push(rec);
-                    prior = Some(restored);
-                    alive.retain(|&p| p != victim);
                     fault_pending = None;
                 }
             }
         };
 
-        report.comm = stats.snapshot();
-        report.vertices_computed = report.comm.tasks_run;
-        report.sim_time = Duration::from_nanos(makespan_ns.max(base));
-        report.wall_time = wall_start.elapsed();
-        let result = DagResult::new(final_array, report);
-        self.app.app_finished(&result);
-        Ok((result, full_trace))
+        let comm = stats.snapshot();
+        run.report.vertices_computed = comm.tasks_run;
+        run.report.sim_time = Duration::from_nanos(makespan_ns.max(base));
+        Ok((run.finish(final_array, comm, place_busy), full_trace))
     }
 
     /// Fills the free worker slots of `slot` with ready work at the
