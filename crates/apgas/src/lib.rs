@@ -8,11 +8,11 @@
 //! Resilient X10). None of that exists in Rust, so this crate rebuilds the
 //! subset DPX10 needs:
 //!
-//! * [`PlaceId`]/[`Topology`] — places realised as in-process worker
-//!   pools, grouped into *nodes* exactly like the paper's deployment
-//!   (2 places per node, 6 worker threads per place on Tianhe-1A).
-//! * [`ActivityPool`] — per-place worker threads executing spawned
-//!   activities, with a [`FinishScope`] reproducing X10's `finish`.
+//! * [`PlaceId`]/[`Topology`] — places grouped into *nodes* exactly like
+//!   the paper's deployment (2 places per node, 6 worker threads per
+//!   place on Tianhe-1A). The worker threads themselves — the paper's
+//!   `finish { at (p) async worker }` — are started and joined per epoch
+//!   by `dpx10-core`'s epoch loop; this crate has no thread pool.
 //! * [`Mailbox`] — typed inter-place channels with byte accounting; every
 //!   transfer is priced by a [`NetworkModel`] so experiments can report
 //!   communication volume and (simulated) communication time honestly.
@@ -37,7 +37,6 @@
 
 #![warn(missing_docs)]
 
-pub mod activity;
 pub mod chaos;
 pub mod coalesce;
 pub mod codec;
@@ -47,25 +46,22 @@ pub mod mailbox;
 pub mod membership;
 pub mod network;
 pub mod place;
-pub mod runtime;
 pub mod socket;
 pub mod stats;
 pub mod transport;
 
-pub use activity::{ActivityPool, FinishScope};
 pub use chaos::{
     ChaosCounters, ChaosPlan, ChaosRng, ChaosTransport, ElasticEvent, ElasticPlan, ElasticVerb,
     HeartbeatFlap, KillSpec, KillTrigger, NetChaos,
 };
 pub use coalesce::{CoalesceConfig, Coalescible, CoalescingTransport};
 pub use codec::Codec;
-pub use collectives::{fold_counts, CollFrame, CollectiveSchedule};
+pub use collectives::{fold_counts, CollectiveSchedule};
 pub use fault::{DeadPlaceError, LivenessBoard};
 pub use mailbox::{Mailbox, MailboxSender};
 pub use membership::{MemberState, MembershipError, RosterBoard};
 pub use network::NetworkModel;
 pub use place::{PlaceId, Topology};
-pub use runtime::{Runtime, RuntimeConfig};
 pub use socket::launch::{launch_places, local_mesh, PlaceChildren};
 pub use socket::{JoinConfig, SocketChaos, SocketConfig, SocketNode};
 pub use stats::{PlaceStats, StatsBoard, StatsSnapshot};

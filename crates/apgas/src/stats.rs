@@ -1,6 +1,6 @@
 //! Per-place runtime counters.
 //!
-//! Every engine-visible effect — activities run, messages sent, bytes
+//! Every engine-visible effect — vertices computed, messages sent, bytes
 //! moved, cache hits — is counted here with relaxed atomics (hot-path
 //! friendly) and read out as a consistent-enough [`StatsSnapshot`] once a
 //! run has quiesced. The figure harness derives its communication columns
@@ -15,7 +15,8 @@ use crate::place::PlaceId;
 /// Counters for a single place.
 #[derive(Debug, Default)]
 pub struct PlaceStats {
-    /// Activities (vertex computations or runtime tasks) executed here.
+    /// Vertices computed (published) here — the same meaning on every
+    /// backend.
     pub tasks_run: AtomicU64,
     /// Messages sent from this place to another place.
     pub messages_sent: AtomicU64,
@@ -167,7 +168,7 @@ impl StatsBoard {
 /// Aggregated counters across all places.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Total activities executed.
+    /// Total vertices computed.
     pub tasks_run: u64,
     /// Total inter-place messages.
     pub messages_sent: u64,

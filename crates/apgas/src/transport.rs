@@ -5,7 +5,7 @@
 //! two very different substrates:
 //!
 //! * [`LocalTransport`] — the original in-process mailboxes
-//!   ([`crate::mailbox`]): places are worker-thread pools in one process,
+//!   ([`crate::mailbox`]): places are groups of worker threads in one process,
 //!   messages move by handing the value over a channel (no
 //!   serialization), and each send is *priced* through the
 //!   [`NetworkModel`] so experiments can report what the transfer would

@@ -7,17 +7,17 @@
 //! then invoke `appFinished`. The per-vertex protocol itself lives in
 //! [`crate::protocol`]; this module is its real-time driver — the worker
 //! loop and the `Worker` sink — shared with the socket places and the
-//! job pool. The epoch loop and §VI-D's recovery live in
-//! [`crate::epoch`]; [`ThreadedEngine`] is the host of that loop whose
-//! places are all worker pools of one process.
+//! served jobs. The epoch loop and §VI-D's recovery live in
+//! [`crate::epoch`], which also starts the workers; [`ThreadedEngine`]
+//! is the host of that loop whose places all live in one process.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use dpx10_apgas::{
-    mailbox::Envelope, ChaosRng, ChaosTransport, FinishScope, LocalTransport, PlaceId, Runtime,
-    RuntimeConfig, Transport,
+    mailbox::Envelope, ChaosRng, ChaosTransport, LivenessBoard, LocalTransport, PlaceId,
+    StatsBoard, Transport,
 };
 use dpx10_dag::{DagPattern, DepInterval, VertexId};
 use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
@@ -25,7 +25,7 @@ use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 use crate::app::{AggView, DagResult, DepView, DpApp};
 use crate::checkpoint::CheckpointWriters;
 use crate::config::{EngineConfig, InitOverride};
-use crate::epoch::{drive, preflight, EpochWorkers, Host, Run};
+use crate::epoch::{drive, preflight, Host, Run};
 use crate::error::EngineError;
 use crate::msg::Msg;
 use crate::protocol::{agg_record, gather, handle_msg, prepare, publish, Place, Sink, WorkerBufs};
@@ -72,10 +72,8 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
         let cfg = &self.config;
         let topo = cfg.topology;
         preflight(cfg, self.pattern.as_ref())?;
-        let rt = Runtime::new(RuntimeConfig {
-            topology: topo,
-            network: cfg.network,
-        });
+        let liveness = LivenessBoard::new(topo.num_places());
+        let stats = StatsBoard::new(topo.num_places());
         let checkpoint = match &cfg.checkpoint {
             Some(ckpt) => Some(Arc::new(
                 CheckpointWriters::create(ckpt, topo.num_places())
@@ -86,12 +84,8 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
         // Fresh mailboxes each epoch: an abandoned epoch's messages must
         // not reach the next one.
         let mut transport = |_epoch: u32| {
-            let mut transport: Arc<dyn Transport<Msg<A::Value>>> = Arc::new(LocalTransport::new(
-                topo,
-                cfg.network,
-                rt.liveness().clone(),
-                rt.stats().clone(),
-            ));
+            let local = LocalTransport::new(topo, cfg.network, liveness.clone(), stats.clone());
+            let mut transport: Arc<dyn Transport<Msg<A::Value>>> = Arc::new(local);
             if let Some(plan) = cfg.chaos.as_ref().filter(|p| !p.net.is_off()) {
                 // `Done` and `PushVal` carry indegree decrements, which
                 // are not idempotent — everything else on this plane is.
@@ -110,53 +104,23 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
             }
             transport
         };
-        let places = rt.places().collect();
+        let places = topo.places().collect();
         let run = Run::new(&self.app, &self.pattern, cfg, self.init.as_ref(), places);
-        // Every participant is a worker pool of this process.
+        // Every participant's workers run in this process.
         let host = Host {
             me: PlaceId::ZERO,
-            liveness: rt.liveness().clone(),
-            stats: rt.stats().clone(),
+            liveness: liveness.clone(),
+            stats: stats.clone(),
             recorder: self.recorder.clone(),
             transport: &mut transport,
-            workers: &mut Activities {
-                rt: &rt,
-                scope: FinishScope::new(),
-            },
+            track_base: 0,
             kill: &|victim| {
-                rt.liveness().kill(victim);
+                liveness.kill(victim);
             },
             checkpoint,
             mesh: None,
         };
         Ok(drive(run, host)?.expect("place 0 holds the result"))
-    }
-}
-
-/// An epoch's workers as the paper spawns them: `finish { at (p) async
-/// worker }`, `threads_per_place` activities on each place's pool.
-struct Activities<'a> {
-    rt: &'a Runtime,
-    scope: FinishScope,
-}
-
-impl<A: DpApp + 'static> EpochWorkers<A> for Activities<'_> {
-    fn attach(&mut self, shared: &Arc<Shared<A>>, slot: usize) -> Result<(), EngineError> {
-        let place = shared.place.dist.places()[slot];
-        for _ in 0..shared.place.topo.threads_per_place {
-            let shared = shared.clone();
-            // A dead place fails the spawn; the epoch then ends through
-            // the fault flag set by the first blocked sender.
-            let _ = self
-                .rt
-                .spawn_at(place, &self.scope, move || worker_loop(shared, slot));
-        }
-        Ok(())
-    }
-
-    fn detach(&mut self) -> Result<(), EngineError> {
-        self.scope.wait();
-        Ok(())
     }
 }
 
@@ -170,7 +134,7 @@ pub(crate) struct Shared<A: DpApp> {
     /// [`crate::socket_engine::data_well_formed`] before they may index
     /// a shard.
     pub(crate) check_peers: bool,
-    pub(crate) liveness: dpx10_apgas::LivenessBoard,
+    pub(crate) liveness: LivenessBoard,
     pub(crate) total: u64,
     pub(crate) finished_global: AtomicU64,
     pub(crate) computed: AtomicU64,
@@ -182,8 +146,11 @@ pub(crate) struct Shared<A: DpApp> {
     pub(crate) fault_plan: Vec<FaultTrigger>,
     /// Schedule-shaker seed; `Some` randomizes the worker loops.
     pub(crate) shake: Option<u64>,
-    /// Hands each worker a distinct id (trace track + shaker substream).
+    /// Hands each worker a distinct id (trace track + shaker substream),
+    /// counting up from the host's `track_base`.
     pub(crate) worker_seq: AtomicU64,
+    /// The place of a worker thread that unwound, once one has.
+    pub(crate) panicked: OnceLock<PlaceId>,
     pub(crate) checkpoint: Option<Arc<CheckpointWriters<A::Value>>>,
     pub(crate) recorder: Recorder,
 }
@@ -200,10 +167,18 @@ impl<A: DpApp> Shared<A> {
     pub(crate) fn should_stop(&self) -> bool {
         self.done.load(Ordering::Acquire) || self.fault.load(Ordering::Acquire)
     }
+
+    /// Fails once a worker thread of this epoch has panicked.
+    pub(crate) fn check_panic(&self) -> Result<(), EngineError> {
+        match self.panicked.get() {
+            Some(&place) => Err(EngineError::WorkerPanicked { place }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The [`Sink`] of every real-time driver — threaded engine, socket
-/// place, job pool: one worker thread acting on an epoch's [`Shared`].
+/// place, served job: one worker thread acting on an epoch's [`Shared`].
 struct Worker<'a, A: DpApp> {
     shared: &'a Shared<A>,
     /// Process-wide worker id: the trace track this thread records onto.
@@ -251,9 +226,11 @@ impl<A: DpApp> Sink<A::Value> for Worker<'_, A> {
     /// and any planned fault.
     fn finished(&mut self, slot: usize, id: VertexId, value: &A::Value) {
         let sh = self.shared;
+        let me = sh.place.dist.places()[slot];
         sh.computed.fetch_add(1, Ordering::Relaxed);
+        sh.place.stats.place(me).on_task();
         if let Some(ckpt) = &sh.checkpoint {
-            ckpt.on_publish(sh.place.dist.places()[slot], id, value);
+            ckpt.on_publish(me, id, value);
         }
         let g = sh.finished_global.fetch_add(1, Ordering::AcqRel) + 1;
         if g >= sh.total {
@@ -272,9 +249,11 @@ impl<A: DpApp> Sink<A::Value> for Worker<'_, A> {
 /// if configured, park briefly when idle (paper §VI-C's worker loop).
 ///
 /// The inbox is `shared.transport`'s — the same loop serves the threaded
-/// engine (mailboxes) and each place process of the socket engine.
-pub(crate) fn worker_loop<A: DpApp>(shared: Arc<Shared<A>>, slot: usize) {
+/// engine (mailboxes), each place process of the socket engine and each
+/// served job; [`crate::epoch`] is the one place that starts it.
+pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
     let me = shared.place.dist.places()[slot];
+    let ready = &shared.place.shards[slot].ready;
     let mut bufs = WorkerBufs::default();
     let mut idle_rounds = 0u32;
     // Process-wide worker id: the trace track this thread records onto,
@@ -292,7 +271,65 @@ pub(crate) fn worker_loop<A: DpApp>(shared: Arc<Shared<A>>, slot: usize) {
         if shared.should_stop() || !shared.liveness.is_alive(me) {
             break;
         }
-        let progress = worker_rounds(&shared, slot, wid, &mut bufs, &mut shaker);
+        // One budgeted round: drain inbound messages, execute ready
+        // vertices, and (when configured) steal once.
+        let (drain_budget, ready_budget) = match shaker.as_mut() {
+            Some(rng) => {
+                if rng.chance(0.05) {
+                    std::thread::yield_now();
+                }
+                (1 + rng.below(128), 1 + rng.below(32))
+            }
+            None => (128, 32),
+        };
+        let mut progress = false;
+        for _ in 0..drain_budget {
+            match shared.transport.try_recv(me) {
+                Some(env) => {
+                    deliver(shared, slot, wid, env, &mut bufs);
+                    progress = true;
+                }
+                None => break,
+            }
+        }
+        let pop = || {
+            let li = ready.pop()?;
+            shared
+                .recorder
+                .instant_now(me.0, wid, EventKind::ReadyPop, u64::from(li));
+            Some(li)
+        };
+        match shaker.as_mut() {
+            Some(rng) => {
+                // Shaken pop: grab a small batch, start it at a random
+                // offset — adjacent ready vertices execute in an order a
+                // plain FIFO/LIFO queue would never produce.
+                let mut popped = 0;
+                while popped < ready_budget {
+                    let mut batch: Vec<u32> = Vec::with_capacity(4);
+                    batch.extend((0..1 + rng.below(3)).map_while(|_| pop()));
+                    if batch.is_empty() {
+                        break;
+                    }
+                    let r = rng.below(batch.len() as u64) as usize;
+                    batch.rotate_left(r);
+                    for li in batch {
+                        execute(shared, slot, wid, li, &mut bufs);
+                        popped += 1;
+                        progress = true;
+                    }
+                }
+            }
+            None => {
+                for li in (0..ready_budget).map_while(|_| pop()) {
+                    execute(shared, slot, wid, li, &mut bufs);
+                    progress = true;
+                }
+            }
+        }
+        if !progress && shared.place.schedule == ScheduleStrategy::WorkStealing {
+            progress = try_steal(shared, slot, wid, &mut bufs);
+        }
         if progress {
             idle_rounds = 0;
             continue;
@@ -313,102 +350,11 @@ pub(crate) fn worker_loop<A: DpApp>(shared: Arc<Shared<A>>, slot: usize) {
                 .transport
                 .recv_timeout(me, Duration::from_micros(500))
             {
-                deliver(&shared, slot, wid, env, &mut bufs);
+                deliver(shared, slot, wid, env, &mut bufs);
                 idle_rounds = 0;
             }
         }
     }
-}
-
-/// One budgeted round of a worker's duty cycle: drain up to a budget of
-/// inbound messages, execute up to a budget of ready vertices, and (when
-/// configured) steal once from the most loaded shard. Returns whether
-/// anything at all got done, so the caller can decide how to idle.
-///
-/// Extracted from [`worker_loop`] so it can also drive the multi-job
-/// pool in [`crate::jobs`], where one thread services many jobs and must
-/// never block on any single one of them.
-pub(crate) fn worker_rounds<A: DpApp>(
-    shared: &Arc<Shared<A>>,
-    slot: usize,
-    wid: u16,
-    bufs: &mut WorkerBufs,
-    shaker: &mut Option<ChaosRng>,
-) -> bool {
-    let me = shared.place.dist.places()[slot];
-    let ready = &shared.place.shards[slot].ready;
-    let (drain_budget, ready_budget) = match shaker.as_mut() {
-        Some(rng) => {
-            if rng.chance(0.05) {
-                std::thread::yield_now();
-            }
-            (1 + rng.below(128), 1 + rng.below(32))
-        }
-        None => (128, 32),
-    };
-    let mut progress = false;
-    for _ in 0..drain_budget {
-        match shared.transport.try_recv(me) {
-            Some(env) => {
-                deliver(shared, slot, wid, env, bufs);
-                progress = true;
-            }
-            None => break,
-        }
-    }
-    match shaker.as_mut() {
-        Some(rng) => {
-            // Shaken pop: grab a small batch, start it at a random
-            // offset — adjacent ready vertices execute in an order a
-            // plain FIFO/LIFO queue would never produce.
-            let mut popped = 0;
-            while popped < ready_budget {
-                let mut batch: Vec<u32> = Vec::with_capacity(4);
-                for _ in 0..1 + rng.below(3) {
-                    match ready.pop() {
-                        Some(li) => {
-                            shared.recorder.instant_now(
-                                me.0,
-                                wid,
-                                EventKind::ReadyPop,
-                                u64::from(li),
-                            );
-                            batch.push(li);
-                        }
-                        None => break,
-                    }
-                }
-                if batch.is_empty() {
-                    break;
-                }
-                let r = rng.below(batch.len() as u64) as usize;
-                batch.rotate_left(r);
-                for li in batch {
-                    execute(shared, slot, wid, li, bufs);
-                    popped += 1;
-                    progress = true;
-                }
-            }
-        }
-        None => {
-            for _ in 0..ready_budget {
-                match ready.pop() {
-                    Some(li) => {
-                        shared
-                            .recorder
-                            .instant_now(me.0, wid, EventKind::ReadyPop, u64::from(li));
-                        execute(shared, slot, wid, li, bufs);
-                        progress = true;
-                    }
-                    None => break,
-                }
-            }
-        }
-    }
-    if !progress && shared.place.schedule == ScheduleStrategy::WorkStealing {
-        progress = try_steal(shared, slot, wid, bufs);
-    }
-    progress
 }
 
 /// Work stealing (extension strategy): pop a ready vertex from the most

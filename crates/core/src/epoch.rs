@@ -7,11 +7,14 @@
 //! [`Run::recover`], [`Run::finish`] — which the simulator calls from
 //! its own event loop. The real-time engines share the loop too,
 //! `drive`: the threaded engine, a socket place and a served job are
-//! its hosts (DESIGN.md §5 has the table).
+//! its hosts (DESIGN.md §5 has the table), and it starts every host's
+//! workers the same way — `threads_per_place` threads per hosted slot,
+//! joined when the epoch ends.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dpx10_apgas::{
@@ -25,7 +28,7 @@ use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 use crate::app::{DagResult, DpApp};
 use crate::checkpoint::CheckpointWriters;
 use crate::config::{EngineConfig, InitOverride};
-use crate::engine::{FaultTrigger, Shared};
+use crate::engine::{worker_loop, FaultTrigger, Shared};
 use crate::error::EngineError;
 use crate::msg::Msg;
 use crate::protocol::Place;
@@ -250,13 +253,67 @@ impl<'a, A: DpApp> Run<'a, A> {
     }
 }
 
-/// Who computes an epoch's vertices for a host.
-pub(crate) trait EpochWorkers<A: DpApp> {
-    /// Starts workers on `slot`; called once per slot the host runs.
-    fn attach(&mut self, shared: &Arc<Shared<A>>, slot: usize) -> Result<(), EngineError>;
-    /// Returns once no worker touches the epoch any more (`shared.done`
-    /// is already up); an error means a worker did not end cleanly.
-    fn detach(&mut self) -> Result<(), EngineError>;
+/// An epoch's worker threads (paper §VI-A's `finish { at (p) async
+/// worker }`); dropping it ends the epoch for them and joins them.
+pub(crate) struct Workers<A: DpApp> {
+    shared: Arc<Shared<A>>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl<A: DpApp> Workers<A> {
+    /// Starts `threads_per_place` workers on each of `hosted`'s slots.
+    fn start(shared: &Arc<Shared<A>>, hosted: std::ops::Range<usize>) -> Result<Self, EngineError>
+    where
+        A: 'static,
+    {
+        let mut workers = Workers {
+            shared: shared.clone(),
+            handles: Vec::new(),
+        };
+        for slot in hosted {
+            let place = shared.place.dist.places()[slot];
+            for t in 0..shared.place.topo.threads_per_place {
+                let sh = shared.clone();
+                let handle = std::thread::Builder::new()
+                    .name(format!("dpx10-p{}w{t}", place.index()))
+                    .spawn(move || {
+                        // A `compute()` that unwinds takes its worker
+                        // with it; the coordinator must hear of it.
+                        let _flag = PanicFlag(&sh.panicked, place);
+                        worker_loop(&sh, slot)
+                    })
+                    .map_err(|e| EngineError::Socket(format!("spawn worker: {e}")))?;
+                workers.handles.push(handle);
+            }
+        }
+        Ok(workers)
+    }
+
+    /// Ends the epoch for the workers and waits until none touches it
+    /// any more. Idempotent.
+    pub(crate) fn stop(&mut self) {
+        self.shared.done.store(true, Ordering::Release);
+        for handle in self.handles.drain(..) {
+            let _ = handle.join(); // a panic is already on `shared.panicked`
+        }
+    }
+}
+
+impl<A: DpApp> Drop for Workers<A> {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// Names the place of a worker thread that unwinds.
+struct PanicFlag<'a>(&'a OnceLock<PlaceId>, PlaceId);
+
+impl Drop for PanicFlag<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.0.set(self.1);
+        }
+    }
 }
 
 /// How an epoch ended on one host.
@@ -275,10 +332,12 @@ pub(crate) enum Flow<V> {
 /// What the loop asks of a host whose other participants run in other
 /// processes — the one seam to a mesh.
 pub(crate) trait Mesh<A: DpApp> {
-    /// Follower: runs `epoch`, reporting to and obeying the coordinator.
+    /// Follower: runs `epoch`, reporting to and obeying the coordinator;
+    /// stops `workers` before it reports what the epoch computed.
     fn follow(
         &mut self,
         shared: &Arc<Shared<A>>,
+        workers: &mut Workers<A>,
         epoch: u32,
         busy_before: u64,
     ) -> Result<Flow<A::Value>, EngineError>;
@@ -313,7 +372,9 @@ pub(crate) struct Host<'a, A: DpApp> {
     pub recorder: Recorder,
     /// An epoch's transport, before the loop adds coalescing.
     pub transport: &'a mut dyn FnMut(u32) -> Arc<dyn Transport<Msg<A::Value>>>,
-    pub workers: &'a mut dyn EpochWorkers<A>,
+    /// The first trace track (and worker id) of an epoch's workers: a
+    /// served job's base keeps its workers off every other job's tracks.
+    pub track_base: u64,
     /// Delivers a planned kill to its victim.
     pub kill: &'a dyn Fn(PlaceId),
     /// Spill-to-disk writers (one process must own every place's file).
@@ -403,7 +464,8 @@ pub(crate) fn drive<A: DpApp + 'static>(
                 })
                 .collect(),
             shake,
-            worker_seq: AtomicU64::new(0),
+            worker_seq: AtomicU64::new(host.track_base),
+            panicked: OnceLock::new(),
             checkpoint: host.checkpoint.clone(),
             recorder: recorder.clone(),
         });
@@ -411,19 +473,17 @@ pub(crate) fn drive<A: DpApp + 'static>(
             Some(_) => my_slot..my_slot + 1,
             None => 0..run.alive.len(),
         };
-        for slot in hosted.clone() {
-            host.workers.attach(&shared, slot)?;
-        }
+        let mut workers = Workers::start(&shared, hosted.clone())?;
 
         let outcome = if me == PlaceId::ZERO {
             let clock = (run.started, cfg.stall_limit);
             coordinate(&shared, &mut host, epoch, &hosted, clock, &mut polled)
         } else {
             let mesh = host.mesh.as_mut().expect("only a mesh has followers");
-            mesh.follow(&shared, epoch, busy[me.index()])
+            mesh.follow(&shared, &mut workers, epoch, busy[me.index()])
         };
-        shared.done.store(true, Ordering::Release); // belt and braces
-        host.workers.detach()?;
+        drop(workers); // the epoch is over: stop and join them
+        shared.check_panic()?;
         let computed = &mut run.report.vertices_computed;
         *computed += shared.computed.load(Ordering::Relaxed);
         for slot in hosted {
@@ -534,6 +594,7 @@ fn coordinate<A: DpApp>(
             stamp(EventKind::CtlStop, u64::from(epoch));
             return Ok(Flow::Finished);
         }
+        shared.check_panic()?;
         let someone_died = alive.iter().any(|p| !shared.liveness.is_alive(*p));
         if someone_died || shared.fault.load(Ordering::Acquire) {
             shared.fault.store(true, Ordering::Release);

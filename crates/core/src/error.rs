@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use dpx10_apgas::PlaceId;
 use dpx10_dag::ValidationError;
 
 /// Failure modes of an engine run.
@@ -17,6 +18,12 @@ pub enum EngineError {
         finished: u64,
         /// Vertices in the DAG.
         total: u64,
+    },
+    /// A worker thread of `place` unwound — the app's `compute()`
+    /// panicked (the panic message is on stderr).
+    WorkerPanicked {
+        /// The place whose worker panicked.
+        place: PlaceId,
     },
     /// A planned fault targets a place that does not exist or is place 0.
     BadFaultPlan(String),
@@ -40,6 +47,9 @@ impl fmt::Display for EngineError {
             EngineError::InvalidPattern(e) => write!(f, "invalid DAG pattern: {e}"),
             EngineError::Stalled { finished, total } => {
                 write!(f, "engine stalled at {finished}/{total} vertices")
+            }
+            EngineError::WorkerPanicked { place } => {
+                write!(f, "a worker thread of {place} panicked")
             }
             EngineError::BadFaultPlan(msg) => write!(f, "bad fault plan: {msg}"),
             EngineError::Untileable(e) => write!(f, "{e}"),

@@ -19,10 +19,11 @@
 //!   order from the same specs, so no cross-place negotiation is needed:
 //!   the globally least unfinished job is admitted at every participant,
 //!   which makes the cap deadlock-free.
-//! * **Shared worker pool** — one small pool of threads per place
-//!   services *all* admitted jobs round-robin via
-//!   [`crate::engine`]'s budgeted `worker_rounds`, so a wide job cannot
-//!   starve a narrow one of compute threads.
+//! * **Bounded concurrency** — an admitted job computes exactly as a
+//!   solo run does, on `threads_per_place` worker threads per epoch
+//!   started by the shared epoch loop; a place therefore runs at most
+//!   `max_in_flight × threads_per_place` workers, scheduled by the OS,
+//!   and the admission cap is the one number that bounds them.
 //! * **Fault isolation** — liveness is mesh-level, recovery is per-job:
 //!   a place death triggers the §VI-D recovery protocol only for jobs
 //!   whose placement contains the dead place; everything else keeps
@@ -30,33 +31,31 @@
 //!
 //! The epoch loop itself is not here. Each admitted job is one
 //! [`Driver`] — the socket engine's — seeded with the job's placement,
-//! a plane that wraps its frames in the job's namespace, and a seat in
-//! the shared pool in place of private worker threads; so jobs get the
-//! tree broadcast/reduce, the `Resume` scatter and both re-send
+//! a plane that wraps its frames in the job's namespace, and a base
+//! trace track that keeps its workers off every other job's; so jobs get
+//! the tree broadcast/reduce, the `Resume` scatter and both re-send
 //! insurances exactly as a solo run does.
 //!
 //! Place 0 coordinates every job (placements must include it) and is
 //! the only place that returns a [`ServeReport`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dpx10_apgas::codec::{decode_exact, encode_to_vec};
 use dpx10_apgas::mailbox::Envelope;
-use dpx10_apgas::{ChaosRng, PlaceId, SocketConfig, SocketNode};
+use dpx10_apgas::{PlaceId, SocketConfig, SocketNode};
 use dpx10_dag::DagPattern;
 use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 use dpx10_sync::channel::{unbounded, Receiver, Sender};
 
 use crate::app::{DagResult, DpApp, VertexValue};
 use crate::config::EngineConfig;
-use crate::engine::{worker_rounds, Shared};
-use crate::epoch::{killable, validate, EpochWorkers, Run};
+use crate::epoch::{killable, validate, Run};
 use crate::error::EngineError;
 use crate::msg::Msg;
-use crate::protocol::WorkerBufs;
 use crate::socket_engine::{die, downgrade_schedule, AppPlane, Driver, Wire, SNAPSHOT_DEADLINE};
 
 /// A job's control-frame receiver: `(src, unwrapped frame)`.
@@ -173,7 +172,6 @@ pub struct JobServer<A: DpApp> {
     jobs: Vec<JobSpec<A>>,
     max_in_flight: usize,
     max_queue: usize,
-    pool_threads: Option<usize>,
     soft_die: bool,
     kill: Option<ServeKill>,
     recorder: Recorder,
@@ -192,7 +190,6 @@ impl<A: DpApp + 'static> JobServer<A> {
             jobs: Vec::new(),
             max_in_flight: 4,
             max_queue: 64,
-            pool_threads: None,
             soft_die: false,
             kill: None,
             recorder: Recorder::disabled(),
@@ -212,13 +209,6 @@ impl<A: DpApp + 'static> JobServer<A> {
         self
     }
 
-    /// Overrides the shared worker-pool size per place (default: the
-    /// largest `threads_per_place` among the submitted jobs' topologies).
-    pub fn with_pool_threads(mut self, n: usize) -> Self {
-        self.pool_threads = Some(n.max(1));
-        self
-    }
-
     /// Makes a planned kill crash the victim's *sockets* instead of the
     /// process — required when places are threads of one test process
     /// (see [`crate::SocketEngine::with_soft_die`]).
@@ -235,7 +225,7 @@ impl<A: DpApp + 'static> JobServer<A> {
 
     /// Attaches a flight recorder; admissions, completions and every
     /// job's engine events land in this place's ring, with each job's
-    /// pool work on its own track.
+    /// workers on their own tracks.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
@@ -346,45 +336,15 @@ impl<A: DpApp + 'static> JobServer<A> {
                 .map_err(|e| EngineError::Socket(format!("spawn demux: {e}")))?
         };
 
-        let pool = Arc::new(JobPool::new(njobs));
-        let threads = self
-            .pool_threads
-            .unwrap_or_else(|| {
-                self.jobs
-                    .iter()
-                    .map(|s| s.config.topology.threads_per_place as usize)
-                    .max()
-                    .unwrap_or(1)
-            })
-            .max(1);
-        let mut pool_handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let (pool, dying) = (pool.clone(), dying.clone());
+        let watchdog = self.kill.filter(|k| k.place == me).map(|kill| {
+            let (node, dying, stop) = (node.clone(), dying.clone(), stop.clone());
+            let (soft_die, recorder) = (self.soft_die, recorder.clone());
             // A thread-spawn failure past this point would strand peers
             // mid-protocol; dying loudly lets the mesh detect us.
-            let handle = std::thread::Builder::new()
-                .name(format!("dpx10-pool-p{}w{t}", me.index()))
-                .spawn(move || pool_loop(pool, me, t, dying))
-                .expect("spawn pool worker");
-            pool_handles.push(handle);
-        }
-
-        let watchdog = self.kill.filter(|k| k.place == me).map(|kill| {
-            let (pool, node, dying, stop) =
-                (pool.clone(), node.clone(), dying.clone(), stop.clone());
-            let (soft_die, recorder) = (self.soft_die, recorder.clone());
             std::thread::Builder::new()
                 .name(format!("dpx10-kill-p{}", me.index()))
                 .spawn(move || {
-                    kill_watchdog(
-                        pool,
-                        node,
-                        dying,
-                        stop,
-                        kill.after_vertices,
-                        soft_die,
-                        recorder,
-                    )
+                    kill_watchdog(node, dying, stop, kill.after_vertices, soft_die, recorder)
                 })
                 .expect("spawn kill watchdog")
         });
@@ -423,10 +383,6 @@ impl<A: DpApp + 'static> JobServer<A> {
                 let placement = placements[j].clone();
                 let ctl_rx = ctl_rxs[j].take().expect("each job is admitted once");
                 let (node, plane, dying) = (node.clone(), planes[j].clone(), dying.clone());
-                let mut seat = PoolSeat {
-                    pool: pool.clone(),
-                    job: j,
-                };
                 let recorder = recorder.clone();
                 let tx = done_tx.clone();
                 let handle = std::thread::Builder::new()
@@ -448,11 +404,10 @@ impl<A: DpApp + 'static> JobServer<A> {
                         };
                         // A driver that unwinds must still report, or the
                         // admission loop would wait on it forever.
-                        let drive = AssertUnwindSafe(|| driver.drive(run, &mut seat));
+                        let drive = AssertUnwindSafe(|| driver.drive(run, track_base(j)));
                         let result = catch_unwind(drive).unwrap_or_else(|_| {
                             Err(EngineError::Job(format!("job {j}'s driver panicked")))
                         });
-                        let _ = seat.detach(); // a pool seat's detach cannot fail
                         release(&driver, &placement);
                         let _ = tx.send((j, result));
                     })
@@ -495,11 +450,7 @@ impl<A: DpApp + 'static> JobServer<A> {
         }
 
         stop.store(true, Ordering::Release);
-        pool.shutdown.store(true, Ordering::Release);
         for h in driver_handles {
-            let _ = h.join();
-        }
-        for h in pool_handles {
             let _ = h.join();
         }
         node.shutdown();
@@ -640,154 +591,17 @@ fn serve_demux<V: VertexValue>(
     }
 }
 
-/// The shared worker pool of one place: one slot per job, each holding
-/// the job's current epoch state while an epoch is live. Pool threads
-/// sweep the slots round-robin so every live job advances.
-struct JobPool<A: DpApp> {
-    slots: Vec<PoolSlot<A>>,
-    /// Vertices this place published in *finished* epochs, all jobs
-    /// (live epochs add their `computed` on top; see
-    /// [`published`](JobPool::published)).
-    published_base: AtomicU64,
-    shutdown: AtomicBool,
-}
-
-struct PoolSlot<A: DpApp> {
-    work: dpx10_sync::Mutex<Option<(Arc<Shared<A>>, usize)>>,
-    /// Pool threads currently inside this slot's `worker_rounds`; the
-    /// detach barrier spins on it reaching zero.
-    busy: AtomicUsize,
-}
-
-impl<A: DpApp> JobPool<A> {
-    fn new(jobs: usize) -> Self {
-        JobPool {
-            slots: (0..jobs)
-                .map(|_| PoolSlot {
-                    work: dpx10_sync::Mutex::new(None),
-                    busy: AtomicUsize::new(0),
-                })
-                .collect(),
-            published_base: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-        }
-    }
-
-    /// Hands an epoch's shared state to the pool.
-    fn attach(&self, job: usize, shared: Arc<Shared<A>>, slot: usize) {
-        *self.slots[job].work.lock() = Some((shared, slot));
-    }
-
-    /// Withdraws a job's epoch (if one is attached) from the pool and
-    /// waits until no pool thread still works on it — the quiescence
-    /// barrier that replaces the single-job engine's thread join between
-    /// epochs — then books what the epoch published.
-    fn detach(&self, job: usize) {
-        let slot = &self.slots[job];
-        let epoch = slot.work.lock().take();
-        while slot.busy.load(Ordering::Acquire) != 0 {
-            std::thread::yield_now();
-        }
-        if let Some((shared, _)) = epoch {
-            let computed = shared.computed.load(Ordering::Relaxed);
-            self.published_base.fetch_add(computed, Ordering::Relaxed);
-        }
-    }
-
-    /// Vertices this place has published across all jobs so far.
-    fn published(&self) -> u64 {
-        let mut sum = self.published_base.load(Ordering::Relaxed);
-        for slot in &self.slots {
-            if let Some((shared, _)) = &*slot.work.lock() {
-                sum += shared.computed.load(Ordering::Relaxed);
-            }
-        }
-        sum
-    }
-}
-
-/// One job's seat in the shared pool: the [`EpochWorkers`] a served
-/// job's [`Driver`] computes with, in place of private threads.
-struct PoolSeat<A: DpApp> {
-    pool: Arc<JobPool<A>>,
-    job: usize,
-}
-
-impl<A: DpApp> EpochWorkers<A> for PoolSeat<A> {
-    fn attach(&mut self, shared: &Arc<Shared<A>>, slot: usize) -> Result<(), EngineError> {
-        self.pool.attach(self.job, shared.clone(), slot);
-        Ok(())
-    }
-
-    fn detach(&mut self) -> Result<(), EngineError> {
-        self.pool.detach(self.job);
-        Ok(())
-    }
-}
-
-/// The trace track a pool thread records a job's vertex events onto:
-/// high-numbered and keyed by `(job, thread)`, so each job's compute
-/// shows up as its own track and never collides with the single-job
-/// engines' sequential worker ids.
-fn job_track(job: usize, tid: usize) -> u16 {
-    0x4A00 | (((job as u16) & 0x3F) << 3) | ((tid as u16) & 0x7)
-}
-
-/// One pool thread: sweep every job slot, run one budgeted
-/// `worker_rounds` per live slot, idle briefly when nothing anywhere
-/// made progress. Per-slot idle counters drive the coalescing layer's
-/// idle flush exactly as the single-job worker loop does.
-fn pool_loop<A: DpApp>(pool: Arc<JobPool<A>>, me: PlaceId, tid: usize, dying: Arc<AtomicBool>) {
-    let mut bufs = WorkerBufs::default();
-    let mut no_shake: Option<ChaosRng> = None;
-    let mut idle: Vec<u32> = vec![0; pool.slots.len()];
-    while !pool.shutdown.load(Ordering::Acquire) && !dying.load(Ordering::Acquire) {
-        let mut any = false;
-        for (j, slot) in pool.slots.iter().enumerate() {
-            // Lease under the lock *and* bump `busy` before releasing it,
-            // so the detach barrier can never observe zero while a clone
-            // of the epoch state is about to be worked on.
-            let leased = {
-                let guard = slot.work.lock();
-                match &*guard {
-                    Some((shared, s)) => {
-                        slot.busy.fetch_add(1, Ordering::AcqRel);
-                        Some((shared.clone(), *s))
-                    }
-                    None => None,
-                }
-            };
-            let Some((shared, s)) = leased else {
-                idle[j] = 0;
-                continue;
-            };
-            let mut progress = false;
-            if !shared.should_stop() {
-                progress = worker_rounds(&shared, s, job_track(j, tid), &mut bufs, &mut no_shake);
-            }
-            if progress {
-                any = true;
-                idle[j] = 0;
-            } else {
-                idle[j] = idle[j].saturating_add(1);
-                if idle[j] == 1 || idle[j] % 8 == 0 {
-                    shared.transport.flush(me);
-                }
-            }
-            slot.busy.fetch_sub(1, Ordering::AcqRel);
-        }
-        if !any {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
+/// The first trace track of job `job`'s workers: high-numbered and
+/// eight apart, so each job's compute shows up on its own tracks and
+/// never collides with a solo engine's worker ids (which count from 0).
+fn track_base(job: usize) -> u64 {
+    0x4A00 | (((job as u64) & 0x3F) << 3)
 }
 
 /// The victim place's self-inflicted planned fault: once this place has
 /// published the armed number of vertices across all jobs, crash —
 /// peers *detect* the death (heartbeats), exactly like a SIGKILL.
-#[allow(clippy::too_many_arguments)]
-fn kill_watchdog<A: DpApp>(
-    pool: Arc<JobPool<A>>,
+fn kill_watchdog(
     node: Arc<SocketNode>,
     dying: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
@@ -796,7 +610,8 @@ fn kill_watchdog<A: DpApp>(
     recorder: Recorder,
 ) {
     while !stop.load(Ordering::Acquire) && !dying.load(Ordering::Acquire) {
-        if pool.published() >= after_vertices {
+        let published = &node.stats().place(node.me()).tasks_run;
+        if published.load(Ordering::Relaxed) >= after_vertices {
             die(&node, &dying, soft_die, &recorder);
             return;
         }
@@ -833,18 +648,6 @@ mod tests {
         assert_eq!(server.submit(spec()).unwrap(), 1);
         let err = server.submit(spec()).unwrap_err();
         assert!(matches!(err, EngineError::Job(_)), "{err}");
-    }
-
-    #[test]
-    fn job_tracks_are_distinct_per_job_and_thread() {
-        let mut seen = std::collections::HashSet::new();
-        for job in 0..16 {
-            for tid in 0..4 {
-                assert!(seen.insert(job_track(job, tid)));
-            }
-        }
-        // And they never collide with the runtime track.
-        assert!(!seen.contains(&RUNTIME_WORKER));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! engine:
 //!
 //! * [`ThreadedEngine`] — real concurrent execution on the APGAS
-//!   substrate (places as worker-thread pools), including live fault
+//!   substrate (places as groups of worker threads), including live fault
 //!   injection and the paper's recovery method;
 //! * the simulator engine in `dpx10-sim` — the same protocol code under
 //!   a deterministic virtual clock, for cluster-scale experiments.

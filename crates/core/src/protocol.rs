@@ -8,13 +8,13 @@
 //! [`Shard`]s); everything that differs between the drivers goes
 //! through the five methods of [`Sink`]:
 //!
-//! | | threads / socket places / job pool | simulator | elastic mesh |
+//! | | threads / socket places / served jobs | simulator | elastic mesh |
 //! |---|---|---|---|
 //! | `send` | the epoch's `Transport` | a priced arrival event | slot → holder by the sender's `ChunkMap`, fence-stamped bytes |
 //! | `ready` | the shard's FIFO ready list | the policy ready queue | the slot's FIFO ready list |
 //! | `stamp` | recorder, wall clock | recorder, virtual clock | — (membership spans only) |
 //! | `exec` | compute now, reply `ExecResult` | queue for a worker slot | never: vertices run at their owner |
-//! | `finished` | checkpoint, global count, fault triggers | finish count, fault time | compute count, plan progress |
+//! | `finished` | checkpoint, `tasks_run`, global count, fault triggers | finish count, fault time | compute count, plan progress |
 //!
 //! Doc-hidden like [`crate::state`]: public so `dpx10-sim` and the
 //! delivery-order test driver can drive it, not a user-facing API.

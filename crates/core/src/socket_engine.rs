@@ -15,11 +15,12 @@
 //! engine; a place's *mesh side* of it — the control protocol below —
 //! lives here, in the crate-private `Driver`. [`SocketEngine::run`]
 //! instantiates it once per process; the multi-job server
-//! ([`crate::jobs`]) once per job. The two differ in three inputs only:
-//! the participant list that seeds the epoch roster (the mesh's members
-//! vs the job's placement), the frame namespace ([`AppPlane`]'s optional
-//! job id, which wraps data and control frames alike in [`Wire::Job`]),
-//! and who runs an epoch's workers (private threads vs the shared pool).
+//! ([`crate::jobs`]) once per job. The two differ in three inputs only,
+//! all data: the participant list that seeds the epoch roster (the
+//! mesh's members vs the job's placement), the frame namespace
+//! ([`AppPlane`]'s optional job id, which wraps data and control frames
+//! alike in [`Wire::Job`]), and the trace track its workers count up
+//! from (0 vs a per-job base).
 //!
 //! # The control protocol
 //!
@@ -79,8 +80,8 @@ use dpx10_sync::channel::{unbounded, Receiver, Sender};
 
 use crate::app::{DagResult, DpApp, VertexValue};
 use crate::config::{EngineConfig, InitOverride};
-use crate::engine::{worker_loop, Shared};
-use crate::epoch::{self, preflight, EpochWorkers, Flow, Host, Mesh, Run, TICK};
+use crate::engine::Shared;
+use crate::epoch::{self, preflight, Flow, Host, Mesh, Run, Workers, TICK};
 use crate::error::EngineError;
 use crate::msg::Msg;
 use crate::protocol::Place;
@@ -749,7 +750,7 @@ impl<A: DpApp + 'static> SocketEngine<A> {
             peer_stats: Default::default(),
             resume: None,
         };
-        let result = driver.drive(run, &mut PrivateThreads::default());
+        let result = driver.drive(run, 0);
 
         // Whatever happened — success, stall, error — release the
         // workers before the goodbye, or a coordinator error would
@@ -769,44 +770,6 @@ impl<A: DpApp + 'static> SocketEngine<A> {
     }
 }
 
-/// The single-job engine's workers: `threads_per_place` private
-/// threads, spawned per epoch and joined at its end.
-#[derive(Default)]
-struct PrivateThreads {
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl<A: DpApp + 'static> EpochWorkers<A> for PrivateThreads {
-    fn attach(&mut self, shared: &Arc<Shared<A>>, slot: usize) -> Result<(), EngineError> {
-        let me = shared.place.dist.places()[slot];
-        for t in 0..shared.place.topo.threads_per_place {
-            let sh = shared.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("dpx10-p{}w{t}", me.index()))
-                .spawn(move || worker_loop(sh, slot))
-                .map_err(|e| EngineError::Socket(format!("spawn worker: {e}")))?;
-            self.handles.push(handle);
-        }
-        Ok(())
-    }
-
-    fn detach(&mut self) -> Result<(), EngineError> {
-        // Join every thread before reporting that any panicked.
-        let panicked = self
-            .handles
-            .drain(..)
-            .map(|h| h.join())
-            .filter(Result::is_err)
-            .count();
-        if panicked > 0 {
-            return Err(EngineError::Socket(format!(
-                "{panicked} worker thread(s) panicked"
-            )));
-        }
-        Ok(())
-    }
-}
-
 /// One place's mesh side of one DAG run: the control loops, whether the
 /// DAG is the process's only one ([`SocketEngine::run`]) or one job of a
 /// serve ([`crate::jobs`]).
@@ -819,8 +782,8 @@ pub(crate) struct Driver<'a, A: DpApp> {
     pub(crate) plane: Arc<AppPlane<A::Value>>,
     pub(crate) ctl_rx: Receiver<(PlaceId, Wire<A::Value>)>,
     pub(crate) me: PlaceId,
-    /// Raised by the demux (planned `Die`) or a kill watchdog once this
-    /// place is crashing.
+    /// Raised by the demux (planned `Die`), a kill watchdog or a
+    /// panicked worker once this place is crashing.
     pub(crate) dying: Arc<AtomicBool>,
     pub(crate) recorder: Recorder,
     /// Place 0: every peer's cumulative counters as of its last snapshot.
@@ -856,12 +819,13 @@ impl<A: DpApp + 'static> Driver<'_, A> {
     }
 
     /// Runs `run` to completion on this place, as a host of the shared
-    /// epoch loop. `Ok(Some(result))` on place 0, `Ok(None)` on every
-    /// other participant.
+    /// epoch loop whose workers record onto tracks `track_base..`.
+    /// `Ok(Some(result))` on place 0, `Ok(None)` on every other
+    /// participant.
     pub(crate) fn drive(
         &mut self,
         run: Run<'_, A>,
-        workers: &mut dyn EpochWorkers<A>,
+        track_base: u64,
     ) -> Result<Option<DagResult<A::Value>>, EngineError> {
         let plane = self.plane.clone();
         let host = Host {
@@ -875,7 +839,7 @@ impl<A: DpApp + 'static> Driver<'_, A> {
                 plane.set_epoch(epoch);
                 plane.clone()
             },
-            workers,
+            track_base,
             // The victim's demux obeys by crashing without a goodbye.
             // (A serve clears its jobs' plans; its kills are `ServeKill`s.)
             kill: &|victim| {
@@ -1017,6 +981,7 @@ impl<A: DpApp + 'static> Mesh<A> for Driver<'_, A> {
     fn follow(
         &mut self,
         shared: &Arc<Shared<A>>,
+        workers: &mut Workers<A>,
         epoch: u32,
         busy_before: u64,
     ) -> Result<Flow<A::Value>, EngineError> {
@@ -1052,6 +1017,13 @@ impl<A: DpApp + 'static> Mesh<A> for Driver<'_, A> {
                 }
             }
 
+            if let Err(panicked) = shared.check_panic() {
+                // A place that cannot compute leaves like a dead one — no
+                // goodbye — so the coordinator recovers without it.
+                self.dying.store(true, Ordering::Release);
+                self.node.crash();
+                return Err(panicked);
+            }
             let received = self.recv_ctl(Duration::from_millis(5));
             // Checked after the receive: the demux raises `dying` before
             // it forwards anything that arrived behind the `Die`, so a
@@ -1095,6 +1067,9 @@ impl<A: DpApp + 'static> Mesh<A> for Driver<'_, A> {
                     };
                     self.recorder
                         .instant_now(self.me.0, RUNTIME_WORKER, kind, u64::from(epoch));
+                    // Quiesce first: the cells, `computed` and the
+                    // counters of one snapshot describe the same moment.
+                    workers.stop();
                     self.send_snapshot(shared, epoch, my_slot, busy_before)?;
                     awaiting_release = Some(Instant::now());
                 }

@@ -462,3 +462,39 @@ fn concurrent_pulls_of_one_vertex_fold_into_a_single_request() {
         "only {deduped} of {w} waiters were folded into the hub"
     );
 }
+
+/// `MixApp` whose `compute()` panics at one vertex.
+struct PanicsAt(VertexId);
+
+impl DpApp for PanicsAt {
+    type Value = u64;
+    fn compute(&self, id: VertexId, deps: &DepView<'_, u64>) -> u64 {
+        assert!(id != self.0, "compute() blew up at {id}");
+        MixApp.compute(id, deps)
+    }
+}
+
+#[test]
+fn a_panicking_compute_is_reported_as_a_panic_promptly() {
+    // The worker that unwinds can never publish its vertex; without the
+    // panic flag the run sat out the whole stall limit and then blamed
+    // the pattern (`Stalled`).
+    let mut config = EngineConfig::flat(2);
+    config.stall_limit = std::time::Duration::from_secs(3);
+    let app = PanicsAt(VertexId::new(6, 5));
+    let started = std::time::Instant::now();
+    let err = match ThreadedEngine::new(app, Grid3::new(10, 10), config).run() {
+        Err(e) => e,
+        Ok(_) => panic!("a run whose compute() panics must not complete"),
+    };
+    // (6, 5) sits in place 1's column block.
+    assert!(
+        matches!(err, dpx10_core::EngineError::WorkerPanicked { place } if place == PlaceId(1)),
+        "expected the panic to be reported, got {err}"
+    );
+    assert!(
+        started.elapsed() < std::time::Duration::from_millis(1500),
+        "reported only after {:?}",
+        started.elapsed()
+    );
+}

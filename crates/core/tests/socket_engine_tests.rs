@@ -146,3 +146,43 @@ fn fully_prefinished_dag_short_circuits_on_every_place() {
     assert_eq!(result.report().vertices_computed, 0);
     assert_eq!(result.get(7, 7), 707);
 }
+
+/// `MixApp` whose `compute()` panics at one vertex.
+struct PanicsAt(VertexId);
+
+impl DpApp for PanicsAt {
+    type Value = u64;
+    fn compute(&self, id: VertexId, deps: &DepView<'_, u64>) -> u64 {
+        assert!(id != self.0, "compute() blew up at {id}");
+        MixApp.compute(id, deps)
+    }
+}
+
+#[test]
+fn a_panicking_compute_fails_the_mesh_run_in_bounded_time() {
+    // (6, 5) is place 1's: its worker unwinds, the place leaves the mesh
+    // like a dead one, place 0 recovers alone, reaches the same vertex
+    // and reports its own panic — an error well inside the (default,
+    // 30 s) stall limit, never a hang.
+    let started = std::time::Instant::now();
+    let err = local_mesh(2, |socket| {
+        SocketEngine::new(
+            PanicsAt(VertexId::new(6, 5)),
+            Grid3::new(10, 10),
+            EngineConfig::flat(2),
+        )
+        .with_soft_die()
+        .run(socket)
+    })
+    .err()
+    .expect("a run whose compute() panics must not complete");
+    assert!(
+        err.contains("coordinator failed: a worker thread of place 0 panicked"),
+        "{err}"
+    );
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(10),
+        "reported only after {:?}",
+        started.elapsed()
+    );
+}

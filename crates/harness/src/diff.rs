@@ -136,6 +136,7 @@ fn check_values(
 }
 
 /// The recovery invariants every backend must uphold:
+/// * `tasks_run` means "vertices computed" everywhere, kill or no kill,
 /// * a run with no armed failure finishes in one epoch with zero
 ///   recomputation, and
 /// * recomputation never exceeds the cells actually lost to failures —
@@ -150,6 +151,15 @@ fn check_recovery(
     report: &RunReport,
     slots: u64,
 ) -> Result<(), Failure> {
+    if report.comm.tasks_run != report.vertices_computed {
+        return Err(fail(
+            backend,
+            format!(
+                "tasks_run is {} but {} vertices were computed",
+                report.comm.tasks_run, report.vertices_computed
+            ),
+        ));
+    }
     if plan.kills.is_empty() {
         if report.epochs != 1 {
             return Err(fail(

@@ -1,6 +1,6 @@
 //! The epoch loop has three real-time hosts; the same configuration
 //! must mean the same thing on each. One planned kill, run through the
-//! threaded engine (every place a worker pool of one process) and
+//! threaded engine (every place's workers threads of one process) and
 //! through a socket mesh (every place its own host), is held to the
 //! same report shape, the same values and the same trace numbering.
 
@@ -70,6 +70,7 @@ fn one_kill_reads_the_same_on_threads_and_on_a_mesh() {
         );
         assert_eq!(report.vertices_total, u64::from(SIDE * SIDE), "{host}");
         assert!(report.vertices_computed >= report.vertices_total, "{host}");
+        assert_eq!(report.comm.tasks_run, report.vertices_computed, "{host}");
     }
 }
 

@@ -4,8 +4,10 @@
 //! every job — faulted or not — is its solo single-place threaded run;
 //! fault isolation is asserted structurally: only jobs with vertices on
 //! the dead place recover (epochs ≥ 2), jobs pinned away from it never
-//! see a second epoch.
+//! see a second epoch. A traced serve adds the trace-side invariant:
+//! concurrent jobs' workers never share a `(place, worker)` track.
 
+use std::collections::HashSet;
 use std::time::Duration;
 
 use dpx10_apgas::{local_mesh, SocketConfig};
@@ -15,6 +17,8 @@ use dpx10_core::{
 };
 use dpx10_dag::{builtin, DagPattern};
 use dpx10_harness::MixApp;
+use dpx10_obs::oracle::check_span_nesting;
+use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 
 fn solo_fingerprint(pattern: impl DagPattern + Clone + 'static) -> u64 {
     ThreadedEngine::new(MixApp, pattern, EngineConfig::flat(1))
@@ -225,4 +229,89 @@ fn relay_death_on_five_places_is_repaired_under_job_wrapping() {
         let wide = job.name.starts_with("wide");
         assert_job(job, solo, wide, if wide { 4 } else { 3 });
     }
+}
+
+#[test]
+fn traced_serve_keeps_every_jobs_workers_on_their_own_tracks() {
+    // What the shared pool used to guarantee by construction, now that
+    // every job's workers are plain per-epoch threads: with the cap's
+    // worth of jobs in flight, two workers each, and a place dying under
+    // them, no two workers of one place ever record onto the same
+    // `(place, worker)` track — their compute spans would interleave and
+    // fail the nesting oracle.
+    let two_threads = || {
+        let mut cfg = EngineConfig::flat(3);
+        cfg.topology.threads_per_place = 2;
+        cfg
+    };
+    let recorder = Recorder::with_capacity(3, 1 << 16);
+    let report = serve_mesh(3, || {
+        let mut server = JobServer::new()
+            .with_max_in_flight(3)
+            .with_soft_die()
+            .with_recorder(recorder.clone())
+            .with_kill(ServeKill {
+                place: PlaceId(2),
+                after_vertices: 40,
+            });
+        let (g3, g2) = (builtin::Grid3::new(20, 20), builtin::Grid2::new(18, 20));
+        server
+            .submit(JobSpec::new("grid3", MixApp, g3, two_threads()))
+            .unwrap();
+        server
+            .submit(JobSpec::new("grid2", MixApp, g2, two_threads()))
+            .unwrap();
+        let (dg, rw) = (
+            builtin::Diagonal::new(16, 16),
+            builtin::RowWave::new(12, 24),
+        );
+        server
+            .submit(JobSpec::new("diagonal", MixApp, dg, two_threads()))
+            .unwrap();
+        server
+            .submit(JobSpec::new("rowwave", MixApp, rw, two_threads()))
+            .unwrap();
+        server
+    });
+
+    assert_eq!(report.succeeded(), 4);
+    assert_eq!(report.peak_in_flight, 3, "the cap's worth ran together");
+    let solos = [
+        solo_fingerprint(builtin::Grid3::new(20, 20)),
+        solo_fingerprint(builtin::Grid2::new(18, 20)),
+        solo_fingerprint(builtin::Diagonal::new(16, 16)),
+        solo_fingerprint(builtin::RowWave::new(12, 24)),
+    ];
+    for (job, solo) in report.jobs.iter().zip(solos) {
+        let result = job.result.as_ref().expect("job succeeded");
+        assert_eq!(result.fingerprint(), solo, "job {} diverged", job.name);
+    }
+    assert!(
+        report
+            .jobs
+            .iter()
+            .any(|j| !j.result.as_ref().unwrap().report().recoveries.is_empty()),
+        "the kill landed mid-serve"
+    );
+
+    let trace = recorder.drain();
+    assert!(
+        trace.complete(),
+        "ring too small: {} dropped",
+        trace.dropped
+    );
+    // Worker tracks only: concurrent jobs' drivers legitimately overlap
+    // their snapshot/recovery spans on a place's runtime track.
+    let mut events = trace.events;
+    events.retain(|e| e.worker != RUNTIME_WORKER);
+    check_span_nesting(&events).expect("two workers shared a track");
+    let tracks: HashSet<u16> = events
+        .iter()
+        .filter(|e| e.place == 0 && e.kind == EventKind::VertexCompute)
+        .map(|e| e.worker)
+        .collect();
+    assert!(
+        tracks.len() >= 4,
+        "each job computes on its own tracks: {tracks:?}"
+    );
 }
