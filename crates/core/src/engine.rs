@@ -77,7 +77,7 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
         let checkpoint = match &cfg.checkpoint {
             Some(ckpt) => Some(Arc::new(
                 CheckpointWriters::create(ckpt, topo.num_places())
-                    .map_err(|e| EngineError::BadFaultPlan(format!("checkpoint: {e}")))?,
+                    .map_err(|e| EngineError::Io(format!("checkpoint: {e}")))?,
             )),
             None => None,
         };

@@ -282,7 +282,7 @@ impl<A: DpApp> Workers<A> {
                         let _flag = PanicFlag(&sh.panicked, place);
                         worker_loop(&sh, slot)
                     })
-                    .map_err(|e| EngineError::Socket(format!("spawn worker: {e}")))?;
+                    .map_err(|e| EngineError::Io(format!("spawn worker: {e}")))?;
                 workers.handles.push(handle);
             }
         }

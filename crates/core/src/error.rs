@@ -34,6 +34,9 @@ pub enum EngineError {
     /// mesh formation, an unrecoverable peer loss (place 0), or an I/O
     /// error on the coordinator itself.
     Socket(String),
+    /// The operating system refused something every backend needs — the
+    /// checkpoint directory, a worker thread.
+    Io(String),
     /// The multi-job server rejected a submission or a serve
     /// configuration — a full admission queue (backpressure), a job
     /// pinned to places outside the mesh, or a placement missing the
@@ -54,6 +57,7 @@ impl fmt::Display for EngineError {
             EngineError::BadFaultPlan(msg) => write!(f, "bad fault plan: {msg}"),
             EngineError::Untileable(e) => write!(f, "{e}"),
             EngineError::Socket(msg) => write!(f, "socket backend: {msg}"),
+            EngineError::Io(msg) => write!(f, "i/o: {msg}"),
             EngineError::Job(msg) => write!(f, "job server: {msg}"),
         }
     }

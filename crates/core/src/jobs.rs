@@ -1,16 +1,15 @@
 //! The multi-job scheduler: serve many independent DP jobs over one
 //! shared socket mesh.
 //!
-//! The one-shot engines tear the world down after a single DAG. A
-//! service cannot: the ROADMAP's "heavy traffic" north-star needs many
-//! jobs admitted, scheduled and recovered concurrently over a mesh that
-//! outlives all of them. [`JobServer`] provides that layer:
+//! The one-shot engines tear the world down after a single DAG; a
+//! service admits, schedules and recovers many jobs concurrently over a
+//! mesh that outlives all of them. [`JobServer`] is that layer over one
+//! `mesh.rs` session:
 //!
-//! * **Namespacing** — every data and control frame of a served job
-//!   travels wrapped in [`Wire::Job`]`(job_id, …)`, so one demux thread
-//!   per place routes traffic to per-job channels and one job's abort
-//!   or park can never destroy another job's frames. The only bare
-//!   frames of a serve are the mesh-level `Die` and `Done`.
+//! * **Namespacing** — a served job is run `job_id` of the session:
+//!   every frame it sends carries that id (a solo run's carry 0), so the
+//!   one demux thread routes traffic to per-job channels and one job's
+//!   abort or park can never destroy another job's frames.
 //! * **Admission** — jobs run in a deterministic (priority descending,
 //!   submission order ascending) sequence with at most
 //!   [`JobServer::with_max_in_flight`] drivers live per place, and
@@ -30,36 +29,30 @@
 //!   running undisturbed on its own epoch chain.
 //!
 //! The epoch loop itself is not here. Each admitted job is one
-//! [`Driver`] — the socket engine's — seeded with the job's placement,
-//! a plane that wraps its frames in the job's namespace, and a base
-//! trace track that keeps its workers off every other job's; so jobs get
-//! the tree broadcast/reduce, the `Resume` scatter and both re-send
-//! insurances exactly as a solo run does.
+//! [`Driver`] — the socket engine's — over the job's placement, its link
+//! of the session and a base trace track that keeps its workers off
+//! every other job's; so jobs get the tree broadcast/reduce, the
+//! `Resume` scatter and both re-send insurances exactly as a solo run.
 //!
 //! Place 0 coordinates every job (placements must include it) and is
 //! the only place that returns a [`ServeReport`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dpx10_apgas::codec::{decode_exact, encode_to_vec};
-use dpx10_apgas::mailbox::Envelope;
-use dpx10_apgas::{PlaceId, SocketConfig, SocketNode};
+use dpx10_apgas::{PlaceId, SocketConfig};
 use dpx10_dag::DagPattern;
 use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
-use dpx10_sync::channel::{unbounded, Receiver, Sender};
+use dpx10_sync::channel::unbounded;
 
 use crate::app::{DagResult, DpApp, VertexValue};
 use crate::config::EngineConfig;
 use crate::epoch::{killable, validate, Run};
 use crate::error::EngineError;
-use crate::msg::Msg;
-use crate::socket_engine::{die, downgrade_schedule, AppPlane, Driver, Wire, SNAPSHOT_DEADLINE};
-
-/// A job's control-frame receiver: `(src, unwrapped frame)`.
-type CtlReceiver<V> = Receiver<(PlaceId, Wire<V>)>;
+use crate::mesh::{Member, Session};
+use crate::socket_engine::{downgrade_schedule, Driver};
 
 /// What a job's driver thread hands back: `Ok(Some)` only on place 0.
 type JobResult<V> = Result<Option<DagResult<V>>, EngineError>;
@@ -143,7 +136,7 @@ pub struct JobOutcome<V: VertexValue> {
     /// The job's result, exactly as a solo run would report it (per-job
     /// epochs and recoveries included). Communication counters are
     /// mesh-level and not attributed per job, so `report().comm` stays
-    /// at its default here.
+    /// at its default unless the serve carried this job only.
     pub result: Result<DagResult<V>, EngineError>,
 }
 
@@ -268,17 +261,10 @@ impl<A: DpApp + 'static> JobServer<A> {
         if self.jobs.is_empty() {
             return Err(EngineError::Job("no jobs submitted".into()));
         }
-        let recorder = self.recorder.clone();
-        let mut socket = socket;
-        if !socket.recorder.enabled() {
-            socket.recorder = recorder.clone();
-        }
-        let node = Arc::new(
-            SocketNode::connect(socket)
-                .map_err(|e| EngineError::Socket(format!("mesh formation failed: {e}")))?,
-        );
-        let me = node.me();
-        let places = node.places();
+        let njobs = self.jobs.len();
+        let session = Session::open(socket, &self.recorder, self.soft_die, njobs)?;
+        let member = session.member.clone();
+        let (node, recorder, me) = (&member.node, &member.recorder, member.node.me());
         // Every place validates the same specs the same way; an invalid
         // serve fails identically everywhere, tearing the mesh down
         // symmetrically. Validation runs against the live roster, not
@@ -286,66 +272,22 @@ impl<A: DpApp + 'static> JobServer<A> {
         // not schedulable.
         let members = node.roster().members();
         let victims = self.kill.iter().map(|k| k.place);
-        let checked = killable(places, victims).and(self.resolve_placements(&members));
+        let checked = killable(node.places(), victims).and(self.resolve_placements(&members));
         let placements = match checked {
             Ok(p) => p,
             Err(e) => {
-                node.shutdown();
+                session.close(true);
                 return Err(e);
             }
         };
 
-        // Per-job channels and planes exist before any job is admitted,
-        // so traffic from a place that admitted a job earlier than us
-        // buffers in the job's own channel instead of being lost (or
-        // worse, read by another job).
-        let njobs = self.jobs.len();
-        let mut app_txs = Vec::with_capacity(njobs);
-        let mut ctl_txs = Vec::with_capacity(njobs);
-        let mut planes = Vec::with_capacity(njobs);
-        let mut ctl_rxs: Vec<Option<CtlReceiver<A::Value>>> = Vec::with_capacity(njobs);
-        for j in 0..njobs {
-            let (app_tx, app_rx) = unbounded();
-            let (ctl_tx, ctl_rx) = unbounded();
-            app_txs.push(app_tx);
-            ctl_txs.push(ctl_tx);
-            planes.push(Arc::new(AppPlane::new(
-                node.clone(),
-                app_rx,
-                Some(j as u32),
-            )));
-            ctl_rxs.push(Some(ctl_rx));
-        }
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let dying = Arc::new(AtomicBool::new(false));
-        let served_done = Arc::new(AtomicBool::new(false));
-        let demux = {
-            let node = node.clone();
-            let routes = JobRoutes {
-                app: app_txs,
-                ctl: ctl_txs,
-            };
-            let (stop, dying, served_done) = (stop.clone(), dying.clone(), served_done.clone());
-            let (soft_die, recorder) = (self.soft_die, recorder.clone());
-            std::thread::Builder::new()
-                .name(format!("dpx10-serve-demux{}", me.index()))
-                .spawn(move || {
-                    serve_demux(node, routes, stop, dying, served_done, soft_die, recorder)
-                })
-                .map_err(|e| EngineError::Socket(format!("spawn demux: {e}")))?
-        };
-
         let watchdog = self.kill.filter(|k| k.place == me).map(|kill| {
-            let (node, dying, stop) = (node.clone(), dying.clone(), stop.clone());
-            let (soft_die, recorder) = (self.soft_die, recorder.clone());
+            let member = member.clone();
             // A thread-spawn failure past this point would strand peers
             // mid-protocol; dying loudly lets the mesh detect us.
             std::thread::Builder::new()
                 .name(format!("dpx10-kill-p{}", me.index()))
-                .spawn(move || {
-                    kill_watchdog(node, dying, stop, kill.after_vertices, soft_die, recorder)
-                })
+                .spawn(move || kill_watchdog(&member, kill.after_vertices))
                 .expect("spawn kill watchdog")
         });
 
@@ -381,34 +323,21 @@ impl<A: DpApp + 'static> JobServer<A> {
                 config.fault = None;
                 config.chaos = None;
                 let placement = placements[j].clone();
-                let ctl_rx = ctl_rxs[j].take().expect("each job is admitted once");
-                let (node, plane, dying) = (node.clone(), planes[j].clone(), dying.clone());
-                let recorder = recorder.clone();
+                let link = session.links[j].clone();
                 let tx = done_tx.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("dpx10-job{j}p{}", me.index()))
                     .spawn(move || {
                         let mut run = Run::new(&app, &pattern, &config, None, placement.clone());
                         run.report.schedule_downgrade = downgrade;
-                        let mut driver = Driver {
-                            pattern: &pattern,
-                            config: &config,
-                            node,
-                            plane,
-                            ctl_rx,
-                            me,
-                            dying,
-                            recorder,
-                            peer_stats: Default::default(),
-                            resume: None,
-                        };
+                        let mut driver = Driver::new(&pattern, &config, link);
                         // A driver that unwinds must still report, or the
                         // admission loop would wait on it forever.
                         let drive = AssertUnwindSafe(|| driver.drive(run, track_base(j)));
                         let result = catch_unwind(drive).unwrap_or_else(|_| {
                             Err(EngineError::Job(format!("job {j}'s driver panicked")))
                         });
-                        release(&driver, &placement);
+                        driver.release(&placement);
                         let _ = tx.send((j, result));
                     })
                     .expect("spawn job driver");
@@ -423,38 +352,10 @@ impl<A: DpApp + 'static> JobServer<A> {
             }
         }
 
-        if me == PlaceId::ZERO {
-            // Place 0 coordinates every job, so all jobs are over: the
-            // serve-level goodbye releases the worker places — the live
-            // roster, not `1..places`, which would address drained slots.
-            for p in node.roster().members() {
-                if p != me {
-                    let _ = node.send_bytes(p, encode_to_vec(&Wire::<A::Value>::Done));
-                }
-            }
-        } else {
-            // Other places' connections must outlive the jobs they are
-            // *not* in: tearing down early would read as a crash to any
-            // peer still mid-epoch. Wait for the goodbye — with an
-            // orphan deadline, because a place the coordinator falsely
-            // wrote off can no longer be addressed and would wait
-            // forever (same escape as the single-job snapshot wait).
-            let orphan_deadline = Instant::now() + SNAPSHOT_DEADLINE;
-            while !served_done.load(Ordering::Acquire)
-                && !dying.load(Ordering::Acquire)
-                && node.liveness().is_alive(PlaceId::ZERO)
-                && Instant::now() < orphan_deadline
-            {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-
-        stop.store(true, Ordering::Release);
         for h in driver_handles {
             let _ = h.join();
         }
-        node.shutdown();
-        let _ = demux.join();
+        session.close(false);
         if let Some(w) = watchdog {
             let _ = w.join();
         }
@@ -521,76 +422,6 @@ impl<A: DpApp + 'static> JobServer<A> {
     }
 }
 
-/// Per-job routing table of the serve demux.
-struct JobRoutes<V> {
-    app: Vec<Sender<(u32, Envelope<Msg<V>>)>>,
-    ctl: Vec<Sender<(PlaceId, Wire<V>)>>,
-}
-
-/// Place 0: releases a job's surviving workers, whatever its outcome
-/// was — the per-job twin of the single-job engine's
-/// release-before-goodbye (the frame leaves through the job's plane, so
-/// it arrives inside the job's namespace).
-fn release<A: DpApp>(driver: &Driver<'_, A>, participants: &[PlaceId]) {
-    if driver.me != PlaceId::ZERO {
-        return;
-    }
-    for p in participants
-        .iter()
-        .filter(|p| **p != driver.me && driver.node.liveness().is_alive(**p))
-    {
-        let _ = driver.plane.send_wire(*p, &Wire::Done);
-    }
-}
-
-/// Reads raw frames off the mesh and routes them to the owning job's
-/// channels. Bare `Die`/`Done` frames are mesh-level (planned fault /
-/// serve shutdown); a serve has no other bare frames, so anything else
-/// unwrapped is dropped, as are unknown job ids. Undecodable payloads
-/// mark the sender dead, the single-job policy.
-fn serve_demux<V: VertexValue>(
-    node: Arc<SocketNode>,
-    routes: JobRoutes<V>,
-    stop: Arc<AtomicBool>,
-    dying: Arc<AtomicBool>,
-    served_done: Arc<AtomicBool>,
-    soft_die: bool,
-    recorder: Recorder,
-) {
-    while !stop.load(Ordering::Acquire) {
-        let Some((src, bytes)) = node.recv_bytes_timeout(Duration::from_millis(5)) else {
-            continue;
-        };
-        let (job, wire) = match decode_exact::<Wire<V>>(&bytes) {
-            Some(Wire::Job(job, inner)) => (job as usize, *inner),
-            Some(Wire::Die) => {
-                die(&node, &dying, soft_die, &recorder);
-                continue;
-            }
-            Some(Wire::Done) => {
-                served_done.store(true, Ordering::Release);
-                continue;
-            }
-            Some(_) => continue,
-            None => {
-                node.liveness().mark_dead(src);
-                continue;
-            }
-        };
-        if job >= routes.app.len() {
-            continue;
-        }
-        match wire {
-            Wire::App(epoch, msg) => {
-                let _ = routes.app[job].send((epoch, Envelope { src, msg }));
-            }
-            other => {
-                let _ = routes.ctl[job].send((src, other));
-            }
-        }
-    }
-}
-
 /// The first trace track of job `job`'s workers: high-numbered and
 /// eight apart, so each job's compute shows up on its own tracks and
 /// never collides with a solo engine's worker ids (which count from 0).
@@ -601,18 +432,11 @@ fn track_base(job: usize) -> u64 {
 /// The victim place's self-inflicted planned fault: once this place has
 /// published the armed number of vertices across all jobs, crash —
 /// peers *detect* the death (heartbeats), exactly like a SIGKILL.
-fn kill_watchdog(
-    node: Arc<SocketNode>,
-    dying: Arc<AtomicBool>,
-    stop: Arc<AtomicBool>,
-    after_vertices: u64,
-    soft_die: bool,
-    recorder: Recorder,
-) {
-    while !stop.load(Ordering::Acquire) && !dying.load(Ordering::Acquire) {
-        let published = &node.stats().place(node.me()).tasks_run;
+fn kill_watchdog(member: &Member, after_vertices: u64) {
+    while !member.over.load(Ordering::Acquire) && !member.dying.load(Ordering::Acquire) {
+        let published = &member.node.stats().place(member.node.me()).tasks_run;
         if published.load(Ordering::Relaxed) >= after_vertices {
-            die(&node, &dying, soft_die, &recorder);
+            member.die();
             return;
         }
         std::thread::sleep(Duration::from_micros(500));

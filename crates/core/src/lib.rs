@@ -61,6 +61,7 @@ pub mod engine;
 pub mod epoch;
 pub mod error;
 pub mod jobs;
+mod mesh;
 pub mod msg;
 #[doc(hidden)]
 pub mod protocol;

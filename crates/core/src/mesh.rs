@@ -1,0 +1,596 @@
+//! One place's session on a socket mesh, and the frames it carries.
+//!
+//! A [`Session`] is everything between joining the TCP mesh of
+//! [`dpx10_apgas::socket`] and leaving it: [`Session::open`] connects the
+//! [`SocketNode`], starts the one demux thread and builds each DAG run's
+//! end of the mesh ([`Session::links`]); [`Session::close`] says (or
+//! awaits) the goodbye and tears down. [`crate::SocketEngine::run`] is a
+//! session of one run, [`crate::JobServer::serve`] one of `jobs.len()`
+//! runs plus admission.
+//!
+//! The frame grammar has two levels, is flat, and is known to this
+//! module only: a payload is a session frame (`Die`, `Goodbye`) or one
+//! run's [`RunFrame`], laid out as `[tag u8][job u32][fields]`. No frame
+//! contains a frame — a tree hop is a flag on [`RunFrame::Verdict`], the
+//! only thing ever broadcast — so the decoder never calls itself and a
+//! peer's bytes cannot pick its stack depth.
+
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use dpx10_apgas::mailbox::Envelope;
+use dpx10_apgas::stats::STAT_COUNTERS;
+use dpx10_apgas::{
+    Codec, DeadPlaceError, LivenessBoard, PlaceId, SocketConfig, SocketNode, Transport,
+};
+use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
+use dpx10_sync::channel::{unbounded, Receiver, Sender};
+
+use crate::app::VertexValue;
+use crate::error::EngineError;
+use crate::msg::Msg;
+
+/// How long a place waits on a peer that owes it something — place 0 on
+/// a survivor's snapshot, a follower on its release, a finished place on
+/// the goodbye — before writing the peer off (generous: the transport's
+/// own heartbeat timeout fires much earlier for real failures).
+pub(crate) const SNAPSHOT_DEADLINE: Duration = Duration::from_secs(60);
+
+/// One `Resume` scatter as a place holds it: on place 0 everything
+/// needed to rebuild any survivor's bundle if the tree hop carrying it
+/// died with a relay (the coordinator re-sends directly to peers it has
+/// not heard from in the resumed epoch); on a worker the hop it
+/// received, to split among its own schedule children.
+pub(crate) struct Resume<V> {
+    /// The epoch being resumed *into* (old + 1).
+    pub(crate) epoch: u32,
+    /// Surviving places, in slot order.
+    pub(crate) alive: Vec<u16>,
+    /// The restored finished cells held here — all of them on place 0,
+    /// the receiver's subtree's on a worker: each relay splits its
+    /// bundle among its schedule children by the new distribution's
+    /// ownership (filtered per subtree on demand: scatters and re-sends
+    /// are rare).
+    pub(crate) cells: Vec<(u64, V)>,
+    /// Packed ids of *every* restored finished cell — the global
+    /// metadata that unblocks dependencies on cells whose values were
+    /// scattered to another subtree (pulls still go to the owner, which
+    /// holds the value).
+    pub(crate) meta: Vec<u64>,
+}
+
+/// Everything one DAG run puts on the mesh: vertex traffic
+/// ([`RunFrame::App`]) and the control protocol (see
+/// [`crate::socket_engine`]), all epoch-tagged.
+pub(crate) enum RunFrame<V> {
+    /// A vertex-protocol message of the given epoch.
+    App(u32, Msg<V>),
+    /// Place 0 → followers: how the epoch ended; snapshot your slot.
+    Verdict {
+        /// Epoch being concluded.
+        epoch: u32,
+        /// `None`: every vertex is finished. `Some`: these places were
+        /// detected dead, and the snapshot is for recovery.
+        dead: Option<Vec<u16>>,
+        /// Whether this is a hop of the tree broadcast
+        /// ([`dpx10_apgas::CollectiveSchedule`]), which its receiver relays
+        /// to its schedule children (adopting dead children's subtrees),
+        /// or place 0's direct re-send to a peer a dead relay stranded.
+        hop: bool,
+    },
+    /// Worker → place 0: my slot's finished cells plus local counters.
+    Snapshot {
+        /// Epoch the snapshot concludes.
+        epoch: u32,
+        /// `(packed vertex id, value)` for every finished owned cell.
+        cells: Vec<(u64, V)>,
+        /// Vertices this place computed during the epoch.
+        computed: u64,
+        /// Cumulative place counters, in
+        /// [`dpx10_apgas::PlaceStats::to_counters`] order; a frame with
+        /// any other count is malformed.
+        stats: [u64; STAT_COUNTERS],
+    },
+    /// Place 0 → survivors (scattered down the tree): recovery done,
+    /// start the next epoch.
+    Resume(Resume<V>),
+    /// Place 0 → the run's followers: this run is over, whatever its
+    /// outcome; stop following it.
+    Release,
+    /// Worker → its tree parent: folded per-place finished counts of
+    /// the sender and its whole subtree. Entries are max-merged on
+    /// receipt ([`dpx10_apgas::fold_counts`]), so duplicated or
+    /// re-routed hops are harmless; any entry for a place proves that
+    /// place entered the epoch (counts originate only at their own place).
+    Reduce {
+        /// Epoch the counts belong to.
+        epoch: u32,
+        /// `(place id, finished count)` per place of the subtree.
+        counts: Vec<(u16, u64)>,
+    },
+}
+
+impl<V: Codec> RunFrame<V> {
+    /// The frame as run `job`'s payload: `[tag][job][fields]`.
+    fn encode_as(&self, job: u32) -> Vec<u8> {
+        let (tag, room) = match self {
+            RunFrame::App(_, msg) => (0, Codec::wire_size(msg)),
+            RunFrame::Verdict { .. } => (2, 0),
+            RunFrame::Snapshot { .. } => (4, 0),
+            RunFrame::Resume(_) => (5, 0),
+            RunFrame::Release => (8, 0),
+            RunFrame::Reduce { .. } => (10, 0),
+        };
+        // Exact for vertex traffic; a control frame grows its buffer.
+        let mut payload = Vec::with_capacity(9 + room);
+        let buf = &mut payload;
+        buf.push(tag);
+        job.encode(buf);
+        match self {
+            RunFrame::App(epoch, msg) => {
+                epoch.encode(buf);
+                msg.encode(buf);
+            }
+            RunFrame::Verdict { epoch, dead, hop } => {
+                epoch.encode(buf);
+                dead.encode(buf);
+                hop.encode(buf);
+            }
+            RunFrame::Snapshot {
+                epoch,
+                cells,
+                computed,
+                stats,
+            } => {
+                epoch.encode(buf);
+                cells.encode(buf);
+                computed.encode(buf);
+                stats.to_vec().encode(buf);
+            }
+            RunFrame::Resume(scatter) => {
+                scatter.epoch.encode(buf);
+                scatter.alive.encode(buf);
+                scatter.cells.encode(buf);
+                scatter.meta.encode(buf);
+            }
+            RunFrame::Release => {}
+            RunFrame::Reduce { epoch, counts } => {
+                epoch.encode(buf);
+                counts.encode(buf);
+            }
+        }
+        payload
+    }
+
+    /// The frame `tag` announces, from the fields behind its job id.
+    fn decode_fields(tag: u8, src: &mut &[u8]) -> Option<Self> {
+        Some(match tag {
+            0 => RunFrame::App(u32::decode(src)?, Msg::decode(src)?),
+            2 => RunFrame::Verdict {
+                epoch: u32::decode(src)?,
+                dead: Option::decode(src)?,
+                hop: bool::decode(src)?,
+            },
+            4 => RunFrame::Snapshot {
+                epoch: u32::decode(src)?,
+                cells: Vec::decode(src)?,
+                computed: u64::decode(src)?,
+                stats: Vec::decode(src)?.try_into().ok()?,
+            },
+            5 => RunFrame::Resume(Resume {
+                epoch: u32::decode(src)?,
+                alive: Vec::decode(src)?,
+                cells: Vec::decode(src)?,
+                meta: Vec::decode(src)?,
+            }),
+            8 => RunFrame::Release,
+            10 => RunFrame::Reduce {
+                epoch: u32::decode(src)?,
+                counts: Vec::decode(src)?,
+            },
+            _ => return None,
+        })
+    }
+}
+
+/// Everything that crosses a socket during a session.
+pub(crate) enum Wire<V> {
+    /// Place 0 → a worker: abort the process immediately (planned fault
+    /// injection — dies without a goodbye so peers *detect* the death).
+    /// Addresses the place, not a run: the demux obeys it itself.
+    Die,
+    /// Place 0 → everyone: every run is over; leave the mesh.
+    Goodbye,
+    /// A frame of run `job` (its index in the session; a solo run is
+    /// job 0), routed to that run's link.
+    Run(u32, RunFrame<V>),
+}
+
+impl<V: Codec> Wire<V> {
+    /// The frame as a payload.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        match self {
+            Wire::Die => vec![6],
+            Wire::Goodbye => vec![7],
+            Wire::Run(job, frame) => frame.encode_as(*job),
+        }
+    }
+
+    /// The frame `payload` is, whole; `None` if it is malformed,
+    /// truncated or followed by anything.
+    pub(crate) fn decode(mut payload: &[u8]) -> Option<Self> {
+        let src = &mut payload;
+        let tag = u8::decode(src)?;
+        let wire = match tag {
+            6 => Wire::Die,
+            7 => Wire::Goodbye,
+            _ => Wire::Run(u32::decode(src)?, RunFrame::decode_fields(tag, src)?),
+        };
+        payload.is_empty().then_some(wire)
+    }
+}
+
+/// What every thread of a session shares: this place's seat on the mesh.
+pub(crate) struct Member {
+    pub(crate) node: Arc<SocketNode>,
+    /// The session's recorder: the caller's, or the trace alias's.
+    pub(crate) recorder: Recorder,
+    /// Raised once this place is crashing — by the demux (a planned
+    /// `Die`), a kill watchdog or a panicked worker.
+    pub(crate) dying: AtomicBool,
+    /// Raised once the session is over — by the goodbye, or by
+    /// [`Session::close`]: the demux's, and any watchdog's, cue to return.
+    pub(crate) over: AtomicBool,
+    soft_die: bool,
+    /// Whether the session carries one run only, which makes the
+    /// substrate's mesh-level counters that run's own.
+    pub(crate) sole: bool,
+}
+
+impl Member {
+    /// A planned fault landed on this place: die the way a crashed
+    /// process dies — no goodbye frame, so the peers must *detect* it.
+    /// `dying` tells this place's drivers to stop. In soft-die mode only
+    /// the sockets die (the place is a thread of a test process that
+    /// must survive).
+    pub(crate) fn die(&self) {
+        let me = self.node.me().0;
+        self.recorder
+            .instant_now(me, RUNTIME_WORKER, EventKind::CtlDie, me.into());
+        self.dying.store(true, Ordering::Release);
+        if self.soft_die {
+            self.node.crash();
+        } else {
+            std::process::abort();
+        }
+    }
+}
+
+/// One run's end of the mesh: sends every outbound frame of the run,
+/// receives its control frames, and implements [`Transport`] for the
+/// worker loop — filtering out messages from *past* epochs at
+/// consumption time (so a message that raced past an epoch change in
+/// the demux thread is still discarded). Messages from a *future* epoch
+/// are parked, not dropped: after a recovery the places enter the new
+/// epoch at different moments, and a fast peer's vertex traffic can
+/// arrive while this place is still resuming — discarding it would
+/// starve this place's share of the DAG and stall the run.
+pub(crate) struct AppPlane<V> {
+    pub(crate) member: Arc<Member>,
+    epoch: AtomicU32,
+    app_rx: Receiver<(u32, Envelope<Msg<V>>)>,
+    /// The run's control frames, with their senders: its driver's.
+    pub(crate) ctl_rx: Receiver<(PlaceId, RunFrame<V>)>,
+    early: dpx10_sync::Mutex<Vec<(u32, Envelope<Msg<V>>)>>,
+    /// The run's index in the session, stamped on every outbound frame
+    /// so the remote demux routes it to the same run's link.
+    job: u32,
+}
+
+impl<V: VertexValue> AppPlane<V> {
+    /// Advances the plane to `epoch` (done between epochs, with the
+    /// workers quiesced).
+    pub(crate) fn set_epoch(&self, epoch: u32) {
+        self.epoch.store(epoch, Ordering::Release);
+    }
+
+    /// Sends `frame` to `dst` as this plane's run's. Every outbound
+    /// frame of a run, data or control, goes through here.
+    pub(crate) fn send_frame(
+        &self,
+        dst: PlaceId,
+        frame: &RunFrame<V>,
+    ) -> Result<(), DeadPlaceError> {
+        let payload = frame.encode_as(self.job);
+        self.member.node.send_bytes(dst, payload).map(|_| ())
+    }
+
+    /// Classifies one demuxed frame against `current`: deliver, park for
+    /// a later epoch, or drop as stale.
+    fn admit(&self, epoch: u32, env: Envelope<Msg<V>>, current: u32) -> Option<Envelope<Msg<V>>> {
+        use std::cmp::Ordering as O;
+        match epoch.cmp(&current) {
+            O::Equal => Some(env),
+            O::Greater => {
+                self.early.lock().push((epoch, env));
+                None
+            }
+            O::Less => None, // stale epoch: state was recovered, drop
+        }
+    }
+
+    /// Pops one parked message of the current epoch, pruning any that
+    /// went stale since they were parked.
+    fn pop_early(&self, current: u32) -> Option<Envelope<Msg<V>>> {
+        let mut early = self.early.lock();
+        early.retain(|(e, _)| *e >= current);
+        let k = early.iter().position(|(e, _)| *e == current)?;
+        Some(early.swap_remove(k).1)
+    }
+}
+
+impl<V: VertexValue> Transport<Msg<V>> for AppPlane<V> {
+    fn num_places(&self) -> u16 {
+        self.member.node.places()
+    }
+
+    fn liveness(&self) -> &LivenessBoard {
+        self.member.node.liveness()
+    }
+
+    fn send(
+        &self,
+        src: PlaceId,
+        dst: PlaceId,
+        msg: Msg<V>,
+        _wire_bytes: usize,
+    ) -> Result<(), DeadPlaceError> {
+        debug_assert_eq!(src, self.member.node.me(), "places only send as themselves");
+        self.send_frame(dst, &RunFrame::App(self.epoch.load(Ordering::Acquire), msg))
+    }
+
+    fn try_recv(&self, _at: PlaceId) -> Option<Envelope<Msg<V>>> {
+        let current = self.epoch.load(Ordering::Acquire);
+        if let Some(env) = self.pop_early(current) {
+            return Some(env);
+        }
+        while let Ok((epoch, env)) = self.app_rx.try_recv() {
+            if let Some(env) = self.admit(epoch, env, current) {
+                return Some(env);
+            }
+        }
+        None
+    }
+
+    fn recv_timeout(&self, at: PlaceId, timeout: Duration) -> Option<Envelope<Msg<V>>> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(env) = self.try_recv(at) {
+                return Some(env);
+            }
+            // Wait for anything to arrive, then re-filter.
+            let left = deadline.checked_duration_since(Instant::now())?;
+            let (epoch, env) = self.app_rx.recv_timeout(left).ok()?;
+            let current = self.epoch.load(Ordering::Acquire);
+            if let Some(env) = self.admit(epoch, env, current) {
+                return Some(env);
+            }
+        }
+    }
+}
+
+/// The demux's end of a run's link.
+struct Route<V> {
+    app: Sender<(u32, Envelope<Msg<V>>)>,
+    ctl: Sender<(PlaceId, RunFrame<V>)>,
+}
+
+/// Reads raw payloads off the mesh until the session is over: a run's
+/// vertex traffic goes to its plane's channel and its control frames to
+/// its control channel (an unknown job id is dropped); `Die` and
+/// `Goodbye` address the place and are obeyed here. A payload that fails
+/// to decode marks its sender dead (its stream is corrupt) instead of
+/// panicking.
+fn demux<V: VertexValue>(member: &Member, routes: &[Route<V>]) {
+    while !member.over.load(Ordering::Acquire) {
+        let received = member.node.recv_bytes_timeout(Duration::from_millis(5));
+        let Some((src, bytes)) = received else {
+            continue;
+        };
+        match Wire::<V>::decode(&bytes) {
+            Some(Wire::Run(job, frame)) => match (routes.get(job as usize), frame) {
+                (Some(route), RunFrame::App(epoch, msg)) => {
+                    let _ = route.app.send((epoch, Envelope { src, msg }));
+                }
+                (Some(route), frame) => {
+                    let _ = route.ctl.send((src, frame));
+                }
+                (None, _) => {}
+            },
+            Some(Wire::Die) => member.die(),
+            Some(Wire::Goodbye) => member.over.store(true, Ordering::Release),
+            None => {
+                member.node.liveness().mark_dead(src);
+            }
+        }
+    }
+}
+
+/// One place's membership of a socket mesh, from connect to goodbye.
+pub(crate) struct Session<V> {
+    pub(crate) member: Arc<Member>,
+    /// Each run's end of the mesh, by job id.
+    pub(crate) links: Vec<Arc<AppPlane<V>>>,
+    demux: JoinHandle<()>,
+}
+
+impl<V: VertexValue> Session<V> {
+    /// Joins the mesh as `socket` describes, for `runs` DAG runs, and
+    /// starts routing their frames. `soft_die` makes a planned `Die`
+    /// crash the sockets only.
+    pub(crate) fn open(
+        mut socket: SocketConfig,
+        recorder: &Recorder,
+        soft_die: bool,
+        runs: usize,
+    ) -> Result<Self, EngineError> {
+        // `DPX10_SOCKET_TRACE=1` is an alias for "record and echo every
+        // event to stderr".
+        let mut recorder = recorder.clone();
+        if std::env::var_os("DPX10_SOCKET_TRACE").is_some() {
+            if !recorder.enabled() {
+                let slots = socket.max_places.max(socket.places);
+                recorder = Recorder::with_capacity(slots as usize, 1 << 12);
+            }
+            recorder.set_echo(true);
+        }
+        if !socket.recorder.enabled() {
+            socket.recorder = recorder.clone();
+        }
+        let node = SocketNode::connect(socket)
+            .map_err(|e| EngineError::Socket(format!("mesh formation failed: {e}")))?;
+        let member = Arc::new(Member {
+            node: Arc::new(node),
+            recorder,
+            dying: AtomicBool::new(false),
+            over: AtomicBool::new(false),
+            soft_die,
+            sole: runs == 1,
+        });
+        // Every run's link exists before any run starts, so frames from
+        // a place that started a run earlier than this one buffer in the
+        // run's own channels instead of being lost (or worse, read by
+        // another run).
+        let (routes, links): (Vec<_>, Vec<_>) = (0..runs as u32)
+            .map(|job| {
+                let (app, app_rx) = unbounded();
+                let (ctl, ctl_rx) = unbounded();
+                let plane = AppPlane {
+                    member: member.clone(),
+                    epoch: AtomicU32::new(0),
+                    app_rx,
+                    ctl_rx,
+                    early: dpx10_sync::Mutex::new(Vec::new()),
+                    job,
+                };
+                (Route { app, ctl }, Arc::new(plane))
+            })
+            .unzip();
+        let demux = {
+            let member = member.clone();
+            std::thread::Builder::new()
+                .name(format!("dpx10-demux{}", member.node.me().index()))
+                .spawn(move || demux(&member, &routes))
+                .map_err(|e| EngineError::Socket(format!("spawn demux: {e}")))?
+        };
+        Ok(Session {
+            member,
+            links,
+            demux,
+        })
+    }
+
+    /// Leaves the mesh once every run is over here. Place 0 coordinates
+    /// every run, so all of them are over: it says goodbye to the live
+    /// roster (not `1..places`, which would address drained slots).
+    /// Another place's connections must outlive the runs it is *not*
+    /// in — tearing down early would read as a crash to any peer still
+    /// mid-epoch — so it waits for the goodbye unless `leave_now`; with
+    /// an orphan deadline, because a place the coordinator falsely
+    /// wrote off can no longer be addressed and would wait forever.
+    pub(crate) fn close(self, leave_now: bool) {
+        let (member, node) = (&self.member, &self.member.node);
+        if node.me() == PlaceId::ZERO {
+            for p in node.roster().members() {
+                if p != node.me() {
+                    let _ = node.send_bytes(p, Wire::<V>::Goodbye.encode());
+                }
+            }
+        } else if !leave_now {
+            let orphan_deadline = Instant::now() + SNAPSHOT_DEADLINE;
+            while !member.over.load(Ordering::Acquire)
+                && !member.dying.load(Ordering::Acquire)
+                && node.liveness().is_alive(PlaceId::ZERO)
+                && Instant::now() < orphan_deadline
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        member.over.store(true, Ordering::Release);
+        node.shutdown();
+        let _ = self.demux.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpx10_dag::VertexId;
+
+    /// The demux's whole policy, one row each: a one-place mesh sends
+    /// itself the payloads (the loopback reaches the demux like a peer's
+    /// bytes) on a two-run session nobody drives, until the check holds.
+    #[test]
+    fn the_demux_obeys_one_policy() {
+        /// Takes one control frame off `job`'s link, if one is there.
+        fn ctl(s: &Session<u64>, job: usize) -> bool {
+            s.links[job].ctl_rx.try_recv().is_ok()
+        }
+        fn alive(s: &Session<u64>) -> bool {
+            s.member.node.liveness().is_alive(PlaceId::ZERO)
+        }
+        let run = |job, frame| Wire::<u64>::Run(job, frame).encode();
+        let id = VertexId::new(0, 0);
+        type Check = fn(&Session<u64>) -> bool;
+        let rows: Vec<(&str, Vec<Vec<u8>>, Check)> = vec![
+            (
+                "undecodable bytes mark their sender dead",
+                vec![vec![99]],
+                |s| !alive(s),
+            ),
+            (
+                "a frame of an unknown job is dropped, its sender stays alive",
+                vec![run(2, RunFrame::Release), run(1, RunFrame::Release)],
+                // Job 1's arrived behind it, so the demux is past both.
+                |s| ctl(s, 1) && !ctl(s, 0) && alive(s),
+            ),
+            (
+                "Die raises `dying` before anything behind it is forwarded",
+                vec![Wire::<u64>::Die.encode(), run(0, RunFrame::Release)],
+                |s| {
+                    let forwarded = ctl(s, 0);
+                    let dying = s.member.dying.load(Ordering::Acquire);
+                    assert!(dying || !forwarded);
+                    dying
+                },
+            ),
+            (
+                "a frame for a run not yet started buffers in its own link",
+                vec![run(1, RunFrame::App(0, Msg::Pull { id }))],
+                |s| s.links[1].try_recv(PlaceId::ZERO).is_some() && !ctl(s, 0) && !ctl(s, 1),
+            ),
+            (
+                "the goodbye ends the session",
+                vec![Wire::<u64>::Goodbye.encode()],
+                |s| s.member.over.load(Ordering::Acquire),
+            ),
+        ];
+        for (what, payloads, check) in rows {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            let socket = SocketConfig::coordinator(listener, 1);
+            let session = Session::<u64>::open(socket, &Recorder::disabled(), true, 2).expect(what);
+            for payload in payloads {
+                // (After a `Die` the node no longer sends, even to itself.)
+                let _ = session.member.node.send_bytes(PlaceId::ZERO, payload);
+            }
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !check(&session) {
+                assert!(Instant::now() < deadline, "{what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            session.close(true);
+        }
+    }
+}

@@ -1,4 +1,4 @@
-//! Inter-place protocol of the threaded engine.
+//! The vertex protocol's messages, the same on every backend.
 
 use dpx10_apgas::{Coalescible, Codec};
 use dpx10_dag::VertexId;

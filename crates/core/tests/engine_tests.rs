@@ -367,6 +367,23 @@ fn checkpointed_run_resumes_without_recomputation() {
 }
 
 #[test]
+fn an_uncreatable_checkpoint_directory_is_an_io_error() {
+    // A directory cannot be created beneath a regular file, whoever asks.
+    let mut file = std::env::temp_dir();
+    file.push(format!("dpx10-engine-ckpt-file-{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").unwrap();
+    let mut config = EngineConfig::flat(2);
+    config.checkpoint = Some(dpx10_core::CheckpointConfig::new(file.join("ckpt")));
+    let err = match ThreadedEngine::new(MixApp, Grid3::new(4, 4), config).run() {
+        Err(e) => e,
+        Ok(_) => panic!("the run must not start without its checkpoint files"),
+    };
+    assert!(matches!(err, dpx10_core::EngineError::Io(_)), "{err}");
+    assert!(err.to_string().starts_with("i/o: checkpoint: "), "{err}");
+    std::fs::remove_file(&file).ok();
+}
+
+#[test]
 fn checkpointed_run_survives_fault_and_resumes() {
     let mut dir = std::env::temp_dir();
     dir.push(format!("dpx10-engine-ckpt-fault-{}", std::process::id()));

@@ -300,7 +300,7 @@ fn check_sockets(
     expect: &std::collections::HashMap<dpx10_dag::VertexId, u64>,
     opts: &ChaosOptions,
 ) -> Result<(), Failure> {
-    // The socket mesh gets the plan's kills (delivered as `Wire::Die`,
+    // The socket mesh gets the plan's kills (delivered as `Die` frames,
     // absorbed as soft crashes so every place stays a thread of this
     // process) and its delay chaos. Frame duplication/drop stays off —
     // the control plane counts frames — and heartbeat flapping is

@@ -2,12 +2,16 @@
 //! must mean the same thing on each. One planned kill, run through the
 //! threaded engine (every place's workers threads of one process) and
 //! through a socket mesh (every place its own host), is held to the
-//! same report shape, the same values and the same trace numbering.
+//! same report shape, the same values and the same trace numbering; and
+//! a quiet DAG reads the same as a mesh's solo run and as the only job
+//! of a serve — both are one session of one run.
 
 use std::time::Duration;
 
 use dpx10_apgas::{local_mesh, PlaceId, SocketConfig};
-use dpx10_core::{DagResult, DistKind, EngineConfig, FaultPlan, SocketEngine, ThreadedEngine};
+use dpx10_core::{
+    DagResult, DistKind, EngineConfig, FaultPlan, JobServer, JobSpec, SocketEngine, ThreadedEngine,
+};
 use dpx10_dag::builtin::Grid3;
 use dpx10_harness::{oracle, MixApp};
 use dpx10_obs::{EventKind, Recorder};
@@ -70,6 +74,34 @@ fn one_kill_reads_the_same_on_threads_and_on_a_mesh() {
         );
         assert_eq!(report.vertices_total, u64::from(SIDE * SIDE), "{host}");
         assert!(report.vertices_computed >= report.vertices_total, "{host}");
+        assert_eq!(report.comm.tasks_run, report.vertices_computed, "{host}");
+    }
+}
+
+#[test]
+fn a_solo_mesh_run_reads_the_same_as_the_only_job_of_a_serve() {
+    let quiet = || EngineConfig::flat(PLACES).with_dist(DistKind::BlockRow);
+    let solo = local_mesh(PLACES, |cfg: SocketConfig| {
+        SocketEngine::new(MixApp, Grid3::new(SIDE, SIDE), quiet()).run(cfg)
+    })
+    .expect("the solo run finishes");
+    let mut served = local_mesh(PLACES, |cfg: SocketConfig| {
+        let mut server = JobServer::new();
+        let spec = JobSpec::new("only", MixApp, Grid3::new(SIDE, SIDE), quiet());
+        server.submit(spec).expect("an empty queue admits");
+        server.serve(cfg)
+    })
+    .expect("the serve finishes");
+    let served = served.jobs.remove(0).result.expect("the job succeeds");
+
+    assert_eq!(solo.fingerprint(), served.fingerprint());
+    for (host, result) in [("solo", &solo), ("served", &served)] {
+        let report = result.report();
+        assert_eq!(report.epochs, 1, "{host}");
+        assert_eq!(report.vertices_computed, u64::from(SIDE * SIDE), "{host}");
+        assert_eq!(report.place_busy.len(), usize::from(PLACES), "{host}");
+        // A session of one run reports `comm`: the mesh's counters are
+        // that run's own.
         assert_eq!(report.comm.tasks_run, report.vertices_computed, "{host}");
     }
 }

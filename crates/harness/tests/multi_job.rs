@@ -170,8 +170,8 @@ fn relay_death_on_five_places_is_repaired_under_job_wrapping() {
     // progress. Killing place 1 makes the full-mesh jobs adopt place 3
     // into the root's hops, scatter their `Resume` down a four-place
     // tree (0 -> {2, 3}, 2 -> {4}) and fall back on the re-send
-    // insurance for anything the corpse swallowed — all inside
-    // `Wire::Job`. The job pinned to {0, 2, 4} has its own three-place
+    // insurance for anything the corpse swallowed — all under their
+    // own job ids. The job pinned to {0, 2, 4} has its own three-place
     // tree and must not notice.
     //
     // Columns are dealt round-robin, so place 1 owns columns 1, 6, 11, …
