@@ -462,8 +462,8 @@ impl fmt::Display for ChaosPlan {
 }
 
 /// Decides whether duplicating a given message is semantically safe.
-/// The engines' `Done` decrements are not idempotent, so `dpx10-core`
-/// passes `|m| !matches!(m, Msg::Done { .. })`.
+/// The engines' indegree decrements are not idempotent, so `dpx10-core`
+/// passes `|m| !m.carries_decrements()`.
 pub type DupSafe<M> = Arc<dyn Fn(&M) -> bool + Send + Sync>;
 
 /// Counters of perturbations actually applied — lets tests assert the

@@ -1092,7 +1092,7 @@ fn run_serve_elastic(args: &crate::args::ServeArgs) -> Result<String, String> {
         .add(totals.cells_moved);
         reg.counter(
             "dpx10_chunk_bytes_total",
-            "encoded ChunkData payload bytes shipped",
+            "encoded chunk-state payload bytes shipped",
             &[],
         )
         .add(totals.chunk_bytes);

@@ -35,8 +35,9 @@ impl FaultPlan {
 /// Under [`CommsMode::Pull`] a consumer that misses its FIFO cache asks
 /// the owner with a `Pull`/`PullVal` round-trip. Under
 /// [`CommsMode::Push`] the producer eagerly ships the finished value to
-/// every consumer place alongside the indegree decrements (`PushVal`),
-/// pinning it for the parked consumer so the round-trip never happens;
+/// every consumer place alongside the indegree decrements — the same
+/// `Done` as pull mode; a receiving place in push mode pins the value
+/// for its parked consumers so the round-trip never happens;
 /// pulls stay armed as the fallback (races, post-recovery restored
 /// cells), so the two modes are answer- and fingerprint-equivalent.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

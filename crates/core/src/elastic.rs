@@ -15,11 +15,13 @@
 //! slot → current holder, through the *sender's* [`ChunkMap`], and
 //! stamps the sender's fence epoch. The main loop gives every member
 //! one round-robin turn (process one packet, or run one ready cell
-//! through `prepare` → `compute` → `publish`). All inter-place traffic
-//! travels as real [`Msg`] codec bytes, so the protocol exercised is
-//! exactly what the socket backend would put on a wire. Determinism is
-//! what makes the differential oracle possible: the same workload with
-//! and without a churn plan must produce identical fingerprints.
+//! through `prepare` → `compute` → `publish`). All vertex-protocol
+//! traffic travels as real [`Msg`] codec bytes, so the protocol exercised
+//! is exactly what the socket backend would put on a wire; relocation
+//! control is this driver's own packet body and never leaves the
+//! process. Determinism is what makes the differential oracle possible:
+//! the same workload with and without a churn plan must produce
+//! identical fingerprints.
 //!
 //! # The relocation protocol
 //!
@@ -27,10 +29,10 @@
 //! fence):
 //!
 //! ```text
-//!  holder ──ChunkOffer{slot,e}──▶ target          (announce)
-//!  holder ◀──ChunkAck{slot,e}──── target          (accept)
-//!  holder ──ChunkData{slot,e}──▶ target           (ship; holder's map → e+1)
-//!  target ──ChunkAck{slot,e+1}─▶ every member     (commit broadcast)
+//!  holder ──Offer{slot}─────▶ target              (announce)
+//!  holder ◀──Ack{slot,e}────── target              (accept)
+//!  holder ──Data{slot,e}─────▶ target              (ship; holder's map → e+1)
+//!  target ──Ack{slot,e+1}────▶ every member        (commit broadcast)
 //! ```
 //!
 //! The shipped [`ChunkState`] is the slot's whole shard — finished
@@ -64,7 +66,7 @@ use std::sync::Arc;
 
 use dpx10_apgas::codec::{decode_exact, encode_to_vec};
 use dpx10_apgas::{
-    Codec, ElasticEvent, ElasticPlan, ElasticVerb, NetworkModel, PlaceId, RosterBoard, StatsBoard,
+    ElasticEvent, ElasticPlan, ElasticVerb, NetworkModel, PlaceId, RosterBoard, StatsBoard,
     Topology,
 };
 use dpx10_dag::{DagPattern, VertexId};
@@ -144,7 +146,7 @@ pub struct ElasticReport {
     /// Finished cells carried inside relocated chunks — work relocation
     /// saved from recomputation.
     pub cells_moved: u64,
-    /// Total encoded `ChunkData` payload bytes.
+    /// Total encoded [`ChunkState`] payload bytes shipped.
     pub chunk_bytes: u64,
     /// Pulls re-issued after an epoch advance (the requester's replay
     /// half of the fence).
@@ -214,17 +216,38 @@ impl<V: VertexValue> ElasticRun<V> {
     }
 }
 
-/// A serialized message in flight, stamped with the sender's fence
-/// epoch at send time.
+/// A packet in flight, stamped with the sender's fence epoch at send
+/// time.
 struct Packet {
     /// The sending member.
     src: u16,
-    /// `(source slot, destination slot)` of vertex-protocol traffic —
-    /// what the fence rules on. `None` for relocation control, which is
-    /// addressed to a member and bypasses the fence.
-    route: Option<(u16, u16)>,
     epoch: u64,
-    bytes: Vec<u8>,
+    body: Body,
+}
+
+/// What a [`Packet`] carries.
+enum Body {
+    /// Encoded vertex-protocol [`Msg`] bytes from slot `route.0` to slot
+    /// `route.1` — what the fence rules on.
+    Msg { route: (u16, u16), bytes: Vec<u8> },
+    /// Relocation control: addressed to a member, bypasses the fence.
+    Control(Control),
+}
+
+/// The relocation protocol's steps (one relocation in flight at a time).
+enum Control {
+    /// The holder announces the hand-over of `slot` to the target.
+    Offer { slot: u16 },
+    /// The shipped shard: an encoded [`ChunkState`], packaged under the
+    /// holder's fence epoch `epoch`.
+    Data {
+        slot: u16,
+        epoch: u64,
+        chunk: Vec<u8>,
+    },
+    /// The target's accept (its epoch), or the new owner's commit
+    /// broadcast (the epoch every fence adopts).
+    Ack { slot: u16, epoch: u64 },
 }
 
 /// One place of the deterministic mesh. Its share of the protocol state
@@ -252,9 +275,9 @@ impl Member {
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum RelocStage {
-    /// `ChunkOffer` sent, waiting for the target's accept.
+    /// `Offer` sent, waiting for the target's accept.
     Offered,
-    /// `ChunkData` sent; the holder's map already points at the target.
+    /// `Data` sent; the holder's map already points at the target.
     Shipped,
     /// Installed; waiting for every member to process the commit
     /// broadcast.
@@ -380,23 +403,16 @@ impl Mesh {
     /// `dst`: the *sender's* map says who holds `dst` now.
     fn route<V: VertexValue>(&mut self, from: u16, src: u16, dst: u16, msg: &Msg<V>) {
         if let Some(owner) = self.members[&from].map.owner(dst) {
-            self.post(from, owner.0, Some((src, dst)), msg);
+            let bytes = encode_to_vec(msg);
+            let route = (src, dst);
+            self.post(from, owner.0, Body::Msg { route, bytes });
         }
     }
 
-    /// Encodes `msg` into `to`'s inbox under `src`'s current epoch.
-    fn post<V: VertexValue>(&mut self, src: u16, to: u16, route: Option<(u16, u16)>, msg: &Msg<V>) {
+    /// Puts `body` in `to`'s inbox under `src`'s current epoch.
+    fn post(&mut self, src: u16, to: u16, body: Body) {
         let epoch = self.members[&src].map.epoch();
-        let bytes = encode_to_vec(msg);
-        self.deliver(
-            to,
-            Packet {
-                src,
-                route,
-                epoch,
-                bytes,
-            },
-        );
+        self.deliver(to, Packet { src, epoch, body });
     }
 
     fn deliver(&mut self, to: u16, pkt: Packet) {
@@ -865,7 +881,7 @@ impl<A: DpApp> Machine<A> {
             }
             // The abandoned epoch's protocol traffic dies with it, as
             // under every engine; relocation control survives.
-            m.inbox.retain(|pkt| pkt.route.is_none());
+            m.inbox.retain(|pkt| matches!(pkt.body, Body::Control(_)));
             m.parked.clear();
         }
         for &slot in &lost {
@@ -906,11 +922,7 @@ impl<A: DpApp> Machine<A> {
                 self.mesh.in_flight = Some(rel);
                 let inbox = &mut self.mesh.members.get_mut(&to).expect("a survivor").inbox;
                 let at = inbox.iter().position(|pkt| {
-                    pkt.route.is_none()
-                        && matches!(
-                            decode_exact::<Msg<A::Value>>(&pkt.bytes),
-                            Some(Msg::ChunkData { slot: s, .. }) if s == slot
-                        )
+                    matches!(pkt.body, Body::Control(Control::Data { slot: s, .. }) if s == slot)
                 });
                 let pkt = at.and_then(|at| inbox.remove(at));
                 self.process_packet(to, pkt.expect("a shipped payload is in the inbox"));
@@ -966,15 +978,9 @@ impl<A: DpApp> Machine<A> {
             let Some(to) = wanted.or_else(|| mesh.least_loaded_excluding(Some(from))) else {
                 continue;
             };
-            let state = self.package(slot);
-            let offer = Msg::<A::Value>::ChunkOffer {
-                slot,
-                epoch: mesh.members[&from].map.epoch(),
-                cells: state.finished.len() as u32,
-                bytes: state.wire_size() as u64,
-            };
             let started_ns = mesh.recorder.now_ns();
-            self.mesh.post(from, to, None, &offer);
+            let offer = Control::Offer { slot };
+            self.mesh.post(from, to, Body::Control(offer));
             self.mesh.in_flight = Some(Relocation {
                 slot,
                 from,
@@ -988,7 +994,7 @@ impl<A: DpApp> Machine<A> {
         }
     }
 
-    /// `slot`'s shard as the bytes-to-be of a `ChunkData`.
+    /// `slot`'s shard as the state a [`Control::Data`] ships.
     fn package(&self, slot: u16) -> ChunkState<A::Value> {
         let ready = self.mesh.ready[slot as usize].iter().copied();
         self.place.shards[slot as usize].to_chunk(slot, ready)
@@ -1019,21 +1025,21 @@ impl<A: DpApp> Machine<A> {
             stage: RelocStage::Shipped,
             ..rel
         });
-        let data = Msg::<A::Value>::ChunkData {
+        let data = Control::Data {
             slot,
             epoch: my_epoch,
             chunk: encode_to_vec(&self.package(slot)),
         };
         self.vacate(slot);
         let mesh = &mut self.mesh;
-        mesh.post(holder, to, None, &data);
+        mesh.post(holder, to, Body::Control(data));
         let m = mesh.members.get_mut(&holder).expect("holder is a member");
         m.map.relocate(slot, PlaceId(to)).expect("owner changes");
         self.fence_advanced(holder, slot);
     }
 
     /// The target installs a shipped chunk, re-registers ownership and
-    /// broadcasts the commit `ChunkAck` that advances every fence.
+    /// broadcasts the commit [`Control::Ack`] that advances every fence.
     fn install_chunk(&mut self, target: u16, slot: u16, epoch: u64, payload: &[u8]) {
         let shipped = self.mesh.relocating(RelocStage::Shipped);
         if !shipped.is_some_and(|(s, _, to)| s == slot && to == target) {
@@ -1050,14 +1056,14 @@ impl<A: DpApp> Machine<A> {
         let commit = m.map.relocate(slot, PlaceId(target));
         let commit_epoch = commit.expect("adoption changes the owner");
         debug_assert_eq!(commit_epoch, epoch + 1, "single relocation in flight");
-        let commit = Msg::<A::Value>::ChunkAck {
-            slot,
-            epoch: commit_epoch,
-        };
         let mut others: BTreeSet<u16> = mesh.members.keys().copied().collect();
         others.remove(&target);
         for &q in &others {
-            mesh.post(target, q, None, &commit);
+            let commit = Control::Ack {
+                slot,
+                epoch: commit_epoch,
+            };
+            mesh.post(target, q, Body::Control(commit));
         }
         let rel = mesh.in_flight.as_mut().expect("matched above");
         rel.stage = RelocStage::Committing;
@@ -1071,9 +1077,12 @@ impl<A: DpApp> Machine<A> {
     /// Relocation control goes to its handler; protocol traffic passes
     /// the epoch fence, and what it admits goes to [`handle_msg`].
     fn process_packet(&mut self, p: u16, mut pkt: Packet) {
-        let msg = decode_exact::<Msg<A::Value>>(&pkt.bytes).expect("in-mesh packets decode");
-        let Some((src_slot, slot)) = pkt.route else {
-            return self.on_control(p, pkt.src, msg);
+        let ((src_slot, slot), msg) = match pkt.body {
+            Body::Control(control) => return self.on_control(p, pkt.src, control),
+            Body::Msg { route, ref bytes } => {
+                let msg = decode_exact::<Msg<A::Value>>(bytes);
+                (route, msg.expect("in-mesh packets decode"))
+            }
         };
         let mesh = &mut self.mesh;
         if mesh.holder[slot as usize] == Some(p) {
@@ -1103,20 +1112,19 @@ impl<A: DpApp> Machine<A> {
         }
     }
 
-    fn on_control(&mut self, p: u16, src: u16, msg: Msg<A::Value>) {
-        match msg {
-            Msg::ChunkOffer { slot, .. } => {
+    fn on_control(&mut self, p: u16, src: u16, control: Control) {
+        match control {
+            Control::Offer { slot } => {
                 // Accept when this is the relocation in flight; a stale
                 // offer (aborted by a kill) is ignored.
                 if self.mesh.relocating(RelocStage::Offered) == Some((slot, src, p)) {
                     let epoch = self.mesh.members[&p].map.epoch();
-                    let ack = Msg::<A::Value>::ChunkAck { slot, epoch };
-                    self.mesh.post(p, src, None, &ack);
+                    let ack = Control::Ack { slot, epoch };
+                    self.mesh.post(p, src, Body::Control(ack));
                 }
             }
-            Msg::ChunkData { slot, epoch, chunk } => self.install_chunk(p, slot, epoch, &chunk),
-            Msg::ChunkAck { slot, epoch } => self.on_chunk_ack(p, src, slot, epoch),
-            _ => debug_assert!(false, "protocol traffic is routed to a slot"),
+            Control::Data { slot, epoch, chunk } => self.install_chunk(p, slot, epoch, &chunk),
+            Control::Ack { slot, epoch } => self.on_chunk_ack(p, src, slot, epoch),
         }
     }
 

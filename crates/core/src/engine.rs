@@ -87,17 +87,8 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
             let local = LocalTransport::new(topo, cfg.network, liveness.clone(), stats.clone());
             let mut transport: Arc<dyn Transport<Msg<A::Value>>> = Arc::new(local);
             if let Some(plan) = cfg.chaos.as_ref().filter(|p| !p.net.is_off()) {
-                // `Done` and `PushVal` carry indegree decrements, which
-                // are not idempotent — everything else on this plane is.
-                let dup_safe: dpx10_apgas::chaos::DupSafe<Msg<A::Value>> = Arc::new(|m| {
-                    !matches!(
-                        m,
-                        Msg::Done { .. }
-                            | Msg::DoneBatch { .. }
-                            | Msg::PushVal { .. }
-                            | Msg::PushValBatch { .. }
-                    )
-                });
+                let dup_safe: dpx10_apgas::chaos::DupSafe<Msg<A::Value>> =
+                    Arc::new(|m| !m.carries_decrements());
                 transport = Arc::new(ChaosTransport::new(
                     transport, plan.net, plan.seed, dup_safe,
                 ));
@@ -216,9 +207,10 @@ impl<A: DpApp> Sink<A::Value> for Worker<'_, A> {
         dep_ids: Vec<VertexId>,
         dep_values: Vec<A::Value>,
     ) {
+        let sh = self.shared;
         let view = DepView::new(&dep_ids, &dep_values);
-        let value = compute_timed(self.shared, slot, self.wid, id, &view);
-        let me = self.shared.place.dist.places()[slot];
+        let value = compute_timed(sh, slot, self.wid, id, || sh.place.app.compute(id, &view));
+        let me = sh.place.dist.places()[slot];
         self.send(me, src, Msg::ExecResult { id, value });
     }
 
@@ -407,19 +399,21 @@ fn deliver<A: DpApp>(
     handle_msg(&shared.place, &mut sink, slot, env.src, env.msg, bufs);
 }
 
-/// Runs the app's `compute`, charging the elapsed wall time to the
-/// slot's busy counter and (when recording) emitting the vertex-compute
-/// span.
+/// Runs `compute` (the app's, classic or ranged) for vertex `id`,
+/// charging the elapsed wall time to the slot's busy counter and (when
+/// recording) emitting the vertex-compute span.
 fn compute_timed<A: DpApp>(
     shared: &Shared<A>,
     slot: usize,
     wid: u16,
     id: VertexId,
-    view: &DepView<'_, A::Value>,
+    compute: impl FnOnce() -> A::Value,
 ) -> A::Value {
     let started = Instant::now();
-    let rec_start = self_rec_start(shared);
-    let value = shared.place.app.compute(id, view);
+    // Read only when recording is on (keeps the disabled path at one
+    // branch).
+    let rec_start = shared.recorder.enabled().then(|| shared.recorder.now_ns());
+    let value = compute();
     let elapsed = started.elapsed().as_nanos() as u64;
     shared.place.shards[slot]
         .busy_ns
@@ -439,13 +433,6 @@ fn compute_timed<A: DpApp>(
         );
     }
     value
-}
-
-/// Recorder start timestamp, taken only when recording is on (keeps the
-/// disabled path at one branch).
-#[inline]
-fn self_rec_start<A: DpApp>(shared: &Shared<A>) -> Option<u64> {
-    shared.recorder.enabled().then(|| shared.recorder.now_ns())
 }
 
 /// Executes one owned ready vertex: gather → (maybe ship) → compute →
@@ -482,7 +469,7 @@ fn execute<A: DpApp>(shared: &Shared<A>, slot: usize, wid: u16, li: u32, bufs: &
     }
 
     let view = DepView::new(&bufs.deps, &values);
-    let value = compute_timed(shared, slot, wid, id, &view);
+    let value = compute_timed(shared, slot, wid, id, || place.app.compute(id, &view));
     publish(place, &mut sink, slot, li, id, value, bufs);
 }
 
@@ -491,10 +478,10 @@ fn execute<A: DpApp>(shared: &Shared<A>, slot: usize, wid: u16, li: u32, bufs: &
 /// prefix lanes in O(1).
 ///
 /// By the indegree-zero guarantee, every interval cell's value has
-/// already been delivered to this place (local publish, `Done` or
-/// `PushVal`) and folded into the lanes — *except* cells prefinished in
-/// an earlier epoch whose values live on another place (the socket
-/// engine's meta-only restores). Those show up in `interval_missing`,
+/// already been delivered to this place (local publish or `Done`) and
+/// folded into the lanes — *except* cells prefinished in an earlier
+/// epoch whose values live on another place (the socket engine's
+/// meta-only restores). Those show up in `interval_missing`,
 /// ride the classic park-and-pull machinery alongside the point deps,
 /// and are folded when the `PullVal` replies land, after which the
 /// re-readied vertex finds its lanes complete.
@@ -541,23 +528,9 @@ fn execute_ranged<A: DpApp>(
         ivs.iter().all(|iv| table.interval_prefix(*iv).is_some()),
         "lanes incomplete at zero indegree for {id}"
     );
-    let started = Instant::now();
-    let rec_start = self_rec_start(shared);
-    let value = {
-        let aggs = AggView::new(table);
+    let aggs = AggView::new(table);
+    let value = compute_timed(shared, slot, sink.wid, id, || {
         place.app.compute_ranged(id, &view, &aggs)
-    };
-    let elapsed = started.elapsed().as_nanos() as u64;
-    shard.busy_ns.fetch_add(elapsed, Ordering::Relaxed);
-    if let Some(start_ns) = rec_start {
-        shared.recorder.span(
-            place.dist.places()[slot].0,
-            sink.wid,
-            EventKind::VertexCompute,
-            start_ns,
-            shared.recorder.now_ns(),
-            id.pack(),
-        );
-    }
+    });
     publish(place, sink, slot, li, id, value, bufs);
 }

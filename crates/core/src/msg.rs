@@ -10,11 +10,14 @@ use dpx10_dag::VertexId;
 /// of its remote dependents (`Done`), landing it in the consumer's FIFO
 /// cache; if the value was evicted before use, the consumer *pulls* it
 /// (`Pull`/`PullVal`). `Exec`/`ExecResult` carry remotely scheduled
-/// vertices under the random and min-comm strategies.
+/// vertices under the random and min-comm strategies. This is the whole
+/// vocabulary (codec tags 0–7): push mode sends the same `Done`, and
+/// chunk relocation is the elastic driver's in-process business.
 #[derive(Clone, Debug)]
 pub enum Msg<V> {
     /// `from` finished with `value`; decrement the indegree of `targets`
-    /// (all owned by the receiver).
+    /// (all owned by the receiver). A receiver in push mode also pins the
+    /// value for its unfinished targets, so no pull round-trip is needed.
     Done {
         /// The finished vertex.
         from: VertexId,
@@ -68,59 +71,6 @@ pub enum Msg<V> {
         /// `(id, value)` of each folded reply, in send order.
         entries: Vec<(VertexId, V)>,
     },
-    /// Push mode: `from` finished with `value`; decrement the indegree
-    /// of `targets` *and* pin the value for every parked target so no
-    /// pull round-trip is needed. Like [`Msg::Done`] this carries
-    /// non-idempotent decrements; unlike `Done`, the receiver keeps the
-    /// value reachable past cache eviction until the targets consume it.
-    PushVal {
-        /// The finished vertex.
-        from: VertexId,
-        /// Its result, pinned for the receiver's parked dependents.
-        value: V,
-        /// Receiver-owned dependents to decrement.
-        targets: Vec<VertexId>,
-    },
-    /// Several [`Msg::PushVal`]s to the same place, coalesced.
-    PushValBatch {
-        /// `(from, value, targets)` of each folded push, in send order.
-        entries: Vec<(VertexId, V, Vec<VertexId>)>,
-    },
-    /// Elastic mesh: the current owner of a chunk announces a pending
-    /// relocation to the receiver, who should prepare to adopt it.
-    /// Sent before the data so the receiver can fence the slot.
-    ChunkOffer {
-        /// The distribution slot being moved.
-        slot: u16,
-        /// The ownership epoch the offer was made under.
-        epoch: u64,
-        /// Finished cells the chunk carries (for progress accounting).
-        cells: u32,
-        /// Serialized size of the upcoming [`Msg::ChunkData`] payload.
-        bytes: u64,
-    },
-    /// Elastic mesh: the serialized chunk itself (an encoded
-    /// `ChunkState` — opaque bytes at this layer, so the protocol does
-    /// not fix the array's value type).
-    ChunkData {
-        /// The distribution slot being moved.
-        slot: u16,
-        /// The ownership epoch the state was packaged under; a receiver
-        /// whose fence has moved past it drops the payload (the chunk
-        /// falls back to recompute).
-        epoch: u64,
-        /// The encoded `ChunkState`.
-        chunk: Vec<u8>,
-    },
-    /// Elastic mesh: the new owner confirms adoption; broadcast so every
-    /// place re-registers the slot in its chunk map and advances its
-    /// epoch fence.
-    ChunkAck {
-        /// The relocated slot.
-        slot: u16,
-        /// The *new* ownership epoch — the stamp every fence adopts.
-        epoch: u64,
-    },
 }
 
 impl<V: Codec> Msg<V> {
@@ -145,19 +95,14 @@ impl<V: Codec> Msg<V> {
                 .sum(),
             Msg::PullBatch { ids } => 8 * ids.len(),
             Msg::PullValBatch { entries } => entries.iter().map(|(_, v)| 8 + v.wire_size()).sum(),
-            // A push is priced exactly like the `Done` it replaces: the
-            // value rides the decrement frame either way.
-            Msg::PushVal { value, targets, .. } => 8 + value.wire_size() + 8 * targets.len(),
-            Msg::PushValBatch { entries } => entries
-                .iter()
-                .map(|(_, v, ts)| 8 + v.wire_size() + 8 * ts.len())
-                .sum(),
-            // Relocation control/data plane: priced as slot + epoch
-            // headers plus the chunk payload itself.
-            Msg::ChunkOffer { .. } => 2 + 8 + 4 + 8,
-            Msg::ChunkData { chunk, .. } => 2 + 8 + chunk.len(),
-            Msg::ChunkAck { .. } => 2 + 8,
         }
+    }
+
+    /// Whether the message carries indegree decrements. They are not
+    /// idempotent, so such a message must never be delivered twice;
+    /// every other message may be (the chaos transport's `DupSafe`).
+    pub fn carries_decrements(&self) -> bool {
+        matches!(self, Msg::Done { .. } | Msg::DoneBatch { .. })
     }
 }
 
@@ -168,7 +113,6 @@ pub struct MsgBatch<V> {
     done: Vec<(VertexId, V, Vec<VertexId>)>,
     pulls: Vec<VertexId>,
     pull_vals: Vec<(VertexId, V)>,
-    pushes: Vec<(VertexId, V, Vec<VertexId>)>,
     /// Priced bytes of everything absorbed (sum of the folded messages'
     /// inherent [`Msg::wire_size`]s).
     bytes: usize,
@@ -180,7 +124,6 @@ impl<V> Default for MsgBatch<V> {
             done: Vec::new(),
             pulls: Vec::new(),
             pull_vals: Vec::new(),
-            pushes: Vec::new(),
             bytes: 0,
         }
     }
@@ -208,17 +151,8 @@ impl<V: Codec + Send> Coalescible for Msg<V> {
                 batch.pull_vals.push((id, value));
                 Ok(())
             }
-            Msg::PushVal {
-                from,
-                value,
-                targets,
-            } => {
-                batch.pushes.push((from, value, targets));
-                Ok(())
-            }
-            // Exec verbs pair requests with replies, the batch variants
-            // themselves never re-fold, and the relocation messages
-            // order the epoch fence — all travel alone.
+            // Exec verbs pair requests with replies and the batch
+            // variants themselves never re-fold: both travel alone.
             other => {
                 batch.bytes -= other.wire_size();
                 Err(other)
@@ -227,7 +161,7 @@ impl<V: Codec + Send> Coalescible for Msg<V> {
     }
 
     fn batch_entries(batch: &MsgBatch<V>) -> usize {
-        batch.done.len() + batch.pulls.len() + batch.pull_vals.len() + batch.pushes.len()
+        batch.done.len() + batch.pulls.len() + batch.pull_vals.len()
     }
 
     fn batch_bytes(batch: &MsgBatch<V>) -> usize {
@@ -253,13 +187,6 @@ impl<V: Codec + Send> Coalescible for Msg<V> {
         if !batch.pull_vals.is_empty() {
             let msg = Msg::PullValBatch {
                 entries: std::mem::take(&mut batch.pull_vals),
-            };
-            let bytes = msg.wire_size();
-            out.push((msg, bytes));
-        }
-        if !batch.pushes.is_empty() {
-            let msg = Msg::PushValBatch {
-                entries: std::mem::take(&mut batch.pushes),
             };
             let bytes = msg.wire_size();
             out.push((msg, bytes));
@@ -354,48 +281,6 @@ impl<V: Codec> Codec for Msg<V> {
                     value.encode(buf);
                 }
             }
-            Msg::PushVal {
-                from,
-                value,
-                targets,
-            } => {
-                buf.push(11);
-                from.pack().encode(buf);
-                value.encode(buf);
-                encode_ids(targets, buf);
-            }
-            Msg::PushValBatch { entries } => {
-                buf.push(12);
-                (entries.len() as u64).encode(buf);
-                for (from, value, targets) in entries {
-                    from.pack().encode(buf);
-                    value.encode(buf);
-                    encode_ids(targets, buf);
-                }
-            }
-            Msg::ChunkOffer {
-                slot,
-                epoch,
-                cells,
-                bytes,
-            } => {
-                buf.push(8);
-                slot.encode(buf);
-                epoch.encode(buf);
-                cells.encode(buf);
-                bytes.encode(buf);
-            }
-            Msg::ChunkData { slot, epoch, chunk } => {
-                buf.push(9);
-                slot.encode(buf);
-                epoch.encode(buf);
-                chunk.encode(buf);
-            }
-            Msg::ChunkAck { slot, epoch } => {
-                buf.push(10);
-                slot.encode(buf);
-                epoch.encode(buf);
-            }
         }
     }
 
@@ -453,45 +338,6 @@ impl<V: Codec> Codec for Msg<V> {
                 }
                 Some(Msg::PullValBatch { entries })
             }
-            8 => Some(Msg::ChunkOffer {
-                slot: u16::decode(src)?,
-                epoch: u64::decode(src)?,
-                cells: u32::decode(src)?,
-                bytes: u64::decode(src)?,
-            }),
-            9 => Some(Msg::ChunkData {
-                slot: u16::decode(src)?,
-                epoch: u64::decode(src)?,
-                // The generic `Vec<u8>` decode carries the hostile-length
-                // guard: a claimed length past the remaining input is
-                // refused before allocation.
-                chunk: Vec::<u8>::decode(src)?,
-            }),
-            10 => Some(Msg::ChunkAck {
-                slot: u16::decode(src)?,
-                epoch: u64::decode(src)?,
-            }),
-            11 => Some(Msg::PushVal {
-                from: VertexId::unpack(u64::decode(src)?),
-                value: V::decode(src)?,
-                targets: decode_ids(src)?,
-            }),
-            12 => {
-                let n = u64::decode(src)?;
-                // Hostile-length guard, same shape as DoneBatch.
-                if n > (src.len() as u64) {
-                    return None;
-                }
-                let mut entries = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    entries.push((
-                        VertexId::unpack(u64::decode(src)?),
-                        V::decode(src)?,
-                        decode_ids(src)?,
-                    ));
-                }
-                Some(Msg::PushValBatch { entries })
-            }
             _ => None,
         }
     }
@@ -520,19 +366,6 @@ impl<V: Codec> Codec for Msg<V> {
                     .map(|(_, v)| 8 + Codec::wire_size(v))
                     .sum::<usize>()
             }
-            Msg::PushVal { value, targets, .. } => {
-                8 + Codec::wire_size(value) + 8 + 8 * targets.len()
-            }
-            Msg::PushValBatch { entries } => {
-                8 + entries
-                    .iter()
-                    .map(|(_, v, ts)| 8 + Codec::wire_size(v) + 8 + 8 * ts.len())
-                    .sum::<usize>()
-            }
-            Msg::ChunkOffer { .. } => 2 + 8 + 4 + 8,
-            // `Vec<u8>` encodes with its u64 length prefix.
-            Msg::ChunkData { chunk, .. } => 2 + 8 + 8 + chunk.len(),
-            Msg::ChunkAck { .. } => 2 + 8,
         }
     }
 }
@@ -635,12 +468,78 @@ mod tests {
 
     #[test]
     fn codec_rejects_unknown_tag_and_truncation() {
-        assert!(decode_exact::<Msg<i64>>(&[13, 0, 0, 0, 0, 0, 0, 0, 0]).is_none());
-        let buf = encode_to_vec(&Msg::PullVal {
-            id: VertexId::new(1, 1),
-            value: 5i64,
+        // Tags 8–12 were the push and relocation messages: behind any tag
+        // outside 0–7, a body shaped like one of them is refused.
+        let id = VertexId::new(1, 2);
+        let done = encode_to_vec(&Msg::Done {
+            from: id,
+            value: 7i64,
+            targets: vec![VertexId::new(1, 3)],
         });
-        assert!(decode_exact::<Msg<i64>>(&buf[..buf.len() - 1]).is_none());
+        let batch = encode_to_vec(&Msg::DoneBatch {
+            entries: vec![(id, 7i64, vec![id])],
+        });
+        let mut ack = Vec::new();
+        (4u16, 17u64).encode(&mut ack);
+        let mut data = ack.clone();
+        vec![9u8, 8, 7].encode(&mut data);
+        let mut offer = ack.clone();
+        (1000u32, 65_536u64).encode(&mut offer);
+        for body in [&done[1..], &batch[1..], &ack, &data, &offer] {
+            for tag in 8..=u8::MAX {
+                let bytes = [&[tag][..], body].concat();
+                assert!(decode_exact::<Msg<i64>>(&bytes).is_none(), "tag {tag}");
+            }
+        }
+        for cut in 0..done.len() {
+            assert!(
+                decode_exact::<Msg<i64>>(&done[..cut]).is_none(),
+                "cut {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_done_and_its_batch_carry_decrements() {
+        let id = VertexId::new(1, 1);
+        let every: [(Msg<i64>, bool); 8] = [
+            (
+                Msg::Done {
+                    from: id,
+                    value: 1,
+                    targets: vec![id],
+                },
+                true,
+            ),
+            (Msg::Pull { id }, false),
+            (Msg::PullVal { id, value: 1 }, false),
+            (
+                Msg::Exec {
+                    id,
+                    dep_ids: vec![],
+                    dep_values: vec![],
+                },
+                false,
+            ),
+            (Msg::ExecResult { id, value: 1 }, false),
+            (
+                Msg::DoneBatch {
+                    entries: vec![(id, 1, vec![id])],
+                },
+                true,
+            ),
+            (Msg::PullBatch { ids: vec![id] }, false),
+            (
+                Msg::PullValBatch {
+                    entries: vec![(id, 1)],
+                },
+                false,
+            ),
+        ];
+        for (tag, (msg, decrements)) in every.iter().enumerate() {
+            assert_eq!(encode_to_vec(msg)[0], tag as u8, "one row per tag 0–7");
+            assert_eq!(msg.carries_decrements(), *decrements, "{msg:?}");
+        }
     }
 
     fn assert_batch_round_trip(msg: &Msg<i64>) {
@@ -720,216 +619,6 @@ mod tests {
         assert_eq!(drained.len(), 3, "one message per non-empty family");
         assert_eq!(drained.iter().map(|(_, b)| b).sum::<usize>(), priced);
         assert_eq!(Msg::<i64>::batch_entries(&batch), 0);
-        assert_eq!(Msg::<i64>::batch_bytes(&batch), 0);
-    }
-
-    #[test]
-    fn push_codec_round_trips_with_exact_size() {
-        let msgs: Vec<Msg<i64>> = vec![
-            Msg::PushVal {
-                from: VertexId::new(3, 4),
-                value: -9,
-                targets: vec![VertexId::new(3, 5), VertexId::new(4, 4)],
-            },
-            Msg::PushVal {
-                from: VertexId::new(0, u32::MAX),
-                value: i64::MIN,
-                targets: vec![],
-            },
-            Msg::PushValBatch {
-                entries: vec![
-                    (VertexId::new(0, 1), -3, vec![VertexId::new(1, 1)]),
-                    (VertexId::new(2, 2), 9, vec![]),
-                ],
-            },
-            Msg::PushValBatch { entries: vec![] },
-        ];
-        for msg in msgs {
-            let buf = encode_to_vec(&msg);
-            assert_eq!(buf.len(), Codec::wire_size(&msg), "{msg:?}");
-            let back: Msg<i64> = decode_exact(&buf).expect("decodes");
-            match (&msg, &back) {
-                (
-                    Msg::PushVal {
-                        from: a,
-                        value: va,
-                        targets: ta,
-                    },
-                    Msg::PushVal {
-                        from: b,
-                        value: vb,
-                        targets: tb,
-                    },
-                ) => assert_eq!((a, va, ta), (b, vb, tb)),
-                (Msg::PushValBatch { entries: a }, Msg::PushValBatch { entries: b }) => {
-                    assert_eq!(a, b)
-                }
-                (a, b) => panic!("variant changed in flight: {a:?} -> {b:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn push_codec_rejects_hostile_length_and_truncation() {
-        // A PushValBatch claiming u64::MAX entries with no payload.
-        let mut buf = vec![12u8];
-        u64::MAX.encode(&mut buf);
-        assert!(decode_exact::<Msg<i64>>(&buf).is_none());
-        let full = encode_to_vec(&Msg::PushVal {
-            from: VertexId::new(1, 2),
-            value: 7i64,
-            targets: vec![VertexId::new(1, 3)],
-        });
-        for cut in 0..full.len() {
-            assert!(
-                decode_exact::<Msg<i64>>(&full[..cut]).is_none(),
-                "truncated at {cut} must not decode"
-            );
-        }
-    }
-
-    #[test]
-    fn pushes_fold_into_their_own_batch_family() {
-        let singles: Vec<Msg<i64>> = vec![
-            Msg::PushVal {
-                from: VertexId::new(0, 0),
-                value: 1,
-                targets: vec![VertexId::new(0, 1)],
-            },
-            Msg::PushVal {
-                from: VertexId::new(1, 0),
-                value: 2,
-                targets: vec![VertexId::new(1, 1), VertexId::new(2, 0)],
-            },
-            Msg::Pull {
-                id: VertexId::new(4, 4),
-            },
-        ];
-        let priced: usize = singles.iter().map(Msg::wire_size).sum();
-        let mut batch = MsgBatch::default();
-        for m in singles {
-            m.absorb(&mut batch).expect("all batchable");
-        }
-        assert_eq!(Msg::<i64>::batch_entries(&batch), 3);
-        assert_eq!(Msg::<i64>::batch_bytes(&batch), priced);
-        let drained = Msg::<i64>::drain(&mut batch);
-        assert_eq!(drained.len(), 2, "one pushes batch, one pulls batch");
-        assert!(drained
-            .iter()
-            .any(|(m, _)| matches!(m, Msg::PushValBatch { entries } if entries.len() == 2)));
-        assert_eq!(drained.iter().map(|(_, b)| b).sum::<usize>(), priced);
-    }
-
-    #[test]
-    fn chunk_codec_round_trips_with_exact_size() {
-        let msgs: Vec<Msg<i64>> = vec![
-            Msg::ChunkOffer {
-                slot: 4,
-                epoch: 17,
-                cells: 1000,
-                bytes: 65_536,
-            },
-            Msg::ChunkData {
-                slot: 4,
-                epoch: 17,
-                chunk: vec![1, 2, 3, 255, 0],
-            },
-            Msg::ChunkData {
-                slot: 0,
-                epoch: 0,
-                chunk: vec![],
-            },
-            Msg::ChunkAck { slot: 4, epoch: 18 },
-        ];
-        for msg in msgs {
-            let buf = encode_to_vec(&msg);
-            assert_eq!(buf.len(), Codec::wire_size(&msg), "{msg:?}");
-            let back: Msg<i64> = decode_exact(&buf).expect("decodes");
-            match (&msg, &back) {
-                (
-                    Msg::ChunkOffer {
-                        slot: sa,
-                        epoch: ea,
-                        cells: ca,
-                        bytes: ba,
-                    },
-                    Msg::ChunkOffer {
-                        slot: sb,
-                        epoch: eb,
-                        cells: cb,
-                        bytes: bb,
-                    },
-                ) => assert_eq!((sa, ea, ca, ba), (sb, eb, cb, bb)),
-                (
-                    Msg::ChunkData {
-                        slot: sa,
-                        epoch: ea,
-                        chunk: ca,
-                    },
-                    Msg::ChunkData {
-                        slot: sb,
-                        epoch: eb,
-                        chunk: cb,
-                    },
-                ) => assert_eq!((sa, ea, ca), (sb, eb, cb)),
-                (
-                    Msg::ChunkAck {
-                        slot: sa,
-                        epoch: ea,
-                    },
-                    Msg::ChunkAck {
-                        slot: sb,
-                        epoch: eb,
-                    },
-                ) => assert_eq!((sa, ea), (sb, eb)),
-                (a, b) => panic!("variant changed in flight: {a:?} -> {b:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_codec_rejects_hostile_length_and_truncation() {
-        // A ChunkData claiming 2^59 payload bytes with a 1-byte body.
-        let mut buf = vec![9u8];
-        4u16.encode(&mut buf);
-        17u64.encode(&mut buf);
-        (1u64 << 59).encode(&mut buf);
-        buf.push(0);
-        assert!(decode_exact::<Msg<i64>>(&buf).is_none());
-        // Truncation anywhere mid-message is a clean None.
-        let full = encode_to_vec(&Msg::<i64>::ChunkData {
-            slot: 4,
-            epoch: 17,
-            chunk: vec![9, 8, 7],
-        });
-        for cut in 0..full.len() {
-            assert!(
-                decode_exact::<Msg<i64>>(&full[..cut]).is_none(),
-                "truncated at {cut} must not decode"
-            );
-        }
-    }
-
-    #[test]
-    fn relocation_messages_refuse_to_fold() {
-        let mut batch = MsgBatch::<i64>::default();
-        for msg in [
-            Msg::ChunkOffer {
-                slot: 1,
-                epoch: 2,
-                cells: 3,
-                bytes: 4,
-            },
-            Msg::ChunkData {
-                slot: 1,
-                epoch: 2,
-                chunk: vec![0],
-            },
-            Msg::ChunkAck { slot: 1, epoch: 3 },
-        ] {
-            let refused = msg.absorb(&mut batch);
-            assert!(refused.is_err(), "{refused:?} must travel alone");
-        }
         assert_eq!(Msg::<i64>::batch_bytes(&batch), 0);
     }
 

@@ -10,7 +10,7 @@
 //!
 //! | | threads / socket places / served jobs | simulator | elastic mesh |
 //! |---|---|---|---|
-//! | `send` | the epoch's `Transport` | a priced arrival event | slot → holder by the sender's `ChunkMap`, fence-stamped bytes |
+//! | `send` | the epoch's `Transport` | a priced arrival event | slot → holder by the sender's `ChunkMap`, fence-stamped `Msg` bytes |
 //! | `ready` | the shard's FIFO ready list | the policy ready queue | the slot's FIFO ready list |
 //! | `stamp` | recorder, wall clock | recorder, virtual clock | — (membership spans only) |
 //! | `exec` | compute now, reply `ExecResult` | queue for a worker slot | never: vertices run at their owner |
@@ -105,8 +105,8 @@ impl Default for WorkerBufs {
 
 /// Folds a finished cell's aggregation keys into the receiving place's
 /// lanes. Called from every value-delivery path (local publish, `Done`,
-/// `PushVal`, `PullVal`); the lanes are idempotent per cell, so
-/// overlapping deliveries are harmless.
+/// `PullVal`); the lanes are idempotent per cell, so overlapping
+/// deliveries are harmless.
 #[inline]
 pub fn agg_record<A: DpApp>(place: &Place<A>, slot: usize, id: VertexId, value: &A::Value) {
     if place.agg.is_some() {
@@ -160,24 +160,16 @@ pub fn handle_msg<A: DpApp, S: Sink<A::Value>>(
                 handle_pull_val(place, sink, slot, id, value);
             }
         }
-        Msg::PushVal {
-            from,
-            value,
-            targets,
-        } => handle_push(place, sink, slot, from, value, targets),
-        Msg::PushValBatch { entries } => {
-            for (from, value, targets) in entries {
-                handle_push(place, sink, slot, from, value, targets);
-            }
-        }
-        // Relocation traffic belongs to the elastic engine; every other
-        // driver's chunk ownership is fixed for a whole epoch.
-        Msg::ChunkOffer { .. } | Msg::ChunkData { .. } | Msg::ChunkAck { .. } => {}
     }
 }
 
 /// [`Msg::Done`]: land the value in the consumer cache, decrement the
-/// receiver-owned dependents.
+/// receiver-owned dependents. A place in push mode also *pins* the value
+/// for every unfinished target, so the target's later gather finds it
+/// even after cache eviction — the pull round-trip never happens. A
+/// target whose parked slot already has a pull in flight (the consumer
+/// raced ahead) is filled right here; the eventual `PullVal` reply then
+/// finds the slot occupied and is a no-op for it.
 fn handle_done<A: DpApp, S: Sink<A::Value>>(
     place: &Place<A>,
     sink: &mut S,
@@ -186,33 +178,13 @@ fn handle_done<A: DpApp, S: Sink<A::Value>>(
     value: A::Value,
     targets: Vec<VertexId>,
 ) {
+    let shard = &place.shards[slot];
     // Fold before decrementing: when a target's indegree hits zero its
     // interval lanes must already cover this cell.
     agg_record(place, slot, from, &value);
-    place.shards[slot].cache.lock().insert(from.pack(), value);
-    for t in targets {
-        decrement(place, sink, slot, t);
-    }
-}
-
-/// [`Msg::PushVal`]: a `Done` whose value is additionally *pinned* for
-/// every unfinished target, so the target's later gather finds it even
-/// after cache eviction — the pull round-trip never happens. A target
-/// whose parked slot already has a pull in flight (the consumer raced
-/// ahead) is filled right here; the eventual `PullVal` reply then finds
-/// the slot occupied and is a no-op for it.
-fn handle_push<A: DpApp, S: Sink<A::Value>>(
-    place: &Place<A>,
-    sink: &mut S,
-    slot: usize,
-    from: VertexId,
-    value: A::Value,
-    targets: Vec<VertexId>,
-) {
-    let shard = &place.shards[slot];
-    agg_record(place, slot, from, &value);
-    shard.cache.lock().insert(from.pack(), value.clone());
-    {
+    let pinned = (place.comms == CommsMode::Push).then(|| value.clone());
+    shard.cache.lock().insert(from.pack(), value);
+    if let Some(value) = pinned {
         let mut pending = shard.pending.lock();
         for t in &targets {
             let tli = local_index(&place.dist, *t);
@@ -503,23 +475,15 @@ pub fn publish<A: DpApp, S: Sink<A::Value>>(
         bufs.groups[k].1.push(*t);
     }
     for (q, targets) in bufs.groups.drain(..) {
-        let msg = match place.comms {
-            CommsMode::Pull => Msg::Done {
-                from: id,
-                value: value.clone(),
-                targets,
-            },
-            // Push mode: same decrements, but the receiver pins the
-            // value for its parked dependents instead of hoping the
-            // cache keeps it.
-            CommsMode::Push => {
-                place.stats.place(me).on_push_sent();
-                Msg::PushVal {
-                    from: id,
-                    value: value.clone(),
-                    targets,
-                }
-            }
+        // Push mode sends the same `Done`: the receiver, in push mode
+        // too, pins the value for its parked dependents.
+        if place.comms == CommsMode::Push {
+            place.stats.place(me).on_push_sent();
+        }
+        let msg = Msg::Done {
+            from: id,
+            value: value.clone(),
+            targets,
         };
         sink.send(me, PlaceId(q), msg);
     }

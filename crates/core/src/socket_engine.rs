@@ -149,7 +149,7 @@ fn well_formed<V>(frame: &RunFrame<V>, slots: u16, region: Region2D) -> bool {
 
 /// The data-plane half of [`well_formed`]: whether every cell id a
 /// peer's vertex-protocol message carries is one `slot` may act on.
-/// Every id must be a vertex of the pattern; `Done`/`PushVal` targets,
+/// Every id must be a vertex of the pattern; `Done` targets,
 /// pulled cells and shipped-back results must be owned here (a foreign
 /// id would index another cell of this shard); a pulled cell must be
 /// finished; a shipped `Exec` must carry exactly the pattern's
@@ -171,10 +171,8 @@ pub(crate) fn data_well_formed<A: DpApp>(
             && place.shards[slot].finished[local_index(dist, *id) as usize].load(Ordering::Acquire)
     };
     match msg {
-        Msg::Done { from, targets, .. } | Msg::PushVal { from, targets, .. } => done(from, targets),
-        Msg::DoneBatch { entries } | Msg::PushValBatch { entries } => {
-            entries.iter().all(|(from, _, targets)| done(from, targets))
-        }
+        Msg::Done { from, targets, .. } => done(from, targets),
+        Msg::DoneBatch { entries } => entries.iter().all(|(from, _, targets)| done(from, targets)),
         Msg::Pull { id } => pull(id),
         Msg::PullBatch { ids } => ids.iter().all(pull),
         Msg::PullVal { id, .. } => cell(id),
@@ -191,8 +189,6 @@ pub(crate) fn data_well_formed<A: DpApp>(
                 deps == *dep_ids
             }
         }
-        // Ignored by the static engines' handlers.
-        Msg::ChunkOffer { .. } | Msg::ChunkData { .. } | Msg::ChunkAck { .. } => true,
     }
 }
 
@@ -1007,12 +1003,18 @@ mod tests {
 
     /// Payloads no frame of the grammar matches: 1 MiB of each envelope
     /// tag of a nestable grammar — whose decoder would recurse once per
-    /// tag and overflow its stack — and of the `(tag 8, job 0)` prefix.
-    fn hostile_bytes() -> [(&'static str, Vec<u8>); 3] {
+    /// tag and overflow its stack — and of the `(tag 8, job 0)` prefix;
+    /// and epoch 0 vertex traffic whose `Msg` is a retired relocation
+    /// acknowledgement (tag 10, slot, epoch), once accepted and ignored.
+    fn hostile_bytes() -> [(&'static str, Vec<u8>); 4] {
+        let mut retired = vec![0];
+        (0u32, 0u32, 10u8).encode(&mut retired);
+        (1u16, 0u64).encode(&mut retired);
         [
             ("1 MiB of tag 9", vec![9; 1 << 20]),
             ("1 MiB of tag 8", vec![8; 1 << 20]),
             ("1 MiB of (tag 8, job 0)", [8, 0, 0, 0, 0].repeat(1 << 18)),
+            ("vertex traffic with retired Msg tag 10", retired),
         ]
     }
 
@@ -1089,8 +1091,8 @@ mod tests {
                 },
             ),
             (
-                "push target owned by another slot",
-                Msg::PushVal {
+                "done target owned by another slot",
+                Msg::Done {
                     from: VertexId::new(2, 2),
                     value: 7,
                     targets: vec![foreign],
@@ -1135,8 +1137,8 @@ mod tests {
                 },
             ),
             (
-                "push batch hiding an outside target",
-                Msg::PushValBatch {
+                "done batch hiding an outside target",
+                Msg::DoneBatch {
                     entries: vec![done(vec![mine]), done(vec![outside])],
                 },
             ),
@@ -1187,7 +1189,7 @@ mod tests {
                 value: 7,
                 targets: vec![VertexId::new(2, 3), VertexId::new(3, 3)],
             },
-            Msg::PushValBatch {
+            Msg::DoneBatch {
                 entries: vec![(VertexId::new(2, 2), 7, vec![VertexId::new(2, 3)])],
             },
             Msg::Pull {

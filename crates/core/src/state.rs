@@ -23,8 +23,8 @@ pub enum Fill<V> {
     /// Filled by a `PullVal` reply (or read straight from the cache on a
     /// re-gather).
     Pulled(V),
-    /// Filled by a producer-side `PushVal` before the consumer ever
-    /// asked — consuming it on re-gather counts as an avoided pull
+    /// Pinned from a producer's `Done` (push mode) before the consumer
+    /// ever asked — consuming it on re-gather counts as an avoided pull
     /// round-trip.
     Pushed(V),
 }

@@ -6,9 +6,9 @@
 //! place keeps a [`PrefixLane`] per row and/or column: a running
 //! reduction (min/max/sum) over the *aggregation keys* of the cells
 //! received so far, in index order. Every value-delivery path of the
-//! engine (local publish, `Done`, `PushVal`, `PullVal`) folds the cell's
-//! key into the lane; by the time a consumer's indegree reaches zero the
-//! lane's contiguous frontier covers its interval, so the O(n) read
+//! engine (local publish, `Done`, `PullVal`) folds the cell's key into
+//! the lane; by the time a consumer's indegree reaches zero the lane's
+//! contiguous frontier covers its interval, so the O(n) read
 //! collapses to an O(1) prefix lookup.
 //!
 //! Unlike the FIFO cache, lanes are *residents*: folding is lossy in the

@@ -15,13 +15,13 @@
 //! names the epoch it was built under, and a receiver parks messages
 //! from the future and drops messages from the past. In-flight pulls
 //! addressed to the old owner are parked at the fence and replayed
-//! against the new owner once the `ChunkAck` lands.
+//! against the new owner once the commit acknowledgement lands.
 
 use dpx10_apgas::codec::Codec;
 use dpx10_apgas::PlaceId;
 
 /// The complete movable state of one distribution slot, as serialized
-/// onto the wire by `Msg::ChunkData`.
+/// into the payload the elastic driver ships between holders.
 ///
 /// Cell indices are *local* to the chunk (the slot's iteration order),
 /// so the state is independent of which place holds it. Cache and spill
@@ -175,7 +175,7 @@ impl ChunkMap {
     }
 
     /// Re-registers `slot` to `to` and advances the fence. Returns the
-    /// new epoch — the stamp the `ChunkAck` broadcast carries so every
+    /// new epoch — the stamp the commit broadcast carries so every
     /// place fences identically. `None` for an out-of-range slot or a
     /// no-op move (same owner), which must not burn an epoch.
     pub fn relocate(&mut self, slot: u16, to: PlaceId) -> Option<u64> {
@@ -201,7 +201,7 @@ impl ChunkMap {
         }
     }
 
-    /// Applies a relocation observed from an `ChunkAck` broadcast:
+    /// Applies a relocation observed from a commit broadcast:
     /// adopts the sender's (higher) epoch. Ignores stale broadcasts.
     pub fn observe_relocation(&mut self, slot: u16, to: PlaceId, at_epoch: u64) -> bool {
         if at_epoch <= self.epoch {

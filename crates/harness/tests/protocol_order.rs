@@ -18,9 +18,9 @@
 //!   envelope for at most `max_delay_ticks` (≤ 8) receive ticks of its
 //!   destination, so a message is overtaken by at most [`OVERTAKE`]
 //!   later messages of its own pair; nothing is ever lost.
-//! * **Duplicates** only of the messages `ChaosTransport` may duplicate
-//!   (`dup_safe`): `Pull`, `PullVal`, `Exec`, `ExecResult`. `Done` and
-//!   `PushVal` carry indegree decrements and are not idempotent.
+//! * **Duplicates** only of the messages `ChaosTransport` may duplicate:
+//!   every one but those that [`Msg::carries_decrements`] (`Done`,
+//!   `DoneBatch`) — indegree decrements are not idempotent.
 //!
 //! Every run must end with each cell equal to the serial oracle, every
 //! indegree at zero, no parked vertex and no outstanding pull — and, in
@@ -59,13 +59,9 @@ struct Pool<'a> {
 
 impl Sink<u64> for Pool<'_> {
     fn send(&mut self, src: PlaceId, dst: PlaceId, msg: Msg<u64>) {
-        let dup_safe = matches!(
-            msg,
-            Msg::Pull { .. } | Msg::PullVal { .. } | Msg::Exec { .. } | Msg::ExecResult { .. }
-        );
         let n = self.place.dist.num_slots();
         let pair = &mut self.flight[src.index() * n + dst.index()];
-        if dup_safe && self.rng.chance(0.15) {
+        if !msg.carries_decrements() && self.rng.chance(0.15) {
             pair.push_back((msg.clone(), 0));
         }
         pair.push_back((msg, 0));
