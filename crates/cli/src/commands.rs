@@ -329,7 +329,8 @@ fn build_registry(report: &RunReport, trace: &Trace) -> Registry {
     for (slot, busy) in report.place_busy.iter().enumerate() {
         reg.gauge(
             "dpx10_place_busy_seconds",
-            "per-place compute time, final epoch slot order",
+            "per-place compute time, final epoch slot order; \
+             real engines sample 1 compute in 16 when not recording",
             &[("slot", slot.to_string())],
         )
         .set(busy.as_secs_f64());

@@ -80,7 +80,7 @@ use crate::error::EngineError;
 use crate::msg::Msg;
 use crate::protocol::{handle_msg, prepare, publish, Place, Sink, WorkerBufs};
 use crate::schedule::ScheduleStrategy;
-use crate::state::{build_shards, collect_array, Shard};
+use crate::state::{build_shards, into_array, Shard};
 use crate::stats::RunReport;
 
 /// Consecutive all-idle rounds before the engine declares a stall.
@@ -593,7 +593,8 @@ impl<A: DpApp> Machine<A> {
             epochs: 1 + report.kills as u32,
             ..RunReport::default()
         };
-        let array = collect_array(&self.place.shards, &self.place.dist);
+        let shards = std::mem::take(&mut self.place.shards);
+        let array = into_array(shards, self.place.dist.clone());
         ElasticRun {
             result: DagResult::new(array, run_report),
             report,
@@ -893,7 +894,8 @@ impl<A: DpApp> Machine<A> {
         }
         // The paper's recovery (§VI-D): keep the surviving finished
         // cells, recount every indegree from them, recompute the rest.
-        let prior = collect_array(&self.place.shards, &self.place.dist);
+        let shards = std::mem::take(&mut self.place.shards);
+        let prior = into_array(shards, self.place.dist.clone());
         let kept = self.build(Some(&prior));
         self.mesh.report.recomputed += self.mesh.finished - kept;
         self.mesh.finished = kept;

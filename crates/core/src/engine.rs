@@ -127,8 +127,10 @@ pub(crate) struct Shared<A: DpApp> {
     pub(crate) check_peers: bool,
     pub(crate) liveness: LivenessBoard,
     pub(crate) total: u64,
+    /// Finished cells on every place, prefinished ones included: counted
+    /// only while `fault_plan` is armed. Completion is the coordinator's
+    /// poll of the shards' own counts.
     pub(crate) finished_global: AtomicU64,
-    pub(crate) computed: AtomicU64,
     pub(crate) done: AtomicBool,
     pub(crate) fault: AtomicBool,
     /// Progress-triggered kills that fire exactly, from the worker that
@@ -168,12 +170,62 @@ impl<A: DpApp> Shared<A> {
     }
 }
 
+/// How many computes one timed compute stands for while no flight
+/// recorder is on: a clock pair costs more than a small `compute`.
+const BUSY_SAMPLE: u32 = 16;
+
 /// The [`Sink`] of every real-time driver — threaded engine, socket
 /// place, served job: one worker thread acting on an epoch's [`Shared`].
 struct Worker<'a, A: DpApp> {
     shared: &'a Shared<A>,
     /// Process-wide worker id: the trace track this thread records onto.
     wid: u16,
+    /// Computes left before this worker times one again.
+    untimed: u32,
+}
+
+impl<A: DpApp> Worker<'_, A> {
+    /// Runs `compute` (the app's, classic or ranged) for vertex `id` and
+    /// charges its time to the slot's busy counter. While recording,
+    /// every compute is timed and emits its vertex-compute span;
+    /// otherwise one in [`BUSY_SAMPLE`], the first included, is timed
+    /// and charged for all of them.
+    fn compute(
+        &mut self,
+        slot: usize,
+        id: VertexId,
+        compute: impl FnOnce() -> A::Value,
+    ) -> A::Value {
+        let sh = self.shared;
+        let busy = &sh.place.shards[slot].busy_ns;
+        let rec = &sh.recorder;
+        if rec.enabled() {
+            let start = rec.now_ns();
+            let value = compute();
+            let end = rec.now_ns();
+            busy.fetch_add(end - start, Ordering::Relaxed);
+            let place = sh.place.dist.places()[slot].0;
+            rec.span(
+                place,
+                self.wid,
+                EventKind::VertexCompute,
+                start,
+                end,
+                id.pack(),
+            );
+            return value;
+        }
+        if self.untimed > 0 {
+            self.untimed -= 1;
+            return compute();
+        }
+        self.untimed = BUSY_SAMPLE - 1;
+        let started = Instant::now();
+        let value = compute();
+        let elapsed = started.elapsed().as_nanos() as u64;
+        busy.fetch_add(elapsed * u64::from(BUSY_SAMPLE), Ordering::Relaxed);
+        value
+    }
 }
 
 impl<A: DpApp> Sink<A::Value> for Worker<'_, A> {
@@ -209,25 +261,25 @@ impl<A: DpApp> Sink<A::Value> for Worker<'_, A> {
     ) {
         let sh = self.shared;
         let view = DepView::new(&dep_ids, &dep_values);
-        let value = compute_timed(sh, slot, self.wid, id, || sh.place.app.compute(id, &view));
+        let value = self.compute(slot, id, || sh.place.app.compute(id, &view));
         let me = sh.place.dist.places()[slot];
         self.send(me, src, Msg::ExecResult { id, value });
     }
 
-    /// Checkpoint, advance the finished counter, trigger termination
-    /// and any planned fault.
+    /// Checkpoint, count the task, and fire any exact kill now due.
+    /// Termination is not judged here: the coordinator polls the
+    /// shards' own finished counts.
     fn finished(&mut self, slot: usize, id: VertexId, value: &A::Value) {
         let sh = self.shared;
         let me = sh.place.dist.places()[slot];
-        sh.computed.fetch_add(1, Ordering::Relaxed);
         sh.place.stats.place(me).on_task();
         if let Some(ckpt) = &sh.checkpoint {
             ckpt.on_publish(me, id, value);
         }
-        let g = sh.finished_global.fetch_add(1, Ordering::AcqRel) + 1;
-        if g >= sh.total {
-            sh.done.store(true, Ordering::Release);
+        if sh.fault_plan.is_empty() {
+            return;
         }
+        let g = sh.finished_global.fetch_add(1, Ordering::AcqRel) + 1;
         for trig in &sh.fault_plan {
             if g >= trig.threshold && !trig.fired.swap(true, Ordering::AcqRel) {
                 sh.liveness.kill(trig.victim);
@@ -259,6 +311,11 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
         .shake
         .map(|seed| ChaosRng::new(seed).fork(0x5748_4B52).fork(wid)); // "WHKR"
     let wid = wid as u16;
+    let mut worker = Worker {
+        shared,
+        wid,
+        untimed: 0,
+    };
     loop {
         if shared.should_stop() || !shared.liveness.is_alive(me) {
             break;
@@ -278,7 +335,7 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
         for _ in 0..drain_budget {
             match shared.transport.try_recv(me) {
                 Some(env) => {
-                    deliver(shared, slot, wid, env, &mut bufs);
+                    deliver(&mut worker, slot, env, &mut bufs);
                     progress = true;
                 }
                 None => break,
@@ -306,7 +363,7 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
                     let r = rng.below(batch.len() as u64) as usize;
                     batch.rotate_left(r);
                     for li in batch {
-                        execute(shared, slot, wid, li, &mut bufs);
+                        execute(&mut worker, slot, li, &mut bufs);
                         popped += 1;
                         progress = true;
                     }
@@ -314,13 +371,13 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
             }
             None => {
                 for li in (0..ready_budget).map_while(|_| pop()) {
-                    execute(shared, slot, wid, li, &mut bufs);
+                    execute(&mut worker, slot, li, &mut bufs);
                     progress = true;
                 }
             }
         }
         if !progress && shared.place.schedule == ScheduleStrategy::WorkStealing {
-            progress = try_steal(shared, slot, wid, &mut bufs);
+            progress = try_steal(&mut worker, slot, &mut bufs);
         }
         if progress {
             idle_rounds = 0;
@@ -342,7 +399,7 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
                 .transport
                 .recv_timeout(me, Duration::from_micros(500))
             {
-                deliver(shared, slot, wid, env, &mut bufs);
+                deliver(&mut worker, slot, env, &mut bufs);
                 idle_rounds = 0;
             }
         }
@@ -353,12 +410,11 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
 /// loaded other shard and run its full owner-side path here, charging a
 /// task-ship round-trip to the network stats.
 fn try_steal<A: DpApp>(
-    shared: &Arc<Shared<A>>,
+    worker: &mut Worker<'_, A>,
     thief_slot: usize,
-    wid: u16,
     bufs: &mut WorkerBufs,
 ) -> bool {
-    let place = &shared.place;
+    let place = &worker.shared.place;
     let victim = (0..place.shards.len())
         .filter(|&s| s != thief_slot)
         .max_by_key(|&s| place.shards[s].ready.len());
@@ -376,7 +432,7 @@ fn try_steal<A: DpApp>(
     place.stats.place(owner).on_send(16, over);
     let back = place.net.transfer_time(&place.topo, thief, owner, 16);
     place.stats.place(thief).on_send(16, back);
-    execute(shared, victim, wid, li, bufs);
+    execute(worker, victim, li, bufs);
     true
 }
 
@@ -385,59 +441,23 @@ fn try_steal<A: DpApp>(
 /// index is dropped and its sender written off, exactly like an
 /// undecodable payload.
 fn deliver<A: DpApp>(
-    shared: &Shared<A>,
+    worker: &mut Worker<'_, A>,
     slot: usize,
-    wid: u16,
     env: Envelope<Msg<A::Value>>,
     bufs: &mut WorkerBufs,
 ) {
+    let shared = worker.shared;
     if shared.check_peers && !data_well_formed(&shared.place, slot, &env.msg) {
         shared.liveness.mark_dead(env.src);
         return;
     }
-    let mut sink = Worker { shared, wid };
-    handle_msg(&shared.place, &mut sink, slot, env.src, env.msg, bufs);
-}
-
-/// Runs `compute` (the app's, classic or ranged) for vertex `id`,
-/// charging the elapsed wall time to the slot's busy counter and (when
-/// recording) emitting the vertex-compute span.
-fn compute_timed<A: DpApp>(
-    shared: &Shared<A>,
-    slot: usize,
-    wid: u16,
-    id: VertexId,
-    compute: impl FnOnce() -> A::Value,
-) -> A::Value {
-    let started = Instant::now();
-    // Read only when recording is on (keeps the disabled path at one
-    // branch).
-    let rec_start = shared.recorder.enabled().then(|| shared.recorder.now_ns());
-    let value = compute();
-    let elapsed = started.elapsed().as_nanos() as u64;
-    shared.place.shards[slot]
-        .busy_ns
-        .fetch_add(elapsed, Ordering::Relaxed);
-    if let Some(start_ns) = rec_start {
-        // End on the recorder clock, not `start_ns + elapsed`: the two
-        // clocks are read at slightly different moments, and an
-        // extrapolated end can overshoot past the next span's start on
-        // the same worker, breaking the nesting oracle.
-        shared.recorder.span(
-            shared.place.dist.places()[slot].0,
-            wid,
-            EventKind::VertexCompute,
-            start_ns,
-            shared.recorder.now_ns(),
-            id.pack(),
-        );
-    }
-    value
+    handle_msg(&shared.place, worker, slot, env.src, env.msg, bufs);
 }
 
 /// Executes one owned ready vertex: gather → (maybe ship) → compute →
 /// publish.
-fn execute<A: DpApp>(shared: &Shared<A>, slot: usize, wid: u16, li: u32, bufs: &mut WorkerBufs) {
+fn execute<A: DpApp>(sink: &mut Worker<'_, A>, slot: usize, li: u32, bufs: &mut WorkerBufs) {
+    let shared = sink.shared;
     let place = &shared.place;
     let shard = &place.shards[slot];
     let (i, j) = shard.points[li as usize];
@@ -446,14 +466,13 @@ fn execute<A: DpApp>(shared: &Shared<A>, slot: usize, wid: u16, li: u32, bufs: &
     if shard.finished[li as usize].load(Ordering::Acquire) {
         return;
     }
-    let mut sink = Worker { shared, wid };
 
     if place.agg.is_some() {
-        execute_ranged(&mut sink, slot, li, id, bufs);
+        execute_ranged(sink, slot, li, id, bufs);
         return;
     }
 
-    let Some((target, values)) = prepare(place, &mut sink, slot, li, bufs) else {
+    let Some((target, values)) = prepare(place, sink, slot, li, bufs) else {
         return; // parked awaiting pulls
     };
 
@@ -469,8 +488,8 @@ fn execute<A: DpApp>(shared: &Shared<A>, slot: usize, wid: u16, li: u32, bufs: &
     }
 
     let view = DepView::new(&bufs.deps, &values);
-    let value = compute_timed(shared, slot, wid, id, || place.app.compute(id, &view));
-    publish(place, &mut sink, slot, li, id, value, bufs);
+    let value = sink.compute(slot, id, || place.app.compute(id, &view));
+    publish(place, sink, slot, li, id, value, bufs);
 }
 
 /// The nested-dataflow execute path: point dependencies gather like any
@@ -529,8 +548,6 @@ fn execute_ranged<A: DpApp>(
         "lanes incomplete at zero indegree for {id}"
     );
     let aggs = AggView::new(table);
-    let value = compute_timed(shared, slot, sink.wid, id, || {
-        place.app.compute_ranged(id, &view, &aggs)
-    });
+    let value = sink.compute(slot, id, || place.app.compute_ranged(id, &view, &aggs));
     publish(place, sink, slot, li, id, value, bufs);
 }

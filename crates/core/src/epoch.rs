@@ -32,7 +32,7 @@ use crate::engine::{worker_loop, FaultTrigger, Shared};
 use crate::error::EngineError;
 use crate::msg::Msg;
 use crate::protocol::Place;
-use crate::state::{build_shards, collect_array, Shard};
+use crate::state::{build_shards, into_array, Shard};
 use crate::stats::RunReport;
 
 /// How often a coordinator judges the epoch: kills, liveness, completion.
@@ -429,7 +429,7 @@ pub(crate) fn drive<A: DpApp + 'static>(
                 // values; only the coordinator holds the full array.
                 return Ok(None);
             }
-            break collect_array(&place.shards, &place.dist);
+            break into_array(place.shards, place.dist);
         }
 
         let mut transport = (host.transport)(epoch);
@@ -451,7 +451,6 @@ pub(crate) fn drive<A: DpApp + 'static>(
             liveness: liveness.clone(),
             total,
             finished_global: AtomicU64::new(prefinished),
-            computed: AtomicU64::new(0),
             done: AtomicBool::new(false),
             fault: AtomicBool::new(false),
             fault_plan: exact
@@ -485,10 +484,10 @@ pub(crate) fn drive<A: DpApp + 'static>(
         drop(workers); // the epoch is over: stop and join them
         shared.check_panic()?;
         let computed = &mut run.report.vertices_computed;
-        *computed += shared.computed.load(Ordering::Relaxed);
         for slot in hosted {
-            let spent = &shared.place.shards[slot].busy_ns;
-            busy[run.alive[slot].index()] += spent.load(Ordering::Relaxed);
+            let shard = &shared.place.shards[slot];
+            *computed += shard.computed();
+            busy[run.alive[slot].index()] += shard.busy_ns.load(Ordering::Relaxed);
         }
 
         let (finished, mut dead) = match outcome? {
@@ -506,7 +505,11 @@ pub(crate) fn drive<A: DpApp + 'static>(
                 continue;
             }
         };
-        let mut arr = collect_array(&shared.place.shards, &shared.place.dist);
+        // The workers are joined: the shards are ours to move out of.
+        let Ok(Shared { place, .. }) = Arc::try_unwrap(shared) else {
+            unreachable!("an epoch's state outlived its workers");
+        };
+        let mut arr = into_array(place.shards, place.dist);
         if let Some(mesh) = &mut host.mesh {
             let aborted = (!finished).then_some(dead.as_slice());
             dead.extend(mesh.conclude(epoch, &run.alive, aborted, &mut arr, computed, &mut busy));

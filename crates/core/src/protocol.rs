@@ -14,7 +14,7 @@
 //! | `ready` | the shard's FIFO ready list | the policy ready queue | the slot's FIFO ready list |
 //! | `stamp` | recorder, wall clock | recorder, virtual clock | — (membership spans only) |
 //! | `exec` | compute now, reply `ExecResult` | queue for a worker slot | never: vertices run at their owner |
-//! | `finished` | checkpoint, `tasks_run`, global count, fault triggers | finish count, fault time | compute count, plan progress |
+//! | `finished` | checkpoint, `tasks_run`, exact kills (global count only while one is armed) | finish count, fault time | compute count, plan progress |
 //!
 //! Doc-hidden like [`crate::state`]: public so `dpx10-sim` and the
 //! delivery-order test driver can drive it, not a user-facing API.
@@ -334,6 +334,11 @@ pub fn prepare<A: DpApp, S: Sink<A::Value>>(
 
 /// Gathers dependency values: local reads, then cache, then previously
 /// pulled fills; parks the vertex and issues pulls for anything missing.
+///
+/// A vertex whose dependencies all live in its own shard reads the slab
+/// and takes no lock: it can never have parked (parking needs a value
+/// missing from both slab and cache, and a push pins only vertices with
+/// a remote dependency), and it touches neither cache nor counters.
 pub fn gather<A: DpApp, S: Sink<A::Value>>(
     place: &Place<A>,
     sink: &mut S,
@@ -342,15 +347,24 @@ pub fn gather<A: DpApp, S: Sink<A::Value>>(
     deps: &[VertexId],
 ) -> Option<Vec<A::Value>> {
     let shard = &place.shards[slot];
-    if deps.is_empty() {
-        return Some(Vec::new());
+    let mut local = Vec::with_capacity(deps.len());
+    for d in deps {
+        if place.dist.slot_of(d.i, d.j) != slot {
+            break;
+        }
+        local.push(shard.value(local_index(&place.dist, *d)).clone());
+    }
+    if local.len() == deps.len() {
+        return Some(local);
     }
     let me = place.dist.places()[slot];
 
+    // The local prefix is already read; the rest may need the cache.
     let mut vals: Vec<Option<A::Value>> = Vec::with_capacity(deps.len());
+    vals.extend(local.into_iter().map(Some));
     {
         let cache = shard.cache.lock();
-        for d in deps {
+        for d in &deps[vals.len()..] {
             if place.dist.slot_of(d.i, d.j) == slot {
                 let dli = local_index(&place.dist, *d);
                 vals.push(Some(shard.value(dli).clone()));

@@ -500,7 +500,7 @@ impl<'a, A: DpApp + 'static> Driver<'a, A> {
                 &RunFrame::Snapshot {
                     epoch,
                     cells,
-                    computed: shared.computed.load(Ordering::Relaxed),
+                    computed: shard.computed(),
                     stats,
                 },
             )

@@ -101,11 +101,17 @@ pub struct Shard<V> {
     /// Local finished counter ("a finished vertices counter is used to
     /// determine the termination of the worker").
     pub finished_local: AtomicU64,
+    /// What `finished_local` read when the shard was built: the cells
+    /// that started finished (restored, relocated, init-overridden, or
+    /// finished elsewhere per a scatter's metadata).
+    pub finished_at_start: u64,
     /// Number of DAG vertices owned by this shard.
     pub total_local: u64,
     /// Nanoseconds this shard's workers spent inside `compute` (summed
     /// across threads); feeds `RunReport::place_busy` on the real
-    /// backends.
+    /// backends. Exact while a flight recorder is on; otherwise each
+    /// worker times one compute in 16 and charges it for all 16, so this
+    /// is an estimate.
     pub busy_ns: AtomicU64,
     /// Prefix-aggregation lanes for interval dependencies (`Some` only
     /// on nested-dataflow runs). Lanes are residents, not cache entries:
@@ -120,6 +126,13 @@ impl<V: VertexValue> Shard<V> {
         self.values[li as usize]
             .get()
             .expect("value read before publication")
+    }
+
+    /// Vertices this shard has published since it was built — its share
+    /// of the epoch's `vertices_computed`. Exact once its workers are
+    /// joined.
+    pub fn computed(&self) -> u64 {
+        self.finished_local.load(Ordering::Relaxed) - self.finished_at_start
     }
 
     /// The shard of `slot` with its geometry filled in and nothing
@@ -148,6 +161,7 @@ impl<V: VertexValue> Shard<V> {
             cache: Mutex::new(FifoCache::new(cache_capacity)),
             pending: Mutex::new(Pending::default()),
             finished_local: AtomicU64::new(0),
+            finished_at_start: 0,
             busy_ns: AtomicU64::new(0),
             aggs: agg.map(|spec| AggTable::new(pattern.height(), pattern.width(), spec)),
         }
@@ -212,10 +226,11 @@ impl<V: VertexValue> Shard<V> {
         state: ChunkState<V>,
         cache_capacity: usize,
     ) -> Self {
-        let shard = Shard::empty(pattern, dist, state.slot as usize, cache_capacity, None);
+        let mut shard = Shard::empty(pattern, dist, state.slot as usize, cache_capacity, None);
         for (li, value) in state.finished {
             shard.restore(li as usize, value);
         }
+        shard.finished_at_start = *shard.finished_local.get_mut();
         for (li, open) in state.indegree {
             shard.indegree[li as usize].store(open, Ordering::Relaxed);
         }
@@ -284,7 +299,7 @@ pub fn build_shards<V: VertexValue>(
     let mut deps_buf = Vec::new();
     let shards = (0..dist.num_slots())
         .map(|slot| {
-            let shard = Shard::empty(pattern, dist, slot, cache_capacity, agg);
+            let mut shard = Shard::empty(pattern, dist, slot, cache_capacity, agg);
             for (li, &(i, j)) in shard.points.iter().enumerate() {
                 if !shard.in_pattern[li] {
                     continue;
@@ -316,29 +331,29 @@ pub fn build_shards<V: VertexValue>(
                     shard.ready.push(li as u32);
                 }
             }
+            shard.finished_at_start = *shard.finished_local.get_mut();
             shard
         })
         .collect();
     (shards, prefinished_total)
 }
 
-/// Collects the current engine state into a [`DistArray`] (used on fault
-/// to hand the paper's recovery routine the surviving finished values).
-pub fn collect_array<V: VertexValue>(shards: &[Shard<V>], dist: &Arc<Dist>) -> DistArray<V> {
-    let mut arr: DistArray<V> = DistArray::new(dist.clone());
-    for (slot, shard) in shards.iter().enumerate() {
-        for (li, &(i, j)) in shard.points.iter().enumerate() {
-            if shard.in_pattern[li] && shard.finished[li].load(Ordering::Acquire) {
-                arr.set(
-                    i,
-                    j,
-                    shard.values[li].get().expect("finished => set").clone(),
-                );
-            }
-        }
-        debug_assert_eq!(dist.chunk_len(slot), shard.points.len());
-    }
-    arr
+/// Consumes an epoch's shards — one per slot, in slot order — into the
+/// [`DistArray`] they computed: the final result, or the surviving
+/// finished values the paper's recovery routine starts from. Every value
+/// moves; none is cloned. Unfinished cells read `V::default()`.
+pub fn into_array<V: VertexValue>(shards: Vec<Shard<V>>, dist: Arc<Dist>) -> DistArray<V> {
+    let chunks = shards
+        .into_iter()
+        .map(|shard| {
+            let finished = shard.finished.into_iter().zip(&shard.in_pattern);
+            let finished = finished.map(|(f, &p)| p && f.into_inner()).collect();
+            let values = shard.values.into_iter();
+            let values = values.map(|v| v.into_inner().unwrap_or_default()).collect();
+            (values, finished)
+        })
+        .collect();
+    DistArray::from_chunks(dist, chunks)
 }
 
 /// Looks up the local index of `id` inside its owning shard.
@@ -351,7 +366,7 @@ pub fn local_index(dist: &Dist, id: VertexId) -> u32 {
 mod tests {
     use super::*;
     use dpx10_apgas::PlaceId;
-    use dpx10_dag::builtin::Grid2;
+    use dpx10_dag::builtin::{Grid2, IntervalUpper};
     use dpx10_distarray::{DistKind, Region2D};
 
     fn dist(h: u32, w: u32, places: u16) -> Arc<Dist> {
@@ -440,9 +455,45 @@ mod tests {
         prior.set(0, 0, 1);
         prior.set(1, 2, 9);
         let (shards, _) = build_shards::<i64>(&pattern, &d, Some(&prior), None, None, 16, None);
-        let collected = collect_array(&shards, &d);
+        let collected = into_array(shards, d);
         assert_eq!(collected.get_finished(0, 0), Some(&1));
         assert_eq!(collected.get_finished(1, 2), Some(&9));
         assert_eq!(collected.finished_count(), 2);
+    }
+
+    /// The reference `into_array` must equal: a default-filled array
+    /// with a clone of every finished in-pattern cell set into it.
+    fn copied(shards: &[Shard<i64>], d: &Arc<Dist>) -> DistArray<i64> {
+        let mut arr = DistArray::new(d.clone());
+        for shard in shards {
+            for (li, &(i, j)) in shard.points.iter().enumerate() {
+                if shard.in_pattern[li] && shard.finished[li].load(Ordering::Acquire) {
+                    arr.set(i, j, *shard.value(li as u32));
+                }
+            }
+        }
+        arr
+    }
+
+    #[test]
+    fn moved_result_equals_the_copied_one() {
+        // The lower triangle is masked out; the init override pre-finishes
+        // the diagonal, and (0, 1) finishes as if a worker published it.
+        let pattern = IntervalUpper::new(5);
+        let d = dist(5, 5, 2);
+        let init: InitOverride<i64> = Arc::new(|i, j| (i == j).then_some(100 + i64::from(i)));
+        let (shards, pre) = build_shards(&pattern, &d, None, None, Some(&init), 16, None);
+        assert_eq!(pre, 5);
+        let (s, li) = (d.slot_of(0, 1), d.local_index(0, 1));
+        assert_eq!(shards[s].computed(), 0, "init cells are not computed");
+        shards[s].restore(li, 42);
+        assert_eq!(shards[s].computed(), 1);
+
+        let expected = copied(&shards, &d);
+        let moved = into_array(shards, d);
+        assert_eq!(moved.finished_count(), 6);
+        assert_eq!(moved.finished_count(), expected.finished_count());
+        // Every cell's value and finished flag, masked cells included.
+        assert_eq!(moved.to_dense(), expected.to_dense());
     }
 }

@@ -47,7 +47,10 @@ pub struct RunReport {
     /// Per-place busy time (worker-seconds of compute), populated by
     /// every backend — virtual time on the simulator, measured wall
     /// time on the threaded and socket engines; indexed by the final
-    /// epoch's slot order.
+    /// epoch's slot order. The real engines time every compute only
+    /// while a flight recorder is on; otherwise each worker times one
+    /// compute in 16 (its first included) and charges it for all 16, so
+    /// the value is an estimate.
     pub place_busy: Vec<Duration>,
     /// Set when the engine replaced the configured scheduling strategy
     /// with another one it can actually run (see [`ScheduleDowngrade`]);

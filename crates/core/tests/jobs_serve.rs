@@ -106,6 +106,14 @@ fn four_concurrent_jobs_match_their_solo_fingerprints() {
         );
         assert_eq!(result.report().epochs, 1, "no faults => one epoch");
         assert!(result.report().recoveries.is_empty());
+        // Counted from the job's own shards: the mesh's `tasks_run`
+        // counts all four jobs.
+        let r = result.report();
+        assert_eq!(
+            r.vertices_computed, r.vertices_total,
+            "job {} computed count",
+            job.name
+        );
     }
 }
 

@@ -50,6 +50,29 @@ impl<T: Default + Clone> DistArray<T> {
 }
 
 impl<T> DistArray<T> {
+    /// The array whose slot `s` holds `chunks[s]`: its values and finished
+    /// flags, in the slot's local order. Takes the vectors over without
+    /// copying a value, but sheds any spare capacity: a vector collected
+    /// in place from larger elements keeps their allocation.
+    pub fn from_chunks(dist: Arc<Dist>, chunks: Vec<(Vec<T>, Vec<bool>)>) -> Self {
+        assert_eq!(chunks.len(), dist.num_slots(), "one chunk per slot");
+        let chunks = chunks
+            .into_iter()
+            .enumerate()
+            .map(|(s, (mut values, mut finished))| {
+                let len = dist.chunk_len(s);
+                assert!(
+                    values.len() == len && finished.len() == len,
+                    "chunk {s} size"
+                );
+                values.shrink_to_fit();
+                finished.shrink_to_fit();
+                Chunk { values, finished }
+            })
+            .collect();
+        DistArray { dist, chunks }
+    }
+
     /// The distribution.
     pub fn dist(&self) -> &Arc<Dist> {
         &self.dist
@@ -166,6 +189,8 @@ impl<T> DistArray<T> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
     use crate::dist::DistKind;
     use crate::region::Region2D;
@@ -227,6 +252,36 @@ mod tests {
         assert_eq!(dense[0][0], (0, false));
         assert_eq!(dense.len(), 2);
         assert_eq!(dense[0].len(), 3);
+    }
+
+    #[test]
+    fn from_chunks_takes_slots_in_order_without_spare_capacity() {
+        let dist = Arc::new(Dist::new(
+            Region2D::new(2, 4),
+            DistKind::BlockCol,
+            vec![PlaceId(0), PlaceId(1)],
+        ));
+        // Collected in place from 8-byte cells: the 4-byte values inherit
+        // twice the capacity they need unless the constructor sheds it.
+        let chunks = (0..2u32)
+            .map(|s| {
+                let cells: Vec<OnceLock<u32>> = (0..4).map(|_| OnceLock::new()).collect();
+                cells[1].set(10 + s).unwrap();
+                let values: Vec<u32> = cells
+                    .into_iter()
+                    .map(|c| c.into_inner().unwrap_or_default())
+                    .collect();
+                (values, vec![false, true, false, false])
+            })
+            .collect();
+        let a = DistArray::from_chunks(dist.clone(), chunks);
+        assert_eq!(a.finished_count(), 2);
+        for s in 0..2 {
+            let chunk = a.chunk(s);
+            assert_eq!(chunk.values.capacity(), chunk.values.len());
+            let done: Vec<_> = a.iter_slot(s).filter(|c| c.3).map(|c| *c.2).collect();
+            assert_eq!(done, vec![10 + s as u32]);
+        }
     }
 
     #[test]

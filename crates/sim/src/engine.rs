@@ -18,7 +18,7 @@ use std::time::Duration;
 use dpx10_apgas::{PlaceId, StatsBoard};
 use dpx10_core::epoch::{kill_threshold, preflight, Run};
 use dpx10_core::protocol::{handle_msg, prepare, publish, Place, Sink, WorkerBufs};
-use dpx10_core::state::collect_array;
+use dpx10_core::state::into_array;
 use dpx10_core::{msg::Msg, DagResult, DepView, DpApp, EngineConfig, EngineError, InitOverride};
 use dpx10_dag::{DagPattern, VertexId};
 use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
@@ -221,7 +221,7 @@ impl<A: DpApp + 'static> SimEngine<A> {
 
             if prefinished == total {
                 full_trace = ep.trace.take();
-                break collect_array(&place.shards, &dist);
+                break into_array(place.shards, dist);
             }
 
             // Seed: dispatch every slot at the epoch base time.
@@ -293,7 +293,7 @@ impl<A: DpApp + 'static> SimEngine<A> {
             }
 
             match outcome {
-                EpochEnd::Complete => break collect_array(&place.shards, &dist),
+                EpochEnd::Complete => break into_array(place.shards, dist),
                 EpochEnd::Stalled => {
                     return Err(EngineError::Stalled {
                         finished: ep.finished,
@@ -302,7 +302,7 @@ impl<A: DpApp + 'static> SimEngine<A> {
                 }
                 EpochEnd::Fault(victim) => {
                     let fault_time = ep.fault_at.expect("fault recorded").1;
-                    let snapshot = collect_array(&place.shards, &dist);
+                    let snapshot = into_array(place.shards, dist);
                     let took = run.recover(&snapshot, &[victim], &cfg.cost.recovery);
                     base = fault_time + took.as_nanos() as SimTime;
                     self.recorder.instant(

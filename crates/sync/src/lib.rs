@@ -13,10 +13,15 @@
 //! * [`SegQueue`] — an unbounded MPMC queue.
 //!
 //! The implementations favour simplicity and correctness over raw
-//! throughput; every queue is a `VecDeque` behind a `Mutex`. For the
-//! message rates the engines generate this is far from the bottleneck
-//! (the socket backend is bounded by syscalls, the threaded backend by
-//! vertex compute).
+//! throughput; every queue is a `VecDeque` behind a `Mutex`. What that
+//! costs, from dpxbench's probes on a 2-vCPU x86-64 host (uncontended
+//! unless noted): a [`Mutex`] lock/unlock 15 ns, a [`SegQueue`]
+//! push + pop 45 ns, and a channel hop between two threads 400–830 ns.
+//! On the threaded engine, a vertex whose dependencies are all in its
+//! own shard makes two calls into this crate, both on its shard's ready
+//! list (a [`SegQueue`]): the push that makes it runnable and the pop
+//! that starts it. It takes no other lock. Channel hops are paid per
+//! socket frame (demux thread to engine), not per local vertex.
 
 #![warn(missing_docs)]
 
