@@ -273,27 +273,22 @@ impl ChaosPlan {
     }
 }
 
-/// One elastic-mesh verb, fired at a progress fraction of the run.
+/// One elastic-mesh verb, fired at a progress fraction of the run. The
+/// engine applies it at a planned epoch boundary: the epoch ends and the
+/// next one is distributed over the new membership. A verb naming a
+/// non-member, place 0 or the last member besides place 0 is a no-op.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ElasticVerb {
-    /// A new place joins the mesh (lowest vacant slot; ignored at
-    /// capacity).
+    /// The next fresh place id joins the mesh (ignored at capacity).
     Join,
-    /// `place` drains gracefully: relocates every chunk it holds, then
-    /// leaves. Never place 0.
+    /// `place` drains gracefully: it leaves, and its finished cells go
+    /// to the places that stay — nothing is recomputed.
     Drain {
         /// The draining place.
         place: PlaceId,
     },
-    /// One chunk relocates to the least-loaded member. `slot` is taken
-    /// modulo the engine's slot count, so plans are portable across
-    /// shapes.
-    Relocate {
-        /// The slot to move (modulo the slot count).
-        slot: u16,
-    },
-    /// `place` dies abruptly — no drain, no relocation: the recovery
-    /// (recompute) path. Never place 0.
+    /// `place` dies abruptly: its finished cells are lost and computed
+    /// again, every other place's are kept.
     Kill {
         /// The victim.
         place: PlaceId,
@@ -311,10 +306,9 @@ pub struct ElasticEvent {
 }
 
 /// A seeded schedule of membership churn for an elastic-mesh run:
-/// joins, graceful drains, chunk relocations and abrupt kills, each
-/// pinned to a progress fraction. The elastic differential oracle runs
-/// the same workload with and without the plan and demands identical
-/// results.
+/// joins, graceful drains and abrupt kills, each pinned to a progress
+/// fraction. The elastic differential oracle runs the same workload with
+/// and without the plan and demands identical results.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ElasticPlan {
     /// Root seed the plan was generated from.
@@ -353,7 +347,7 @@ impl ElasticPlan {
             let can_join = next_id < capacity;
             let removable: Vec<u16> = members.iter().copied().filter(|p| *p != 0).collect();
             let can_remove = members.len() > 2 && !removable.is_empty();
-            let verb = match rng.below(4) {
+            let verb = match rng.below(3) {
                 0 if can_join => {
                     members.push(next_id);
                     next_id += 1;
@@ -373,9 +367,8 @@ impl ElasticPlan {
                         place: PlaceId(victim),
                     }
                 }
-                _ => ElasticVerb::Relocate {
-                    slot: rng.below(64) as u16,
-                },
+                // The drawn verb is impossible right now: no event.
+                _ => continue,
             };
             events.push(ElasticEvent { at, verb });
         }
@@ -411,9 +404,6 @@ impl fmt::Display for ElasticPlan {
                 ElasticVerb::Join => write!(f, " join@{:.0}%", ev.at * 100.0)?,
                 ElasticVerb::Drain { place } => {
                     write!(f, " drain(p{}@{:.0}%)", place.0, ev.at * 100.0)?
-                }
-                ElasticVerb::Relocate { slot } => {
-                    write!(f, " relocate(s{slot}@{:.0}%)", ev.at * 100.0)?
                 }
                 ElasticVerb::Kill { place } => {
                     write!(f, " kill(p{}@{:.0}%)", place.0, ev.at * 100.0)?
@@ -886,7 +876,6 @@ mod tests {
                         assert!(members.len() > 2, "seed {seed}: mesh too small");
                         members.retain(|p| *p != place.0);
                     }
-                    ElasticVerb::Relocate { .. } => {}
                 }
             }
         }
@@ -894,23 +883,19 @@ mod tests {
 
     #[test]
     fn elastic_seed_space_covers_every_verb() {
-        let mut join = 0;
-        let mut drain = 0;
-        let mut relocate = 0;
-        let mut kill = 0;
+        let (mut join, mut drain, mut kill) = (0, 0, 0);
         for seed in 0..300u64 {
             for ev in ElasticPlan::generate(seed, 3, 6).events {
                 match ev.verb {
                     ElasticVerb::Join => join += 1,
                     ElasticVerb::Drain { .. } => drain += 1,
-                    ElasticVerb::Relocate { .. } => relocate += 1,
                     ElasticVerb::Kill { .. } => kill += 1,
                 }
             }
         }
         assert!(
-            join > 0 && drain > 0 && relocate > 0 && kill > 0,
-            "verb mix too narrow: join={join} drain={drain} relocate={relocate} kill={kill}"
+            join > 0 && drain > 0 && kill > 0,
+            "verb mix too narrow: join={join} drain={drain} kill={kill}"
         );
     }
 
@@ -922,10 +907,6 @@ mod tests {
                 ElasticEvent {
                     at: 0.15,
                     verb: ElasticVerb::Join,
-                },
-                ElasticEvent {
-                    at: 0.4,
-                    verb: ElasticVerb::Relocate { slot: 3 },
                 },
                 ElasticEvent {
                     at: 0.6,
@@ -943,7 +924,7 @@ mod tests {
         }
         assert_eq!(
             plan.to_string(),
-            "seed=0x00000000000000ee join@15% relocate(s3@40%) drain(p2@60%) kill(p1@80%)"
+            "seed=0x00000000000000ee join@15% drain(p2@60%) kill(p1@80%)"
         );
         assert!(ElasticPlan::quiet(1).shrink().is_empty());
         assert!(ElasticPlan::quiet(1).to_string().ends_with("quiet"));

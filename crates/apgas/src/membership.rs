@@ -17,8 +17,8 @@
 //! A *join* walks Vacant → Joining → Active (the joiner handshakes into
 //! the running mesh: contact place 0, receive the peer roster, dial every
 //! member, announce readiness). A *drain* walks Active → Draining → Left
-//! (the place relocates the chunks it owns, then signs off with a `Leave`
-//! frame). A crash walks Active → Dead via the ordinary liveness
+//! (the engine above hands the place's finished cells over, then the
+//! place signs off with a `Leave` frame). A crash walks Active → Dead via the ordinary liveness
 //! detection path. `Left` is deliberately distinct from `Dead`: a drained
 //! place must never trigger recovery.
 //!
@@ -250,7 +250,7 @@ impl RosterBoard {
         )
     }
 
-    /// Active → Draining: the place starts relocating its chunks.
+    /// Active → Draining: the place starts handing its state over.
     pub fn start_drain(&self, place: PlaceId) -> Result<(), MembershipError> {
         self.transition(
             place,

@@ -154,7 +154,7 @@ pub enum Frame {
         /// The joiner's coordinator-assigned place id.
         place: u16,
     },
-    /// A draining place's sign-off: it relocated its state and is
+    /// A draining place's sign-off: it handed its state over and is
     /// leaving the roster *voluntarily*. Readers remove it from the
     /// roster without marking it dead — the opposite of a crash.
     Leave {

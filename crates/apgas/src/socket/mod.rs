@@ -620,8 +620,8 @@ impl SocketNode {
     /// live link (peers move this place to `Left` on their rosters —
     /// not `Dead`; no recovery fires), then performs an ordinary
     /// [`shutdown`](SocketNode::shutdown). The engine above must have
-    /// relocated any chunks this place owns first — the socket layer
-    /// moves bytes, not state.
+    /// handed this place's state over first — the socket layer moves
+    /// bytes, not state.
     pub fn drain(&self) {
         let _ = self.fabric.roster.start_drain(self.fabric.me);
         let leave = Frame::Leave {

@@ -98,7 +98,7 @@ pub struct ChaosArgs {
     /// Run the whole suite with message coalescing at this byte budget
     /// (`None` = the classic one-message-per-event plane).
     pub coalesce: Option<usize>,
-    /// Sweep elastic-mesh churn plans (join/drain/relocate/kill verbs)
+    /// Sweep elastic-mesh churn plans (join/drain/kill verbs)
     /// instead of the classic fault plans.
     pub elastic: bool,
     /// Anti-dependency delivery mode for the whole suite.
@@ -171,8 +171,8 @@ pub struct ServeArgs {
     pub metrics_out: Option<String>,
     /// Write a Chrome `trace_event` JSON timeline here.
     pub trace_out: Option<String>,
-    /// Serve on the elastic mesh: places join and drain mid-sweep,
-    /// chunks relocate live instead of recomputing.
+    /// Serve on the elastic mesh: places join and drain mid-sweep, and
+    /// a drainer's finished cells are handed over, not recomputed.
     pub elastic: bool,
     /// Elastic-mesh place capacity (joins are refused beyond it).
     pub capacity: u16,
@@ -659,7 +659,7 @@ pub fn usage() -> String {
          \x20 --metrics-out FILE      write Prometheus job metrics\n\
          \x20 --trace-out FILE        write a Chrome trace_event JSON timeline\n\
          \x20 --elastic               serve on the elastic mesh: places join and\n\
-         \x20                         drain mid-sweep, chunks relocate live\n\
+         \x20                         drain mid-sweep, cells handed over\n\
          \x20 --capacity N            elastic place capacity, joins refused beyond\n\
          \x20                         it (default 6)\n\
          \x20 --comms pull|push       anti-dependency delivery for every job\n\
@@ -678,7 +678,7 @@ pub fn usage() -> String {
          \x20 --agg on|off            prefix aggregation for ranged patterns in the\n\
          \x20                         sweep (default on)\n\
          \x20 --elastic               sweep elastic-mesh churn plans instead:\n\
-         \x20                         joins, drains, live relocations and kills,\n\
+         \x20                         joins, drains and kills,\n\
          \x20                         every run fingerprint-checked against solo\n\
          \n\
          BENCH FLAGS:\n\

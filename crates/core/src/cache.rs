@@ -77,13 +77,6 @@ impl<V> FifoCache<V> {
         self.head = (self.head + 1) % self.capacity;
     }
 
-    /// The residents, oldest first — the order a relocated chunk
-    /// re-inserts them in, so the next holder evicts as this one would.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
-        let (newer, older) = self.ring.split_at(self.head);
-        older.iter().chain(newer).flatten().map(|(k, v)| (*k, v))
-    }
-
     /// Drops all entries (recovery clears caches: stale values from the
     /// pre-fault epoch must not leak into the new one).
     pub fn clear(&mut self) {

@@ -9,10 +9,12 @@
 //! loop and the `Worker` sink — shared with the socket places and the
 //! served jobs. The epoch loop and §VI-D's recovery live in
 //! [`crate::epoch`], which also starts the workers; [`ThreadedEngine`]
-//! is the host of that loop whose places all live in one process.
+//! is the host of that loop whose places all live in one process, and
+//! [`crate::ElasticEngine`] runs on it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use dpx10_apgas::{
@@ -25,7 +27,7 @@ use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 use crate::app::{AggView, DagResult, DepView, DpApp};
 use crate::checkpoint::CheckpointWriters;
 use crate::config::{EngineConfig, InitOverride};
-use crate::epoch::{drive, preflight, Host, Run};
+use crate::epoch::{drive, preflight, Boundaries, Host, Run};
 use crate::error::EngineError;
 use crate::msg::Msg;
 use crate::protocol::{agg_record, gather, handle_msg, prepare, publish, Place, Sink, WorkerBufs};
@@ -35,7 +37,7 @@ use crate::socket_engine::data_well_formed;
 /// The threaded engine: one instance runs one application to completion.
 pub struct ThreadedEngine<A: DpApp> {
     app: Arc<A>,
-    pattern: Arc<dyn DagPattern>,
+    pub(crate) pattern: Arc<dyn DagPattern>,
     config: EngineConfig,
     init: Option<InitOverride<A::Value>>,
     recorder: Recorder,
@@ -69,6 +71,17 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
     /// Runs the computation to completion (surviving any planned fault)
     /// and returns the full result set.
     pub fn run(&self) -> Result<DagResult<A::Value>, EngineError> {
+        self.run_on(self.config.topology.places().collect(), None)
+    }
+
+    /// Runs on `participants`, every one of whose workers runs in this
+    /// process: the host of this engine, and of [`crate::ElasticEngine`]
+    /// with its planned membership `boundaries`.
+    pub(crate) fn run_on(
+        &self,
+        participants: Vec<PlaceId>,
+        boundaries: Option<&mut Boundaries>,
+    ) -> Result<DagResult<A::Value>, EngineError> {
         let cfg = &self.config;
         let topo = cfg.topology;
         preflight(cfg, self.pattern.as_ref())?;
@@ -95,8 +108,8 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
             }
             transport
         };
-        let places = topo.places().collect();
-        let run = Run::new(&self.app, &self.pattern, cfg, self.init.as_ref(), places);
+        let init = self.init.as_ref();
+        let run = Run::new(&self.app, &self.pattern, cfg, init, participants);
         // Every participant's workers run in this process.
         let host = Host {
             me: PlaceId::ZERO,
@@ -110,6 +123,7 @@ impl<A: DpApp + 'static> ThreadedEngine<A> {
             },
             checkpoint,
             mesh: None,
+            boundaries,
         };
         Ok(drive(run, host)?.expect("place 0 holds the result"))
     }
@@ -128,15 +142,16 @@ pub(crate) struct Shared<A: DpApp> {
     pub(crate) liveness: LivenessBoard,
     pub(crate) total: u64,
     /// Finished cells on every place, prefinished ones included: counted
-    /// only while `fault_plan` is armed. Completion is the coordinator's
+    /// only while `triggers` is armed. Completion is the coordinator's
     /// poll of the shards' own counts.
     pub(crate) finished_global: AtomicU64,
     pub(crate) done: AtomicBool,
     pub(crate) fault: AtomicBool,
-    /// Progress-triggered kills that fire exactly, from the worker that
-    /// publishes the threshold vertex (empty where the global finished
-    /// count is not visible: on a mesh the coordinator polls instead).
-    pub(crate) fault_plan: Vec<FaultTrigger>,
+    /// Progress triggers that fire exactly, from the worker that
+    /// publishes the threshold vertex: planned kills and the next
+    /// membership boundary (empty where the global finished count is
+    /// not visible: on a mesh the coordinator polls kills instead).
+    pub(crate) triggers: Vec<Trigger>,
     /// Schedule-shaker seed; `Some` randomizes the worker loops.
     pub(crate) shake: Option<u64>,
     /// Hands each worker a distinct id (trace track + shaker substream),
@@ -144,21 +159,44 @@ pub(crate) struct Shared<A: DpApp> {
     pub(crate) worker_seq: AtomicU64,
     /// The place of a worker thread that unwound, once one has.
     pub(crate) panicked: OnceLock<PlaceId>,
+    /// The thread that runs the epoch loop, which a boundary wakes.
+    pub(crate) coordinator: Thread,
     pub(crate) checkpoint: Option<Arc<CheckpointWriters<A::Value>>>,
     pub(crate) recorder: Recorder,
 }
 
-/// One armed progress-triggered kill.
-pub(crate) struct FaultTrigger {
-    pub(crate) victim: PlaceId,
-    pub(crate) threshold: u64,
-    pub(crate) fired: AtomicBool,
+/// One armed progress trigger.
+pub(crate) struct Trigger {
+    threshold: u64,
+    /// The place a planned kill takes down; `None` for a membership
+    /// boundary, which stops every worker of the epoch.
+    victim: Option<PlaceId>,
+    /// Zero until the trigger fires, then one past the recorder time it
+    /// fired at.
+    fired: AtomicU64,
+}
+
+impl Trigger {
+    pub(crate) fn new(threshold: u64, victim: Option<PlaceId>) -> Self {
+        Trigger {
+            threshold,
+            victim,
+            fired: AtomicU64::new(0),
+        }
+    }
 }
 
 impl<A: DpApp> Shared<A> {
     #[inline]
     pub(crate) fn should_stop(&self) -> bool {
         self.done.load(Ordering::Acquire) || self.fault.load(Ordering::Acquire)
+    }
+
+    /// When a membership boundary ended this epoch, if one has (recorder
+    /// time).
+    pub(crate) fn boundary_fired(&self) -> Option<u64> {
+        let boundary = self.triggers.iter().find(|t| t.victim.is_none())?;
+        boundary.fired.load(Ordering::Acquire).checked_sub(1)
     }
 
     /// Fails once a worker thread of this epoch has panicked.
@@ -266,7 +304,7 @@ impl<A: DpApp> Sink<A::Value> for Worker<'_, A> {
         self.send(me, src, Msg::ExecResult { id, value });
     }
 
-    /// Checkpoint, count the task, and fire any exact kill now due.
+    /// Checkpoint, count the task, and fire any exact trigger now due.
     /// Termination is not judged here: the coordinator polls the
     /// shards' own finished counts.
     fn finished(&mut self, slot: usize, id: VertexId, value: &A::Value) {
@@ -276,14 +314,28 @@ impl<A: DpApp> Sink<A::Value> for Worker<'_, A> {
         if let Some(ckpt) = &sh.checkpoint {
             ckpt.on_publish(me, id, value);
         }
-        if sh.fault_plan.is_empty() {
+        if sh.triggers.is_empty() {
             return;
         }
         let g = sh.finished_global.fetch_add(1, Ordering::AcqRel) + 1;
-        for trig in &sh.fault_plan {
-            if g >= trig.threshold && !trig.fired.swap(true, Ordering::AcqRel) {
-                sh.liveness.kill(trig.victim);
-                sh.fault.store(true, Ordering::Release);
+        for trig in &sh.triggers {
+            if g < trig.threshold || trig.fired.load(Ordering::Acquire) != 0 {
+                continue;
+            }
+            let at = sh.recorder.now_ns() + 1;
+            let fired = trig
+                .fired
+                .compare_exchange(0, at, Ordering::AcqRel, Ordering::Acquire);
+            match (fired, trig.victim) {
+                (Err(_), _) => {} // another worker fired it
+                (Ok(_), Some(victim)) => {
+                    sh.liveness.kill(victim);
+                    sh.fault.store(true, Ordering::Release);
+                }
+                (Ok(_), None) => {
+                    sh.done.store(true, Ordering::Release);
+                    sh.coordinator.unpark();
+                }
             }
         }
     }

@@ -9,7 +9,9 @@
 //! `drive`: the threaded engine, a socket place and a served job are
 //! its hosts (DESIGN.md §5 has the table), and it starts every host's
 //! workers the same way — `threads_per_place` threads per hosted slot,
-//! joined when the epoch ends.
+//! joined when the epoch ends. An in-process host may also plan
+//! membership [`Boundaries`]: a join, a drain or a kill that ends its
+//! epoch, after which the next one redistributes over the new roster.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -18,8 +20,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dpx10_apgas::{
-    ChaosRng, CoalesceConfig, CoalescingTransport, KillTrigger, LivenessBoard, PlaceId, StatsBoard,
-    StatsSnapshot, Transport,
+    ChaosRng, CoalesceConfig, CoalescingTransport, ElasticEvent, ElasticPlan, ElasticVerb,
+    KillTrigger, LivenessBoard, PlaceId, StatsBoard, StatsSnapshot, Transport,
 };
 use dpx10_dag::{validate_pattern, DagPattern, VertexId};
 use dpx10_distarray::{Dist, DistArray, RecoveryCostModel, Region2D};
@@ -28,7 +30,8 @@ use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 use crate::app::{DagResult, DpApp};
 use crate::checkpoint::CheckpointWriters;
 use crate::config::{EngineConfig, InitOverride};
-use crate::engine::{worker_loop, FaultTrigger, Shared};
+use crate::elastic::ElasticReport;
+use crate::engine::{worker_loop, Shared, Trigger};
 use crate::error::EngineError;
 use crate::msg::Msg;
 use crate::protocol::Place;
@@ -78,8 +81,8 @@ pub fn preflight(cfg: &EngineConfig, pattern: &dyn DagPattern) -> Result<(), Eng
     killable(cfg.topology.num_places(), victims)
 }
 
-/// The finished count at which a kill planned after `frac` of the DAG
-/// fires: at least one vertex, at most all of them.
+/// The finished count at which a kill or a membership verb planned after
+/// `frac` of the DAG fires: at least one vertex, at most all of them.
 pub fn kill_threshold(frac: f64, total: u64) -> u64 {
     ((frac * total as f64).ceil() as u64).clamp(1, total)
 }
@@ -122,7 +125,8 @@ pub struct Run<'a, A: DpApp> {
     started: Instant,
     /// The report so far.
     pub report: RunReport,
-    /// The surviving participants, in slot order; only ever shrinks.
+    /// The participants of the next epoch, in slot order: deaths and
+    /// drains remove places, joins append them.
     pub alive: Vec<PlaceId>,
     /// The recovered array the next epoch starts from.
     pub prior: Option<DistArray<A::Value>>,
@@ -322,6 +326,8 @@ pub(crate) enum Flow<V> {
     Finished,
     /// Coordinator: a place died (or a planned kill fired); recover.
     Fault,
+    /// Coordinator: a planned membership boundary fired.
+    Boundary,
     /// Follower: released by the coordinator, or crashed by a kill.
     Exit,
     /// Follower: enter the next epoch on these survivors (in slot
@@ -381,6 +387,90 @@ pub(crate) struct Host<'a, A: DpApp> {
     pub checkpoint: Option<Arc<CheckpointWriters<A::Value>>>,
     /// `None`: every participant's workers run here; else only `me`'s.
     pub mesh: Option<&'a mut dyn Mesh<A>>,
+    /// Planned membership changes: the elastic engine's, in process.
+    pub boundaries: Option<&'a mut Boundaries>,
+}
+
+/// The planned membership changes of an in-process run and what they
+/// did. Each verb is a threshold on the finished count, armed like an
+/// exact progress kill; the first to fire ends the epoch, and every verb
+/// due by then is applied, in plan order, before the next epoch
+/// redistributes over the new roster.
+pub(crate) struct Boundaries {
+    /// `(finished-count threshold, verb)` still to apply, ascending.
+    plan: Vec<(u64, ElasticVerb)>,
+    /// What the boundaries did; `next_place` is the next joiner's id.
+    pub log: ElasticReport,
+}
+
+impl Boundaries {
+    /// The boundaries `plan` sets in a DAG of `total` cells, for a run
+    /// that starts on `members` (ascending from place 0).
+    pub fn new(plan: &ElasticPlan, total: u64, members: &[PlaceId]) -> Self {
+        let at = |e: &ElasticEvent| kill_threshold(e.at, total);
+        let mut due: Vec<_> = plan.events.iter().map(|e| (at(e), e.verb)).collect();
+        due.sort_by_key(|&(at, _)| at);
+        let log = ElasticReport {
+            total,
+            next_place: members.last().map_or(1, |p| p.0 + 1),
+            mesh_sizes: vec![(0, members.len() as u16)],
+            final_members: members.iter().map(|p| p.0).collect(),
+            ..ElasticReport::default()
+        };
+        Boundaries { plan: due, log }
+    }
+
+    /// How many verbs are due once `finished` cells are done.
+    fn due(&self, finished: u64) -> usize {
+        self.plan
+            .iter()
+            .take_while(|&&(at, _)| at <= finished)
+            .count()
+    }
+
+    /// Applies the verbs due at `finished` to the next epoch's roster
+    /// (`run.alive`) and prior (`run.prior`, everything finished so far):
+    /// a joiner takes the next fresh id below the topology's place count,
+    /// a drainer leaves its finished cells behind, a kill loses only the
+    /// victim's. A verb naming a non-member, place 0 or the last other
+    /// member is a no-op. Returns the `(kind, place)` spans the boundary
+    /// stamps.
+    fn apply<A: DpApp>(&mut self, run: &mut Run<'_, A>, finished: u64) -> Vec<(EventKind, u16)> {
+        let removable =
+            |alive: &[PlaceId], p| p != PlaceId::ZERO && alive.len() > 2 && alive.contains(&p);
+        let capacity = run.cfg.topology.num_places();
+        let due = self.due(finished);
+        let (log, mut spans) = (&mut self.log, Vec::new());
+        log.boundaries += 1;
+        for (_, verb) in self.plan.drain(..due) {
+            match verb {
+                ElasticVerb::Join if log.next_place < capacity => {
+                    run.alive.push(PlaceId(log.next_place));
+                    spans.push((EventKind::Join, log.next_place));
+                    log.next_place += 1;
+                    log.joins += 1;
+                }
+                ElasticVerb::Drain { place } if removable(&run.alive, place) => {
+                    let prior = run.prior.as_ref().expect("a boundary keeps what finished");
+                    let slot = prior.dist().places().iter().position(|&q| q == place);
+                    let cells = slot.map_or(0, |s| prior.iter_slot(s).filter(|c| c.3).count());
+                    log.cells_moved += cells as u64;
+                    run.alive.retain(|&q| q != place);
+                    spans.push((EventKind::Drain, place.0));
+                    log.drains += 1;
+                }
+                ElasticVerb::Kill { place } if removable(&run.alive, place) => {
+                    let prior = run.prior.take().expect("a boundary keeps what finished");
+                    run.recover(&prior, &[place], &RecoveryCostModel::default());
+                    log.kills += 1;
+                }
+                _ => continue,
+            }
+            log.mesh_sizes.push((finished, run.alive.len() as u16));
+        }
+        log.final_members = run.alive.iter().map(|p| p.0).collect();
+        spans
+    }
 }
 
 /// Runs `run` to completion on `host`. `Ok(Some(result))` on the
@@ -393,7 +483,7 @@ pub(crate) fn drive<A: DpApp + 'static>(
     let (recorder, liveness) = (host.recorder.clone(), host.liveness.clone());
     // On a mesh no place sees the global finished count: the coordinator
     // polls every kill. Alone, progress kills are armed in
-    // `Shared::fault_plan` and fire exactly. A kill sits on one side only.
+    // `Shared::triggers` and fire exactly. A kill sits on one side only.
     let mut polled = planned_kills(cfg);
     let mut exact: Vec<(PlaceId, u64)> = Vec::new();
     if host.mesh.is_none() {
@@ -415,6 +505,8 @@ pub(crate) fn drive<A: DpApp + 'static>(
     let mut busy = vec![0u64; liveness.num_places() as usize];
     let mut scatter = None;
     let mut epoch: u32 = 0;
+    // The last planned boundary: when its epoch ended, and its spans.
+    let (mut stopped_ns, mut stopped): (u64, Vec<(EventKind, u16)>) = (0, Vec::new());
 
     let final_array = loop {
         let Some(my_slot) = run.alive.iter().position(|p| *p == me) else {
@@ -422,7 +514,25 @@ pub(crate) fn drive<A: DpApp + 'static>(
             return Ok(None);
         };
         let (place, prefinished) = run.begin(scatter.take(), &host.stats);
-        recorder.instant_now(me.0, RUNTIME_WORKER, EventKind::EpochStart, epoch.into());
+        let started_ns = recorder.now_ns();
+        recorder.instant(
+            me.0,
+            RUNTIME_WORKER,
+            EventKind::EpochStart,
+            started_ns,
+            epoch.into(),
+        );
+        // A planned boundary stops the world until the next epoch starts.
+        for (kind, place) in stopped.drain(..) {
+            recorder.span(
+                me.0,
+                RUNTIME_WORKER,
+                kind,
+                stopped_ns,
+                started_ns,
+                place.into(),
+            );
+        }
         if prefinished == total {
             if me != PlaceId::ZERO {
                 // A scattered prior may leave finished flags without
@@ -443,6 +553,9 @@ pub(crate) fn drive<A: DpApp + 'static>(
                 recorder.clone(),
             ));
         }
+        // Only the next boundary is armed: any one ends the epoch.
+        let boundary = host.boundaries.as_ref().and_then(|b| b.plan.first());
+        let boundary = boundary.map(|&(threshold, _)| Trigger::new(threshold, None));
         let shared = Arc::new(Shared {
             place,
             transport,
@@ -453,18 +566,16 @@ pub(crate) fn drive<A: DpApp + 'static>(
             finished_global: AtomicU64::new(prefinished),
             done: AtomicBool::new(false),
             fault: AtomicBool::new(false),
-            fault_plan: exact
+            triggers: exact
                 .iter()
                 .filter(|(victim, _)| liveness.is_alive(*victim))
-                .map(|&(victim, threshold)| FaultTrigger {
-                    victim,
-                    threshold,
-                    fired: AtomicBool::new(false),
-                })
+                .map(|&(victim, threshold)| Trigger::new(threshold, Some(victim)))
+                .chain(boundary)
                 .collect(),
             shake,
             worker_seq: AtomicU64::new(host.track_base),
             panicked: OnceLock::new(),
+            coordinator: std::thread::current(),
             checkpoint: host.checkpoint.clone(),
             recorder: recorder.clone(),
         });
@@ -481,6 +592,7 @@ pub(crate) fn drive<A: DpApp + 'static>(
             let mesh = host.mesh.as_mut().expect("only a mesh has followers");
             mesh.follow(&shared, &mut workers, epoch, busy[me.index()])
         };
+        let ended_ns = shared.boundary_fired().unwrap_or_else(|| recorder.now_ns());
         drop(workers); // the epoch is over: stop and join them
         shared.check_panic()?;
         let computed = &mut run.report.vertices_computed;
@@ -492,6 +604,7 @@ pub(crate) fn drive<A: DpApp + 'static>(
 
         let (finished, mut dead) = match outcome? {
             Flow::Finished => (true, Vec::new()),
+            Flow::Boundary => (false, Vec::new()),
             Flow::Fault => {
                 let dead = run.alive.iter().copied().filter(|p| !liveness.is_alive(*p));
                 (false, dead.collect())
@@ -516,21 +629,34 @@ pub(crate) fn drive<A: DpApp + 'static>(
             dead.sort_unstable();
             dead.dedup();
         }
-        if finished && dead.is_empty() {
+        // Boundaries due by now apply even if the epoch ran to the end.
+        let at = match &host.boundaries {
+            Some(b) => Some(arr.finished_count()).filter(|&at| b.due(at) > 0),
+            None => None,
+        };
+        if finished && dead.is_empty() && at.is_none() {
             break arr;
         }
-        // Places died, mid-epoch or before handing their share over.
-        let rec_start = recorder.now_ns();
-        run.recover(&arr, &dead, &RecoveryCostModel::default());
-        let rec_end = recorder.now_ns();
-        recorder.span(
-            me.0,
-            RUNTIME_WORKER,
-            EventKind::Recovery,
-            rec_start,
-            rec_end,
-            epoch.into(),
-        );
+        if at.is_some() && dead.is_empty() {
+            run.prior = Some(arr); // a planned boundary keeps every cell
+        } else {
+            // Places died, mid-epoch or before handing their share over.
+            let rec_start = recorder.now_ns();
+            run.recover(&arr, &dead, &RecoveryCostModel::default());
+            let rec_end = recorder.now_ns();
+            recorder.span(
+                me.0,
+                RUNTIME_WORKER,
+                EventKind::Recovery,
+                rec_start,
+                rec_end,
+                epoch.into(),
+            );
+        }
+        if let (Some(b), Some(at)) = (&mut host.boundaries, at) {
+            stopped = b.apply(&mut run, at);
+            stopped_ns = ended_ns;
+        }
         epoch += 1;
         if let (Some(mesh), Some(restored)) = (&mut host.mesh, &run.prior) {
             mesh.resume(epoch, &run.alive, restored);
@@ -604,6 +730,10 @@ fn coordinate<A: DpApp>(
             stamp(EventKind::Fault, u64::from(epoch));
             return Ok(Flow::Fault);
         }
+        if shared.boundary_fired().is_some() {
+            stamp(EventKind::CtlStop, u64::from(epoch));
+            return Ok(Flow::Boundary);
+        }
         if sum != last_sum {
             last_sum = sum;
             last_change = Instant::now();
@@ -618,7 +748,8 @@ fn coordinate<A: DpApp>(
         }
         match &mut host.mesh {
             Some(mesh) => mesh.progress(epoch, alive, &mut table),
-            None => std::thread::sleep(TICK),
+            // A boundary wakes us early: the world waits on this poll.
+            None => std::thread::park_timeout(TICK),
         }
     }
 }

@@ -77,9 +77,7 @@ pub use app::{AggView, DagResult, DepView, DpApp, VertexValue};
 pub use cache::FifoCache;
 pub use checkpoint::{load_checkpoint, CheckpointConfig};
 pub use config::{CommsMode, EngineConfig, FaultPlan, InitOverride};
-pub use elastic::{
-    ElasticConfig, ElasticEngine, ElasticPolicy, ElasticReport, ElasticRun, ElasticServer,
-};
+pub use elastic::{ElasticConfig, ElasticEngine, ElasticReport, ElasticRun, ElasticServer};
 pub use engine::ThreadedEngine;
 pub use error::EngineError;
 pub use jobs::{JobOutcome, JobServer, JobSpec, ServeKill, ServeReport};

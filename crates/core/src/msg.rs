@@ -12,7 +12,7 @@ use dpx10_dag::VertexId;
 /// (`Pull`/`PullVal`). `Exec`/`ExecResult` carry remotely scheduled
 /// vertices under the random and min-comm strategies. This is the whole
 /// vocabulary (codec tags 0–7): push mode sends the same `Done`, and
-/// chunk relocation is the elastic driver's in-process business.
+/// membership changes happen between epochs, never on the wire.
 #[derive(Clone, Debug)]
 pub enum Msg<V> {
     /// `from` finished with `value`; decrement the indegree of `targets`

@@ -8,13 +8,13 @@
 //! [`Shard`]s); everything that differs between the drivers goes
 //! through the five methods of [`Sink`]:
 //!
-//! | | threads / socket places / served jobs | simulator | elastic mesh |
-//! |---|---|---|---|
-//! | `send` | the epoch's `Transport` | a priced arrival event | slot → holder by the sender's `ChunkMap`, fence-stamped `Msg` bytes |
-//! | `ready` | the shard's FIFO ready list | the policy ready queue | the slot's FIFO ready list |
-//! | `stamp` | recorder, wall clock | recorder, virtual clock | — (membership spans only) |
-//! | `exec` | compute now, reply `ExecResult` | queue for a worker slot | never: vertices run at their owner |
-//! | `finished` | checkpoint, `tasks_run`, exact kills (global count only while one is armed) | finish count, fault time | compute count, plan progress |
+//! | | threads / elastic mesh / socket places / served jobs | simulator |
+//! |---|---|---|
+//! | `send` | the epoch's `Transport` | a priced arrival event |
+//! | `ready` | the shard's FIFO ready list | the policy ready queue |
+//! | `stamp` | recorder, wall clock | recorder, virtual clock |
+//! | `exec` | compute now, reply `ExecResult` | queue for a worker slot |
+//! | `finished` | checkpoint, `tasks_run`, exact kills and boundaries (global count only while one is armed) | finish count, fault time |
 //!
 //! Doc-hidden like [`crate::state`]: public so `dpx10-sim` and the
 //! delivery-order test driver can drive it, not a user-facing API.

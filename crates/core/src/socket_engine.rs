@@ -396,6 +396,7 @@ impl<'a, A: DpApp + 'static> Driver<'a, A> {
             },
             checkpoint: None,
             mesh: Some(self),
+            boundaries: None,
         };
         epoch::drive(run, host)
     }

@@ -9,7 +9,7 @@ use dpx10_sync::Mutex;
 use dpx10_sync::SegQueue;
 
 use dpx10_dag::{AggSpec, DagPattern, VertexId};
-use dpx10_distarray::{AggTable, ChunkState, Dist, DistArray};
+use dpx10_distarray::{AggTable, Dist, DistArray};
 
 use crate::app::VertexValue;
 use crate::cache::FifoCache;
@@ -102,7 +102,7 @@ pub struct Shard<V> {
     /// determine the termination of the worker").
     pub finished_local: AtomicU64,
     /// What `finished_local` read when the shard was built: the cells
-    /// that started finished (restored, relocated, init-overridden, or
+    /// that started finished (restored, init-overridden, or
     /// finished elsewhere per a scatter's metadata).
     pub finished_at_start: u64,
     /// Number of DAG vertices owned by this shard.
@@ -168,81 +168,11 @@ impl<V: VertexValue> Shard<V> {
     }
 
     /// Marks local vertex `li` finished with `value`, outside the
-    /// protocol (a restored or relocated cell).
+    /// protocol (a restored cell).
     fn restore(&self, li: usize, value: V) {
         self.values[li].set(value).ok();
         self.finished[li].store(true, Ordering::Relaxed);
         self.finished_local.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The movable state of this shard — what live relocation ships to
-    /// the slot's next holder (the elastic mesh; every other driver's
-    /// ownership is fixed for an epoch). `ready` is the driver's ready
-    /// list for the shard, in order. A vertex parked on a pull travels
-    /// as a ready vertex and the fills it already collected as the
-    /// newest cache residents: the next holder gathers again and pulls
-    /// whatever is still missing.
-    pub fn to_chunk(&self, slot: u16, ready: impl IntoIterator<Item = u32>) -> ChunkState<V> {
-        let mut state = ChunkState::empty(slot);
-        state.ready = ready.into_iter().collect();
-        let queued: HashSet<u32> = state.ready.iter().copied().collect();
-        for li in (0..self.points.len()).filter(|&li| self.in_pattern[li]) {
-            let li32 = li as u32;
-            if self.finished[li].load(Ordering::Acquire) {
-                state.finished.push((li32, self.value(li32).clone()));
-                continue;
-            }
-            match self.indegree[li].load(Ordering::Acquire) {
-                0 if queued.contains(&li32) => {}
-                0 => state.ready.push(li32),
-                open => state.indegree.push((li32, open)),
-            }
-        }
-        state.cache = self
-            .cache
-            .lock()
-            .iter()
-            .map(|(k, v)| (k, v.clone()))
-            .collect();
-        // Hash-map order must not reach the wire: the mesh is
-        // deterministic down to its payload bytes.
-        let mut fills: Vec<(u64, V)> = Vec::new();
-        for parked in self.pending.lock().parked.values() {
-            for (&dep, fill) in &parked.fills {
-                fills.extend(fill.value().map(|v| (dep, v.clone())));
-            }
-        }
-        fills.sort_unstable_by_key(|&(dep, _)| dep);
-        state.cache.extend(fills);
-        state
-    }
-
-    /// The shard a relocated [`ChunkState`] describes: same finished
-    /// values and indegrees, the ready vertices queued on `ready`, the
-    /// cache refilled oldest first.
-    pub fn from_chunk(
-        pattern: &dyn DagPattern,
-        dist: &Dist,
-        state: ChunkState<V>,
-        cache_capacity: usize,
-    ) -> Self {
-        let mut shard = Shard::empty(pattern, dist, state.slot as usize, cache_capacity, None);
-        for (li, value) in state.finished {
-            shard.restore(li as usize, value);
-        }
-        shard.finished_at_start = *shard.finished_local.get_mut();
-        for (li, open) in state.indegree {
-            shard.indegree[li as usize].store(open, Ordering::Relaxed);
-        }
-        for li in state.ready {
-            shard.ready.push(li);
-        }
-        let mut cache = shard.cache.lock();
-        for (dep, value) in state.cache {
-            cache.insert(dep, value);
-        }
-        drop(cache);
-        shard
     }
 }
 

@@ -20,7 +20,6 @@
 
 pub mod aggregate;
 pub mod array;
-pub mod chunk;
 pub mod dist;
 pub mod recovery;
 pub mod region;
@@ -28,7 +27,6 @@ pub mod resilient;
 
 pub use aggregate::{AggTable, PrefixLane};
 pub use array::DistArray;
-pub use chunk::{ChunkMap, ChunkOwner, ChunkState, EpochVerdict};
 pub use dist::{Dist, DistKind};
 pub use recovery::{recover, RecoveryCostModel, RecoveryReport, RestoreManner};
 pub use region::Region2D;

@@ -1,15 +1,20 @@
 //! Elastic-mesh differential tests: membership churn (joins, drains,
-//! live relocations, kills) must never change a single cell value.
+//! kills) must never change a single cell value.
 //!
-//! Three layers of evidence:
+//! Every verb is a planned boundary of the threaded epoch loop, so which
+//! cells are finished when it fires depends on the schedule. What the
+//! plan alone determines is asserted on every run: the fingerprint and
+//! the serial oracle, `computed − recomputed == total`, no recompute
+//! without a kill, the verb counts and the final members. Two layers:
 //!
-//! * a pinned-seed sweep of generator-produced churn plans, each run
-//!   compared cell-by-cell against the serial oracle and by fingerprint
-//!   against a solo run;
-//! * a crafted kill-during-relocation schedule proving the epoch fence
-//!   resolves an in-flight chunk transfer under fire;
-//! * the 3 → 5 → 3 demo: the mesh grows mid-sweep and drains back down
-//!   with chunks provably relocated, not recomputed.
+//! * a pinned-seed sweep of generator-produced churn plans;
+//! * crafted plans: drains under load, kills sharing a boundary with a
+//!   join, and the 3 → 5 → 3 demo.
+//!
+//! A kill is certain to cost recompute only when the victim must hold
+//! finished cells: past `1 − victim_cells/total` of progress, the other
+//! places cannot hold every finished cell. Tests that assert
+//! `recomputed > 0` place their kills later than that.
 
 use dpx10_apgas::{ElasticEvent, ElasticPlan, ElasticVerb, PlaceId};
 use dpx10_apps::{with_app, AppKind, AppVisitor, CatalogApp};
@@ -28,12 +33,26 @@ fn run_elastic(h: u32, w: u32, founding: u16, capacity: u16, plan: ElasticPlan) 
     .expect("elastic run completes")
 }
 
-fn assert_matches_oracle(run: &ElasticRun<u64>, h: u32, w: u32, label: &str) {
+/// The assertions every run must pass, whatever the schedule.
+fn assert_sound(run: &ElasticRun<u64>, h: u32, w: u32, solo: u64, label: &str) {
+    assert_eq!(run.fingerprint(), solo, "{label}: fingerprint diverged");
     for (id, want) in oracle(&Grid3::new(h, w)) {
         assert_eq!(
             run.try_get(id.i, id.j),
             Some(want),
             "{label}: value mismatch at {id}"
+        );
+    }
+    let r = run.report();
+    assert_eq!(
+        r.computed - r.recomputed,
+        r.total,
+        "{label}: every cell computed exactly once net of recovery"
+    );
+    if r.kills == 0 {
+        assert_eq!(
+            r.recomputed, 0,
+            "{label}: churn without kills never recomputes"
         );
     }
 }
@@ -42,8 +61,33 @@ fn ev(at: f64, verb: ElasticVerb) -> ElasticEvent {
     ElasticEvent { at, verb }
 }
 
+/// `(joins, drains, kills, final members)` of `plan` on a mesh founded
+/// with places `0..3`: the generator only emits verbs that take effect.
+fn replay(plan: &ElasticPlan) -> (u64, u64, u64, Vec<u16>) {
+    let (mut members, mut next) = (vec![0u16, 1, 2], 3u16);
+    let (mut joins, mut drains, mut kills) = (0, 0, 0);
+    for ev in &plan.events {
+        match ev.verb {
+            ElasticVerb::Join => {
+                members.push(next);
+                next += 1;
+                joins += 1;
+            }
+            ElasticVerb::Drain { place } => {
+                members.retain(|&p| p != place.0);
+                drains += 1;
+            }
+            ElasticVerb::Kill { place } => {
+                members.retain(|&p| p != place.0);
+                kills += 1;
+            }
+        }
+    }
+    (joins, drains, kills, members)
+}
+
 /// Pinned seeds for the generated-churn sweep. Frozen so a regression
-/// in the fence or the relocation protocol reproduces byte-for-byte.
+/// in the boundary path reproduces plan for plan.
 const SEEDS: [u64; 25] = [
     0x0000_0000_0000_0001,
     0x0000_0000_0000_0002,
@@ -75,71 +119,35 @@ const SEEDS: [u64; 25] = [
 #[test]
 fn pinned_seed_churn_sweep_matches_oracle() {
     let solo = run_elastic(12, 12, 1, 1, ElasticPlan::quiet(0)).fingerprint();
-    let (mut relocations, mut kills, mut joins, mut drains, mut fence) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
+    let (mut kills, mut joins, mut drains) = (0u64, 0u64, 0u64);
     for &seed in &SEEDS {
         let plan = ElasticPlan::generate(seed, 3, 5);
         let label = format!("seed {seed:#018x} plan {plan}");
-        let run = run_elastic(12, 12, 3, 5, plan);
-        assert_eq!(run.fingerprint(), solo, "{label}: fingerprint diverged");
-        assert_matches_oracle(&run, 12, 12, &label);
+        let run = run_elastic(12, 12, 3, 5, plan.clone());
+        assert_sound(&run, 12, 12, solo, &label);
         let r = run.report();
+        let want = replay(&plan);
         assert_eq!(
-            r.computed - r.recomputed,
-            r.total,
-            "{label}: every cell computed exactly once net of recovery"
+            (r.joins, r.drains, r.kills),
+            (want.0, want.1, want.2),
+            "{label}"
         );
-        if r.kills == 0 {
-            assert_eq!(
-                r.recomputed, 0,
-                "{label}: churn without kills never recomputes"
-            );
-        }
-        relocations += r.chunks_relocated;
+        assert_eq!(r.final_members, want.3, "{label}");
         kills += r.kills;
         joins += r.joins;
         drains += r.drains;
-        fence += r.parked_replayed + r.replayed_pulls + r.stale_dropped + r.forwarded;
     }
-    // The pinned sweep must actually exercise every verb and the fence.
-    assert!(relocations > 0, "sweep never relocated a chunk");
+    // The pinned sweep must actually exercise every verb.
     assert!(kills > 0, "sweep never killed a place");
     assert!(joins > 0, "sweep never grew the mesh");
     assert!(drains > 0, "sweep never drained a place");
-    assert!(fence > 0, "sweep never tripped the epoch fence");
-}
-
-#[test]
-fn kill_lands_mid_relocation_and_the_fence_resolves_it() {
-    // The relocation starts at 43/144 finished; the kill threshold is
-    // two cells later, so it fires while the transfer is in flight —
-    // the kill barrier must deliver or discard the chunk and repair
-    // every member's epoch before reassigning the victim's slots.
-    let solo = run_elastic(12, 12, 1, 1, ElasticPlan::quiet(0)).fingerprint();
-    let plan = ElasticPlan {
-        seed: 0x0E1A_571C,
-        events: vec![
-            ev(0.30, ElasticVerb::Relocate { slot: 2 }),
-            ev(0.32, ElasticVerb::Kill { place: PlaceId(1) }),
-        ],
-    };
-    let run = run_elastic(12, 12, 3, 5, plan);
-    assert_eq!(run.fingerprint(), solo);
-    assert_matches_oracle(&run, 12, 12, "kill-mid-relocation");
-    let r = run.report();
-    assert_eq!(r.kills, 1);
-    assert!(
-        r.recomputed > 0,
-        "the victim held finished cells, so recovery recomputes: {r:?}"
-    );
-    assert_eq!(r.computed - r.recomputed, r.total);
 }
 
 #[test]
 fn drain_under_load_relocates_every_chunk() {
-    // Draining a busy member ships every chunk it holds — finished
-    // cells travel with the chunk, so nothing recomputes and the
-    // drained places leave only once their inboxes are empty.
+    // Draining a busy member moves its whole column block: at the
+    // boundary its finished cells go to the places that stay, so nothing
+    // recomputes. The second drain would leave place 0 alone: a no-op.
     let solo = run_elastic(12, 12, 1, 1, ElasticPlan::quiet(0)).fingerprint();
     let plan = ElasticPlan {
         seed: 0x000D_1A17,
@@ -149,75 +157,70 @@ fn drain_under_load_relocates_every_chunk() {
         ],
     };
     let run = run_elastic(12, 12, 3, 5, plan);
-    assert_eq!(run.fingerprint(), solo);
-    assert_matches_oracle(&run, 12, 12, "drain-under-load");
+    assert_sound(&run, 12, 12, solo, "drain-under-load");
     let r = run.report();
-    assert_eq!(r.drains, 2);
-    assert_eq!(r.recomputed, 0, "graceful drains never recompute");
-    assert!(
-        r.chunks_relocated >= 2,
-        "both drains must ship chunks: {r:?}"
-    );
-    assert_eq!(r.final_members, vec![0], "both drained places left");
+    assert_eq!(r.drains, 1);
+    assert!(run.result().report().recoveries.is_empty(), "{r:?}");
+    assert_eq!(r.final_members, vec![0, 2], "the last other member stays");
 }
 
 #[test]
 fn kill_barrier_replays_unanswered_pulls() {
-    // A join rebalances chunks to the newcomer, the kill lands one
-    // cell later and the survivor drains out. Pulls in flight to the
-    // dead place end with the epoch, like every other message of it;
-    // the recovery's recount readies their requesters again, and
-    // those must pull the restored values afresh — every cache was
-    // rebuilt empty.
+    // A join and a kill share one boundary. Pulls in flight when it
+    // stops the world end with the epoch, like every other message of
+    // it; the recount readies their requesters again, and those must pull
+    // the restored values afresh — every cache is rebuilt empty. At half
+    // of the 144 cells, column 3 (place 0's, kept) has finished cells
+    // whose row neighbours in column 4 (place 1's, lost) are unfinished,
+    // and column 4 now belongs to place 2: it has to pull.
     let solo = run_elastic(12, 12, 1, 1, ElasticPlan::quiet(0)).fingerprint();
     let plan = ElasticPlan {
         seed: 0xF3A2,
         events: vec![
             ev(0.50, ElasticVerb::Join),
-            ev(0.51, ElasticVerb::Kill { place: PlaceId(1) }),
-            ev(0.57, ElasticVerb::Drain { place: PlaceId(2) }),
+            ev(0.50, ElasticVerb::Kill { place: PlaceId(1) }),
         ],
     };
     let run = run_elastic(12, 12, 3, 5, plan);
-    assert_eq!(run.fingerprint(), solo);
-    assert_matches_oracle(&run, 12, 12, "kill-barrier-replay");
+    assert_sound(&run, 12, 12, solo, "kill-barrier-replay");
     let r = run.report();
-    assert_eq!((r.joins, r.kills, r.drains), (1, 1, 1));
+    assert_eq!((r.joins, r.kills), (1, 1));
+    assert_eq!(r.final_members, vec![0, 2, 3]);
     assert!(
         run.result().report().comm.pulls_sent > 0,
         "the recovery epoch must pull the restored dependencies again: {r:?}"
     );
-    assert_eq!(r.computed - r.recomputed, r.total);
 }
 
 #[test]
 fn kill_discards_done_backlog_and_the_barrier_recounts() {
-    // Regression: the victim dies holding unprocessed `Done`
-    // decrements for a chunk that was force-delivered to a survivor
-    // mid-relocation. Without the barrier's indegree recount the
-    // installed chunk waits forever for decrements nobody will send.
+    // A join and a kill share one boundary, applied in plan order. The
+    // victim dies with `Done` decrements still in flight; they end with
+    // the epoch's mailboxes, and the next epoch recounts every indegree
+    // from the finished cells, so no vertex waits for a decrement nobody
+    // will send. Place 1 holds a third of the cells, so at 75 % some of
+    // them are finished and lost.
     let solo = run_elastic(12, 12, 1, 1, ElasticPlan::quiet(0)).fingerprint();
     let plan = ElasticPlan {
         seed: 0x57A11,
         events: vec![
-            ev(0.50, ElasticVerb::Relocate { slot: 7 }),
-            ev(0.52, ElasticVerb::Kill { place: PlaceId(1) }),
+            ev(0.75, ElasticVerb::Join),
+            ev(0.75, ElasticVerb::Kill { place: PlaceId(1) }),
         ],
     };
     let run = run_elastic(12, 12, 3, 5, plan);
-    assert_eq!(run.fingerprint(), solo);
-    assert_matches_oracle(&run, 12, 12, "done-backlog-recount");
+    assert_sound(&run, 12, 12, solo, "done-backlog-recount");
     let r = run.report();
-    assert_eq!(r.kills, 1);
-    assert_eq!(r.chunks_relocated, 1, "the in-flight chunk force-delivers");
-    assert_eq!(r.computed - r.recomputed, r.total);
+    assert_eq!((r.joins, r.kills), (1, 1));
+    assert!(r.recomputed > 0, "the victim held finished cells: {r:?}");
+    assert_eq!(r.final_members, vec![0, 2, 3]);
 }
 
 #[test]
 fn mesh_grows_to_five_mid_sweep_and_drains_back_to_three() {
     // The acceptance demo: 3 founding places, two joins mid-run, two
-    // drains later; every fingerprint equals the solo run and at least
-    // one chunk moves with its finished cells intact.
+    // drains later; every fingerprint equals the solo run and nothing
+    // is computed twice.
     let solo = run_elastic(14, 14, 1, 1, ElasticPlan::quiet(0)).fingerprint();
     let plan = ElasticPlan {
         seed: 0x353,
@@ -229,8 +232,7 @@ fn mesh_grows_to_five_mid_sweep_and_drains_back_to_three() {
         ],
     };
     let run = run_elastic(14, 14, 3, 6, plan);
-    assert_eq!(run.fingerprint(), solo);
-    assert_matches_oracle(&run, 14, 14, "grow-drain demo");
+    assert_sound(&run, 14, 14, solo, "grow-drain demo");
     let r = run.report();
     assert_eq!((r.joins, r.drains, r.kills), (2, 2, 0));
     assert!(
@@ -243,12 +245,6 @@ fn mesh_grows_to_five_mid_sweep_and_drains_back_to_three() {
         vec![0, 1, 2],
         "mesh returns to the founders"
     );
-    assert!(
-        r.chunks_relocated >= 1 && r.cells_moved >= 1,
-        "chunks must relocate carrying finished cells: {r:?}"
-    );
-    assert!(r.chunk_bytes > 0, "relocation ships real payload bytes");
-    assert_eq!(r.recomputed, 0, "relocated, never recomputed");
 }
 
 #[test]
@@ -260,11 +256,7 @@ fn shrunk_plans_still_replay_deterministically() {
     let plan = ElasticPlan::generate(SEEDS[10], 3, 5);
     for shrunk in plan.shrink() {
         let run = run_elastic(12, 12, 3, 5, shrunk.clone());
-        assert_eq!(
-            run.fingerprint(),
-            solo,
-            "shrunk plan {shrunk} diverged from solo"
-        );
+        assert_sound(&run, 12, 12, solo, &format!("shrunk plan {shrunk}"));
     }
 }
 
@@ -296,8 +288,8 @@ impl AppVisitor for UnderChurn {
 fn catalog_apps_survive_churn_with_the_threaded_fingerprint() {
     // Values that are not `u64` (SWLAG's three-score cell) and patterns
     // that are not a full grid (LPS's upper triangle, knapsack's
-    // data-dependent edges) cross the relocation codec and the kill's
-    // recount like MixApp on Grid3 does.
+    // data-dependent edges) cross the boundaries' redistribution and the
+    // kill's recount like MixApp on Grid3 does.
     let grow_drain = ElasticPlan {
         seed: 0x6A0,
         events: vec![
@@ -307,17 +299,15 @@ fn catalog_apps_survive_churn_with_the_threaded_fingerprint() {
             ev(0.70, ElasticVerb::Drain { place: PlaceId(4) }),
         ],
     };
+    // Place 2 holds the last third of the columns, at least 30 % of the
+    // cells of each of these patterns: at 75 %, some are finished.
     let kill = ElasticPlan {
         seed: 0x6A1,
-        events: vec![
-            ev(0.25, ElasticVerb::Relocate { slot: 4 }),
-            ev(0.45, ElasticVerb::Kill { place: PlaceId(2) }),
-        ],
+        events: vec![ev(0.75, ElasticVerb::Kill { place: PlaceId(2) })],
     };
     for kind in [AppKind::Swlag, AppKind::Lps, AppKind::Knapsack] {
         let r = with_app(kind, 400, 11, UnderChurn(grow_drain.clone()));
         assert_eq!((r.joins, r.drains, r.kills), (2, 2, 0), "{}", kind.name());
-        assert!(r.chunks_relocated >= 1, "{}: {r:?}", kind.name());
         assert_eq!(r.recomputed, 0, "{}: graceful churn", kind.name());
         assert_eq!(r.final_members, vec![0, 1, 2], "{}", kind.name());
 

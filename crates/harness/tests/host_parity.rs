@@ -1,20 +1,22 @@
-//! The epoch loop has three real-time hosts; the same configuration
+//! The epoch loop has four real-time hosts; the same configuration
 //! must mean the same thing on each. One planned kill, run through the
 //! threaded engine (every place's workers threads of one process) and
 //! through a socket mesh (every place its own host), is held to the
-//! same report shape, the same values and the same trace numbering; and
-//! a quiet DAG reads the same as a mesh's solo run and as the only job
-//! of a serve — both are one session of one run.
+//! same report shape, the same values and the same trace numbering; a
+//! quiet DAG reads the same as a mesh's solo run and as the only job
+//! of a serve — both are one session of one run; and the elastic engine
+//! is the threaded host plus planned membership boundaries.
 
 use std::time::Duration;
 
-use dpx10_apgas::{local_mesh, PlaceId, SocketConfig};
+use dpx10_apgas::{local_mesh, ElasticEvent, ElasticPlan, ElasticVerb, PlaceId, SocketConfig};
 use dpx10_core::{
-    DagResult, DistKind, EngineConfig, FaultPlan, JobServer, JobSpec, SocketEngine, ThreadedEngine,
+    DagResult, DistKind, ElasticConfig, ElasticEngine, EngineConfig, FaultPlan, JobServer, JobSpec,
+    SocketEngine, ThreadedEngine,
 };
 use dpx10_dag::builtin::Grid3;
 use dpx10_harness::{oracle, MixApp};
-use dpx10_obs::{EventKind, Recorder};
+use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 
 const PLACES: u16 = 3;
 // Large enough that the mesh's coordinator, which polls progress every
@@ -126,4 +128,77 @@ fn traces_number_epochs_from_zero_on_every_host() {
         let recoveries: Vec<u64> = of(EventKind::Recovery).map(|e| e.arg).collect();
         assert_eq!(recoveries, [0], "{host}: one Recovery span, of epoch 0");
     }
+}
+
+fn elastic(founding: u16, capacity: u16, events: Vec<ElasticEvent>) -> ElasticEngine<MixApp> {
+    let plan = ElasticPlan {
+        seed: 0xED6E,
+        events,
+    };
+    let config = ElasticConfig::new(founding, capacity);
+    ElasticEngine::new(MixApp, Grid3::new(SIDE, SIDE), config).with_plan(plan)
+}
+
+fn drain(at: f64, place: u16) -> ElasticEvent {
+    let verb = ElasticVerb::Drain {
+        place: PlaceId(place),
+    };
+    ElasticEvent { at, verb }
+}
+
+#[test]
+fn the_elastic_host_is_the_threaded_host_plus_boundaries() {
+    // Quiet, the elastic engine is the threaded engine on its founders.
+    let threads = ThreadedEngine::new(MixApp, Grid3::new(SIDE, SIDE), EngineConfig::flat(PLACES))
+        .run()
+        .expect("the threaded run finishes");
+    let quiet = elastic(PLACES, 6, Vec::new()).run().expect("a quiet run");
+    assert_eq!(quiet.fingerprint(), threads.fingerprint());
+    let report = quiet.result().report();
+    assert_eq!(report.vertices_computed, threads.report().vertices_computed);
+    assert_eq!((report.epochs, quiet.report().boundaries), (1, 0));
+
+    // Drains only add epochs: no recovery, nothing computed twice.
+    let drained = elastic(4, 6, vec![drain(0.3, 3), drain(0.6, 1)]).run();
+    let drained = drained.expect("a drained run");
+    assert_eq!(drained.fingerprint(), threads.fingerprint());
+    let (report, r) = (drained.result().report(), drained.report());
+    assert!(report.recoveries.is_empty(), "{r:?}");
+    assert_eq!((r.drains, r.recomputed), (2, 0));
+    assert!(r.boundaries >= 1, "{r:?}");
+    assert_eq!(u64::from(report.epochs), 1 + r.boundaries);
+
+    // A join past capacity is refused; the one under it is not.
+    let join = ElasticEvent {
+        at: 0.2,
+        verb: ElasticVerb::Join,
+    };
+    let joined = elastic(PLACES, PLACES + 1, vec![join, join]).run();
+    let r = joined.expect("a joined run").report().clone();
+    assert_eq!((r.joins, r.next_place), (1, PLACES + 1));
+    assert_eq!(r.final_members, [0, 1, 2, 3]);
+}
+
+#[test]
+fn a_boundary_stops_place_zero_until_the_next_epoch_starts() {
+    // One span per membership verb on place 0's runtime track, from the
+    // boundary to the next `EpochStart`.
+    let recorder = Recorder::with_capacity(6, 1 << 18);
+    let run = elastic(PLACES, 6, vec![drain(0.5, 2)]).with_recorder(recorder.clone());
+    assert_eq!(run.run().expect("a drained run").report().drains, 1);
+    let trace = recorder.drain();
+    let on_zero = |kind| {
+        let events = trace.events.iter();
+        events.filter(move |e| e.kind == kind && e.place == 0 && e.worker == RUNTIME_WORKER)
+    };
+    let spans: Vec<_> = on_zero(EventKind::Drain).collect();
+    assert_eq!(spans.len(), 1, "one drain, one span");
+    assert_eq!(spans[0].arg, 2, "the span names the drained place");
+    let starts: Vec<u64> = on_zero(EventKind::EpochStart).map(|e| e.ts_ns).collect();
+    assert_eq!(starts.len(), 2);
+    assert_eq!(
+        spans[0].end_ns(),
+        starts[1],
+        "the world restarts with epoch 1"
+    );
 }

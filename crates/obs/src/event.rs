@@ -77,22 +77,19 @@ pub enum EventKind {
     /// Multi-job scheduler: a job's driver completed on this place
     /// (instant; arg = job id).
     JobDone = 22,
-    /// Elastic mesh: a place joined the running mesh, measured from
-    /// the `JoinReq` dial to readiness (span; arg = the joiner's
-    /// place id).
+    /// Elastic mesh: a place joined at a planned epoch boundary, which
+    /// stops the world from the boundary to the next epoch's start
+    /// (span; arg = the joiner's place id).
     Join = 23,
-    /// Elastic mesh: a place drained out gracefully, measured from the
-    /// drain decision to the `Leave` sign-off (span; arg = the
+    /// Elastic mesh: a place drained out at a planned epoch boundary,
+    /// from the boundary to the next epoch's start (span; arg = the
     /// drained place id).
     Drain = 24,
-    /// Elastic mesh: one chunk relocated to a new owner, offer to ack
-    /// (span; arg = the slot moved).
-    Relocate = 25,
 }
 
 impl EventKind {
     /// Every kind, for exporters and tests.
-    pub const ALL: [EventKind; 25] = [
+    pub const ALL: [EventKind; 24] = [
         EventKind::VertexCompute,
         EventKind::ReadyPop,
         EventKind::CacheHit,
@@ -117,7 +114,6 @@ impl EventKind {
         EventKind::JobDone,
         EventKind::Join,
         EventKind::Drain,
-        EventKind::Relocate,
     ];
 
     /// Whether events of this kind carry a meaningful duration.
@@ -129,7 +125,6 @@ impl EventKind {
                 | EventKind::Recovery
                 | EventKind::Join
                 | EventKind::Drain
-                | EventKind::Relocate
         )
     }
 
@@ -160,7 +155,6 @@ impl EventKind {
             EventKind::JobDone => "job-done",
             EventKind::Join => "join",
             EventKind::Drain => "drain",
-            EventKind::Relocate => "relocate",
         }
     }
 
