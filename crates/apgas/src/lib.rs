@@ -40,7 +40,6 @@
 pub mod chaos;
 pub mod coalesce;
 pub mod codec;
-pub mod collectives;
 pub mod fault;
 pub mod mailbox;
 pub mod membership;
@@ -56,7 +55,6 @@ pub use chaos::{
 };
 pub use coalesce::{CoalesceConfig, Coalescible, CoalescingTransport};
 pub use codec::Codec;
-pub use collectives::{fold_counts, CollectiveSchedule};
 pub use fault::{DeadPlaceError, LivenessBoard};
 pub use mailbox::{Mailbox, MailboxSender};
 pub use membership::{MemberState, MembershipError, RosterBoard};

@@ -111,8 +111,8 @@ fn seed_aggs<A: DpApp>(app: &A, shards: &[Shard<A::Value>]) {
     }
 }
 
-/// What a `Resume` scatter hands a socket place: the finished
-/// `(packed id, value)` cells of its subtree, and every finished id.
+/// What a `Resume` hands a socket place: the finished `(packed id,
+/// value)` cells of its own slot, and every finished id.
 pub type Scatter<V> = (Vec<(u64, V)>, Vec<u64>);
 
 /// What a run carries from epoch to epoch, and the steps that advance
@@ -160,7 +160,7 @@ impl<'a, A: DpApp> Run<'a, A> {
     /// Begins the next epoch: distributes the region over the survivors
     /// and builds their shards from what is already finished — the
     /// recovered `prior`, the init override, or (on a socket place,
-    /// which holds its subtree's values only) a `Resume` scatter.
+    /// which holds its own slot's values only) a `Resume`.
     /// Returns the protocol state and how many cells start finished:
     /// at `report.vertices_total`, the shards already hold the result.
     pub fn begin(
@@ -174,7 +174,7 @@ impl<'a, A: DpApp> Run<'a, A> {
         let dist = Arc::new(Dist::new(region, cfg.dist_kind.clone(), self.alive.clone()));
         let mut meta: Option<HashSet<u64>> = None;
         if let Some((cells, ids)) = scatter {
-            // Cells whose values went to another subtree still unblock
+            // Cells whose values went to another survivor still unblock
             // their dependents here; the owner serves the value.
             let mut arr = DistArray::new(dist.clone());
             for (packed, v) in cells {

@@ -31,8 +31,9 @@
 //! The epoch loop itself is not here. Each admitted job is one
 //! [`Driver`] — the socket engine's — over the job's placement, its link
 //! of the session and a base trace track that keeps its workers off
-//! every other job's; so jobs get the tree broadcast/reduce, the
-//! `Resume` scatter and both re-send insurances exactly as a solo run.
+//! every other job's; so a job's control is the same star around place
+//! 0 as a solo run's: progress in, verdicts, snapshots and per-survivor
+//! `Resume`s straight between place 0 and each participant.
 //!
 //! Place 0 coordinates every job (placements must include it) and is
 //! the only place that returns a [`ServeReport`].
@@ -330,7 +331,7 @@ impl<A: DpApp + 'static> JobServer<A> {
                     .spawn(move || {
                         let mut run = Run::new(&app, &pattern, &config, None, placement.clone());
                         run.report.schedule_downgrade = downgrade;
-                        let mut driver = Driver::new(&pattern, &config, link);
+                        let mut driver = Driver::new(pattern.as_ref(), link);
                         // A driver that unwinds must still report, or the
                         // admission loop would wait on it forever.
                         let drive = AssertUnwindSafe(|| driver.drive(run, track_base(j)));

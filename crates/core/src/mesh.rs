@@ -11,9 +11,9 @@
 //! The frame grammar has two levels, is flat, and is known to this
 //! module only: a payload is a session frame (`Die`, `Goodbye`) or one
 //! run's [`RunFrame`], laid out as `[tag u8][job u32][fields]`. No frame
-//! contains a frame — a tree hop is a flag on [`RunFrame::Verdict`], the
-//! only thing ever broadcast — so the decoder never calls itself and a
-//! peer's bytes cannot pick its stack depth.
+//! contains a frame and none is relayed — control is a star around
+//! place 0 — so the decoder never calls itself and a peer's bytes cannot
+//! pick its stack depth.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -38,47 +38,19 @@ use crate::msg::Msg;
 /// own heartbeat timeout fires much earlier for real failures).
 pub(crate) const SNAPSHOT_DEADLINE: Duration = Duration::from_secs(60);
 
-/// One `Resume` scatter as a place holds it: on place 0 everything
-/// needed to rebuild any survivor's bundle if the tree hop carrying it
-/// died with a relay (the coordinator re-sends directly to peers it has
-/// not heard from in the resumed epoch); on a worker the hop it
-/// received, to split among its own schedule children.
-pub(crate) struct Resume<V> {
-    /// The epoch being resumed *into* (old + 1).
-    pub(crate) epoch: u32,
-    /// Surviving places, in slot order.
-    pub(crate) alive: Vec<u16>,
-    /// The restored finished cells held here — all of them on place 0,
-    /// the receiver's subtree's on a worker: each relay splits its
-    /// bundle among its schedule children by the new distribution's
-    /// ownership (filtered per subtree on demand: scatters and re-sends
-    /// are rare).
-    pub(crate) cells: Vec<(u64, V)>,
-    /// Packed ids of *every* restored finished cell — the global
-    /// metadata that unblocks dependencies on cells whose values were
-    /// scattered to another subtree (pulls still go to the owner, which
-    /// holds the value).
-    pub(crate) meta: Vec<u64>,
-}
-
 /// Everything one DAG run puts on the mesh: vertex traffic
 /// ([`RunFrame::App`]) and the control protocol (see
 /// [`crate::socket_engine`]), all epoch-tagged.
 pub(crate) enum RunFrame<V> {
     /// A vertex-protocol message of the given epoch.
     App(u32, Msg<V>),
-    /// Place 0 → followers: how the epoch ended; snapshot your slot.
+    /// Place 0 → each follower: how the epoch ended; snapshot your slot.
     Verdict {
         /// Epoch being concluded.
         epoch: u32,
         /// `None`: every vertex is finished. `Some`: these places were
         /// detected dead, and the snapshot is for recovery.
         dead: Option<Vec<u16>>,
-        /// Whether this is a hop of the tree broadcast
-        /// ([`dpx10_apgas::CollectiveSchedule`]), which its receiver relays
-        /// to its schedule children (adopting dead children's subtrees),
-        /// or place 0's direct re-send to a peer a dead relay stranded.
-        hop: bool,
     },
     /// Worker → place 0: my slot's finished cells plus local counters.
     Snapshot {
@@ -93,22 +65,31 @@ pub(crate) enum RunFrame<V> {
         /// any other count is malformed.
         stats: [u64; STAT_COUNTERS],
     },
-    /// Place 0 → survivors (scattered down the tree): recovery done,
-    /// start the next epoch.
-    Resume(Resume<V>),
+    /// Place 0 → each survivor: recovery done, start the next epoch.
+    Resume {
+        /// The epoch being resumed *into* (old + 1).
+        epoch: u32,
+        /// Surviving places, in slot order.
+        alive: Vec<u16>,
+        /// The restored finished cells the receiver owns under the new
+        /// distribution.
+        cells: Vec<(u64, V)>,
+        /// Packed ids of *every* restored finished cell — the global
+        /// metadata that unblocks dependencies on cells whose values
+        /// went to another survivor (pulls go to the owner, which holds
+        /// the value).
+        meta: Vec<u64>,
+    },
     /// Place 0 → the run's followers: this run is over, whatever its
     /// outcome; stop following it.
     Release,
-    /// Worker → its tree parent: folded per-place finished counts of
-    /// the sender and its whole subtree. Entries are max-merged on
-    /// receipt ([`dpx10_apgas::fold_counts`]), so duplicated or
-    /// re-routed hops are harmless; any entry for a place proves that
-    /// place entered the epoch (counts originate only at their own place).
-    Reduce {
-        /// Epoch the counts belong to.
+    /// Worker → place 0: its slot's finished count. Max-merged on
+    /// receipt, so a duplicated frame is harmless.
+    Progress {
+        /// Epoch the count belongs to.
         epoch: u32,
-        /// `(place id, finished count)` per place of the subtree.
-        counts: Vec<(u16, u64)>,
+        /// Vertices of the sender's slot finished so far.
+        finished: u64,
     },
 }
 
@@ -119,9 +100,9 @@ impl<V: Codec> RunFrame<V> {
             RunFrame::App(_, msg) => (0, Codec::wire_size(msg)),
             RunFrame::Verdict { .. } => (2, 0),
             RunFrame::Snapshot { .. } => (4, 0),
-            RunFrame::Resume(_) => (5, 0),
+            RunFrame::Resume { .. } => (5, 0),
             RunFrame::Release => (8, 0),
-            RunFrame::Reduce { .. } => (10, 0),
+            RunFrame::Progress { .. } => (10, 0),
         };
         // Exact for vertex traffic; a control frame grows its buffer.
         let mut payload = Vec::with_capacity(9 + room);
@@ -133,10 +114,9 @@ impl<V: Codec> RunFrame<V> {
                 epoch.encode(buf);
                 msg.encode(buf);
             }
-            RunFrame::Verdict { epoch, dead, hop } => {
+            RunFrame::Verdict { epoch, dead } => {
                 epoch.encode(buf);
                 dead.encode(buf);
-                hop.encode(buf);
             }
             RunFrame::Snapshot {
                 epoch,
@@ -149,16 +129,21 @@ impl<V: Codec> RunFrame<V> {
                 computed.encode(buf);
                 stats.to_vec().encode(buf);
             }
-            RunFrame::Resume(scatter) => {
-                scatter.epoch.encode(buf);
-                scatter.alive.encode(buf);
-                scatter.cells.encode(buf);
-                scatter.meta.encode(buf);
+            RunFrame::Resume {
+                epoch,
+                alive,
+                cells,
+                meta,
+            } => {
+                epoch.encode(buf);
+                alive.encode(buf);
+                cells.encode(buf);
+                meta.encode(buf);
             }
             RunFrame::Release => {}
-            RunFrame::Reduce { epoch, counts } => {
+            RunFrame::Progress { epoch, finished } => {
                 epoch.encode(buf);
-                counts.encode(buf);
+                finished.encode(buf);
             }
         }
         payload
@@ -171,7 +156,6 @@ impl<V: Codec> RunFrame<V> {
             2 => RunFrame::Verdict {
                 epoch: u32::decode(src)?,
                 dead: Option::decode(src)?,
-                hop: bool::decode(src)?,
             },
             4 => RunFrame::Snapshot {
                 epoch: u32::decode(src)?,
@@ -179,16 +163,16 @@ impl<V: Codec> RunFrame<V> {
                 computed: u64::decode(src)?,
                 stats: Vec::decode(src)?.try_into().ok()?,
             },
-            5 => RunFrame::Resume(Resume {
+            5 => RunFrame::Resume {
                 epoch: u32::decode(src)?,
                 alive: Vec::decode(src)?,
                 cells: Vec::decode(src)?,
                 meta: Vec::decode(src)?,
-            }),
+            },
             8 => RunFrame::Release,
-            10 => RunFrame::Reduce {
+            10 => RunFrame::Progress {
                 epoch: u32::decode(src)?,
-                counts: Vec::decode(src)?,
+                finished: u64::decode(src)?,
             },
             _ => return None,
         })

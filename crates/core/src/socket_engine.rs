@@ -27,52 +27,42 @@
 //! Vertex traffic alone cannot terminate a distributed run — no process
 //! sees the global finished counter — so a thin coordination layer rides
 //! on the same connections as `RunFrame`s, tagged with an *epoch*
-//! (recovery round) so stragglers from a failed epoch are discarded:
+//! (recovery round) so stragglers from a failed epoch are discarded.
+//! Control is a star around place 0, which Resilient X10 already
+//! requires to survive; no frame is relayed:
 //!
-//! * workers fold their slot's finished count with everything their
-//!   subtree reported and stream it up the binomial tree as a `Reduce`
-//!   (the epoch barrier — per-place entries are max-merged, so arrival
-//!   order, re-sends and re-routed hops cannot corrupt the table);
+//! * each worker sends place 0 its slot's finished count as a
+//!   `Progress` whenever it changes (max-merged on receipt, so a
+//!   duplicated frame cannot corrupt the table);
 //! * place 0 declares success when the counts sum to the DAG size,
-//!   tree-broadcasts the `Verdict` (each receiver relays to its
-//!   schedule children), gathers a `Snapshot` of every slot's values,
-//!   and releases everyone with `Release`;
+//!   sends every participant the `Verdict`, gathers a `Snapshot` of
+//!   every slot's values, and releases everyone with `Release`;
 //! * a detected failure (connection loss / missed heartbeats feeding the
 //!   shared liveness board, or a planned `Die`, which the victim's demux
-//!   thread obeys by crashing without a goodbye) makes place 0 tree-
-//!   broadcast a `Verdict` naming the dead, gather the survivors'
-//!   snapshots, run the paper's recovery (§VI-D), and restart everyone
-//!   with a `Resume` *scatter* —
-//!   each tree hop carries the restored values of the receiver's
-//!   subtree plus the packed ids of every finished cell (the metadata
-//!   that unblocks cross-subtree dependencies without shipping every
-//!   value to every place) — a fresh epoch.
+//!   thread obeys by crashing without a goodbye) makes place 0 send a
+//!   `Verdict` naming the dead, gather the survivors' snapshots, run the
+//!   paper's recovery (§VI-D), and restart each survivor with its own
+//!   `Resume` — the restored values it owns under the new distribution
+//!   plus the packed ids of every finished cell (the metadata that
+//!   unblocks dependencies on other survivors' cells without shipping
+//!   every value to every place) — a fresh epoch.
 //!
-//! The tree edges come from [`CollectiveSchedule`] over the epoch's
-//! live roster; a hop whose carrier died is repaired by adopting the
-//! dead child's subtree, and place 0 re-sends the verdict directly
-//! to any peer it has not heard from (insurance against a relay dying
-//! *after* accepting a hop). `Snapshot` stays a direct gather on
-//! purpose: it is the payload-heavy, loss-sensitive leg, and folding
-//! values through intermediate places would multiply the recovery work
-//! whenever a mid-tree place dies after absorbing its children's cells.
+//! Links are reliable and ordered, so no control frame is ever re-sent:
+//! a peer that dies mid-protocol is caught by liveness, like any other.
 //!
 //! Communication statistics on this backend are the bytes *actually
 //! framed* onto the sockets (vertex and control traffic alike); the
 //! [`dpx10_apgas::NetworkModel`] prices nothing here.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dpx10_apgas::stats::STAT_COUNTERS;
-use dpx10_apgas::{
-    fold_counts, CollectiveSchedule, DeadPlaceError, PlaceId, SocketConfig, SocketNode,
-    StatsSnapshot,
-};
+use dpx10_apgas::{DeadPlaceError, PlaceId, SocketConfig, SocketNode, StatsSnapshot};
 use dpx10_dag::{DagPattern, VertexId};
-use dpx10_distarray::{Dist, DistArray, Region2D};
+use dpx10_distarray::{DistArray, Region2D};
 use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 
 use crate::app::{DagResult, DpApp};
@@ -80,7 +70,7 @@ use crate::config::{EngineConfig, InitOverride};
 use crate::engine::Shared;
 use crate::epoch::{self, preflight, Flow, Host, Mesh, Run, Workers, TICK};
 use crate::error::EngineError;
-use crate::mesh::{AppPlane, Resume, RunFrame, Session, Wire, SNAPSHOT_DEADLINE};
+use crate::mesh::{AppPlane, RunFrame, Session, Wire, SNAPSHOT_DEADLINE};
 use crate::msg::Msg;
 use crate::protocol::Place;
 use crate::schedule::ScheduleStrategy;
@@ -103,27 +93,12 @@ pub(crate) fn downgrade_schedule(config: &mut EngineConfig) -> Option<ScheduleDo
     None
 }
 
-/// How often a worker place re-sends its progress even when the count has
-/// not moved (keeps the coordinator's view fresh without flooding).
-const PROGRESS_INTERVAL: Duration = Duration::from_millis(50);
-
-/// How often place 0 re-sends the concluding verdict directly to
-/// peers whose snapshot has not arrived — insurance for a
-/// broadcast relay dying after accepting its hop (receivers ignore the
-/// duplicates).
-const CONCLUDE_RESEND: Duration = Duration::from_millis(500);
-
-/// How often place 0 re-sends a `Resume` bundle to a survivor that has
-/// not reported any progress in the resumed epoch — insurance for a
-/// scatter relay dying with its subtree's hop in hand.
-const RESUME_RESEND: Duration = Duration::from_millis(250);
-
 /// Whether every place id, cell id and count a peer's control frame
 /// carries is one this run can index: place ids inside the mesh's slot
-/// space, packed cell ids inside the pattern's region, finished counts
-/// no larger than the region (so a table of them cannot overflow its
-/// sum). Peers control these bytes; the driver's tables must never be
-/// indexed by them unchecked.
+/// space, packed cell ids inside the pattern's region, finished and
+/// computed counts no larger than the region (so a sum of them cannot
+/// overflow). Peers control these bytes; the driver's tables must never
+/// be indexed by them unchecked.
 fn well_formed<V>(frame: &RunFrame<V>, slots: u16, region: Region2D) -> bool {
     let cell_ok = |packed: u64| {
         let id = VertexId::unpack(packed);
@@ -131,10 +106,12 @@ fn well_formed<V>(frame: &RunFrame<V>, slots: u16, region: Region2D) -> bool {
     };
     match frame {
         RunFrame::Verdict { dead, .. } => dead.iter().flatten().all(|d| *d < slots),
-        RunFrame::Snapshot { cells, .. } => cells.iter().all(|(c, _)| cell_ok(*c)),
-        RunFrame::Resume(Resume {
+        RunFrame::Snapshot {
+            cells, computed, ..
+        } => *computed <= region.len() && cells.iter().all(|(c, _)| cell_ok(*c)),
+        RunFrame::Resume {
             alive, cells, meta, ..
-        }) => {
+        } => {
             // Slot order: ascending, led by the coordinator.
             alive.first() == Some(&0)
                 && alive.windows(2).all(|w| w[0] < w[1])
@@ -142,7 +119,7 @@ fn well_formed<V>(frame: &RunFrame<V>, slots: u16, region: Region2D) -> bool {
                 && cells.iter().all(|(c, _)| cell_ok(*c))
                 && meta.iter().all(|c| cell_ok(*c))
         }
-        RunFrame::Reduce { counts, .. } => counts.iter().all(|(_, n)| *n <= region.len()),
+        RunFrame::Progress { finished, .. } => *finished <= region.len(),
         RunFrame::App(..) | RunFrame::Release => true,
     }
 }
@@ -279,7 +256,7 @@ impl<A: DpApp + 'static> SocketEngine<A> {
             participants.clone(),
         );
         run.report.schedule_downgrade = self.downgrade.clone();
-        let mut driver = Driver::new(&self.pattern, &self.config, session.links[0].clone());
+        let mut driver = Driver::new(self.pattern.as_ref(), session.links[0].clone());
         let result = driver.drive(run, 0);
         driver.release(&participants);
         // A place whose run failed has nobody to wait for.
@@ -291,9 +268,9 @@ impl<A: DpApp + 'static> SocketEngine<A> {
 /// One place's mesh side of one DAG run: the control loops, whether the
 /// DAG is the session's only one ([`SocketEngine::run`]) or one job of a
 /// serve ([`crate::jobs`]).
-pub(crate) struct Driver<'a, A: DpApp> {
-    pattern: &'a Arc<dyn DagPattern>,
-    config: &'a EngineConfig,
+pub(crate) struct Driver<A: DpApp> {
+    /// The pattern's region: every cell a peer's frame names lies in it.
+    region: Region2D,
     node: Arc<SocketNode>,
     recorder: Recorder,
     /// Every outbound frame, data or control, leaves through
@@ -302,29 +279,18 @@ pub(crate) struct Driver<'a, A: DpApp> {
     me: PlaceId,
     /// Place 0: every peer's cumulative counters as of its last snapshot.
     peer_stats: HashMap<PlaceId, [u64; STAT_COUNTERS]>,
-    /// Place 0: the last `Resume` scatter, kept to re-send a survivor's
-    /// bundle if a relay hop died with its carrier; the places heard from
-    /// since (a `Reduce` entry for a place can only originate there, so
-    /// it proves the place entered the epoch); when to nudge the others.
-    resume: Option<(Resume<A::Value>, HashSet<PlaceId>, Instant)>,
 }
 
-impl<'a, A: DpApp + 'static> Driver<'a, A> {
-    /// The mesh side of a run of `pattern` under `config` over `plane`.
-    pub(crate) fn new(
-        pattern: &'a Arc<dyn DagPattern>,
-        config: &'a EngineConfig,
-        plane: Arc<AppPlane<A::Value>>,
-    ) -> Self {
+impl<A: DpApp + 'static> Driver<A> {
+    /// The mesh side of a run of `pattern` over `plane`.
+    pub(crate) fn new(pattern: &dyn DagPattern, plane: Arc<AppPlane<A::Value>>) -> Self {
         Driver {
-            pattern,
-            config,
+            region: Region2D::new(pattern.height(), pattern.width()),
             me: plane.member.node.me(),
             node: plane.member.node.clone(),
             recorder: plane.member.recorder.clone(),
             plane,
             peer_stats: HashMap::new(),
-            resume: None,
         }
     }
 
@@ -349,17 +315,13 @@ impl<'a, A: DpApp + 'static> Driver<'a, A> {
             .instant_now(self.me.0, RUNTIME_WORKER, kind, epoch.into());
     }
 
-    fn region(&self) -> Region2D {
-        Region2D::new(self.pattern.height(), self.pattern.width())
-    }
-
     /// The next control frame, or `None` on a timeout tick. A frame that
     /// names a place, cell or count this run cannot index is treated
     /// like an undecodable payload: dropped, its sender marked dead.
     fn recv_ctl(&self, timeout: Duration) -> Option<(PlaceId, RunFrame<A::Value>)> {
         let (src, frame) = self.plane.ctl_rx.recv_timeout(timeout).ok()?;
         let slots = self.node.liveness().num_places();
-        if well_formed(&frame, slots, self.region()) {
+        if well_formed(&frame, slots, self.region) {
             Some((src, frame))
         } else {
             self.node.liveness().mark_dead(src);
@@ -399,75 +361,6 @@ impl<'a, A: DpApp + 'static> Driver<'a, A> {
             boundaries: None,
         };
         epoch::drive(run, host)
-    }
-
-    /// The epoch's tree schedule over `alive`, rooted at place 0's rank
-    /// (ranks index `alive`, whose order is exactly the slot order).
-    fn schedule(&self, alive: &[PlaceId]) -> CollectiveSchedule {
-        let root = alive.iter().position(|p| *p == PlaceId::ZERO).unwrap_or(0);
-        CollectiveSchedule::new(alive.len(), root)
-    }
-
-    /// Reaches every schedule child of `me_rank` through `send(rank)`; a
-    /// child that is dead or unreachable is replaced by its own children
-    /// (tree repair), so every live subtree still gets its frame.
-    fn fan_out(
-        &self,
-        alive: &[PlaceId],
-        me_rank: usize,
-        send: impl Fn(usize) -> Result<(), DeadPlaceError>,
-    ) {
-        let sched = self.schedule(alive);
-        let mut work = sched.children(me_rank);
-        while let Some(c) = work.pop() {
-            if !self.node.liveness().is_alive(alive[c]) || send(c).is_err() {
-                work.extend(sched.children(c));
-            }
-        }
-    }
-
-    /// Sends the `Resume` scatter hops from `me_rank` in the new epoch's
-    /// schedule: each child receives the restored cells of its whole
-    /// subtree plus the global finished-set metadata.
-    fn scatter_resume(&self, st: &Resume<A::Value>, me_rank: usize) {
-        let places: Vec<PlaceId> = st.alive.iter().copied().map(PlaceId).collect();
-        self.fan_out(&places, me_rank, |c| {
-            self.send_ctl(places[c], &self.resume_frame_for(st, &places, c))
-        });
-    }
-
-    /// The `Resume` frame of rank `rank`: the restored cells its subtree
-    /// owns under the *new* distribution (whose slot order is the
-    /// survivors' order) plus the global metadata. Built per hop by the
-    /// scatter, and again by the re-send insurance, so a survivor
-    /// stranded by a dead relay still enters the epoch.
-    fn resume_frame_for(
-        &self,
-        st: &Resume<A::Value>,
-        places: &[PlaceId],
-        rank: usize,
-    ) -> RunFrame<A::Value> {
-        let sub = self.schedule(places).subtree(rank);
-        let ndist = Dist::new(
-            self.region(),
-            self.config.dist_kind.clone(),
-            places.to_vec(),
-        );
-        let cells = st
-            .cells
-            .iter()
-            .filter(|(packed, _)| {
-                let id = VertexId::unpack(*packed);
-                sub.contains(&ndist.slot_of(id.i, id.j))
-            })
-            .cloned()
-            .collect();
-        RunFrame::Resume(Resume {
-            epoch: st.epoch,
-            alive: st.alive.clone(),
-            cells,
-            meta: st.meta.clone(),
-        })
     }
 
     /// Sends this place's slot snapshot to place 0.
@@ -520,9 +413,9 @@ impl<'a, A: DpApp + 'static> Driver<'a, A> {
     }
 }
 
-impl<A: DpApp + 'static> Mesh<A> for Driver<'_, A> {
-    /// A worker place's mid-epoch loop: fold subtree progress up the
-    /// tree to place 0 and obey (and relay) its control messages.
+impl<A: DpApp + 'static> Mesh<A> for Driver<A> {
+    /// A worker place's mid-epoch loop: report this slot's progress to
+    /// place 0 and obey its control frames.
     fn follow(
         &mut self,
         shared: &Arc<Shared<A>>,
@@ -530,18 +423,13 @@ impl<A: DpApp + 'static> Mesh<A> for Driver<'_, A> {
         epoch: u32,
         busy_before: u64,
     ) -> Result<Flow<A::Value>, EngineError> {
-        let alive = shared.place.dist.places();
-        let my_slot = alive.iter().position(|p| *p == self.me);
+        let places = shared.place.dist.places();
+        let my_slot = places.iter().position(|p| *p == self.me);
         let my_slot = my_slot.expect("a place follows only epochs it is a participant of");
-        let sched = self.schedule(alive);
+        // Never a real count: the first pass of the epoch reports.
         let mut last_reported = u64::MAX;
-        let mut last_progress = Instant::now();
-        // Finished counts our subtree reported, folded into every
-        // Reduce hop we send up (max-merged: duplicates are harmless).
-        let mut child_counts: HashMap<u16, u64> = HashMap::new();
-        // Set once a concluding Stop/Abort has been handled; dedups the
-        // tree hop against the coordinator's direct re-send insurance
-        // (and stops us re-relaying duplicates).
+        // Set once a verdict has been obeyed: a duplicated frame must
+        // not snapshot twice.
         let mut concluded = false;
         // Set once we have snapshotted and are owed a Resume/Done; if
         // the coordinator wrote *us* off it cannot even address us, so
@@ -577,17 +465,8 @@ impl<A: DpApp + 'static> Mesh<A> for Driver<'_, A> {
                 shared.fault.store(true, Ordering::Release);
                 return Ok(Flow::Exit);
             }
-            if let Some((_, hop @ RunFrame::Verdict { hop: true, .. })) = &received {
-                // A tree hop: relay to our schedule children first
-                // (adopting dead subtrees), then obey it like a direct
-                // verdict. A duplicate hop after we concluded is not
-                // re-relayed — the first relay covered the subtree.
-                if !concluded {
-                    self.fan_out(alive, my_slot, |c| self.send_ctl(alive[c], hop));
-                }
-            }
             match received {
-                Some((_, RunFrame::Verdict { epoch: e, dead, .. })) if e == epoch && !concluded => {
+                Some((_, RunFrame::Verdict { epoch: e, dead })) if e == epoch && !concluded => {
                     concluded = true;
                     let kind = if let Some(dead) = dead {
                         for d in dead {
@@ -606,24 +485,18 @@ impl<A: DpApp + 'static> Mesh<A> for Driver<'_, A> {
                     self.send_snapshot(shared, epoch, my_slot, busy_before)?;
                     awaiting_release = Some(Instant::now());
                 }
-                Some((_, RunFrame::Resume(st))) if st.epoch == epoch + 1 => {
-                    self.stamp(EventKind::CtlResume, epoch + 1);
-                    // Relay the scatter onwards: each of our schedule
-                    // children in the *new* epoch's tree receives its
-                    // subtree's share of the bundle. (Stragglers this
-                    // relay duplicates are dropped by the receivers'
-                    // own epoch guards; stranded places the relay never
-                    // reaches get direct insurance re-sends from the
-                    // coordinator.)
-                    if let Some(r) = st.alive.iter().position(|p| *p == self.me.0) {
-                        self.scatter_resume(&st, r);
-                    }
-                    let alive = st.alive.into_iter().map(PlaceId).collect();
-                    return Ok(Flow::Resume(alive, (st.cells, st.meta)));
-                }
-                Some((_, RunFrame::Reduce { epoch: e, counts })) if e == epoch => {
-                    // A child's subtree counts; folded into our next hop.
-                    fold_counts(&mut child_counts, &counts);
+                Some((
+                    _,
+                    RunFrame::Resume {
+                        epoch: e,
+                        alive,
+                        cells,
+                        meta,
+                    },
+                )) if e == epoch + 1 => {
+                    self.stamp(EventKind::CtlResume, e);
+                    let alive = alive.into_iter().map(PlaceId).collect();
+                    return Ok(Flow::Resume(alive, (cells, meta)));
                 }
                 Some((_, RunFrame::Release)) => {
                     self.stamp(EventKind::CtlDone, epoch);
@@ -635,61 +508,29 @@ impl<A: DpApp + 'static> Mesh<A> for Driver<'_, A> {
             let finished = shared.place.shards[my_slot]
                 .finished_local
                 .load(Ordering::Relaxed);
-            if finished != last_reported || last_progress.elapsed() > PROGRESS_INTERVAL {
+            if finished != last_reported {
                 last_reported = finished;
-                last_progress = Instant::now();
-                // One Reduce hop up the tree: our own count folded with
-                // everything our subtree reported, addressed to the
-                // nearest live ancestor (the root directly if the whole
-                // chain died). The interval re-send also forwards child
-                // updates that arrived while our own count sat still.
                 // Failure to report is not fatal by itself; the liveness
                 // check at the top of the loop is the judge of that.
-                let mut counts: Vec<(u16, u64)> = vec![(self.me.0, finished)];
-                counts.extend(child_counts.iter().map(|(&p, &n)| (p, n)));
-                let parent = sched
-                    .live_parent(my_slot, |r| !self.node.liveness().is_alive(alive[r]))
-                    .unwrap_or(sched.root());
-                let _ = self.send_ctl(alive[parent], &RunFrame::Reduce { epoch, counts });
+                let _ = self.send_ctl(PlaceId::ZERO, &RunFrame::Progress { epoch, finished });
             }
         }
     }
 
-    /// One tick of place 0's mid-epoch loop: fold a tree-reduced
-    /// progress report into the finished table, and re-send `Resume`
-    /// bundles to survivors a dead relay may have stranded.
+    /// One tick of place 0's mid-epoch loop: fold a follower's progress
+    /// report into the finished table.
     fn progress(&mut self, epoch: u32, alive: &[PlaceId], table: &mut [u64]) {
-        // Taken out so the re-sends below may borrow `self`.
-        let mut resume = self.resume.take().filter(|(st, ..)| st.epoch == epoch);
-        if let Some((src, RunFrame::Reduce { epoch: e, counts })) = self.recv_ctl(TICK) {
-            let counts = counts.into_iter().map(|(pid, n)| (PlaceId(pid), n));
-            for (p, n) in std::iter::once((src, 0)).chain(counts) {
-                let Some(s) = alive.iter().position(|a| *a == p).filter(|_| e == epoch) else {
-                    continue;
-                };
-                table[s] = table[s].max(n);
-                if let Some((_, heard, _)) = &mut resume {
-                    heard.insert(p);
-                }
+        if let Some((src, RunFrame::Progress { epoch: e, finished })) = self.recv_ctl(TICK) {
+            if let Some(s) = alive.iter().position(|p| *p == src).filter(|_| e == epoch) {
+                table[s] = table[s].max(finished);
             }
         }
-        if let Some((st, heard, next_nudge)) = &mut resume {
-            if Instant::now() >= *next_nudge {
-                *next_nudge = Instant::now() + RESUME_RESEND;
-                for (s, p) in alive.iter().enumerate() {
-                    if !heard.contains(p) && self.node.liveness().is_alive(*p) {
-                        let _ = self.send_ctl(*p, &self.resume_frame_for(st, alive, s));
-                    }
-                }
-            }
-        }
-        self.resume = resume;
     }
 
-    /// Place 0: tree-broadcasts the verdict (one hop per schedule
-    /// child; the receivers relay onwards), then waits for every
-    /// live peer's snapshot, folding in its cells and (cumulative)
-    /// counters; peers that never answer are marked dead and returned.
+    /// Place 0: sends every other participant the verdict, then waits
+    /// for every live peer's snapshot, folding in its cells and
+    /// (cumulative) counters; peers that never answer are marked dead
+    /// and returned.
     fn conclude(
         &mut self,
         epoch: u32,
@@ -699,25 +540,23 @@ impl<A: DpApp + 'static> Mesh<A> for Driver<'_, A> {
         computed_total: &mut u64,
         busy: &mut [u64],
     ) -> Vec<PlaceId> {
-        let dead = aborted.map(|dead| dead.iter().map(|p| p.0).collect::<Vec<_>>());
-        let verdict = |hop| RunFrame::Verdict {
-            epoch,
-            dead: dead.clone(),
-            hop,
-        };
-        let root = self.schedule(alive).root();
-        let (hop, conclude) = (verdict(true), verdict(false));
-        self.fan_out(alive, root, |c| self.send_ctl(alive[c], &hop));
-        let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
         // Start from every peer of the epoch, not just the currently
         // live ones: a place whose death was already detected (e.g. a
         // kill landing right at the end of the epoch, before its
         // snapshot) must still be reported as lost so its values get
         // recovered rather than silently dropped.
         let mut pending: Vec<PlaceId> = alive.iter().copied().filter(|p| *p != self.me).collect();
+        let verdict = RunFrame::Verdict {
+            epoch,
+            dead: aborted.map(|dead| dead.iter().map(|p| p.0).collect()),
+        };
+        for p in &pending {
+            // An unreachable peer is caught by liveness below.
+            let _ = self.send_ctl(*p, &verdict);
+        }
+        let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
         let mut lost = Vec::new();
         let deadline = Instant::now() + SNAPSHOT_DEADLINE;
-        let mut next_nudge = Instant::now() + CONCLUDE_RESEND;
         loop {
             pending.retain(|p| {
                 if self.node.liveness().is_alive(*p) {
@@ -736,17 +575,6 @@ impl<A: DpApp + 'static> Mesh<A> for Driver<'_, A> {
                     lost.push(p);
                 }
                 break;
-            }
-            if Instant::now() >= next_nudge {
-                next_nudge = Instant::now() + CONCLUDE_RESEND;
-                // Broadcast insurance: a relay that died after taking
-                // its hop may have stranded its subtree; re-send the
-                // verdict (not as a hop, so nobody re-relays it) directly
-                // to the peers still owed a snapshot. Receivers that got
-                // the tree hop already ignore the duplicate.
-                for p in &pending {
-                    let _ = self.send_ctl(*p, &conclude);
-                }
             }
             let Some((src, frame)) = self.recv_ctl(Duration::from_millis(10)) else {
                 continue;
@@ -787,32 +615,32 @@ impl<A: DpApp + 'static> Mesh<A> for Driver<'_, A> {
         lost
     }
 
-    /// Place 0: scatters the restored state down the tree of `epoch`,
-    /// the one being resumed into — each schedule child receives its
-    /// subtree's finished values plus the packed ids of *every* finished
-    /// cell — and remembers the scatter for the re-send insurance.
+    /// Place 0: sends each other survivor of `epoch`, the one being
+    /// resumed into, its own `Resume`: the finished values it owns under
+    /// the new distribution plus the packed ids of *every* finished cell.
     fn resume(&mut self, epoch: u32, alive: &[PlaceId], restored: &DistArray<A::Value>) {
         self.stamp(EventKind::CtlResume, epoch);
-        let mut cells = Vec::new();
-        let rdist = restored.dist();
-        for s in 0..rdist.num_slots() {
-            for (i, j, v, finished) in restored.iter_slot(s) {
-                if finished {
-                    cells.push((VertexId::new(i, j).pack(), v.clone()));
-                }
-            }
+        // Recovery distributed `restored` over exactly these survivors:
+        // its slot `s` is what `alive[s]` owns in the new epoch.
+        debug_assert_eq!(restored.dist().places(), alive);
+        let finished = |s| restored.iter_slot(s).filter(|c| c.3);
+        let pack = |i, j| VertexId::new(i, j).pack();
+        let meta: Vec<u64> = (0..alive.len())
+            .flat_map(|s| finished(s).map(|(i, j, ..)| pack(i, j)))
+            .collect();
+        let ids: Vec<u16> = alive.iter().map(|p| p.0).collect();
+        for (s, p) in alive.iter().enumerate().filter(|(_, p)| **p != self.me) {
+            let cells = finished(s).map(|(i, j, v, _)| (pack(i, j), v.clone()));
+            let frame = RunFrame::Resume {
+                epoch,
+                alive: ids.clone(),
+                cells: cells.collect(),
+                meta: meta.clone(),
+            };
+            // A survivor that died after recovery is caught by the next
+            // epoch's liveness check.
+            let _ = self.send_ctl(*p, &frame);
         }
-        let st = Resume {
-            epoch,
-            alive: alive.iter().map(|p| p.0).collect(),
-            meta: cells.iter().map(|(packed, _)| *packed).collect(),
-            cells,
-        };
-        // A hop failure here means the peer died *after* recovery; the
-        // adoption inside the scatter plus the next epoch's liveness
-        // check and re-send insurance catch it.
-        self.scatter_resume(&st, self.schedule(alive).root());
-        self.resume = Some((st, HashSet::from([self.me]), Instant::now() + RESUME_RESEND));
     }
 
     fn comm(&self) -> StatsSnapshot {
@@ -820,10 +648,11 @@ impl<A: DpApp + 'static> Mesh<A> for Driver<'_, A> {
         if self.plane.member.sole {
             // One of several jobs leaves `comm` at its default: the
             // substrate's counters are mesh-level, not attributable.
+            // Peers report their own counters, so the sum saturates.
             let mut sum = self.node.stats().to_counters();
             for peer in self.peer_stats.values() {
                 for (total, counter) in sum.iter_mut().zip(peer) {
-                    *total += counter;
+                    *total = total.saturating_add(*counter);
                 }
             }
             comm = StatsSnapshot::from_counters(sum).0;
@@ -841,7 +670,7 @@ mod tests {
 
     #[test]
     fn wire_round_trips() {
-        let verdict = |epoch, dead, hop| RunFrame::Verdict { epoch, dead, hop };
+        let verdict = |epoch, dead| RunFrame::Verdict { epoch, dead };
         let frames: Vec<RunFrame<i64>> = vec![
             RunFrame::App(
                 3,
@@ -850,26 +679,24 @@ mod tests {
                     value: -7,
                 },
             ),
-            verdict(0, None, false),
-            verdict(2, Some(vec![1, 3]), false),
+            verdict(0, None),
+            verdict(2, Some(vec![1, 3])),
             RunFrame::Snapshot {
                 epoch: 1,
                 cells: vec![(VertexId::new(0, 0).pack(), 9)],
                 computed: 5,
                 stats: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13],
             },
-            RunFrame::Resume(Resume {
+            RunFrame::Resume {
                 epoch: 2,
                 alive: vec![0, 2],
                 cells: vec![(VertexId::new(1, 1).pack(), -1)],
                 meta: vec![VertexId::new(1, 1).pack(), VertexId::new(0, 3).pack()],
-            }),
+            },
             RunFrame::Release,
-            verdict(4, None, true),
-            verdict(4, Some(vec![2]), true),
-            RunFrame::Reduce {
+            RunFrame::Progress {
                 epoch: 5,
-                counts: vec![(1, 40), (3, 7)],
+                finished: 40,
             },
         ];
         // Every run frame under a solo run's id and a served job's.
@@ -892,7 +719,7 @@ mod tests {
     #[test]
     fn wire_rejects_unknown_tag() {
         assert!(Wire::<i64>::decode(&[99]).is_none());
-        // Tag 1 was the direct `Progress` report; `Reduce` replaced it.
+        // Tag 1 is retired: `Progress` is tag 10.
         let mut progress = header(1);
         1u32.encode(&mut progress);
         42u64.encode(&mut progress);
@@ -940,13 +767,19 @@ mod tests {
     }
 
     #[test]
-    fn reduce_decode_guards_hostile_count_length() {
-        // A Reduce frame whose vec length claims more entries than the
-        // buffer holds must fail cleanly, not allocate.
-        let mut buf = header(10);
-        1u32.encode(&mut buf);
-        u64::MAX.encode(&mut buf); // vec length prefix
-        assert!(Wire::<i64>::decode(&buf).is_none());
+    fn progress_decode_rejects_the_retired_reduce_layout() {
+        // Tag 10 once carried a vec of `(place, count)` entries; that
+        // layout must not decode as a `Progress` with a tail left over.
+        let mut reduce = header(10);
+        1u32.encode(&mut reduce);
+        vec![(1u16, 40u64)].encode(&mut reduce);
+        assert!(Wire::<i64>::decode(&reduce).is_none());
+        // One count, whole, and nothing else.
+        let mut progress = header(10);
+        1u32.encode(&mut progress);
+        assert!(Wire::<i64>::decode(&progress).is_none());
+        40u64.encode(&mut progress);
+        assert!(Wire::<i64>::decode(&progress).is_some());
     }
 
     /// Frames that decode fine but name a place outside the mesh, a cell
@@ -955,12 +788,12 @@ mod tests {
         let outside = VertexId::new(6, 0).pack();
         let resume = |alive, cells: Vec<(u64, u64)>| {
             let meta = cells.iter().map(|(cell, _)| *cell).collect();
-            RunFrame::Resume(Resume {
+            RunFrame::Resume {
                 epoch: 1,
                 alive,
                 cells,
                 meta,
-            })
+            }
         };
         vec![
             (
@@ -968,7 +801,6 @@ mod tests {
                 RunFrame::Verdict {
                     epoch: 0,
                     dead: Some(vec![9999]),
-                    hop: true,
                 },
             ),
             (
@@ -993,10 +825,19 @@ mod tests {
                 },
             ),
             (
-                "reduce count beyond the region",
-                RunFrame::Reduce {
+                "snapshot computed beyond the region",
+                RunFrame::Snapshot {
                     epoch: 0,
-                    counts: vec![(1, u64::MAX)],
+                    cells: Vec::new(),
+                    computed: u64::MAX,
+                    stats: [0; STAT_COUNTERS],
+                },
+            ),
+            (
+                "progress count beyond the region",
+                RunFrame::Progress {
+                    epoch: 0,
+                    finished: u64::MAX,
                 },
             ),
         ]
@@ -1049,23 +890,22 @@ mod tests {
             RunFrame::Verdict {
                 epoch: 0,
                 dead: Some(vec![1]),
-                hop: false,
             },
-            RunFrame::Resume(Resume {
+            RunFrame::Resume {
                 epoch: 1,
                 alive: vec![0, 1],
                 cells: vec![(inside, 7)],
                 meta: vec![inside],
-            }),
+            },
             RunFrame::Snapshot {
                 epoch: 0,
                 cells: vec![(inside, 7)],
-                computed: 1,
+                computed: 36,
                 stats: [0; STAT_COUNTERS],
             },
-            RunFrame::Reduce {
+            RunFrame::Progress {
                 epoch: 0,
-                counts: vec![(1, 36)],
+                finished: 36,
             },
         ];
         for frame in fine {

@@ -184,10 +184,10 @@ impl<V: VertexValue> Shard<V> {
 /// zero-indegree unfinished vertices seed the ready lists — stage 1 of
 /// the execution overview (§VI-A).
 ///
-/// `prior_meta` supports the socket engine's Resume *scatter*: a place
-/// that received only its own subtree's restored values still needs the
-/// global finished-set to compute indegrees deterministically, so the
-/// scatter frame carries every finished cell's packed id as metadata.
+/// `prior_meta` supports the socket engine's `Resume`: a place that
+/// received only its own slot's restored values still needs the global
+/// finished-set to compute indegrees deterministically, so the frame
+/// carries every finished cell's packed id as metadata.
 /// Cells in `prior_meta` that `prior`/`init` have no value for are
 /// marked finished *without* a value — legal only for cells this place
 /// never serves (pulls go to the owner, which always holds its own

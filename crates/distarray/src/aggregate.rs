@@ -16,7 +16,7 @@
 //! persists), so a cache-starved run does no extra pull round-trips for
 //! interval reads. Lanes are rebuilt from the restored array after a
 //! recovery, with per-cell pulls as the fallback for cells whose values
-//! landed on another place's subtree (see `DESIGN.md`).
+//! landed on another place (see `DESIGN.md`).
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

@@ -164,15 +164,13 @@ fn assert_job(job: &JobOutcome<u64>, solo: u64, in_blast_radius: bool, survivors
 }
 
 #[test]
-fn relay_death_on_five_places_is_repaired_under_job_wrapping() {
-    // The control tree over places 0..5 is 0 -> {1, 2, 4}, 1 -> {3}:
-    // place 1 relays every broadcast hop to place 3 and folds its
-    // progress. Killing place 1 makes the full-mesh jobs adopt place 3
-    // into the root's hops, scatter their `Resume` down a four-place
-    // tree (0 -> {2, 3}, 2 -> {4}) and fall back on the re-send
-    // insurance for anything the corpse swallowed — all under their
-    // own job ids. The job pinned to {0, 2, 4} has its own three-place
-    // tree and must not notice.
+fn place_death_on_five_places_recovers_under_job_wrapping() {
+    // Control is a star around place 0: every verdict, snapshot,
+    // progress report and `Resume` goes straight between place 0 and
+    // one peer. Killing place 1 makes the full-mesh jobs conclude with
+    // the other four places and resume the three other survivors, each
+    // with its own `Resume` — all under their own job ids. The job
+    // pinned to {0, 2, 4} never had place 1 and must not notice.
     //
     // Columns are dealt round-robin, so place 1 owns columns 1, 6, 11, …
     // of the wide jobs: column 1 (24 + 22 cells) needs only place 0, but

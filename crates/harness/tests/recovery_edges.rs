@@ -102,6 +102,39 @@ fn socket_place_dying_during_result_collection() {
 }
 
 #[test]
+fn two_socket_places_killed_at_the_same_threshold_on_five_places() {
+    // Place 0 concludes with four peers, two of them dead, and resumes
+    // the two other survivors, each with its own `Resume`: five places
+    // is a size where a binomial control tree would relay (1 -> 3).
+    let (places, h, w) = (5u16, 30u32, 30u32);
+    let mut plan = ChaosPlan::quiet(0x5_57A2);
+    for victim in [1, 3] {
+        plan.kills.push(KillSpec {
+            place: PlaceId(victim),
+            trigger: KillTrigger::Progress(0.3),
+        });
+    }
+    let config = EngineConfig::flat(places).with_chaos(plan);
+    let result = local_mesh(places, |mut cfg: SocketConfig| {
+        cfg.heartbeat = Duration::from_millis(25);
+        cfg.peer_timeout = Duration::from_millis(600);
+        SocketEngine::new(MixApp, Grid3::new(h, w), config.clone())
+            .with_soft_die()
+            .run(cfg)
+    })
+    .expect("coordinator holds the result and survivors shut down cleanly");
+    assert_matches_oracle(&result, h, w);
+    let report = result.report();
+    assert!(report.epochs >= 2, "the double kill must abort an epoch");
+    assert!(!report.recoveries.is_empty());
+    assert_eq!(
+        report.place_busy.len(),
+        3,
+        "both victims left the roster: the final epoch runs on 0, 2 and 4"
+    );
+}
+
+#[test]
 fn wall_clock_kill_fires_while_the_epoch_runs() {
     // `After(ZERO)` is due at the coordinator's first look at the epoch,
     // whatever the progress: the one path to a kill that no publishing
