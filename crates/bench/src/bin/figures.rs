@@ -560,7 +560,7 @@ fn ablation(opts: &Opts) {
         impl DpApp for Sum {
             type Value = u64;
             fn compute(&self, _id: VertexId, deps: &DepView<'_, u64>) -> u64 {
-                deps.values().iter().sum::<u64>() + 1
+                deps.values().sum::<u64>() + 1
             }
         }
         let n = 96u32;

@@ -23,38 +23,81 @@ impl<T> VertexValue for T where T: Clone + Default + Send + Sync + Codec + 'stat
 ///
 /// Dependencies appear in the order the DAG pattern returned them from
 /// `dependencies(i, j)`, so position-based access is also possible via
-/// [`DepView::values`].
+/// [`DepView::at`] and [`DepView::values`].
+///
+/// The values are either a slice the caller owns ([`DepView::new`]) or
+/// references lent straight out of the place's slab ([`DepView::lent`]):
+/// a vertex whose dependencies are all local reads them without a copy.
 pub struct DepView<'a, V> {
     ids: &'a [VertexId],
-    values: &'a [V],
+    values: Values<'a, V>,
 }
 
+/// The two storages behind a [`DepView`].
+enum Values<'a, V> {
+    Owned(&'a [V]),
+    Lent(&'a [&'a V]),
+}
+
+impl<V> Clone for Values<'_, V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<V> Copy for Values<'_, V> {}
+
 impl<'a, V> DepView<'a, V> {
-    /// Builds a view; lengths must match.
+    /// Builds a view over owned values; lengths must match.
     pub fn new(ids: &'a [VertexId], values: &'a [V]) -> Self {
         debug_assert_eq!(ids.len(), values.len());
-        DepView { ids, values }
+        DepView {
+            ids,
+            values: Values::Owned(values),
+        }
+    }
+
+    /// Builds a view over borrowed values; lengths must match.
+    pub fn lent(ids: &'a [VertexId], values: &'a [&'a V]) -> Self {
+        debug_assert_eq!(ids.len(), values.len());
+        DepView {
+            ids,
+            values: Values::Lent(values),
+        }
     }
 
     /// The result of dependency `(i, j)`, if `(i, j)` is a dependency of
     /// the current vertex (the paper's loop over `vertices` comparing
     /// `vertex.i`/`vertex.j` then calling `getResult()`).
-    pub fn get(&self, i: u32, j: u32) -> Option<&V> {
+    pub fn get(&self, i: u32, j: u32) -> Option<&'a V> {
         let want = VertexId::new(i, j);
         self.ids
             .iter()
             .position(|&id| id == want)
-            .map(|k| &self.values[k])
+            .map(|k| self.at(k))
+    }
+
+    /// The value of the `k`-th dependency, in pattern order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.len()`.
+    #[inline]
+    pub fn at(&self, k: usize) -> &'a V {
+        match self.values {
+            Values::Owned(values) => &values[k],
+            Values::Lent(values) => values[k],
+        }
     }
 
     /// Dependency ids, in pattern order.
-    pub fn ids(&self) -> &[VertexId] {
+    pub fn ids(&self) -> &'a [VertexId] {
         self.ids
     }
 
     /// Dependency values, in pattern order.
-    pub fn values(&self) -> &[V] {
-        self.values
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &'a V> + '_ {
+        (0..self.len()).map(|k| self.at(k))
     }
 
     /// Number of dependencies.
@@ -68,8 +111,8 @@ impl<'a, V> DepView<'a, V> {
     }
 
     /// Iterates `(id, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (VertexId, &V)> + '_ {
-        self.ids.iter().copied().zip(self.values.iter())
+    pub fn iter(&self) -> impl Iterator<Item = (VertexId, &'a V)> + '_ {
+        self.ids.iter().copied().zip(self.values())
     }
 }
 
@@ -327,6 +370,22 @@ mod tests {
     fn empty_depview_for_sources() {
         let view: DepView<'_, i32> = DepView::new(&[], &[]);
         assert!(view.is_empty());
-        assert_eq!(view.values(), &[] as &[i32]);
+        assert_eq!(view.values().count(), 0);
+    }
+
+    #[test]
+    fn lent_depview_reads_like_an_owned_one() {
+        let ids = [VertexId::new(0, 1), VertexId::new(1, 0)];
+        let (a, b) = (5, 7);
+        let refs = [&a, &b];
+        let values = [5, 7];
+        for view in [DepView::lent(&ids, &refs), DepView::new(&ids, &values)] {
+            assert_eq!(view.get(1, 0), Some(&7));
+            assert_eq!(view.get(1, 1), None);
+            assert_eq!(view.at(0), &5);
+            assert_eq!(view.values().copied().collect::<Vec<_>>(), vec![5, 7]);
+            let pairs: Vec<_> = view.iter().map(|(id, &v)| (id.i, id.j, v)).collect();
+            assert_eq!(pairs, vec![(0, 1, 5), (1, 0, 7)]);
+        }
     }
 }

@@ -533,13 +533,13 @@ fn execute<A: DpApp>(sink: &mut Worker<'_, A>, slot: usize, li: u32, bufs: &mut 
         let msg = Msg::Exec {
             id,
             dep_ids: bufs.deps.clone(),
-            dep_values: values,
+            dep_values: values.into_owned(),
         };
         sink.send(me, target, msg);
         return;
     }
 
-    let view = DepView::new(&bufs.deps, &values);
+    let view = values.view(&bufs.deps);
     let value = sink.compute(slot, id, || place.app.compute(id, &view));
     publish(place, sink, slot, li, id, value, bufs);
 }
@@ -590,11 +590,11 @@ fn execute_ranged<A: DpApp>(
     };
     // Fold everything gathered: the lane-gap cells need it, the point
     // cells are harmless thanks to per-cell idempotence.
-    for (k, d) in bufs.deps.iter().enumerate() {
-        agg_record(place, slot, *d, &values[k]);
+    for (d, v) in values.view(&bufs.deps).iter() {
+        agg_record(place, slot, d, v);
     }
 
-    let view = DepView::new(&bufs.deps[..n_points], &values[..n_points]);
+    let view = values.view(&bufs.deps[..n_points]);
     debug_assert!(
         ivs.iter().all(|iv| table.interval_prefix(*iv).is_some()),
         "lanes incomplete at zero indegree for {id}"

@@ -16,6 +16,14 @@
 //! | `exec` | compute now, reply `ExecResult` | queue for a worker slot |
 //! | `finished` | checkpoint, `tasks_run`, exact kills and boundaries (global count only while one is armed) | finish count, fault time |
 //!
+//! Values are copied only where a second owner needs them. A gather
+//! whose dependencies all live in the gathering shard lends references
+//! into the slab ([`Gathered::Lent`]); `publish` moves the result into
+//! the slab and reads it back by reference. What still clones: a
+//! message (`Done`, `PullVal`, `Exec`), a cache entry, a pinned or
+//! pulled fill, and the values of a gather that had to look past its
+//! own shard ([`Gathered::Owned`]).
+//!
 //! Doc-hidden like [`crate::state`]: public so `dpx10-sim` and the
 //! delivery-order test driver can drive it, not a user-facing API.
 
@@ -27,7 +35,7 @@ use dpx10_dag::{AggSpec, DagPattern, VertexId};
 use dpx10_distarray::Dist;
 use dpx10_obs::EventKind;
 
-use crate::app::DpApp;
+use crate::app::{DepView, DpApp};
 use crate::config::CommsMode;
 use crate::msg::Msg;
 use crate::schedule::{min_comm_choice, random_choice, ScheduleStrategy};
@@ -99,6 +107,35 @@ impl Default for WorkerBufs {
             deps: Vec::with_capacity(8),
             anti: Vec::with_capacity(8),
             groups: Vec::new(),
+        }
+    }
+}
+
+/// A ready vertex's dependency values, in dependency order, as
+/// [`gather`] found them.
+pub enum Gathered<'p, V> {
+    /// Every dependency lives in the gathering shard: references into
+    /// its slab, borrowed for as long as the epoch's [`Place`].
+    Lent(Vec<&'p V>),
+    /// Some dependency came from the cache, a fill or another shard:
+    /// copies.
+    Owned(Vec<V>),
+}
+
+impl<V: Clone> Gathered<'_, V> {
+    /// The first `ids.len()` values under `ids`, for `compute`.
+    pub fn view<'a>(&'a self, ids: &'a [VertexId]) -> DepView<'a, V> {
+        match self {
+            Gathered::Lent(values) => DepView::lent(ids, &values[..ids.len()]),
+            Gathered::Owned(values) => DepView::new(ids, &values[..ids.len()]),
+        }
+    }
+
+    /// The values as owned copies, for a message ([`Msg::Exec`]).
+    pub fn into_owned(self) -> Vec<V> {
+        match self {
+            Gathered::Lent(values) => values.into_iter().cloned().collect(),
+            Gathered::Owned(values) => values,
         }
     }
 }
@@ -294,13 +331,13 @@ fn decrement<A: DpApp, S: Sink<A::Value>>(
 /// dependencies into `bufs.deps`, gather their values, and choose where
 /// it runs. `None` means the vertex parked awaiting pulls. Shipping to a
 /// remote target ([`Msg::Exec`]) and `compute` itself are the driver's.
-pub fn prepare<A: DpApp, S: Sink<A::Value>>(
-    place: &Place<A>,
+pub fn prepare<'p, A: DpApp, S: Sink<A::Value>>(
+    place: &'p Place<A>,
     sink: &mut S,
     slot: usize,
     li: u32,
     bufs: &mut WorkerBufs,
-) -> Option<(PlaceId, Vec<A::Value>)> {
+) -> Option<(PlaceId, Gathered<'p, A::Value>)> {
     let (i, j) = place.shards[slot].points[li as usize];
     bufs.deps.clear();
     place.pattern.dependencies(i, j, &mut bufs.deps);
@@ -316,8 +353,9 @@ pub fn prepare<A: DpApp, S: Sink<A::Value>>(
                 .iter()
                 .map(|d| place.dist.place_of(d.i, d.j))
                 .collect();
-            let bytes: Vec<usize> = values.iter().map(Codec::wire_size).collect();
-            let result_bytes = values.first().map_or(8, |v| v.wire_size());
+            let view = values.view(&bufs.deps);
+            let bytes: Vec<usize> = view.values().map(Codec::wire_size).collect();
+            let result_bytes = view.values().next().map_or(8, Codec::wire_size);
             min_comm_choice(
                 me,
                 place.dist.places(),
@@ -335,33 +373,34 @@ pub fn prepare<A: DpApp, S: Sink<A::Value>>(
 /// Gathers dependency values: local reads, then cache, then previously
 /// pulled fills; parks the vertex and issues pulls for anything missing.
 ///
-/// A vertex whose dependencies all live in its own shard reads the slab
-/// and takes no lock: it can never have parked (parking needs a value
-/// missing from both slab and cache, and a push pins only vertices with
-/// a remote dependency), and it touches neither cache nor counters.
-pub fn gather<A: DpApp, S: Sink<A::Value>>(
-    place: &Place<A>,
+/// A vertex whose dependencies all live in its own shard borrows them
+/// from the slab and takes no lock: it can never have parked (parking
+/// needs a value missing from both slab and cache, and a push pins only
+/// vertices with a remote dependency), and it touches neither cache nor
+/// counters. Any other vertex gets copies.
+pub fn gather<'p, A: DpApp, S: Sink<A::Value>>(
+    place: &'p Place<A>,
     sink: &mut S,
     slot: usize,
     li: u32,
     deps: &[VertexId],
-) -> Option<Vec<A::Value>> {
+) -> Option<Gathered<'p, A::Value>> {
     let shard = &place.shards[slot];
     let mut local = Vec::with_capacity(deps.len());
     for d in deps {
         if place.dist.slot_of(d.i, d.j) != slot {
             break;
         }
-        local.push(shard.value(local_index(&place.dist, *d)).clone());
+        local.push(shard.value(local_index(&place.dist, *d)));
     }
     if local.len() == deps.len() {
-        return Some(local);
+        return Some(Gathered::Lent(local));
     }
     let me = place.dist.places()[slot];
 
     // The local prefix is already read; the rest may need the cache.
     let mut vals: Vec<Option<A::Value>> = Vec::with_capacity(deps.len());
-    vals.extend(local.into_iter().map(Some));
+    vals.extend(local.into_iter().map(|v| Some(v.clone())));
     {
         let cache = shard.cache.lock();
         for d in &deps[vals.len()..] {
@@ -380,7 +419,9 @@ pub fn gather<A: DpApp, S: Sink<A::Value>>(
 
     if vals.iter().all(Option::is_some) {
         shard.pending.lock().parked.remove(&li);
-        return Some(vals.into_iter().map(Option::unwrap).collect());
+        return Some(Gathered::Owned(
+            vals.into_iter().map(Option::unwrap).collect(),
+        ));
     }
 
     // Try previously pulled (or eagerly pushed) fills, then park for the
@@ -406,7 +447,9 @@ pub fn gather<A: DpApp, S: Sink<A::Value>>(
     }
     if vals.iter().all(Option::is_some) {
         pending.parked.remove(&li);
-        return Some(vals.into_iter().map(Option::unwrap).collect());
+        return Some(Gathered::Owned(
+            vals.into_iter().map(Option::unwrap).collect(),
+        ));
     }
 
     let mut newly_missing: Vec<VertexId> = Vec::new();
@@ -445,7 +488,9 @@ pub fn gather<A: DpApp, S: Sink<A::Value>>(
 }
 
 /// Publishes a computed value: store, flag, tell the driver, then
-/// decrement anti-dependencies (locally or by message).
+/// decrement anti-dependencies (locally or by message). The value moves
+/// into the slab; everything after reads it there, and only a `Done`
+/// to another place copies it.
 pub fn publish<A: DpApp, S: Sink<A::Value>>(
     place: &Place<A>,
     sink: &mut S,
@@ -456,14 +501,17 @@ pub fn publish<A: DpApp, S: Sink<A::Value>>(
     bufs: &mut WorkerBufs,
 ) {
     let shard = &place.shards[slot];
-    shard.values[li as usize].set(value.clone()).ok();
+    // A second publication of a deterministic vertex carries the same
+    // value; the first one stays.
+    shard.values[li as usize].set(value).ok();
     if shard.finished[li as usize].swap(true, Ordering::AcqRel) {
         return; // double publication guard
     }
+    let value = shard.value(li);
     // Fold the local cell before any dependent can become ready.
-    agg_record(place, slot, id, &value);
+    agg_record(place, slot, id, value);
     shard.finished_local.fetch_add(1, Ordering::Relaxed);
-    sink.finished(slot, id, &value);
+    sink.finished(slot, id, value);
 
     bufs.anti.clear();
     place.pattern.anti_dependencies(id.i, id.j, &mut bufs.anti);

@@ -18,9 +18,9 @@
 //! [`SocketEngine::run`] is a session of one run, a serve
 //! ([`crate::jobs`]) one of a `Driver` per job. A run's inputs are all
 //! data: the participants that seed the epoch roster (the mesh's
-//! members vs the job's placement), its index in the session (stamped
-//! on every frame; a solo run is job 0), and the trace track its workers
-//! count up from (0 vs a per-job base).
+//! members and crashed places vs the job's placement), its index in the
+//! session (stamped on every frame; a solo run is job 0), and the trace
+//! track its workers count up from (0 vs a per-job base).
 //!
 //! # The control protocol
 //!
@@ -60,7 +60,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dpx10_apgas::stats::STAT_COUNTERS;
-use dpx10_apgas::{DeadPlaceError, PlaceId, SocketConfig, SocketNode, StatsSnapshot};
+use dpx10_apgas::{DeadPlaceError, MemberState, PlaceId, SocketConfig, SocketNode, StatsSnapshot};
 use dpx10_dag::{DagPattern, VertexId};
 use dpx10_distarray::{DistArray, Region2D};
 use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
@@ -243,11 +243,17 @@ impl<A: DpApp + 'static> SocketEngine<A> {
                 "topology has {topology_places} places but the mesh has {places}"
             )));
         }
-        // The mesh's *live membership*, not `0..places`: on an elastic
-        // mesh the slot space has holes where places drained out, and
-        // pinning them back in would make the snapshot collector wait on
-        // peers that will never answer.
-        let participants = session.member.node.roster().members();
+        // The mesh's membership, not `0..places`: on an elastic mesh the
+        // slot space has holes where places drained out, and pinning them
+        // back in would make the snapshot collector wait on peers that
+        // will never answer. A *crashed* place stays in: every place must
+        // seed epoch 0 with the same roster however late it starts, and
+        // the epoch loop recovers the dead one like any other.
+        let roster = session.member.node.roster();
+        let participants: Vec<PlaceId> = (0..roster.capacity())
+            .map(PlaceId)
+            .filter(|&p| roster.is_member(p) || roster.state(p) == MemberState::Dead)
+            .collect();
         let mut run = Run::new(
             &self.app,
             &self.pattern,

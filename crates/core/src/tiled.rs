@@ -19,6 +19,13 @@
 //! mixed directions) the tile runs Kahn's algorithm over a dense
 //! indegree vector.
 //!
+//! Within a place a tile is never copied: the computed tile moves into
+//! the slab, its neighbours read it there by reference (the kernel
+//! reaches them through [`DepView::at`]), and [`TiledRun::get`] copies
+//! out only the cell it returns. A tile copies only when it crosses
+//! places. Inside a tile, the kernel copies each dependency cell into
+//! the `DepView` it hands the inner app.
+//!
 //! ```
 //! use dpx10_core::tiled::run_tiled_threaded;
 //! use dpx10_core::{DepView, DpApp, EngineConfig};
@@ -28,7 +35,7 @@
 //! impl DpApp for Sum {
 //!     type Value = u64;
 //!     fn compute(&self, _id: VertexId, deps: &DepView<'_, u64>) -> u64 {
-//!         deps.values().iter().sum::<u64>() + 1
+//!         deps.values().sum::<u64>() + 1
 //!     }
 //! }
 //!
@@ -178,7 +185,7 @@ impl<A: DpApp, P: DagPattern> TileKernel<'_, A, P> {
                             .position(|&t| t == home)
                             .unwrap_or_else(|| panic!("tile {home} missing for cell dep {d}"));
                     }
-                    self.homes.values()[self.home].cells[idx].clone()
+                    self.homes.at(self.home).cells[idx].clone()
                 }
             };
             self.vals.push(value);
@@ -302,7 +309,8 @@ impl<V: VertexValue, P: DagPattern> TiledRun<V, P> {
             return None;
         }
         let (t, idx) = self.geometry.cell_index(i, j);
-        Some(self.result.try_get(t.i, t.j)?.cells[idx].clone())
+        let tile = self.result.array().get_finished(t.i, t.j)?;
+        Some(tile.cells[idx].clone())
     }
 
     /// The tile-level result and run report.

@@ -207,7 +207,7 @@ fn init_override_prefinished_cells_are_respected() {
         type Value = u64;
         fn compute(&self, id: VertexId, deps: &DepView<'_, u64>) -> u64 {
             assert!(id.i > 0 && id.j > 0, "border cells must never compute");
-            deps.values().iter().sum::<u64>() + 1
+            deps.values().sum::<u64>() + 1
         }
     }
     let init: dpx10_core::InitOverride<u64> = Arc::new(|i, j| (i == 0 || j == 0).then_some(0));
@@ -248,7 +248,7 @@ fn app_finished_hook_runs_once_with_full_results() {
     impl DpApp for HookApp {
         type Value = u64;
         fn compute(&self, _id: VertexId, deps: &DepView<'_, u64>) -> u64 {
-            deps.values().iter().sum::<u64>() + 1
+            deps.values().sum::<u64>() + 1
         }
         fn app_finished(&self, result: &DagResult<u64>) {
             self.calls.fetch_add(1, Ordering::SeqCst);

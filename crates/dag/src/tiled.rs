@@ -14,7 +14,9 @@
 //! anti-dependency lists (flat CSR, anti lists by transposition), which
 //! tiles exist, and which fixed in-tile sweep ([`TileSweep`]) every
 //! in-tile edge respects. Every tile-level query afterwards is a
-//! lookup. The table holds one id per tile-level edge: O(tiles) for the
+//! lookup. The scan splits the tile rows into one contiguous band per
+//! core, scans the bands on scoped threads and stitches them in order,
+//! so the table is the same for any band count. The table holds one id per tile-level edge: O(tiles) for the
 //! wavefront family, but O(T³) for a `T × T` tiling of a 2D/1D pattern
 //! such as `FullPrevRowCol`, whose tiles each depend on a whole tile
 //! row and column.
@@ -72,7 +74,7 @@ impl TileSweep {
 
 /// Per-tile id lists in one flat buffer: row `k` is
 /// `ids[offsets[k]..offsets[k + 1]]`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 struct Csr {
     offsets: Vec<usize>,
     ids: Vec<VertexId>,
@@ -85,7 +87,7 @@ impl Csr {
 }
 
 /// What the construction scan learnt, indexed by row-major tile number.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 struct TileTable {
     /// Whether the tile covers at least one cell of the pattern.
     exists: Vec<bool>,
@@ -98,6 +100,17 @@ struct TileTable {
     antis: Csr,
     /// The in-tile sweep every in-tile edge respects, if one does.
     sweep: Option<TileSweep>,
+}
+
+/// What one band of tile rows contributes to the [`TileTable`]: its
+/// tiles' `exists` flags and dependency lists (offsets from the band's
+/// first tile), and whether every in-tile edge it saw respects each
+/// sweep.
+struct Band {
+    exists: Vec<bool>,
+    deps: Csr,
+    rows_up: bool,
+    rows_down: bool,
 }
 
 /// A tile-level view of an underlying pattern: tile `(I, J)` covers the
@@ -137,13 +150,20 @@ impl<P: DagPattern> TiledDag<P> {
     }
 
     /// Wraps `inner` with `tile × tile` blocking, or reports that the
-    /// blocking would be cyclic.
+    /// blocking would be cyclic. The scan runs on every core the host
+    /// offers.
     ///
     /// # Panics
     ///
     /// Panics if `tile` is zero or a dependency of `inner` lies outside
     /// its `height × width` rectangle (a containment violation).
     pub fn try_new(inner: P, tile: u32) -> Result<Self, TilingCycle> {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        TiledDag::scanned(inner, tile, cores)
+    }
+
+    /// [`TiledDag::try_new`] with the scan split into `bands` bands.
+    fn scanned(inner: P, tile: u32, bands: usize) -> Result<Self, TilingCycle> {
         assert!(tile > 0, "tile size must be positive");
         let mut tiled = TiledDag {
             tiles_high: inner.height().div_ceil(tile),
@@ -152,7 +172,7 @@ impl<P: DagPattern> TiledDag<P> {
             tile,
             table: TileTable::default(),
         };
-        tiled.table = tiled.scan();
+        tiled.table = tiled.scan(bands);
         if tiled.has_tile_cycle() {
             return Err(TilingCycle { tile });
         }
@@ -229,20 +249,103 @@ impl<P: DagPattern> TiledDag<P> {
         t.i as usize * self.tiles_wide as usize + t.j as usize
     }
 
-    /// The one pass over the inner pattern's `dependencies`.
-    fn scan(&self) -> TileTable {
+    /// The one pass over the inner pattern's `dependencies`, split into
+    /// `bands` contiguous bands of tile rows that are scanned side by
+    /// side and stitched in order, so the table does not depend on
+    /// `bands`. The transposition and the cycle check stay serial.
+    fn scan(&self, bands: usize) -> TileTable {
         let tiles = self.tiles_high as usize * self.tiles_wide as usize;
+        let high = self.tiles_high as usize;
+        let bands = bands.clamp(1, high.max(1));
+        let rows = |b: usize| (b * high / bands) as u32..((b + 1) * high / bands) as u32;
+        let parts: Vec<Band> = if bands == 1 {
+            vec![self.scan_band(rows(0))]
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..bands)
+                    .map(|b| {
+                        let rows = rows(b);
+                        s.spawn(move || self.scan_band(rows))
+                    })
+                    .collect();
+                // A band that panicked re-raises its own payload, so a
+                // containment violation keeps its message.
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
+            })
+        };
+        let mut parts = parts.into_iter();
+        let mut whole = parts.next().expect("at least one band");
+        for band in parts {
+            let base = whole.deps.ids.len();
+            whole.exists.extend(band.exists);
+            let offsets = band.deps.offsets[1..].iter().map(|o| o + base);
+            whole.deps.offsets.extend(offsets);
+            whole.deps.ids.extend(band.deps.ids);
+            whole.rows_up &= band.rows_up;
+            whole.rows_down &= band.rows_down;
+        }
+        let Band {
+            exists,
+            deps,
+            rows_up,
+            rows_down,
+        } = whole;
+
+        // Anti lists by transposition. Consumers are visited in
+        // ascending order, so every anti list comes out ascending too.
+        let mut offsets = vec![0usize; tiles + 1];
+        for &d in &deps.ids {
+            offsets[self.listed(d) + 1] += 1;
+        }
+        for k in 0..tiles {
+            offsets[k + 1] += offsets[k];
+        }
+        let mut next = offsets.clone();
+        let mut ids = vec![VertexId::new(0, 0); deps.ids.len()];
+        for ti in 0..self.tiles_high {
+            for tj in 0..self.tiles_wide {
+                let consumer = VertexId::new(ti, tj);
+                for &d in deps.row(self.listed(consumer)) {
+                    let slot = &mut next[self.listed(d)];
+                    ids[*slot] = consumer;
+                    *slot += 1;
+                }
+            }
+        }
+
+        TileTable {
+            count: exists.iter().filter(|&&e| e).count() as u64,
+            exists,
+            deps,
+            antis: Csr { offsets, ids },
+            sweep: if rows_up {
+                Some(TileSweep::RowsUpColsUp)
+            } else if rows_down {
+                Some(TileSweep::RowsDownColsUp)
+            } else {
+                None
+            },
+        }
+    }
+
+    /// Scans the tiles of tile rows `rows`, numbering them from zero.
+    fn scan_band(&self, rows: Range<u32>) -> Band {
+        let tiles = rows.len() * self.tiles_wide as usize;
         let mut exists = Vec::with_capacity(tiles);
         let mut deps = Csr {
             offsets: Vec::with_capacity(tiles + 1),
             ids: Vec::new(),
         };
         deps.offsets.push(0);
-        // `seen[t] == k` once tile `t` is on tile `k`'s list.
-        let mut seen = vec![usize::MAX; tiles];
+        // `seen[t] == k` once tile `t` (row-major over the whole grid)
+        // is on tile `k`'s list.
+        let mut seen = vec![usize::MAX; self.tiles_high as usize * self.tiles_wide as usize];
         let (mut rows_up, mut rows_down) = (true, true);
         let mut buf = Vec::new();
-        for ti in 0..self.tiles_high {
+        for ti in rows {
             for tj in 0..self.tiles_wide {
                 let k = exists.len();
                 let (ri, rj) = self.cell_bounds(ti, tj);
@@ -287,41 +390,11 @@ impl<P: DagPattern> TiledDag<P> {
                 deps.offsets.push(deps.ids.len());
             }
         }
-
-        // Anti lists by transposition. Consumers are visited in
-        // ascending order, so every anti list comes out ascending too.
-        let mut offsets = vec![0usize; tiles + 1];
-        for &d in &deps.ids {
-            offsets[self.listed(d) + 1] += 1;
-        }
-        for k in 0..tiles {
-            offsets[k + 1] += offsets[k];
-        }
-        let mut next = offsets.clone();
-        let mut ids = vec![VertexId::new(0, 0); deps.ids.len()];
-        for ti in 0..self.tiles_high {
-            for tj in 0..self.tiles_wide {
-                let consumer = VertexId::new(ti, tj);
-                for &d in deps.row(self.listed(consumer)) {
-                    let slot = &mut next[self.listed(d)];
-                    ids[*slot] = consumer;
-                    *slot += 1;
-                }
-            }
-        }
-
-        TileTable {
-            count: exists.iter().filter(|&&e| e).count() as u64,
+        Band {
             exists,
             deps,
-            antis: Csr { offsets, ids },
-            sweep: if rows_up {
-                Some(TileSweep::RowsUpColsUp)
-            } else if rows_down {
-                Some(TileSweep::RowsDownColsUp)
-            } else {
-                None
-            },
+            rows_up,
+            rows_down,
         }
     }
 
@@ -446,32 +519,58 @@ mod tests {
         assert_eq!(p.vertex_count(), count, "{what}: vertex_count");
         assert!(!p.contains(p.height(), 0) && !p.contains(0, p.width()));
         validate_pattern(p).unwrap_or_else(|e| panic!("{what}: {e}"));
+
+        // However many bands scan it, the table is the one-band table.
+        let one = p.scan(1);
+        assert_eq!(p.table, one, "{what}: the host's bands");
+        for bands in band_counts(p) {
+            let banded = p.scan(bands);
+            let what = format!("{what}, {bands} bands");
+            assert_eq!(banded.exists, one.exists, "{what}: exists");
+            assert_eq!(banded.deps, one.deps, "{what}: deps");
+            assert_eq!(banded.antis, one.antis, "{what}: antis");
+            assert_eq!(banded.sweep, one.sweep, "{what}: sweep");
+            assert_eq!(banded.count, one.count, "{what}: vertex_count");
+        }
+    }
+
+    /// The band counts every table is checked at: one band, a few, and
+    /// more bands than tile rows.
+    fn band_counts<P>(p: &TiledDag<P>) -> [usize; 5] {
+        [1, 2, 3, 7, p.tiles_high as usize + 1]
     }
 
     /// Even rows depend on their left neighbour, odd rows on their
     /// right, every row on the one above: no fixed lexicographic sweep
     /// fits a tile that holds two rows.
     fn zigzag(height: u32, width: u32) -> CustomDag {
+        zigzag_from(height, width, 0)
+    }
+
+    /// [`zigzag`] from row `first` on; the rows above it all depend on
+    /// their left neighbour.
+    fn zigzag_from(height: u32, width: u32, first: u32) -> CustomDag {
+        let right = move |i: u32| i >= first && i % 2 == 1;
         CustomDag::new(height, width)
             .with_dependencies(move |i, j, out| {
                 if i > 0 {
                     out.push(VertexId::new(i - 1, j));
                 }
-                if i % 2 == 0 && j > 0 {
+                if !right(i) && j > 0 {
                     out.push(VertexId::new(i, j - 1));
                 }
-                if i % 2 == 1 && j + 1 < width {
+                if right(i) && j + 1 < width {
                     out.push(VertexId::new(i, j + 1));
                 }
             })
-            .with_anti_dependencies(|i, j, out, (h, w)| {
+            .with_anti_dependencies(move |i, j, out, (h, w)| {
                 if i + 1 < h {
                     out.push(VertexId::new(i + 1, j));
                 }
-                if i % 2 == 0 && j + 1 < w {
+                if !right(i) && j + 1 < w {
                     out.push(VertexId::new(i, j + 1));
                 }
-                if i % 2 == 1 && j > 0 {
+                if right(i) && j > 0 {
                     out.push(VertexId::new(i, j - 1));
                 }
             })
@@ -483,13 +582,42 @@ mod tests {
             for tile in [1u32, 2, 3, 5, 11, 64] {
                 match TiledDag::try_new(kind.instantiate(11, 9), tile) {
                     Ok(p) => assert_table_matches_scan(&p, &format!("{kind:?} tile {tile}")),
-                    Err(_) => assert!(
-                        kind == BuiltinKind::Pyramid && (2..11).contains(&tile),
-                        "only the pyramid stencil refuses tiling, not {kind:?} at {tile}"
-                    ),
+                    Err(_) => {
+                        assert!(
+                            kind == BuiltinKind::Pyramid && (2..11).contains(&tile),
+                            "only the pyramid stencil refuses tiling, not {kind:?} at {tile}"
+                        );
+                        for bands in [1, 2, 3, 7, 11usize.div_ceil(tile as usize) + 1] {
+                            let banded = TiledDag::scanned(kind.instantiate(11, 9), tile, bands);
+                            assert!(banded.is_err(), "{kind:?} tile {tile}, {bands} bands");
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_mixed_edge_one_band_sees_rules_out_every_sweep() {
+        // Only the last of three tile rows holds a right-pointing row.
+        for bands in [1, 2, 3, 4] {
+            let p = TiledDag::scanned(zigzag_from(12, 4, 8), 4, bands).unwrap();
+            assert_eq!(p.sweep(), None, "{bands} bands");
+        }
+        assert_table_matches_scan(&TiledDag::new(zigzag_from(12, 4, 8), 4), "late zigzag");
+    }
+
+    #[test]
+    #[should_panic(expected = "lies outside the pattern")]
+    fn a_banded_scan_keeps_the_containment_panic() {
+        // Cell (4, 0), in the middle one of three bands, reads a row far
+        // below the rectangle.
+        let leaky = CustomDag::new(9, 4).with_dependencies(|i, j, out| {
+            if (i, j) == (4, 0) {
+                out.push(VertexId::new(40, 0));
+            }
+        });
+        let _ = TiledDag::scanned(leaky, 3, 3);
     }
 
     #[test]

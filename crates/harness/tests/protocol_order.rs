@@ -129,12 +129,12 @@ impl Pool<'_> {
                 Msg::Exec {
                     id,
                     dep_ids,
-                    dep_values: values,
+                    dep_values: values.into_owned(),
                 },
             );
             return;
         }
-        let value = MixApp.compute(id, &DepView::new(&bufs.deps, &values));
+        let value = MixApp.compute(id, &values.view(&bufs.deps));
         publish(place, self, slot, li, id, value, bufs);
     }
 }

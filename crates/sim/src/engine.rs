@@ -383,14 +383,14 @@ impl<A: DpApp + 'static> SimEngine<A> {
                 let msg = Msg::Exec {
                     id,
                     dep_ids: std::mem::take(&mut bufs.deps),
-                    dep_values: values,
+                    dep_values: values.into_owned(),
                 };
                 // Shipping costs the owner its scheduling overhead only.
                 let at = t + cost.framework_overhead.as_nanos() as SimTime;
                 ep.send_at(at, me, target, msg);
                 continue;
             }
-            let value = self.app.compute(id, &DepView::new(&bufs.deps, &values));
+            let value = self.app.compute(id, &values.view(&bufs.deps));
             let tid = ep.occupy(slot, id, done_at);
             ep.trace_event(t, me, Some(id), TraceKind::Dispatch);
             let ev = Ev::Done {

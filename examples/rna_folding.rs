@@ -55,7 +55,7 @@ fn main() {
     impl DpApp for Sum {
         type Value = u64;
         fn compute(&self, _id: VertexId, deps: &DepView<'_, u64>) -> u64 {
-            deps.values().iter().sum::<u64>() + 1
+            deps.values().sum::<u64>() + 1
         }
     }
     let n = 96u32;

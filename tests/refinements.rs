@@ -19,7 +19,7 @@ fn distribution_controls_communication() {
     impl DpApp for Chain {
         type Value = u64;
         fn compute(&self, id: VertexId, deps: &dpx10::core::DepView<'_, u64>) -> u64 {
-            deps.values().first().copied().unwrap_or(id.j as u64) + 1
+            deps.values().next().copied().unwrap_or(id.j as u64) + 1
         }
     }
     let run = |kind: DistKind| {
@@ -115,7 +115,7 @@ fn init_override_skips_prefinished_work() {
     impl DpApp for Sum {
         type Value = u64;
         fn compute(&self, _id: VertexId, deps: &dpx10::core::DepView<'_, u64>) -> u64 {
-            deps.values().iter().sum::<u64>() + 1
+            deps.values().sum::<u64>() + 1
         }
     }
     // Pre-finish the top half of a column-wave: only the bottom half
