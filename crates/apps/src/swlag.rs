@@ -169,9 +169,12 @@ impl DpApp for SwlagApp {
             };
         }
         let sc = &self.scoring;
-        let left = deps.get(i, j - 1).expect("left dep");
-        let up = deps.get(i - 1, j).expect("up dep");
-        let diag = deps.get(i - 1, j - 1).expect("diag dep");
+        // `Grid3` order: up, left, diagonal.
+        debug_assert_eq!(
+            deps.ids(),
+            [(i - 1, j), (i, j - 1), (i - 1, j - 1)].map(VertexId::from)
+        );
+        let (up, left, diag) = (deps.at(0), deps.at(1), deps.at(2));
         let e = (left.h + sc.gap_open).max(left.e + sc.gap_extend);
         let f = (up.h + sc.gap_open).max(up.f + sc.gap_extend);
         let s = sc.similarity(self.a[(i - 1) as usize], self.b[(j - 1) as usize]);

@@ -14,17 +14,24 @@
 //! [`TiledDag`]'s construction scan observed of the pattern. When every
 //! in-tile edge respects one fixed lexicographic order
 //! ([`TiledDag::sweep`] — all library patterns), the tile is two nested
-//! loops over its dense row-major buffer with one `dependencies` call
-//! per cell. Otherwise (a custom pattern whose in-tile edges point in
-//! mixed directions) the tile runs Kahn's algorithm over a dense
-//! indegree vector.
+//! loops over its dense row-major buffer. Otherwise (a custom pattern
+//! whose in-tile edges point in mixed directions) the tile runs Kahn's
+//! algorithm over a dense indegree vector.
+//!
+//! The sweep has two sources of dependencies. A cell of a pattern that
+//! declares a [`DagPattern::stencil`], inside [`TiledDag::interior`] and
+//! with every offset contained, takes its ids from the offsets and its
+//! values as references into the tile buffer ([`DepView::lent`] over
+//! stack arrays): no `dependencies` call, no copy. Every other cell (the
+//! tile border, a masked neighbour, a pattern without a stencil) asks
+//! `dependencies` and copies each dependency cell, from the tile buffer
+//! or its home tile, into the `DepView` it hands the inner app.
 //!
 //! Within a place a tile is never copied: the computed tile moves into
 //! the slab, its neighbours read it there by reference (the kernel
 //! reaches them through [`DepView::at`]), and [`TiledRun::get`] copies
 //! out only the cell it returns. A tile copies only when it crosses
-//! places. Inside a tile, the kernel copies each dependency cell into
-//! the `DepView` it hands the inner app.
+//! places.
 //!
 //! ```
 //! use dpx10_core::tiled::run_tiled_threaded;
@@ -120,9 +127,10 @@ impl<A: DpApp, P: DagPattern> TiledApp<A, P> {
         };
         let path = match geo.sweep() {
             Some(sweep) => {
+                let interior = geo.interior(tile.i, tile.j);
                 match sweep {
-                    TileSweep::RowsUpColsUp => kernel.sweep(sweep, ri, rj),
-                    TileSweep::RowsDownColsUp => kernel.sweep(sweep, ri.rev(), rj),
+                    TileSweep::RowsUpColsUp => kernel.sweep(sweep, ri, rj, interior),
+                    TileSweep::RowsDownColsUp => kernel.sweep(sweep, ri.rev(), rj, interior),
                 }
                 TilePath::Sweep
             }
@@ -135,6 +143,10 @@ impl<A: DpApp, P: DagPattern> TiledApp<A, P> {
         (TileValue { cells }, path)
     }
 }
+
+/// The most stencil offsets a cell's dependencies are lent for; a
+/// pattern with a longer stencil copies every cell's reads.
+const LENT: usize = 8;
 
 /// One tile being computed: its dense output buffer plus the buffers
 /// reused from cell to cell.
@@ -195,16 +207,66 @@ impl<A: DpApp, P: DagPattern> TileKernel<'_, A, P> {
         self.cells[idx] = value;
     }
 
-    /// The static path: visit the cells in `sweep` order.
-    fn sweep(&mut self, sweep: TileSweep, rows: impl Iterator<Item = u32>, cols: Range<u32>) {
+    /// Computes interior cell `id` from dependencies lent out of `cells`
+    /// at `strides` from it, if the pattern contains every offset of
+    /// `stencil`. Returns whether it did; if not, [`TileKernel::cell`]
+    /// computes it.
+    fn lend(&mut self, id: VertexId, stencil: &[(i32, i32)], strides: &[isize; LENT]) -> bool {
         let inner = self.geo.inner();
+        let mut ids = [id; LENT];
+        for (k, &o) in stencil.iter().enumerate() {
+            match id.shifted(o) {
+                Some(d) if inner.contains(d.i, d.j) => ids[k] = d,
+                _ => return false,
+            }
+        }
+        let ids = &ids[..stencil.len()];
+        debug_assert!(
+            {
+                let mut deps = Vec::new();
+                inner.dependencies(id.i, id.j, &mut deps);
+                deps == ids
+            },
+            "the stencil of {id} is not its dependencies"
+        );
+        let idx = self.local(id).expect("computed cell lies in its tile");
+        let mut refs = [&self.cells[idx]; LENT];
+        for (r, &stride) in refs.iter_mut().zip(&strides[..ids.len()]) {
+            *r = &self.cells[idx.wrapping_add_signed(stride)];
+        }
+        let view = DepView::lent(ids, &refs[..ids.len()]);
+        self.cells[idx] = self.app.compute(id, &view);
+        true
+    }
+
+    /// The static path: visit the cells in `sweep` order. A cell in
+    /// `interior` is lent its dependencies when it can be; any other
+    /// asks `dependencies` and copies them.
+    fn sweep(
+        &mut self,
+        sweep: TileSweep,
+        rows: impl Iterator<Item = u32>,
+        cols: Range<u32>,
+        (rows_in, cols_in): (Range<u32>, Range<u32>),
+    ) {
+        let inner = self.geo.inner();
+        let stencil = inner.stencil().unwrap_or_default();
+        let lends = stencil.len() <= LENT;
+        let mut strides = [0isize; LENT];
+        for (s, &(di, dj)) in strides.iter_mut().zip(stencil) {
+            *s = di as isize * self.width as isize + dj as isize;
+        }
         let mut deps = Vec::new();
         for i in rows {
+            let row_in = lends && rows_in.contains(&i);
             for j in cols.clone() {
                 if !inner.contains(i, j) {
                     continue;
                 }
                 let id = VertexId::new(i, j);
+                if row_in && cols_in.contains(&j) && self.lend(id, stencil, &strides) {
+                    continue;
+                }
                 deps.clear();
                 inner.dependencies(i, j, &mut deps);
                 debug_assert!(

@@ -50,6 +50,10 @@ impl DagPattern for ColWave {
         (i > 0) as u32
     }
 
+    fn stencil(&self) -> Option<&[(i32, i32)]> {
+        Some(&[(-1, 0)])
+    }
+
     fn name(&self) -> &str {
         "col-wave"
     }

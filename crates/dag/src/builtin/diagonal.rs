@@ -51,6 +51,10 @@ impl DagPattern for Diagonal {
         (i > 0 && j > 0) as u32
     }
 
+    fn stencil(&self) -> Option<&[(i32, i32)]> {
+        Some(&[(-1, -1)])
+    }
+
     fn name(&self) -> &str {
         "diagonal"
     }

@@ -64,6 +64,10 @@ impl DagPattern for Grid3 {
         (i > 0) as u32 + (j > 0) as u32 + (i > 0 && j > 0) as u32
     }
 
+    fn stencil(&self) -> Option<&[(i32, i32)]> {
+        Some(&[(-1, 0), (0, -1), (-1, -1)])
+    }
+
     fn name(&self) -> &str {
         "grid3"
     }

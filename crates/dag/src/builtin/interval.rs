@@ -82,6 +82,10 @@ impl DagPattern for IntervalUpper {
         n * (n + 1) / 2
     }
 
+    fn stencil(&self) -> Option<&[(i32, i32)]> {
+        Some(&[(1, 0), (0, -1), (1, -1)])
+    }
+
     fn name(&self) -> &str {
         "interval-upper"
     }

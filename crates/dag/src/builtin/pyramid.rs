@@ -70,6 +70,10 @@ impl DagPattern for Pyramid {
         }
     }
 
+    fn stencil(&self) -> Option<&[(i32, i32)]> {
+        Some(&[(-1, -1), (-1, 0), (-1, 1)])
+    }
+
     fn name(&self) -> &str {
         "pyramid"
     }

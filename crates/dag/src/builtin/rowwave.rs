@@ -48,6 +48,10 @@ impl DagPattern for RowWave {
         (j > 0) as u32
     }
 
+    fn stencil(&self) -> Option<&[(i32, i32)]> {
+        Some(&[(0, -1)])
+    }
+
     fn name(&self) -> &str {
         "row-wave"
     }

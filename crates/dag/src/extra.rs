@@ -90,6 +90,10 @@ impl DagPattern for BandedGrid3 {
         n * n - outside
     }
 
+    fn stencil(&self) -> Option<&[(i32, i32)]> {
+        Some(&[(-1, 0), (0, -1), (-1, -1)])
+    }
+
     fn name(&self) -> &str {
         "banded-grid3"
     }

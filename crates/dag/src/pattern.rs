@@ -6,10 +6,14 @@ use crate::VertexId;
 /// A DAG pattern: an implicit dependency graph over the cells of a
 /// `height × width` matrix.
 ///
-/// Implementations must be cheap and deterministic: the runtime calls
-/// [`dependencies`](DagPattern::dependencies) once per executed vertex and
-/// [`anti_dependencies`](DagPattern::anti_dependencies) once per completed
-/// vertex, exactly as the paper's worker does (§VI-C).
+/// Implementations must be cheap and deterministic: the vertex engines
+/// call [`dependencies`](DagPattern::dependencies) once per executed
+/// vertex and [`anti_dependencies`](DagPattern::anti_dependencies) once
+/// per completed vertex, exactly as the paper's worker does (§VI-C). A
+/// pattern that declares a [`stencil`](DagPattern::stencil) lets the
+/// tiled path skip `dependencies` for cells whose offsets stay inside
+/// their tile: the tile table is built from tile borders, and the tile
+/// kernel derives interior dependencies from the offsets.
 ///
 /// # Contract
 ///
@@ -83,6 +87,19 @@ pub trait DagPattern: Send + Sync {
     fn as_range(&self) -> Option<&dyn crate::range::RangeDep> {
         None
     }
+
+    /// The fixed offsets `(di, dj)` this pattern's dependencies are
+    /// made of, if it is an O(1)-dependency recurrence.
+    ///
+    /// `Some(offsets)` promises that for every contained `(i, j)`,
+    /// [`dependencies`](DagPattern::dependencies) returns exactly
+    /// `(i + di, j + dj)` for each offset, in declared order, keeping
+    /// those that are [`contains`](DagPattern::contains)ed (an offset
+    /// off the matrix edge is dropped). [`crate::validate_pattern`]
+    /// checks the promise. The default, `None`, promises nothing.
+    fn stencil(&self) -> Option<&[(i32, i32)]> {
+        None
+    }
 }
 
 // Blanket impls so engines can take `&P`, `Box<dyn ..>` or `Arc<dyn ..>`
@@ -116,6 +133,9 @@ macro_rules! forward_pattern {
             }
             fn as_range(&self) -> Option<&dyn crate::range::RangeDep> {
                 (**self).as_range()
+            }
+            fn stencil(&self) -> Option<&[(i32, i32)]> {
+                (**self).stencil()
             }
         }
     };

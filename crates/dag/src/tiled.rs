@@ -9,17 +9,25 @@
 //! can be run blocked without re-deriving its dependency structure. The
 //! matching application adapter lives in `dpx10_core::tiled`.
 //!
-//! Construction scans every cell's `dependencies` exactly once and
-//! keeps what it learns in a table: each tile's dependency and
-//! anti-dependency lists (flat CSR, anti lists by transposition), which
-//! tiles exist, and which fixed in-tile sweep ([`TileSweep`]) every
-//! in-tile edge respects. Every tile-level query afterwards is a
-//! lookup. The scan splits the tile rows into one contiguous band per
-//! core, scans the bands on scoped threads and stitches them in order,
-//! so the table is the same for any band count. The table holds one id per tile-level edge: O(tiles) for the
-//! wavefront family, but O(T³) for a `T × T` tiling of a 2D/1D pattern
-//! such as `FullPrevRowCol`, whose tiles each depend on a whole tile
-//! row and column.
+//! Construction scans the cells' `dependencies` once and keeps what it
+//! learns in a table: each tile's dependency and anti-dependency lists
+//! (flat CSR, anti lists by transposition), which tiles exist, and which
+//! fixed in-tile sweep ([`TileSweep`]) every in-tile edge respects.
+//! Every tile-level query afterwards is a lookup. The scan splits the
+//! tile rows into one contiguous band per core, scans the bands on
+//! scoped threads and stitches them in order, so the table is the same
+//! for any band count. The table holds one id per tile-level edge:
+//! O(tiles) for the wavefront family, but O(T³) for a `T × T` tiling of
+//! a 2D/1D pattern such as `FullPrevRowCol`, whose tiles each depend on
+//! a whole tile row and column.
+//!
+//! A pattern that declares a [`DagPattern::stencil`] is scanned from
+//! its tile borders: a cell whose offsets all stay in its tile
+//! ([`TiledDag::interior`]) cannot add a tile-level edge, so only the
+//! cells within the stencil's reach of a border are asked for their
+//! `dependencies`. Interior cells are visited only until the tile is
+//! known to exist and no offset can still rule out a sweep; the table
+//! equals the one a per-cell scan builds.
 
 use std::fmt;
 use std::ops::Range;
@@ -102,6 +110,29 @@ struct TileTable {
     sweep: Option<TileSweep>,
 }
 
+/// How far a stencil's offsets reach from their cell: rows up and
+/// down, columns left and right.
+#[derive(Clone, Copy, Debug, Default)]
+struct Reach {
+    up: u32,
+    down: u32,
+    left: u32,
+    right: u32,
+}
+
+impl Reach {
+    fn of(stencil: &[(i32, i32)]) -> Reach {
+        let mut r = Reach::default();
+        for &(di, dj) in stencil {
+            r.up = r.up.max(di.min(0).unsigned_abs());
+            r.down = r.down.max(di.max(0).unsigned_abs());
+            r.left = r.left.max(dj.min(0).unsigned_abs());
+            r.right = r.right.max(dj.max(0).unsigned_abs());
+        }
+        r
+    }
+}
+
 /// What one band of tile rows contributes to the [`TileTable`]: its
 /// tiles' `exists` flags and dependency lists (offsets from the band's
 /// first tile), and whether every in-tile edge it saw respects each
@@ -135,6 +166,8 @@ pub struct TiledDag<P> {
     tile: u32,
     tiles_high: u32,
     tiles_wide: u32,
+    /// The reach of the inner pattern's stencil, if it declares one.
+    reach: Option<Reach>,
     table: TileTable,
 }
 
@@ -168,6 +201,7 @@ impl<P: DagPattern> TiledDag<P> {
         let mut tiled = TiledDag {
             tiles_high: inner.height().div_ceil(tile),
             tiles_wide: inner.width().div_ceil(tile),
+            reach: inner.stencil().map(Reach::of),
             inner,
             tile,
             table: TileTable::default(),
@@ -216,6 +250,21 @@ impl<P: DagPattern> TiledDag<P> {
             i0..(i0 + self.tile).min(self.inner.height()),
             j0..(j0 + self.tile).min(self.inner.width()),
         )
+    }
+
+    /// The cells of tile `(ti, tj)` from which every offset of the
+    /// inner pattern's stencil lands inside the tile, as
+    /// `(rows, cols)`; both empty if the pattern declares no stencil.
+    pub fn interior(&self, ti: u32, tj: u32) -> (Range<u32>, Range<u32>) {
+        let (ri, rj) = self.cell_bounds(ti, tj);
+        let Some(r) = self.reach else {
+            return (ri.start..ri.start, rj.start..rj.start);
+        };
+        let inset = |span: Range<u32>, low: u32, high: u32| {
+            let start = span.start.saturating_add(low).min(span.end);
+            start..span.end.saturating_sub(high).max(start)
+        };
+        (inset(ri, r.up, r.down), inset(rj, r.left, r.right))
     }
 
     /// Iterates the in-pattern cells covered by tile `(ti, tj)` in
@@ -331,7 +380,8 @@ impl<P: DagPattern> TiledDag<P> {
         }
     }
 
-    /// Scans the tiles of tile rows `rows`, numbering them from zero.
+    /// Scans the tiles of tile rows `rows`, numbering them from zero,
+    /// asking only border cells for `dependencies` (see the module docs).
     fn scan_band(&self, rows: Range<u32>) -> Band {
         let tiles = rows.len() * self.tiles_wide as usize;
         let mut exists = Vec::with_capacity(tiles);
@@ -344,15 +394,50 @@ impl<P: DagPattern> TiledDag<P> {
         // is on tile `k`'s list.
         let mut seen = vec![usize::MAX; self.tiles_high as usize * self.tiles_wide as usize];
         let (mut rows_up, mut rows_down) = (true, true);
+        let stencil = self.inner.stencil().unwrap_or_default();
+        // Set once no stencil offset can rule out a sweep still open.
+        let mut settled = false;
         let mut buf = Vec::new();
         for ti in rows {
             for tj in 0..self.tiles_wide {
                 let k = exists.len();
                 let (ri, rj) = self.cell_bounds(ti, tj);
+                let (ii, ij) = self.interior(ti, tj);
                 let (height, width) = (ri.end - ri.start, rj.end - rj.start);
                 let mut covered = false;
                 for i in ri.clone() {
-                    for j in rj.clone() {
+                    let inside = if ii.contains(&i) {
+                        ij.clone()
+                    } else {
+                        rj.end..rj.end
+                    };
+                    for j in inside.clone() {
+                        if covered & settled {
+                            break;
+                        }
+                        if !self.inner.contains(i, j) {
+                            continue;
+                        }
+                        covered = true;
+                        // The in-tile edges this cell has, from its offsets.
+                        let cell = VertexId::new(i, j);
+                        let mut open = false;
+                        for &o in stencil {
+                            let d = cell
+                                .shifted(o)
+                                .expect("an interior offset stays in its tile");
+                            let up = TileSweep::RowsUpColsUp.respects(d, cell);
+                            let down = TileSweep::RowsDownColsUp.respects(d, cell);
+                            if self.inner.contains(d.i, d.j) {
+                                rows_up &= up;
+                                rows_down &= down;
+                            } else {
+                                open |= (rows_up & !up) | (rows_down & !down);
+                            }
+                        }
+                        settled = !open;
+                    }
+                    for j in (rj.start..inside.start).chain(inside.end..rj.end) {
                         if !self.inner.contains(i, j) {
                             continue;
                         }
@@ -595,6 +680,108 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A pattern with its stencil hidden, so its table comes from the
+    /// per-cell scan.
+    struct Unstenciled<P>(P);
+
+    impl<P: DagPattern> DagPattern for Unstenciled<P> {
+        fn height(&self) -> u32 {
+            self.0.height()
+        }
+        fn width(&self) -> u32 {
+            self.0.width()
+        }
+        fn contains(&self, i: u32, j: u32) -> bool {
+            self.0.contains(i, j)
+        }
+        fn dependencies(&self, i: u32, j: u32, out: &mut Vec<VertexId>) {
+            self.0.dependencies(i, j, out)
+        }
+        fn anti_dependencies(&self, i: u32, j: u32, out: &mut Vec<VertexId>) {
+            self.0.anti_dependencies(i, j, out)
+        }
+        fn vertex_count(&self) -> u64 {
+            self.0.vertex_count()
+        }
+    }
+
+    /// The table built from `p`'s tile borders equals the one a
+    /// per-cell scan of it builds, at every band count; whether the
+    /// tiling is refused must agree too.
+    fn assert_border_table_is_the_full_table(p: &dyn DagPattern, tile: u32, what: &str) {
+        let border = TiledDag::try_new(p, tile);
+        let full = TiledDag::try_new(Unstenciled(p), tile);
+        let (border, full) = match (border, full) {
+            (Ok(border), Ok(full)) => (border, full),
+            (Err(_), Err(_)) => {
+                assert!(
+                    what.starts_with("Pyramid") && (2..11).contains(&tile),
+                    "{what}: refused"
+                );
+                return;
+            }
+            _ => panic!("{what}: only one scan refused the tiling"),
+        };
+        for bands in band_counts(&border) {
+            let (b, f) = (border.scan(bands), full.scan(bands));
+            let what = format!("{what}, {bands} bands");
+            assert_eq!(b.exists, f.exists, "{what}: exists");
+            assert_eq!(b.deps, f.deps, "{what}: deps");
+            assert_eq!(b.antis, f.antis, "{what}: antis");
+            assert_eq!(b.count, f.count, "{what}: vertex_count");
+            assert_eq!(b.sweep, f.sweep, "{what}: sweep");
+        }
+    }
+
+    #[test]
+    fn a_border_built_table_equals_the_per_cell_scan() {
+        let mut patterns: Vec<(String, Box<dyn DagPattern>)> = BuiltinKind::ALL
+            .into_iter()
+            .map(|kind| (format!("{kind:?}"), kind.instantiate(11, 9)))
+            .filter(|(_, p)| p.stencil().is_some())
+            .collect();
+        assert_eq!(patterns.len(), 7, "every builtin but FullPrevRowCol");
+        patterns.push(("BandedGrid3".into(), Box::new(BandedGrid3::new(13, 3))));
+        for (name, p) in &patterns {
+            for tile in [1u32, 2, 3, 5, 11, 64] {
+                assert_border_table_is_the_full_table(
+                    p.as_ref(),
+                    tile,
+                    &format!("{name} tile {tile}"),
+                );
+            }
+        }
+        // Tiny triangles, where only an interior cell may have the
+        // in-tile edge that rules out the rows-up sweep: at n = 2 and
+        // tile 2, (0, 1) reading (1, 1).
+        for n in 1..=6 {
+            for tile in 1..=7 {
+                let what = format!("IntervalUpper({n}) tile {tile}");
+                assert_border_table_is_the_full_table(&IntervalUpper::new(n), tile, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn interior_is_the_tile_minus_the_stencils_reach() {
+        // Grid3 reaches one row up and one column left.
+        let p = TiledDag::new(Grid3::new(10, 7), 4);
+        assert_eq!(p.interior(0, 0), (1..4, 1..4));
+        assert_eq!(p.interior(2, 1), (9..10, 5..7), "clipped tile");
+        // IntervalUpper reaches one row down and one column left.
+        let p = TiledDag::new(IntervalUpper::new(10), 4);
+        assert_eq!(p.interior(0, 1), (0..3, 5..8));
+        // A tile thinner than the reach has no interior, and a pattern
+        // without a stencil never has one.
+        assert!(TiledDag::new(Grid3::new(10, 7), 1)
+            .interior(3, 3)
+            .0
+            .is_empty());
+        let splits = TiledDag::new(IntervalSplits::new(10), 4);
+        let (rows, cols) = splits.interior(0, 1);
+        assert!(rows.is_empty() && cols.is_empty());
     }
 
     #[test]

@@ -63,6 +63,17 @@ pub enum ValidationError {
         /// Number of ids actually returned by `dependencies`.
         actual: u32,
     },
+    /// The pattern declares a [`DagPattern::stencil`], but
+    /// `dependencies(i, j)` is not its offsets filtered by `contains`,
+    /// in declared order.
+    StencilMismatch {
+        /// The offending vertex.
+        at: VertexId,
+        /// What the stencil promises.
+        declared: Vec<VertexId>,
+        /// What `dependencies` returned.
+        returned: Vec<VertexId>,
+    },
 }
 
 /// Which pattern query produced an invalid answer.
@@ -110,6 +121,14 @@ impl fmt::Display for ValidationError {
                 f,
                 "indegree({at}) reports {reported} but dependencies() returns {actual} ids"
             ),
+            ValidationError::StencilMismatch {
+                at,
+                declared,
+                returned,
+            } => write!(
+                f,
+                "the stencil of {at} declares {declared:?}, but dependencies() returns {returned:?}"
+            ),
         }
     }
 }
@@ -118,12 +137,14 @@ impl std::error::Error for ValidationError {}
 
 /// Exhaustively validates `pattern` (O(V + E) time, O(V) space).
 ///
-/// Checks containment, duplicate-freedom, self-loops, the
-/// dependency/anti-dependency inversion property, `indegree` consistency
-/// and acyclicity. Returns the first violation found.
+/// Checks containment, duplicate-freedom, self-loops, a declared
+/// stencil, the dependency/anti-dependency inversion property,
+/// `indegree` consistency and acyclicity. Returns the first violation
+/// found.
 pub fn validate_pattern<P: DagPattern + ?Sized>(pattern: &P) -> Result<(), ValidationError> {
     let mut deps = Vec::new();
     let mut anti = Vec::new();
+    let mut declared = Vec::new();
     let mut result = Ok(());
 
     // Edge set gathered from `dependencies`, used to cross-check `anti`.
@@ -167,6 +188,18 @@ pub fn validate_pattern<P: DagPattern + ?Sized>(pattern: &P) -> Result<(), Valid
                 return;
             }
             dep_edges.insert((d.pack(), v.pack()));
+        }
+        if let Some(stencil) = pattern.stencil() {
+            declared.clear();
+            let shifted = stencil.iter().filter_map(|&o| v.shifted(o));
+            declared.extend(shifted.filter(|d| pattern.contains(d.i, d.j)));
+            if declared != deps {
+                result = Err(ValidationError::StencilMismatch {
+                    at: v,
+                    declared: declared.clone(),
+                    returned: deps.clone(),
+                });
+            }
         }
     });
     result?;
@@ -363,6 +396,61 @@ mod tests {
             validate_pattern(&Lying).unwrap_err(),
             ValidationError::IndegreeMismatch { reported: 7, .. }
         ));
+    }
+
+    #[test]
+    fn stencil_mismatch_detected() {
+        // A valid 2 × 2 `Grid2` that declares its offsets in the wrong
+        // order: `dependencies` lists the top before the left.
+        struct Lying;
+        impl DagPattern for Lying {
+            fn height(&self) -> u32 {
+                2
+            }
+            fn width(&self) -> u32 {
+                2
+            }
+            fn dependencies(&self, i: u32, j: u32, out: &mut Vec<VertexId>) {
+                if i > 0 {
+                    out.push(VertexId::new(i - 1, j));
+                }
+                if j > 0 {
+                    out.push(VertexId::new(i, j - 1));
+                }
+            }
+            fn anti_dependencies(&self, i: u32, j: u32, out: &mut Vec<VertexId>) {
+                if i == 0 {
+                    out.push(VertexId::new(1, j));
+                }
+                if j == 0 {
+                    out.push(VertexId::new(i, 1));
+                }
+            }
+            fn stencil(&self) -> Option<&[(i32, i32)]> {
+                Some(&[(0, -1), (-1, 0)])
+            }
+        }
+        let err = validate_pattern(&Lying).unwrap_err();
+        assert_eq!(
+            err,
+            ValidationError::StencilMismatch {
+                at: VertexId::new(1, 1),
+                declared: vec![VertexId::new(1, 0), VertexId::new(0, 1)],
+                returned: vec![VertexId::new(0, 1), VertexId::new(1, 0)],
+            }
+        );
+        assert!(err.to_string().contains("stencil of (1, 1)"), "{err}");
+    }
+
+    #[test]
+    fn declared_stencils_validate() {
+        for kind in BuiltinKind::ALL {
+            let p = kind.instantiate(9, 7);
+            let want = kind != BuiltinKind::FullPrevRowCol;
+            assert_eq!(p.stencil().is_some(), want, "{kind:?} declares a stencil");
+        }
+        validate_pattern(&crate::BandedGrid3::new(11, 2)).unwrap();
+        assert!(crate::BandedGrid3::new(11, 2).stencil().is_some());
     }
 
     #[test]

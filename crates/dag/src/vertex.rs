@@ -41,6 +41,16 @@ impl VertexId {
         }
     }
 
+    /// This id moved by `(di, dj)` rows and columns, or `None` if that
+    /// leaves the `u32` range (a stencil offset off the matrix edge).
+    #[inline]
+    pub const fn shifted(self, (di, dj): (i32, i32)) -> Option<Self> {
+        match (self.i.checked_add_signed(di), self.j.checked_add_signed(dj)) {
+            (Some(i), Some(j)) => Some(VertexId { i, j }),
+            _ => None,
+        }
+    }
+
     /// The anti-diagonal index `i + j`, the natural wavefront number for
     /// grid-shaped DP recurrences.
     #[inline]
