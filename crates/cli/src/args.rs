@@ -44,7 +44,7 @@ pub struct RunArgs {
     pub restore: RestoreManner,
     /// Workload seed.
     pub seed: u64,
-    /// Print an activity timeline (sim engine).
+    /// Print an activity timeline (sim and threaded engines).
     pub timeline: bool,
     /// Write a Chrome `trace_event` JSON timeline here (all engines).
     pub trace_out: Option<String>,
@@ -593,6 +593,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     other => return err(format!("unknown run flag {other}")),
                 }
             }
+            if run.timeline && run.engine == EngineChoice::Sockets {
+                // Each place process records into its own recorder, so
+                // the coordinator holds place 0's events alone.
+                return err("--timeline needs the sim or threads backend");
+            }
             Ok(Command::Run(Box::new(run)))
         }
         Some(other) => err(format!("unknown command {other}; try `dpx10 help`")),
@@ -631,7 +636,7 @@ pub fn usage() -> String {
          \x20 --fault P[:F]           kill place P at progress fraction F (default 0.5)\n\
          \x20 --restore M             recompute|copy (default recompute)\n\
          \x20 --seed N                workload seed (default 1)\n\
-         \x20 --timeline              print an activity timeline (sim engine)\n\
+         \x20 --timeline              print an activity timeline (sim|threads)\n\
          \x20 --trace-out FILE        write a Chrome trace_event JSON timeline\n\
          \x20                         (Perfetto-loadable; sockets workers write FILE.p<N>)\n\
          \x20 --metrics-out FILE      write Prometheus text-format metrics\n\

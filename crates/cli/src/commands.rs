@@ -15,7 +15,7 @@ use dpx10_core::{
 };
 use dpx10_dag::{critical_path_len, wavefront_profile, BuiltinKind, DagPattern};
 use dpx10_obs::{chrome, summary as obs_summary, EventKind, Recorder, Registry, Trace};
-use dpx10_sim::{CostModel, SimConfig, SimEngine, TraceBuffer};
+use dpx10_sim::{CostModel, SimConfig, SimEngine};
 
 use crate::args::{EngineChoice, RunArgs};
 
@@ -114,10 +114,17 @@ impl AppVisitor for Execute<'_> {
 fn execute<A: CatalogApp>(args: &RunArgs, raw: &[String], app: A) -> Result<RunSummary, String> {
     let pattern = app.dag();
     let cell = app.answer_cell();
-    let answer = |r: &DagResult<A::Value>| A::headline(cell, &r.get(cell.0, cell.1));
+    let summarize = |result: &DagResult<A::Value>, recorder: &Recorder, workers_per_place| {
+        Ok(RunSummary {
+            answer: A::headline(cell, &result.get(cell.0, cell.1)),
+            report: result.report().clone(),
+            timeline: write_observability(recorder, result.report(), args)?,
+            workers_per_place,
+        })
+    };
     // Observability is opt-in: the recorder stays disabled (a no-op on
-    // every hot path) unless an export file was requested.
-    let want_obs = args.trace_out.is_some() || args.metrics_out.is_some();
+    // every hot path) unless an export file or a timeline was requested.
+    let want_obs = args.trace_out.is_some() || args.metrics_out.is_some() || args.timeline;
     let make_recorder = |places: u16| {
         if want_obs {
             Recorder::with_capacity(places as usize, 1 << 20)
@@ -144,20 +151,11 @@ fn execute<A: CatalogApp>(args: &RunArgs, raw: &[String], app: A) -> Result<RunS
             }
             let workers = config.topology.threads_per_place;
             let recorder = make_recorder(config.topology.num_places());
-            let engine = SimEngine::new(app, pattern, config).with_recorder(recorder.clone());
-            let (result, trace): (DagResult<A::Value>, Option<TraceBuffer>) = if args.timeline {
-                let (r, t) = engine.run_traced(2_000_000).map_err(|e| e.to_string())?;
-                (r, Some(t))
-            } else {
-                (engine.run().map_err(|e| e.to_string())?, None)
-            };
-            write_observability(&recorder, result.report(), args)?;
-            Ok(RunSummary {
-                answer: answer(&result),
-                report: result.report().clone(),
-                timeline: trace.map(|t| t.render_timeline(64)),
-                workers_per_place: workers,
-            })
+            let result = SimEngine::new(app, pattern, config)
+                .with_recorder(recorder.clone())
+                .run()
+                .map_err(|e| e.to_string())?;
+            summarize(&result, &recorder, workers)
         }
         EngineChoice::Threaded => {
             let config = places_config(args);
@@ -166,13 +164,7 @@ fn execute<A: CatalogApp>(args: &RunArgs, raw: &[String], app: A) -> Result<RunS
                 .with_recorder(recorder.clone())
                 .run()
                 .map_err(|e| e.to_string())?;
-            write_observability(&recorder, result.report(), args)?;
-            Ok(RunSummary {
-                answer: answer(&result),
-                report: result.report().clone(),
-                timeline: None,
-                workers_per_place: 1,
-            })
+            summarize(&result, &recorder, 1)
         }
         EngineChoice::Sockets => {
             let config = places_config(args);
@@ -212,13 +204,7 @@ fn execute<A: CatalogApp>(args: &RunArgs, raw: &[String], app: A) -> Result<RunS
                         Ok(result) => {
                             let _ = children.wait_all();
                             let result = result.ok_or("coordinator finished without a result")?;
-                            write_observability(&recorder, result.report(), args)?;
-                            Ok(RunSummary {
-                                answer: answer(&result),
-                                report: result.report().clone(),
-                                timeline: None,
-                                workers_per_place: 1,
-                            })
+                            summarize(&result, &recorder, 1)
                         }
                         Err(e) => {
                             children.kill_all();
@@ -231,14 +217,15 @@ fn execute<A: CatalogApp>(args: &RunArgs, raw: &[String], app: A) -> Result<RunS
     }
 }
 
-/// Drains the recorder and writes the requested trace/metrics exports.
+/// Drains the recorder, writes the requested trace/metrics exports and
+/// renders the activity timeline when one was requested.
 fn write_observability(
     recorder: &Recorder,
     report: &RunReport,
     args: &RunArgs,
-) -> Result<(), String> {
+) -> Result<Option<String>, String> {
     if !recorder.enabled() {
-        return Ok(());
+        return Ok(None);
     }
     let trace = recorder.drain();
     if let Some(path) = &args.trace_out {
@@ -250,7 +237,7 @@ fn write_observability(
         std::fs::write(path, registry.render_prometheus())
             .map_err(|e| format!("write metrics {path}: {e}"))?;
     }
-    Ok(())
+    Ok(args.timeline.then(|| obs_summary::timeline(&trace, 64)))
 }
 
 /// Builds the metrics registry a finished run exports: run-level counters
@@ -419,7 +406,6 @@ pub fn run_chaos(args: &crate::args::ChaosArgs) -> (String, bool) {
         coalesce: args.coalesce,
         comms: args.comms,
         agg: args.agg,
-        ..dpx10_harness::ChaosOptions::default()
     };
     let seeds: Vec<u64> = match args.seed {
         Some(s) => vec![s],

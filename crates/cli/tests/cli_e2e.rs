@@ -87,6 +87,28 @@ fn timeline_flag_prints_timeline() {
 }
 
 #[test]
+fn threaded_timeline_prints_one_row_per_place() {
+    let args = "run swlag --vertices 4000 --engine threaded --places 3 --timeline";
+    let (code, stdout, stderr) = dpx10(&args.split(' ').collect::<Vec<_>>());
+    assert_eq!(code, 0, "{stderr}");
+    assert!(
+        stdout.contains("activity timeline (3969 finishes"),
+        "{stdout}"
+    );
+    let rows = stdout.lines().filter(|l| l.starts_with("place ")).count();
+    assert_eq!(rows, 3, "{stdout}");
+    assert!(!stdout.contains("dropped"), "{stdout}");
+}
+
+#[test]
+fn sockets_timeline_is_refused() {
+    let args = "run swlag --timeline --engine sockets --places 2";
+    let (code, _, stderr) = dpx10(&args.split(' ').collect::<Vec<_>>());
+    assert_eq!(code, 2);
+    assert!(stderr.contains("--timeline needs the sim or threads backend"));
+}
+
+#[test]
 fn chaos_sweep_is_bit_for_bit_reproducible() {
     // Sockets excluded to keep this fast; determinism must hold anyway.
     let args = ["chaos", "--start", "2", "--count", "2", "--no-sockets"];

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use dpx10_apgas::{local_mesh, ChaosPlan, KillTrigger, PlaceId, SocketChaos, SocketConfig};
+use dpx10_apgas::{local_mesh, ChaosPlan, KillTrigger, SocketChaos, SocketConfig};
 use dpx10_core::{
     CommsMode, DagResult, EngineConfig, FaultPlan, RunReport, SocketEngine, ThreadedEngine,
 };
@@ -23,8 +23,6 @@ pub struct ChaosOptions {
     /// On failure, shrink the chaos plan to a locally minimal
     /// counterexample before reporting.
     pub shrink: bool,
-    /// Simulator trace capacity for the fingerprint check.
-    pub trace_capacity: usize,
     /// Message-coalescing byte budget for the threaded and socket
     /// backends (`None` = the classic one-message-per-event plane). The
     /// serial oracle and the simulator never coalesce, so a coalesced
@@ -46,7 +44,6 @@ impl Default for ChaosOptions {
         ChaosOptions {
             sockets: true,
             shrink: true,
-            trace_capacity: 4096,
             coalesce: None,
             comms: CommsMode::Pull,
             agg: true,
@@ -207,57 +204,59 @@ fn check_trace(backend: &'static str, trace: &Trace, report: &RunReport) -> Resu
         .map_err(|e| fail(backend, format!("trace oracle: {e}")))
 }
 
-/// The first progress-triggered kill, as the legacy single-fault plans
-/// the simulator understands.
-fn first_progress_kill(plan: &ChaosPlan) -> Option<(PlaceId, f64)> {
+/// The first progress-triggered kill of `plan`, as the legacy
+/// single-fault plan the simulator understands (the paper's §VIII-C
+/// mid-run failure shape).
+pub fn fault_plan_of(plan: &ChaosPlan) -> Option<FaultPlan> {
     plan.kills.iter().find_map(|k| match k.trigger {
-        KillTrigger::Progress(f) => Some((k.place, f)),
+        KillTrigger::Progress(after_fraction) => Some(FaultPlan {
+            place: k.place,
+            after_fraction,
+        }),
         KillTrigger::After(_) => None,
     })
+}
+
+/// The simulator's configuration for a scenario under `plan`.
+fn sim_config(sc: &Scenario, plan: &ChaosPlan, comms: CommsMode) -> SimConfig {
+    let config = SimConfig::flat(sc.places)
+        .with_dist(sc.dist.clone())
+        .with_schedule(sc.schedule)
+        .with_cache(sc.cache)
+        .with_comms(comms);
+    match fault_plan_of(plan) {
+        Some(fault) => config.with_fault(fault),
+        None => config,
+    }
 }
 
 fn check_sim(
     sc: &Scenario,
     plan: &ChaosPlan,
     expect: &std::collections::HashMap<dpx10_dag::VertexId, u64>,
-    trace_capacity: usize,
     comms: CommsMode,
 ) -> Result<(), Failure> {
-    let mut config = SimConfig::flat(sc.places)
-        .with_dist(sc.dist.clone())
-        .with_schedule(sc.schedule)
-        .with_cache(sc.cache)
-        .with_comms(comms);
-    if let Some((place, frac)) = first_progress_kill(plan) {
-        config = config.with_fault(FaultPlan {
-            place,
-            after_fraction: frac,
-        });
-    }
-    let recorder = Recorder::new(sc.places as usize);
-    let engine = SimEngine::new(MixApp, sc.pattern.clone(), config).with_recorder(recorder.clone());
-    let (result, trace) = engine
-        .run_traced(trace_capacity.max(1))
-        .map_err(|e| fail("sim", format!("run failed: {e}")))?;
-    // Drain before the fingerprint rerun so its duplicate events don't
-    // pollute the recorded timeline.
-    let recorded = recorder.drain();
+    let config = sim_config(sc, plan, comms);
+    // Each run gets a fresh recorder, so each trace is one run's.
+    let traced_run = || {
+        let recorder = Recorder::new(sc.places as usize);
+        let result = SimEngine::new(MixApp, sc.pattern.clone(), config.clone())
+            .with_recorder(recorder.clone())
+            .run();
+        result.map(|r| (r, recorder.drain()))
+    };
+    let (result, trace) = traced_run().map_err(|e| fail("sim", format!("run failed: {e}")))?;
     check_values("sim", sc, expect, &result)?;
     check_recovery("sim", plan, result.report(), u64::from(sc.places))?;
-    check_trace("sim", &recorded, result.report())?;
+    check_trace("sim", &trace, result.report())?;
     // The virtual clock makes the whole schedule deterministic: a
     // second run must replay the exact same event trace.
-    let (_, trace2) = engine
-        .run_traced(trace_capacity.max(1))
-        .map_err(|e| fail("sim", format!("rerun failed: {e}")))?;
-    if trace.fingerprint() != trace2.fingerprint() {
+    let (_, replay) = traced_run().map_err(|e| fail("sim", format!("rerun failed: {e}")))?;
+    let (a, b) = (trace.fingerprint(), replay.fingerprint());
+    if a != b {
         return Err(fail(
             "sim",
-            format!(
-                "trace fingerprint not reproducible: {:#018x} vs {:#018x}",
-                trace.fingerprint(),
-                trace2.fingerprint()
-            ),
+            format!("trace fingerprint not reproducible: {a:#018x} vs {b:#018x}"),
         ));
     }
     Ok(())
@@ -338,7 +337,7 @@ fn check_sockets(
 /// and returns the first broken invariant, if any.
 pub fn check_plan(sc: &Scenario, plan: &ChaosPlan, opts: &ChaosOptions) -> Result<(), Failure> {
     let expect = oracle(sc.pattern.as_ref());
-    check_sim(sc, plan, &expect, opts.trace_capacity, opts.comms)?;
+    check_sim(sc, plan, &expect, opts.comms)?;
     check_threads(sc, plan, &expect, opts)?;
     if opts.sockets {
         check_sockets(sc, plan, &expect, opts)?;
@@ -391,16 +390,7 @@ pub fn run_seed(seed: u64, opts: &ChaosOptions) -> SeedReport {
 /// human debugging the seed wants to look at.
 pub fn write_failure_trace(seed: u64) -> Option<std::path::PathBuf> {
     let sc = Scenario::generate(seed);
-    let mut config = SimConfig::flat(sc.places)
-        .with_dist(sc.dist.clone())
-        .with_schedule(sc.schedule)
-        .with_cache(sc.cache);
-    if let Some((place, frac)) = first_progress_kill(&sc.plan) {
-        config = config.with_fault(FaultPlan {
-            place,
-            after_fraction: frac,
-        });
-    }
+    let config = sim_config(&sc, &sc.plan, CommsMode::Pull);
     let recorder = Recorder::new(sc.places as usize);
     let _ = SimEngine::new(MixApp, sc.pattern.clone(), config)
         .with_recorder(recorder.clone())
@@ -409,14 +399,4 @@ pub fn write_failure_trace(seed: u64) -> Option<std::path::PathBuf> {
     let path = std::env::temp_dir().join(format!("dpx10-chaos-{seed:016x}.trace.json"));
     dpx10_obs::chrome::write(&path, &trace).ok()?;
     Some(path)
-}
-
-/// The legacy single-fault plan equivalent of a chaos kill — used by
-/// targeted tests that want the paper's §VIII-C mid-run failure shape
-/// on a specific scenario.
-pub fn fault_plan_of(plan: &ChaosPlan) -> Option<FaultPlan> {
-    first_progress_kill(plan).map(|(place, after_fraction)| FaultPlan {
-        place,
-        after_fraction,
-    })
 }

@@ -16,7 +16,6 @@ fn coalesced(bytes: usize) -> ChaosOptions {
     ChaosOptions {
         sockets: false,
         shrink: false,
-        trace_capacity: 2048,
         coalesce: Some(bytes),
         ..ChaosOptions::default()
     }
@@ -64,7 +63,6 @@ fn pinned_seeds_pass_coalesced_on_the_socket_mesh() {
     let opts = ChaosOptions {
         sockets: true,
         shrink: false,
-        trace_capacity: 2048,
         coalesce: Some(4096),
         ..ChaosOptions::default()
     };

@@ -14,7 +14,6 @@ fn fast() -> ChaosOptions {
     ChaosOptions {
         sockets: false,
         shrink: false,
-        trace_capacity: 2048,
         coalesce: None,
         ..ChaosOptions::default()
     }
@@ -35,7 +34,6 @@ fn pinned_seeds_pass_on_the_socket_mesh() {
     let opts = ChaosOptions {
         sockets: true,
         shrink: false,
-        trace_capacity: 2048,
         coalesce: None,
         ..ChaosOptions::default()
     };

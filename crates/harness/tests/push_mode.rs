@@ -16,7 +16,6 @@ fn pushed() -> ChaosOptions {
     ChaosOptions {
         sockets: false,
         shrink: false,
-        trace_capacity: 2048,
         comms: CommsMode::Push,
         ..ChaosOptions::default()
     }
@@ -50,7 +49,6 @@ fn pinned_seeds_pass_pushed_on_the_socket_mesh() {
     let opts = ChaosOptions {
         sockets: true,
         shrink: false,
-        trace_capacity: 2048,
         comms: CommsMode::Push,
         ..ChaosOptions::default()
     };

@@ -409,37 +409,16 @@ pub fn parse(json: &str) -> Result<Vec<ChromeEvent>, String> {
 /// producer misattributed work (two computes on one worker at once) —
 /// the trace-backed oracle treats that as a bug.
 pub fn check_nesting(events: &[ChromeEvent]) -> Result<(), String> {
-    let mut tracks: std::collections::BTreeMap<(u16, u16), Vec<(u64, u64)>> =
-        std::collections::BTreeMap::new();
-    for ev in events {
-        if ev.ph == "X" {
-            tracks
-                .entry((ev.pid, ev.tid))
-                .or_default()
-                .push((ev.ts_ns, ev.ts_ns + ev.dur_ns));
-        }
-    }
-    for ((pid, tid), mut spans) in tracks {
-        // Start ascending; for equal starts, longest first so the
-        // container precedes the contained.
-        spans.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-        let mut stack: Vec<u64> = Vec::new();
-        for (start, end) in spans {
-            while stack.last().is_some_and(|&top| start >= top) {
-                stack.pop();
-            }
-            if let Some(&top) = stack.last() {
-                if end > top {
-                    return Err(format!(
-                        "pid {pid} tid {tid}: span [{start}, {end}] partially overlaps \
-                         enclosing span ending at {top}"
-                    ));
-                }
-            }
-            stack.push(end);
-        }
-    }
-    Ok(())
+    let spans = events
+        .iter()
+        .filter(|ev| ev.ph == "X")
+        .map(|ev| ((ev.pid, ev.tid), ev.ts_ns, ev.ts_ns + ev.dur_ns, ()));
+    crate::oracle::check_tracks(spans, |(pid, tid), start, end, top, ()| {
+        format!(
+            "pid {pid} tid {tid}: span [{start}, {end}] partially overlaps \
+             enclosing span ending at {top}"
+        )
+    })
 }
 
 #[cfg(test)]

@@ -5,45 +5,62 @@
 //! skips them when the ring wrapped, because a missing container span
 //! could make well-nested children look orphaned.
 
+use std::collections::BTreeMap;
+
 use crate::event::{Event, EventKind};
 
-/// Spans of one `(place, worker)` track as `(start, end, kind)`.
-type TrackSpans = std::collections::BTreeMap<(u16, u16), Vec<(u64, u64, EventKind)>>;
+/// Spans of one track as `(start, end, label)`, by track.
+type TrackSpans<L> = BTreeMap<(u16, u16), Vec<(u64, u64, L)>>;
 
-/// Checks that spans nest properly per `(place, worker)` track: any two
-/// spans on one track are disjoint or one contains the other. A partial
-/// overlap means an engine attributed two overlapping computes to one
-/// worker — a recording bug or a scheduling bug.
-pub fn check_span_nesting(events: &[Event]) -> Result<(), String> {
-    let mut tracks: TrackSpans = TrackSpans::new();
-    for ev in events {
-        if ev.kind.is_span() {
-            tracks
-                .entry((ev.place, ev.worker))
-                .or_default()
-                .push((ev.ts_ns, ev.end_ns(), ev.kind));
-        }
+/// The one span-nesting check, behind [`check_span_nesting`] and
+/// [`chrome::check_nesting`](crate::chrome::check_nesting). `spans` are
+/// `(track, start, end, label)`. Per track, sorted by start ascending
+/// and, for equal starts, longest first (so the container precedes the
+/// contained), a stack of open ends finds the first span that partially
+/// overlaps an enclosing one; `describe(track, start, end,
+/// enclosing_end, label)` words the error.
+pub(crate) fn check_tracks<L>(
+    spans: impl Iterator<Item = ((u16, u16), u64, u64, L)>,
+    describe: impl Fn((u16, u16), u64, u64, u64, L) -> String,
+) -> Result<(), String> {
+    let mut tracks = TrackSpans::new();
+    for (track, start, end, label) in spans {
+        tracks.entry(track).or_default().push((start, end, label));
     }
-    for ((place, worker), mut spans) in tracks {
+    for (track, mut spans) in tracks {
         spans.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         let mut stack: Vec<u64> = Vec::new();
-        for (start, end, kind) in spans {
+        for (start, end, label) in spans {
             while stack.last().is_some_and(|&top| start >= top) {
                 stack.pop();
             }
             if let Some(&top) = stack.last() {
                 if end > top {
-                    return Err(format!(
-                        "place {place} worker {worker}: {} span [{start}ns, {end}ns] \
-                         partially overlaps an enclosing span ending at {top}ns",
-                        kind.name()
-                    ));
+                    return Err(describe(track, start, end, top, label));
                 }
             }
             stack.push(end);
         }
     }
     Ok(())
+}
+
+/// Checks that spans nest properly per `(place, worker)` track: any two
+/// spans on one track are disjoint or one contains the other. A partial
+/// overlap means an engine attributed two overlapping computes to one
+/// worker — a recording bug or a scheduling bug.
+pub fn check_span_nesting(events: &[Event]) -> Result<(), String> {
+    let spans = events
+        .iter()
+        .filter(|ev| ev.kind.is_span())
+        .map(|ev| ((ev.place, ev.worker), ev.ts_ns, ev.end_ns(), ev.kind));
+    check_tracks(spans, |(place, worker), start, end, top, kind| {
+        format!(
+            "place {place} worker {worker}: {} span [{start}ns, {end}ns] \
+             partially overlaps an enclosing span ending at {top}ns",
+            kind.name()
+        )
+    })
 }
 
 /// Checks that the number of recovery spans in the trace matches the

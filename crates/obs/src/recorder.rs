@@ -162,10 +162,7 @@ impl Recorder {
     /// sorted by start time. Call at quiesce (end of run).
     pub fn drain(&self) -> Trace {
         let Some(inner) = &self.inner else {
-            return Trace {
-                events: Vec::new(),
-                dropped: 0,
-            };
+            return Trace::default();
         };
         let mut events = Vec::new();
         let mut dropped = 0u64;
@@ -205,6 +202,21 @@ impl Trace {
     pub fn count(&self, kind: EventKind) -> usize {
         self.events.iter().filter(|e| e.kind == kind).count()
     }
+
+    /// An FNV-1a digest of every drained event, in drain order, and of
+    /// the drop count. Two simulated runs of one seed and configuration
+    /// must agree on it: the chaos harness checks replays with it and
+    /// the simulator's golden table pins it.
+    pub fn fingerprint(&self) -> u64 {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        let words = self.events.iter().flat_map(|e| e.to_words());
+        words.chain([self.dropped]).fold(FNV_OFFSET, |h, word| {
+            word.to_le_bytes()
+                .iter()
+                .fold(h, |h, &byte| (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME))
+        })
+    }
 }
 
 #[cfg(test)]
@@ -240,6 +252,40 @@ mod tests {
         let r = Recorder::with_capacity(1, 16);
         r.instant(9, 0, EventKind::CacheHit, 0, 0);
         assert!(r.drain().is_empty());
+    }
+
+    #[test]
+    fn fingerprint_is_order_and_content_sensitive() {
+        let send = Event {
+            ts_ns: 0,
+            dur_ns: 0,
+            place: 0,
+            worker: 0,
+            kind: EventKind::MsgSend,
+            arg: 8,
+        };
+        let trace = |events: &[(u64, u16)]| Trace {
+            events: events
+                .iter()
+                .map(|&(ts_ns, place)| Event {
+                    ts_ns,
+                    place,
+                    ..send
+                })
+                .collect(),
+            dropped: 0,
+        };
+        let a = trace(&[(1, 0), (2, 1)]);
+        assert_eq!(a.fingerprint(), trace(&[(1, 0), (2, 1)]).fingerprint());
+        let c = trace(&[(2, 1), (1, 0)]);
+        assert_ne!(a.fingerprint(), c.fingerprint(), "order must matter");
+        let d = trace(&[(1, 0), (2, 2)]);
+        assert_ne!(a.fingerprint(), d.fingerprint(), "content must matter");
+        let e = Trace {
+            dropped: 1,
+            ..a.clone()
+        };
+        assert_ne!(a.fingerprint(), e.fingerprint(), "drops must matter");
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! Human-readable per-place phase summary.
+//! Human-readable renderings of a trace.
 //!
-//! Aggregates a trace into one row per `(place, kind)`: how many events
-//! of that kind happened there and how much span time they cover. This
-//! is the `dpx10 trace summarize` output and the EXPERIMENTS.md
-//! artifact format.
+//! The per-place phase summary aggregates a trace into one row per
+//! `(place, kind)`: how many events of that kind happened there and how
+//! much span time they cover. This is the `dpx10 trace summarize`
+//! output and the EXPERIMENTS.md artifact format. The activity
+//! [`timeline`] is `dpx10 run --timeline`'s.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use crate::chrome::ChromeEvent;
+use crate::event::EventKind;
 use crate::recorder::Trace;
 
 /// One aggregated row of the phase summary.
@@ -110,10 +113,60 @@ pub fn render(rows: &[PhaseRow], dropped: u64) -> String {
     out
 }
 
+/// Renders an ASCII activity timeline of a trace: one row per place,
+/// `buckets` time buckets wide, each cell as bright as the number of
+/// vertex computes that ended in its bucket.
+///
+/// ```text
+/// place   0 |@@%#=-:.    |
+/// place   1 |  .:=+#%@%=.|
+/// ```
+pub fn timeline(trace: &Trace, buckets: usize) -> String {
+    const RAMP: &[u8] = b" .:-=+*#%@";
+    assert!(buckets > 0);
+    let finishes: Vec<(usize, u64)> = trace
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::VertexCompute)
+        .map(|e| (usize::from(e.place), e.end_ns()))
+        .collect();
+    let (Some(nplaces), Some(t_end)) = (
+        finishes.iter().map(|&(p, _)| p + 1).max(),
+        finishes.iter().map(|&(_, t)| t.max(1)).max(),
+    ) else {
+        return String::from("(no finish events recorded)\n");
+    };
+    let mut counts = vec![vec![0u64; buckets]; nplaces];
+    for &(p, t) in &finishes {
+        let b = (u128::from(t) * buckets as u128 / (u128::from(t_end) + 1)) as usize;
+        counts[p][b.min(buckets - 1)] += 1;
+    }
+    let peak = counts.iter().flatten().copied().max().unwrap_or(1).max(1);
+    let mut out = format!(
+        "activity timeline ({} finishes over {:?}; peak {peak} per bucket)\n",
+        finishes.len(),
+        Duration::from_nanos(t_end),
+    );
+    for (p, row) in counts.iter().enumerate() {
+        let cells: String = row
+            .iter()
+            .map(|&c| RAMP[(c * (RAMP.len() as u64 - 1)).div_ceil(peak) as usize] as char)
+            .collect();
+        out.push_str(&format!("place {p:>3} |{cells}|\n"));
+    }
+    if trace.dropped > 0 {
+        out.push_str(&format!(
+            "({} events dropped: the ring wrapped, so the timeline starts late)\n",
+            trace.dropped
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, EventKind};
+    use crate::event::Event;
 
     #[test]
     fn aggregates_and_renders() {
@@ -155,6 +208,40 @@ mod tests {
         let text = render(&r, trace.dropped);
         assert!(text.contains("vertex-compute"));
         assert!(text.contains("3 event(s) dropped"));
+    }
+
+    #[test]
+    fn timeline_renders_rows_per_place() {
+        let r = crate::Recorder::with_capacity(2, 64);
+        for (place, from) in [(0, 0), (1, 5)] {
+            for k in from..10 {
+                r.span(place, 0, EventKind::VertexCompute, k * 100, k * 100 + 50, 0);
+            }
+        }
+        let s = timeline(&r.drain(), 10);
+        assert!(s.starts_with("activity timeline (15 finishes"), "{s}");
+        assert!(s.contains("place   0 |"));
+        // Place 1 is idle early: its row starts blank.
+        let row1 = s.lines().find(|l| l.starts_with("place   1")).unwrap();
+        assert!(row1.contains("| "), "{row1}");
+        assert!(!s.contains("dropped"), "{s}");
+    }
+
+    #[test]
+    fn empty_timeline_is_graceful() {
+        let s = timeline(&Trace::default(), 5);
+        assert_eq!(s, "(no finish events recorded)\n");
+    }
+
+    #[test]
+    fn wrapped_ring_prints_the_drop_line() {
+        let r = crate::Recorder::with_capacity(1, 8);
+        for k in 1..=10 {
+            r.span(0, 0, EventKind::VertexCompute, k * 10, k * 10 + 5, 0);
+        }
+        let s = timeline(&r.drain(), 8);
+        assert!(s.contains("(8 finishes"), "{s}");
+        assert!(s.contains("(2 events dropped"), "{s}");
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! queue, the cost model (each place has `W` worker slots, a dispatched
 //! vertex occupies one for `framework_overhead + compute`, messages
 //! arrive after the network model's transfer time), the policy ready
-//! queues, the trace buffer and the epoch loop — whose steps (pre-flight,
-//! begin, recover, finish) are [`dpx10_core::epoch`]'s, the ones the
-//! real-time engines run. Runs are bit-for-bit deterministic.
+//! queues and the epoch loop — whose steps (pre-flight, begin, recover,
+//! finish) are [`dpx10_core::epoch`]'s, the ones the real-time engines
+//! run. Runs are bit-for-bit deterministic. A run is observed the way a
+//! real one is: through the flight recorder, stamped on the virtual
+//! clock.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -26,7 +28,6 @@ use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 use crate::cost::SimConfig;
 use crate::event::{EventQueue, SimTime};
 use crate::ready::ReadyQueue;
-use crate::trace::{TraceBuffer, TraceEvent, TraceKind};
 
 /// The simulator engine for one application run.
 pub struct SimEngine<A: DpApp> {
@@ -89,8 +90,6 @@ struct Epoch<'a, A: DpApp> {
     last_publish: SimTime,
     /// Accumulated busy nanoseconds per slot.
     busy_ns: Vec<u64>,
-    /// Optional event trace.
-    trace: Option<TraceBuffer>,
     /// Flight recorder (virtual-clock timestamps, shared schema with the
     /// real backends).
     rec: Recorder,
@@ -127,24 +126,6 @@ impl<A: DpApp + 'static> SimEngine<A> {
     /// Runs the simulation to completion and returns the results with
     /// `report().sim_time` holding the virtual makespan.
     pub fn run(&self) -> Result<DagResult<A::Value>, EngineError> {
-        self.run_impl(0).map(|(r, _)| r)
-    }
-
-    /// Like [`SimEngine::run`], but also records up to `trace_capacity`
-    /// [`TraceEvent`]s (dispatches, finishes, sends, recoveries) for
-    /// timeline analysis.
-    pub fn run_traced(
-        &self,
-        trace_capacity: usize,
-    ) -> Result<(DagResult<A::Value>, TraceBuffer), EngineError> {
-        let (result, trace) = self.run_impl(trace_capacity)?;
-        Ok((result, trace.expect("tracing was requested")))
-    }
-
-    fn run_impl(
-        &self,
-        trace_capacity: usize,
-    ) -> Result<(DagResult<A::Value>, Option<TraceBuffer>), EngineError> {
         let cfg = &self.config;
         // What the shared steps read. The simulator always executes
         // through the enumerated adapter view (no aggregation lanes).
@@ -171,7 +152,6 @@ impl<A: DpApp + 'static> SimEngine<A> {
         let stats = StatsBoard::new(cfg.topology.num_places());
         let mut fault_pending = cfg.fault;
         let mut makespan_ns: SimTime = 0;
-        let mut full_trace = (trace_capacity > 0).then(|| TraceBuffer::new(trace_capacity));
         let mut bufs = WorkerBufs::default();
 
         let final_array = loop {
@@ -205,7 +185,6 @@ impl<A: DpApp + 'static> SimEngine<A> {
                 fault_at: None,
                 last_publish: base,
                 busy_ns: vec![0; nslots],
-                trace: full_trace.take(),
                 rec: self.recorder.clone(),
                 free_tids: (0..nslots)
                     .map(|_| (0..cfg.topology.threads_per_place).rev().collect())
@@ -220,7 +199,6 @@ impl<A: DpApp + 'static> SimEngine<A> {
             );
 
             if prefinished == total {
-                full_trace = ep.trace.take();
                 break into_array(place.shards, dist);
             }
 
@@ -284,7 +262,6 @@ impl<A: DpApp + 'static> SimEngine<A> {
             };
 
             makespan_ns = makespan_ns.max(ep.last_publish);
-            full_trace = ep.trace.take();
             if place_busy.len() < ep.busy_ns.len() {
                 place_busy.resize(ep.busy_ns.len(), Duration::ZERO);
             }
@@ -320,14 +297,6 @@ impl<A: DpApp + 'static> SimEngine<A> {
                         base,
                         u64::from(run.report.epochs - 1),
                     );
-                    if let Some(buf) = &mut full_trace {
-                        buf.record(TraceEvent {
-                            at: Duration::from_nanos(fault_time),
-                            place: victim,
-                            vertex: None,
-                            kind: TraceKind::Recovery,
-                        });
-                    }
                     fault_pending = None;
                 }
             }
@@ -336,7 +305,7 @@ impl<A: DpApp + 'static> SimEngine<A> {
         let comm = stats.snapshot();
         run.report.vertices_computed = comm.tasks_run;
         run.report.sim_time = Duration::from_nanos(makespan_ns.max(base));
-        Ok((run.finish(final_array, comm, place_busy), full_trace))
+        Ok(run.finish(final_array, comm, place_busy))
     }
 
     /// Fills the free worker slots of `slot` with ready work at the
@@ -392,7 +361,6 @@ impl<A: DpApp + 'static> SimEngine<A> {
             }
             let value = self.app.compute(id, &values.view(&bufs.deps));
             let tid = ep.occupy(slot, id, done_at);
-            ep.trace_event(t, me, Some(id), TraceKind::Dispatch);
             let ev = Ev::Done {
                 slot,
                 li,
@@ -411,24 +379,6 @@ enum EpochEnd {
 }
 
 impl<A: DpApp> Epoch<'_, A> {
-    /// Records a trace event when tracing is on.
-    fn trace_event(
-        &mut self,
-        t: SimTime,
-        place: PlaceId,
-        vertex: Option<VertexId>,
-        kind: TraceKind,
-    ) {
-        if let Some(buf) = &mut self.trace {
-            buf.record(TraceEvent {
-                at: Duration::from_nanos(t),
-                place,
-                vertex,
-                kind,
-            });
-        }
-    }
-
     /// Leases a worker of `slot` to vertex `id` from now until `done_at`.
     fn occupy(&mut self, slot: usize, id: VertexId, done_at: SimTime) -> u16 {
         self.busy[slot] += 1;
@@ -464,8 +414,6 @@ impl<A: DpApp> Epoch<'_, A> {
             place.stats.place(src).on_send(bytes, cost);
             self.rec
                 .instant(src.0, RUNTIME_WORKER, EventKind::MsgSend, t, bytes as u64);
-            let bytes = bytes.min(u32::MAX as usize) as u32;
-            self.trace_event(t, src, None, TraceKind::Send { dst, bytes });
             t + cost.as_nanos() as SimTime
         };
         self.queue.push(arrive, Ev::Arrive { src, dst, msg });
@@ -501,12 +449,11 @@ impl<A: DpApp> Sink<A::Value> for Epoch<'_, A> {
     /// Computation is counted at publish, not dispatch: work stranded in
     /// flight by an epoch abort was never visible to anyone, so it must
     /// not inflate the recomputation count recovery is judged by.
-    fn finished(&mut self, slot: usize, id: VertexId, _value: &A::Value) {
+    fn finished(&mut self, slot: usize, _id: VertexId, _value: &A::Value) {
         let me = self.place.dist.places()[slot];
         self.place.stats.place(me).on_task();
         self.finished += 1;
         self.last_publish = self.now;
-        self.trace_event(self.now, me, Some(id), TraceKind::Finish);
         if let Some((victim, at)) = self.threshold {
             if self.finished >= at && self.fault_at.is_none() && self.finished < self.total {
                 self.fault_at = Some((victim, self.now));

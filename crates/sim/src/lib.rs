@@ -24,9 +24,7 @@ pub mod cost;
 pub mod engine;
 pub mod event;
 pub mod ready;
-pub mod trace;
 
 pub use cost::{CostModel, SimConfig};
 pub use engine::SimEngine;
 pub use ready::{ReadyPolicy, ReadyQueue};
-pub use trace::{TraceBuffer, TraceEvent, TraceKind};

@@ -8,12 +8,21 @@
 //! and event trace as literals; a change that moves any of them has
 //! changed what the simulated cluster *does* (send order, park/pull
 //! decisions, dedup, fault timing), and must say so by editing the row.
+//!
+//! The eighth column is `Trace::fingerprint()` of the flight recorder's
+//! trace: every event the run stamps on the virtual clock (vertex
+//! computes, sends, cache and pull instants, faults, recoveries). Its
+//! literals were recorded at commit 01a80f9, with a recorder attached
+//! to the unchanged engine, when they replaced the digest of the
+//! simulator's own trace buffer; the other seven columns keep their
+//! original literals.
 
 use dpx10_core::{
     CommsMode, DepView, DistKind, DpApp, FaultPlan, PlaceId, RestoreManner, ScheduleStrategy,
 };
 use dpx10_dag::builtin::{FullPrevRowCol, Grid3, Pyramid};
 use dpx10_dag::{DagPattern, VertexId};
+use dpx10_obs::Recorder;
 use dpx10_sim::{ReadyPolicy, SimConfig, SimEngine};
 
 struct MixApp;
@@ -32,14 +41,17 @@ impl DpApp for MixApp {
 }
 
 /// `(sim_time ns, messages_sent, bytes_sent, pulls_sent, pulls_deduped,
-/// cache_hits, vertices_computed, trace fingerprint)`.
+/// cache_hits, vertices_computed, recorder trace fingerprint)`.
 type Golden = (u64, u64, u64, u64, u64, u64, u64, u64);
 
 fn measure(pattern: impl DagPattern + 'static, config: SimConfig) -> Golden {
-    let (result, trace) = SimEngine::new(MixApp, pattern, config)
-        .run_traced(1 << 20)
+    let recorder = Recorder::new(config.topology.num_places() as usize);
+    let result = SimEngine::new(MixApp, pattern, config)
+        .with_recorder(recorder.clone())
+        .run()
         .expect("completes");
-    assert_eq!(trace.dropped(), 0, "the pinned trace must be complete");
+    let trace = recorder.drain();
+    assert!(trace.complete(), "the pinned trace must be complete");
     let r = result.report();
     (
         r.sim_time.as_nanos() as u64,
@@ -110,16 +122,16 @@ fn simulator_numbers_are_pinned() {
 
     #[rustfmt::skip]
     let table: [Row; 10] = [
-        (Grid,    CyclicCol, Pull, 4096, Local,   None,                  Fifo,        (505_982, 1_560, 49_608, 0, 0, 3_081, 1_600, 3_009_955_028_127_303_885)),
-        (Grid,    CyclicCol, Pull, 0,    Local,   None,                  Fifo,        (3_067_492, 7_722, 123_552, 3_081, 0, 0, 1_600, 2_102_270_883_680_024_846)),
-        (Grid,    BlockRow,  Pull, 16,   Local,   None,                  MaxDiagonal, (38_846, 120, 3_816, 0, 0, 237, 1_600, 13_418_183_901_009_157_406)),
-        (Grid,    CyclicCol, Push, 0,    Local,   None,                  Fifo,        (505_982, 1_560, 49_608, 0, 0, 0, 1_600, 3_009_955_028_127_303_885)),
-        (Grid,    CyclicCol, Push, 16,   Random,  None,                  MaxDiagonal, (3_299_302, 3_924, 132_872, 0, 0, 2_904, 1_600, 15_200_467_312_925_933_296)),
-        (FanIn,   BlockRow,  Pull, 16,   MinComm, None,                  Fifo,        (1_347_976, 1_820, 36_296, 719, 0, 1_049, 196, 7_917_428_976_537_155_805)),
-        (Pyramid, CyclicRow, Pull, 2,    Local,   None,                  Fifo,        (1_463_014, 1_806, 36_760, 627, 942, 2_475, 576, 10_248_445_833_779_930_625)),
-        (Grid,    CyclicCol, Pull, 16,   Local,   Some(RecomputeRemote), Fifo,        (2_240_288, 2_320, 70_608, 80, 0, 4_344, 2_200, 9_713_468_028_730_453_801)),
-        (FanIn,   BlockRow,  Push, 4096, MinComm, Some(CopyRemote),      Fifo,        (977_180, 694, 23_960, 166, 0, 988, 196, 15_633_504_689_403_425_846)),
-        (Pyramid, CyclicRow, Pull, 0,    Random,  Some(CopyRemote),      MaxDiagonal, (1_917_746, 3_031, 74_136, 745, 1_105, 0, 648, 11_864_209_182_641_935_537)),
+        (Grid,    CyclicCol, Pull, 4096, Local,   None,                  Fifo,        (505_982, 1_560, 49_608, 0, 0, 3_081, 1_600, 456_113_301_552_296_683)),
+        (Grid,    CyclicCol, Pull, 0,    Local,   None,                  Fifo,        (3_067_492, 7_722, 123_552, 3_081, 0, 0, 1_600, 4_914_948_892_216_632_452)),
+        (Grid,    BlockRow,  Pull, 16,   Local,   None,                  MaxDiagonal, (38_846, 120, 3_816, 0, 0, 237, 1_600, 10_423_944_823_992_750_841)),
+        (Grid,    CyclicCol, Push, 0,    Local,   None,                  Fifo,        (505_982, 1_560, 49_608, 0, 0, 0, 1_600, 17_879_962_683_553_739_305)),
+        (Grid,    CyclicCol, Push, 16,   Random,  None,                  MaxDiagonal, (3_299_302, 3_924, 132_872, 0, 0, 2_904, 1_600, 10_571_453_654_900_453_919)),
+        (FanIn,   BlockRow,  Pull, 16,   MinComm, None,                  Fifo,        (1_347_976, 1_820, 36_296, 719, 0, 1_049, 196, 9_195_069_587_335_548_658)),
+        (Pyramid, CyclicRow, Pull, 2,    Local,   None,                  Fifo,        (1_463_014, 1_806, 36_760, 627, 942, 2_475, 576, 1_834_529_428_388_257_731)),
+        (Grid,    CyclicCol, Pull, 16,   Local,   Some(RecomputeRemote), Fifo,        (2_240_288, 2_320, 70_608, 80, 0, 4_344, 2_200, 13_364_027_634_068_809_489)),
+        (FanIn,   BlockRow,  Push, 4096, MinComm, Some(CopyRemote),      Fifo,        (977_180, 694, 23_960, 166, 0, 988, 196, 3_129_356_870_099_140_444)),
+        (Pyramid, CyclicRow, Pull, 0,    Random,  Some(CopyRemote),      MaxDiagonal, (1_917_746, 3_031, 74_136, 745, 1_105, 0, 648, 8_404_896_852_061_333_817)),
     ];
     // Compared as whole tables so one failing run reports every row.
     let got: Vec<Golden> = table.iter().map(run_row).collect();

@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use dpx10_core::{DepView, DistKind, DpApp, FaultPlan, PlaceId, ScheduleStrategy};
 use dpx10_dag::{builtin::*, topological_order, DagPattern, KnapsackDag, VertexId};
+use dpx10_obs::{summary, EventKind, Recorder};
 use dpx10_sim::{CostModel, SimConfig, SimEngine};
 
 struct MixApp;
@@ -243,43 +244,47 @@ fn utilization_reported_and_sane() {
 
 #[test]
 fn traced_run_records_wavefront_and_matches_untraced() {
-    let engine = SimEngine::new(MixApp, Grid3::new(40, 40), SimConfig::flat(4));
-    let (result, trace) = engine.run_traced(100_000).unwrap();
+    let recorder = Recorder::new(4);
+    let result = SimEngine::new(MixApp, Grid3::new(40, 40), SimConfig::flat(4))
+        .with_recorder(recorder.clone())
+        .run()
+        .unwrap();
     let plain = SimEngine::new(MixApp, Grid3::new(40, 40), SimConfig::flat(4))
         .run()
         .unwrap();
     assert_eq!(result.report().sim_time, plain.report().sim_time);
 
-    // Every vertex finished exactly once, across all places.
-    let per_place = trace.finishes_per_place();
-    let total: u64 = per_place.iter().map(|(_, c)| c).sum();
-    assert_eq!(total, 1600);
-    assert_eq!(per_place.len(), 4, "all four places participated");
+    // Every vertex computed exactly once, across all four places.
+    let trace = recorder.drain();
+    assert_eq!(trace.dropped, 0);
+    let rows = summary::rows(&trace);
+    let per_place: Vec<u64> = rows
+        .iter()
+        .filter(|r| r.name == "vertex-compute")
+        .map(|r| r.count)
+        .collect();
+    assert_eq!((per_place.len(), per_place.iter().sum()), (4, 1600));
 
     // The timeline renders one row per place.
-    let timeline = trace.render_timeline(20);
+    let timeline = summary::timeline(&trace, 20);
     assert_eq!(
         timeline.lines().filter(|l| l.starts_with("place")).count(),
         4
     );
-    assert_eq!(trace.dropped(), 0);
 }
 
 #[test]
 fn traced_fault_run_records_recovery_event() {
-    use dpx10_sim::TraceKind;
-    let engine = SimEngine::new(
+    let recorder = Recorder::new(4);
+    SimEngine::new(
         MixApp,
         Grid3::new(30, 30),
         SimConfig::flat(4).with_fault(FaultPlan::mid_run(PlaceId(3))),
-    );
-    let (_, trace) = engine.run_traced(1_000_000).unwrap();
-    let recoveries = trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == TraceKind::Recovery)
-        .count();
-    assert_eq!(recoveries, 1);
+    )
+    .with_recorder(recorder.clone())
+    .run()
+    .unwrap();
+    assert_eq!(recorder.drain().count(EventKind::Recovery), 1);
 }
 
 #[test]
