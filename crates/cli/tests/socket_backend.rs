@@ -4,7 +4,7 @@
 
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn dpx10(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dpx10"));
@@ -110,9 +110,33 @@ fn planned_fault_on_sockets_recovers_to_the_fault_free_answer() {
     );
 }
 
+/// Whether process `pid` runs a thread whose name starts with `prefix`.
+#[cfg(target_os = "linux")]
+fn has_thread(pid: &str, prefix: &str) -> bool {
+    let Ok(tasks) = std::fs::read_dir(format!("/proc/{pid}/task")) else {
+        return false;
+    };
+    tasks.flatten().any(|task| {
+        std::fs::read_to_string(task.path().join("comm")).is_ok_and(|name| name.starts_with(prefix))
+    })
+}
+
+/// Sends `signal` to `pid`; whether the process was there to take it.
+#[cfg(target_os = "linux")]
+fn signal(name: &str, pid: &str) -> bool {
+    let status = Command::new("kill").args([name, pid]).status();
+    status.expect("run kill").success()
+}
+
 /// Kills a worker place with `SIGKILL` mid-run. The survivors must
 /// detect the dead peer, recover, and finish with the same answer as a
 /// fault-free run.
+///
+/// The kill is mid-computation by construction: the victim is stopped
+/// (`SIGSTOP`) as soon as its first epoch's worker threads exist, so
+/// the mesh is formed, and the run cannot finish while the victim holds
+/// an uncomputed chunk. It is killed while stopped.
+#[cfg(target_os = "linux")]
 #[test]
 fn sigkill_mid_run_recovers_and_matches_fault_free() {
     let args = [
@@ -160,16 +184,20 @@ fn sigkill_mid_run_recovers_and_matches_fault_free() {
         }
     };
 
-    // Past mesh formation, into the computation proper (the full run
-    // takes seconds), then kill -9 the worker.
-    std::thread::sleep(Duration::from_millis(400));
-    // On fast hosts (release builds) the whole run can finish before
-    // the sleep elapses; the kill then misses. That degrades the test
-    // to a fault-free equivalence check instead of failing it.
-    let killed = Command::new("kill")
-        .args(["-9", &victim_pid])
-        .status()
-        .expect("run kill");
+    // Place 2's workers are threads `dpx10-p2w*`, started by its first
+    // epoch once the mesh is up. Freeze it the moment they exist, let
+    // the survivors run into the missing chunk, then kill it.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !has_thread(&victim_pid, "dpx10-p2w") && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stopped = signal("-STOP", &victim_pid);
+    std::thread::sleep(Duration::from_millis(200));
+    let killed = signal("-KILL", &victim_pid);
+    assert!(
+        stopped && killed,
+        "place 2 was gone before its epoch started (stopped {stopped}, killed {killed})"
+    );
 
     let mut rest = String::new();
     stderr.read_to_string(&mut rest).expect("drain stderr");
@@ -185,10 +213,8 @@ fn sigkill_mid_run_recovers_and_matches_fault_free() {
         answer_line(&stdout),
         "recovered answer differs from fault-free"
     );
-    if killed.success() {
-        assert!(
-            stdout.contains("recovery #0"),
-            "no recovery reported in {stdout:?}"
-        );
-    }
+    assert!(
+        stdout.contains("recovery #0"),
+        "no recovery reported in {stdout:?}"
+    );
 }

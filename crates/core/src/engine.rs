@@ -12,6 +12,7 @@
 //! is the host of that loop whose places all live in one process, and
 //! [`crate::ElasticEngine`] runs on it.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
@@ -220,9 +221,37 @@ struct Worker<'a, A: DpApp> {
     wid: u16,
     /// Computes left before this worker times one again.
     untimed: u32,
+    /// The slot this worker serves.
+    home: usize,
+    /// Vertices of `home` this worker made ready, in FIFO order, where
+    /// no other worker can take them (one thread per place, no
+    /// stealing). Only this thread touches it; the shard's locked queue
+    /// carries the epoch's seeds and what other slots' workers ready.
+    /// `None` where work can change hands: every ready vertex then goes
+    /// through the shard's queue.
+    own: Option<VecDeque<u32>>,
 }
 
 impl<A: DpApp> Worker<'_, A> {
+    /// The next ready vertex of `home`: the shard's queue while its
+    /// racy length says it holds one, then this worker's own FIFO. On a
+    /// one-worker place the queue holds the seeds, which were ready
+    /// before anything in the FIFO: one FIFO order overall.
+    #[inline]
+    fn next_ready(&mut self) -> Option<u32> {
+        let queue = &self.shared.place.shards[self.home].ready;
+        let li = match &mut self.own {
+            Some(own) if queue.is_empty() => own.pop_front(),
+            Some(own) => queue.pop().or_else(|| own.pop_front()),
+            None => queue.pop(),
+        }?;
+        let me = self.shared.place.dist.places()[self.home];
+        self.shared
+            .recorder
+            .instant_now(me.0, self.wid, EventKind::ReadyPop, u64::from(li));
+        Some(li)
+    }
+
     /// Runs `compute` (the app's, classic or ranged) for vertex `id` and
     /// charges its time to the slot's busy counter. While recording,
     /// every compute is timed and emits its vertex-compute span;
@@ -279,7 +308,10 @@ impl<A: DpApp> Sink<A::Value> for Worker<'_, A> {
 
     #[inline]
     fn ready(&mut self, slot: usize, li: u32) {
-        self.shared.place.shards[slot].ready.push(li);
+        match &mut self.own {
+            Some(own) if slot == self.home => own.push_back(li),
+            _ => self.shared.place.shards[slot].ready.push(li),
+        }
     }
 
     #[inline]
@@ -349,9 +381,12 @@ impl<A: DpApp> Sink<A::Value> for Worker<'_, A> {
 /// served job; [`crate::epoch`] is the one place that starts it.
 pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
     let me = shared.place.dist.places()[slot];
-    let ready = &shared.place.shards[slot].ready;
     let mut bufs = WorkerBufs::default();
     let mut idle_rounds = 0u32;
+    // Whether another worker can take this one's vertices: a sibling
+    // on the same slot, or a thief.
+    let shares = shared.place.topo.threads_per_place > 1
+        || shared.place.schedule == ScheduleStrategy::WorkStealing;
     // Process-wide worker id: the trace track this thread records onto,
     // and the shaker substream selector.
     let wid = shared.worker_seq.fetch_add(1, Ordering::Relaxed);
@@ -367,6 +402,8 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
         shared,
         wid,
         untimed: 0,
+        home: slot,
+        own: (!shares).then(VecDeque::new),
     };
     loop {
         if shared.should_stop() || !shared.liveness.is_alive(me) {
@@ -393,13 +430,6 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
                 None => break,
             }
         }
-        let pop = || {
-            let li = ready.pop()?;
-            shared
-                .recorder
-                .instant_now(me.0, wid, EventKind::ReadyPop, u64::from(li));
-            Some(li)
-        };
         match shaker.as_mut() {
             Some(rng) => {
                 // Shaken pop: grab a small batch, start it at a random
@@ -408,7 +438,7 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
                 let mut popped = 0;
                 while popped < ready_budget {
                     let mut batch: Vec<u32> = Vec::with_capacity(4);
-                    batch.extend((0..1 + rng.below(3)).map_while(|_| pop()));
+                    batch.extend((0..1 + rng.below(3)).map_while(|_| worker.next_ready()));
                     if batch.is_empty() {
                         break;
                     }
@@ -422,7 +452,8 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
                 }
             }
             None => {
-                for li in (0..ready_budget).map_while(|_| pop()) {
+                for _ in 0..ready_budget {
+                    let Some(li) = worker.next_ready() else { break };
                     execute(&mut worker, slot, li, &mut bufs);
                     progress = true;
                 }

@@ -11,10 +11,17 @@
 //! | | threads / elastic mesh / socket places / served jobs | simulator |
 //! |---|---|---|
 //! | `send` | the epoch's `Transport` | a priced arrival event |
-//! | `ready` | the shard's FIFO ready list | the policy ready queue |
+//! | `ready` | one worker per place, no stealing: its own FIFO; otherwise, or another slot's vertex: the shard's queue | the policy ready queue |
 //! | `stamp` | recorder, wall clock | recorder, virtual clock |
 //! | `exec` | compute now, reply `ExecResult` | queue for a worker slot |
 //! | `finished` | checkpoint, `tasks_run`, exact kills and boundaries (global count only while one is armed) | finish count, fault time |
+//!
+//! A stencil pattern on a block distribution addresses a cell's local
+//! edges by slab offset ([`crate::state::SlabStencil`]): inside its
+//! chunk, `prepare` fills the ids from the offsets and lends the values
+//! at `li + delta` ([`Gathered::Slab`]), and `publish` decrements at
+//! `li + delta` in `anti_dependencies` order — no pattern query,
+//! `slot_of` or `local_index`. Every other cell asks the pattern.
 //!
 //! Values are copied only where a second owner needs them. A gather
 //! whose dependencies all live in the gathering shard lends references
@@ -35,11 +42,11 @@ use dpx10_dag::{AggSpec, DagPattern, VertexId};
 use dpx10_distarray::Dist;
 use dpx10_obs::EventKind;
 
-use crate::app::{DepView, DpApp};
+use crate::app::{DepView, DpApp, VertexValue};
 use crate::config::CommsMode;
 use crate::msg::Msg;
 use crate::schedule::{min_comm_choice, random_choice, ScheduleStrategy};
-use crate::state::{local_index, Fill, Shard};
+use crate::state::{local_index, Fill, Shard, LENT};
 
 /// Everything the protocol reads and mutates during one epoch: the
 /// application, the DAG, who owns what, and every place's shard.
@@ -114,6 +121,9 @@ impl Default for WorkerBufs {
 /// A ready vertex's dependency values, in dependency order, as
 /// [`gather`] found them.
 pub enum Gathered<'p, V> {
+    /// Every dependency is a stencil neighbour in the gathering shard:
+    /// the first `n` references, read at fixed slab offsets.
+    Slab([&'p V; LENT], usize),
     /// Every dependency lives in the gathering shard: references into
     /// its slab, borrowed for as long as the epoch's [`Place`].
     Lent(Vec<&'p V>),
@@ -126,6 +136,7 @@ impl<V: Clone> Gathered<'_, V> {
     /// The first `ids.len()` values under `ids`, for `compute`.
     pub fn view<'a>(&'a self, ids: &'a [VertexId]) -> DepView<'a, V> {
         match self {
+            Gathered::Slab(values, _) => DepView::lent(ids, &values[..ids.len()]),
             Gathered::Lent(values) => DepView::lent(ids, &values[..ids.len()]),
             Gathered::Owned(values) => DepView::new(ids, &values[..ids.len()]),
         }
@@ -134,6 +145,7 @@ impl<V: Clone> Gathered<'_, V> {
     /// The values as owned copies, for a message ([`Msg::Exec`]).
     pub fn into_owned(self) -> Vec<V> {
         match self {
+            Gathered::Slab(values, n) => values[..n].iter().map(|&v| v.clone()).collect(),
             Gathered::Lent(values) => values.into_iter().cloned().collect(),
             Gathered::Owned(values) => values,
         }
@@ -315,16 +327,31 @@ fn decrement<A: DpApp, S: Sink<A::Value>>(
     slot: usize,
     t: VertexId,
 ) {
-    let shard = &place.shards[slot];
-    let li = local_index(&place.dist, t);
+    decrement_at(&place.shards[slot], sink, slot, local_index(&place.dist, t));
+}
+
+/// [`decrement`] of the shard's local vertex `li`.
+#[inline]
+fn decrement_at<V, S: Sink<V>>(shard: &Shard<V>, sink: &mut S, slot: usize, li: u32) {
     if shard.finished[li as usize].load(Ordering::Acquire) {
         return;
     }
     let old = shard.indegree[li as usize].fetch_sub(1, Ordering::AcqRel);
-    debug_assert!(old >= 1, "indegree underflow at {t}");
+    debug_assert!(
+        old >= 1,
+        "indegree underflow at {:?}",
+        shard.points[li as usize]
+    );
     if old == 1 {
         sink.ready(slot, li);
     }
+}
+
+/// Local index `li` moved by a slab delta of the shard's
+/// [`SlabStencil`](crate::state::SlabStencil).
+#[inline]
+fn at(li: u32, delta: isize) -> u32 {
+    (li as usize).wrapping_add_signed(delta) as u32
 }
 
 /// The owner-side half of executing ready vertex `li`: enumerate its
@@ -338,10 +365,26 @@ pub fn prepare<'p, A: DpApp, S: Sink<A::Value>>(
     li: u32,
     bufs: &mut WorkerBufs,
 ) -> Option<(PlaceId, Gathered<'p, A::Value>)> {
-    let (i, j) = place.shards[slot].points[li as usize];
+    let shard = &place.shards[slot];
+    let (i, j) = shard.points[li as usize];
     bufs.deps.clear();
-    place.pattern.dependencies(i, j, &mut bufs.deps);
-    let values = gather(place, sink, slot, li, &bufs.deps)?;
+    let values = match lend(shard, li, VertexId::new(i, j), &mut bufs.deps) {
+        Some(values) => {
+            debug_assert!(
+                {
+                    let mut deps = Vec::new();
+                    place.pattern.dependencies(i, j, &mut deps);
+                    deps == bufs.deps
+                },
+                "the stencil of ({i}, {j}) is not its dependencies"
+            );
+            values
+        }
+        None => {
+            place.pattern.dependencies(i, j, &mut bufs.deps);
+            gather(place, sink, slot, li, &bufs.deps)?
+        }
+    };
 
     let me = place.dist.places()[slot];
     let target = match place.schedule {
@@ -368,6 +411,41 @@ pub fn prepare<'p, A: DpApp, S: Sink<A::Value>>(
         }
     };
     Some((target, values))
+}
+
+/// The stencil path of [`prepare`]: when every dependency of `id` is a
+/// stencil neighbour in the shard's chunk and a DAG vertex, fills `deps`
+/// from the offsets and lends the values at their slab deltas — no
+/// `dependencies` call, no `slot_of` or `local_index`, no allocation.
+/// `None` sends the vertex down the general path.
+#[inline]
+fn lend<'p, V: VertexValue>(
+    shard: &'p Shard<V>,
+    li: u32,
+    id: VertexId,
+    deps: &mut Vec<VertexId>,
+) -> Option<Gathered<'p, V>> {
+    let st = shard.stencil.as_ref()?;
+    let deltas = st.dep_deltas(id.i, id.j)?;
+    if !deltas.iter().all(|&d| shard.in_pattern[at(li, d) as usize]) {
+        return None;
+    }
+    let inside = |o| {
+        id.shifted(o)
+            .expect("an interior cell's neighbours are on the matrix")
+    };
+    deps.extend(st.offsets().iter().map(|&o| inside(o)));
+    debug_assert!(
+        deps.iter()
+            .zip(deltas)
+            .all(|(d, &delta)| shard.points[at(li, delta) as usize] == (d.i, d.j)),
+        "the slab deltas of {id} miss its stencil neighbours"
+    );
+    let mut values = [shard.value(at(li, deltas[0])); LENT];
+    for (v, &d) in values.iter_mut().zip(deltas).skip(1) {
+        *v = shard.value(at(li, d));
+    }
+    Some(Gathered::Slab(values, deltas.len()))
 }
 
 /// Gathers dependency values: local reads, then cache, then previously
@@ -513,6 +591,30 @@ pub fn publish<A: DpApp, S: Sink<A::Value>>(
     shard.finished_local.fetch_add(1, Ordering::Relaxed);
     sink.finished(slot, id, value);
 
+    // A stencil cell whose dependents all sit in this chunk decrements
+    // them at their slab deltas, in `anti_dependencies` order.
+    if let Some(deltas) = shard
+        .stencil
+        .as_ref()
+        .and_then(|st| st.anti_deltas(id.i, id.j))
+    {
+        if deltas.iter().all(|&d| shard.in_pattern[at(li, d) as usize]) {
+            debug_assert!(
+                {
+                    bufs.anti.clear();
+                    place.pattern.anti_dependencies(id.i, id.j, &mut bufs.anti);
+                    let slab = deltas.iter().map(|&d| shard.points[at(li, d) as usize]);
+                    bufs.anti.iter().map(|t| (t.i, t.j)).eq(slab)
+                },
+                "the slab deltas of {id} are not its anti-dependencies in order"
+            );
+            for &d in deltas {
+                decrement_at(shard, sink, slot, at(li, d));
+            }
+            return;
+        }
+    }
+
     bufs.anti.clear();
     place.pattern.anti_dependencies(id.i, id.j, &mut bufs.anti);
 
@@ -548,5 +650,128 @@ pub fn publish<A: DpApp, S: Sink<A::Value>>(
             targets,
         };
         sink.send(me, PlaceId(q), msg);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::Ordering;
+
+    use dpx10_apgas::{NetworkModel, StatsBoard, Topology};
+    use dpx10_dag::{topological_order, BandedGrid3, BuiltinKind};
+    use dpx10_distarray::{DistKind, Region2D};
+
+    use super::*;
+    use crate::state::build_shards;
+
+    struct Zero;
+
+    impl DpApp for Zero {
+        type Value = u64;
+        fn compute(&self, _id: VertexId, _deps: &DepView<'_, u64>) -> u64 {
+            0
+        }
+    }
+
+    /// Every vertex a publication decrements to zero: local `ready`s as
+    /// `(slot, li)`, remote `Done` targets by id.
+    #[derive(Default)]
+    struct Log {
+        ready: Vec<(usize, u32)>,
+        sent: Vec<VertexId>,
+    }
+
+    impl Sink<u64> for Log {
+        fn send(&mut self, _src: PlaceId, _dst: PlaceId, msg: Msg<u64>) {
+            if let Msg::Done { targets, .. } = msg {
+                self.sent.extend(targets);
+            }
+        }
+        fn ready(&mut self, slot: usize, li: u32) {
+            self.ready.push((slot, li));
+        }
+        fn stamp(&mut self, _place: PlaceId, _kind: EventKind, _arg: u64) {}
+        fn exec(&mut self, _: usize, _: PlaceId, _: VertexId, _: Vec<VertexId>, _: Vec<u64>) {}
+        fn finished(&mut self, _slot: usize, _id: VertexId, _value: &u64) {}
+    }
+
+    /// Publishes every vertex of `pattern` distributed by `kind` over
+    /// `places`, in a topological order, with each open vertex one
+    /// decrement from ready, and checks what each publication readied
+    /// against `anti_dependencies`: the local ones in its order, the
+    /// remote ones as a set. Returns how many cells decrement by slab
+    /// offset.
+    fn check_publish_order(pattern: &Arc<dyn DagPattern>, kind: DistKind, places: u16) -> usize {
+        let what = format!("{} {kind:?} on {places}", pattern.name());
+        let region = Region2D::new(pattern.height(), pattern.width());
+        let dist = Arc::new(Dist::new(region, kind, (0..places).map(PlaceId).collect()));
+        let (shards, _) = build_shards::<u64>(pattern.as_ref(), &dist, None, None, None, 4, None);
+        let slab_cells = shards
+            .iter()
+            .map(|s| {
+                let st = s.stencil.as_ref().expect("a stencil on a block kind");
+                let slab = |&&(i, j): &&(u32, u32)| st.anti_deltas(i, j).is_some();
+                s.points.iter().filter(slab).count()
+            })
+            .sum();
+        let place = Place {
+            app: Arc::new(Zero),
+            pattern: pattern.clone(),
+            dist: dist.clone(),
+            shards,
+            stats: StatsBoard::new(places),
+            topo: Topology::flat(places),
+            net: NetworkModel::tianhe_like(),
+            schedule: ScheduleStrategy::Local,
+            comms: CommsMode::Pull,
+            agg: None,
+        };
+        let mut bufs = WorkerBufs::default();
+        let mut anti = Vec::new();
+        for id in topological_order(pattern.as_ref()).expect("acyclic") {
+            for open in place.shards.iter().flat_map(|s| &s.indegree) {
+                open.store(1, Ordering::Relaxed);
+            }
+            let (slot, li) = (dist.slot_of(id.i, id.j), local_index(&dist, id));
+            let mut log = Log::default();
+            publish(&place, &mut log, slot, li, id, 0, &mut bufs);
+            anti.clear();
+            pattern.anti_dependencies(id.i, id.j, &mut anti);
+            let (local, mut remote): (Vec<_>, Vec<_>) =
+                anti.iter().partition(|t| dist.slot_of(t.i, t.j) == slot);
+            let point =
+                |&(s, li): &(usize, u32)| VertexId::from(place.shards[s].points[li as usize]);
+            let readied: Vec<_> = log.ready.iter().map(point).collect();
+            assert_eq!(readied, local, "{what}: local decrements of {id}");
+            log.sent.sort_unstable();
+            remote.sort_unstable();
+            assert_eq!(log.sent, remote, "{what}: remote decrements of {id}");
+        }
+        slab_cells
+    }
+
+    #[test]
+    fn publish_decrements_in_anti_dependency_order() {
+        // 9 × 7 leaves every chunk an interior on one place; 4 × 3 on
+        // 2–4 places gives chunks no wider than a stencil's reach.
+        for (height, width) in [(9, 7), (4, 3)] {
+            let mut patterns: Vec<Arc<dyn DagPattern>> = BuiltinKind::ALL
+                .into_iter()
+                .filter(|kind| kind.instantiate(1, 1).stencil().is_some())
+                .map(|kind| kind.instantiate(height, width).into())
+                .collect();
+            patterns.push(Arc::new(BandedGrid3::new(height.max(width), 2)));
+            for pattern in &patterns {
+                for kind in [DistKind::BlockRow, DistKind::BlockCol] {
+                    for places in 1..=4 {
+                        let slab_cells = check_publish_order(pattern, kind.clone(), places);
+                        if (height, width, places) == (9, 7, 1) {
+                            let name = pattern.name();
+                            assert!(slab_cells > 0, "{name}: no cell decrements by offset");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

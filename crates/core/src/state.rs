@@ -2,12 +2,14 @@
 //! [`crate::protocol`].
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dpx10_sync::Mutex;
 use dpx10_sync::SegQueue;
 
+use dpx10_dag::tiled::{stencil_anti_order, Reach};
 use dpx10_dag::{AggSpec, DagPattern, VertexId};
 use dpx10_distarray::{AggTable, Dist, DistArray};
 
@@ -78,6 +80,108 @@ impl<V> Default for Pending<V> {
     }
 }
 
+/// The most stencil offsets a cell's dependencies are lent for, by the
+/// tile kernel and by [`SlabStencil`]; a pattern with a longer stencil
+/// takes the general path.
+pub const LENT: usize = 8;
+
+/// A stencil pattern's edges inside one block chunk, as slab offsets.
+///
+/// A block chunk is a rectangle stored row-major, so the neighbour at
+/// stencil offset `(di, dj)` of local index `li` sits at
+/// `li + di * width + dj` whenever it is in the chunk. Two insets of the
+/// chunk say where that holds for every offset: the stencil's reach for
+/// dependencies, the mirrored reach for anti-dependencies. A cell in
+/// one of them whose neighbours there are all DAG vertices addresses
+/// those edges by an add, without `slot_of` or `local_index`.
+pub struct SlabStencil {
+    /// The dependency offsets, in declared (`dependencies`) order.
+    offsets: [(i32, i32); LENT],
+    /// Number of offsets.
+    len: usize,
+    /// Slab deltas of `offsets`.
+    dep_deltas: [isize; LENT],
+    /// Slab deltas of the mirrored offsets, in `anti_dependencies`
+    /// order — which need not be `offsets`' order (Pyramid's is not).
+    anti_deltas: [isize; LENT],
+    /// Cells whose every dependency offset lands in the chunk.
+    dep_inner: (Range<u32>, Range<u32>),
+    /// Cells whose every anti-dependency offset lands in the chunk;
+    /// empty when no cell showed the anti order.
+    anti_inner: (Range<u32>, Range<u32>),
+}
+
+impl SlabStencil {
+    /// The stencil addressing of `slot`'s chunk: `Some` when `pattern`
+    /// declares a stencil of 1 to [`LENT`] offsets and `dist` is a block
+    /// kind. The anti order is read off the first cell of the chunk
+    /// whose anti-dependencies are all in it and in the pattern (the
+    /// stencil contract makes every such cell agree).
+    fn of(pattern: &dyn DagPattern, dist: &Dist, slot: usize, in_pattern: &[bool]) -> Option<Self> {
+        let stencil = pattern
+            .stencil()
+            .filter(|s| (1..=LENT).contains(&s.len()))?;
+        let chunk = dist.block_bounds(slot)?;
+        let (row0, col0, width) = (chunk.0.start, chunk.1.start, chunk.1.len());
+        let delta = |(di, dj): (i32, i32)| di as isize * width as isize + dj as isize;
+        let reach = Reach::of(stencil);
+        let mut st = SlabStencil {
+            offsets: [(0, 0); LENT],
+            len: stencil.len(),
+            dep_deltas: [0; LENT],
+            anti_deltas: [0; LENT],
+            dep_inner: reach.inset(chunk.clone()),
+            anti_inner: (row0..row0, col0..col0),
+        };
+        st.offsets[..st.len].copy_from_slice(stencil);
+        for (d, &o) in st.dep_deltas.iter_mut().zip(stencil) {
+            *d = delta(o);
+        }
+
+        let (rows, cols) = reach.mirrored().inset(chunk);
+        let li = |c: VertexId| (c.i - row0) as usize * width + (c.j - col0) as usize;
+        let open = |c: VertexId| {
+            let dependent = |&o: &(i32, i32)| in_pattern[li(c).wrapping_add_signed(-delta(o))];
+            in_pattern[li(c)] && stencil.iter().all(dependent)
+        };
+        let mut cells = rows
+            .clone()
+            .flat_map(|i| cols.clone().map(move |j| VertexId::new(i, j)));
+        if let Some(order) = cells
+            .find(|&c| open(c))
+            .and_then(|c| stencil_anti_order(pattern, c))
+        {
+            for (d, k) in st.anti_deltas.iter_mut().zip(order) {
+                *d = -delta(stencil[k]);
+            }
+            st.anti_inner = (rows, cols);
+        }
+        Some(st)
+    }
+
+    /// The dependency offsets, in `dependencies` order.
+    #[inline]
+    pub fn offsets(&self) -> &[(i32, i32)] {
+        &self.offsets[..self.len]
+    }
+
+    /// The slab deltas of `(i, j)`'s dependencies, in `dependencies`
+    /// order, if they all land in the chunk.
+    #[inline]
+    pub fn dep_deltas(&self, i: u32, j: u32) -> Option<&[isize]> {
+        let (rows, cols) = &self.dep_inner;
+        (rows.contains(&i) && cols.contains(&j)).then(|| &self.dep_deltas[..self.len])
+    }
+
+    /// The slab deltas of `(i, j)`'s anti-dependencies, in
+    /// `anti_dependencies` order, if they all land in the chunk.
+    #[inline]
+    pub fn anti_deltas(&self, i: u32, j: u32) -> Option<&[isize]> {
+        let (rows, cols) = &self.anti_inner;
+        (rows.contains(&i) && cols.contains(&j)).then(|| &self.anti_deltas[..self.len])
+    }
+}
+
 /// The runtime state of one place (one distribution slot) during an
 /// epoch: the paper's per-place vertex partition, ready list and cache
 /// (§VI-C).
@@ -86,6 +190,9 @@ pub struct Shard<V> {
     pub points: Vec<(u32, u32)>,
     /// Whether the cell is a DAG vertex (masked patterns leave holes).
     pub in_pattern: Vec<bool>,
+    /// Slab addressing of a stencil's local edges (`None` off the block
+    /// kinds, for other patterns, and on nested-dataflow runs).
+    pub stencil: Option<SlabStencil>,
     /// Unfinished-dependency counters.
     pub indegree: Vec<AtomicU32>,
     /// Completion flags ("a finish flag is kept for each vertex").
@@ -153,6 +260,10 @@ impl<V: VertexValue> Shard<V> {
         Shard {
             total_local: in_pattern.iter().filter(|&&c| c).count() as u64,
             points,
+            stencil: match agg {
+                None => SlabStencil::of(pattern, dist, slot, &in_pattern),
+                Some(_) => None,
+            },
             in_pattern,
             indegree: (0..len).map(|_| AtomicU32::new(0)).collect(),
             finished: (0..len).map(|_| AtomicBool::new(false)).collect(),

@@ -61,6 +61,7 @@ use crate::app::{DagResult, DepView, DpApp, VertexValue};
 use crate::config::EngineConfig;
 use crate::engine::ThreadedEngine;
 use crate::error::EngineError;
+use crate::state::LENT;
 
 /// The value of one tile: its cells' results, dense and row-major over
 /// the tile's clipped bounds (masked cells hold `V::default()`).
@@ -143,10 +144,6 @@ impl<A: DpApp, P: DagPattern> TiledApp<A, P> {
         (TileValue { cells }, path)
     }
 }
-
-/// The most stencil offsets a cell's dependencies are lent for; a
-/// pattern with a longer stencil copies every cell's reads.
-const LENT: usize = 8;
 
 /// One tile being computed: its dense output buffer plus the buffers
 /// reused from cell to cell.

@@ -1,15 +1,16 @@
 //! The tile kernel hands an interior cell of a stencil pattern ids it
 //! derives from the offsets and values it lends out of the tile buffer,
-//! where every other cell asks `dependencies` and copies. A recording
-//! app checks, for every cell it computes, that the ids are exactly
-//! `dependencies()`, order included, and that each value is the one of
-//! the cell it names.
+//! where every other cell asks `dependencies` and copies. The per-vertex
+//! path does the same inside a block chunk, addressing the slab by
+//! offset. A recording app checks, for every cell it computes, that the
+//! ids are exactly `dependencies()`, order included, and that each
+//! value is the one of the cell it names.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpx10_core::tiled::run_tiled_threaded;
-use dpx10_core::{DepView, DpApp, EngineConfig, EngineError};
+use dpx10_core::{DepView, DistKind, DpApp, EngineConfig, EngineError, ThreadedEngine};
 use dpx10_dag::{BandedGrid3, BuiltinKind, DagPattern, VertexId};
 
 /// The value every cell computes: a function of its id alone, so a
@@ -39,15 +40,78 @@ impl DpApp for Recording {
 }
 
 /// Every builtin that declares a stencil, plus `BandedGrid3`, on a
-/// 13 × 11 grid: a multiple of none of the tile sizes below.
-fn stencil_patterns() -> Vec<(String, Arc<dyn DagPattern>)> {
+/// `height × width` grid.
+fn stencil_patterns_of(height: u32, width: u32) -> Vec<(String, Arc<dyn DagPattern>)> {
     let mut patterns: Vec<(String, Arc<dyn DagPattern>)> = BuiltinKind::ALL
         .into_iter()
         .filter(|kind| kind.instantiate(1, 1).stencil().is_some())
-        .map(|kind| (format!("{kind:?}"), Arc::from(kind.instantiate(13, 11))))
+        .map(|kind| {
+            (
+                format!("{kind:?}"),
+                Arc::from(kind.instantiate(height, width)),
+            )
+        })
         .collect();
-    patterns.push(("BandedGrid3".into(), Arc::new(BandedGrid3::new(13, 3))));
+    let banded = BandedGrid3::new(height.max(width), 3);
+    patterns.push(("BandedGrid3".into(), Arc::new(banded)));
     patterns
+}
+
+/// The stencil patterns on a 13 × 11 grid: a multiple of none of the
+/// tile sizes below.
+fn stencil_patterns() -> Vec<(String, Arc<dyn DagPattern>)> {
+    stencil_patterns_of(13, 11)
+}
+
+/// Checks a finished run: every cell computed once, every value the
+/// one of its cell.
+fn check_values(
+    what: &str,
+    pattern: &dyn DagPattern,
+    computed: &AtomicU64,
+    get: impl Fn(u32, u32) -> Option<u64>,
+) {
+    assert_eq!(
+        computed.load(Ordering::Relaxed),
+        pattern.vertex_count(),
+        "{what}: cells computed"
+    );
+    for i in 0..pattern.height() {
+        for j in 0..pattern.width() {
+            let want = pattern.contains(i, j).then(|| value_of((i, j).into()));
+            assert_eq!(get(i, j), want, "{what}: cell ({i}, {j})");
+        }
+    }
+}
+
+#[test]
+fn the_per_vertex_path_hands_every_cell_its_dependencies_in_pattern_order() {
+    // 13 × 11 splits unevenly on 2–4 places; on 5 × 3, four places get
+    // chunks of one column or row, no wider than a stencil's reach,
+    // and BlockCol leaves one place nothing at all.
+    for (height, width) in [(13, 11), (5, 3)] {
+        let patterns = stencil_patterns_of(height, width);
+        assert_eq!(patterns.len(), 8);
+        for (name, pattern) in &patterns {
+            for kind in [DistKind::BlockRow, DistKind::BlockCol, DistKind::CyclicCol] {
+                for places in 1..=4 {
+                    let what = format!("{name} {height}x{width}, {kind:?} on {places} place(s)");
+                    let computed = Arc::new(AtomicU64::new(0));
+                    let app = Recording {
+                        pattern: pattern.clone(),
+                        computed: computed.clone(),
+                    };
+                    let config = EngineConfig::flat(places).with_dist(kind.clone());
+                    let result = ThreadedEngine::new(app, pattern.clone(), config)
+                        .run()
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    check_values(&what, pattern.as_ref(), &computed, |i, j| {
+                        result.try_get(i, j)
+                    });
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -68,17 +132,7 @@ fn every_cell_is_handed_its_dependencies_in_pattern_order() {
                     Err(EngineError::Untileable(_)) if name == "Pyramid" && tile > 1 => continue,
                     result => result.unwrap_or_else(|e| panic!("{what}: {e}")),
                 };
-                assert_eq!(
-                    computed.load(Ordering::Relaxed),
-                    pattern.vertex_count(),
-                    "{what}: cells computed"
-                );
-                for i in 0..pattern.height() {
-                    for j in 0..pattern.width() {
-                        let want = pattern.contains(i, j).then(|| value_of((i, j).into()));
-                        assert_eq!(run.try_get(i, j), want, "{what}: cell ({i}, {j})");
-                    }
-                }
+                check_values(&what, pattern.as_ref(), &computed, |i, j| run.try_get(i, j));
             }
         }
     }

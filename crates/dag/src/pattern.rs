@@ -95,8 +95,14 @@ pub trait DagPattern: Send + Sync {
     /// [`dependencies`](DagPattern::dependencies) returns exactly
     /// `(i + di, j + dj)` for each offset, in declared order, keeping
     /// those that are [`contains`](DagPattern::contains)ed (an offset
-    /// off the matrix edge is dropped). [`crate::validate_pattern`]
-    /// checks the promise. The default, `None`, promises nothing.
+    /// off the matrix edge is dropped). It also promises that
+    /// [`anti_dependencies`](DagPattern::anti_dependencies) lists
+    /// `(i - di, j - dj)` in one fixed order of the offsets for every
+    /// cell all of whose mirrored offsets are contained. That order
+    /// need not be the declared one (Pyramid's is not): the per-vertex
+    /// engines learn it from one such cell, then decrement without
+    /// asking. [`crate::validate_pattern`] checks both promises. The
+    /// default, `None`, promises nothing.
     fn stencil(&self) -> Option<&[(i32, i32)]> {
         None
     }

@@ -112,16 +112,21 @@ struct TileTable {
 
 /// How far a stencil's offsets reach from their cell: rows up and
 /// down, columns left and right.
-#[derive(Clone, Copy, Debug, Default)]
-struct Reach {
-    up: u32,
-    down: u32,
-    left: u32,
-    right: u32,
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Reach {
+    /// Rows above the cell.
+    pub up: u32,
+    /// Rows below the cell.
+    pub down: u32,
+    /// Columns left of the cell.
+    pub left: u32,
+    /// Columns right of the cell.
+    pub right: u32,
 }
 
 impl Reach {
-    fn of(stencil: &[(i32, i32)]) -> Reach {
+    /// The reach of `stencil`'s offsets.
+    pub fn of(stencil: &[(i32, i32)]) -> Reach {
         let mut r = Reach::default();
         for &(di, dj) in stencil {
             r.up = r.up.max(di.min(0).unsigned_abs());
@@ -131,6 +136,52 @@ impl Reach {
         }
         r
     }
+
+    /// The reach of the negated offsets: where a stencil's
+    /// anti-dependencies lie.
+    pub fn mirrored(self) -> Reach {
+        Reach {
+            up: self.down,
+            down: self.up,
+            left: self.right,
+            right: self.left,
+        }
+    }
+
+    /// The cells of the rectangle `rows × cols` from which every offset
+    /// lands inside it, as `(rows, cols)`; a side no longer than its
+    /// reach comes back empty.
+    pub fn inset(self, (rows, cols): (Range<u32>, Range<u32>)) -> (Range<u32>, Range<u32>) {
+        let inset = |span: Range<u32>, low: u32, high: u32| {
+            let start = span.start.saturating_add(low).min(span.end);
+            start..span.end.saturating_sub(high).max(start)
+        };
+        (
+            inset(rows, self.up, self.down),
+            inset(cols, self.left, self.right),
+        )
+    }
+}
+
+/// The order in which `cell`'s `anti_dependencies` list the offsets of
+/// `pattern`'s [`DagPattern::stencil`], as indices into it: `Some` when
+/// the pattern declares a stencil and the list holds one dependent per
+/// offset, `None` otherwise (no stencil, or a cell by an edge or a hole
+/// whose list is short). The stencil contract makes every `Some` the
+/// same order: [`crate::validate_pattern`] checks it, and the
+/// per-vertex engines learn the order from one cell.
+pub fn stencil_anti_order<P: DagPattern + ?Sized>(
+    pattern: &P,
+    cell: VertexId,
+) -> Option<Vec<usize>> {
+    let stencil = pattern.stencil()?;
+    let mut anti = Vec::with_capacity(stencil.len());
+    pattern.anti_dependencies(cell.i, cell.j, &mut anti);
+    if anti.len() != stencil.len() {
+        return None;
+    }
+    let offset = |t: &VertexId| stencil.iter().position(|&o| t.shifted(o) == Some(cell));
+    anti.iter().map(offset).collect()
 }
 
 /// What one band of tile rows contributes to the [`TileTable`]: its
@@ -257,14 +308,10 @@ impl<P: DagPattern> TiledDag<P> {
     /// `(rows, cols)`; both empty if the pattern declares no stencil.
     pub fn interior(&self, ti: u32, tj: u32) -> (Range<u32>, Range<u32>) {
         let (ri, rj) = self.cell_bounds(ti, tj);
-        let Some(r) = self.reach else {
-            return (ri.start..ri.start, rj.start..rj.start);
-        };
-        let inset = |span: Range<u32>, low: u32, high: u32| {
-            let start = span.start.saturating_add(low).min(span.end);
-            start..span.end.saturating_sub(high).max(start)
-        };
-        (inset(ri, r.up, r.down), inset(rj, r.left, r.right))
+        match self.reach {
+            Some(r) => r.inset((ri, rj)),
+            None => (ri.start..ri.start, rj.start..rj.start),
+        }
     }
 
     /// Iterates the in-pattern cells covered by tile `(ti, tj)` in

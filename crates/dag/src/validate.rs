@@ -9,6 +9,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
+use crate::tiled::stencil_anti_order;
 use crate::topo::{for_each_vertex, topological_order};
 use crate::{DagPattern, VertexId};
 
@@ -74,6 +75,17 @@ pub enum ValidationError {
         /// What `dependencies` returned.
         returned: Vec<VertexId>,
     },
+    /// The pattern declares a [`DagPattern::stencil`], but two vertices
+    /// whose anti-dependencies cover every offset list them in
+    /// different orders.
+    AntiStencilOrder {
+        /// The offending vertex.
+        at: VertexId,
+        /// Its anti-dependencies in the order an earlier vertex used.
+        expected: Vec<VertexId>,
+        /// What `anti_dependencies` returned.
+        returned: Vec<VertexId>,
+    },
 }
 
 /// Which pattern query produced an invalid answer.
@@ -129,6 +141,14 @@ impl fmt::Display for ValidationError {
                 f,
                 "the stencil of {at} declares {declared:?}, but dependencies() returns {returned:?}"
             ),
+            ValidationError::AntiStencilOrder {
+                at,
+                expected,
+                returned,
+            } => write!(
+                f,
+                "anti_dependencies({at}) returns {returned:?}, out of the stencil's order {expected:?}"
+            ),
         }
     }
 }
@@ -138,9 +158,9 @@ impl std::error::Error for ValidationError {}
 /// Exhaustively validates `pattern` (O(V + E) time, O(V) space).
 ///
 /// Checks containment, duplicate-freedom, self-loops, a declared
-/// stencil, the dependency/anti-dependency inversion property,
-/// `indegree` consistency and acyclicity. Returns the first violation
-/// found.
+/// stencil (dependencies and the order of full anti-dependency lists),
+/// the dependency/anti-dependency inversion property, `indegree`
+/// consistency and acyclicity. Returns the first violation found.
 pub fn validate_pattern<P: DagPattern + ?Sized>(pattern: &P) -> Result<(), ValidationError> {
     let mut deps = Vec::new();
     let mut anti = Vec::new();
@@ -206,12 +226,31 @@ pub fn validate_pattern<P: DagPattern + ?Sized>(pattern: &P) -> Result<(), Valid
 
     let mut result = Ok(());
     let mut anti_count = 0u64;
+    // The order of the stencil's offsets in the first anti list that
+    // covers them all, as indices into the stencil.
+    let stencil = pattern.stencil().unwrap_or_default();
+    let mut anti_order: Option<Vec<usize>> = None;
     for_each_vertex(pattern, |d| {
         if result.is_err() {
             return;
         }
         anti.clear();
         pattern.anti_dependencies(d.i, d.j, &mut anti);
+        if let Some(order) = stencil_anti_order(pattern, d) {
+            match &anti_order {
+                None => anti_order = Some(order),
+                Some(first) if *first != order => {
+                    let by = |&k: &usize| d.shifted((-stencil[k].0, -stencil[k].1));
+                    result = Err(ValidationError::AntiStencilOrder {
+                        at: d,
+                        expected: first.iter().filter_map(by).collect(),
+                        returned: anti.clone(),
+                    });
+                    return;
+                }
+                Some(_) => {}
+            }
+        }
         let mut seen = HashSet::with_capacity(anti.len());
         for &v in &anti {
             if !pattern.contains(v.i, v.j) {
@@ -440,6 +479,46 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("stencil of (1, 1)"), "{err}");
+    }
+
+    #[test]
+    fn anti_stencil_order_mismatch_detected() {
+        // A valid 3 × 3 `Grid2` whose anti-dependencies list the right
+        // neighbour first on the middle row only.
+        struct Swapped;
+        impl DagPattern for Swapped {
+            fn height(&self) -> u32 {
+                3
+            }
+            fn width(&self) -> u32 {
+                3
+            }
+            fn dependencies(&self, i: u32, j: u32, out: &mut Vec<VertexId>) {
+                crate::builtin::Grid2::new(3, 3).dependencies(i, j, out);
+            }
+            fn anti_dependencies(&self, i: u32, j: u32, out: &mut Vec<VertexId>) {
+                crate::builtin::Grid2::new(3, 3).anti_dependencies(i, j, out);
+                if i == 1 {
+                    out.reverse();
+                }
+            }
+            fn stencil(&self) -> Option<&[(i32, i32)]> {
+                Some(&[(-1, 0), (0, -1)])
+            }
+        }
+        let err = validate_pattern(&Swapped).unwrap_err();
+        assert_eq!(
+            err,
+            ValidationError::AntiStencilOrder {
+                at: VertexId::new(1, 0),
+                expected: vec![VertexId::new(2, 0), VertexId::new(1, 1)],
+                returned: vec![VertexId::new(1, 1), VertexId::new(2, 0)],
+            }
+        );
+        assert!(
+            err.to_string().contains("anti_dependencies((1, 0))"),
+            "{err}"
+        );
     }
 
     #[test]

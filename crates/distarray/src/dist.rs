@@ -1,5 +1,6 @@
 //! Distributions: how a region's points map onto places.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use dpx10_apgas::PlaceId;
@@ -277,26 +278,30 @@ impl Dist {
         }
     }
 
+    /// The rectangle `(rows, cols)` slot `s` owns under a block kind
+    /// (`BlockRow`, `BlockCol`); `None` for every other kind. Its chunk
+    /// is that rectangle in row-major order: `(i, j)` sits at local
+    /// index `(i - rows.start) * cols.len() + (j - cols.start)`.
+    pub fn block_bounds(&self, s: usize) -> Option<(Range<u32>, Range<u32>)> {
+        let n = self.num_slots() as u32;
+        let s = s as u32;
+        let block = |total| Self::block_start(total, n, s)..Self::block_start(total, n, s + 1);
+        match &self.kind {
+            DistKind::BlockRow => Some((block(self.region.height), 0..self.region.width)),
+            DistKind::BlockCol => Some((0..self.region.height, block(self.region.width))),
+            _ => None,
+        }
+    }
+
     /// Iterates the global points owned by slot `s`, in local-index order.
     pub fn iter_slot(&self, s: usize) -> Box<dyn Iterator<Item = (u32, u32)> + '_> {
         // Correctness over speed: filter the whole region and order by
         // local index. Block kinds get fast paths.
-        let n = self.num_slots() as u32;
-        let s32 = s as u32;
-        match &self.kind {
-            DistKind::BlockRow => {
-                let r0 = Self::block_start(self.region.height, n, s32);
-                let r1 = Self::block_start(self.region.height, n, s32 + 1);
-                let w = self.region.width;
-                Box::new((r0..r1).flat_map(move |i| (0..w).map(move |j| (i, j))))
+        match self.block_bounds(s) {
+            Some((rows, cols)) => {
+                Box::new(rows.flat_map(move |i| cols.clone().map(move |j| (i, j))))
             }
-            DistKind::BlockCol => {
-                let c0 = Self::block_start(self.region.width, n, s32);
-                let c1 = Self::block_start(self.region.width, n, s32 + 1);
-                let h = self.region.height;
-                Box::new((0..h).flat_map(move |i| (c0..c1).map(move |j| (i, j))))
-            }
-            _ => {
+            None => {
                 let mut pts: Vec<(u32, u32)> = self
                     .region
                     .points()
@@ -432,6 +437,50 @@ mod tests {
         check_dist(&d);
         // Slots beyond the rows are empty.
         assert_eq!(d.chunk_len(4), 0);
+    }
+
+    #[test]
+    fn block_bounds_are_the_chunk_in_row_major_order() {
+        let cases = [
+            (Region2D::new(4, 7), DistKind::BlockCol, 3),
+            (Region2D::new(2, 3), DistKind::BlockRow, 5),
+            (Region2D::new(5, 2), DistKind::BlockRow, 3),
+            (Region2D::new(3, 2), DistKind::BlockCol, 4),
+        ];
+        for (region, kind, n) in cases {
+            let d = Dist::new(region, kind.clone(), places(n));
+            for s in 0..d.num_slots() {
+                let (rows, cols) = d.block_bounds(s).expect("a block kind");
+                let what = format!("{kind:?} {region:?} slot {s}: {rows:?} x {cols:?}");
+                assert_eq!(rows.len() * cols.len(), d.chunk_len(s), "{what}");
+                let points: Vec<_> = d.iter_slot(s).collect();
+                if points.is_empty() {
+                    continue;
+                }
+                assert_eq!(points[0], (rows.start, cols.start), "{what}");
+                assert_eq!(
+                    points[points.len() - 1],
+                    (rows.end - 1, cols.end - 1),
+                    "{what}"
+                );
+                for (li, &(i, j)) in points.iter().enumerate() {
+                    let at = (i - rows.start) as usize * cols.len() + (j - cols.start) as usize;
+                    assert_eq!(at, li, "{what}");
+                    assert_eq!(d.local_index(i, j), li, "{what}");
+                }
+            }
+        }
+        // Uneven splits: the first `total % n` blocks take one more.
+        let d = Dist::new(Region2D::new(4, 7), DistKind::BlockCol, places(3));
+        let cols: Vec<_> = (0..3).map(|s| d.block_bounds(s).unwrap().1).collect();
+        assert_eq!(cols, vec![0..3, 3..5, 5..7]);
+        let d = Dist::new(Region2D::new(2, 3), DistKind::BlockRow, places(5));
+        let rows: Vec<_> = (0..5).map(|s| d.block_bounds(s).unwrap().0).collect();
+        assert_eq!(rows, vec![0..1, 1..2, 2..2, 2..2, 2..2]);
+        for kind in [DistKind::CyclicCol, DistKind::BlockCyclicRow { block: 2 }] {
+            let d = Dist::new(Region2D::new(4, 4), kind, places(2));
+            assert_eq!(d.block_bounds(0), None);
+        }
     }
 
     #[test]
