@@ -30,6 +30,21 @@ pub fn framed_len(body: usize) -> usize {
     4 + 1 + body
 }
 
+/// Bytes a [`Frame::Data`] carries ahead of its payload: the length
+/// prefix, the kind byte and the `u16` source place.
+pub(crate) const DATA_HEADER: usize = 4 + 1 + 2;
+
+/// Turns `wire` — [`DATA_HEADER`] reserved bytes followed by a payload
+/// encoded in place — into the [`Frame::Data`] from `src` that carries
+/// that payload: the same bytes as its [`Frame::to_wire`], without a
+/// second buffer.
+pub(crate) fn seal_data(wire: &mut [u8], src: u16) {
+    let body_len = (wire.len() - 4) as u32;
+    wire[..4].copy_from_slice(&body_len.to_le_bytes());
+    wire[4] = KIND_DATA;
+    wire[5..DATA_HEADER].copy_from_slice(&src.to_le_bytes());
+}
+
 /// Everything that can go wrong reading or decoding a frame.
 #[derive(Debug)]
 pub enum FrameError {
@@ -366,6 +381,14 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
     }
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
+    if let [KIND_DATA, lo, hi, ..] = body[..] {
+        // The payload keeps the body's buffer instead of a copy of it.
+        body.drain(..DATA_HEADER - 4);
+        return Ok(Frame::Data {
+            src: u16::from_le_bytes([lo, hi]),
+            payload: body,
+        });
+    }
     Frame::decode_body(&body)
 }
 
@@ -444,6 +467,21 @@ mod tests {
             Frame::decode_body(&[KIND_LEAVE]),
             Err(FrameError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn a_sealed_buffer_is_the_data_frame() {
+        for payload in [Vec::new(), vec![7], (0..=255).collect::<Vec<u8>>()] {
+            let mut wire = vec![0; DATA_HEADER];
+            wire.extend_from_slice(&payload);
+            seal_data(&mut wire, 0x1234);
+            let frame = Frame::Data {
+                src: 0x1234,
+                payload,
+            };
+            assert_eq!(wire, frame.to_wire());
+            assert_eq!(read_frame(&mut &wire[..]).unwrap(), frame);
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! * **Namespacing** — a served job is run `job_id` of the session:
 //!   every frame it sends carries that id (a solo run's carry 0), so the
-//!   one demux thread routes traffic to per-job channels and one job's
+//!   socket readers route traffic to per-job channels and one job's
 //!   abort or park can never destroy another job's frames.
 //! * **Admission** — jobs run in a deterministic (priority descending,
 //!   submission order ascending) sequence with at most

@@ -1,9 +1,11 @@
 //! One place's session on a socket mesh, and the frames it carries.
 //!
 //! A [`Session`] is everything between joining the TCP mesh of
-//! [`dpx10_apgas::socket`] and leaving it: [`Session::open`] connects the
-//! [`SocketNode`], starts the one demux thread and builds each DAG run's
-//! end of the mesh ([`Session::links`]); [`Session::close`] says (or
+//! [`dpx10_apgas::socket`] and leaving it: [`Session::open`] builds each
+//! DAG run's end of the mesh ([`Session::links`]) and connects the
+//! [`SocketNode`] with a `Router` as its inbound handler, so every
+//! socket reader routes each payload it reads to its run itself (no
+//! thread stands between a link and a run); [`Session::close`] says (or
 //! awaits) the goodbye and tears down. [`crate::SocketEngine::run`] is a
 //! session of one run, [`crate::JobServer::serve`] one of `jobs.len()`
 //! runs plus admission.
@@ -16,11 +18,11 @@
 //! pick its stack depth.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use dpx10_apgas::mailbox::Envelope;
+use dpx10_apgas::socket::Inbound;
 use dpx10_apgas::stats::STAT_COUNTERS;
 use dpx10_apgas::{
     Codec, DeadPlaceError, LivenessBoard, PlaceId, SocketConfig, SocketNode, Transport,
@@ -94,19 +96,32 @@ pub(crate) enum RunFrame<V> {
 }
 
 impl<V: Codec> RunFrame<V> {
+    /// The bytes the frame encodes to as a payload: exact for vertex
+    /// traffic, a floor for a control frame (which grows its buffer).
+    fn size_hint(&self) -> usize {
+        match self {
+            RunFrame::App(_, msg) => 9 + Codec::wire_size(msg),
+            _ => 9,
+        }
+    }
+
     /// The frame as run `job`'s payload: `[tag][job][fields]`.
     fn encode_as(&self, job: u32) -> Vec<u8> {
-        let (tag, room) = match self {
-            RunFrame::App(_, msg) => (0, Codec::wire_size(msg)),
-            RunFrame::Verdict { .. } => (2, 0),
-            RunFrame::Snapshot { .. } => (4, 0),
-            RunFrame::Resume { .. } => (5, 0),
-            RunFrame::Release => (8, 0),
-            RunFrame::Progress { .. } => (10, 0),
+        let mut payload = Vec::with_capacity(self.size_hint());
+        self.encode_into(job, &mut payload);
+        payload
+    }
+
+    /// Appends the frame as run `job`'s payload to `buf`.
+    fn encode_into(&self, job: u32, buf: &mut Vec<u8>) {
+        let tag: u8 = match self {
+            RunFrame::App(..) => 0,
+            RunFrame::Verdict { .. } => 2,
+            RunFrame::Snapshot { .. } => 4,
+            RunFrame::Resume { .. } => 5,
+            RunFrame::Release => 8,
+            RunFrame::Progress { .. } => 10,
         };
-        // Exact for vertex traffic; a control frame grows its buffer.
-        let mut payload = Vec::with_capacity(9 + room);
-        let buf = &mut payload;
         buf.push(tag);
         job.encode(buf);
         match self {
@@ -146,7 +161,6 @@ impl<V: Codec> RunFrame<V> {
                 finished.encode(buf);
             }
         }
-        payload
     }
 
     /// The frame `tag` announces, from the fields behind its job id.
@@ -183,7 +197,7 @@ impl<V: Codec> RunFrame<V> {
 pub(crate) enum Wire<V> {
     /// Place 0 → a worker: abort the process immediately (planned fault
     /// injection — dies without a goodbye so peers *detect* the death).
-    /// Addresses the place, not a run: the demux obeys it itself.
+    /// Addresses the place, not a run: the reader that reads it obeys it.
     Die,
     /// Place 0 → everyone: every run is over; leave the mesh.
     Goodbye,
@@ -221,11 +235,11 @@ pub(crate) struct Member {
     pub(crate) node: Arc<SocketNode>,
     /// The session's recorder: the caller's, or the trace alias's.
     pub(crate) recorder: Recorder,
-    /// Raised once this place is crashing — by the demux (a planned
-    /// `Die`), a kill watchdog or a panicked worker.
+    /// Raised once this place is crashing — by the reader of a planned
+    /// `Die`, a kill watchdog or a panicked worker.
     pub(crate) dying: AtomicBool,
-    /// Raised once the session is over — by the goodbye, or by
-    /// [`Session::close`]: the demux's, and any watchdog's, cue to return.
+    /// Raised once the session is over — by the reader of the goodbye, or
+    /// by [`Session::close`]: any watchdog's cue to return.
     pub(crate) over: AtomicBool,
     soft_die: bool,
     /// Whether the session carries one run only, which makes the
@@ -234,6 +248,17 @@ pub(crate) struct Member {
 }
 
 impl Member {
+    /// Obeys a payload that addresses the place rather than a run.
+    fn obey(&self, src: PlaceId, order: Order) {
+        match order {
+            Order::Die => self.die(),
+            Order::Goodbye => self.over.store(true, Ordering::Release),
+            Order::Corrupt => {
+                self.node.liveness().mark_dead(src);
+            }
+        }
+    }
+
     /// A planned fault landed on this place: die the way a crashed
     /// process dies — no goodbye frame, so the peers must *detect* it.
     /// `dying` tells this place's drivers to stop. In soft-die mode only
@@ -255,12 +280,12 @@ impl Member {
 /// One run's end of the mesh: sends every outbound frame of the run,
 /// receives its control frames, and implements [`Transport`] for the
 /// worker loop — filtering out messages from *past* epochs at
-/// consumption time (so a message that raced past an epoch change in
-/// the demux thread is still discarded). Messages from a *future* epoch
-/// are parked, not dropped: after a recovery the places enter the new
-/// epoch at different moments, and a fast peer's vertex traffic can
-/// arrive while this place is still resuming — discarding it would
-/// starve this place's share of the DAG and stall the run.
+/// consumption time (so a message that raced past an epoch change on
+/// its way through a socket reader is still discarded). Messages from a
+/// *future* epoch are parked, not dropped: after a recovery the places
+/// enter the new epoch at different moments, and a fast peer's vertex
+/// traffic can arrive while this place is still resuming — discarding
+/// it would starve this place's share of the DAG and stall the run.
 pub(crate) struct AppPlane<V> {
     pub(crate) member: Arc<Member>,
     epoch: AtomicU32,
@@ -269,7 +294,7 @@ pub(crate) struct AppPlane<V> {
     pub(crate) ctl_rx: Receiver<(PlaceId, RunFrame<V>)>,
     early: dpx10_sync::Mutex<Vec<(u32, Envelope<Msg<V>>)>>,
     /// The run's index in the session, stamped on every outbound frame
-    /// so the remote demux routes it to the same run's link.
+    /// so the remote readers route it to the same run's link.
     job: u32,
 }
 
@@ -280,18 +305,20 @@ impl<V: VertexValue> AppPlane<V> {
         self.epoch.store(epoch, Ordering::Release);
     }
 
-    /// Sends `frame` to `dst` as this plane's run's. Every outbound
-    /// frame of a run, data or control, goes through here.
+    /// Sends `frame` to `dst` as this plane's run's, encoded straight
+    /// into the socket frame that carries it. Every outbound frame of a
+    /// run, data or control, goes through here.
     pub(crate) fn send_frame(
         &self,
         dst: PlaceId,
         frame: &RunFrame<V>,
     ) -> Result<(), DeadPlaceError> {
-        let payload = frame.encode_as(self.job);
-        self.member.node.send_bytes(dst, payload).map(|_| ())
+        let encode = |buf: &mut Vec<u8>| frame.encode_into(self.job, buf);
+        let node = &self.member.node;
+        node.send_with(dst, frame.size_hint(), encode).map(|_| ())
     }
 
-    /// Classifies one demuxed frame against `current`: deliver, park for
+    /// Classifies one routed frame against `current`: deliver, park for
     /// a later epoch, or drop as stale.
     fn admit(&self, epoch: u32, env: Envelope<Msg<V>>, current: u32) -> Option<Envelope<Msg<V>>> {
         use std::cmp::Ordering as O;
@@ -365,39 +392,86 @@ impl<V: VertexValue> Transport<Msg<V>> for AppPlane<V> {
     }
 }
 
-/// The demux's end of a run's link.
+/// A reader's end of a run's link. Both channels are unbounded, so a
+/// reader never waits on a run.
 struct Route<V> {
     app: Sender<(u32, Envelope<Msg<V>>)>,
     ctl: Sender<(PlaceId, RunFrame<V>)>,
 }
 
-/// Reads raw payloads off the mesh until the session is over: a run's
-/// vertex traffic goes to its plane's channel and its control frames to
-/// its control channel (an unknown job id is dropped); `Die` and
-/// `Goodbye` address the place and are obeyed here. A payload that fails
-/// to decode marks its sender dead (its stream is corrupt) instead of
-/// panicking.
-fn demux<V: VertexValue>(member: &Member, routes: &[Route<V>]) {
-    while !member.over.load(Ordering::Acquire) {
-        let received = member.node.recv_bytes_timeout(Duration::from_millis(5));
-        let Some((src, bytes)) = received else {
-            continue;
-        };
-        match Wire::<V>::decode(&bytes) {
-            Some(Wire::Run(job, frame)) => match (routes.get(job as usize), frame) {
-                (Some(route), RunFrame::App(epoch, msg)) => {
-                    let _ = route.app.send((epoch, Envelope { src, msg }));
+/// A payload that addresses the place, not a run.
+#[derive(Clone, Copy, Debug)]
+enum Order {
+    /// A planned fault: [`Member::die`].
+    Die,
+    /// Every run is over: raise [`Member::over`].
+    Goodbye,
+    /// The payload did not decode: its sender's stream is corrupt.
+    Corrupt,
+}
+
+/// Where the member stands for the router: not built yet (with the
+/// orders read in the meantime, in arrival order), or built.
+enum Seat {
+    Empty(Vec<(PlaceId, Order)>),
+    Taken(Weak<Member>),
+}
+
+/// The session's [`Inbound`] handler: every socket reader (and a
+/// loopback send) calls [`Router::route`] with each payload it reads,
+/// so one link's payloads are routed in order and never wait on another
+/// link's. A run's vertex traffic goes to its plane's channel and its
+/// control frames to its control channel — whether or not this place
+/// has started the run yet — and an unknown job id is dropped. `Die`,
+/// `Goodbye` and a payload that fails to decode address the place and
+/// are obeyed by the member.
+///
+/// The member owns the node, which owns the router, so the router holds
+/// the member weakly. The node connects — and its readers start — before
+/// the member exists: an order read in that window waits in the seat
+/// until [`Router::seat`] obeys it, before any run can read a frame.
+struct Router<V> {
+    routes: Vec<Route<V>>,
+    seat: dpx10_sync::Mutex<Seat>,
+}
+
+impl<V: VertexValue> Router<V> {
+    fn route(&self, src: PlaceId, bytes: Vec<u8>) {
+        let order = match Wire::<V>::decode(&bytes) {
+            Some(Wire::Run(job, frame)) => {
+                match (self.routes.get(job as usize), frame) {
+                    (Some(route), RunFrame::App(epoch, msg)) => {
+                        let _ = route.app.send((epoch, Envelope { src, msg }));
+                    }
+                    (Some(route), frame) => {
+                        let _ = route.ctl.send((src, frame));
+                    }
+                    (None, _) => {}
                 }
-                (Some(route), frame) => {
-                    let _ = route.ctl.send((src, frame));
-                }
-                (None, _) => {}
-            },
-            Some(Wire::Die) => member.die(),
-            Some(Wire::Goodbye) => member.over.store(true, Ordering::Release),
-            None => {
-                member.node.liveness().mark_dead(src);
+                return;
             }
+            Some(Wire::Die) => Order::Die,
+            Some(Wire::Goodbye) => Order::Goodbye,
+            None => Order::Corrupt,
+        };
+        let member = match &mut *self.seat.lock() {
+            Seat::Empty(early) => return early.push((src, order)),
+            Seat::Taken(member) => member.upgrade(),
+        };
+        if let Some(member) = member {
+            member.obey(src, order);
+        }
+    }
+
+    /// Seats `member` and obeys the orders read before it existed.
+    fn seat(&self, member: &Arc<Member>) {
+        let taken = Seat::Taken(Arc::downgrade(member));
+        let early = match std::mem::replace(&mut *self.seat.lock(), taken) {
+            Seat::Empty(early) => early,
+            Seat::Taken(_) => Vec::new(),
+        };
+        for (src, order) in early {
+            member.obey(src, order);
         }
     }
 }
@@ -407,13 +481,12 @@ pub(crate) struct Session<V> {
     pub(crate) member: Arc<Member>,
     /// Each run's end of the mesh, by job id.
     pub(crate) links: Vec<Arc<AppPlane<V>>>,
-    demux: JoinHandle<()>,
 }
 
 impl<V: VertexValue> Session<V> {
-    /// Joins the mesh as `socket` describes, for `runs` DAG runs, and
-    /// starts routing their frames. `soft_die` makes a planned `Die`
-    /// crash the sockets only.
+    /// Joins the mesh as `socket` describes, for `runs` DAG runs, with
+    /// the socket readers routing their frames. `soft_die` makes a
+    /// planned `Die` crash the sockets only.
     pub(crate) fn open(
         mut socket: SocketConfig,
         recorder: &Recorder,
@@ -433,6 +506,25 @@ impl<V: VertexValue> Session<V> {
         if !socket.recorder.enabled() {
             socket.recorder = recorder.clone();
         }
+        // Every run's channels exist before any reader starts, so frames
+        // from a place that started a run earlier than this one wait in
+        // the run's own channels instead of being lost (or worse, read
+        // by another run).
+        let (routes, channels): (Vec<_>, Vec<_>) = (0..runs)
+            .map(|_| {
+                let (app, app_rx) = unbounded();
+                let (ctl, ctl_rx) = unbounded();
+                (Route { app, ctl }, (app_rx, ctl_rx))
+            })
+            .unzip();
+        let router = Arc::new(Router {
+            routes,
+            seat: dpx10_sync::Mutex::new(Seat::Empty(Vec::new())),
+        });
+        socket.inbound = {
+            let router = router.clone();
+            Inbound::new(move |src, bytes| router.route(src, bytes))
+        };
         let node = SocketNode::connect(socket)
             .map_err(|e| EngineError::Socket(format!("mesh formation failed: {e}")))?;
         let member = Arc::new(Member {
@@ -443,37 +535,21 @@ impl<V: VertexValue> Session<V> {
             soft_die,
             sole: runs == 1,
         });
-        // Every run's link exists before any run starts, so frames from
-        // a place that started a run earlier than this one buffer in the
-        // run's own channels instead of being lost (or worse, read by
-        // another run).
-        let (routes, links): (Vec<_>, Vec<_>) = (0..runs as u32)
-            .map(|job| {
-                let (app, app_rx) = unbounded();
-                let (ctl, ctl_rx) = unbounded();
-                let plane = AppPlane {
+        router.seat(&member);
+        let links = (0u32..)
+            .zip(channels)
+            .map(|(job, (app_rx, ctl_rx))| {
+                Arc::new(AppPlane {
                     member: member.clone(),
                     epoch: AtomicU32::new(0),
                     app_rx,
                     ctl_rx,
                     early: dpx10_sync::Mutex::new(Vec::new()),
                     job,
-                };
-                (Route { app, ctl }, Arc::new(plane))
+                })
             })
-            .unzip();
-        let demux = {
-            let member = member.clone();
-            std::thread::Builder::new()
-                .name(format!("dpx10-demux{}", member.node.me().index()))
-                .spawn(move || demux(&member, &routes))
-                .map_err(|e| EngineError::Socket(format!("spawn demux: {e}")))?
-        };
-        Ok(Session {
-            member,
-            links,
-            demux,
-        })
+            .collect();
+        Ok(Session { member, links })
     }
 
     /// Leaves the mesh once every run is over here. Place 0 coordinates
@@ -504,7 +580,6 @@ impl<V: VertexValue> Session<V> {
         }
         member.over.store(true, Ordering::Release);
         node.shutdown();
-        let _ = self.demux.join();
     }
 }
 
@@ -513,14 +588,19 @@ mod tests {
     use super::*;
     use dpx10_dag::VertexId;
 
-    /// The demux's whole policy, one row each: a one-place mesh sends
-    /// itself the payloads (the loopback reaches the demux like a peer's
-    /// bytes) on a two-run session nobody drives, until the check holds.
+    /// The router's whole policy, one row each: a one-place mesh sends
+    /// itself the payloads (a loopback send reaches the router like a
+    /// peer's bytes reach it on a socket reader) on a two-run session
+    /// nobody drives, until the check holds.
     #[test]
-    fn the_demux_obeys_one_policy() {
+    fn the_router_obeys_one_policy() {
         /// Takes one control frame off `job`'s link, if one is there.
         fn ctl(s: &Session<u64>, job: usize) -> bool {
             s.links[job].ctl_rx.try_recv().is_ok()
+        }
+        /// Takes one vertex message off `job`'s link, if one is there.
+        fn app(s: &Session<u64>, job: usize) -> bool {
+            s.links[job].try_recv(PlaceId::ZERO).is_some()
         }
         fn alive(s: &Session<u64>) -> bool {
             s.member.node.liveness().is_alive(PlaceId::ZERO)
@@ -530,14 +610,19 @@ mod tests {
         type Check = fn(&Session<u64>) -> bool;
         let rows: Vec<(&str, Vec<Vec<u8>>, Check)> = vec![
             (
-                "undecodable bytes mark their sender dead",
-                vec![vec![99]],
-                |s| !alive(s),
+                "a vertex message goes to its run's plane",
+                vec![run(0, RunFrame::App(0, Msg::Pull { id }))],
+                |s| app(s, 0) && !app(s, 1) && !ctl(s, 0),
+            ),
+            (
+                "a control frame goes to its run's control channel",
+                vec![run(0, RunFrame::Release)],
+                |s| ctl(s, 0) && !ctl(s, 1) && !app(s, 0),
             ),
             (
                 "a frame of an unknown job is dropped, its sender stays alive",
                 vec![run(2, RunFrame::Release), run(1, RunFrame::Release)],
-                // Job 1's arrived behind it, so the demux is past both.
+                // Job 1's arrived behind it, so the router is past both.
                 |s| ctl(s, 1) && !ctl(s, 0) && alive(s),
             ),
             (
@@ -551,14 +636,22 @@ mod tests {
                 },
             ),
             (
-                "a frame for a run not yet started buffers in its own link",
-                vec![run(1, RunFrame::App(0, Msg::Pull { id }))],
-                |s| s.links[1].try_recv(PlaceId::ZERO).is_some() && !ctl(s, 0) && !ctl(s, 1),
-            ),
-            (
                 "the goodbye ends the session",
                 vec![Wire::<u64>::Goodbye.encode()],
                 |s| s.member.over.load(Ordering::Acquire),
+            ),
+            (
+                "undecodable bytes mark their sender dead",
+                vec![vec![99]],
+                |s| !alive(s),
+            ),
+            (
+                "frames of a run this place has not started wait in its channels",
+                vec![
+                    run(1, RunFrame::App(0, Msg::Pull { id })),
+                    run(1, RunFrame::Release),
+                ],
+                |s| app(s, 1) && ctl(s, 1) && !app(s, 0) && !ctl(s, 0),
             ),
         ];
         for (what, payloads, check) in rows {
@@ -576,5 +669,43 @@ mod tests {
             }
             session.close(true);
         }
+    }
+
+    /// A reader may route payloads before the member it obeys exists:
+    /// run frames reach their channels at once, and the orders wait in
+    /// the seat, in order, until the member is seated.
+    #[test]
+    fn orders_read_before_the_member_exists_wait_for_it() {
+        let (app, app_rx) = unbounded();
+        let (ctl, _ctl_rx) = unbounded();
+        let router = Router::<u64> {
+            routes: vec![Route { app, ctl }],
+            seat: dpx10_sync::Mutex::new(Seat::Empty(Vec::new())),
+        };
+        let id = VertexId::new(0, 0);
+        let msg = Wire::<u64>::Run(0, RunFrame::App(0, Msg::Pull { id }));
+        router.route(PlaceId::ZERO, Wire::<u64>::Goodbye.encode());
+        router.route(PlaceId::ZERO, vec![99]);
+        router.route(PlaceId::ZERO, msg.encode());
+        assert!(app_rx.try_recv().is_ok(), "run frames do not wait");
+        assert!(matches!(
+            &*router.seat.lock(),
+            Seat::Empty(early) if matches!(early[..], [(_, Order::Goodbye), (_, Order::Corrupt)])
+        ));
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let node = SocketNode::connect(SocketConfig::coordinator(listener, 1)).expect("mesh");
+        let member = Arc::new(Member {
+            node: Arc::new(node),
+            recorder: Recorder::disabled(),
+            dying: AtomicBool::new(false),
+            over: AtomicBool::new(false),
+            soft_die: true,
+            sole: true,
+        });
+        router.seat(&member);
+        assert!(member.over.load(Ordering::Acquire));
+        assert!(!member.node.liveness().is_alive(PlaceId::ZERO));
+        member.node.shutdown();
     }
 }

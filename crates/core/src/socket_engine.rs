@@ -14,7 +14,8 @@
 //! The epoch loop is [`crate::epoch`]'s, shared with the threaded
 //! engine; a place's *mesh side* of it — the control protocol below —
 //! lives here, in the crate-private `Driver`; the mesh session under it
-//! (connection, demux thread, frame grammar, goodbye) is `mesh.rs`'s.
+//! (connection, routing on the socket readers, frame grammar, goodbye)
+//! is `mesh.rs`'s.
 //! [`SocketEngine::run`] is a session of one run, a serve
 //! ([`crate::jobs`]) one of a `Driver` per job. A run's inputs are all
 //! data: the participants that seed the epoch roster (the mesh's
@@ -38,8 +39,8 @@
 //!   sends every participant the `Verdict`, gathers a `Snapshot` of
 //!   every slot's values, and releases everyone with `Release`;
 //! * a detected failure (connection loss / missed heartbeats feeding the
-//!   shared liveness board, or a planned `Die`, which the victim's demux
-//!   thread obeys by crashing without a goodbye) makes place 0 send a
+//!   shared liveness board, or a planned `Die`, which the victim's socket
+//!   reader obeys by crashing without a goodbye) makes place 0 send a
 //!   `Verdict` naming the dead, gather the survivors' snapshots, run the
 //!   paper's recovery (§VI-D), and restart each survivor with its own
 //!   `Resume` — the restored values it owns under the new distribution
@@ -357,7 +358,7 @@ impl<A: DpApp + 'static> Driver<A> {
                 plane.clone()
             },
             track_base,
-            // The victim's demux obeys by crashing without a goodbye.
+            // The victim's reader obeys by crashing without a goodbye.
             // (A serve clears its jobs' plans; its kills are `ServeKill`s.)
             kill: &|victim| {
                 let _ = node.send_bytes(victim, Wire::<A::Value>::Die.encode());
@@ -464,8 +465,9 @@ impl<A: DpApp + 'static> Mesh<A> for Driver<A> {
                 return Err(panicked);
             }
             let received = self.recv_ctl(Duration::from_millis(5));
-            // Checked after the receive: the demux raises `dying` before
-            // it forwards anything that arrived behind the `Die`, so a
+            // Checked after the receive: the reader of the `Die` raises
+            // `dying` before it routes anything that arrived behind it
+            // (control comes from place 0 only, on one link), so a
             // crashing place never acts on a later frame.
             if self.plane.member.dying.load(Ordering::Acquire) {
                 shared.fault.store(true, Ordering::Release);
@@ -1068,7 +1070,7 @@ mod tests {
 
     /// A real worker place against a coordinator that speaks garbage:
     /// every hostile frame — control, vertex traffic for the epoch the
-    /// worker is computing, or bytes its demux thread cannot decode —
+    /// worker is computing, or bytes its socket reader cannot decode —
     /// must end the worker's run with an error (it writes place 0 off),
     /// never unwind one of its threads or overflow a stack.
     #[test]

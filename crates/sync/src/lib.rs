@@ -28,8 +28,12 @@
 //! every local vertex, together with slab-offset addressing of a
 //! stencil's local edges, took dpxbench's `swlag-threads` from 3.83 to
 //! 6.31 M cells/s (median of 10 alternating pairs on a 2-vCPU host).
-//! Channel hops are paid per socket frame (demux thread to engine), not
-//! per local vertex.
+//! A socket frame pays two channel hops: the sending worker's into its
+//! link's outbox and the receiving socket reader's into its run's
+//! channel. The writer drains its outbox into one `write`, so on
+//! dpxbench's `swlag-sockets-pull` shape a frame costs a median of 0.25
+//! socket syscalls instead of 3 (`results/BENCH_socket_path.json`). No
+//! hop is paid per local vertex.
 
 #![warn(missing_docs)]
 
