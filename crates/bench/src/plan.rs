@@ -124,25 +124,6 @@ impl DistChoice {
     }
 }
 
-fn schedule_name(s: ScheduleStrategy) -> &'static str {
-    match s {
-        ScheduleStrategy::Local => "local",
-        ScheduleStrategy::Random => "random",
-        ScheduleStrategy::MinComm => "min-comm",
-        ScheduleStrategy::WorkStealing => "work-stealing",
-    }
-}
-
-fn schedule_parse(s: &str) -> Option<ScheduleStrategy> {
-    match s {
-        "local" => Some(ScheduleStrategy::Local),
-        "random" => Some(ScheduleStrategy::Random),
-        "min-comm" => Some(ScheduleStrategy::MinComm),
-        "work-stealing" => Some(ScheduleStrategy::WorkStealing),
-        _ => None,
-    }
-}
-
 /// A declarative grid sweep: every axis is a non-empty value list and
 /// the plan expands to their cartesian product in canonical axis order.
 #[derive(Clone, Debug, PartialEq)]
@@ -342,7 +323,7 @@ impl AblationPlan {
                     "schedule" => {
                         schedule = value
                             .as_str()
-                            .and_then(schedule_parse)
+                            .and_then(ScheduleStrategy::parse)
                             .ok_or(format!("line {line}: bad schedule {value:?}"))?
                     }
                     other => return Err(format!("line {line}: unknown fixed knob `{other}`")),
@@ -382,7 +363,7 @@ impl AblationPlan {
             list(&self.tile.iter().map(u32::to_string).collect::<Vec<_>>()),
             list(&self.cache.iter().map(|c| c.to_string()).collect::<Vec<_>>()),
             self.dist.name(),
-            schedule_name(self.schedule),
+            self.schedule.name(),
         )
     }
 

@@ -539,13 +539,9 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                         })
                     }
                     "--schedule" => {
-                        run.schedule = match value("--schedule")?.as_str() {
-                            "local" => ScheduleStrategy::Local,
-                            "random" => ScheduleStrategy::Random,
-                            "min-comm" => ScheduleStrategy::MinComm,
-                            "work-stealing" => ScheduleStrategy::WorkStealing,
-                            other => return err(format!("unknown schedule {other}")),
-                        }
+                        let name = value("--schedule")?;
+                        run.schedule = ScheduleStrategy::parse(&name)
+                            .ok_or_else(|| ParseError(format!("unknown schedule {name}")))?
                     }
                     "--cache" => {
                         run.cache = value("--cache")?
@@ -631,7 +627,7 @@ pub fn usage() -> String {
          \x20 --nodes N               simulated nodes, 2 places x 6 workers each (default 4)\n\
          \x20 --places N              threaded/socket places, 1 worker each (default 4)\n\
          \x20 --dist KIND             block-row|block-col|cyclic-row|cyclic-col\n\
-         \x20 --schedule S            local|random|min-comm|work-stealing (default local)\n\
+         \x20 --schedule S            local|random|min-comm (default local)\n\
          \x20 --cache N               remote-value cache entries (default 4096)\n\
          \x20 --fault P[:F]           kill place P at progress fraction F (default 0.5)\n\
          \x20 --restore M             recompute|copy (default recompute)\n\
@@ -817,6 +813,10 @@ mod tests {
             .contains("[0, 1]"));
         assert!(parse_err(&["frobnicate"]).0.contains("unknown command"));
         assert!(parse_err(&["patterns", "--size", "8"]).0.contains("HxW"));
+        assert_eq!(
+            parse_err(&["run", "lps", "--schedule", "work-stealing"]).0,
+            "unknown schedule work-stealing"
+        );
     }
 
     #[test]

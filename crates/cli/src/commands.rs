@@ -881,12 +881,6 @@ pub fn run_serve(args: &crate::args::ServeArgs) -> Result<String, String> {
                     r.recoveries.len(),
                     result.fingerprint()
                 ));
-                if let Some(d) = &r.schedule_downgrade {
-                    out.push_str(&format!(
-                        "  [schedule {:?} -> {:?}]",
-                        d.requested, d.effective
-                    ));
-                }
                 if args.verify {
                     let solo = serve_solo_fingerprint(def)?;
                     if solo == result.fingerprint() {

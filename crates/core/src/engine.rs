@@ -32,7 +32,6 @@ use crate::epoch::{drive, preflight, Boundaries, Host, Run};
 use crate::error::EngineError;
 use crate::msg::Msg;
 use crate::protocol::{agg_record, gather, handle_msg, prepare, publish, Place, Sink, WorkerBufs};
-use crate::schedule::ScheduleStrategy;
 use crate::socket_engine::data_well_formed;
 
 /// The threaded engine: one instance runs one application to completion.
@@ -224,11 +223,11 @@ struct Worker<'a, A: DpApp> {
     /// The slot this worker serves.
     home: usize,
     /// Vertices of `home` this worker made ready, in FIFO order, where
-    /// no other worker can take them (one thread per place, no
-    /// stealing). Only this thread touches it; the shard's locked queue
-    /// carries the epoch's seeds and what other slots' workers ready.
-    /// `None` where work can change hands: every ready vertex then goes
-    /// through the shard's queue.
+    /// no other worker can take them (one thread per place). Only this
+    /// thread touches it; the shard's locked queue carries the epoch's
+    /// seeds and what other slots' workers ready. `None` where a sibling
+    /// worker shares the slot: every ready vertex then goes through the
+    /// shard's queue.
     own: Option<VecDeque<u32>>,
 }
 
@@ -373,8 +372,8 @@ impl<A: DpApp> Sink<A::Value> for Worker<'_, A> {
     }
 }
 
-/// The per-thread worker: drain messages, execute ready vertices, steal
-/// if configured, park briefly when idle (paper §VI-C's worker loop).
+/// The per-thread worker: drain messages, execute ready vertices, park
+/// briefly when idle (paper §VI-C's worker loop).
 ///
 /// The inbox is `shared.transport`'s — the same loop serves the threaded
 /// engine (mailboxes), each place process of the socket engine and each
@@ -384,9 +383,8 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
     let mut bufs = WorkerBufs::default();
     let mut idle_rounds = 0u32;
     // Whether another worker can take this one's vertices: a sibling
-    // on the same slot, or a thief.
-    let shares = shared.place.topo.threads_per_place > 1
-        || shared.place.schedule == ScheduleStrategy::WorkStealing;
+    // on the same slot.
+    let shares = shared.place.topo.threads_per_place > 1;
     // Process-wide worker id: the trace track this thread records onto,
     // and the shaker substream selector.
     let wid = shared.worker_seq.fetch_add(1, Ordering::Relaxed);
@@ -409,8 +407,8 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
         if shared.should_stop() || !shared.liveness.is_alive(me) {
             break;
         }
-        // One budgeted round: drain inbound messages, execute ready
-        // vertices, and (when configured) steal once.
+        // One budgeted round: drain inbound messages, then execute ready
+        // vertices.
         let (drain_budget, ready_budget) = match shaker.as_mut() {
             Some(rng) => {
                 if rng.chance(0.05) {
@@ -459,9 +457,6 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
                 }
             }
         }
-        if !progress && shared.place.schedule == ScheduleStrategy::WorkStealing {
-            progress = try_steal(&mut worker, slot, &mut bufs);
-        }
         if progress {
             idle_rounds = 0;
             continue;
@@ -487,36 +482,6 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Arc<Shared<A>>, slot: usize) {
             }
         }
     }
-}
-
-/// Work stealing (extension strategy): pop a ready vertex from the most
-/// loaded other shard and run its full owner-side path here, charging a
-/// task-ship round-trip to the network stats.
-fn try_steal<A: DpApp>(
-    worker: &mut Worker<'_, A>,
-    thief_slot: usize,
-    bufs: &mut WorkerBufs,
-) -> bool {
-    let place = &worker.shared.place;
-    let victim = (0..place.shards.len())
-        .filter(|&s| s != thief_slot)
-        .max_by_key(|&s| place.shards[s].ready.len());
-    let Some(victim) = victim else { return false };
-    if place.shards[victim].ready.is_empty() {
-        return false;
-    }
-    let Some(li) = place.shards[victim].ready.pop() else {
-        return false;
-    };
-    let thief = place.dist.places()[thief_slot];
-    let owner = place.dist.places()[victim];
-    // Task descriptor over, result back: two small control messages.
-    let over = place.net.transfer_time(&place.topo, owner, thief, 16);
-    place.stats.place(owner).on_send(16, over);
-    let back = place.net.transfer_time(&place.topo, thief, owner, 16);
-    place.stats.place(thief).on_send(16, back);
-    execute(worker, victim, li, bufs);
-    true
 }
 
 /// Hands one inbound message to the protocol. On a socket mesh the

@@ -53,7 +53,7 @@ use crate::config::EngineConfig;
 use crate::epoch::{killable, validate, Run};
 use crate::error::EngineError;
 use crate::mesh::{Member, Session};
-use crate::socket_engine::{downgrade_schedule, Driver};
+use crate::socket_engine::Driver;
 
 /// What a job's driver thread hands back: `Ok(Some)` only on place 0.
 type JobResult<V> = Result<Option<DagResult<V>>, EngineError>;
@@ -319,7 +319,6 @@ impl<A: DpApp + 'static> JobServer<A> {
                 let spec = &self.jobs[j];
                 let (app, pattern) = (spec.app.clone(), spec.pattern.clone());
                 let mut config = spec.config.clone();
-                let downgrade = downgrade_schedule(&mut config);
                 // Faults are a serve-level concern (`ServeKill`).
                 config.fault = None;
                 config.chaos = None;
@@ -329,8 +328,7 @@ impl<A: DpApp + 'static> JobServer<A> {
                 let handle = std::thread::Builder::new()
                     .name(format!("dpx10-job{j}p{}", me.index()))
                     .spawn(move || {
-                        let mut run = Run::new(&app, &pattern, &config, None, placement.clone());
-                        run.report.schedule_downgrade = downgrade;
+                        let run = Run::new(&app, &pattern, &config, None, placement.clone());
                         let mut driver = Driver::new(pattern.as_ref(), link);
                         // A driver that unwinds must still report, or the
                         // admission loop would wait on it forever.

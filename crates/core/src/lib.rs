@@ -83,7 +83,7 @@ pub use error::EngineError;
 pub use jobs::{JobOutcome, JobServer, JobSpec, ServeKill, ServeReport};
 pub use schedule::ScheduleStrategy;
 pub use socket_engine::SocketEngine;
-pub use stats::{RunReport, ScheduleDowngrade};
+pub use stats::RunReport;
 pub use tiled::{run_tiled_threaded, TileValue, TiledApp, TiledRun};
 
 // Re-export the pieces applications touch, so `dpx10_core` is

@@ -11,7 +11,7 @@
 //! | | threads / elastic mesh / socket places / served jobs | simulator |
 //! |---|---|---|
 //! | `send` | the epoch's `Transport` | a priced arrival event |
-//! | `ready` | one worker per place, no stealing: its own FIFO; otherwise, or another slot's vertex: the shard's queue | the policy ready queue |
+//! | `ready` | one worker per place: its own FIFO; several workers, or another slot's vertex: the shard's queue | the policy ready queue |
 //! | `stamp` | recorder, wall clock | recorder, virtual clock |
 //! | `exec` | compute now, reply `ExecResult` | queue for a worker slot |
 //! | `finished` | checkpoint, `tasks_run`, exact kills and boundaries (global count only while one is armed) | finish count, fault time |
@@ -388,7 +388,7 @@ pub fn prepare<'p, A: DpApp, S: Sink<A::Value>>(
 
     let me = place.dist.places()[slot];
     let target = match place.schedule {
-        ScheduleStrategy::Local | ScheduleStrategy::WorkStealing => me,
+        ScheduleStrategy::Local => me,
         ScheduleStrategy::Random => random_choice(VertexId::new(i, j), place.dist.places()),
         ScheduleStrategy::MinComm => {
             let homes: Vec<PlaceId> = bufs

@@ -4,10 +4,6 @@
 //! use a local scheduling strategy which execute the vertex on the local
 //! place. We also provided another two methods: random scheduling and
 //! minimum communication scheduling."
-//!
-//! The work-stealing strategy is this reproduction's implementation of
-//! the paper's future-work note ("more scheduling methods will be
-//! developed", citing the X10 work-stealing literature \[24\]\[25\]).
 
 use dpx10_apgas::{NetworkModel, PlaceId, Topology};
 use dpx10_dag::VertexId;
@@ -24,18 +20,14 @@ pub enum ScheduleStrategy {
     /// "This strategy introduces some extra overhead and should be used
     /// in appropriate scenarios" (§VI-C).
     MinComm,
-    /// Owner-local execution, but idle places steal ready vertices from
-    /// the most loaded place (extension; see module docs).
-    WorkStealing,
 }
 
 impl ScheduleStrategy {
     /// All strategies, for sweeps.
-    pub const ALL: [ScheduleStrategy; 4] = [
+    pub const ALL: [ScheduleStrategy; 3] = [
         ScheduleStrategy::Local,
         ScheduleStrategy::Random,
         ScheduleStrategy::MinComm,
-        ScheduleStrategy::WorkStealing,
     ];
 
     /// Short name for reports.
@@ -44,8 +36,12 @@ impl ScheduleStrategy {
             ScheduleStrategy::Local => "local",
             ScheduleStrategy::Random => "random",
             ScheduleStrategy::MinComm => "min-comm",
-            ScheduleStrategy::WorkStealing => "work-stealing",
         }
+    }
+
+    /// The strategy called `name`, if any.
+    pub fn parse(name: &str) -> Option<ScheduleStrategy> {
+        Self::ALL.into_iter().find(|s| s.name() == name)
     }
 }
 
@@ -184,7 +180,8 @@ mod tests {
     #[test]
     fn strategy_names() {
         for s in ScheduleStrategy::ALL {
-            assert!(!s.name().is_empty());
+            assert_eq!(ScheduleStrategy::parse(s.name()), Some(s));
         }
+        assert_eq!(ScheduleStrategy::parse("work-stealing"), None);
     }
 }

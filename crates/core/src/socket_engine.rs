@@ -74,25 +74,7 @@ use crate::error::EngineError;
 use crate::mesh::{AppPlane, RunFrame, Session, Wire, SNAPSHOT_DEADLINE};
 use crate::msg::Msg;
 use crate::protocol::Place;
-use crate::schedule::ScheduleStrategy;
 use crate::state::local_index;
-use crate::stats::ScheduleDowngrade;
-
-/// Applies the socket backend's scheduling restrictions to `config` and
-/// returns a record of what changed (shared with the multi-job server,
-/// whose per-job engines run under the same restriction).
-pub(crate) fn downgrade_schedule(config: &mut EngineConfig) -> Option<ScheduleDowngrade> {
-    if config.schedule == ScheduleStrategy::WorkStealing {
-        config.schedule = ScheduleStrategy::Local;
-        return Some(ScheduleDowngrade {
-            requested: ScheduleStrategy::WorkStealing,
-            effective: ScheduleStrategy::Local,
-            reason: "work stealing needs shared-memory ready lists, \
-                     which do not exist across socket places",
-        });
-    }
-    None
-}
 
 /// Whether every place id, cell id and count a peer's control frame
 /// carries is one this run can index: place ids inside the mesh's slot
@@ -180,19 +162,11 @@ pub struct SocketEngine<A: DpApp> {
     init: Option<InitOverride<A::Value>>,
     soft_die: bool,
     recorder: Recorder,
-    downgrade: Option<ScheduleDowngrade>,
 }
 
 impl<A: DpApp + 'static> SocketEngine<A> {
     /// Creates an engine for `app` over `pattern` with `config`.
-    ///
-    /// Work stealing degrades to local scheduling here: stealing pops
-    /// from another slot's ready list through shared memory, which only
-    /// exists inside one process. The swap is recorded in the run
-    /// report's [`RunReport::schedule_downgrade`] rather than applied
-    /// silently.
-    pub fn new(app: A, pattern: impl DagPattern + 'static, mut config: EngineConfig) -> Self {
-        let downgrade = downgrade_schedule(&mut config);
+    pub fn new(app: A, pattern: impl DagPattern + 'static, config: EngineConfig) -> Self {
         SocketEngine {
             app: Arc::new(app),
             pattern: Arc::new(pattern),
@@ -200,7 +174,6 @@ impl<A: DpApp + 'static> SocketEngine<A> {
             init: None,
             soft_die: false,
             recorder: Recorder::disabled(),
-            downgrade,
         }
     }
 
@@ -255,14 +228,13 @@ impl<A: DpApp + 'static> SocketEngine<A> {
             .map(PlaceId)
             .filter(|&p| roster.is_member(p) || roster.state(p) == MemberState::Dead)
             .collect();
-        let mut run = Run::new(
+        let run = Run::new(
             &self.app,
             &self.pattern,
             &self.config,
             self.init.as_ref(),
             participants.clone(),
         );
-        run.report.schedule_downgrade = self.downgrade.clone();
         let mut driver = Driver::new(self.pattern.as_ref(), session.links[0].clone());
         let result = driver.drive(run, 0);
         driver.release(&participants);

@@ -5,24 +5,6 @@ use std::time::Duration;
 use dpx10_apgas::StatsSnapshot;
 use dpx10_distarray::RecoveryReport;
 
-use crate::schedule::ScheduleStrategy;
-
-/// A scheduling strategy the engine could not honour and silently
-/// replaced — previously this happened without a trace (the socket
-/// engine downgrades work stealing to local because stealing pops from
-/// another slot's ready list through shared memory, which only exists
-/// inside one process). Recording it in the report keeps the swap
-/// visible to callers and sweeps.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScheduleDowngrade {
-    /// The strategy the configuration asked for.
-    pub requested: ScheduleStrategy,
-    /// The strategy the engine actually ran.
-    pub effective: ScheduleStrategy,
-    /// Why the engine could not honour the request.
-    pub reason: &'static str,
-}
-
 /// Everything a finished run reports: wall/simulated time, communication
 /// counters and recovery events. The figure harness consumes these.
 #[derive(Clone, Debug, Default)]
@@ -52,10 +34,6 @@ pub struct RunReport {
     /// compute in 16 (its first included) and charges it for all 16, so
     /// the value is an estimate.
     pub place_busy: Vec<Duration>,
-    /// Set when the engine replaced the configured scheduling strategy
-    /// with another one it can actually run (see [`ScheduleDowngrade`]);
-    /// `None` means the run used the strategy as configured.
-    pub schedule_downgrade: Option<ScheduleDowngrade>,
 }
 
 impl RunReport {

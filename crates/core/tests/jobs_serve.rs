@@ -117,41 +117,49 @@ fn four_concurrent_jobs_match_their_solo_fingerprints() {
     }
 }
 
+/// Under every strategy: a random job ships `Exec` only within its own
+/// placement.
 #[test]
 fn pinned_job_runs_on_its_subset_with_the_same_answer() {
-    let report = serve_mesh(3, || {
-        let mut server = JobServer::new();
-        server
-            .submit(JobSpec::new(
-                "wide",
-                MixApp,
-                builtin::Grid3::new(10, 10),
-                EngineConfig::flat(3),
-            ))
-            .unwrap();
-        server
-            .submit(
-                JobSpec::new(
-                    "pinned",
+    for schedule in ScheduleStrategy::ALL {
+        let report = serve_mesh(3, || {
+            let mut server = JobServer::new();
+            server
+                .submit(JobSpec::new(
+                    "wide",
                     MixApp,
-                    builtin::Grid2::new(10, 10),
-                    EngineConfig::flat(2),
+                    builtin::Grid3::new(10, 10),
+                    EngineConfig::flat(3).with_schedule(schedule),
+                ))
+                .unwrap();
+            server
+                .submit(
+                    JobSpec::new(
+                        "pinned",
+                        MixApp,
+                        builtin::Grid2::new(10, 10),
+                        EngineConfig::flat(2).with_schedule(schedule),
+                    )
+                    .pinned_to(vec![PlaceId(0), PlaceId(1)]),
                 )
-                .pinned_to(vec![PlaceId(0), PlaceId(1)]),
-            )
-            .unwrap();
-        server
-    });
+                .unwrap();
+            server
+        });
 
-    assert_eq!(report.succeeded(), 2);
-    assert_eq!(
-        report.jobs[0].result.as_ref().unwrap().fingerprint(),
-        solo_fingerprint(builtin::Grid3::new(10, 10)),
-    );
-    assert_eq!(
-        report.jobs[1].result.as_ref().unwrap().fingerprint(),
-        solo_fingerprint(builtin::Grid2::new(10, 10)),
-    );
+        assert_eq!(report.succeeded(), 2, "{}", schedule.name());
+        assert_eq!(
+            report.jobs[0].result.as_ref().unwrap().fingerprint(),
+            solo_fingerprint(builtin::Grid3::new(10, 10)),
+            "wide job under {}",
+            schedule.name()
+        );
+        assert_eq!(
+            report.jobs[1].result.as_ref().unwrap().fingerprint(),
+            solo_fingerprint(builtin::Grid2::new(10, 10)),
+            "pinned job under {}",
+            schedule.name()
+        );
+    }
 }
 
 #[test]
@@ -188,30 +196,6 @@ fn priority_and_cap_order_admission() {
     // The urgent job was admitted first despite being submitted second:
     // the background job waited at least as long.
     assert!(report.jobs[0].wait >= report.jobs[1].wait);
-}
-
-#[test]
-fn served_jobs_record_the_work_stealing_downgrade() {
-    let report = serve_mesh(2, || {
-        let mut server = JobServer::new();
-        server
-            .submit(JobSpec::new(
-                "steal",
-                MixApp,
-                builtin::RowWave::new(6, 6),
-                EngineConfig::flat(2).with_schedule(ScheduleStrategy::WorkStealing),
-            ))
-            .unwrap();
-        server
-    });
-    let result = report.jobs[0].result.as_ref().expect("job succeeded");
-    let downgrade = result
-        .report()
-        .schedule_downgrade
-        .as_ref()
-        .expect("downgrade recorded");
-    assert_eq!(downgrade.requested, ScheduleStrategy::WorkStealing);
-    assert_eq!(downgrade.effective, ScheduleStrategy::Local);
 }
 
 /// `MixApp` whose completion hook panics on demand — the hook runs on

@@ -124,18 +124,27 @@ fn pull_path_over_sockets_matches_oracle() {
     assert!(result.report().comm.cache_misses > 0);
 }
 
+/// Every strategy runs as asked over sockets; random ships most
+/// vertices as `Exec` to another place and their `ExecResult` back.
 #[test]
 fn random_scheduling_ships_exec_over_the_wire() {
     let pattern = Grid3::new(11, 11);
     let expect = oracle(&pattern);
-    let result = run_mesh(
-        3,
-        pattern,
-        EngineConfig::flat(3).with_schedule(ScheduleStrategy::Random),
-        None,
-    );
-    for (id, v) in &expect {
-        assert_eq!(result.try_get(id.i, id.j).as_ref(), Some(v), "{id}");
+    for schedule in ScheduleStrategy::ALL {
+        let result = run_mesh(
+            3,
+            pattern,
+            EngineConfig::flat(3).with_schedule(schedule),
+            None,
+        );
+        for (id, v) in &expect {
+            assert_eq!(
+                result.try_get(id.i, id.j).as_ref(),
+                Some(v),
+                "{id} under {}",
+                schedule.name()
+            );
+        }
     }
 }
 

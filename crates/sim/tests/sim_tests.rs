@@ -97,7 +97,6 @@ impl DagPattern for KindWrap {
 #[test]
 fn all_schedulers_match_oracle() {
     for strat in ScheduleStrategy::ALL {
-        // Work stealing falls back to local in the simulator's dispatch.
         check(Grid3::new(12, 12), SimConfig::flat(3).with_schedule(strat));
     }
 }

@@ -17,15 +17,13 @@
 //! costs, from dpxbench's probes on a 2-vCPU x86-64 host (uncontended
 //! unless noted): a [`Mutex`] lock/unlock 15 ns, a [`SegQueue`]
 //! push + pop 45 ns, and a channel hop between two threads 400–830 ns.
-//! On a place with one worker thread and no work stealing, a vertex
-//! readied by its own place's worker takes no lock of this crate: the
-//! worker keeps it in a FIFO of its own and reads only
-//! [`SegQueue::is_empty`] (one relaxed atomic load) before each pop. A
-//! shard's [`SegQueue`] push + pop is paid by the epoch's seeds, by
-//! vertices another slot's worker readies, and by every ready vertex
-//! where work can change hands (several workers per place, or work
-//! stealing). Dropping that pair from
-//! every local vertex, together with slab-offset addressing of a
+//! On a place with one worker thread, a vertex readied by its own
+//! place's worker takes no lock of this crate: the worker keeps it in a
+//! FIFO of its own and reads only [`SegQueue::is_empty`] (one relaxed
+//! atomic load) before each pop. A shard's [`SegQueue`] push + pop is
+//! paid by the epoch's seeds, by vertices another slot's worker
+//! readies, and by every ready vertex of a place with several workers.
+//! Dropping that pair from every local vertex, together with slab-offset addressing of a
 //! stencil's local edges, took dpxbench's `swlag-threads` from 3.83 to
 //! 6.31 M cells/s (median of 10 alternating pairs on a 2-vCPU host).
 //! A socket frame pays two channel hops: the sending worker's into its

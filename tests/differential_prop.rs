@@ -66,7 +66,7 @@ proptest! {
         dist_idx in 0usize..6,
         places in 1u16..5,
         cache in 0usize..32,
-        sched_idx in 0usize..4,
+        sched_idx in 0..ScheduleStrategy::ALL.len(),
     ) {
         let kind = BuiltinKind::ALL[kind_idx];
         let expect = oracle(kind.instantiate(h, w).as_ref());
@@ -91,7 +91,7 @@ proptest! {
         dist_idx in 0usize..6,
         places in 1u16..6,
         cache in 0usize..32,
-        sched_idx in 0usize..4,
+        sched_idx in 0..ScheduleStrategy::ALL.len(),
     ) {
         let kind = BuiltinKind::ALL[kind_idx];
         let expect = oracle(kind.instantiate(h, w).as_ref());

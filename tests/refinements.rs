@@ -169,27 +169,3 @@ fn spill_store_round_trips_engine_results() {
     assert_eq!(resumed.get(9, 9), result.get(9, 9));
     std::fs::remove_file(&path).ok();
 }
-
-#[test]
-fn work_stealing_rebalances_a_skewed_distribution() {
-    // Put almost everything on place 0; stealing lets the other places
-    // help. (Threaded engine: stealing is a real code path there.)
-    let skewed = DistKind::Custom(Arc::new(|i, _j| usize::from(i == 0)));
-    let app = MtpApp::new(24, 24, 13);
-    let pattern = app.pattern();
-    let expect = dpx10::apps::serial::manhattan_tourist(24, 24, 13);
-    let result = ThreadedEngine::new(
-        app,
-        pattern,
-        EngineConfig::flat(2)
-            .with_dist(skewed)
-            .with_schedule(ScheduleStrategy::WorkStealing),
-    )
-    .run()
-    .unwrap();
-    for i in 0..24 {
-        for j in 0..24 {
-            assert_eq!(result.get(i, j), expect[i as usize][j as usize]);
-        }
-    }
-}
