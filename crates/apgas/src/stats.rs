@@ -71,7 +71,13 @@ impl PlaceStats {
     /// Records one executed task.
     #[inline]
     pub fn on_task(&self) {
-        self.tasks_run.fetch_add(1, Ordering::Relaxed);
+        self.on_tasks(1);
+    }
+
+    /// Records `n` executed tasks.
+    #[inline]
+    pub fn on_tasks(&self, n: u64) {
+        self.tasks_run.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records one outbound message of `bytes` costing `net_time`.

@@ -10,28 +10,18 @@
 //! * [`channel`] — multi-producer **multi-consumer** channels with the
 //!   `crossbeam-channel` calling conventions (`Receiver` is `Clone`,
 //!   `recv_timeout`, `len`, `iter`).
-//! * [`SegQueue`] — an unbounded MPMC queue.
 //!
 //! The implementations favour simplicity and correctness over raw
 //! throughput; every queue is a `VecDeque` behind a `Mutex`. What that
 //! costs, from dpxbench's probes on a 2-vCPU x86-64 host (uncontended
-//! unless noted): a [`Mutex`] lock/unlock 15 ns, a [`SegQueue`]
-//! push + pop 45 ns, and a channel hop between two threads 400–830 ns.
-//! On a place with one worker thread, a vertex readied by its own
-//! place's worker takes no lock of this crate: the worker keeps it in a
-//! FIFO of its own and reads only [`SegQueue::is_empty`] (one relaxed
-//! atomic load) before each pop. A shard's [`SegQueue`] push + pop is
-//! paid by the epoch's seeds, by vertices another slot's worker
-//! readies, and by every ready vertex of a place with several workers.
-//! Dropping that pair from every local vertex, together with slab-offset addressing of a
-//! stencil's local edges, took dpxbench's `swlag-threads` from 3.83 to
-//! 6.31 M cells/s (median of 10 alternating pairs on a 2-vCPU host).
-//! A socket frame pays two channel hops: the sending worker's into its
-//! link's outbox and the receiving socket reader's into its run's
-//! channel. The writer drains its outbox into one `write`, so on
-//! dpxbench's `swlag-sockets-pull` shape a frame costs a median of 0.25
-//! socket syscalls instead of 3 (`results/BENCH_socket_path.json`). No
-//! hop is paid per local vertex.
+//! unless noted): a [`Mutex`] lock/unlock 15 ns and a channel hop
+//! between two threads 400–830 ns. Neither is paid per local vertex:
+//! a worker owns its shard outright. The runtime takes a [`Mutex`] or
+//! [`Condvar`] only off the vertex path (mailboxes, the coalescer,
+//! membership, checkpoint files), and a channel hop per message: a
+//! socket frame pays two, the sending worker's into its link's outbox
+//! and the receiving socket reader's into its run's channel, and a
+//! vertex handed to a compute lane of a multi-threaded place pays two.
 
 #![warn(missing_docs)]
 
@@ -171,6 +161,9 @@ impl Default for Condvar {
 }
 
 /// An unbounded MPMC queue (stand-in for `crossbeam::queue::SegQueue`).
+/// The runtime no longer uses it; it is kept for dpxbench's
+/// `sync.segqueue_ns` probe alone.
+#[doc(hidden)]
 pub struct SegQueue<T> {
     items: Mutex<VecDeque<T>>,
     len: AtomicUsize,
