@@ -115,7 +115,11 @@ impl<A: DpApp> JobSpec<A> {
 /// A serve-level planned fault: the victim place crashes once it has
 /// published `after_vertices` vertices across *all* jobs it hosts —
 /// chaos for the multi-job recovery path, analogous to the single-job
-/// [`crate::config::FaultPlan`].
+/// [`crate::config::FaultPlan`]. Its count is the place's `tasks_run`,
+/// which each job's worker brings up to date at the start of every round
+/// of its loop, so the kill lands within one round of the threshold: per
+/// job, at most 32 executed vertices plus what the round's messages and
+/// lane answers publish.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeKill {
     /// The place that dies (never place 0).
