@@ -11,6 +11,39 @@
 //! semantically identical; the index only changes the constant factor).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A hasher for packed vertex ids and local indices: a multiply, then a
+/// rotate at [`Hasher::finish`] that brings the product's well-mixed high
+/// bits down to the low bits hashbrown indexes by (`pack()` puts the
+/// column there, and a cyclic distribution gives a place one residue).
+/// It drops SipHash's keying against chosen collisions at no risk: every
+/// key a peer can make reach these tables is a pattern cell the socket
+/// backend's `data_well_formed` validated, and the tables hold at most
+/// the cache capacity and the epoch's cells.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` hashed by [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Fixed-capacity FIFO cache keyed by packed [`dpx10_dag::VertexId`]s.
 #[derive(Debug)]
@@ -21,7 +54,7 @@ pub struct FifoCache<V> {
     /// Next slot to overwrite.
     head: usize,
     /// key -> ring slot.
-    index: HashMap<u64, usize>,
+    index: IdMap<u64, usize>,
 }
 
 impl<V> FifoCache<V> {
@@ -33,7 +66,7 @@ impl<V> FifoCache<V> {
             capacity,
             ring: (0..capacity).map(|_| None).collect(),
             head: 0,
-            index: HashMap::with_capacity(capacity),
+            index: IdMap::with_capacity_and_hasher(capacity, Default::default()),
         }
     }
 

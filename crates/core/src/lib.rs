@@ -60,6 +60,7 @@ pub mod engine;
 #[doc(hidden)]
 pub mod epoch;
 pub mod error;
+pub mod inline;
 pub mod jobs;
 mod mesh;
 pub mod msg;

@@ -3,6 +3,11 @@
 use dpx10_apgas::{Coalescible, Codec};
 use dpx10_dag::VertexId;
 
+use crate::inline::InlineVec;
+
+/// A [`Msg::Done`]'s receiver-owned dependents: four inline (a Grid3 cell has three).
+pub type Targets = InlineVec<VertexId, 4>;
+
 /// Messages exchanged between places while executing a DAG.
 ///
 /// The protocol is push-based with a pull fallback, matching §VI-C: a
@@ -13,7 +18,7 @@ use dpx10_dag::VertexId;
 /// vertices under the random and min-comm strategies. This is the whole
 /// vocabulary (codec tags 0–7): push mode sends the same `Done`, and
 /// membership changes happen between epochs, never on the wire.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Msg<V> {
     /// `from` finished with `value`; decrement the indegree of `targets`
     /// (all owned by the receiver). A receiver in push mode also pins the
@@ -24,7 +29,7 @@ pub enum Msg<V> {
         /// Its result, for the receiver's cache.
         value: V,
         /// Receiver-owned dependents to decrement.
-        targets: Vec<VertexId>,
+        targets: Targets,
     },
     /// Request the finished value of receiver-owned `id`.
     Pull {
@@ -59,7 +64,7 @@ pub enum Msg<V> {
     /// message (and one wire frame on the socket backend).
     DoneBatch {
         /// `(from, value, targets)` of each folded `Done`, in send order.
-        entries: Vec<(VertexId, V, Vec<VertexId>)>,
+        entries: Vec<(VertexId, V, Targets)>,
     },
     /// Several [`Msg::Pull`]s to the same owner, coalesced.
     PullBatch {
@@ -110,7 +115,7 @@ impl<V: Codec> Msg<V> {
 /// [`dpx10_apgas::CoalescingTransport`]. Keeps the three batchable
 /// families apart so a drain emits at most one batch message per family.
 pub struct MsgBatch<V> {
-    done: Vec<(VertexId, V, Vec<VertexId>)>,
+    done: Vec<(VertexId, V, Targets)>,
     pulls: Vec<VertexId>,
     pull_vals: Vec<(VertexId, V)>,
     /// Priced bytes of everything absorbed (sum of the folded messages'
@@ -204,14 +209,16 @@ fn encode_ids(ids: &[VertexId], buf: &mut Vec<u8>) {
     }
 }
 
-/// Decodes a list of packed vertex ids.
-fn decode_ids(src: &mut &[u8]) -> Option<Vec<VertexId>> {
-    Some(
-        Vec::<u64>::decode(src)?
-            .into_iter()
-            .map(VertexId::unpack)
-            .collect(),
-    )
+/// Decodes a list of packed vertex ids. A count the rest of the frame
+/// cannot hold is refused before anything is pushed.
+fn decode_ids<C: FromIterator<VertexId>>(src: &mut &[u8]) -> Option<C> {
+    let n = u64::decode(src)?;
+    if n > src.len() as u64 / 8 {
+        return None;
+    }
+    (0..n)
+        .map(|_| u64::decode(src).map(VertexId::unpack))
+        .collect()
 }
 
 /// Real wire format of [`Msg`] for the socket backend: one tag byte,
@@ -380,7 +387,7 @@ mod tests {
         let done = Msg::Done {
             from: VertexId::new(0, 0),
             value: 7i64,
-            targets: vec![VertexId::new(0, 1), VertexId::new(1, 0)],
+            targets: vec![VertexId::new(0, 1), VertexId::new(1, 0)].into(),
         };
         assert_eq!(done.wire_size(), 8 + 8 + 16);
         assert_eq!(
@@ -404,7 +411,7 @@ mod tests {
             Msg::Done {
                 from: VertexId::new(3, 4),
                 value: -9,
-                targets: vec![VertexId::new(3, 5), VertexId::new(4, 4)],
+                targets: vec![VertexId::new(3, 5), VertexId::new(4, 4)].into(),
             },
             Msg::Pull {
                 id: VertexId::new(0, u32::MAX),
@@ -423,47 +430,7 @@ mod tests {
                 value: 0,
             },
         ];
-        for msg in msgs {
-            let buf = encode_to_vec(&msg);
-            assert_eq!(buf.len(), Codec::wire_size(&msg), "{msg:?}");
-            let back: Msg<i64> = decode_exact(&buf).expect("decodes");
-            match (&msg, &back) {
-                (
-                    Msg::Done {
-                        from: a,
-                        value: va,
-                        targets: ta,
-                    },
-                    Msg::Done {
-                        from: b,
-                        value: vb,
-                        targets: tb,
-                    },
-                ) => {
-                    assert_eq!((a, va, ta), (b, vb, tb));
-                }
-                (Msg::Pull { id: a }, Msg::Pull { id: b }) => assert_eq!(a, b),
-                (Msg::PullVal { id: a, value: va }, Msg::PullVal { id: b, value: vb }) => {
-                    assert_eq!((a, va), (b, vb))
-                }
-                (
-                    Msg::Exec {
-                        id: a,
-                        dep_ids: da,
-                        dep_values: va,
-                    },
-                    Msg::Exec {
-                        id: b,
-                        dep_ids: db,
-                        dep_values: vb,
-                    },
-                ) => assert_eq!((a, da, va), (b, db, vb)),
-                (Msg::ExecResult { id: a, value: va }, Msg::ExecResult { id: b, value: vb }) => {
-                    assert_eq!((a, va), (b, vb))
-                }
-                (a, b) => panic!("variant changed in flight: {a:?} -> {b:?}"),
-            }
-        }
+        msgs.iter().for_each(assert_round_trip);
     }
 
     #[test]
@@ -474,10 +441,10 @@ mod tests {
         let done = encode_to_vec(&Msg::Done {
             from: id,
             value: 7i64,
-            targets: vec![VertexId::new(1, 3)],
+            targets: vec![VertexId::new(1, 3)].into(),
         });
         let batch = encode_to_vec(&Msg::DoneBatch {
-            entries: vec![(id, 7i64, vec![id])],
+            entries: vec![(id, 7i64, vec![id].into())],
         });
         let mut ack = Vec::new();
         (4u16, 17u64).encode(&mut ack);
@@ -507,7 +474,7 @@ mod tests {
                 Msg::Done {
                     from: id,
                     value: 1,
-                    targets: vec![id],
+                    targets: vec![id].into(),
                 },
                 true,
             ),
@@ -524,7 +491,7 @@ mod tests {
             (Msg::ExecResult { id, value: 1 }, false),
             (
                 Msg::DoneBatch {
-                    entries: vec![(id, 1, vec![id])],
+                    entries: vec![(id, 1, vec![id].into())],
                 },
                 true,
             ),
@@ -542,37 +509,31 @@ mod tests {
         }
     }
 
-    fn assert_batch_round_trip(msg: &Msg<i64>) {
+    /// Encodes to exactly `Codec::wire_size` bytes and decodes back to
+    /// an equal message.
+    fn assert_round_trip(msg: &Msg<i64>) {
         let buf = encode_to_vec(msg);
         assert_eq!(buf.len(), Codec::wire_size(msg), "{msg:?}");
-        let back: Msg<i64> = decode_exact(&buf).expect("decodes");
-        match (msg, &back) {
-            (Msg::DoneBatch { entries: a }, Msg::DoneBatch { entries: b }) => assert_eq!(a, b),
-            (Msg::PullBatch { ids: a }, Msg::PullBatch { ids: b }) => assert_eq!(a, b),
-            (Msg::PullValBatch { entries: a }, Msg::PullValBatch { entries: b }) => {
-                assert_eq!(a, b)
-            }
-            (a, b) => panic!("variant changed in flight: {a:?} -> {b:?}"),
-        }
+        assert_eq!(&decode_exact::<Msg<i64>>(&buf).expect("decodes"), msg);
     }
 
     #[test]
     fn batch_codec_round_trips_including_empty() {
-        assert_batch_round_trip(&Msg::DoneBatch {
+        assert_round_trip(&Msg::DoneBatch {
             entries: vec![
-                (VertexId::new(0, 1), -3, vec![VertexId::new(1, 1)]),
-                (VertexId::new(2, 2), 9, vec![]),
+                (VertexId::new(0, 1), -3, vec![VertexId::new(1, 1)].into()),
+                (VertexId::new(2, 2), 9, vec![].into()),
             ],
         });
-        assert_batch_round_trip(&Msg::DoneBatch { entries: vec![] });
-        assert_batch_round_trip(&Msg::PullBatch {
+        assert_round_trip(&Msg::DoneBatch { entries: vec![] });
+        assert_round_trip(&Msg::PullBatch {
             ids: vec![VertexId::new(0, u32::MAX), VertexId::new(5, 0)],
         });
-        assert_batch_round_trip(&Msg::PullBatch { ids: vec![] });
-        assert_batch_round_trip(&Msg::PullValBatch {
+        assert_round_trip(&Msg::PullBatch { ids: vec![] });
+        assert_round_trip(&Msg::PullValBatch {
             entries: vec![(VertexId::new(3, 3), i64::MIN)],
         });
-        assert_batch_round_trip(&Msg::PullValBatch { entries: vec![] });
+        assert_round_trip(&Msg::PullValBatch { entries: vec![] });
     }
 
     #[test]
@@ -593,12 +554,12 @@ mod tests {
             Msg::Done {
                 from: VertexId::new(0, 0),
                 value: 1,
-                targets: vec![VertexId::new(0, 1), VertexId::new(1, 0)],
+                targets: vec![VertexId::new(0, 1), VertexId::new(1, 0)].into(),
             },
             Msg::Done {
                 from: VertexId::new(2, 0),
                 value: 2,
-                targets: vec![VertexId::new(2, 1)],
+                targets: vec![VertexId::new(2, 1)].into(),
             },
             Msg::Pull {
                 id: VertexId::new(4, 4),

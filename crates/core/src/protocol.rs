@@ -29,9 +29,12 @@
 //! whose dependencies all live in the gathering shard lends references
 //! into the slab ([`Gathered::Lent`]); `publish` moves the result into
 //! the slab and reads it back by reference. What still clones: a
-//! message (`Done`, `PullVal`, `Exec`), a cache entry, a pinned or
-//! pulled fill, a vertex handed to a compute lane, and the values of a
-//! gather that had to look past its own shard ([`Gathered::Owned`]).
+//! message (`Done`, `PullVal`, `Exec`), a pulled value's cache entry,
+//! a pushed value's one pin, a pulled fill, a vertex handed to a compute
+//! lane, and the values of a gather that looked past its own shard
+//! ([`Gathered::Owned`], inline). What still allocates per vertex: a
+//! [`Gathered::Lent`] list, a pull's waiter list, and what outgrows an
+//! inline array; per message, a batch, a frame and its decode.
 //!
 //! Doc-hidden like [`crate::state`]: public so `dpx10-sim` and the
 //! delivery-order test driver can drive it, not a user-facing API.
@@ -45,7 +48,8 @@ use dpx10_obs::EventKind;
 
 use crate::app::{DepView, DpApp, VertexValue};
 use crate::config::CommsMode;
-use crate::msg::Msg;
+use crate::inline::InlineVec;
+use crate::msg::{Msg, Targets};
 use crate::schedule::{min_comm_choice, random_choice, ScheduleStrategy};
 use crate::state::{local_index, Fill, Shard, LENT};
 
@@ -107,7 +111,7 @@ pub struct WorkerBufs {
     pub deps: Vec<VertexId>,
     anti: Vec<VertexId>,
     /// Remote dependents by owning place, ascending.
-    groups: Vec<(u16, Vec<VertexId>)>,
+    groups: Vec<(u16, Targets)>,
 }
 
 /// A ready vertex's dependency values, in dependency order, as
@@ -119,9 +123,9 @@ pub enum Gathered<'p, V> {
     /// Every dependency lives in the gathering shard: references into
     /// its slab.
     Lent(Vec<&'p V>),
-    /// Some dependency came from the cache, a fill or another shard:
-    /// copies.
-    Owned(Vec<V>),
+    /// Some dependency came from the cache, a pin, a fill or another
+    /// shard: copies, inline up to [`LENT`].
+    Owned(InlineVec<V, LENT>),
 }
 
 impl<V: Clone> Gathered<'_, V> {
@@ -140,7 +144,7 @@ impl<V: Clone> Gathered<'_, V> {
         match self {
             Gathered::Slab(values, n) => values[..n].iter().map(|&v| v.clone()).collect(),
             Gathered::Lent(values) => values.into_iter().cloned().collect(),
-            Gathered::Owned(values) => values,
+            Gathered::Owned(values) => values.into_vec(),
         }
     }
 }
@@ -206,57 +210,52 @@ pub fn handle_msg<A: DpApp, S: Sink<A::Value>>(
 }
 
 /// [`Msg::Done`]: land the value in the consumer cache, decrement the
-/// receiver-owned dependents. A place in push mode also *pins* the value
-/// for every unfinished target, so the target's later gather finds it
-/// even after cache eviction — the pull round-trip never happens. A
-/// target whose parked slot already has a pull in flight (the consumer
-/// raced ahead) is filled right here; the eventual `PullVal` reply then
-/// finds the slot occupied and is a no-op for it.
+/// receiver-owned dependents. A place in push mode also *pins* the value,
+/// once for all of its unfinished targets that have not parked: each
+/// one's gather takes a share, so it finds the value even after cache
+/// eviction (the pull round-trip never happens), and the last removes
+/// the pin. A target parked with a pull in flight for the value (the
+/// consumer raced ahead) is filled right here; the eventual `PullVal`
+/// reply then finds the slot occupied and is a no-op for it.
 fn handle_done<A: DpApp, S: Sink<A::Value>>(
     ctx: &Ctx<A>,
     shard: &mut Shard<A::Value>,
     sink: &mut S,
     from: VertexId,
     value: A::Value,
-    targets: Vec<VertexId>,
+    targets: Targets,
 ) {
     // Fold before decrementing: when a target's indegree hits zero its
     // interval lanes must already cover this cell.
     agg_record(ctx, shard, from, &value);
-    let pinned = (ctx.comms == CommsMode::Push).then(|| value.clone());
-    shard.cache.insert(from.pack(), value);
-    if let Some(value) = pinned {
-        for t in &targets {
+    let key = from.pack();
+    if ctx.comms == CommsMode::Push {
+        let mut readers = 0;
+        for t in targets.iter() {
             let tli = local_index(&ctx.dist, *t);
             if shard.finished(tli) {
                 continue;
             }
-            let entry = shard.pending.parked.entry(tli).or_default();
-            let filled = match entry.fills.get_mut(&from.pack()) {
-                // Already parked with a pull outstanding: fill the slot
-                // now; re-ready when it was the last missing dep (the
-                // decrement below is a no-op then — the vertex parked
-                // *after* its indegree hit zero).
-                Some(fill @ Fill::Missing) => {
-                    *fill = Fill::Pushed(value.clone());
-                    entry.remaining -= 1;
-                    entry.remaining == 0
-                }
-                // A pull or an earlier push beat us; keep the first.
-                Some(_) => false,
-                // Not yet gathered: pin for the upcoming gather.
-                None => {
-                    entry.fills.insert(from.pack(), Fill::Pushed(value.clone()));
-                    false
-                }
-            };
-            if filled {
-                sink.ready(shard, tli);
+            let parked = shard.pending.parked.get_mut(&tli);
+            match parked.and_then(|p| p.supply(key, || Fill::Pushed(value.clone()))) {
+                // Parked with a pull outstanding and now complete: ready
+                // it (the decrement below is a no-op then — the vertex
+                // parked *after* its indegree hit zero).
+                Some(true) => sink.ready(shard, tli),
+                // Filled, or a pull or an earlier push beat us.
+                Some(false) => {}
+                // Not yet gathered: a reader of the pin.
+                None => readers += 1,
             }
         }
+        if readers > 0 {
+            let pin = shard.pending.pins.entry(key);
+            pin.or_insert_with(|| (value.clone(), 0)).1 += readers;
+        }
     }
-    for t in targets {
-        decrement_at(shard, sink, local_index(&ctx.dist, t));
+    shard.cache.insert(key, value);
+    for t in targets.iter() {
+        decrement_at(shard, sink, local_index(&ctx.dist, *t));
     }
 }
 
@@ -293,18 +292,8 @@ fn handle_pull_val<A: DpApp, S: Sink<A::Value>>(
     for wli in waiters {
         // A slot already filled (e.g. by a racing push) keeps its value;
         // the reply only lands on Missing slots.
-        let filled = match shard.pending.parked.get_mut(&wli) {
-            Some(p) => match p.fills.get_mut(&id.pack()) {
-                Some(fill @ Fill::Missing) => {
-                    *fill = Fill::Pulled(value.clone());
-                    p.remaining -= 1;
-                    p.remaining == 0
-                }
-                _ => false,
-            },
-            None => false,
-        };
-        if filled {
+        let parked = shard.pending.parked.get_mut(&wli);
+        if parked.and_then(|p| p.supply(id.pack(), || Fill::Pulled(value.clone()))) == Some(true) {
             sink.ready(shard, wli);
         }
     }
@@ -436,14 +425,15 @@ pub fn prepare<'s, A: DpApp, S: Sink<A::Value>>(
     Some((target, values))
 }
 
-/// Gathers dependency values: local reads, then cache, then previously
-/// pulled fills; parks the vertex and issues pulls for anything missing.
+/// Gathers dependency values: local reads, then cache, then a pushed
+/// value's pin, then previously pulled fills; parks the vertex and
+/// issues pulls for anything missing.
 ///
 /// A vertex whose dependencies all live in its own shard borrows them
 /// from the slab: it can never have parked (parking needs a value
 /// missing from both slab and cache, and a push pins only vertices with
 /// a remote dependency), and it touches neither cache nor counters. Any
-/// other vertex gets copies.
+/// other vertex gets copies, inline up to [`LENT`] of them.
 pub fn gather<'s, A: DpApp, S: Sink<A::Value>>(
     ctx: &Ctx<A>,
     shard: &'s mut Shard<A::Value>,
@@ -461,84 +451,86 @@ pub fn gather<'s, A: DpApp, S: Sink<A::Value>>(
     }
     let me = dist.places()[slot];
 
-    // The local prefix is known; the rest may need the cache.
-    let mut vals: Vec<Option<A::Value>> = Vec::with_capacity(deps.len());
+    // The local prefix is known; the rest may need the cache or a pin.
+    // Each gather takes its share of a pin once, and counts the pull
+    // round-trip it saved only when the pin supplied the value.
+    let mut vals: InlineVec<Option<A::Value>, LENT> = InlineVec::with_capacity(deps.len());
+    let mut took: InlineVec<(usize, bool), LENT> = InlineVec::default();
     for (k, d) in deps.iter().enumerate() {
-        if k < local || dist.slot_of(d.i, d.j) == slot {
-            vals.push(Some(shard.value(local_index(dist, *d)).clone()));
-        } else if let Some(v) = shard.cache.get(d.pack()) {
+        let key = d.pack();
+        let value = if k < local || dist.slot_of(d.i, d.j) == slot {
+            Some(shard.value(local_index(dist, *d)).clone())
+        } else if let Some(v) = shard.cache.get(key) {
             ctx.stats.place(me).on_cache_hit();
-            sink.stamp(me, EventKind::CacheHit, d.pack());
-            vals.push(Some(v.clone()));
+            sink.stamp(me, EventKind::CacheHit, key);
+            if shard.pending.unpin(key, false).is_some() {
+                took.push((k, false));
+            }
+            Some(v.clone())
+        } else if let Some(Some(v)) = shard.pending.unpin(key, true) {
+            ctx.stats.place(me).on_pull_roundtrip_avoided();
+            took.push((k, true));
+            Some(v)
         } else {
-            vals.push(None);
-        }
+            None
+        };
+        vals.push(value);
     }
 
+    // A re-gather reads its fills. Consuming a pushed fill is the
+    // round-trip the push saved; it demotes to Pulled so a later
+    // re-gather of a still-parked vertex doesn't count it twice.
     let pending = &mut shard.pending;
-    if vals.iter().all(Option::is_some) {
-        pending.parked.remove(&li);
-        return Some(Gathered::Owned(
-            vals.into_iter().map(Option::unwrap).collect(),
-        ));
-    }
-
-    // Try previously pulled (or eagerly pushed) fills, then park for the
-    // rest. Consuming a pushed fill is the round-trip the push saved; it
-    // demotes to Pulled so a later re-gather of a still-parked vertex
-    // doesn't count it twice.
     if let Some(p) = pending.parked.get_mut(&li) {
         for (k, d) in deps.iter().enumerate() {
-            if vals[k].is_none() {
-                if let Some(fill) = p.fills.get_mut(&d.pack()) {
-                    if let Fill::Pushed(v) = fill {
-                        let v = v.clone();
-                        ctx.stats.place(me).on_pull_roundtrip_avoided();
-                        vals[k] = Some(v.clone());
-                        *fill = Fill::Pulled(v);
-                    } else if let Some(v) = fill.value() {
-                        vals[k] = Some(v.clone());
-                    }
-                }
+            let Some(fill) = p.fills.get_mut(&d.pack()).filter(|_| vals[k].is_none()) else {
+                continue;
+            };
+            if let Fill::Pushed(v) = fill {
+                ctx.stats.place(me).on_pull_roundtrip_avoided();
+                *fill = Fill::Pulled(std::mem::take(v));
             }
+            vals[k] = fill.value().cloned();
         }
     }
     if vals.iter().all(Option::is_some) {
         pending.parked.remove(&li);
-        return Some(Gathered::Owned(
-            vals.into_iter().map(Option::unwrap).collect(),
-        ));
+        let vals = vals.iter_mut().map(|v| v.take().expect("all found"));
+        return Some(Gathered::Owned(vals.collect()));
     }
 
-    let mut newly_missing: Vec<VertexId> = Vec::new();
-    {
-        let entry = pending.parked.entry(li).or_default();
-        for (k, d) in deps.iter().enumerate() {
-            if vals[k].is_none() && !entry.fills.contains_key(&d.pack()) {
-                entry.fills.insert(d.pack(), Fill::Missing);
-                entry.remaining += 1;
-                newly_missing.push(*d);
+    // Park. A pin this gather took is the vertex's now, as a fill: a
+    // re-gather does not take it again, and counts it only if this one
+    // did not (the cache supplied the value).
+    let entry = pending.parked.entry(li).or_default();
+    for &(k, counted) in took.iter() {
+        entry.fills.entry(deps[k].pack()).or_insert_with(|| {
+            let value = vals[k].take().expect("a taken pin has a value");
+            match counted {
+                true => Fill::Pulled(value),
+                false => Fill::Pushed(value),
             }
-        }
+        });
     }
-    let mut to_pull: Vec<VertexId> = Vec::new();
-    for d in newly_missing {
-        let waiters = pending.waiters.entry(d.pack()).or_default();
-        if waiters.is_empty() {
-            to_pull.push(d);
-        } else {
+    for (k, d) in deps.iter().enumerate() {
+        let key = d.pack();
+        if vals[k].is_some() || entry.fills.contains_key(&key) {
+            continue;
+        }
+        entry.fills.insert(key, Fill::Missing);
+        entry.remaining += 1;
+        let waiters = pending.waiters.entry(key).or_default();
+        waiters.push(li);
+        if waiters.len() > 1 {
             // The dedup hub: an identical pull is already in flight, so
             // this waiter rides it instead of re-asking the owner.
             ctx.stats.place(me).on_pull_deduped();
+            continue;
         }
-        waiters.push(li);
-    }
-
-    for d in &to_pull {
         ctx.stats.place(me).on_cache_miss();
         ctx.stats.place(me).on_pull_sent();
-        sink.stamp(me, EventKind::CacheMiss, d.pack());
-        sink.stamp(me, EventKind::PullIssue, d.pack());
+        sink.stamp(me, EventKind::CacheMiss, key);
+        sink.stamp(me, EventKind::PullIssue, key);
         sink.send(me, dist.place_of(d.i, d.j), Msg::Pull { id: *d });
     }
     None
@@ -603,7 +595,7 @@ pub fn publish<A: DpApp, S: Sink<A::Value>>(
         let k = match bufs.groups.binary_search_by_key(&q, |g| g.0) {
             Ok(k) => k,
             Err(k) => {
-                bufs.groups.insert(k, (q, Vec::new()));
+                bufs.groups.insert(k, (q, Targets::default()));
                 k
             }
         };
@@ -678,7 +670,7 @@ pub(crate) mod tests {
     impl Sink<u64> for Log {
         fn send(&mut self, _src: PlaceId, _dst: PlaceId, msg: Msg<u64>) {
             if let Msg::Done { targets, .. } = msg {
-                self.sent.extend(targets);
+                self.sent.extend(targets.iter());
             }
         }
         fn ready(&mut self, shard: &mut Shard<u64>, li: u32) {

@@ -900,14 +900,14 @@ mod tests {
         let outside = VertexId::new(9, 9);
         let foreign = VertexId::new(2, 1); // a vertex, but slot 0's
         let mine = VertexId::new(2, 4);
-        let done = |targets: Vec<VertexId>| (VertexId::new(2, 2), 7, targets);
+        let done = |targets: Vec<VertexId>| (VertexId::new(2, 2), 7, targets.into());
         vec![
             (
                 "done target outside the region",
                 Msg::Done {
                     from: VertexId::new(2, 2),
                     value: 7,
-                    targets: vec![mine, outside],
+                    targets: vec![mine, outside].into(),
                 },
             ),
             (
@@ -915,7 +915,7 @@ mod tests {
                 Msg::Done {
                     from: VertexId::new(2, 2),
                     value: 7,
-                    targets: vec![foreign],
+                    targets: vec![foreign].into(),
                 },
             ),
             ("pull of an unfinished cell", Msg::Pull { id: mine }),
@@ -1016,10 +1016,10 @@ mod tests {
             Msg::Done {
                 from: VertexId::new(2, 2),
                 value: 7,
-                targets: vec![VertexId::new(2, 3), VertexId::new(3, 3)],
+                targets: vec![VertexId::new(2, 3), VertexId::new(3, 3)].into(),
             },
             Msg::DoneBatch {
-                entries: vec![(VertexId::new(2, 2), 7, vec![VertexId::new(2, 3)])],
+                entries: vec![(VertexId::new(2, 2), 7, vec![VertexId::new(2, 3)].into())],
             },
             Msg::Pull {
                 id: VertexId::new(0, 3),

@@ -2,7 +2,8 @@
 //! [`crate::protocol`]: the [`Shard`] one worker owns, the [`Progress`]
 //! it publishes, and the [`Start`] every shard is built from.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 
@@ -11,7 +12,7 @@ use dpx10_dag::{DagPattern, VertexId};
 use dpx10_distarray::{AggTable, Dist, DistArray};
 
 use crate::app::{DpApp, VertexValue};
-use crate::cache::FifoCache;
+use crate::cache::{FifoCache, IdMap};
 use crate::config::InitOverride;
 use crate::protocol::Ctx;
 
@@ -20,12 +21,12 @@ use crate::protocol::Ctx;
 pub enum Fill<V> {
     /// No value yet; a pull round-trip is (or is about to be) in flight.
     Missing,
-    /// Filled by a `PullVal` reply (or read straight from the cache on a
-    /// re-gather).
+    /// Filled by a `PullVal` reply, or by a pin whose saved round-trip
+    /// the vertex counted before it parked.
     Pulled(V),
-    /// Pinned from a producer's `Done` (push mode) before the consumer
-    /// ever asked — consuming it on re-gather counts as an avoided pull
-    /// round-trip.
+    /// Filled by a push (a producer's `Done` while the pull was in
+    /// flight, or a pin taken on a cache hit) and not yet counted:
+    /// consuming it on re-gather counts as an avoided pull round-trip.
     Pushed(V),
 }
 
@@ -45,18 +46,52 @@ impl<V> Fill<V> {
 #[derive(Debug, Default)]
 pub struct Parked<V> {
     /// Missing dependency (packed id) -> its fill slot.
-    pub fills: HashMap<u64, Fill<V>>,
+    pub fills: IdMap<u64, Fill<V>>,
     /// Number of still-[`Fill::Missing`] entries.
     pub remaining: usize,
 }
 
-/// Pull bookkeeping of one place.
+impl<V> Parked<V> {
+    /// Fills the slot of dependency `key` with `fill()` if it is still
+    /// [`Fill::Missing`]: `None` when the vertex has no slot for `key`,
+    /// else whether it was the vertex's last missing one.
+    pub fn supply(&mut self, key: u64, fill: impl FnOnce() -> Fill<V>) -> Option<bool> {
+        let slot = self.fills.get_mut(&key)?;
+        if !matches!(slot, Fill::Missing) {
+            return Some(false);
+        }
+        *slot = fill();
+        self.remaining -= 1;
+        Some(self.remaining == 0)
+    }
+}
+
+/// Pull and push bookkeeping of one place.
 #[derive(Debug, Default)]
 pub struct Pending<V> {
     /// Parked vertices by local index.
-    pub parked: HashMap<u32, Parked<V>>,
+    pub parked: IdMap<u32, Parked<V>>,
     /// Outstanding pulls: packed dep id -> parked local indices waiting.
-    pub waiters: HashMap<u64, Vec<u32>>,
+    pub waiters: IdMap<u64, Vec<u32>>,
+    /// Pushed values by packed id, with the number of unfinished local
+    /// targets yet to gather them (push mode): one pin per value.
+    pub pins: IdMap<u64, (V, u32)>,
+}
+
+impl<V: Clone> Pending<V> {
+    /// Takes one reader's share of the value pinned under `key`: `None`
+    /// without a pin, else the value if `want` — a copy, or the value
+    /// itself for the last reader, which removes the pin.
+    pub fn unpin(&mut self, key: u64, want: bool) -> Option<Option<V>> {
+        let Entry::Occupied(mut pin) = self.pins.entry(key) else {
+            return None;
+        };
+        pin.get_mut().1 -= 1;
+        Some(match pin.get().1 {
+            0 => Some(pin.remove().0).filter(|_| want),
+            _ => want.then(|| pin.get().0.clone()),
+        })
+    }
 }
 
 /// The most stencil offsets a cell's dependencies are lent for, by the

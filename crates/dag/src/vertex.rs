@@ -8,8 +8,9 @@ use std::fmt;
 /// `i` is the row, `j` is the column. Both are `u32`, which is enough for
 /// the paper's billion-vertex graphs (a 31623×31623 matrix) with room to
 /// spare, while keeping the id at 8 bytes so it packs into a `u64` for
-/// hashing and wire transfer.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// hashing and wire transfer. The default, `(0, 0)`, fills unused
+/// inline slots of fixed-size id arrays.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VertexId {
     /// Row coordinate.
     pub i: u32,

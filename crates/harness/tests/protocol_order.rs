@@ -287,12 +287,17 @@ impl Case {
                     return Err(format!("{id} ends with a non-zero indegree"));
                 }
             }
+            // Every pinned value's readers have gathered it.
             let pending = &shard.pending;
-            if !pending.parked.is_empty() || !pending.waiters.is_empty() {
+            let open = [
+                pending.parked.len(),
+                pending.waiters.len(),
+                pending.pins.len(),
+            ];
+            if open != [0; 3] {
                 return Err(format!(
-                    "slot {slot} ends with {} parked, {} awaited",
-                    pending.parked.len(),
-                    pending.waiters.len()
+                    "slot {slot} ends with {} parked, {} awaited, {} pinned",
+                    open[0], open[1], open[2]
                 ));
             }
         }

@@ -323,3 +323,37 @@ fn min_diagonal_policy_never_loses_to_lifo_badly() {
         "policies should be within 50% of each other here: {ratio}"
     );
 }
+
+/// Push-mode counters of three simulated runs, recorded on the code
+/// before a pushed value was pinned once for all of its targets (each
+/// target had its own pinned copy then): the pin's bookkeeping moved,
+/// what it counts did not. `(pushes_sent, pulls_sent,
+/// pull_roundtrips_avoided, cache_hits)` for a cyclic-column Grid3 with
+/// a small cache, a long-stencil pattern without one, and the first
+/// run killed halfway (restored dependencies are pulled).
+#[test]
+fn push_mode_counters_are_pinned() {
+    let cyclic = || {
+        SimConfig::flat(3)
+            .with_dist(DistKind::CyclicCol)
+            .with_comms(dpx10_core::CommsMode::Push)
+    };
+    let counters = |result: dpx10_core::DagResult<u64>| {
+        let comm = result.report().comm;
+        let c = (comm.pushes_sent, comm.pulls_sent);
+        (c.0, c.1, comm.pull_roundtrips_avoided, comm.cache_hits)
+    };
+    let grid = SimEngine::new(MixApp, Grid3::new(40, 40), cyclic().with_cache(2));
+    let long = SimEngine::new(MixApp, FullPrevRowCol::new(12, 12), cyclic().with_cache(0));
+    let killed = cyclic()
+        .with_cache(2)
+        .with_fault(FaultPlan::mid_run(PlaceId(1)));
+    let killed = SimEngine::new(MixApp, Grid3::new(40, 40), killed);
+    let got = [grid, long, killed].map(|engine| counters(engine.run().unwrap()));
+    let before = [
+        (1560, 0, 0, 3081),
+        (252, 0, 576, 0),
+        (2080, 316, 1133, 2783),
+    ];
+    assert_eq!(got, before);
+}

@@ -5,6 +5,15 @@
 //! crossbeam's rules: a receive on an empty channel whose senders are
 //! all gone fails with `Disconnected`; a send into a channel whose
 //! receivers are all gone fails with [`SendError`].
+//!
+//! **Notify only under a counted waiter.** A thread counts itself into
+//! `recv_waiting` or `send_waiting` under the queue lock before its
+//! `Condvar` wait, and out after it; a push notifies only while
+//! `recv_waiting` is non-zero, a pop only while `send_waiting` is. A
+//! counted waiter is already inside its wait (the wait released the
+//! lock it was counted under), so no wakeup is lost, and an uncontended
+//! hop makes no `futex` call (std's condvar makes one per notify, waiter
+//! or not). Disconnection notifies every waiter unconditionally.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -54,8 +63,17 @@ pub enum RecvTimeoutError {
     Disconnected,
 }
 
+/// The queued messages and the threads blocked on them, under one lock.
+struct Queue<T> {
+    items: VecDeque<T>,
+    /// Receivers inside a `not_empty` wait.
+    recv_waiting: usize,
+    /// Senders inside a `not_full` wait.
+    send_waiting: usize,
+}
+
 struct Chan<T> {
-    queue: Mutex<VecDeque<T>>,
+    queue: Mutex<Queue<T>>,
     not_empty: Condvar,
     not_full: Condvar,
     cap: Option<usize>,
@@ -69,6 +87,15 @@ impl<T> Chan<T> {
     }
     fn no_receivers(&self) -> bool {
         self.receivers.load(Ordering::Acquire) == 0
+    }
+
+    /// Pops the oldest message; wakes a blocked sender (rare: under the lock).
+    fn pop(&self, queue: &mut Queue<T>) -> Option<T> {
+        let value = queue.items.pop_front()?;
+        if queue.send_waiting > 0 {
+            self.not_full.notify_one();
+        }
+        Some(value)
     }
 }
 
@@ -97,7 +124,11 @@ pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
 
 fn with_capacity<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let chan = Arc::new(Chan {
-        queue: Mutex::new(VecDeque::new()),
+        queue: Mutex::new(Queue {
+            items: VecDeque::new(),
+            recv_waiting: 0,
+            send_waiting: 0,
+        }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
         cap,
@@ -117,43 +148,31 @@ impl<T> Sender<T> {
                 return Err(SendError(value));
             }
             match chan.cap {
-                Some(cap) if queue.len() >= cap => {
+                Some(cap) if queue.items.len() >= cap => {
                     // Re-check disconnection at least every 10ms so a
                     // send into a full, abandoned channel cannot hang.
+                    queue.send_waiting += 1;
                     chan.not_full
                         .wait_for(&mut queue, Duration::from_millis(10));
+                    queue.send_waiting -= 1;
                 }
                 _ => break,
             }
         }
-        queue.push_back(value);
+        queue.items.push_back(value);
+        // Notify after unlocking, or the woken receiver blocks on the
+        // lock this thread still holds.
+        let wake = queue.recv_waiting > 0;
         drop(queue);
-        chan.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Sends without blocking; returns the message if the channel is
-    /// full or disconnected.
-    pub fn try_send(&self, value: T) -> Result<(), SendError<T>> {
-        let chan = &*self.chan;
-        let mut queue = chan.queue.lock();
-        if chan.no_receivers() {
-            return Err(SendError(value));
+        if wake {
+            chan.not_empty.notify_one();
         }
-        if let Some(cap) = chan.cap {
-            if queue.len() >= cap {
-                return Err(SendError(value));
-            }
-        }
-        queue.push_back(value);
-        drop(queue);
-        chan.not_empty.notify_one();
         Ok(())
     }
 
     /// Number of messages currently queued.
     pub fn len(&self) -> usize {
-        self.chan.queue.lock().len()
+        self.chan.queue.lock().items.len()
     }
 
     /// Whether the queue is currently empty.
@@ -192,25 +211,22 @@ impl<T> Receiver<T> {
         let chan = &*self.chan;
         let mut queue = chan.queue.lock();
         loop {
-            if let Some(v) = queue.pop_front() {
-                drop(queue);
-                chan.not_full.notify_one();
+            if let Some(v) = chan.pop(&mut queue) {
                 return Ok(v);
             }
             if chan.no_senders() {
                 return Err(RecvError);
             }
+            queue.recv_waiting += 1;
             chan.not_empty.wait(&mut queue);
+            queue.recv_waiting -= 1;
         }
     }
 
     /// Receives without blocking.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let chan = &*self.chan;
-        let mut queue = chan.queue.lock();
-        if let Some(v) = queue.pop_front() {
-            drop(queue);
-            chan.not_full.notify_one();
+        if let Some(v) = chan.pop(&mut chan.queue.lock()) {
             return Ok(v);
         }
         if chan.no_senders() {
@@ -226,9 +242,7 @@ impl<T> Receiver<T> {
         let chan = &*self.chan;
         let mut queue = chan.queue.lock();
         loop {
-            if let Some(v) = queue.pop_front() {
-                drop(queue);
-                chan.not_full.notify_one();
+            if let Some(v) = chan.pop(&mut queue) {
                 return Ok(v);
             }
             if chan.no_senders() {
@@ -238,13 +252,15 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
+            queue.recv_waiting += 1;
             chan.not_empty.wait_for(&mut queue, deadline - now);
+            queue.recv_waiting -= 1;
         }
     }
 
     /// Number of messages currently queued.
     pub fn len(&self) -> usize {
-        self.chan.queue.lock().len()
+        self.chan.queue.lock().items.len()
     }
 
     /// Whether the queue is currently empty.
@@ -328,7 +344,6 @@ mod tests {
         let (tx, rx) = bounded::<u32>(2);
         tx.send(1).unwrap();
         tx.send(2).unwrap();
-        assert!(tx.try_send(3).is_err());
         let h = thread::spawn(move || tx.send(3));
         assert_eq!(rx.recv(), Ok(1));
         h.join().unwrap().unwrap();
