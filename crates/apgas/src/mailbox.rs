@@ -36,15 +36,6 @@ impl<M> Mailbox<M> {
         self.place
     }
 
-    /// A second handle onto the same inbox: the worker threads of one
-    /// place share its mailbox, each message consumed by exactly one.
-    pub fn clone_handle(&self) -> Mailbox<M> {
-        Mailbox {
-            place: self.place,
-            rx: self.rx.clone(),
-        }
-    }
-
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Envelope<M>> {
         self.rx.try_recv().ok()

@@ -48,7 +48,9 @@ pub struct Topology {
     pub nodes: u16,
     /// Places per node (paper default: 2, one per processor socket).
     pub places_per_node: u16,
-    /// Worker threads per place (paper default: 6, one per core).
+    /// Worker threads per place (paper default: 6, one per core): the
+    /// simulator's virtual worker count. The real engines run one owner
+    /// thread per place whatever it says.
     pub threads_per_place: u16,
 }
 

@@ -61,18 +61,6 @@ pub enum FrameError {
     Malformed(&'static str),
 }
 
-impl FrameError {
-    /// Whether this error is a read timeout (no traffic within the
-    /// configured window) rather than a hard failure.
-    pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            FrameError::Io(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut
-        )
-    }
-}
-
 impl fmt::Display for FrameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -27,11 +27,6 @@ pub struct PlaceChildren {
 }
 
 impl PlaceChildren {
-    /// Pids of the children, indexed by `place - 1`.
-    pub fn pids(&self) -> Vec<u32> {
-        self.children.iter().map(Child::id).collect()
-    }
-
     /// Waits for every child and returns the exit statuses.
     pub fn wait_all(&mut self) -> io::Result<Vec<ExitStatus>> {
         self.children.iter_mut().map(Child::wait).collect()

@@ -113,11 +113,6 @@ impl NativeSwlag {
         }
         out
     }
-
-    /// Highest local-alignment score.
-    pub fn best_score(&self) -> i32 {
-        self.run().into_iter().flatten().max().unwrap_or(0)
-    }
 }
 
 /// One pipeline stage: owns columns `c0..c1`, processes rows in order,

@@ -245,16 +245,6 @@ impl<'a> AggView<'a> {
             .col_prefix(j, hi)
             .unwrap_or_else(|| panic!("col aggregate (0..{hi}, {j}) incomplete at compute time"))
     }
-
-    /// Non-panicking row lookup (e.g. for mid-wavefront diagnostics).
-    pub fn try_row_prefix(&self, i: u32, hi: u32) -> Option<i64> {
-        self.table.row_prefix(i, hi)
-    }
-
-    /// Non-panicking column lookup.
-    pub fn try_col_prefix(&self, j: u32, hi: u32) -> Option<i64> {
-        self.table.col_prefix(j, hi)
-    }
 }
 
 /// The completed computation handed to [`DpApp::app_finished`] and

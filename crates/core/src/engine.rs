@@ -8,15 +8,13 @@
 //! real-time driver — the worker loop and the `Worker` sink — shared
 //! with the socket places and the served jobs.
 //!
-//! A place's worker owns its slot's [`Shard`]: it builds the shard on
-//! its own thread when the epoch starts, runs the protocol on it through
-//! `&mut`, and hands it back when joined, so a local vertex takes no
-//! atomic read-modify-write and no lock. What crosses threads is a
-//! message, the slot's [`Progress`] (plain stores the coordinator
-//! polls), and — on a place of `threads_per_place = k > 1` — the
-//! vertices the owner hands its k − 1 compute lanes: prepared (id,
-//! dependency ids, owned values) over a channel, answered with the value,
-//! which the owner publishes. The epoch loop and §VI-D's recovery live in
+//! A place is one thread, whatever `threads_per_place` says (that is the
+//! simulator's virtual worker count). The thread owns its slot's
+//! [`Shard`]: it builds the shard when the epoch starts, runs the
+//! protocol on it through `&mut`, and hands it back when joined, so a
+//! local vertex takes no atomic read-modify-write and no lock. What
+//! crosses threads is a message and the slot's [`Progress`] (plain
+//! stores the coordinator polls). The epoch loop and §VI-D's recovery live in
 //! [`crate::epoch`], which also starts the workers; [`ThreadedEngine`]
 //! is the host of that loop whose places all live in one process, and
 //! [`crate::ElasticEngine`] runs on it.
@@ -32,7 +30,6 @@ use dpx10_apgas::{
 };
 use dpx10_dag::{DagPattern, DepInterval, VertexId};
 use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
-use dpx10_sync::channel::{unbounded, Receiver, Sender};
 
 use crate::app::{AggView, DagResult, DepView, DpApp};
 use crate::checkpoint::CheckpointWriters;
@@ -171,7 +168,7 @@ pub(crate) struct Shared<A: DpApp> {
     /// Schedule-shaker seed; `Some` randomizes the worker loops.
     pub(crate) shake: Option<u64>,
     /// The trace track (and shaker substream) of the first hosted
-    /// slot's owner; a thread's is `track_base + hosted_index * k + lane`.
+    /// slot's owner; a slot's is `track_base + hosted_index`.
     pub(crate) track_base: u64,
     /// The place of a worker thread that unwound, once one has.
     pub(crate) panicked: OnceLock<PlaceId>,
@@ -228,102 +225,6 @@ impl<A: DpApp> Shared<A> {
 /// recorder is on: a clock pair costs more than a small `compute`.
 const BUSY_SAMPLE: u32 = 16;
 
-/// Runs `compute` for vertex `id` on track `(place, wid)` and returns
-/// its value with the nanoseconds it charges to the slot: every compute
-/// is timed while recording (and emits its vertex-compute span),
-/// otherwise one in [`BUSY_SAMPLE`], the first included, counted down in
-/// `untimed`, is charged for all of them.
-fn timed<V>(
-    untimed: &mut u32,
-    rec: &Recorder,
-    (place, wid): (PlaceId, u16),
-    id: VertexId,
-    compute: impl FnOnce() -> V,
-) -> (V, u64) {
-    if rec.enabled() {
-        let start = rec.now_ns();
-        let value = compute();
-        let end = rec.now_ns();
-        let arg = id.pack();
-        rec.span(place.0, wid, EventKind::VertexCompute, start, end, arg);
-        return (value, end - start);
-    }
-    if *untimed > 0 {
-        *untimed -= 1;
-        return (compute(), 0);
-    }
-    *untimed = BUSY_SAMPLE - 1;
-    let started = Instant::now();
-    let value = compute();
-    (
-        value,
-        started.elapsed().as_nanos() as u64 * u64::from(BUSY_SAMPLE),
-    )
-}
-
-/// The mean compute, in nanoseconds, from which a place's owner hands
-/// ready vertices to its compute lanes. A hand-off costs the owner a
-/// copy of the dependency values, a channel send that may wake a lane
-/// and a receive for the answer. On a 2-vCPU x86 host, lanes fed every
-/// vertex broke even at computes of about 1 µs on a 3-thread place and
-/// 3 µs on a 2-thread one, and lost below that (`lanes` in
-/// `results/BENCH_shard_owner.json`).
-const LANE_MIN_NS: u64 = 2_000;
-
-/// Local vertex `li`, prepared by its owner for a compute lane.
-pub(crate) struct Job<V> {
-    li: u32,
-    id: VertexId,
-    dep_ids: Vec<VertexId>,
-    dep_values: Vec<V>,
-}
-
-/// A lane's end of its place's lanes: the owner's jobs in, `(li, value,
-/// busy ns)` back.
-pub(crate) type LaneEnd<V> = (Receiver<Job<V>>, Sender<(u32, V, u64)>);
-
-/// The owner's end of its place's k − 1 compute lanes: one job channel
-/// every lane takes from, one answer channel back.
-pub(crate) struct Lanes<V> {
-    jobs: Sender<Job<V>>,
-    answers: Receiver<(u32, V, u64)>,
-    count: usize,
-    /// How many jobs are out.
-    busy: usize,
-}
-
-impl<V> Lanes<V> {
-    /// `count` lanes: the owner's end and the one every lane clones.
-    pub(crate) fn new(count: usize) -> (Self, LaneEnd<V>) {
-        let ((jobs, take), (answer, answers)) = (unbounded(), unbounded());
-        let lanes = Lanes {
-            jobs,
-            answers,
-            count,
-            busy: 0,
-        };
-        (lanes, (take, answer))
-    }
-}
-
-/// A compute lane of a place with several threads, on track `track`:
-/// computes what the owner hands it until the owner hangs up.
-pub(crate) fn lane_loop<A: DpApp>(
-    shared: &Shared<A>,
-    track: (PlaceId, u16),
-    (jobs, answers): LaneEnd<A::Value>,
-) {
-    let mut untimed = 0;
-    for job in jobs.iter() {
-        let view = DepView::new(&job.dep_ids, &job.dep_values);
-        let compute = || shared.ctx.app.compute(job.id, &view);
-        let (value, ns) = timed(&mut untimed, &shared.recorder, track, job.id, compute);
-        if answers.send((job.li, value, ns)).is_err() {
-            break;
-        }
-    }
-}
-
 /// The [`Sink`] of every real-time driver — threaded engine, socket
 /// place, served job: the thread that owns one slot's shard, acting on
 /// an epoch's [`Shared`].
@@ -335,8 +236,6 @@ struct Worker<'a, A: DpApp> {
     wid: u16,
     /// Computes left before this thread times one again.
     untimed: u32,
-    /// `Some` on a place with several threads.
-    lanes: Option<Lanes<A::Value>>,
     /// What this epoch has added to the place's `tasks_run`.
     counted: u64,
 }
@@ -351,57 +250,29 @@ impl<A: DpApp> Worker<'_, A> {
         Some(li)
     }
 
-    /// Runs `compute` (the app's, classic or ranged) for vertex `id` on
-    /// this thread: its value, and the nanoseconds it charges the slot.
+    /// Runs `compute` (the app's, classic or ranged) for vertex `id`:
+    /// its value, and the nanoseconds it charges the slot. Every compute
+    /// is timed while recording (and emits its vertex-compute span);
+    /// otherwise one in [`BUSY_SAMPLE`], the first included, counted down
+    /// in `untimed`, is charged for all of them.
     fn compute(&mut self, id: VertexId, compute: impl FnOnce() -> A::Value) -> (A::Value, u64) {
-        let (rec, track) = (&self.shared.recorder, (self.me, self.wid));
-        timed(&mut self.untimed, rec, track, id, compute)
-    }
-
-    /// Whether to hand the next vertex to a lane: one has no job, and
-    /// the slot's computes have averaged at least [`LANE_MIN_NS`].
-    fn lane_free(&self, shard: &Shard<A::Value>) -> bool {
-        let worth = shard.busy_ns >= LANE_MIN_NS * shard.computed().max(1);
-        worth && self.lanes.as_ref().is_some_and(|l| l.busy < l.count)
-    }
-
-    /// Hands `job` to the lanes. A lane that unwound takes its job with
-    /// it: its panic flag ends the epoch.
-    fn hand(&mut self, job: Job<A::Value>) {
-        let lanes = self.lanes.as_mut().expect("a free lane has lanes");
-        lanes.busy += 1;
-        let _ = lanes.jobs.send(job);
-    }
-
-    /// Publishes one vertex a lane computed.
-    fn settle(
-        &mut self,
-        shard: &mut Shard<A::Value>,
-        answer: (u32, A::Value, u64),
-        bufs: &mut WorkerBufs,
-    ) {
-        let (li, value, ns) = answer;
-        self.lanes.as_mut().expect("answers come from lanes").busy -= 1;
-        shard.busy_ns += ns;
-        let id = VertexId::from(shard.points[li as usize]);
-        publish(&self.shared.ctx, shard, self, li, id, value, bufs);
-    }
-
-    /// Publishes every vertex the lanes have computed; whether there was
-    /// one.
-    fn settle_all(&mut self, shard: &mut Shard<A::Value>, bufs: &mut WorkerBufs) -> bool {
-        let mut any = false;
-        let out = |l: &&Lanes<A::Value>| l.busy > 0;
-        while let Some(answer) = self
-            .lanes
-            .as_ref()
-            .filter(out)
-            .and_then(|l| l.answers.try_recv().ok())
-        {
-            self.settle(shard, answer, bufs);
-            any = true;
+        let (rec, place, wid) = (&self.shared.recorder, self.me.0, self.wid);
+        if rec.enabled() {
+            let start = rec.now_ns();
+            let value = compute();
+            let end = rec.now_ns();
+            rec.span(place, wid, EventKind::VertexCompute, start, end, id.pack());
+            return (value, end - start);
         }
-        any
+        if self.untimed > 0 {
+            self.untimed -= 1;
+            return (compute(), 0);
+        }
+        self.untimed = BUSY_SAMPLE - 1;
+        let started = Instant::now();
+        let value = compute();
+        let ns = started.elapsed().as_nanos() as u64;
+        (value, ns * u64::from(BUSY_SAMPLE))
     }
 
     /// Stores the shard's finished count into its slot's [`Progress`]
@@ -490,20 +361,14 @@ impl<A: DpApp> Sink<A::Value> for Worker<'_, A> {
 }
 
 /// The owner thread of `slot`, on track `wid`: builds the slot's shard,
-/// then runs budgeted rounds — settle the lanes' answers, drain inbound
-/// messages, execute ready vertices — and parks briefly when idle (paper
-/// §VI-C's worker loop). Hands the shard back when the epoch ends for
-/// it.
+/// then runs budgeted rounds — drain inbound messages, execute ready
+/// vertices — and parks briefly when idle (paper §VI-C's worker loop).
+/// Hands the shard back when the epoch ends for it.
 ///
 /// The inbox is `shared.transport`'s — the same loop serves the threaded
 /// engine (mailboxes), each place process of the socket engine and each
 /// served job; [`crate::epoch`] is the one place that starts it.
-pub(crate) fn worker_loop<A: DpApp>(
-    shared: &Shared<A>,
-    slot: usize,
-    wid: u16,
-    lanes: Option<Lanes<A::Value>>,
-) -> Shard<A::Value> {
+pub(crate) fn worker_loop<A: DpApp>(shared: &Shared<A>, slot: usize, wid: u16) -> Shard<A::Value> {
     let mut shard = shared.start.build(&shared.ctx, slot);
     let me = shared.ctx.dist.places()[slot];
     let mut bufs = WorkerBufs::default();
@@ -520,7 +385,6 @@ pub(crate) fn worker_loop<A: DpApp>(
         me,
         wid,
         untimed: 0,
-        lanes,
         counted: 0,
     };
     loop {
@@ -531,8 +395,8 @@ pub(crate) fn worker_loop<A: DpApp>(
         if shared.should_stop() || !shared.liveness.is_alive(me) {
             break;
         }
-        // One budgeted round: settle the lanes' answers, drain inbound
-        // messages, then execute ready vertices.
+        // One budgeted round: drain inbound messages, then execute ready
+        // vertices.
         let (drain_budget, ready_budget) = match shaker.as_mut() {
             Some(rng) => {
                 if rng.chance(0.05) {
@@ -542,7 +406,7 @@ pub(crate) fn worker_loop<A: DpApp>(
             }
             None => (128, 32),
         };
-        let mut progress = worker.settle_all(&mut shard, &mut bufs);
+        let mut progress = false;
         for _ in 0..drain_budget {
             match shared.transport.try_recv(me) {
                 Some(env) => {
@@ -602,20 +466,9 @@ pub(crate) fn worker_loop<A: DpApp>(
         }
         shared.transport.flush(me);
         let wait = Duration::from_micros(500);
-        match worker.lanes.as_ref().filter(|lanes| lanes.busy > 0) {
-            // Lanes are computing: their answers are what comes next.
-            Some(lanes) => {
-                if let Ok(answer) = lanes.answers.recv_timeout(wait) {
-                    worker.settle(&mut shard, answer, &mut bufs);
-                    idle_rounds = 0;
-                }
-            }
-            None => {
-                if let Some(env) = shared.transport.recv_timeout(me, wait) {
-                    deliver(&mut worker, &mut shard, env, &mut bufs);
-                    idle_rounds = 0;
-                }
-            }
+        if let Some(env) = shared.transport.recv_timeout(me, wait) {
+            deliver(&mut worker, &mut shard, env, &mut bufs);
+            idle_rounds = 0;
         }
     }
     shard
@@ -639,16 +492,14 @@ fn deliver<A: DpApp>(
     handle_msg(&shared.ctx, shard, worker, env.src, env.msg, bufs);
 }
 
-/// Executes one ready vertex of the shard: gather → (maybe ship, or
-/// hand to an idle lane) → compute → publish. The lanes' answers are
-/// published first, so a lane that finished counts as idle again.
+/// Executes one ready vertex of the shard: gather → (maybe ship) →
+/// compute → publish.
 fn execute<A: DpApp>(
     worker: &mut Worker<'_, A>,
     shard: &mut Shard<A::Value>,
     li: u32,
     bufs: &mut WorkerBufs,
 ) {
-    worker.settle_all(shard, bufs);
     let shared = worker.shared;
     let ctx = &shared.ctx;
     debug_assert!(shard.in_pattern[li as usize]);
@@ -663,7 +514,6 @@ fn execute<A: DpApp>(
         return;
     }
 
-    let to_lane = worker.lane_free(shard);
     let Some((target, values)) = prepare(ctx, shard, worker, li, bufs) else {
         return; // parked awaiting pulls
     };
@@ -678,17 +528,6 @@ fn execute<A: DpApp>(
         worker.send(me, target, msg);
         return;
     }
-    if to_lane {
-        let (dep_ids, dep_values) = (bufs.deps.clone(), values.into_owned());
-        worker.hand(Job {
-            li,
-            id,
-            dep_ids,
-            dep_values,
-        });
-        return;
-    }
-
     let view = values.view(&bufs.deps);
     let (value, ns) = worker.compute(id, || ctx.app.compute(id, &view));
     shard.busy_ns += ns;
@@ -709,8 +548,8 @@ fn execute<A: DpApp>(
 /// re-readied vertex finds its lanes complete.
 ///
 /// Always computes on the owner: the lanes are place-resident state, so
-/// the remote-execution schedules (`Random`/`MinComm`), their `Msg::Exec`
-/// shipping and the compute lanes don't apply here.
+/// the remote-execution schedules (`Random`/`MinComm`) and their
+/// `Msg::Exec` shipping don't apply here.
 fn execute_ranged<A: DpApp>(
     worker: &mut Worker<'_, A>,
     shard: &mut Shard<A::Value>,
@@ -726,7 +565,7 @@ fn execute_ranged<A: DpApp>(
         .expect("agg mode implies an interval view");
     // Out of the shard while its gathered values borrow the rest of it;
     // gathering never touches the lanes.
-    let table = shard.aggs.take().expect("agg mode implies lanes");
+    let mut table = shard.aggs.take().expect("agg mode implies lanes");
 
     bufs.deps.clear();
     range.point_deps(id.i, id.j, &mut bufs.deps);

@@ -9,10 +9,10 @@
 //! `drive`: the threaded engine, a socket place and a served job are
 //! its hosts (DESIGN.md §5 has the table), and it starts every host's
 //! workers the same way — per hosted slot, one owner thread that builds
-//! and runs the slot's shard plus `threads_per_place - 1` compute lanes,
-//! joined when the epoch ends. An in-process host may also plan
-//! membership [`Boundaries`]: a join, a drain or a kill that ends its
-//! epoch, after which the next one redistributes over the new roster.
+//! and runs the slot's shard, joined when the epoch ends. An in-process
+//! host may also plan membership [`Boundaries`]: a join, a drain or a
+//! kill that ends its epoch, after which the next one redistributes over
+//! the new roster.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,7 +32,7 @@ use crate::app::{DagResult, DpApp};
 use crate::checkpoint::CheckpointWriters;
 use crate::config::{EngineConfig, InitOverride};
 use crate::elastic::ElasticReport;
-use crate::engine::{lane_loop, worker_loop, Lanes, Shared, Trigger};
+use crate::engine::{worker_loop, Shared, Trigger};
 use crate::error::EngineError;
 use crate::msg::Msg;
 use crate::protocol::Ctx;
@@ -234,18 +234,16 @@ pub(crate) struct Workers<A: DpApp> {
     shared: Arc<Shared<A>>,
     /// Each hosted slot's owner, which hands its shard back.
     owners: Vec<JoinHandle<Shard<A::Value>>>,
-    lanes: Vec<JoinHandle<()>>,
     /// The hosted slots' shards, in slot order, once [`Workers::stop`]
     /// has joined their owners (a panicked owner's is missing).
     pub(crate) shards: Vec<Shard<A::Value>>,
 }
 
 impl<A: DpApp> Workers<A> {
-    /// Starts each of `hosted`'s slots: an owner, which builds the
-    /// slot's shard on its own thread, and `threads_per_place - 1`
-    /// compute lanes. Thread `lane` (the owner is lane 0) of the slot at
-    /// `hosted_index` records onto track `track_base + hosted_index * k
-    /// + lane`, whatever order the threads start in.
+    /// Starts each of `hosted`'s slots: one owner thread, which builds
+    /// the slot's shard and runs it. The owner of the slot at
+    /// `hosted_index` records onto track `track_base + hosted_index`,
+    /// whatever order the threads start in.
     fn start(shared: &Arc<Shared<A>>, hosted: std::ops::Range<usize>) -> Result<Self, EngineError>
     where
         A: 'static,
@@ -253,23 +251,11 @@ impl<A: DpApp> Workers<A> {
         let mut workers = Workers {
             shared: shared.clone(),
             owners: Vec::new(),
-            lanes: Vec::new(),
             shards: Vec::new(),
         };
-        let k = shared.ctx.topo.threads_per_place.max(1);
         for (h, slot) in hosted.enumerate() {
-            let place = shared.ctx.dist.places()[slot];
-            let first = shared.track_base + h as u64 * u64::from(k);
-            let wid = |lane: u16| (first + u64::from(lane)) as u16;
-            let (lanes, end) = Lanes::new(usize::from(k - 1));
-            for lane in 1..k {
-                let (track, end) = ((place, wid(lane)), end.clone());
-                let run = move |sh: &Shared<A>| lane_loop(sh, track, end);
-                workers.lanes.push(spawn(shared, place, lane, run)?);
-            }
-            let (wid, lanes) = (wid(0), (k > 1).then_some(lanes));
-            let run = move |sh: &Shared<A>| worker_loop(sh, slot, wid, lanes);
-            workers.owners.push(spawn(shared, place, 0, run)?);
+            let wid = (shared.track_base + h as u64) as u16;
+            workers.owners.push(spawn(shared, slot, wid)?);
         }
         Ok(workers)
     }
@@ -282,9 +268,6 @@ impl<A: DpApp> Workers<A> {
             // A panic is already on `shared.panicked`.
             self.shards.extend(owner.join().ok());
         }
-        for lane in self.lanes.drain(..) {
-            let _ = lane.join();
-        }
     }
 }
 
@@ -294,22 +277,20 @@ impl<A: DpApp> Drop for Workers<A> {
     }
 }
 
-/// Spawns thread `lane` of `place`'s workers, running `run` on the
-/// epoch's `shared`.
-fn spawn<A: DpApp + 'static, T: Send + 'static>(
+/// Spawns the owner of `slot`, on track `wid`, over the epoch's `shared`.
+fn spawn<A: DpApp + 'static>(
     shared: &Arc<Shared<A>>,
-    place: PlaceId,
-    lane: u16,
-    run: impl FnOnce(&Shared<A>) -> T + Send + 'static,
-) -> Result<JoinHandle<T>, EngineError> {
-    let sh = shared.clone();
+    slot: usize,
+    wid: u16,
+) -> Result<JoinHandle<Shard<A::Value>>, EngineError> {
+    let (sh, place) = (shared.clone(), shared.ctx.dist.places()[slot]);
     std::thread::Builder::new()
-        .name(format!("dpx10-p{}w{lane}", place.index()))
+        .name(format!("dpx10-p{}w0", place.index()))
         .spawn(move || {
             // A `compute()` that unwinds takes its thread with it; the
             // coordinator must hear of it.
             let _flag = PanicFlag(&sh.panicked, place);
-            run(&sh)
+            worker_loop(&sh, slot, wid)
         })
         .map_err(|e| EngineError::Io(format!("spawn worker: {e}")))
 }

@@ -19,10 +19,10 @@
 //!   the globally least unfinished job is admitted at every participant,
 //!   which makes the cap deadlock-free.
 //! * **Bounded concurrency** — an admitted job computes exactly as a
-//!   solo run does, on `threads_per_place` worker threads per epoch
-//!   started by the shared epoch loop; a place therefore runs at most
-//!   `max_in_flight × threads_per_place` workers, scheduled by the OS,
-//!   and the admission cap is the one number that bounds them.
+//!   solo run does, on one worker thread per epoch started by the
+//!   shared epoch loop; a place therefore runs at most `max_in_flight`
+//!   workers, scheduled by the OS, and the admission cap is the one
+//!   number that bounds them.
 //! * **Fault isolation** — liveness is mesh-level, recovery is per-job:
 //!   a place death triggers the §VI-D recovery protocol only for jobs
 //!   whose placement contains the dead place; everything else keeps
@@ -118,8 +118,8 @@ impl<A: DpApp> JobSpec<A> {
 /// [`crate::config::FaultPlan`]. Its count is the place's `tasks_run`,
 /// which each job's worker brings up to date at the start of every round
 /// of its loop, so the kill lands within one round of the threshold: per
-/// job, at most 32 executed vertices plus what the round's messages and
-/// lane answers publish.
+/// job, at most 32 executed vertices plus what the round's messages
+/// publish.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeKill {
     /// The place that dies (never place 0).

@@ -30,11 +30,11 @@
 //! into the slab ([`Gathered::Lent`]); `publish` moves the result into
 //! the slab and reads it back by reference. What still clones: a
 //! message (`Done`, `PullVal`, `Exec`), a pulled value's cache entry,
-//! a pushed value's one pin, a pulled fill, a vertex handed to a compute
-//! lane, and the values of a gather that looked past its own shard
-//! ([`Gathered::Owned`], inline). What still allocates per vertex: a
-//! [`Gathered::Lent`] list, a pull's waiter list, and what outgrows an
-//! inline array; per message, a batch, a frame and its decode.
+//! a pushed value's one pin, a pulled fill, and the values of a gather
+//! that looked past its own shard ([`Gathered::Owned`], inline). What
+//! still allocates per vertex: a [`Gathered::Lent`] list, a pull's
+//! waiter list, and what outgrows an inline array; per message, a
+//! batch, a frame and its decode.
 //!
 //! Doc-hidden like [`crate::state`]: public so `dpx10-sim` and the
 //! delivery-order test driver can drive it, not a user-facing API.
@@ -138,8 +138,7 @@ impl<V: Clone> Gathered<'_, V> {
         }
     }
 
-    /// The values as owned copies, for a message ([`Msg::Exec`]) or a
-    /// compute lane.
+    /// The values as owned copies, for a message ([`Msg::Exec`]).
     pub fn into_owned(self) -> Vec<V> {
         match self {
             Gathered::Slab(values, n) => values[..n].iter().map(|&v| v.clone()).collect(),
@@ -154,11 +153,14 @@ impl<V: Clone> Gathered<'_, V> {
 /// `PullVal`); the lanes are idempotent per cell, so overlapping
 /// deliveries are harmless.
 #[inline]
-pub fn agg_record<A: DpApp>(ctx: &Ctx<A>, shard: &Shard<A::Value>, id: VertexId, value: &A::Value) {
-    if ctx.agg.is_some() {
-        if let Some(table) = &shard.aggs {
-            table.record(id, |axis| ctx.app.agg_key(axis, id, value));
-        }
+pub fn agg_record<A: DpApp>(
+    ctx: &Ctx<A>,
+    shard: &mut Shard<A::Value>,
+    id: VertexId,
+    value: &A::Value,
+) {
+    if let Some(table) = shard.aggs.as_mut() {
+        table.record(id, |axis| ctx.app.agg_key(axis, id, value));
     }
 }
 
@@ -552,9 +554,13 @@ pub fn publish<A: DpApp, S: Sink<A::Value>>(
     if !shard.finish(li, value) {
         return; // double publication guard
     }
+    // Fold the local cell before any dependent can become ready; the
+    // table is out of the shard while the value borrows the slab.
+    if let Some(mut table) = shard.aggs.take() {
+        table.record(id, |axis| ctx.app.agg_key(axis, id, shard.value(li)));
+        shard.aggs = Some(table);
+    }
     let value = shard.value(li);
-    // Fold the local cell before any dependent can become ready.
-    agg_record(ctx, shard, id, value);
     sink.finished(shard.slot, id, value);
 
     // A stencil cell whose dependents all sit in this chunk decrements

@@ -443,7 +443,7 @@ impl<V: VertexValue> Start<V> {
             }
         }
         shard.finished_at_start = shard.finished_local;
-        if let Some(table) = &shard.aggs {
+        if let Some(table) = &mut shard.aggs {
             // Prefinished cells never publish again: fold every one with
             // a value here, on any slot, into this shard's lanes. Cells
             // finished without a value (a socket place's meta-only

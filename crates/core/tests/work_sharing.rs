@@ -1,11 +1,11 @@
-//! A place's worker owns its shard; on a place of `threads_per_place =
-//! k > 1` threads its k − 1 siblings are compute lanes, fed prepared
-//! vertices by the owner. These tests hold what that must keep: the
-//! lanes compute (and get the serial answer), they leave the wire
-//! alone, a thread's trace track follows its slot rather than thread
-//! start order, and the owner's progress stores keep small runs and slow
-//! computes completing. The flight recorder says which worker track
-//! computed each vertex.
+//! A real place is one thread, which owns its shard: `threads_per_place`
+//! is the simulator's virtual worker count, and the real engines run
+//! one owner per slot whatever it says. These tests hold what that must
+//! keep: a place computes on one track with the k = 1 answer at any k,
+//! k leaves the wire alone, a thread's trace track follows its slot
+//! rather than thread start order, and the owner's progress stores keep
+//! small runs and slow computes completing. The flight recorder says
+//! which worker track computed each vertex.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
@@ -15,8 +15,7 @@ use dpx10_core::{DepView, DistKind, DpApp, EngineConfig, ThreadedEngine};
 use dpx10_dag::{builtin::Grid2, builtin::Grid3, DagPattern, VertexId};
 use dpx10_obs::{EventKind, Recorder, Trace};
 
-/// Spins for a fixed time per vertex, then folds its dependencies in:
-/// long enough that an idle lane wakes while there is work to hand it.
+/// Spins for a fixed time per vertex, then folds its dependencies in.
 struct Spins(Duration);
 
 impl DpApp for Spins {
@@ -70,21 +69,19 @@ fn threads(mut config: EngineConfig, k: u16) -> EngineConfig {
 }
 
 #[test]
-fn every_worker_of_a_place_gets_work() {
-    // One place, three threads: the owner hands ready vertices to its
-    // two lanes whenever one is idle, and computes itself otherwise.
+fn a_place_computes_on_one_thread_at_any_k() {
+    // One place asking for three threads: its one owner computes every
+    // vertex, on the same track and with the same answer as at k = 1.
     let (fingerprint, trace) = traced_run(Grid2::new(40, 40), threads(EngineConfig::flat(1), 3));
-    let workers = &computing_workers(&trace)[&0];
-    assert!(
-        workers.len() > 1,
-        "one worker track computed every vertex: {workers:?}"
-    );
-    let (serial, _) = traced_run(Grid2::new(40, 40), EngineConfig::flat(1));
-    assert_eq!(fingerprint, serial, "the lanes changed the answer");
+    let (serial, serial_trace) = traced_run(Grid2::new(40, 40), EngineConfig::flat(1));
+    let workers = computing_workers(&trace);
+    assert_eq!(workers, BTreeMap::from([(0, BTreeSet::from([0]))]));
+    assert_eq!(workers, computing_workers(&serial_trace));
+    assert_eq!(fingerprint, serial, "k = 3 changed the answer");
 }
 
 #[test]
-fn lanes_leave_the_wire_alone() {
+fn threads_per_place_leaves_the_wire_alone() {
     // Block columns, a cache that never evicts: every remote value rides
     // its `Done`, so no pull is sent, and what crosses places is a
     // function of the DAG and the distribution alone.

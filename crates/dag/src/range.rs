@@ -247,11 +247,6 @@ impl RangedDag {
         }
     }
 
-    /// Wraps an already-shared ranged pattern.
-    pub fn from_arc(inner: Arc<dyn RangeDep>) -> Self {
-        RangedDag { inner }
-    }
-
     /// The wrapped ranged pattern.
     pub fn inner(&self) -> &Arc<dyn RangeDep> {
         &self.inner

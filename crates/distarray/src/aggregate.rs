@@ -19,7 +19,6 @@
 //! landed on another place (see `DESIGN.md`).
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 use dpx10_dag::{AggSpec, Axis, DepInterval, Reduction, VertexId};
 
@@ -94,31 +93,22 @@ impl PrefixLane {
 }
 
 /// The per-place aggregation table: one [`PrefixLane`] per row and/or
-/// column, as requested by the application's [`AggSpec`].
-///
-/// All methods take `&self`; each lane has its own lock, so concurrent
-/// folds on different rows/columns never contend.
+/// column, as requested by the application's [`AggSpec`]. It belongs to
+/// one shard, whose owner folds into it through `&mut`.
 pub struct AggTable {
     spec: AggSpec,
-    rows: Vec<Mutex<PrefixLane>>,
-    cols: Vec<Mutex<PrefixLane>>,
+    rows: Vec<PrefixLane>,
+    cols: Vec<PrefixLane>,
 }
 
 impl AggTable {
     /// Builds the table for a `height × width` grid.
     pub fn new(height: u32, width: u32, spec: AggSpec) -> Self {
-        let rows = match spec.rows {
-            Some(red) => (0..height)
-                .map(|_| Mutex::new(PrefixLane::new(red)))
-                .collect(),
+        let lanes = |red: Option<Reduction>, n| match red {
+            Some(red) => (0..n).map(|_| PrefixLane::new(red)).collect(),
             None => Vec::new(),
         };
-        let cols = match spec.cols {
-            Some(red) => (0..width)
-                .map(|_| Mutex::new(PrefixLane::new(red)))
-                .collect(),
-            None => Vec::new(),
-        };
+        let (rows, cols) = (lanes(spec.rows, height), lanes(spec.cols, width));
         AggTable { spec, rows, cols }
     }
 
@@ -131,39 +121,23 @@ impl AggTable {
     /// consulted once per active axis, so axis-dependent keys (GAP's
     /// row and column weights differ) cost nothing extra. Idempotent per
     /// cell and axis.
-    pub fn record(&self, id: VertexId, mut key: impl FnMut(Axis) -> i64) {
+    pub fn record(&mut self, id: VertexId, mut key: impl FnMut(Axis) -> i64) {
         if self.spec.rows.is_some() {
-            let k = key(Axis::Row);
-            self.rows[id.i as usize]
-                .lock()
-                .expect("lane lock")
-                .receive(id.j, k);
+            self.rows[id.i as usize].receive(id.j, key(Axis::Row));
         }
         if self.spec.cols.is_some() {
-            let k = key(Axis::Col);
-            self.cols[id.j as usize]
-                .lock()
-                .expect("lane lock")
-                .receive(id.i, k);
+            self.cols[id.j as usize].receive(id.i, key(Axis::Col));
         }
     }
 
     /// The fold of row `i`'s keys over columns `0..hi`, if complete.
     pub fn row_prefix(&self, i: u32, hi: u32) -> Option<i64> {
-        self.rows
-            .get(i as usize)?
-            .lock()
-            .expect("lane lock")
-            .prefix(hi)
+        self.rows.get(i as usize)?.prefix(hi)
     }
 
     /// The fold of column `j`'s keys over rows `0..hi`, if complete.
     pub fn col_prefix(&self, j: u32, hi: u32) -> Option<i64> {
-        self.cols
-            .get(j as usize)?
-            .lock()
-            .expect("lane lock")
-            .prefix(hi)
+        self.cols.get(j as usize)?.prefix(hi)
     }
 
     /// The fold over a prefix interval (`lo == 0`), if complete.
@@ -189,14 +163,14 @@ impl AggTable {
             DepInterval::Row { i, lo, hi } => {
                 debug_assert_eq!(lo, 0, "aggregation requires prefix intervals");
                 if let Some(lane) = self.rows.get(i as usize) {
-                    lane.lock().expect("lane lock").missing(hi, &mut idxs);
+                    lane.missing(hi, &mut idxs);
                 }
                 out.extend(idxs.into_iter().map(|j| VertexId::new(i, j)));
             }
             DepInterval::Col { j, lo, hi } => {
                 debug_assert_eq!(lo, 0, "aggregation requires prefix intervals");
                 if let Some(lane) = self.cols.get(j as usize) {
-                    lane.lock().expect("lane lock").missing(hi, &mut idxs);
+                    lane.missing(hi, &mut idxs);
                 }
                 out.extend(idxs.into_iter().map(|i| VertexId::new(i, j)));
             }
@@ -250,7 +224,7 @@ mod tests {
 
     #[test]
     fn table_records_per_axis_keys() {
-        let table = AggTable::new(3, 4, AggSpec::both(Reduction::Min));
+        let mut table = AggTable::new(3, 4, AggSpec::both(Reduction::Min));
         // Cell (1, 2): row key 10, col key 20.
         table.record(VertexId::new(1, 2), |axis| match axis {
             Axis::Row => 10,
@@ -267,7 +241,7 @@ mod tests {
 
     #[test]
     fn interval_queries_require_prefixes() {
-        let table = AggTable::new(2, 5, AggSpec::rows(Reduction::Max));
+        let mut table = AggTable::new(2, 5, AggSpec::rows(Reduction::Max));
         for j in 0..4 {
             table.record(VertexId::new(0, j), |_| i64::from(j));
         }

@@ -89,7 +89,7 @@ proptest! {
         fraction in 0u32..=100,
     ) {
         let spec = AggSpec::both(Reduction::Min);
-        let table = AggTable::new(h, w, spec);
+        let mut table = AggTable::new(h, w, spec);
         let row_key = |i: u32, j: u32| i64::from(i * 31 + j * 7) - 20;
         let col_key = |i: u32, j: u32| i64::from(i * 13 + j * 3) - 10;
         let mut cells: Vec<(u32, u32)> =

@@ -1,10 +1,11 @@
-//! Multi-producer multi-consumer channels with `crossbeam-channel`
+//! Multi-producer single-consumer channels with `crossbeam-channel`
 //! calling conventions, built on `Mutex` + `Condvar`.
 //!
-//! Both [`Sender`] and [`Receiver`] are `Clone`. Disconnection follows
-//! crossbeam's rules: a receive on an empty channel whose senders are
-//! all gone fails with `Disconnected`; a send into a channel whose
-//! receivers are all gone fails with [`SendError`].
+//! [`Sender`] is `Clone`; [`Receiver`] is not: every queue in the
+//! runtime has one reader. Disconnection follows crossbeam's rules: a
+//! receive on an empty channel whose senders are all gone fails with
+//! `Disconnected`; a send into a channel whose receiver is gone fails
+//! with [`SendError`].
 //!
 //! **Notify only under a counted waiter.** A thread counts itself into
 //! `recv_waiting` or `send_waiting` under the queue lock before its
@@ -17,7 +18,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -78,15 +79,15 @@ struct Chan<T> {
     not_full: Condvar,
     cap: Option<usize>,
     senders: AtomicUsize,
-    receivers: AtomicUsize,
+    receiver_gone: AtomicBool,
 }
 
 impl<T> Chan<T> {
     fn no_senders(&self) -> bool {
         self.senders.load(Ordering::Acquire) == 0
     }
-    fn no_receivers(&self) -> bool {
-        self.receivers.load(Ordering::Acquire) == 0
+    fn no_receiver(&self) -> bool {
+        self.receiver_gone.load(Ordering::Acquire)
     }
 
     /// Pops the oldest message; wakes a blocked sender (rare: under the lock).
@@ -104,8 +105,7 @@ pub struct Sender<T> {
     chan: Arc<Chan<T>>,
 }
 
-/// The receiving half of a channel. Cloneable — clones share the same
-/// queue, each message is delivered to exactly one receiver.
+/// The receiving half of a channel: the queue's one reader.
 pub struct Receiver<T> {
     chan: Arc<Chan<T>>,
 }
@@ -133,7 +133,7 @@ fn with_capacity<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
         not_full: Condvar::new(),
         cap,
         senders: AtomicUsize::new(1),
-        receivers: AtomicUsize::new(1),
+        receiver_gone: AtomicBool::new(false),
     });
     (Sender { chan: chan.clone() }, Receiver { chan })
 }
@@ -144,7 +144,7 @@ impl<T> Sender<T> {
         let chan = &*self.chan;
         let mut queue = chan.queue.lock();
         loop {
-            if chan.no_receivers() {
+            if chan.no_receiver() {
                 return Err(SendError(value));
             }
             match chan.cap {
@@ -267,43 +267,16 @@ impl<T> Receiver<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// A blocking iterator that ends when the channel disconnects.
-    pub fn iter(&self) -> Iter<'_, T> {
-        Iter { rx: self }
-    }
-}
-
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        self.chan.receivers.fetch_add(1, Ordering::AcqRel);
-        Receiver {
-            chan: self.chan.clone(),
-        }
-    }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        if self.chan.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last receiver gone: wake every blocked sender (same
-            // lock-then-notify ordering as the sender side).
-            let guard = self.chan.queue.lock();
-            drop(guard);
-            self.chan.not_full.notify_all();
-        }
-    }
-}
-
-/// Blocking iterator over received messages; see [`Receiver::iter`].
-pub struct Iter<'a, T> {
-    rx: &'a Receiver<T>,
-}
-
-impl<T> Iterator for Iter<'_, T> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        self.rx.recv().ok()
+        // Wake every blocked sender (same lock-then-notify ordering as
+        // the sender side).
+        self.chan.receiver_gone.store(true, Ordering::Release);
+        let guard = self.chan.queue.lock();
+        drop(guard);
+        self.chan.not_full.notify_all();
     }
 }
 
@@ -311,33 +284,6 @@ impl<T> Iterator for Iter<'_, T> {
 mod tests {
     use super::*;
     use std::thread;
-
-    #[test]
-    fn mpmc_delivers_each_message_once() {
-        let (tx, rx) = unbounded::<u32>();
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let rx = rx.clone();
-            handles.push(thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Ok(v) = rx.recv() {
-                    got.push(v);
-                }
-                got
-            }));
-        }
-        for i in 0..400 {
-            tx.send(i).unwrap();
-        }
-        drop(tx);
-        drop(rx);
-        let mut all: Vec<u32> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..400).collect::<Vec<_>>());
-    }
 
     #[test]
     fn bounded_blocks_until_drained() {
@@ -371,14 +317,5 @@ mod tests {
         let (tx, rx) = unbounded::<u8>();
         drop(rx);
         assert_eq!(tx.send(9), Err(SendError(9)));
-    }
-
-    #[test]
-    fn iter_drains_until_disconnect() {
-        let (tx, rx) = unbounded::<u8>();
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        drop(tx);
-        assert_eq!(rx.iter().collect::<Vec<_>>(), vec![1, 2]);
     }
 }

@@ -7,9 +7,9 @@
 //!
 //! * [`Mutex`] / [`Condvar`] — `parking_lot`-style (no lock poisoning,
 //!   `lock()` returns the guard directly).
-//! * [`channel`] — multi-producer **multi-consumer** channels with the
-//!   `crossbeam-channel` calling conventions (`Receiver` is `Clone`,
-//!   `recv_timeout`, `len`, `iter`).
+//! * [`channel`] — multi-producer single-consumer channels with the
+//!   `crossbeam-channel` calling conventions (`Sender` is `Clone`,
+//!   `recv_timeout`, `len`).
 //!
 //! The implementations favour simplicity and correctness over raw
 //! throughput; every queue is a `VecDeque` behind a `Mutex`, and a
@@ -22,7 +22,7 @@
 //! (mailboxes, the coalescer, membership, checkpoint files), and a
 //! channel hop per message: a socket frame pays two, the sending
 //! worker's into its link's outbox and the receiving socket reader's
-//! into its run's channel, and a lane's vertex pays two.
+//! into its run's channel.
 
 #![warn(missing_docs)]
 
