@@ -14,7 +14,13 @@
 //! protocol on it through `&mut`, and hands it back when joined, so a
 //! local vertex takes no atomic read-modify-write and no lock. What
 //! crosses threads is a message and the slot's [`Progress`] (plain
-//! stores the coordinator polls). The epoch loop and §VI-D's recovery live in
+//! stores the coordinator polls). The owner pops ready vertices in the
+//! order [`Start::build`] chose for its shard ([`crate::state::ReadyList`]):
+//! on a `BlockCol` chunk whose stencil points only into earlier storage
+//! (the LCS, SWLAG and MTP shapes) the smallest ready local index, so
+//! the chunk runs row by row like the hand-written loop and each row
+//! ends on the cell the next place waits for; FIFO everywhere else.
+//! The epoch loop and §VI-D's recovery live in
 //! [`crate::epoch`], which also starts the workers; [`ThreadedEngine`]
 //! is the host of that loop whose places all live in one process, and
 //! [`crate::ElasticEngine`] runs on it.
@@ -225,6 +231,21 @@ impl<A: DpApp> Shared<A> {
 /// recorder is on: a clock pair costs more than a small `compute`.
 const BUSY_SAMPLE: u32 = 16;
 
+/// What an empty `Instant::now()`/`elapsed()` span reads: the least of
+/// 48, measured once per process. A sampled compute is charged its span
+/// less this floor — the clock pair alone reads more than a small
+/// `compute` takes.
+fn clock_floor_ns() -> u64 {
+    static FLOOR: OnceLock<u64> = OnceLock::new();
+    *FLOOR.get_or_init(|| {
+        let span = |_| {
+            let started = Instant::now();
+            started.elapsed().as_nanos() as u64
+        };
+        (0..48).map(span).min().unwrap_or(0)
+    })
+}
+
 /// The [`Sink`] of every real-time driver — threaded engine, socket
 /// place, served job: the thread that owns one slot's shard, acting on
 /// an epoch's [`Shared`].
@@ -244,7 +265,7 @@ impl<A: DpApp> Worker<'_, A> {
     /// The next ready vertex of the shard.
     #[inline]
     fn next_ready(&mut self, shard: &mut Shard<A::Value>) -> Option<u32> {
-        let li = shard.ready.pop_front()?;
+        let li = shard.ready.pop()?;
         let rec = &self.shared.recorder;
         rec.instant_now(self.me.0, self.wid, EventKind::ReadyPop, u64::from(li));
         Some(li)
@@ -254,7 +275,8 @@ impl<A: DpApp> Worker<'_, A> {
     /// its value, and the nanoseconds it charges the slot. Every compute
     /// is timed while recording (and emits its vertex-compute span);
     /// otherwise one in [`BUSY_SAMPLE`], the first included, counted down
-    /// in `untimed`, is charged for all of them.
+    /// in `untimed`, is charged for all of them, less the
+    /// [`clock_floor_ns`] of its span.
     fn compute(&mut self, id: VertexId, compute: impl FnOnce() -> A::Value) -> (A::Value, u64) {
         let (rec, place, wid) = (&self.shared.recorder, self.me.0, self.wid);
         if rec.enabled() {
@@ -269,9 +291,10 @@ impl<A: DpApp> Worker<'_, A> {
             return (compute(), 0);
         }
         self.untimed = BUSY_SAMPLE - 1;
+        let floor = clock_floor_ns();
         let started = Instant::now();
         let value = compute();
-        let ns = started.elapsed().as_nanos() as u64;
+        let ns = (started.elapsed().as_nanos() as u64).saturating_sub(floor);
         (value, ns * u64::from(BUSY_SAMPLE))
     }
 
@@ -302,7 +325,7 @@ impl<A: DpApp> Sink<A::Value> for Worker<'_, A> {
 
     #[inline]
     fn ready(&mut self, shard: &mut Shard<A::Value>, li: u32) {
-        shard.ready.push_back(li);
+        shard.ready.push(li);
     }
 
     #[inline]

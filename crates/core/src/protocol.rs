@@ -13,7 +13,7 @@
 //! | | threads / elastic mesh / socket places / served jobs | simulator |
 //! |---|---|---|
 //! | `send` | the epoch's `Transport` | a priced arrival event |
-//! | `ready` | the shard's FIFO ready list | the policy ready queue |
+//! | `ready` | the shard's [`ReadyList`](crate::state::ReadyList): smallest local index first on a `BlockCol` chunk of a storage-ordered stencil, FIFO elsewhere | the policy ready queue |
 //! | `stamp` | recorder, wall clock | recorder, virtual clock |
 //! | `exec` | compute now, reply `ExecResult` | queue for a worker slot |
 //! | `finished` | checkpoint, exact kills and boundaries (global count only while one is armed) | `tasks_run`, finish count, fault time |

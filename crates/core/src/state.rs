@@ -9,7 +9,7 @@ use std::sync::atomic::AtomicU64;
 
 use dpx10_dag::tiled::{stencil_anti_order, Reach};
 use dpx10_dag::{DagPattern, VertexId};
-use dpx10_distarray::{AggTable, Dist, DistArray};
+use dpx10_distarray::{AggTable, Dist, DistArray, DistKind};
 
 use crate::app::{DpApp, VertexValue};
 use crate::cache::{FifoCache, IdMap};
@@ -179,6 +179,15 @@ impl SlabStencil {
         &self.offsets[..self.len]
     }
 
+    /// Whether every dependency offset points into earlier storage
+    /// (`di < 0`, or `di == 0 && dj < 0`): then ascending local index is
+    /// a topological order of the chunk.
+    fn storage_ordered(&self) -> bool {
+        self.offsets()
+            .iter()
+            .all(|&(di, dj)| di < 0 || (di == 0 && dj < 0))
+    }
+
     /// The slab deltas of `(i, j)`'s dependencies, in `dependencies`
     /// order, if they all land in the chunk.
     #[inline]
@@ -193,6 +202,63 @@ impl SlabStencil {
     pub fn anti_deltas(&self, i: u32, j: u32) -> Option<&[isize]> {
         let (rows, cols) = &self.anti_inner;
         (rows.contains(&i) && cols.contains(&j)).then(|| &self.anti_deltas[..self.len])
+    }
+}
+
+/// A shard's ready list: "contains the schedulable and uncompleted
+/// vertices" (§VI-C). The paper gives it no order; [`Start::build`]
+/// picks one per shard, from its stencil and its distribution's kind.
+/// Seeds are pushed in ascending local index, so either order pops them
+/// in that order.
+#[derive(Clone)]
+pub enum ReadyList {
+    /// Oldest first.
+    Fifo(VecDeque<u32>),
+    /// Smallest local index first, kept sorted descending and popped
+    /// from the back. A `BlockCol` chunk whose stencil points only into
+    /// earlier storage (every offset `di < 0`, or `di == 0 && dj < 0`)
+    /// then runs row by row, like the hand-written loop: each step
+    /// reads the slab lines the previous one did, and each row ends on
+    /// the cell the next place waits for. Its frontier holds one or two
+    /// entries.
+    Sweep(Vec<u32>),
+}
+
+impl ReadyList {
+    /// The order `dist`'s kind and the shard's `stencil` call for: a
+    /// sweep for a storage-ordered stencil on `BlockCol`, else FIFO. On
+    /// `BlockRow` a sweep would finish the one row the next place reads
+    /// last; every other kind, and a pattern without a slab stencil,
+    /// has no storage order to follow.
+    fn for_shard(dist: &Dist, stencil: Option<&SlabStencil>) -> Self {
+        let block_col = matches!(dist.kind(), DistKind::BlockCol);
+        if block_col && stencil.is_some_and(SlabStencil::storage_ordered) {
+            ReadyList::Sweep(Vec::new())
+        } else {
+            ReadyList::Fifo(VecDeque::new())
+        }
+    }
+
+    /// Adds ready vertex `li`.
+    #[inline]
+    pub(crate) fn push(&mut self, li: u32) {
+        match self {
+            ReadyList::Fifo(q) => q.push_back(li),
+            ReadyList::Sweep(v) => {
+                // Usually the new smallest: an append.
+                let at = v.partition_point(|&x| x > li);
+                v.insert(at, li);
+            }
+        }
+    }
+
+    /// Takes the next vertex to run.
+    #[inline]
+    pub fn pop(&mut self) -> Option<u32> {
+        match self {
+            ReadyList::Fifo(q) => q.pop_front(),
+            ReadyList::Sweep(v) => v.pop(),
+        }
     }
 }
 
@@ -232,8 +298,9 @@ pub struct Shard<V> {
     /// Results: `V::default()` until the cell is [`Cell::Done`].
     pub values: Vec<V>,
     /// Ready list: "contains the schedulable and uncompleted vertices",
-    /// in FIFO order, the epoch's seeds first.
-    pub ready: VecDeque<u32>,
+    /// the epoch's seeds first; a storage-order sweep on a `BlockCol`
+    /// chunk of a storage-ordered stencil, FIFO everywhere else.
+    pub ready: ReadyList,
     /// Remote-value FIFO cache.
     pub cache: FifoCache<V>,
     /// Parked vertices and outstanding pulls.
@@ -248,7 +315,8 @@ pub struct Shard<V> {
     /// Nanoseconds the slot's threads spent inside `compute`; feeds
     /// `RunReport::place_busy` on the real backends. Exact while a
     /// flight recorder is on; otherwise each thread times one compute in
-    /// 16 and charges it for all 16, so this is an estimate.
+    /// 16, less the clock's own cost, and charges it for all 16, so this
+    /// is an estimate.
     pub busy_ns: u64,
     /// Prefix-aggregation lanes for interval dependencies (`Some` only
     /// on nested-dataflow runs). Lanes are residents, not cache entries:
@@ -389,19 +457,20 @@ impl<V: VertexValue> Start<V> {
             .iter()
             .map(|&(i, j)| pattern.contains(i, j))
             .collect();
+        let stencil = match ctx.agg {
+            None => SlabStencil::of(pattern, dist, slot, &in_pattern),
+            Some(_) => None,
+        };
         let mut shard = Shard {
             slot,
-            stencil: match ctx.agg {
-                None => SlabStencil::of(pattern, dist, slot, &in_pattern),
-                Some(_) => None,
-            },
+            ready: ReadyList::for_shard(dist, stencil.as_ref()),
+            stencil,
             points,
             in_pattern,
             indegree: vec![0; len],
             cells: vec![Cell::Open; len],
             // Not `vec![..; len]`, which clones.
             values: (0..len).map(|_| V::default()).collect(),
-            ready: VecDeque::new(),
             cache: FifoCache::new(self.cache_capacity),
             pending: Pending::default(),
             finished_local: 0,
@@ -439,7 +508,7 @@ impl<V: VertexValue> Start<V> {
             };
             shard.indegree[li] = open;
             if open == 0 {
-                shard.ready.push_back(li as u32);
+                shard.ready.push(li as u32);
             }
         }
         shard.finished_at_start = shard.finished_local;
@@ -503,7 +572,7 @@ mod tests {
     use dpx10_dag::builtin::{Grid2, IntervalUpper};
     use std::sync::Arc;
 
-    use crate::protocol::tests::ctx;
+    use crate::protocol::tests::{ctx, ctx_of};
 
     fn start(prior: Option<DistArray<u64>>, init: Option<InitOverride<u64>>) -> Start<u64> {
         Start {
@@ -516,10 +585,9 @@ mod tests {
 
     /// The points of the shard's ready list, in order.
     fn ready(shard: &Shard<u64>) -> Vec<(u32, u32)> {
-        shard
-            .ready
-            .iter()
-            .map(|&li| shard.points[li as usize])
+        let mut ready = shard.ready.clone();
+        std::iter::from_fn(|| ready.pop())
+            .map(|li| shard.points[li as usize])
             .collect()
     }
 
@@ -632,6 +700,46 @@ mod tests {
         assert_eq!(moved.finished_count(), 6);
         // Every cell's value and finished flag, masked cells included.
         assert_eq!(moved.to_dense(), expected.to_dense());
+    }
+
+    #[test]
+    fn block_col_sweeps_only_storage_ordered_stencils() {
+        use dpx10_dag::{AggSpec, BuiltinKind, Reduction};
+        // The stencils whose every offset points into earlier storage.
+        let ordered = [
+            BuiltinKind::Grid2,
+            BuiltinKind::Grid3,
+            BuiltinKind::Diagonal,
+            BuiltinKind::RowWave,
+            BuiltinKind::ColWave,
+            BuiltinKind::Pyramid,
+        ];
+        let kinds = [DistKind::BlockRow, DistKind::BlockCol, DistKind::CyclicCol];
+        for pattern in BuiltinKind::ALL {
+            for kind in kinds.clone() {
+                let sweep = matches!(kind, DistKind::BlockCol) && ordered.contains(&pattern);
+                let ctx = ctx_of(pattern.instantiate(8, 8).into(), kind.clone(), 2);
+                for shard in start(None, None).build_all(&ctx) {
+                    let swept = matches!(shard.ready, ReadyList::Sweep(_));
+                    assert_eq!(swept, sweep, "{pattern:?} on {kind:?}");
+                }
+            }
+        }
+        // A nested-dataflow run has no slab stencil: FIFO.
+        let mut ctx = ctx(Arc::new(Grid2::new(8, 8)), 2);
+        ctx.agg = Some(AggSpec::rows(Reduction::Max));
+        let shard = start(None, None).build(&ctx, 0);
+        assert!(matches!(shard.ready, ReadyList::Fifo(_)));
+    }
+
+    #[test]
+    fn a_sweep_pops_its_smallest_entry() {
+        let mut ready = ReadyList::Sweep(Vec::new());
+        for li in [7, 3, 9, 3, 1] {
+            ready.push(li);
+        }
+        let order: Vec<u32> = std::iter::from_fn(|| ready.pop()).collect();
+        assert_eq!(order, vec![1, 3, 3, 7, 9]);
     }
 
     #[test]

@@ -61,3 +61,34 @@ fn every_place_reports_busy_time() {
     assert_eq!(busy.len(), 2);
     assert!(busy.iter().all(|b| !b.is_zero()), "{busy:?}");
 }
+
+/// Computes nothing: every nanosecond a sampled span reads is the
+/// clock's own.
+struct Nothing;
+
+impl DpApp for Nothing {
+    type Value = u64;
+    fn compute(&self, _id: VertexId, _deps: &DepView<'_, u64>) -> u64 {
+        0
+    }
+}
+
+#[test]
+fn an_empty_compute_charges_almost_no_busy_time() {
+    // 90 000 empty computes on one worker, timed 5 625 times. Charged
+    // the bare clock pair (tens of ns) 16-fold, busy time would be a
+    // sizeable share of the wall time; less the clock's floor it is a
+    // few per cent. As above, a preemption inside a timed span is
+    // charged 16-fold: the bound must hold on one run of three.
+    let mut readings = Vec::new();
+    for _ in 0..3 {
+        let engine = ThreadedEngine::new(Nothing, Grid2::new(300, 300), EngineConfig::flat(1));
+        let result = engine.run().expect("run completes");
+        let (busy, wall) = (result.report().place_busy[0], result.report().wall_time);
+        if busy <= wall / 10 {
+            return;
+        }
+        readings.push((busy, wall));
+    }
+    panic!("busy exceeded 10 % of the wall time on every run, (busy, wall): {readings:?}");
+}

@@ -1,0 +1,187 @@
+//! The order a shard pops its ready vertices. A `BlockCol` chunk whose
+//! stencil points only into earlier storage pops its smallest ready
+//! local index: it runs row by row, and each row ends on the cell the
+//! next place waits for. Every other shard pops FIFO. The flight
+//! recorder's `ReadyPop` events carry the popped local index; every run
+//! is also checked cell by cell against a serial oracle.
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+use std::time::Duration;
+
+use dpx10_core::{DepView, DistKind, DpApp, EngineConfig, ThreadedEngine};
+use dpx10_dag::{builtin::*, topological_order, DagPattern, VertexId};
+use dpx10_distarray::{Dist, Region2D};
+use dpx10_obs::{EventKind, Recorder, Trace};
+
+/// Hashes each vertex's coordinates with its dependencies' values, after
+/// sleeping for a fixed time (zero: no sleep).
+#[derive(Clone, Copy)]
+struct Mix(Duration);
+
+impl DpApp for Mix {
+    type Value = u64;
+    fn compute(&self, id: VertexId, deps: &DepView<'_, u64>) -> u64 {
+        if !self.0.is_zero() {
+            std::thread::sleep(self.0);
+        }
+        let mut acc = 0x9E37_79B9_u64.wrapping_mul(id.pack() | 1).rotate_left(7);
+        for (did, v) in deps.iter() {
+            acc = acc
+                .wrapping_add(v.rotate_left((did.i % 31) + 1))
+                .wrapping_mul(0x100_0000_01B3);
+        }
+        acc
+    }
+}
+
+/// Runs `pattern` on the threaded engine with a flight recorder, checks
+/// every cell against a serial evaluation in topological order, and
+/// returns the trace.
+fn traced_run<P: DagPattern + Clone + 'static>(
+    pattern: P,
+    config: EngineConfig,
+    app: Mix,
+) -> Trace {
+    let places = config.topology.num_places() as usize;
+    let recorder = Recorder::with_capacity(places, 1 << 16);
+    let result = ThreadedEngine::new(app, pattern.clone(), config)
+        .with_recorder(recorder.clone())
+        .run()
+        .expect("run completes");
+    let mut oracle: HashMap<VertexId, u64> = HashMap::new();
+    let mut deps = Vec::new();
+    for id in topological_order(&pattern).expect("acyclic") {
+        deps.clear();
+        pattern.dependencies(id.i, id.j, &mut deps);
+        let values: Vec<u64> = deps.iter().map(|d| oracle[d]).collect();
+        oracle.insert(
+            id,
+            Mix(Duration::ZERO).compute(id, &DepView::new(&deps, &values)),
+        );
+    }
+    assert_eq!(oracle.len() as u64, pattern.vertex_count());
+    for (id, v) in &oracle {
+        assert_eq!(
+            result.try_get(id.i, id.j).as_ref(),
+            Some(v),
+            "{id} differs from the oracle"
+        );
+    }
+    let trace = recorder.drain();
+    assert!(
+        trace.complete(),
+        "the ring dropped {} events",
+        trace.dropped
+    );
+    trace
+}
+
+/// `place`'s pops as `(time, local index)`, in time order.
+fn pops(trace: &Trace, place: u16) -> Vec<(u64, u32)> {
+    let mut pops: Vec<(u64, u32)> = (trace.events.iter())
+        .filter(|e| e.kind == EventKind::ReadyPop && e.place == place)
+        .map(|e| (e.ts_ns, e.arg as u32))
+        .collect();
+    pops.sort_by_key(|&(ts, _)| ts);
+    pops
+}
+
+/// The pop order of a FIFO ready list on a one-place run: the seeds in
+/// ascending local index, then each publication's dependents in
+/// `anti_dependencies` order as their last dependency finishes — the
+/// order the protocol decrements in.
+fn fifo_replay(pattern: &dyn DagPattern, kind: DistKind) -> Vec<u32> {
+    let region = Region2D::new(pattern.height(), pattern.width());
+    let dist = Dist::new(region, kind, vec![dpx10_core::PlaceId(0)]);
+    let points: Vec<(u32, u32)> = dist.iter_slot(0).collect();
+    let li = |id: VertexId| dist.local_index(id.i, id.j) as u32;
+    let mut indegree: HashMap<VertexId, u32> = HashMap::new();
+    let mut queue: VecDeque<u32> = VecDeque::new();
+    for (k, &(i, j)) in points.iter().enumerate() {
+        if pattern.contains(i, j) {
+            let open = pattern.indegree(i, j);
+            indegree.insert(VertexId::new(i, j), open);
+            if open == 0 {
+                queue.push_back(k as u32);
+            }
+        }
+    }
+    let (mut order, mut anti) = (Vec::new(), Vec::new());
+    while let Some(k) = queue.pop_front() {
+        order.push(k);
+        let (i, j) = points[k as usize];
+        anti.clear();
+        pattern.anti_dependencies(i, j, &mut anti);
+        for &a in &anti {
+            let open = indegree.get_mut(&a).expect("a dependent is a vertex");
+            *open -= 1;
+            if *open == 0 {
+                queue.push_back(li(a));
+            }
+        }
+    }
+    order
+}
+
+#[test]
+fn one_block_col_place_pops_ascending_local_indices() {
+    // The SWLAG shape (left, top, diagonal) on one place: the chunk is
+    // the whole matrix, swept row by row.
+    let pattern = Grid3::new(60, 45);
+    let config = EngineConfig::flat(1).with_dist(DistKind::BlockCol);
+    let pops = pops(&traced_run(pattern, config, Mix(Duration::ZERO)), 0);
+    assert_eq!(pops.len() as u64, pattern.vertex_count());
+    let order: Vec<u32> = pops.iter().map(|&(_, li)| li).collect();
+    let first_descent = order.windows(2).position(|w| w[0] >= w[1]);
+    assert_eq!(
+        first_descent, None,
+        "pops not strictly ascending: {order:?}"
+    );
+}
+
+#[test]
+fn the_next_place_starts_within_two_chunk_rows() {
+    // Two places, chunks of 48 rows x 24 columns, each compute a 50 µs
+    // sleep (so neither worker starves the other of a core). Place 1's
+    // first cell needs place 0's first row; popped FIFO, place 0 would
+    // reach its chunk's last column only after 300 pops (24 * 25 / 2),
+    // swept after 24.
+    let (rows, width) = (48, 24);
+    let pattern = Grid3::new(rows, 2 * width);
+    let config = EngineConfig::flat(2).with_dist(DistKind::BlockCol);
+    let trace = traced_run(pattern, config, Mix(Duration::from_micros(50)));
+    let (zero, one) = (pops(&trace, 0), pops(&trace, 1));
+    let first = one.first().expect("place 1 popped").0;
+    let before = zero.iter().filter(|&&(ts, _)| ts < first).count();
+    assert!(
+        before < 2 * width as usize,
+        "place 0 popped {before} vertices before place 1's first pop (two rows are {})",
+        2 * width
+    );
+}
+
+#[test]
+fn other_shards_pop_fifo() {
+    // A block-row chunk, a cyclic one and an interval pattern's block
+    // column: each pops exactly what a VecDeque replay of the protocol
+    // pops.
+    let cases: [(Arc<dyn DagPattern>, DistKind); 3] = [
+        (Arc::new(Grid3::new(30, 25)), DistKind::BlockRow),
+        (Arc::new(Grid3::new(30, 25)), DistKind::CyclicCol),
+        (Arc::new(IntervalUpper::new(30)), DistKind::BlockCol),
+    ];
+    for (pattern, kind) in cases {
+        let name = format!("{} on {kind:?}", pattern.name());
+        let expected = fifo_replay(pattern.as_ref(), kind.clone());
+        let config = EngineConfig::flat(1).with_dist(kind);
+        let trace = traced_run(pattern, config, Mix(Duration::ZERO));
+        let order: Vec<u32> = pops(&trace, 0).iter().map(|&(_, li)| li).collect();
+        assert_eq!(order, expected, "{name} did not pop FIFO");
+        let ascending = order.windows(2).all(|w| w[0] < w[1]);
+        assert!(
+            !ascending,
+            "{name}: FIFO and a sweep agree, so the case shows nothing"
+        );
+    }
+}

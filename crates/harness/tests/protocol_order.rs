@@ -240,7 +240,7 @@ impl Case {
             flight: (0..n * n).map(|_| VecDeque::new()).collect(),
             ready: shards
                 .iter_mut()
-                .map(|s| s.ready.drain(..).collect())
+                .map(|s| std::iter::from_fn(|| s.ready.pop()).collect())
                 .collect(),
             published: 0,
         };

@@ -159,12 +159,13 @@ impl<A: DpApp + 'static> SimEngine<A> {
             let dist = ctx.dist.clone();
             let nslots = dist.num_slots();
             let mut shards = start.build_all(&ctx);
-            // Move the seeded FIFO ready lists into policy queues.
+            // Move the seeded ready lists (ascending local index in either
+            // order) into policy queues.
             let ready: Vec<ReadyQueue> = shards
                 .iter_mut()
                 .map(|shard| {
                     let mut q = ReadyQueue::new(cfg.ready_policy);
-                    while let Some(li) = shard.ready.pop_front() {
+                    while let Some(li) = shard.ready.pop() {
                         let (i, j) = shard.points[li as usize];
                         q.push(li, i as u64 + j as u64);
                     }
