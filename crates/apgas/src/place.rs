@@ -34,44 +34,36 @@ impl fmt::Display for PlaceId {
     }
 }
 
-/// The cluster shape: how many nodes, how many places per node, and how
-/// many worker threads (X10 `X10_NTHREADS`) each place runs.
+/// The cluster shape: how many nodes, and how many places per node.
 ///
-/// The paper's experiments set `X10_NPLACES = 2 × nodes` and
-/// `X10_NTHREADS = 6` (§VIII); [`Topology::paper`] reproduces that. The
-/// node grouping matters to the network model: messages between places on
-/// the same node are priced as shared-memory transfers, messages across
-/// nodes as InfiniBand transfers.
+/// The paper's experiments set `X10_NPLACES = 2 × nodes` (§VIII);
+/// [`Topology::paper`] reproduces that (their `X10_NTHREADS = 6` is the
+/// simulator's `SimConfig::workers`). The node grouping matters to the
+/// network model: messages between places on the same node are priced
+/// as shared-memory transfers, messages across nodes as InfiniBand
+/// transfers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Topology {
     /// Number of physical nodes.
     pub nodes: u16,
     /// Places per node (paper default: 2, one per processor socket).
     pub places_per_node: u16,
-    /// Worker threads per place (paper default: 6, one per core): the
-    /// simulator's virtual worker count. The real engines run one owner
-    /// thread per place whatever it says.
-    pub threads_per_place: u16,
 }
 
 impl Topology {
-    /// The paper's deployment for a given node count: 2 places per node,
-    /// 6 threads per place.
+    /// The paper's deployment for a given node count: 2 places per node.
     pub fn paper(nodes: u16) -> Self {
         Topology {
             nodes,
             places_per_node: 2,
-            threads_per_place: 6,
         }
     }
 
-    /// A compact topology for unit tests: every place on its own node,
-    /// one worker thread each.
+    /// A compact topology for unit tests: every place on its own node.
     pub fn flat(places: u16) -> Self {
         Topology {
             nodes: places,
             places_per_node: 1,
-            threads_per_place: 1,
         }
     }
 
@@ -107,9 +99,6 @@ mod tests {
     fn paper_topology_matches_experiment_setup() {
         let t = Topology::paper(12);
         assert_eq!(t.num_places(), 24);
-        assert_eq!(t.threads_per_place, 6);
-        // 144 cores total at 12 nodes, as in Fig. 10's caption.
-        assert_eq!(t.num_places() as u32 * t.threads_per_place as u32, 144);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub fn run_cell(exp: &Experiment) -> Result<(u64, RunReport), String> {
         .map_err(|e| format!("{}: {e}", exp.cell))
 }
 
-/// The cell's engine config (threads/sockets path).
+/// The cell's engine config.
 fn engine_config(exp: &Experiment) -> EngineConfig {
     let mut config = EngineConfig::flat(exp.places)
         .with_schedule(exp.schedule)
@@ -45,13 +45,14 @@ impl AppVisitor for RunCell<'_> {
         let pattern = app.dag();
         let result = match exp.backend {
             Backend::Sim => {
-                let mut config = SimConfig::flat(exp.places)
-                    .with_schedule(exp.schedule)
-                    .with_cache(exp.cache)
-                    .with_cost(CostModel::with_compute(A::SIM_COMPUTE_NS));
-                if let Some(kind) = exp.dist.kind() {
-                    config = config.with_dist(kind);
-                }
+                // The simulator has no transport to coalesce: a `c4096`
+                // sim cell runs the plain protocol.
+                let engine = EngineConfig {
+                    coalesce: None,
+                    ..engine_config(exp)
+                };
+                let config =
+                    SimConfig::from(engine).with_cost(CostModel::with_compute(A::SIM_COMPUTE_NS));
                 SimEngine::new(app, pattern, config)
                     .run()
                     .map_err(|e| format!("sim run failed: {e}"))?

@@ -638,7 +638,8 @@ pub fn usage() -> String {
          \x20 --metrics-out FILE      write Prometheus text-format metrics\n\
          \x20 --coalesce BYTES|off    batch protocol messages per destination, flushing\n\
          \x20                         at BYTES (plus entry-count and idle-drain triggers;\n\
-         \x20                         default off = one message per protocol event)\n\
+         \x20                         default off = one message per protocol event;\n\
+         \x20                         threads and sockets only, sim refuses it)\n\
          \x20 --comms pull|push       anti-dependency delivery: pull on demand (default)\n\
          \x20                         or push values eagerly to consumer places\n\
          \x20 --agg on|off            prefix aggregation for interval-dependency\n\

@@ -134,22 +134,11 @@ fn execute<A: CatalogApp>(args: &RunArgs, raw: &[String], app: A) -> Result<RunS
     };
     match args.engine {
         EngineChoice::Sim => {
-            let mut config = SimConfig::paper(args.nodes)
-                .with_schedule(args.schedule)
-                .with_cache(args.cache)
-                .with_restore(args.restore)
-                .with_comms(args.comms)
-                .with_cost(CostModel::with_compute(A::SIM_COMPUTE_NS));
-            if let Some(kind) = &args.dist {
-                config = config.with_dist(kind.clone());
-            }
-            if let Some((place, fraction)) = args.fault {
-                config = config.with_fault(FaultPlan {
-                    place,
-                    after_fraction: fraction,
-                });
-            }
-            let workers = config.topology.threads_per_place;
+            let config = SimConfig {
+                engine: engine_config(args, Topology::paper(args.nodes)),
+                ..SimConfig::paper(args.nodes).with_cost(CostModel::with_compute(A::SIM_COMPUTE_NS))
+            };
+            let workers = config.workers;
             let recorder = make_recorder(config.topology.num_places());
             let result = SimEngine::new(app, pattern, config)
                 .with_recorder(recorder.clone())
@@ -158,7 +147,7 @@ fn execute<A: CatalogApp>(args: &RunArgs, raw: &[String], app: A) -> Result<RunS
             summarize(&result, &recorder, workers)
         }
         EngineChoice::Threaded => {
-            let config = places_config(args);
+            let config = engine_config(args, Topology::flat(args.places));
             let recorder = make_recorder(args.places);
             let result = ThreadedEngine::new(app, pattern, config)
                 .with_recorder(recorder.clone())
@@ -167,7 +156,7 @@ fn execute<A: CatalogApp>(args: &RunArgs, raw: &[String], app: A) -> Result<RunS
             summarize(&result, &recorder, 1)
         }
         EngineChoice::Sockets => {
-            let config = places_config(args);
+            let config = engine_config(args, Topology::flat(args.places));
             let recorder = make_recorder(args.places);
             let engine = SocketEngine::new(app, pattern, config).with_recorder(recorder.clone());
             match SocketConfig::from_env().map_err(|e| e.to_string())? {
@@ -367,29 +356,26 @@ pub fn trace_summarize(file: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// The per-place engine configuration shared by the threaded and socket
-/// backends (one worker per place, like the threaded default).
-fn places_config(args: &RunArgs) -> EngineConfig {
-    let mut config = EngineConfig {
-        topology: Topology::flat(args.places),
+/// The engine configuration the run's flags build, on `topology`.
+fn engine_config(args: &RunArgs, topology: Topology) -> EngineConfig {
+    let config = EngineConfig {
+        topology,
+        schedule: args.schedule,
+        cache_capacity: args.cache,
+        restore_manner: args.restore,
+        fault: args.fault.map(|(place, after_fraction)| FaultPlan {
+            place,
+            after_fraction,
+        }),
+        coalesce: args.coalesce,
+        comms: args.comms,
+        aggregation: args.agg,
         ..EngineConfig::paper(1)
     };
-    config.schedule = args.schedule;
-    config.cache_capacity = args.cache;
-    config.restore_manner = args.restore;
-    if let Some(kind) = &args.dist {
-        config.dist_kind = kind.clone();
+    match &args.dist {
+        Some(kind) => config.with_dist(kind.clone()),
+        None => config,
     }
-    if let Some((place, fraction)) = args.fault {
-        config.fault = Some(FaultPlan {
-            place,
-            after_fraction: fraction,
-        });
-    }
-    config.coalesce = args.coalesce;
-    config.comms = args.comms;
-    config.aggregation = args.agg;
-    config
 }
 
 /// `dpx10 chaos`: the seeded differential chaos suite. Returns the

@@ -109,6 +109,17 @@ fn sockets_timeline_is_refused() {
 }
 
 #[test]
+fn sim_refuses_coalescing() {
+    let args = "run lcs --vertices 2000 --backend sim --coalesce 4096";
+    let (code, stdout, stderr) = dpx10(&args.split(' ').collect::<Vec<_>>());
+    assert_eq!(code, 1, "{stdout}");
+    assert!(
+        stderr.contains("the sim backend does not support `coalesce`"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn chaos_sweep_is_bit_for_bit_reproducible() {
     // Sockets excluded to keep this fast; determinism must hold anyway.
     let args = ["chaos", "--start", "2", "--count", "2", "--no-sockets"];

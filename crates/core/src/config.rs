@@ -64,7 +64,7 @@ impl CommsMode {
 /// Defaults reproduce the framework's documented defaults: block-by-column
 /// distribution (§VI-B), local scheduling (§VI-C), a modest FIFO cache,
 /// recompute-remote restore manner (§VI-D), and the paper's topology of 2
-/// places × 6 threads per node.
+/// places per node.
 #[derive(Clone)]
 pub struct EngineConfig {
     /// Cluster shape.
@@ -88,15 +88,18 @@ pub struct EngineConfig {
     pub validate_limit: u64,
     /// How long the watchdog tolerates zero progress before declaring
     /// the run stalled (a stall means a broken custom pattern or an
-    /// engine bug; see [`crate::EngineError::Stalled`]).
+    /// engine bug; see [`crate::EngineError::Stalled`]). The simulator
+    /// ignores it: it has no wall clock, and reports a stall when its
+    /// event queue runs dry.
     pub stall_limit: std::time::Duration,
     /// Optional spill-to-disk checkpointing (§X future work; see
-    /// [`crate::checkpoint`]).
+    /// [`crate::checkpoint`]). The threaded engine's: the simulator and
+    /// the socket backend refuse it.
     pub checkpoint: Option<crate::checkpoint::CheckpointConfig>,
     /// Optional seeded chaos plan: extra kills (possibly several per
     /// run), transport perturbation and worker-schedule shaking, all
     /// derived from the plan's seed. Composes with [`fault`]: both kinds
-    /// of kill can be armed at once.
+    /// of kill can be armed at once. The simulator refuses it.
     ///
     /// [`fault`]: EngineConfig::fault
     pub chaos: Option<ChaosPlan>,
@@ -104,7 +107,7 @@ pub struct EngineConfig {
     /// [`dpx10_apgas::CoalescingTransport`] flushing per-destination
     /// buffers at that byte budget (plus entry-count and idle-drain
     /// triggers); `None` ships one message per protocol event, the
-    /// paper's §VI-C behaviour.
+    /// paper's §VI-C behaviour. The simulator refuses `Some`.
     pub coalesce: Option<usize>,
     /// How remote dependency values travel (pull round-trips or eager
     /// producer push).
@@ -140,7 +143,7 @@ impl EngineConfig {
         }
     }
 
-    /// Small flat topology for tests: `places` places, 1 thread each.
+    /// Small flat topology for tests: `places` places, one per node.
     pub fn flat(places: u16) -> Self {
         EngineConfig {
             topology: Topology::flat(places),

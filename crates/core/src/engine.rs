@@ -8,8 +8,8 @@
 //! real-time driver — the worker loop and the `Worker` sink — shared
 //! with the socket places and the served jobs.
 //!
-//! A place is one thread, whatever `threads_per_place` says (that is the
-//! simulator's virtual worker count). The thread owns its slot's
+//! A place is one thread (the paper's `X10_NTHREADS` workers per place
+//! are the simulator's `SimConfig::workers`). The thread owns its slot's
 //! [`Shard`]: it builds the shard when the epoch starts, runs the
 //! protocol on it through `&mut`, and hands it back when joined, so a
 //! local vertex takes no atomic read-modify-write and no lock. What

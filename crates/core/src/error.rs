@@ -42,6 +42,14 @@ pub enum EngineError {
     /// pinned to places outside the mesh, or a placement missing the
     /// coordinator place 0.
     Job(String),
+    /// The config asks for something this backend cannot honour:
+    /// refused, so a run never silently differs from its config.
+    Unsupported {
+        /// The backend that refused.
+        backend: &'static str,
+        /// The `EngineConfig` field it cannot honour.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -59,6 +67,9 @@ impl fmt::Display for EngineError {
             EngineError::Socket(msg) => write!(f, "socket backend: {msg}"),
             EngineError::Io(msg) => write!(f, "i/o: {msg}"),
             EngineError::Job(msg) => write!(f, "job server: {msg}"),
+            EngineError::Unsupported { backend, field } => {
+                write!(f, "the {backend} backend does not support `{field}`")
+            }
         }
     }
 }

@@ -204,6 +204,12 @@ impl<A: DpApp + 'static> SocketEngine<A> {
     /// other place (the result lives with the coordinator; workers just
     /// exit).
     pub fn run(&self, socket: SocketConfig) -> Result<Option<DagResult<A::Value>>, EngineError> {
+        if self.config.checkpoint.is_some() {
+            return Err(EngineError::Unsupported {
+                backend: "sockets",
+                field: "checkpoint",
+            });
+        }
         preflight(&self.config, self.pattern.as_ref())?;
         let session = Session::open(socket, &self.recorder, self.soft_die, 1)?;
         let topology_places = self.config.topology.num_places();

@@ -135,13 +135,6 @@ fn tiny_cache_mixes_hits_and_pulls() {
 }
 
 #[test]
-fn multithreaded_places_match_oracle() {
-    let mut config = EngineConfig::flat(2);
-    config.topology.threads_per_place = 3;
-    check_against_oracle(Grid3::new(14, 14), config);
-}
-
-#[test]
 fn single_place_degenerates_to_serial() {
     check_against_oracle(Grid2::new(10, 10), EngineConfig::flat(1));
 }

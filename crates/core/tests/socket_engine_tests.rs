@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use dpx10_apgas::local_mesh;
 use dpx10_core::{
-    DepView, DistKind, DpApp, EngineConfig, ScheduleStrategy, SocketEngine, ThreadedEngine,
+    CheckpointConfig, DepView, DistKind, DpApp, EngineConfig, ScheduleStrategy, SocketEngine,
+    ThreadedEngine,
 };
 use dpx10_dag::{builtin::Grid3, topological_order, DagPattern, VertexId};
 
@@ -193,5 +194,22 @@ fn a_panicking_compute_fails_the_mesh_run_in_bounded_time() {
         started.elapsed() < std::time::Duration::from_secs(10),
         "reported only after {:?}",
         started.elapsed()
+    );
+}
+
+#[test]
+fn a_checkpoint_is_refused_not_dropped() {
+    let config = EngineConfig {
+        checkpoint: Some(CheckpointConfig::new("unused")),
+        ..EngineConfig::flat(2)
+    };
+    let err = local_mesh(2, |socket| {
+        SocketEngine::new(MixApp, Grid3::new(6, 6), config.clone()).run(socket)
+    })
+    .err()
+    .expect("the socket backend cannot checkpoint");
+    assert!(
+        err.contains("the sockets backend does not support `checkpoint`"),
+        "{err}"
     );
 }

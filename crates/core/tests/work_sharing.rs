@@ -1,18 +1,16 @@
-//! A real place is one thread, which owns its shard: `threads_per_place`
-//! is the simulator's virtual worker count, and the real engines run
-//! one owner per slot whatever it says. These tests hold what that must
-//! keep: a place computes on one track with the k = 1 answer at any k,
-//! k leaves the wire alone, a thread's trace track follows its slot
-//! rather than thread start order, and the owner's progress stores keep
-//! small runs and slow computes completing. The flight recorder says
-//! which worker track computed each vertex.
+//! A real place is one thread, which owns its shard (the paper's
+//! several workers per place are the simulator's `SimConfig::workers`).
+//! These tests hold what that must keep: a thread's trace track follows
+//! its slot rather than thread start order, and the owner's progress
+//! stores keep small runs and slow computes completing. The flight
+//! recorder says which worker track computed each vertex.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 use dpx10_apgas::ChaosPlan;
-use dpx10_core::{DepView, DistKind, DpApp, EngineConfig, ThreadedEngine};
-use dpx10_dag::{builtin::Grid2, builtin::Grid3, DagPattern, VertexId};
+use dpx10_core::{DepView, DpApp, EngineConfig, ThreadedEngine};
+use dpx10_dag::{builtin::Grid2, DagPattern, VertexId};
 use dpx10_obs::{EventKind, Recorder, Trace};
 
 /// Spins for a fixed time per vertex, then folds its dependencies in.
@@ -63,45 +61,6 @@ fn computing_workers(trace: &Trace) -> BTreeMap<u16, BTreeSet<u16>> {
     tracks
 }
 
-fn threads(mut config: EngineConfig, k: u16) -> EngineConfig {
-    config.topology.threads_per_place = k;
-    config
-}
-
-#[test]
-fn a_place_computes_on_one_thread_at_any_k() {
-    // One place asking for three threads: its one owner computes every
-    // vertex, on the same track and with the same answer as at k = 1.
-    let (fingerprint, trace) = traced_run(Grid2::new(40, 40), threads(EngineConfig::flat(1), 3));
-    let (serial, serial_trace) = traced_run(Grid2::new(40, 40), EngineConfig::flat(1));
-    let workers = computing_workers(&trace);
-    assert_eq!(workers, BTreeMap::from([(0, BTreeSet::from([0]))]));
-    assert_eq!(workers, computing_workers(&serial_trace));
-    assert_eq!(fingerprint, serial, "k = 3 changed the answer");
-}
-
-#[test]
-fn threads_per_place_leaves_the_wire_alone() {
-    // Block columns, a cache that never evicts: every remote value rides
-    // its `Done`, so no pull is sent, and what crosses places is a
-    // function of the DAG and the distribution alone.
-    let comm = |k| {
-        let config = EngineConfig::flat(2).with_dist(DistKind::BlockCol);
-        let result = ThreadedEngine::new(
-            Spins(Duration::ZERO),
-            Grid3::new(30, 30),
-            threads(config, k),
-        )
-        .run()
-        .expect("run completes");
-        let comm = result.report().comm;
-        (comm.messages_sent, comm.bytes_sent, comm.pulls_sent)
-    };
-    let one = comm(1);
-    assert_eq!(one.2, 0, "a block run with a full cache pulled");
-    assert_eq!(comm(3), one, "(messages, bytes, pulls) moved with lanes");
-}
-
 #[test]
 fn worker_tracks_follow_slots_under_the_shaker() {
     // A shaken two-place run, twice: each slot's owner records onto the
@@ -123,13 +82,11 @@ fn worker_tracks_follow_slots_under_the_shaker() {
 fn a_small_dag_completes_on_every_lane_count() {
     // 100 vertices on one place: the owner's last stores of its
     // progress are what tell the coordinator the run is over.
-    for k in [1, 3] {
-        let config = threads(EngineConfig::flat(1), k);
-        let result = ThreadedEngine::new(Spins(Duration::ZERO), Grid2::new(10, 10), config)
-            .run()
-            .expect("a small run completes");
-        assert_eq!(result.report().vertices_computed, 100);
-    }
+    let config = EngineConfig::flat(1);
+    let result = ThreadedEngine::new(Spins(Duration::ZERO), Grid2::new(10, 10), config)
+        .run()
+        .expect("a small run completes");
+    assert_eq!(result.report().vertices_computed, 100);
 }
 
 #[test]

@@ -295,21 +295,18 @@ impl Dist {
 
     /// Iterates the global points owned by slot `s`, in local-index order.
     pub fn iter_slot(&self, s: usize) -> Box<dyn Iterator<Item = (u32, u32)> + '_> {
-        // Correctness over speed: filter the whole region and order by
-        // local index. Block kinds get fast paths.
+        // Every kind numbers a slot's points row by row, so the region's
+        // row-major points filtered to the slot are already in local-index
+        // order. Block kinds skip the filter.
         match self.block_bounds(s) {
             Some((rows, cols)) => {
                 Box::new(rows.flat_map(move |i| cols.clone().map(move |j| (i, j))))
             }
-            None => {
-                let mut pts: Vec<(u32, u32)> = self
-                    .region
+            None => Box::new(
+                self.region
                     .points()
-                    .filter(|&(i, j)| self.slot_of(i, j) == s)
-                    .collect();
-                pts.sort_by_key(|&(i, j)| self.local_index(i, j));
-                Box::new(pts.into_iter())
-            }
+                    .filter(move |&(i, j)| self.slot_of(i, j) == s),
+            ),
         }
     }
 }
@@ -410,6 +407,9 @@ mod tests {
             places(4),
         );
         check_dist(&d);
+        // A map that interleaves the slots within every row and column.
+        let checkerboard = DistKind::Custom(Arc::new(|i, j| ((i + j) % 2) as usize));
+        check_dist(&Dist::new(Region2D::new(40, 40), checkerboard, places(2)));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use dpx10_core::{
 };
 use dpx10_dag::topological_order;
 use dpx10_obs::{oracle as trace_oracle, Recorder, Trace};
-use dpx10_sim::{SimConfig, SimEngine};
+use dpx10_sim::SimEngine;
 
 use crate::app::{oracle, MixApp};
 use crate::scenario::Scenario;
@@ -217,16 +217,15 @@ pub fn fault_plan_of(plan: &ChaosPlan) -> Option<FaultPlan> {
     })
 }
 
-/// The simulator's configuration for a scenario under `plan`.
-fn sim_config(sc: &Scenario, plan: &ChaosPlan, comms: CommsMode) -> SimConfig {
-    let config = SimConfig::flat(sc.places)
-        .with_dist(sc.dist.clone())
-        .with_schedule(sc.schedule)
-        .with_cache(sc.cache)
-        .with_comms(comms);
-    match fault_plan_of(plan) {
-        Some(fault) => config.with_fault(fault),
-        None => config,
+/// The simulator's configuration for a scenario under `plan`: the real
+/// engines' config, with the plan's first progress kill as its one fault
+/// and without the transport knobs the simulator refuses.
+fn sim_config(sc: &Scenario, plan: &ChaosPlan, opts: &ChaosOptions) -> EngineConfig {
+    EngineConfig {
+        chaos: None,
+        coalesce: None,
+        fault: fault_plan_of(plan),
+        ..engine_config(sc, plan, opts)
     }
 }
 
@@ -234,9 +233,9 @@ fn check_sim(
     sc: &Scenario,
     plan: &ChaosPlan,
     expect: &std::collections::HashMap<dpx10_dag::VertexId, u64>,
-    comms: CommsMode,
+    opts: &ChaosOptions,
 ) -> Result<(), Failure> {
-    let config = sim_config(sc, plan, comms);
+    let config = sim_config(sc, plan, opts);
     // Each run gets a fresh recorder, so each trace is one run's.
     let traced_run = || {
         let recorder = Recorder::new(sc.places as usize);
@@ -337,7 +336,7 @@ fn check_sockets(
 /// and returns the first broken invariant, if any.
 pub fn check_plan(sc: &Scenario, plan: &ChaosPlan, opts: &ChaosOptions) -> Result<(), Failure> {
     let expect = oracle(sc.pattern.as_ref());
-    check_sim(sc, plan, &expect, opts.comms)?;
+    check_sim(sc, plan, &expect, opts)?;
     check_threads(sc, plan, &expect, opts)?;
     if opts.sockets {
         check_sockets(sc, plan, &expect, opts)?;
@@ -390,7 +389,7 @@ pub fn run_seed(seed: u64, opts: &ChaosOptions) -> SeedReport {
 /// human debugging the seed wants to look at.
 pub fn write_failure_trace(seed: u64) -> Option<std::path::PathBuf> {
     let sc = Scenario::generate(seed);
-    let config = sim_config(&sc, &sc.plan, CommsMode::Pull);
+    let config = sim_config(&sc, &sc.plan, &ChaosOptions::default());
     let recorder = Recorder::new(sc.places as usize);
     let _ = SimEngine::new(MixApp, sc.pattern.clone(), config)
         .with_recorder(recorder.clone())

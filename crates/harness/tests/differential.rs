@@ -5,7 +5,7 @@
 use dpx10_apps::{serial, GapApp, LwsApp};
 use dpx10_core::{EngineConfig, ThreadedEngine};
 use dpx10_harness::{run_seed, ChaosOptions};
-use dpx10_sim::{SimConfig, SimEngine};
+use dpx10_sim::SimEngine;
 use proptest::prelude::*;
 
 /// Fast options: serial + sim + threads. Socket runs pay real
@@ -64,7 +64,7 @@ proptest! {
     fn lws_differential(n in 2u32..72, seed in 0u64..1_000_000) {
         let want = serial::lws(n, seed);
         let app = LwsApp::new(n, seed);
-        let sim = SimEngine::new(app, app.pattern(), SimConfig::flat(2))
+        let sim = SimEngine::new(app, app.pattern(), EngineConfig::flat(2))
             .run()
             .expect("sim run");
         let agg_on = ThreadedEngine::new(app, app.pattern(), EngineConfig::flat(3))
@@ -90,7 +90,7 @@ proptest! {
     fn gap_differential(h in 2u32..13, w in 2u32..13, seed in 0u64..1_000_000) {
         let want = serial::gap(h, w, seed);
         let app = GapApp::new(h, w, seed);
-        let sim = SimEngine::new(app, app.pattern(), SimConfig::flat(2))
+        let sim = SimEngine::new(app, app.pattern(), EngineConfig::flat(2))
             .run()
             .expect("sim run");
         let agg_on = ThreadedEngine::new(app, app.pattern(), EngineConfig::flat(3))

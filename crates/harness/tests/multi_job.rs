@@ -233,15 +233,10 @@ fn place_death_on_five_places_recovers_under_job_wrapping() {
 fn traced_serve_keeps_every_jobs_workers_on_their_own_tracks() {
     // What the shared pool used to guarantee by construction, now that
     // every job's workers are plain per-epoch threads: with the cap's
-    // worth of jobs in flight, two workers each, and a place dying under
-    // them, no two workers of one place ever record onto the same
-    // `(place, worker)` track — their compute spans would interleave and
-    // fail the nesting oracle.
-    let two_threads = || {
-        let mut cfg = EngineConfig::flat(3);
-        cfg.topology.threads_per_place = 2;
-        cfg
-    };
+    // worth of jobs in flight, one owner thread per place each, and a
+    // place dying under them, no two workers of one place ever record
+    // onto the same `(place, worker)` track — their compute spans would
+    // interleave and fail the nesting oracle.
     let recorder = Recorder::with_capacity(3, 1 << 16);
     let report = serve_mesh(3, || {
         let mut server = JobServer::new()
@@ -254,20 +249,20 @@ fn traced_serve_keeps_every_jobs_workers_on_their_own_tracks() {
             });
         let (g3, g2) = (builtin::Grid3::new(20, 20), builtin::Grid2::new(18, 20));
         server
-            .submit(JobSpec::new("grid3", MixApp, g3, two_threads()))
+            .submit(JobSpec::new("grid3", MixApp, g3, EngineConfig::flat(3)))
             .unwrap();
         server
-            .submit(JobSpec::new("grid2", MixApp, g2, two_threads()))
+            .submit(JobSpec::new("grid2", MixApp, g2, EngineConfig::flat(3)))
             .unwrap();
         let (dg, rw) = (
             builtin::Diagonal::new(16, 16),
             builtin::RowWave::new(12, 24),
         );
         server
-            .submit(JobSpec::new("diagonal", MixApp, dg, two_threads()))
+            .submit(JobSpec::new("diagonal", MixApp, dg, EngineConfig::flat(3)))
             .unwrap();
         server
-            .submit(JobSpec::new("rowwave", MixApp, rw, two_threads()))
+            .submit(JobSpec::new("rowwave", MixApp, rw, EngineConfig::flat(3)))
             .unwrap();
         server
     });

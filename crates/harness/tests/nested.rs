@@ -16,7 +16,7 @@ use dpx10_core::{
 };
 use dpx10_dag::DagPattern;
 use dpx10_distarray::{Dist, DistArray, Region2D};
-use dpx10_sim::{SimConfig, SimEngine};
+use dpx10_sim::SimEngine;
 
 /// Fingerprints a dense serial table through the same digest the
 /// engines use, so oracle-vs-backend comparison is a single u64.
@@ -59,7 +59,7 @@ where
     A::Value: VertexValue,
     P: DagPattern + 'static,
 {
-    SimEngine::new(app, pattern, SimConfig::flat(places))
+    SimEngine::new(app, pattern, EngineConfig::flat(places))
         .run()
         .expect("sim run")
         .fingerprint()

@@ -1,9 +1,9 @@
 //! The simulator's cost model and configuration.
 
+use std::ops::Deref;
 use std::time::Duration;
 
-use dpx10_apgas::{NetworkModel, Topology};
-use dpx10_core::{FaultPlan, ScheduleStrategy};
+use dpx10_core::{CommsMode, EngineConfig, FaultPlan, ScheduleStrategy};
 use dpx10_distarray::{DistKind, RecoveryCostModel, RestoreManner};
 
 use crate::ready::ReadyPolicy;
@@ -45,92 +45,61 @@ impl CostModel {
     }
 }
 
-/// Full simulator configuration; mirrors
-/// [`dpx10_core::EngineConfig`] plus the [`CostModel`].
+/// Full simulator configuration: the engines' [`EngineConfig`] (its
+/// fields read through `Deref`) plus the three values only the simulator
+/// reads. The simulator refuses `coalesce`, `chaos` and `checkpoint` with
+/// [`EngineError::Unsupported`] (it has no transport to batch or perturb
+/// and no disk), ignores `stall_limit` (it has no wall clock) and gathers
+/// intervals enumerated whatever `aggregation` says.
+///
+/// [`EngineError::Unsupported`]: dpx10_core::EngineError::Unsupported
 #[derive(Clone)]
 pub struct SimConfig {
-    /// Cluster shape (places and worker slots per place).
-    pub topology: Topology,
-    /// Interconnect model.
-    pub network: NetworkModel,
-    /// Vertex distribution over places.
-    pub dist_kind: DistKind,
-    /// Scheduling strategy.
-    pub schedule: ScheduleStrategy,
-    /// FIFO cache entries per place.
-    pub cache_capacity: usize,
-    /// Restore manner after a fault.
-    pub restore_manner: RestoreManner,
-    /// Optional planned failure (the paper kills a node "in the middle
-    /// of the execution", §VIII-C).
-    pub fault: Option<FaultPlan>,
+    /// What every engine reads.
+    pub engine: EngineConfig,
     /// Virtual-time prices.
     pub cost: CostModel,
+    /// Worker slots per place (X10's `X10_NTHREADS`; the paper runs 6):
+    /// how many vertices a simulated place computes at once. A real
+    /// engine runs one owner thread per place.
+    pub workers: u16,
     /// Ready-list ordering per place (extension; see `sim::ready`).
     pub ready_policy: ReadyPolicy,
-    /// How remote values travel (mirrors `EngineConfig::comms`).
-    pub comms: dpx10_core::CommsMode,
+}
+
+impl From<EngineConfig> for SimConfig {
+    /// One worker per place, the default cost model, FIFO ready lists.
+    fn from(engine: EngineConfig) -> Self {
+        SimConfig {
+            engine,
+            cost: CostModel::default(),
+            workers: 1,
+            ready_policy: ReadyPolicy::Fifo,
+        }
+    }
+}
+
+impl Deref for SimConfig {
+    type Target = EngineConfig;
+
+    fn deref(&self) -> &EngineConfig {
+        &self.engine
+    }
 }
 
 impl SimConfig {
-    /// The paper's deployment on `nodes` nodes (2 places × 6 workers
-    /// each, Tianhe-like network), default knobs.
+    /// The paper's deployment on `nodes` nodes ([`EngineConfig::paper`]:
+    /// 2 places per node, Tianhe-like network) with 6 workers per place.
     pub fn paper(nodes: u16) -> Self {
         SimConfig {
-            topology: Topology::paper(nodes),
-            network: NetworkModel::tianhe_like(),
-            dist_kind: DistKind::BlockCol,
-            schedule: ScheduleStrategy::Local,
-            cache_capacity: 4096,
-            restore_manner: RestoreManner::RecomputeRemote,
-            fault: None,
-            cost: CostModel::default(),
-            ready_policy: ReadyPolicy::Fifo,
-            comms: dpx10_core::CommsMode::Pull,
+            workers: 6,
+            ..EngineConfig::paper(nodes).into()
         }
-    }
-
-    /// Flat test topology.
-    pub fn flat(places: u16) -> Self {
-        SimConfig {
-            topology: Topology::flat(places),
-            ..SimConfig::paper(1)
-        }
-    }
-
-    /// Sets the distribution.
-    pub fn with_dist(mut self, kind: DistKind) -> Self {
-        self.dist_kind = kind;
-        self
-    }
-
-    /// Sets the scheduling strategy.
-    pub fn with_schedule(mut self, schedule: ScheduleStrategy) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Sets the cache capacity.
-    pub fn with_cache(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
     }
 
     /// Sets the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Plans a fault.
-    pub fn with_fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = Some(fault);
-        self
-    }
-
-    /// Sets the restore manner.
-    pub fn with_restore(mut self, manner: RestoreManner) -> Self {
-        self.restore_manner = manner;
         self
     }
 
@@ -140,9 +109,39 @@ impl SimConfig {
         self
     }
 
-    /// Sets the remote-value delivery mode.
-    pub fn with_comms(mut self, comms: dpx10_core::CommsMode) -> Self {
-        self.comms = comms;
+    /// [`EngineConfig::with_dist`] on the engine config.
+    pub fn with_dist(mut self, kind: DistKind) -> Self {
+        self.engine = self.engine.with_dist(kind);
+        self
+    }
+
+    /// [`EngineConfig::with_schedule`] on the engine config.
+    pub fn with_schedule(mut self, schedule: ScheduleStrategy) -> Self {
+        self.engine = self.engine.with_schedule(schedule);
+        self
+    }
+
+    /// [`EngineConfig::with_cache`] on the engine config.
+    pub fn with_cache(mut self, capacity: usize) -> Self {
+        self.engine = self.engine.with_cache(capacity);
+        self
+    }
+
+    /// [`EngineConfig::with_fault`] on the engine config.
+    pub fn with_fault(mut self, fault: FaultPlan) -> Self {
+        self.engine = self.engine.with_fault(fault);
+        self
+    }
+
+    /// [`EngineConfig::with_restore`] on the engine config.
+    pub fn with_restore(mut self, manner: RestoreManner) -> Self {
+        self.engine = self.engine.with_restore(manner);
+        self
+    }
+
+    /// [`EngineConfig::with_comms`] on the engine config.
+    pub fn with_comms(mut self, comms: CommsMode) -> Self {
+        self.engine = self.engine.with_comms(comms);
         self
     }
 }
@@ -156,16 +155,19 @@ mod tests {
     fn paper_config_shape() {
         let c = SimConfig::paper(10);
         assert_eq!(c.topology.num_places(), 20);
-        assert_eq!(c.topology.threads_per_place, 6);
+        assert_eq!(c.workers, 6);
         assert!(c.fault.is_none());
+        // 144 cores at 12 nodes, as in Fig. 10's caption.
+        let c = SimConfig::paper(12);
+        assert_eq!(c.topology.num_places() as u32 * c.workers as u32, 144);
     }
 
     #[test]
     fn builders() {
-        let c = SimConfig::flat(3)
-            .with_cache(9)
+        let c = SimConfig::from(EngineConfig::flat(3).with_cache(9))
             .with_cost(CostModel::with_compute(120))
             .with_fault(FaultPlan::mid_run(PlaceId(2)));
+        assert_eq!((c.workers, c.ready_policy), (1, ReadyPolicy::Fifo));
         assert_eq!(c.cache_capacity, 9);
         assert_eq!(c.cost.compute, Duration::from_nanos(120));
         assert_eq!(c.fault.unwrap().place, PlaceId(2));

@@ -3,14 +3,14 @@
 //! A driver of [`dpx10_core::protocol`] — the one implementation of the
 //! vertex protocol, shared with the threaded and socket engines — under
 //! a virtual clock. What is the simulator's own is below: the event
-//! queue, the cost model (each place has `W` worker slots, a dispatched
-//! vertex occupies one for `framework_overhead + compute`, messages
-//! arrive after the network model's transfer time), the policy ready
-//! queues and the epoch loop — whose steps (pre-flight, begin, recover,
-//! finish) are [`dpx10_core::epoch`]'s, the ones the real-time engines
-//! run. Runs are bit-for-bit deterministic. A run is observed the way a
-//! real one is: through the flight recorder, stamped on the virtual
-//! clock.
+//! queue, the cost model (each place has [`SimConfig::workers`] worker
+//! slots, a dispatched vertex occupies one for `framework_overhead +
+//! compute`, messages arrive after the network model's transfer time),
+//! the policy ready queues and the epoch loop — whose steps (pre-flight,
+//! begin, recover, finish) are [`dpx10_core::epoch`]'s, the ones the
+//! real-time engines run. Runs are bit-for-bit deterministic. A run is
+//! observed the way a real one is: through the flight recorder, stamped
+//! on the virtual clock.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -99,12 +99,14 @@ struct Epoch<'a, A: DpApp> {
 }
 
 impl<A: DpApp + 'static> SimEngine<A> {
-    /// Creates a simulator for `app` over `pattern` with `config`.
-    pub fn new(app: A, pattern: impl DagPattern + 'static, config: SimConfig) -> Self {
+    /// Creates a simulator for `app` over `pattern` with `config` (an
+    /// [`EngineConfig`] runs one FIFO worker per place at the default
+    /// cost).
+    pub fn new(app: A, pattern: impl DagPattern + 'static, config: impl Into<SimConfig>) -> Self {
         SimEngine {
             app: Arc::new(app),
             pattern: Arc::new(pattern),
-            config,
+            config: config.into(),
             init: None,
             recorder: Recorder::disabled(),
         }
@@ -127,19 +129,20 @@ impl<A: DpApp + 'static> SimEngine<A> {
     /// `report().sim_time` holding the virtual makespan.
     pub fn run(&self) -> Result<DagResult<A::Value>, EngineError> {
         let cfg = &self.config;
+        let unsupported = [
+            ("coalesce", cfg.coalesce.is_some()),
+            ("chaos", cfg.chaos.is_some()),
+            ("checkpoint", cfg.checkpoint.is_some()),
+        ];
+        if let Some(&(field, _)) = unsupported.iter().find(|(_, set)| *set) {
+            let backend = "sim";
+            return Err(EngineError::Unsupported { backend, field });
+        }
         // What the shared steps read. The simulator always executes
         // through the enumerated adapter view (no aggregation lanes).
         let steps = EngineConfig {
-            topology: cfg.topology,
-            network: cfg.network,
-            dist_kind: cfg.dist_kind.clone(),
-            schedule: cfg.schedule,
-            comms: cfg.comms,
-            cache_capacity: cfg.cache_capacity,
-            restore_manner: cfg.restore_manner,
-            fault: cfg.fault,
             aggregation: false,
-            ..EngineConfig::paper(1)
+            ..cfg.engine.clone()
         };
         preflight(&steps, self.pattern.as_ref())?;
 
@@ -188,7 +191,7 @@ impl<A: DpApp + 'static> SimEngine<A> {
                 busy_ns: vec![0; nslots],
                 rec: self.recorder.clone(),
                 free_tids: (0..nslots)
-                    .map(|_| (0..cfg.topology.threads_per_place).rev().collect())
+                    .map(|_| (0..cfg.workers).rev().collect())
                     .collect(),
             };
             self.recorder.instant(
@@ -315,7 +318,7 @@ impl<A: DpApp + 'static> SimEngine<A> {
         let cost = &self.config.cost;
         let t = ep.now;
         let done_at = t + (cost.framework_overhead + cost.compute).as_nanos() as SimTime;
-        while ep.busy[slot] < ctx.topo.threads_per_place {
+        while ep.busy[slot] < self.config.workers {
             // Remotely shipped work first (it already consumed scheduling
             // effort at its owner), then the local ready list.
             if let Some((id, dep_ids, dep_values)) = ep.exec_queue[slot].pop_front() {

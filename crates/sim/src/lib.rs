@@ -8,9 +8,11 @@
 //! vertex protocol (`DpApp` kernels over `DagPattern`s, the FIFO
 //! remote-value cache, push-decrement/pull-fallback messaging, all three
 //! scheduling strategies), with the paper's fault recovery around it —
-//! under a virtual clock: vertices occupy one of the place's `W` worker
-//! slots for a configurable compute time, and every inter-place message
-//! advances by `latency + bytes/bandwidth` of the modelled interconnect.
+//! under a virtual clock: vertices occupy one of the place's
+//! [`SimConfig::workers`] worker slots for a configurable compute time,
+//! and every inter-place message advances by `latency + bytes/bandwidth`
+//! of the modelled interconnect. A [`SimConfig`] is the real engines'
+//! `EngineConfig` plus those slots, the cost model and the ready policy.
 //!
 //! The simulation computes the real DP values (validated against serial
 //! oracles by the differential test-suite) and reports the **makespan**

@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use dpx10_core::{DepView, DistKind, DpApp, FaultPlan, PlaceId, ScheduleStrategy};
+use dpx10_core::{DepView, DistKind, DpApp, EngineConfig, FaultPlan, PlaceId, ScheduleStrategy};
 use dpx10_dag::{builtin::*, topological_order, DagPattern, KnapsackDag, VertexId};
 use dpx10_obs::{summary, EventKind, Recorder};
 use dpx10_sim::{CostModel, SimConfig, SimEngine};
@@ -38,7 +38,7 @@ fn oracle<P: DagPattern>(pattern: &P) -> std::collections::HashMap<VertexId, u64
     out
 }
 
-fn check(pattern: impl DagPattern + Clone + 'static, config: SimConfig) -> Duration {
+fn check(pattern: impl DagPattern + Clone + 'static, config: impl Into<SimConfig>) -> Duration {
     let expect = oracle(&pattern);
     let result = SimEngine::new(MixApp, pattern, config)
         .run()
@@ -54,16 +54,16 @@ fn matches_oracle_across_patterns_and_distributions() {
     for kind in dpx10_dag::BuiltinKind::ALL {
         check(
             KindWrap(kind, 9, 9),
-            SimConfig::flat(3).with_dist(DistKind::BlockRow),
+            EngineConfig::flat(3).with_dist(DistKind::BlockRow),
         );
     }
     check(
         Grid3::new(15, 11),
-        SimConfig::flat(4).with_dist(DistKind::CyclicCol),
+        EngineConfig::flat(4).with_dist(DistKind::CyclicCol),
     );
     check(
         KnapsackDag::new(vec![3, 1, 4, 1, 5], 16),
-        SimConfig::flat(3).with_dist(DistKind::BlockRow),
+        EngineConfig::flat(3).with_dist(DistKind::BlockRow),
     );
 }
 
@@ -97,7 +97,10 @@ impl DagPattern for KindWrap {
 #[test]
 fn all_schedulers_match_oracle() {
     for strat in ScheduleStrategy::ALL {
-        check(Grid3::new(12, 12), SimConfig::flat(3).with_schedule(strat));
+        check(
+            Grid3::new(12, 12),
+            EngineConfig::flat(3).with_schedule(strat),
+        );
     }
 }
 
@@ -105,7 +108,7 @@ fn all_schedulers_match_oracle() {
 fn zero_cache_still_correct() {
     check(
         Grid3::new(10, 10),
-        SimConfig::flat(4)
+        EngineConfig::flat(4)
             .with_cache(0)
             .with_dist(DistKind::CyclicCol),
     );
@@ -151,14 +154,14 @@ fn makespan_at_least_critical_path() {
 fn fault_recovery_correct_and_costly() {
     let pattern = Grid3::new(40, 40);
     let expect = oracle(&pattern);
-    let clean = SimEngine::new(MixApp, pattern, SimConfig::flat(4))
+    let clean = SimEngine::new(MixApp, pattern, EngineConfig::flat(4))
         .run()
         .unwrap();
     let pattern = Grid3::new(40, 40);
     let faulty = SimEngine::new(
         MixApp,
         pattern,
-        SimConfig::flat(4).with_fault(FaultPlan::mid_run(PlaceId(3))),
+        EngineConfig::flat(4).with_fault(FaultPlan::mid_run(PlaceId(3))),
     )
     .run()
     .unwrap();
@@ -177,7 +180,7 @@ fn fault_on_place_zero_rejected() {
     let engine = SimEngine::new(
         MixApp,
         Grid2::new(4, 4),
-        SimConfig::flat(2).with_fault(FaultPlan::mid_run(PlaceId(0))),
+        EngineConfig::flat(2).with_fault(FaultPlan::mid_run(PlaceId(0))),
     );
     assert!(engine.run().is_err());
 }
@@ -187,7 +190,7 @@ fn comm_counters_track_boundary_traffic() {
     let result = SimEngine::new(
         MixApp,
         Grid3::new(30, 30),
-        SimConfig::flat(3).with_dist(DistKind::BlockCol),
+        EngineConfig::flat(3).with_dist(DistKind::BlockCol),
     )
     .run()
     .unwrap();
@@ -203,7 +206,7 @@ fn comm_counters_track_boundary_traffic() {
 
 #[test]
 fn single_place_has_no_communication() {
-    let result = SimEngine::new(MixApp, Grid3::new(20, 20), SimConfig::flat(1))
+    let result = SimEngine::new(MixApp, Grid3::new(20, 20), EngineConfig::flat(1))
         .run()
         .unwrap();
     assert_eq!(result.report().comm.messages_sent, 0);
@@ -212,7 +215,7 @@ fn single_place_has_no_communication() {
 
 #[test]
 fn interval_pattern_runs_masked() {
-    let result = SimEngine::new(MixApp, IntervalUpper::new(12), SimConfig::flat(2))
+    let result = SimEngine::new(MixApp, IntervalUpper::new(12), EngineConfig::flat(2))
         .run()
         .unwrap();
     assert!(result.try_get(0, 11).is_some());
@@ -244,11 +247,11 @@ fn utilization_reported_and_sane() {
 #[test]
 fn traced_run_records_wavefront_and_matches_untraced() {
     let recorder = Recorder::new(4);
-    let result = SimEngine::new(MixApp, Grid3::new(40, 40), SimConfig::flat(4))
+    let result = SimEngine::new(MixApp, Grid3::new(40, 40), EngineConfig::flat(4))
         .with_recorder(recorder.clone())
         .run()
         .unwrap();
-    let plain = SimEngine::new(MixApp, Grid3::new(40, 40), SimConfig::flat(4))
+    let plain = SimEngine::new(MixApp, Grid3::new(40, 40), EngineConfig::flat(4))
         .run()
         .unwrap();
     assert_eq!(result.report().sim_time, plain.report().sim_time);
@@ -278,7 +281,7 @@ fn traced_fault_run_records_recovery_event() {
     SimEngine::new(
         MixApp,
         Grid3::new(30, 30),
-        SimConfig::flat(4).with_fault(FaultPlan::mid_run(PlaceId(3))),
+        EngineConfig::flat(4).with_fault(FaultPlan::mid_run(PlaceId(3))),
     )
     .with_recorder(recorder.clone())
     .run()
@@ -292,8 +295,7 @@ fn ready_policies_all_match_oracle() {
     for policy in ReadyPolicy::ALL {
         check(
             Grid3::new(14, 14),
-            SimConfig::flat(3)
-                .with_dist(DistKind::CyclicCol)
+            SimConfig::from(EngineConfig::flat(3).with_dist(DistKind::CyclicCol))
                 .with_ready_policy(policy),
         );
     }
@@ -334,7 +336,7 @@ fn min_diagonal_policy_never_loses_to_lifo_badly() {
 #[test]
 fn push_mode_counters_are_pinned() {
     let cyclic = || {
-        SimConfig::flat(3)
+        EngineConfig::flat(3)
             .with_dist(DistKind::CyclicCol)
             .with_comms(dpx10_core::CommsMode::Push)
     };
@@ -356,4 +358,21 @@ fn push_mode_counters_are_pinned() {
         (2080, 316, 1133, 2783),
     ];
     assert_eq!(got, before);
+}
+
+#[test]
+fn config_the_simulator_cannot_honour_is_refused() {
+    let mut checkpoint = EngineConfig::flat(2);
+    checkpoint.checkpoint = Some(dpx10_core::CheckpointConfig::new("unused"));
+    let chaos = EngineConfig::flat(2).with_chaos(dpx10_apgas::ChaosPlan::quiet(7));
+    let coalesce = EngineConfig::flat(2).with_coalesce(Some(4096));
+    for (field, config) in [
+        ("checkpoint", checkpoint),
+        ("chaos", chaos),
+        ("coalesce", coalesce),
+    ] {
+        let err = SimEngine::new(MixApp, Grid3::new(6, 6), config).run().err();
+        let want = format!("the sim backend does not support `{field}`");
+        assert_eq!(err.map(|e| e.to_string()), Some(want));
+    }
 }

@@ -95,7 +95,7 @@ proptest! {
     ) {
         let kind = BuiltinKind::ALL[kind_idx];
         let expect = oracle(kind.instantiate(h, w).as_ref());
-        let config = SimConfig::flat(places)
+        let config = EngineConfig::flat(places)
             .with_dist(dist_kind(dist_idx))
             .with_cache(cache)
             .with_schedule(ScheduleStrategy::ALL[sched_idx]);
@@ -126,7 +126,7 @@ proptest! {
         let sim = SimEngine::new(
             MixApp,
             kind.instantiate(h, w),
-            SimConfig::flat(places)
+            EngineConfig::flat(places)
                 .with_restore(manner)
                 .with_fault(FaultPlan { place: PlaceId(victim), after_fraction: fraction }),
         )

@@ -50,7 +50,7 @@ fn mtp_both_engines_match_oracle() {
     let simulated = SimEngine::new(
         MtpApp::new(h, w, seed),
         MtpApp::new(h, w, seed).pattern(),
-        SimConfig::flat(4).with_dist(DistKind::BlockRow),
+        EngineConfig::flat(4).with_dist(DistKind::BlockRow),
     )
     .run()
     .unwrap();
@@ -191,7 +191,7 @@ fn extension_apps_run_on_the_simulator_too() {
     let dims = vec![30u64, 35, 15, 5, 10, 20, 25];
     let app = MatrixChainApp::new(dims.clone());
     let pattern = app.pattern();
-    let result = SimEngine::new(app, pattern, SimConfig::flat(3))
+    let result = SimEngine::new(app, pattern, EngineConfig::flat(3))
         .run()
         .unwrap();
     assert_eq!(MatrixChainApp::new(dims).answer(&result), 15125);
@@ -200,7 +200,7 @@ fn extension_apps_run_on_the_simulator_too() {
     let (a, b) = (b"GATTACA".to_vec(), b"GCATGCU".to_vec());
     let app = NeedlemanWunschApp::new(a.clone(), b.clone());
     let pattern = app.pattern();
-    let result = SimEngine::new(app, pattern, SimConfig::flat(2))
+    let result = SimEngine::new(app, pattern, EngineConfig::flat(2))
         .run()
         .unwrap();
     assert_eq!(

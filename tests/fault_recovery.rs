@@ -65,7 +65,7 @@ fn recovery_accounting_is_coherent() {
     let result = SimEngine::new(
         MtpApp::new(50, 50, 9),
         MtpApp::new(50, 50, 9).pattern(),
-        SimConfig::flat(5).with_fault(FaultPlan::mid_run(PlaceId(4))),
+        EngineConfig::flat(5).with_fault(FaultPlan::mid_run(PlaceId(4))),
     )
     .run()
     .unwrap();
@@ -97,7 +97,7 @@ fn copy_remote_recomputes_less_than_recompute_remote() {
         SimEngine::new(
             MtpApp::new(64, 64, 3),
             MtpApp::new(64, 64, 3).pattern(),
-            SimConfig::flat(4)
+            EngineConfig::flat(4)
                 .with_dist(DistKind::BlockRow)
                 .with_restore(manner)
                 .with_fault(FaultPlan::mid_run(PlaceId(2))),

@@ -26,7 +26,7 @@ fn distribution_controls_communication() {
         SimEngine::new(
             Chain,
             ColWave::new(24, 24),
-            SimConfig::flat(4).with_dist(kind),
+            EngineConfig::flat(4).with_dist(kind),
         )
         .run()
         .unwrap()
@@ -50,7 +50,7 @@ fn bigger_cache_means_fewer_pulls() {
         SimEngine::new(
             app,
             pattern,
-            SimConfig::flat(4)
+            EngineConfig::flat(4)
                 .with_dist(DistKind::CyclicCol)
                 .with_cache(cache),
         )
@@ -75,7 +75,7 @@ fn min_comm_never_moves_more_bytes_than_random() {
     let run = |sched: ScheduleStrategy| {
         let app = MtpApp::new(30, 30, 5);
         let pattern = app.pattern();
-        SimEngine::new(app, pattern, SimConfig::flat(4).with_schedule(sched))
+        SimEngine::new(app, pattern, EngineConfig::flat(4).with_schedule(sched))
             .run()
             .unwrap()
             .report()
@@ -96,7 +96,7 @@ fn local_scheduling_is_the_cheapest_in_messages() {
     let run = |sched: ScheduleStrategy| {
         let app = MtpApp::new(24, 24, 5);
         let pattern = app.pattern();
-        SimEngine::new(app, pattern, SimConfig::flat(3).with_schedule(sched))
+        SimEngine::new(app, pattern, EngineConfig::flat(3).with_schedule(sched))
             .run()
             .unwrap()
             .report()
@@ -121,7 +121,7 @@ fn init_override_skips_prefinished_work() {
     // Pre-finish the top half of a column-wave: only the bottom half
     // computes.
     let init: dpx10::core::InitOverride<u64> = Arc::new(|i, _j| (i < 8).then_some(100));
-    let result = SimEngine::new(Sum, ColWave::new(16, 4), SimConfig::flat(2))
+    let result = SimEngine::new(Sum, ColWave::new(16, 4), EngineConfig::flat(2))
         .with_init(init)
         .run()
         .unwrap();

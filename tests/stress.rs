@@ -1,6 +1,6 @@
-//! Concurrency stress: repeated threaded runs with multiple worker
-//! threads per place, adversarial configurations and live faults, to
-//! shake out races in the ready-list / cache / pull / publish paths.
+//! Concurrency stress: repeated threaded runs (one owner thread per
+//! place), adversarial configurations and live faults, to shake out
+//! races in the ready-list / cache / pull / publish paths.
 
 use dpx10::apps::{serial, workload, SwLinearApp};
 use dpx10::prelude::*;
@@ -12,14 +12,13 @@ fn repeated_multithreaded_runs_are_all_correct() {
     let scoring = SwLinearApp::new(a.clone(), b.clone()).scoring;
     let expect = serial::smith_waterman_linear(&a, &b, &scoring);
     for round in 0..8 {
-        let mut config = EngineConfig::flat(3)
+        let config = EngineConfig::flat(3)
             .with_dist(if round % 2 == 0 {
                 DistKind::CyclicCol
             } else {
                 DistKind::BlockRow
             })
             .with_cache(if round % 3 == 0 { 0 } else { 64 });
-        config.topology.threads_per_place = 3;
         let app = SwLinearApp::new(a.clone(), b.clone());
         let pattern = app.pattern();
         let result = ThreadedEngine::new(app, pattern, config)
@@ -44,13 +43,12 @@ fn repeated_faulted_runs_under_contention() {
     let scoring = SwLinearApp::new(a.clone(), b.clone()).scoring;
     let expect = serial::smith_waterman_linear(&a, &b, &scoring);
     for round in 0..6u32 {
-        let mut config = EngineConfig::flat(4)
+        let config = EngineConfig::flat(4)
             .with_dist(DistKind::BlockCol)
             .with_fault(FaultPlan {
                 place: PlaceId(1 + (round % 3) as u16),
                 after_fraction: 0.15 + 0.12 * round as f64,
             });
-        config.topology.threads_per_place = 2;
         let app = SwLinearApp::new(a.clone(), b.clone());
         let pattern = app.pattern();
         let result = ThreadedEngine::new(app, pattern, config)
@@ -72,8 +70,7 @@ fn mixed_strategies_under_contention() {
     let scoring = SwLinearApp::new(a.clone(), b.clone()).scoring;
     let expect = serial::smith_waterman_linear(&a, &b, &scoring);
     for strat in ScheduleStrategy::ALL {
-        let mut config = EngineConfig::flat(3).with_schedule(strat).with_cache(4);
-        config.topology.threads_per_place = 2;
+        let config = EngineConfig::flat(3).with_schedule(strat).with_cache(4);
         let app = SwLinearApp::new(a.clone(), b.clone());
         let pattern = app.pattern();
         let result = ThreadedEngine::new(app, pattern, config)
