@@ -15,11 +15,13 @@
 //! local vertex takes no atomic read-modify-write and no lock. What
 //! crosses threads is a message and the slot's [`Progress`] (plain
 //! stores the coordinator polls). The owner pops ready vertices in the
-//! order [`Start::build`] chose for its shard ([`crate::state::ReadyList`]):
-//! on a `BlockCol` chunk whose stencil points only into earlier storage
-//! (the LCS, SWLAG and MTP shapes) the smallest ready local index, so
-//! the chunk runs row by row like the hand-written loop and each row
-//! ends on the cell the next place waits for; FIFO everywhere else.
+//! order [`Start::build`] chose for its shard ([`crate::state::ReadyList`]).
+//! On a `BlockCol` chunk whose stencil points only into earlier storage
+//! (the LCS, SWLAG and MTP shapes) that is a storage-order cursor, row
+//! by row like the hand-written loop: an interior cell is computed in
+//! place, every other cell takes the protocol once its cross-chunk
+//! counter reads zero, and one that parks or is shipped holds the
+//! cursor until it is named ready or published. Other shards pop FIFO.
 //! The epoch loop and §VI-D's recovery live in
 //! [`crate::epoch`], which also starts the workers; [`ThreadedEngine`]
 //! is the host of that loop whose places all live in one process, and
@@ -44,8 +46,9 @@ use crate::epoch::{drive, preflight, Boundaries, Host, Run};
 use crate::error::EngineError;
 use crate::msg::Msg;
 use crate::protocol::{gather, handle_msg, prepare, publish, Ctx, Sink, WorkerBufs};
+use crate::schedule::ScheduleStrategy;
 use crate::socket_engine::data_well_formed;
-use crate::state::{Progress, Shard, Start};
+use crate::state::{at, lend, Progress, Shard, Start, LENT};
 
 /// The threaded engine: one instance runs one application to completion.
 pub struct ThreadedEngine<A: DpApp> {
@@ -231,19 +234,18 @@ impl<A: DpApp> Shared<A> {
 /// recorder is on: a clock pair costs more than a small `compute`.
 const BUSY_SAMPLE: u32 = 16;
 
-/// What an empty `Instant::now()`/`elapsed()` span reads: the least of
-/// 48, measured once per process. A sampled compute is charged its span
-/// less this floor — the clock pair alone reads more than a small
-/// `compute` takes.
+/// What an empty `Instant::now()`/`elapsed()` span reads: the median of
+/// 48, measured by each worker when it starts (one draw per process
+/// skewed every run). A sampled compute is charged its span less this
+/// floor; less the least reading, it paid the clock's jitter 16-fold.
 fn clock_floor_ns() -> u64 {
-    static FLOOR: OnceLock<u64> = OnceLock::new();
-    *FLOOR.get_or_init(|| {
-        let span = |_| {
-            let started = Instant::now();
-            started.elapsed().as_nanos() as u64
-        };
-        (0..48).map(span).min().unwrap_or(0)
-    })
+    let span = |_| {
+        let started = Instant::now();
+        started.elapsed().as_nanos() as u64
+    };
+    let mut spans: Vec<u64> = (0..48).map(span).collect();
+    spans.sort_unstable();
+    spans[spans.len() / 2]
 }
 
 /// The [`Sink`] of every real-time driver — threaded engine, socket
@@ -257,6 +259,8 @@ struct Worker<'a, A: DpApp> {
     wid: u16,
     /// Computes left before this thread times one again.
     untimed: u32,
+    /// This thread's [`clock_floor_ns`].
+    floor: u64,
     /// What this epoch has added to the place's `tasks_run`.
     counted: u64,
 }
@@ -265,7 +269,7 @@ impl<A: DpApp> Worker<'_, A> {
     /// The next ready vertex of the shard.
     #[inline]
     fn next_ready(&mut self, shard: &mut Shard<A::Value>) -> Option<u32> {
-        let li = shard.ready.pop()?;
+        let li = shard.pop_ready()?;
         let rec = &self.shared.recorder;
         rec.instant_now(self.me.0, self.wid, EventKind::ReadyPop, u64::from(li));
         Some(li)
@@ -291,10 +295,9 @@ impl<A: DpApp> Worker<'_, A> {
             return (compute(), 0);
         }
         self.untimed = BUSY_SAMPLE - 1;
-        let floor = clock_floor_ns();
         let started = Instant::now();
         let value = compute();
-        let ns = (started.elapsed().as_nanos() as u64).saturating_sub(floor);
+        let ns = (started.elapsed().as_nanos() as u64).saturating_sub(self.floor);
         (value, ns * u64::from(BUSY_SAMPLE))
     }
 
@@ -408,6 +411,7 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Shared<A>, slot: usize, wid: u16) -
         me,
         wid,
         untimed: 0,
+        floor: clock_floor_ns(),
         counted: 0,
     };
     loop {
@@ -443,7 +447,8 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Shared<A>, slot: usize, wid: u16) -
             Some(rng) => {
                 // Shaken pop: grab a small batch, start it at a random
                 // offset — adjacent ready vertices execute in an order a
-                // plain FIFO/LIFO queue would never produce.
+                // plain FIFO/LIFO queue would never produce. A cursor
+                // holds the cell it popped, so its batch is that one.
                 let mut popped = 0;
                 while popped < ready_budget {
                     let mut batch: Vec<u32> = Vec::with_capacity(4);
@@ -455,7 +460,7 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Shared<A>, slot: usize, wid: u16) -
                     let r = rng.below(batch.len() as u64) as usize;
                     batch.rotate_left(r);
                     for li in batch {
-                        execute(&mut worker, &mut shard, li, &mut bufs);
+                        run(&mut worker, &mut shard, li, &mut bufs);
                         popped += 1;
                         progress = true;
                     }
@@ -466,7 +471,7 @@ pub(crate) fn worker_loop<A: DpApp>(shared: &Shared<A>, slot: usize, wid: u16) -
                     let Some(li) = worker.next_ready(&mut shard) else {
                         break;
                     };
-                    execute(&mut worker, &mut shard, li, &mut bufs);
+                    run(&mut worker, &mut shard, li, &mut bufs);
                     progress = true;
                 }
             }
@@ -513,6 +518,34 @@ fn deliver<A: DpApp>(
         return;
     }
     handle_msg(&shared.ctx, shard, worker, env.src, env.msg, bufs);
+}
+
+/// Runs one popped vertex of the shard. A cursor's interior cell under
+/// the local schedule is computed in place, its dependencies lent out of
+/// the slab, and nothing is decremented or sent ([`Shard::interior`]).
+/// Every other vertex takes [`execute`].
+fn run<A: DpApp>(
+    worker: &mut Worker<'_, A>,
+    shard: &mut Shard<A::Value>,
+    li: u32,
+    bufs: &mut WorkerBufs,
+) {
+    let ctx = &worker.shared.ctx;
+    let in_place = shard.ready.is_cursor() && ctx.schedule == ScheduleStrategy::Local;
+    let interior = if in_place { shard.interior(li) } else { None };
+    let (Some((deltas, n)), Some(st)) = (interior, shard.stencil.as_ref()) else {
+        return execute(worker, shard, li, bufs);
+    };
+    let id = VertexId::from(shard.points[li as usize]);
+    let mut ids = [id; LENT];
+    (ids.iter_mut().zip(st.neighbours(id))).for_each(|(d, nb)| *d = nb);
+    debug_assert!(deltas[..n].iter().all(|&d| shard.finished(at(li, d))));
+    let refs = lend(&shard.values, li as usize, &deltas[..n]);
+    let view = DepView::lent(&ids[..n], &refs[..n]);
+    let (value, ns) = worker.compute(id, || ctx.app.compute(id, &view));
+    shard.busy_ns += ns;
+    shard.finish(li, value);
+    worker.finished(shard.slot, id, shard.value(li));
 }
 
 /// Executes one ready vertex of the shard: gather → (maybe ship) →

@@ -140,7 +140,8 @@ impl<'a, A: DpApp> Run<'a, A> {
     /// which holds its own slot's values only) a `Resume`. Returns the
     /// protocol context, the shards' [`Start`], and how many cells start
     /// finished: at `report.vertices_total`, the start already holds the
-    /// result ([`Start::into_array`] of no shards).
+    /// result ([`Start::into_array`] of no shards). Its shards pop FIFO;
+    /// the real hosts turn [`Start::cursors`] on.
     pub fn begin(
         &mut self,
         scatter: Option<Scatter<A::Value>>,
@@ -171,6 +172,7 @@ impl<'a, A: DpApp> Run<'a, A> {
             meta,
             init: self.init.cloned(),
             cache_capacity: cfg.cache_capacity,
+            cursors: false,
         };
         let prefinished = start.prefinished(pattern);
         let ctx = Ctx {
@@ -499,7 +501,8 @@ pub(crate) fn drive<A: DpApp + 'static>(
             // The coordinator wrote us off (a false-positive timeout).
             return Ok(None);
         };
-        let (ctx, start, prefinished) = run.begin(scatter.take(), &host.stats);
+        let (ctx, mut start, prefinished) = run.begin(scatter.take(), &host.stats);
+        start.cursors = true; // the owner threads run storage-order cursors
         let started_ns = recorder.now_ns();
         recorder.instant(
             me.0,

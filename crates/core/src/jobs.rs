@@ -241,8 +241,13 @@ impl<A: DpApp + 'static> JobServer<A> {
 
     /// Queues a job and returns its id (the submission index), or
     /// rejects it when the queue is full — the submitter must retry
-    /// later rather than pile up unbounded work.
+    /// later rather than pile up unbounded work — or when its config
+    /// asks for a checkpoint, which a served job cannot write.
     pub fn submit(&mut self, spec: JobSpec<A>) -> Result<u32, EngineError> {
+        if spec.config.checkpoint.is_some() {
+            let (backend, field) = ("serve", "checkpoint");
+            return Err(EngineError::Unsupported { backend, field });
+        }
         if self.jobs.len() >= self.max_queue {
             return Err(EngineError::Job(format!(
                 "admission queue is full ({} jobs); retry after a serve",

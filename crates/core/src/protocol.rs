@@ -13,7 +13,7 @@
 //! | | threads / elastic mesh / socket places / served jobs | simulator |
 //! |---|---|---|
 //! | `send` | the epoch's `Transport` | a priced arrival event |
-//! | `ready` | the shard's [`ReadyList`](crate::state::ReadyList): smallest local index first on a `BlockCol` chunk of a storage-ordered stencil, FIFO elsewhere | the policy ready queue |
+//! | `ready` | the shard's [`ReadyList`](crate::state::ReadyList): on a `BlockCol` chunk of a storage-ordered stencil a storage-order [cursor](crate::state::ReadyList::Cursor), which heeds only its held cell, FIFO elsewhere | the policy ready queue |
 //! | `stamp` | recorder, wall clock | recorder, virtual clock |
 //! | `exec` | compute now, reply `ExecResult` | queue for a worker slot |
 //! | `finished` | checkpoint, exact kills and boundaries (global count only while one is armed) | `tasks_run`, finish count, fault time |
@@ -23,7 +23,8 @@
 //! chunk, `prepare` fills the ids from the offsets and lends the values
 //! at `li + delta` ([`Gathered::Slab`]), and `publish` decrements at
 //! `li + delta` in `anti_dependencies` order — no pattern query,
-//! `slot_of` or `local_index`. Every other cell asks the pattern.
+//! `slot_of` or `local_index`. Every other cell asks the pattern. On a
+//! cursor shard `publish` decrements nothing in the chunk.
 //!
 //! Values are copied only where a second owner needs them. A gather
 //! whose dependencies all live in the gathering shard lends references
@@ -51,7 +52,7 @@ use crate::config::CommsMode;
 use crate::inline::InlineVec;
 use crate::msg::{Msg, Targets};
 use crate::schedule::{min_comm_choice, random_choice, ScheduleStrategy};
-use crate::state::{local_index, Fill, Shard, LENT};
+use crate::state::{at, lend, local_index, Fill, Shard, LENT};
 
 /// What the protocol reads during one epoch and never mutates: the
 /// application, the DAG, who owns what, and how values travel. The
@@ -324,26 +325,6 @@ fn decrement_at<V: VertexValue, S: Sink<V>>(shard: &mut Shard<V>, sink: &mut S, 
     }
 }
 
-/// Local index `li` moved by a slab delta of the shard's
-/// [`SlabStencil`](crate::state::SlabStencil).
-#[inline]
-fn at(li: u32, delta: isize) -> u32 {
-    (li as usize).wrapping_add_signed(delta) as u32
-}
-
-/// A copy of `deltas` when every cell they reach from `li` is a DAG
-/// vertex: the slab path applies.
-#[inline]
-fn slab<V>(shard: &Shard<V>, li: u32, deltas: Option<&[isize]>) -> Option<([isize; LENT], usize)> {
-    let deltas = deltas?;
-    if !deltas.iter().all(|&d| shard.in_pattern[at(li, d) as usize]) {
-        return None;
-    }
-    let mut copy = [0; LENT];
-    copy[..deltas.len()].copy_from_slice(deltas);
-    Some((copy, deltas.len()))
-}
-
 /// The owner-side half of executing ready vertex `li`: enumerate its
 /// dependencies into `bufs.deps`, gather their values, and choose where
 /// it runs. `None` means the vertex parked awaiting pulls. Shipping to a
@@ -365,15 +346,11 @@ pub fn prepare<'s, A: DpApp, S: Sink<A::Value>>(
     let me = ctx.dist.places()[shard.slot];
     bufs.deps.clear();
     let stencil = shard.stencil.as_ref();
-    let values = match slab(shard, li, stencil.and_then(|st| st.dep_deltas(i, j))) {
+    let values = match shard.slab(li, stencil.and_then(|st| st.dep_deltas(i, j))) {
         Some((deltas, n)) => {
             let shard: &'s Shard<A::Value> = shard;
             let st = shard.stencil.as_ref().expect("a slab path has a stencil");
-            let inside = |o| {
-                id.shifted(o)
-                    .expect("an interior cell's neighbours are on the matrix")
-            };
-            bufs.deps.extend(st.offsets().iter().map(|&o| inside(o)));
+            bufs.deps.extend(st.neighbours(id));
             debug_assert!(
                 {
                     let mut deps = Vec::new();
@@ -389,11 +366,8 @@ pub fn prepare<'s, A: DpApp, S: Sink<A::Value>>(
                     .all(|(d, &delta)| shard.points[at(li, delta) as usize] == (d.i, d.j)),
                 "the slab deltas of {id} miss its stencil neighbours"
             );
-            let mut values = [shard.value(at(li, deltas[0])); LENT];
-            for (v, &d) in values.iter_mut().zip(&deltas[..n]).skip(1) {
-                *v = shard.value(at(li, d));
-            }
-            Gathered::Slab(values, n)
+            debug_assert!(deltas[..n].iter().all(|&d| shard.finished(at(li, d))));
+            Gathered::Slab(lend(&shard.values, li as usize, &deltas[..n]), n)
         }
         None => {
             ctx.pattern.dependencies(i, j, &mut bufs.deps);
@@ -564,9 +538,11 @@ pub fn publish<A: DpApp, S: Sink<A::Value>>(
     sink.finished(shard.slot, id, value);
 
     // A stencil cell whose dependents all sit in this chunk decrements
-    // them at their slab deltas, in `anti_dependencies` order.
+    // them at their slab deltas, in `anti_dependencies` order. A cursor
+    // shard counts no in-chunk edge: it decrements nothing here.
+    let counts_local = !shard.ready.is_cursor();
     let stencil = shard.stencil.as_ref();
-    if let Some((deltas, n)) = slab(shard, li, stencil.and_then(|st| st.anti_deltas(id.i, id.j))) {
+    if let Some((deltas, n)) = shard.slab(li, stencil.and_then(|st| st.anti_deltas(id.i, id.j))) {
         debug_assert!(
             {
                 bufs.anti.clear();
@@ -578,7 +554,7 @@ pub fn publish<A: DpApp, S: Sink<A::Value>>(
             },
             "the slab deltas of {id} are not its anti-dependencies in order"
         );
-        for &d in &deltas[..n] {
+        for &d in deltas[..n].iter().filter(|_| counts_local) {
             decrement_at(shard, sink, at(li, d));
         }
         return;
@@ -591,7 +567,9 @@ pub fn publish<A: DpApp, S: Sink<A::Value>>(
     for t in &bufs.anti {
         let tslot = dist.slot_of(t.i, t.j);
         if tslot == slot {
-            decrement_at(shard, sink, local_index(dist, *t));
+            if counts_local {
+                decrement_at(shard, sink, local_index(dist, *t));
+            }
             continue;
         }
         // Grouped in ascending place order, so the sends below leave in
@@ -699,19 +677,24 @@ pub(crate) mod tests {
     /// `places`, in a topological order, with each open vertex one
     /// decrement from ready, and checks what each publication readied
     /// against `anti_dependencies`: the local ones in its order, the
-    /// remote ones as a set. Returns how many cells decrement by slab
-    /// offset.
+    /// remote ones as a set. On a cursor shard (Grid3 and the other
+    /// storage-ordered stencils on `BlockCol`) the same publication
+    /// readies no local vertex and sends the same remote targets.
+    /// Returns how many cells decrement by slab offset.
     fn check_publish_order(pattern: &Arc<dyn DagPattern>, kind: DistKind, places: u16) -> usize {
         let what = format!("{} {kind:?} on {places}", pattern.name());
         let ctx = ctx_of(pattern.clone(), kind, places);
         let dist = ctx.dist.clone();
-        let start = Start {
+        let mut start = Start {
             prior: None,
             meta: None,
             init: None,
             cache_capacity: 4,
+            cursors: false,
         };
         let mut shards = start.build_all(&ctx);
+        start.cursors = true;
+        let mut cursors = start.build_all(&ctx);
         let slab_cells = shards
             .iter()
             .map(|s| {
@@ -739,6 +722,18 @@ pub(crate) mod tests {
             log.sent.sort_unstable();
             remote.sort_unstable();
             assert_eq!(log.sent, remote, "{what}: remote decrements of {id}");
+
+            let mut log = Log::default();
+            if cursors[slot].ready.is_cursor() {
+                cursors[slot].indegree.fill(1);
+                publish(&ctx, &mut cursors[slot], &mut log, li, id, 0, &mut bufs);
+                log.sent.sort_unstable();
+                assert_eq!(
+                    (log.ready, log.sent),
+                    (vec![], remote),
+                    "{what}: cursor, {id}"
+                );
+            }
         }
         slab_cells
     }

@@ -1,6 +1,8 @@
 //! Per-place runtime state of an epoch, shared by every driver of
 //! [`crate::protocol`]: the [`Shard`] one worker owns, the [`Progress`]
 //! it publishes, and the [`Start`] every shard is built from.
+//! A shard's ready list is FIFO, or a storage-order cursor whose shard
+//! counts only cross-chunk edges ([`ReadyList::Cursor`]).
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashSet, VecDeque};
@@ -179,6 +181,13 @@ impl SlabStencil {
         &self.offsets[..self.len]
     }
 
+    /// The dependencies of a cell whose offsets all land in the chunk,
+    /// in `dependencies` order.
+    pub(crate) fn neighbours(&self, id: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        let on_matrix = "an interior cell's neighbours are on the matrix";
+        (self.offsets().iter()).map(move |&o| id.shifted(o).expect(on_matrix))
+    }
+
     /// Whether every dependency offset points into earlier storage
     /// (`di < 0`, or `di == 0 && dj < 0`): then ascending local index is
     /// a topological order of the chunk.
@@ -205,59 +214,73 @@ impl SlabStencil {
     }
 }
 
+/// The values at slab `deltas` from `idx`, lent for a `compute` (the
+/// stencil gather, the cursor and the tile kernel read them so).
+#[inline]
+pub(crate) fn lend<'s, V>(slab: &'s [V], idx: usize, deltas: &[isize]) -> [&'s V; LENT] {
+    let mut refs = [&slab[idx]; LENT];
+    for (r, &d) in refs.iter_mut().zip(deltas) {
+        *r = &slab[idx.wrapping_add_signed(d)];
+    }
+    refs
+}
+
+/// Local index `li` moved by a slab delta of a [`SlabStencil`].
+#[inline]
+pub(crate) fn at(li: u32, delta: isize) -> u32 {
+    (li as usize).wrapping_add_signed(delta) as u32
+}
+
 /// A shard's ready list: "contains the schedulable and uncompleted
 /// vertices" (§VI-C). The paper gives it no order; [`Start::build`]
-/// picks one per shard, from its stencil and its distribution's kind.
-/// Seeds are pushed in ascending local index, so either order pops them
-/// in that order.
+/// picks one per shard, from its stencil, its distribution's kind and
+/// its host.
 #[derive(Clone)]
 pub enum ReadyList {
-    /// Oldest first.
+    /// Oldest first. Seeds are pushed in ascending local index.
     Fifo(VecDeque<u32>),
-    /// Smallest local index first, kept sorted descending and popped
-    /// from the back. A `BlockCol` chunk whose stencil points only into
-    /// earlier storage (every offset `di < 0`, or `di == 0 && dj < 0`)
-    /// then runs row by row, like the hand-written loop: each step
-    /// reads the slab lines the previous one did, and each row ends on
-    /// the cell the next place waits for. Its frontier holds one or two
-    /// entries.
-    Sweep(Vec<u32>),
+    /// Storage order, where the host runs cursors ([`Start::cursors`]),
+    /// on a `BlockCol` chunk whose stencil points only into earlier
+    /// storage (every offset `di < 0`, or `di == 0 && dj < 0`): row by
+    /// row like the hand-written loop. Storage order is topological for
+    /// every in-chunk edge, so the shard counts only cross-chunk ones.
+    Cursor {
+        /// Every cell before it is finished or a hole.
+        next: u32,
+        /// `next` was popped and is unfinished: it parked or was
+        /// shipped, and waits to be named ready or published.
+        held: bool,
+    },
 }
 
 impl ReadyList {
-    /// The order `dist`'s kind and the shard's `stencil` call for: a
-    /// sweep for a storage-ordered stencil on `BlockCol`, else FIFO. On
-    /// `BlockRow` a sweep would finish the one row the next place reads
-    /// last; every other kind, and a pattern without a slab stencil,
-    /// has no storage order to follow.
-    fn for_shard(dist: &Dist, stencil: Option<&SlabStencil>) -> Self {
+    /// The order `dist`'s kind, the shard's `stencil` and the host call
+    /// for.
+    fn for_shard(dist: &Dist, stencil: Option<&SlabStencil>, cursors: bool) -> Self {
         let block_col = matches!(dist.kind(), DistKind::BlockCol);
-        if block_col && stencil.is_some_and(SlabStencil::storage_ordered) {
-            ReadyList::Sweep(Vec::new())
+        if cursors && block_col && stencil.is_some_and(SlabStencil::storage_ordered) {
+            ReadyList::Cursor {
+                next: 0,
+                held: false,
+            }
         } else {
             ReadyList::Fifo(VecDeque::new())
         }
     }
 
-    /// Adds ready vertex `li`.
+    /// Whether this is a cursor: the shard counts no in-chunk edge.
+    #[inline]
+    pub(crate) fn is_cursor(&self) -> bool {
+        matches!(self, ReadyList::Cursor { .. })
+    }
+
+    /// Local vertex `li` became runnable. A cursor heeds only the news
+    /// of the cell it holds.
     #[inline]
     pub(crate) fn push(&mut self, li: u32) {
         match self {
             ReadyList::Fifo(q) => q.push_back(li),
-            ReadyList::Sweep(v) => {
-                // Usually the new smallest: an append.
-                let at = v.partition_point(|&x| x > li);
-                v.insert(at, li);
-            }
-        }
-    }
-
-    /// Takes the next vertex to run.
-    #[inline]
-    pub fn pop(&mut self) -> Option<u32> {
-        match self {
-            ReadyList::Fifo(q) => q.pop_front(),
-            ReadyList::Sweep(v) => v.pop(),
+            ReadyList::Cursor { next, held } => *held &= li != *next,
         }
     }
 }
@@ -290,7 +313,8 @@ pub struct Shard<V> {
     /// Slab addressing of a stencil's local edges (`None` off the block
     /// kinds, for other patterns, and on nested-dataflow runs).
     pub stencil: Option<SlabStencil>,
-    /// Unfinished-dependency counters.
+    /// Unfinished-dependency counters: of cross-chunk dependencies only
+    /// on a cursor shard.
     pub indegree: Vec<u32>,
     /// Finish flags ("a finish flag is kept for each vertex"), and
     /// whether the value is here.
@@ -298,7 +322,7 @@ pub struct Shard<V> {
     /// Results: `V::default()` until the cell is [`Cell::Done`].
     pub values: Vec<V>,
     /// Ready list: "contains the schedulable and uncompleted vertices",
-    /// the epoch's seeds first; a storage-order sweep on a `BlockCol`
+    /// the epoch's seeds first; a storage-order cursor on a `BlockCol`
     /// chunk of a storage-ordered stencil, FIFO everywhere else.
     pub ready: ReadyList,
     /// Remote-value FIFO cache.
@@ -354,6 +378,53 @@ impl<V: VertexValue> Shard<V> {
         true
     }
 
+    /// Takes the next vertex to run. A cursor steps over finished cells
+    /// and holes, and returns its cell once its counter reads zero and
+    /// it is not held.
+    #[inline]
+    pub fn pop_ready(&mut self) -> Option<u32> {
+        let (next, held) = match &mut self.ready {
+            ReadyList::Fifo(q) => return q.pop_front(),
+            ReadyList::Cursor { next, held } => (next, held),
+        };
+        while let Some(&cell) = self.cells.get(*next as usize) {
+            if cell != Cell::Open || !self.in_pattern[*next as usize] {
+                (*next, *held) = (*next + 1, false);
+            } else if *held || self.indegree[*next as usize] != 0 {
+                return None;
+            } else {
+                *held = true;
+                return Some(*next);
+            }
+        }
+        None
+    }
+
+    /// A copy of `deltas` when every cell they reach from `li` is a DAG
+    /// vertex: the slab path applies.
+    #[inline]
+    pub(crate) fn slab(&self, li: u32, deltas: Option<&[isize]>) -> Option<([isize; LENT], usize)> {
+        let deltas = deltas?;
+        if !deltas.iter().all(|&d| self.in_pattern[at(li, d) as usize]) {
+            return None;
+        }
+        let mut copy = [0; LENT];
+        copy[..deltas.len()].copy_from_slice(deltas);
+        Some((copy, deltas.len()))
+    }
+
+    /// The slab deltas of `li`'s dependencies when it is interior: its
+    /// dependencies and dependents are all DAG vertices at stencil
+    /// offsets inside the chunk, so on a cursor shard it publishes to
+    /// no one.
+    #[inline]
+    pub(crate) fn interior(&self, li: u32) -> Option<([isize; LENT], usize)> {
+        let st = self.stencil.as_ref()?;
+        let (i, j) = self.points[li as usize];
+        self.slab(li, st.anti_deltas(i, j))?;
+        self.slab(li, st.dep_deltas(i, j))
+    }
+
     /// Vertices this shard has published since it was built — its share
     /// of the epoch's `vertices_computed`.
     pub fn computed(&self) -> u64 {
@@ -406,6 +477,9 @@ pub struct Start<V> {
     pub init: Option<InitOverride<V>>,
     /// FIFO cache entries per shard.
     pub cache_capacity: usize,
+    /// Whether the host runs cursors ([`ReadyList::Cursor`]): every real
+    /// host does; the simulator and `protocol_order.rs` pop FIFO.
+    pub cursors: bool,
 }
 
 impl<V: VertexValue> Start<V> {
@@ -452,7 +526,14 @@ impl<V: VertexValue> Start<V> {
     pub fn build<A: DpApp<Value = V>>(&self, ctx: &Ctx<A>, slot: usize) -> Shard<V> {
         let (pattern, dist) = (ctx.pattern.as_ref(), &ctx.dist);
         let len = dist.chunk_len(slot);
-        let points: Vec<(u32, u32)> = dist.iter_slot(slot).collect();
+        let points: Vec<(u32, u32)> = match dist.block_bounds(slot) {
+            Some((rows, cols)) => {
+                let mut points = Vec::with_capacity(len);
+                rows.for_each(|i| points.extend(cols.clone().map(|j| (i, j))));
+                points
+            }
+            None => dist.iter_slot(slot).collect(),
+        };
         let in_pattern: Vec<bool> = points
             .iter()
             .map(|&(i, j)| pattern.contains(i, j))
@@ -463,7 +544,7 @@ impl<V: VertexValue> Start<V> {
         };
         let mut shard = Shard {
             slot,
-            ready: ReadyList::for_shard(dist, stencil.as_ref()),
+            ready: ReadyList::for_shard(dist, stencil.as_ref(), self.cursors),
             stencil,
             points,
             in_pattern,
@@ -480,14 +561,17 @@ impl<V: VertexValue> Start<V> {
         };
         // A fresh build can take the pattern's closed-form indegree
         // instead of enumerating edges — O(1) per cell where an interval
-        // pattern's edge list is O(n).
-        let fresh = self.fresh();
+        // pattern's edge list is O(n). A cursor shard counts only
+        // cross-chunk edges, so a cell inside `dep_inner` is not asked.
+        let (fresh, cursor) = (self.fresh(), shard.ready.is_cursor());
+        let stencil = shard.stencil.as_ref();
+        let inside = |i, j| cursor && stencil.is_some_and(|st| st.dep_deltas(i, j).is_some());
         let mut deps = Vec::new();
         for li in 0..len {
             let (i, j) = shard.points[li];
-            let open = if !shard.in_pattern[li] {
+            let open = if !shard.in_pattern[li] || (fresh && inside(i, j)) {
                 continue;
-            } else if fresh {
+            } else if fresh && !cursor {
                 pattern.indegree(i, j)
             } else if let Some(v) = self.value(i, j) {
                 (shard.values[li], shard.cells[li]) = (v, Cell::Done);
@@ -497,14 +581,17 @@ impl<V: VertexValue> Start<V> {
                 shard.cells[li] = Cell::Elsewhere;
                 shard.finished_local += 1;
                 continue;
+            } else if inside(i, j) {
+                continue;
             } else {
                 deps.clear();
                 pattern.dependencies(i, j, &mut deps);
                 // The predicate that finished this shard's own cells, so
                 // cross-shard indegrees stay local and deterministic.
                 let started =
-                    |d: &&VertexId| self.value(d.i, d.j).is_some() || self.elsewhere(d.i, d.j);
-                deps.iter().filter(|d| !started(d)).count() as u32
+                    |d: &VertexId| self.value(d.i, d.j).is_some() || self.elsewhere(d.i, d.j);
+                let counted = |d: &&VertexId| !(cursor && dist.slot_of(d.i, d.j) == slot);
+                deps.iter().filter(counted).filter(|d| !started(d)).count() as u32
             };
             shard.indegree[li] = open;
             if open == 0 {
@@ -580,15 +667,23 @@ mod tests {
             meta: None,
             init,
             cache_capacity: 16,
+            cursors: false,
         }
     }
 
-    /// The points of the shard's ready list, in order.
+    /// A fresh start on a host that runs cursors.
+    fn cursors() -> Start<u64> {
+        let mut start = start(None, None);
+        start.cursors = true;
+        start
+    }
+
+    /// The points of the FIFO shard's ready list, in order.
     fn ready(shard: &Shard<u64>) -> Vec<(u32, u32)> {
-        let mut ready = shard.ready.clone();
-        std::iter::from_fn(|| ready.pop())
-            .map(|li| shard.points[li as usize])
-            .collect()
+        let ReadyList::Fifo(ready) = &shard.ready else {
+            panic!("slot {} is not FIFO", shard.slot);
+        };
+        ready.iter().map(|&li| shard.points[li as usize]).collect()
     }
 
     #[test]
@@ -719,27 +814,49 @@ mod tests {
             for kind in kinds.clone() {
                 let sweep = matches!(kind, DistKind::BlockCol) && ordered.contains(&pattern);
                 let ctx = ctx_of(pattern.instantiate(8, 8).into(), kind.clone(), 2);
-                for shard in start(None, None).build_all(&ctx) {
-                    let swept = matches!(shard.ready, ReadyList::Sweep(_));
-                    assert_eq!(swept, sweep, "{pattern:?} on {kind:?}");
+                for (start, on) in [(start(None, None), false), (cursors(), true)] {
+                    for shard in start.build_all(&ctx) {
+                        let cursor = shard.ready.is_cursor();
+                        assert_eq!(cursor, sweep && on, "{pattern:?} on {kind:?}");
+                    }
                 }
             }
         }
         // A nested-dataflow run has no slab stencil: FIFO.
         let mut ctx = ctx(Arc::new(Grid2::new(8, 8)), 2);
         ctx.agg = Some(AggSpec::rows(Reduction::Max));
-        let shard = start(None, None).build(&ctx, 0);
-        assert!(matches!(shard.ready, ReadyList::Fifo(_)));
+        assert!(!cursors().build(&ctx, 0).ready.is_cursor());
     }
 
     #[test]
-    fn a_sweep_pops_its_smallest_entry() {
-        let mut ready = ReadyList::Sweep(Vec::new());
-        for li in [7, 3, 9, 3, 1] {
-            ready.push(li);
+    fn a_cursor_shard_counts_only_cross_chunk_edges() {
+        // Grid3 (left, top, diagonal) over two column blocks: only slot
+        // 1's first column, j = 3, has dependencies in slot 0.
+        let ctx = ctx(Arc::new(dpx10_dag::builtin::Grid3::new(5, 6)), 2);
+        for shard in cursors().build_all(&ctx) {
+            for (li, &(i, j)) in shard.points.iter().enumerate() {
+                let cross = u32::from((shard.slot, j) == (1, 3)) * (1 + u32::from(i > 0));
+                assert_eq!(shard.indegree[li], cross, "({i}, {j})");
+            }
         }
-        let order: Vec<u32> = std::iter::from_fn(|| ready.pop()).collect();
-        assert_eq!(order, vec![1, 3, 3, 7, 9]);
+    }
+
+    #[test]
+    fn a_cursor_pops_in_storage_order_and_holds_its_cell() {
+        // Grid2 over two column blocks of 3 × 2 cells.
+        let ctx = ctx(Arc::new(Grid2::new(3, 4)), 2);
+        let mut shards = cursors().build_all(&ctx);
+        assert_eq!(shards[1].pop_ready(), None, "(0, 2) waits on (0, 1)");
+        let zero = &mut shards[0];
+        assert_eq!(zero.pop_ready(), Some(0));
+        zero.ready.push(1);
+        assert_eq!(zero.pop_ready(), None, "held: only its own cell frees it");
+        zero.ready.push(0);
+        assert_eq!(zero.pop_ready(), Some(0), "a parked cell named ready");
+        for li in 0..6 {
+            assert!(zero.finish(li, 0));
+            assert_eq!(zero.pop_ready(), (li < 5).then_some(li + 1));
+        }
     }
 
     #[test]

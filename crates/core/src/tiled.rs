@@ -61,7 +61,7 @@ use crate::app::{DagResult, DepView, DpApp, VertexValue};
 use crate::config::EngineConfig;
 use crate::engine::ThreadedEngine;
 use crate::error::EngineError;
-use crate::state::LENT;
+use crate::state::{lend, LENT};
 
 /// The value of one tile: its cells' results, dense and row-major over
 /// the tile's clipped bounds (masked cells hold `V::default()`).
@@ -227,10 +227,7 @@ impl<A: DpApp, P: DagPattern> TileKernel<'_, A, P> {
             "the stencil of {id} is not its dependencies"
         );
         let idx = self.local(id).expect("computed cell lies in its tile");
-        let mut refs = [&self.cells[idx]; LENT];
-        for (r, &stride) in refs.iter_mut().zip(&strides[..ids.len()]) {
-            *r = &self.cells[idx.wrapping_add_signed(stride)];
-        }
+        let refs = lend(&self.cells, idx, &strides[..ids.len()]);
         let view = DepView::lent(ids, &refs[..ids.len()]);
         self.cells[idx] = self.app.compute(id, &view);
         true

@@ -7,8 +7,8 @@
 
 use dpx10_apgas::local_mesh;
 use dpx10_core::{
-    DagResult, DepView, DpApp, EngineConfig, EngineError, JobServer, JobSpec, PlaceId,
-    ScheduleStrategy, ServeReport, ThreadedEngine,
+    CheckpointConfig, DagResult, DepView, DpApp, EngineConfig, EngineError, JobServer, JobSpec,
+    PlaceId, ScheduleStrategy, ServeReport, ThreadedEngine,
 };
 use dpx10_dag::{builtin, DagPattern, VertexId};
 
@@ -240,4 +240,30 @@ fn a_panicking_driver_fails_its_job_and_the_serve_still_returns() {
         report.jobs[1].result.as_ref().unwrap().fingerprint(),
         solo_fingerprint(builtin::RowWave::new(6, 6)),
     );
+}
+
+#[test]
+fn a_checkpoint_is_refused_at_submission() {
+    // A served job's host writes no checkpoint: the job is refused, not
+    // run without one, and the queue stays as it was.
+    let config = EngineConfig {
+        checkpoint: Some(CheckpointConfig::new("unused")),
+        ..EngineConfig::flat(2)
+    };
+    let mut server = JobServer::new();
+    let spec = JobSpec::new("ckpt", MixApp, builtin::Grid3::new(6, 6), config);
+    let err = server
+        .submit(spec)
+        .expect_err("a served job cannot checkpoint");
+    assert!(
+        matches!(
+            err,
+            EngineError::Unsupported {
+                backend: "serve",
+                field: "checkpoint"
+            }
+        ),
+        "{err}"
+    );
+    assert!(server.is_empty());
 }

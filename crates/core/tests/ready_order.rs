@@ -1,7 +1,8 @@
 //! The order a shard pops its ready vertices. A `BlockCol` chunk whose
-//! stencil points only into earlier storage pops its smallest ready
-//! local index: it runs row by row, and each row ends on the cell the
-//! next place waits for. Every other shard pops FIFO. The flight
+//! stencil points only into earlier storage runs a storage-order
+//! cursor: it runs row by row, and each row ends on the cell the next
+//! place waits for. A cell that parks or ships holds the cursor until it
+//! is named ready or published. Every other shard pops FIFO. The flight
 //! recorder's `ReadyPop` events carry the popped local index; every run
 //! is also checked cell by cell against a serial oracle.
 
@@ -9,7 +10,9 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dpx10_core::{DepView, DistKind, DpApp, EngineConfig, ThreadedEngine};
+use dpx10_core::{
+    DepView, DistKind, DpApp, EngineConfig, FaultPlan, PlaceId, ScheduleStrategy, ThreadedEngine,
+};
 use dpx10_dag::{builtin::*, topological_order, DagPattern, VertexId};
 use dpx10_distarray::{Dist, Region2D};
 use dpx10_obs::{EventKind, Recorder, Trace};
@@ -93,7 +96,7 @@ fn pops(trace: &Trace, place: u16) -> Vec<(u64, u32)> {
 /// order the protocol decrements in.
 fn fifo_replay(pattern: &dyn DagPattern, kind: DistKind) -> Vec<u32> {
     let region = Region2D::new(pattern.height(), pattern.width());
-    let dist = Dist::new(region, kind, vec![dpx10_core::PlaceId(0)]);
+    let dist = Dist::new(region, kind, vec![PlaceId(0)]);
     let points: Vec<(u32, u32)> = dist.iter_slot(0).collect();
     let li = |id: VertexId| dist.local_index(id.i, id.j) as u32;
     let mut indegree: HashMap<VertexId, u32> = HashMap::new();
@@ -159,6 +162,61 @@ fn the_next_place_starts_within_two_chunk_rows() {
         "place 0 popped {before} vertices before place 1's first pop (two rows are {})",
         2 * width
     );
+}
+
+/// The start time of each epoch of `trace`, ascending.
+fn epoch_starts(trace: &Trace) -> Vec<u64> {
+    let starts = trace
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::EpochStart);
+    let mut starts: Vec<u64> = starts.map(|e| e.ts_ns).collect();
+    starts.sort_unstable();
+    starts
+}
+
+#[test]
+fn two_block_col_places_hold_the_cursor_on_pulls_ships_and_kills() {
+    // Grid3 over two column blocks, where every cell of place 1's first
+    // column reads two values of place 0. With no cache each of those
+    // cells parks until its pulls return; under the random schedule
+    // about half the cells are shipped to the other place and back; a
+    // kill at half progress restarts the survivor on a restored chunk.
+    // Every run matches the serial oracle, and in every epoch each
+    // place pops in storage order: a held cell pops once more when it is
+    // named ready (a pull that returned), never while it waits.
+    let pattern = Grid3::new(40, 36);
+    let base = EngineConfig::flat(2).with_dist(DistKind::BlockCol);
+    let kill = FaultPlan {
+        place: PlaceId(1),
+        after_fraction: 0.5,
+    };
+    let cases = [
+        ("cache 0", base.clone().with_cache(0), 1),
+        (
+            "random",
+            base.clone().with_schedule(ScheduleStrategy::Random),
+            1,
+        ),
+        ("kill", base.with_fault(kill), 2),
+    ];
+    for (what, config, epochs) in cases {
+        let trace = traced_run(pattern, config, Mix(Duration::ZERO));
+        let starts = epoch_starts(&trace);
+        assert_eq!(starts.len(), epochs, "{what}: epochs");
+        for place in 0..2 {
+            let pops = pops(&trace, place);
+            for (k, &from) in starts.iter().enumerate() {
+                let until = starts.get(k + 1).copied().unwrap_or(u64::MAX);
+                let epoch = pops.iter().filter(|&&(ts, _)| from <= ts && ts < until);
+                let order: Vec<u32> = epoch.map(|&(_, li)| li).collect();
+                let descent = order.windows(2).position(|w| w[0] > w[1]);
+                assert_eq!(descent, None, "{what}: place {place} epoch {k}: {order:?}");
+                let thrice = order.windows(3).position(|w| w[0] == w[2]);
+                assert_eq!(thrice, None, "{what}: place {place} re-popped a held cell");
+            }
+        }
+    }
 }
 
 #[test]

@@ -231,6 +231,7 @@ impl Case {
             meta: None,
             init: None,
             cache_capacity: self.cache,
+            cursors: false,
         };
         let mut shards = start.build_all(&ctx);
         let n = ctx.dist.num_slots();
@@ -240,7 +241,7 @@ impl Case {
             flight: (0..n * n).map(|_| VecDeque::new()).collect(),
             ready: shards
                 .iter_mut()
-                .map(|s| std::iter::from_fn(|| s.ready.pop()).collect())
+                .map(|s| std::iter::from_fn(|| s.pop_ready()).collect())
                 .collect(),
             published: 0,
         };

@@ -162,13 +162,13 @@ impl<A: DpApp + 'static> SimEngine<A> {
             let dist = ctx.dist.clone();
             let nslots = dist.num_slots();
             let mut shards = start.build_all(&ctx);
-            // Move the seeded ready lists (ascending local index in either
-            // order) into policy queues.
+            // Move the seeded FIFO ready lists (ascending local index)
+            // into policy queues.
             let ready: Vec<ReadyQueue> = shards
                 .iter_mut()
                 .map(|shard| {
                     let mut q = ReadyQueue::new(cfg.ready_policy);
-                    while let Some(li) = shard.ready.pop() {
+                    while let Some(li) = shard.pop_ready() {
                         let (i, j) = shard.points[li as usize];
                         q.push(li, i as u64 + j as u64);
                     }
