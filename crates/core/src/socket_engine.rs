@@ -361,9 +361,9 @@ impl<A: DpApp + 'static> Driver<A> {
         shared.transport.flush(self.me);
         let rec_start = self.recorder.enabled().then(|| self.recorder.now_ns());
         let mut cells = Vec::new();
-        for (li, &(i, j)) in shard.points.iter().enumerate() {
-            if shard.in_pattern[li] && shard.finished(li as u32) {
-                let v = shard.value(li as u32).clone();
+        for (li, (i, j)) in (0..).zip(shard.points.iter()) {
+            if shard.is_vertex(li) && shard.finished(li) {
+                let v = shard.value(li).clone();
                 cells.push((VertexId::new(i, j).pack(), v));
             }
         }

@@ -24,6 +24,8 @@ use crate::VertexId;
 ///    [`contains`](DagPattern::contains).
 /// 2. **Inversion** — `d ∈ dependencies(v)` ⇔ `v ∈ anti_dependencies(d)`.
 /// 3. **Acyclicity** — the implied edge relation has no cycles.
+/// 4. **Count** — [`vertex_count`](DagPattern::vertex_count) is the
+///    number of cells `contains` accepts.
 ///
 /// Patterns are consulted concurrently from many worker threads, hence the
 /// `Send + Sync` bound.
@@ -66,7 +68,9 @@ pub trait DagPattern: Send + Sync {
         buf.len() as u32
     }
 
-    /// Total number of vertices.
+    /// Total number of vertices: exactly the cells `contains` accepts.
+    /// The engines count to it, and take a pattern with as many
+    /// vertices as cells for one without holes.
     ///
     /// The default assumes the full rectangle; sparse patterns override.
     fn vertex_count(&self) -> u64 {

@@ -75,6 +75,13 @@ pub enum ValidationError {
         /// What `dependencies` returned.
         returned: Vec<VertexId>,
     },
+    /// `vertex_count()` is not the number of cells `contains` accepts.
+    VertexCountMismatch {
+        /// Value reported by `vertex_count`.
+        reported: u64,
+        /// Number of cells `contains` accepts.
+        actual: u64,
+    },
     /// The pattern declares a [`DagPattern::stencil`], but two vertices
     /// whose anti-dependencies cover every offset list them in
     /// different orders.
@@ -133,6 +140,10 @@ impl fmt::Display for ValidationError {
                 f,
                 "indegree({at}) reports {reported} but dependencies() returns {actual} ids"
             ),
+            ValidationError::VertexCountMismatch { reported, actual } => write!(
+                f,
+                "vertex_count() reports {reported} but contains() accepts {actual} cells"
+            ),
             ValidationError::StencilMismatch {
                 at,
                 declared,
@@ -157,15 +168,25 @@ impl std::error::Error for ValidationError {}
 
 /// Exhaustively validates `pattern` (O(V + E) time, O(V) space).
 ///
-/// Checks containment, duplicate-freedom, self-loops, a declared
-/// stencil (dependencies and the order of full anti-dependency lists),
-/// the dependency/anti-dependency inversion property, `indegree`
-/// consistency and acyclicity. Returns the first violation found.
+/// Checks the vertex count, containment, duplicate-freedom, self-loops,
+/// a declared stencil (dependencies and the order of full
+/// anti-dependency lists), the dependency/anti-dependency inversion
+/// property, `indegree` consistency and acyclicity. Returns the first
+/// violation found.
 pub fn validate_pattern<P: DagPattern + ?Sized>(pattern: &P) -> Result<(), ValidationError> {
     let mut deps = Vec::new();
     let mut anti = Vec::new();
     let mut declared = Vec::new();
     let mut result = Ok(());
+
+    // The engines count to `vertex_count` and take a pattern with as
+    // many vertices as cells for one without holes.
+    let mut actual = 0u64;
+    for_each_vertex(pattern, |_| actual += 1);
+    let reported = pattern.vertex_count();
+    if reported != actual {
+        return Err(ValidationError::VertexCountMismatch { reported, actual });
+    }
 
     // Edge set gathered from `dependencies`, used to cross-check `anti`.
     let mut dep_edges: HashSet<(u64, u64)> = HashSet::new();
@@ -350,6 +371,42 @@ mod tests {
         assert!(
             matches!(err, ValidationError::SpuriousAntiDependency { .. }),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn wrong_vertex_count_detected() {
+        // A full 3 × 4 grid that claims one vertex fewer: an engine would
+        // take it for a masked pattern and stop one vertex early.
+        struct Short(CustomDag);
+        impl DagPattern for Short {
+            fn height(&self) -> u32 {
+                self.0.height()
+            }
+            fn width(&self) -> u32 {
+                self.0.width()
+            }
+            fn contains(&self, i: u32, j: u32) -> bool {
+                self.0.contains(i, j)
+            }
+            fn dependencies(&self, i: u32, j: u32, out: &mut Vec<VertexId>) {
+                self.0.dependencies(i, j, out)
+            }
+            fn anti_dependencies(&self, i: u32, j: u32, out: &mut Vec<VertexId>) {
+                self.0.anti_dependencies(i, j, out)
+            }
+            fn vertex_count(&self) -> u64 {
+                self.0.vertex_count() - 1
+            }
+        }
+        let grid = CustomDag::new(3, 4);
+        validate_pattern(&grid).unwrap();
+        assert_eq!(
+            validate_pattern(&Short(grid)).unwrap_err(),
+            ValidationError::VertexCountMismatch {
+                reported: 11,
+                actual: 12
+            }
         );
     }
 
