@@ -66,6 +66,13 @@ pub fn manhattan_tourist(height: u32, width: u32, seed: u64) -> Vec<Vec<i64>> {
 
 /// Longest palindromic subsequence length.
 pub fn lps(text: &[u8]) -> u32 {
+    let d = lps_table(text);
+    d.first().map_or(0, |row| row[text.len() - 1])
+}
+
+/// Longest palindromic subsequence length of every interval: `d[i][j]`
+/// for `text[i..=j]`, zero below the diagonal.
+pub fn lps_table(text: &[u8]) -> Vec<Vec<u32>> {
     let n = text.len();
     let mut d = vec![vec![0u32; n]; n];
     for i in (0..n).rev() {
@@ -82,11 +89,7 @@ pub fn lps(text: &[u8]) -> u32 {
             };
         }
     }
-    if n == 0 {
-        0
-    } else {
-        d[0][n - 1]
-    }
+    d
 }
 
 /// 0/1-Knapsack optimum.

@@ -16,15 +16,17 @@
 //! crosses threads is a message and the slot's [`Progress`] (plain
 //! stores the coordinator polls). The owner pops ready vertices in the
 //! order [`Start::build`] chose for its shard ([`crate::state::ReadyList`]).
-//! On a `BlockCol` chunk whose stencil points only into earlier storage
-//! (the LCS, SWLAG and MTP shapes) that is a storage-order cursor, row
-//! by row like the hand-written loop: an interior cell is computed in
-//! place, and the cursor runs on along its row in one tight loop (ids
-//! and lent values at fixed offsets) until the row's interior ends, a
-//! cell is already finished, or the round's ready budget is spent. Every
-//! other cell takes the protocol once its cross-chunk counter reads
-//! zero, and one that parks or is shipped holds the cursor until it is
-//! named ready or published. Other shards pop FIFO.
+//! On a `BlockCol` chunk whose stencil has a sweep that is a cursor, row
+//! by row like the hand-written loop: rows up where the stencil points
+//! into earlier storage (the LCS, SWLAG and MTP shapes), rows down where
+//! it points into later rows (LPS), columns ascending. An interior cell
+//! is computed in place, and the cursor runs on along its row in one
+//! tight loop (ids and lent values at fixed offsets) until the row's
+//! interior ends, a cell is already finished or, in a masked chunk,
+//! meets a hole, or the round's ready budget is spent. Every other cell
+//! takes the protocol once its cross-chunk counter reads zero, and one
+//! that parks or is shipped holds the cursor until it is named ready or
+//! published. Other shards pop FIFO.
 //! The epoch loop and §VI-D's recovery live in
 //! [`crate::epoch`], which also starts the workers; [`ThreadedEngine`]
 //! is the host of that loop whose places all live in one process, and
@@ -538,12 +540,14 @@ fn deliver<A: DpApp>(
 /// place, its dependencies lent out of the slab, and nothing is
 /// decremented or sent ([`Shard::interior`]). The cursor then runs on
 /// along the row, one tight loop: ids shifted one column per cell, values
-/// lent at the same slab deltas. Every dependency of the next cell lies
-/// in earlier storage, so it is finished; the span stops at the last
-/// interior column, at a finished cell, or when the budget is spent. Each
-/// span cell is a pop: it records its `ReadyPop`, is timed like any
-/// compute, and is finished through the sink. Every other vertex takes
-/// [`execute`].
+/// lent at the same slab deltas. Every dependency of the next cell comes
+/// before it in the cursor's sweep, so it is finished; the span stops at
+/// the last interior column, at a finished cell, when the budget is
+/// spent, or in a masked chunk at a cell that is a hole or has one at
+/// the span's slab deltas. The mask is read before the loop, which
+/// stays the unmasked one. Each span cell is a pop: it records its
+/// `ReadyPop`, is timed like any compute, and is finished through the
+/// sink. Every other vertex takes [`execute`].
 fn run<A: DpApp>(
     worker: &mut Worker<'_, A>,
     shard: &mut Shard<A::Value>,
@@ -562,12 +566,16 @@ fn run<A: DpApp>(
     let first = VertexId::new(i, j);
     let mut ids = [first; LENT];
     (ids.iter_mut().zip(st.neighbours(first))).for_each(|(d, nb)| *d = nb);
-    // A masked chunk checks its holes cell by cell: one cell per pop.
-    let row_end = match shard.in_pattern {
-        None => st.interior_end(),
-        Some(_) => j + 1,
-    };
-    let span = u64::from(row_end - j).min(budget) as u32;
+    let mut span = u64::from(st.interior_end() - j).min(budget) as u32;
+    if shard.in_pattern.is_some() {
+        // A masked chunk's span ends before the first cell that is a
+        // hole or has one among its dependencies or dependents.
+        let anti = (st.anti_deltas(i, j)).expect("an interior cell's dependents are in the chunk");
+        let open = |c| {
+            shard.is_vertex(c) && shard.vertices_at(c, &deltas[..n]) && shard.vertices_at(c, anti)
+        };
+        span = (1..span).find(|&k| !open(li + k)).unwrap_or(span);
+    }
     let mut k = 0;
     loop {
         let (li, id) = (li + k, VertexId::new(i, j + k));
@@ -585,10 +593,10 @@ fn run<A: DpApp>(
         ids[..n].iter_mut().for_each(|d| d.j += 1);
         worker.popped(li + 1);
     }
-    shard.ready = ReadyList::Cursor {
-        next: li + k,
-        held: false,
-    };
+    if let ReadyList::Cursor(cursor) = &mut shard.ready {
+        debug_assert_eq!(cursor.next, li, "a cursor runs the cell it holds");
+        cursor.pass(k);
+    }
     u64::from(k)
 }
 

@@ -502,7 +502,7 @@ pub(crate) fn drive<A: DpApp + 'static>(
             return Ok(None);
         };
         let (ctx, mut start, prefinished) = run.begin(scatter.take(), &host.stats);
-        start.cursors = true; // the owner threads run storage-order cursors
+        start.cursors = true; // the owner threads run cursors
         let started_ns = recorder.now_ns();
         recorder.instant(
             me.0,

@@ -13,7 +13,7 @@
 //! | | threads / elastic mesh / socket places / served jobs | simulator |
 //! |---|---|---|
 //! | `send` | the epoch's `Transport` | a priced arrival event |
-//! | `ready` | the shard's [`ReadyList`](crate::state::ReadyList): on a `BlockCol` chunk of a storage-ordered stencil a storage-order [cursor](crate::state::ReadyList::Cursor), which heeds only its held cell, FIFO elsewhere | the policy ready queue |
+//! | `ready` | the shard's [`ReadyList`](crate::state::ReadyList): on a `BlockCol` chunk of a stencil with a sweep a [cursor](crate::state::ReadyList::Cursor) that runs rows up or down per its `TileSweep` (a masked chunk's row spans too), which heeds only its held cell, FIFO elsewhere | the policy ready queue |
 //! | `stamp` | recorder, wall clock | recorder, virtual clock |
 //! | `exec` | compute now, reply `ExecResult` | queue for a worker slot |
 //! | `finished` | checkpoint, exact kills and boundaries (global count only while one is armed) | `tasks_run`, finish count, fault time |
@@ -675,9 +675,10 @@ pub(crate) mod tests {
     /// `places`, in a topological order, with each open vertex one
     /// decrement from ready, and checks what each publication readied
     /// against `anti_dependencies`: the local ones in its order, the
-    /// remote ones as a set. On a cursor shard (Grid3 and the other
-    /// storage-ordered stencils on `BlockCol`) the same publication
-    /// readies no local vertex and sends the same remote targets.
+    /// remote ones as a set. On a cursor shard (Grid3, IntervalUpper
+    /// and the other stencils with a sweep, on `BlockCol`) the same
+    /// publication readies no local vertex and sends the same remote
+    /// targets.
     /// Returns how many cells decrement by slab offset.
     fn check_publish_order(pattern: &Arc<dyn DagPattern>, kind: DistKind, places: u16) -> usize {
         let what = format!("{} {kind:?} on {places}", pattern.name());

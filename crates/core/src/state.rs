@@ -1,7 +1,8 @@
 //! Per-place runtime state of an epoch, shared by every driver of
 //! [`crate::protocol`]: the [`Shard`] one worker owns, the [`Progress`]
 //! it publishes, and the [`Start`] every shard is built from.
-//! A shard's ready list is FIFO, or a storage-order cursor whose shard
+//! A shard's ready list is FIFO, or a cursor that sweeps its chunk's
+//! rows up or down, per its stencil's [`TileSweep`], and whose shard
 //! counts only cross-chunk edges ([`ReadyList::Cursor`]).
 //!
 //! A block chunk is a rectangle ([`Points::Rect`]): a local index maps to
@@ -15,7 +16,7 @@ use std::collections::{HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 
-use dpx10_dag::tiled::{stencil_anti_order, Reach};
+use dpx10_dag::tiled::{stencil_anti_order, Reach, TileSweep};
 use dpx10_dag::{DagPattern, VertexId};
 use dpx10_distarray::{AggTable, Dist, DistArray, DistKind};
 
@@ -200,13 +201,22 @@ impl SlabStencil {
         (self.offsets().iter()).map(move |&o| id.shifted(o).expect(on_matrix))
     }
 
-    /// Whether every dependency offset points into earlier storage
-    /// (`di < 0`, or `di == 0 && dj < 0`): then ascending local index is
-    /// a topological order of the chunk.
-    fn storage_ordered(&self) -> bool {
-        self.offsets()
-            .iter()
-            .all(|&(di, dj)| di < 0 || (di == 0 && dj < 0))
+    /// The row order, columns ascending, that is a topological order of
+    /// the chunk: rows up when every dependency offset points into
+    /// earlier storage (`di < 0`, or `di == 0 && dj < 0`), else rows
+    /// down when every one points to a later row or left in its own
+    /// (`di > 0`, or `di == 0 && dj < 0`).
+    fn sweep(&self) -> Option<TileSweep> {
+        let all = |row: fn(i32) -> bool| {
+            (self.offsets().iter()).all(|&(di, dj)| row(di) || (di == 0 && dj < 0))
+        };
+        if all(|di| di < 0) {
+            Some(TileSweep::RowsUpColsUp)
+        } else if all(|di| di > 0) {
+            Some(TileSweep::RowsDownColsUp)
+        } else {
+            None
+        }
     }
 
     /// One past the last column of row cells whose dependencies and
@@ -258,39 +268,88 @@ pub(crate) fn at(li: u32, delta: isize) -> u32 {
 pub enum ReadyList {
     /// Oldest first. Seeds are pushed in ascending local index.
     Fifo(VecDeque<u32>),
-    /// Storage order, where the host runs cursors ([`Start::cursors`]),
-    /// on a `BlockCol` chunk whose stencil points only into earlier
-    /// storage (every offset `di < 0`, or `di == 0 && dj < 0`): row by
-    /// row like the hand-written loop. Storage order is topological for
-    /// every in-chunk edge, so the shard counts only cross-chunk ones.
-    Cursor {
-        /// Every cell before it is finished or a hole.
-        next: u32,
-        /// `next` was popped and is unfinished: it parked or was
-        /// shipped, and waits to be named ready or published.
-        held: bool,
-    },
+    /// A sweep of the chunk, where the host runs cursors
+    /// ([`Start::cursors`]), on a `BlockCol` chunk whose stencil has a
+    /// [`TileSweep`] ([`SlabStencil::sweep`]): row by row like the
+    /// hand-written loop, rows up for the wavefront stencils, rows down
+    /// for the interval ones, columns ascending. The sweep is
+    /// topological for every in-chunk edge, so the shard counts only
+    /// cross-chunk ones.
+    Cursor(Cursor),
+}
+
+/// Where a [`ReadyList::Cursor`] stands in its chunk's sweep.
+#[derive(Clone)]
+pub struct Cursor {
+    /// The cell it stands on: every cell it has passed is finished or
+    /// a hole.
+    pub(crate) next: u32,
+    /// `next` was popped and is unfinished: it parked or was shipped,
+    /// and waits to be named ready or published.
+    pub(crate) held: bool,
+    /// One past the last cell of `next`'s row.
+    row_end: u32,
+    /// The chunk's row length.
+    width: u32,
+    /// Rows up or down; columns always ascend.
+    sweep: TileSweep,
+}
+
+impl Cursor {
+    /// A cursor on the first cell `sweep` visits of a `rows × width`
+    /// chunk: its first row's, or its last row's.
+    fn new(sweep: TileSweep, rows: u32, width: u32) -> Self {
+        let row_end = match sweep {
+            TileSweep::RowsUpColsUp => width,
+            TileSweep::RowsDownColsUp => rows * width,
+        };
+        Cursor {
+            next: row_end.wrapping_sub(width),
+            held: false,
+            row_end,
+            width,
+            sweep,
+        }
+    }
+
+    /// Moves `k` cells on along `next`'s row (never past its end), and
+    /// from its end to the start of the next row of the sweep. Past the
+    /// sweep's last row `next` indexes no cell: rows down, it wraps.
+    #[inline]
+    pub(crate) fn pass(&mut self, k: u32) {
+        (self.next, self.held) = (self.next + k, false);
+        if self.next == self.row_end {
+            self.row_end = match self.sweep {
+                TileSweep::RowsUpColsUp => self.row_end + self.width,
+                TileSweep::RowsDownColsUp => self.row_end.wrapping_sub(self.width),
+            };
+            self.next = self.row_end.wrapping_sub(self.width);
+        }
+    }
 }
 
 impl ReadyList {
     /// The order `dist`'s kind, the shard's `stencil` and the host call
-    /// for.
-    fn for_shard(dist: &Dist, stencil: Option<&SlabStencil>, cursors: bool) -> Self {
+    /// for, over the chunk's `points`.
+    fn for_shard(
+        dist: &Dist,
+        points: &Points,
+        stencil: Option<&SlabStencil>,
+        cursors: bool,
+    ) -> Self {
         let block_col = matches!(dist.kind(), DistKind::BlockCol);
-        if cursors && block_col && stencil.is_some_and(SlabStencil::storage_ordered) {
-            ReadyList::Cursor {
-                next: 0,
-                held: false,
+        match (points, stencil.and_then(SlabStencil::sweep)) {
+            (Points::Rect(rows, cols), Some(sweep)) if cursors && block_col => {
+                ReadyList::Cursor(Cursor::new(sweep, rows.len() as u32, cols.len() as u32))
             }
-        } else {
-            ReadyList::Fifo(VecDeque::new())
+            _ => ReadyList::Fifo(VecDeque::new()),
         }
     }
 
     /// Whether this is a cursor: the shard counts no in-chunk edge.
     #[inline]
     pub(crate) fn is_cursor(&self) -> bool {
-        matches!(self, ReadyList::Cursor { .. })
+        matches!(self, ReadyList::Cursor(_))
     }
 
     /// Local vertex `li` became runnable. A cursor heeds only the news
@@ -299,7 +358,7 @@ impl ReadyList {
     pub(crate) fn push(&mut self, li: u32) {
         match self {
             ReadyList::Fifo(q) => q.push_back(li),
-            ReadyList::Cursor { next, held } => *held &= li != *next,
+            ReadyList::Cursor(c) => c.held &= li != c.next,
         }
     }
 }
@@ -395,8 +454,9 @@ pub struct Shard<V> {
     /// Results: `V::default()` until the cell is [`Cell::Done`].
     pub values: Vec<V>,
     /// Ready list: "contains the schedulable and uncompleted vertices",
-    /// the epoch's seeds first; a storage-order cursor on a `BlockCol`
-    /// chunk of a storage-ordered stencil, FIFO everywhere else.
+    /// the epoch's seeds first; a cursor that sweeps rows up or down on
+    /// a `BlockCol` chunk of a stencil with a [`TileSweep`], FIFO
+    /// everywhere else.
     pub ready: ReadyList,
     /// Remote-value FIFO cache.
     pub cache: FifoCache<V>,
@@ -462,22 +522,29 @@ impl<V: VertexValue> Shard<V> {
     /// it is not held.
     #[inline]
     pub fn pop_ready(&mut self) -> Option<u32> {
-        let (next, held) = match &mut self.ready {
+        let cursor = match &mut self.ready {
             ReadyList::Fifo(q) => return q.pop_front(),
-            ReadyList::Cursor { next, held } => (next, held),
+            ReadyList::Cursor(cursor) => cursor,
         };
-        while let Some(&cell) = self.cells.get(*next as usize) {
-            let hole = (self.in_pattern.as_ref()).is_some_and(|mask| !mask[*next as usize]);
+        while let Some(&cell) = self.cells.get(cursor.next as usize) {
+            let next = cursor.next as usize;
+            let hole = (self.in_pattern.as_ref()).is_some_and(|mask| !mask[next]);
             if cell != Cell::Open || hole {
-                (*next, *held) = (*next + 1, false);
-            } else if *held || self.indegree[*next as usize] != 0 {
+                cursor.pass(1);
+            } else if cursor.held || self.indegree[next] != 0 {
                 return None;
             } else {
-                *held = true;
-                return Some(*next);
+                cursor.held = true;
+                return Some(cursor.next);
             }
         }
         None
+    }
+
+    /// Whether every cell `deltas` reach from `li` is a DAG vertex.
+    #[inline]
+    pub(crate) fn vertices_at(&self, li: u32, deltas: &[isize]) -> bool {
+        deltas.iter().all(|&d| self.is_vertex(at(li, d)))
     }
 
     /// A copy of `deltas` when every cell they reach from `li` is a DAG
@@ -485,7 +552,7 @@ impl<V: VertexValue> Shard<V> {
     #[inline]
     pub(crate) fn slab(&self, li: u32, deltas: Option<&[isize]>) -> Option<([isize; LENT], usize)> {
         let deltas = deltas?;
-        if !deltas.iter().all(|&d| self.is_vertex(at(li, d))) {
+        if !self.vertices_at(li, deltas) {
             return None;
         }
         let mut copy = [0; LENT];
@@ -622,7 +689,7 @@ impl<V: VertexValue> Start<V> {
         };
         let mut shard = Shard {
             slot,
-            ready: ReadyList::for_shard(dist, stencil.as_ref(), self.cursors),
+            ready: ReadyList::for_shard(dist, &points, stencil.as_ref(), self.cursors),
             stencil,
             points,
             in_pattern,
@@ -907,11 +974,14 @@ mod tests {
     #[test]
     fn block_col_sweeps_only_storage_ordered_stencils() {
         use dpx10_dag::{AggSpec, BuiltinKind, Reduction};
-        // The stencils whose every offset points into earlier storage.
+        // The stencils some sweep orders: every offset points into
+        // earlier storage (rows up), or into a later row or left in its
+        // own (rows down: IntervalUpper).
         let ordered = [
             BuiltinKind::Grid2,
             BuiltinKind::Grid3,
             BuiltinKind::Diagonal,
+            BuiltinKind::IntervalUpper,
             BuiltinKind::RowWave,
             BuiltinKind::ColWave,
             BuiltinKind::Pyramid,
@@ -964,6 +1034,35 @@ mod tests {
             assert!(zero.finish(li, 0));
             assert_eq!(zero.pop_ready(), (li < 5).then_some(li + 1));
         }
+    }
+
+    #[test]
+    fn a_rows_down_cursor_starts_on_the_last_row_and_steps_over_holes() {
+        // IntervalUpper over two column blocks of 4 × 2 cells: slot 1
+        // holds columns 2 and 3, whose row 3 opens on a hole, and only
+        // its column 2 above the diagonal reads slot 0.
+        let ctx = ctx(Arc::new(IntervalUpper::new(4)), 2);
+        let mut shards = cursors().build_all(&ctx);
+        let one = &mut shards[1];
+        let mut order = Vec::new();
+        while let Some(li) = one.pop_ready() {
+            order.push(one.points.get(li));
+            assert!(one.finish(li, 0));
+        }
+        assert_eq!(order, [(3, 3), (2, 2), (2, 3)], "(1, 2) waits on (1, 1)");
+        let ReadyList::Cursor(cursor) = &one.ready else {
+            panic!("slot 1 is a cursor");
+        };
+        assert_eq!(one.points.get(cursor.next), (1, 2));
+        one.indegree[cursor.next as usize] = 0;
+        let mut rest = Vec::new();
+        while let Some(li) = one.pop_ready() {
+            rest.push(one.points.get(li));
+            assert!(one.finish(li, 0));
+            one.indegree.fill(0);
+        }
+        assert_eq!(rest, [(1, 2), (1, 3), (0, 2), (0, 3)]);
+        assert_eq!(one.pop_ready(), None, "past row 0 nothing is left");
     }
 
     #[test]

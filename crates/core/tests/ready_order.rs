@@ -1,10 +1,12 @@
 //! The order a shard pops its ready vertices. A `BlockCol` chunk whose
-//! stencil points only into earlier storage runs a storage-order
-//! cursor: it runs row by row, and each row ends on the cell the next
-//! place waits for. A cell that parks or ships holds the cursor until it
-//! is named ready or published. Every other shard pops FIFO. The flight
-//! recorder's `ReadyPop` events carry the popped local index; every run
-//! is also checked cell by cell against a serial oracle.
+//! stencil has a sweep runs a cursor: row by row, rows up where the
+//! stencil points into earlier storage and down where it points into
+//! later rows (the interval shape), columns ascending, so each row ends
+//! on the cell the next place waits for. A cell that parks or ships
+//! holds the cursor until it is named ready or published. Every other
+//! shard pops FIFO. The flight recorder's `ReadyPop` events carry the
+//! popped local index; every run is also checked cell by cell against a
+//! serial oracle.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -14,7 +16,7 @@ use dpx10_core::{
     DepView, DistKind, DpApp, EngineConfig, FaultPlan, InitOverride, PlaceId, ScheduleStrategy,
     ThreadedEngine,
 };
-use dpx10_dag::{builtin::*, topological_order, DagPattern, VertexId};
+use dpx10_dag::{builtin::*, topological_order, BandedGrid3, DagPattern, VertexId};
 use dpx10_distarray::{Dist, Region2D};
 use dpx10_obs::{EventKind, Recorder, Trace};
 
@@ -160,22 +162,44 @@ fn one_block_col_place_pops_ascending_local_indices() {
 }
 
 #[test]
+fn one_block_col_place_sweeps_an_interval_bottom_up() {
+    // The LPS shape (below, left, below-left) on one place: the chunk is
+    // the whole triangle, swept from its last row up, each row's
+    // columns ascending.
+    let n = 60;
+    let pattern = IntervalUpper::new(n);
+    let config = EngineConfig::flat(1).with_dist(DistKind::BlockCol);
+    let pops = pops(&traced_run(pattern, config, Mix(Duration::ZERO)), 0);
+    assert_eq!(pops.len() as u64, pattern.vertex_count());
+    // Each pop's place in the sweep: rows from the last, then columns.
+    let ranks: Vec<(u32, u32)> = pops
+        .iter()
+        .map(|&(_, li)| (n - 1 - li / n, li % n))
+        .collect();
+    let first_descent = ranks.windows(2).position(|w| w[0] >= w[1]);
+    assert_eq!(
+        first_descent, None,
+        "pops not bottom-up, columns ascending: {ranks:?}"
+    );
+}
+
+#[test]
 fn the_next_place_starts_within_two_chunk_rows() {
-    // Two places, chunks of 48 rows x 24 columns, each compute a 50 µs
-    // sleep (so neither worker starves the other of a core). Place 1's
-    // first cell needs place 0's first row; popped FIFO, place 0 would
-    // reach its chunk's last column only after 300 pops (24 * 25 / 2),
-    // swept after 24.
+    // Two places, chunks of 48 rows x 24 columns. Place 1's first cell
+    // needs place 0's first row, which ends on its chunk's last column:
+    // popped FIFO, place 0 would reach that cell only after 300 pops
+    // (24 * 25 / 2); swept, it is pop 24. Which pops place 0 makes does
+    // not depend on place 1, so this bound holds on any host.
     let (rows, width) = (48, 24);
     let pattern = Grid3::new(rows, 2 * width);
     let config = EngineConfig::flat(2).with_dist(DistKind::BlockCol);
-    let trace = traced_run(pattern, config, Mix(Duration::from_micros(50)));
-    let (zero, one) = (pops(&trace, 0), pops(&trace, 1));
-    let first = one.first().expect("place 1 popped").0;
-    let before = zero.iter().filter(|&&(ts, _)| ts < first).count();
+    let trace = traced_run(pattern, config, Mix(Duration::ZERO));
+    let zero = pops(&trace, 0);
+    let last_column = zero.iter().position(|&(_, li)| li == width - 1);
+    let at = last_column.expect("place 0 popped its first row's last cell");
     assert!(
-        before < 2 * width as usize,
-        "place 0 popped {before} vertices before place 1's first pop (two rows are {})",
+        at < 2 * width as usize,
+        "place 0 popped {at} vertices before its first row's last cell (two rows are {})",
         2 * width
     );
 }
@@ -235,22 +259,25 @@ fn two_block_col_places_hold_the_cursor_on_pulls_ships_and_kills() {
     }
 }
 
-#[test]
-fn a_cursor_runs_a_row_span_that_stops_at_finished_cells() {
-    // Grid3 over two column blocks of 18 columns, no cache, with
-    // scattered interior cells pre-finished: after an interior pop the
-    // cursor runs on along the row, and must stop at each pre-finished
-    // cell and step over it. A kill at half progress restarts the
-    // survivor on a restored chunk, where the span runs again. Every cell
-    // matches the serial oracle; in every epoch each place pops a cell
-    // once per compute (a held cell's pop again when named ready aside,
-    // and the one it may hold when the kill stops it), in strictly
-    // ascending storage order, and never computes a cell that started
-    // finished.
-    let pattern = Grid3::new(40, 36);
-    let scattered = |i: u32, j: u32| (4..36).contains(&i) && (j % 18) > 2 && (i + 2 * j) % 7 == 0;
-    let init: InitOverride<u64> =
-        Arc::new(move |i, j| scattered(i, j).then(|| 0xC0DE ^ VertexId::new(i, j).pack()));
+/// Runs `pattern` on two `BlockCol` places with no cache, the vertices
+/// `scattered` names pre-finished, and a kill at half progress that
+/// restarts the survivor on a restored chunk. Every cell matches the
+/// serial oracle; in every epoch each place pops in its sweep's order
+/// (rows down if `rows_down`, columns ascending), a cell once per
+/// compute (a held cell's pop again when named ready aside, and the one
+/// it may hold when the kill stops it), and computes neither a hole nor
+/// a cell that started finished.
+fn assert_row_spans(
+    what: &str,
+    pattern: Arc<dyn DagPattern>,
+    rows_down: bool,
+    scattered: fn(u32, u32) -> bool,
+) {
+    let vertices = pattern.clone();
+    let init: InitOverride<u64> = Arc::new(move |i, j| {
+        let prefinished = vertices.contains(i, j) && scattered(i, j);
+        prefinished.then(|| 0xC0DE ^ VertexId::new(i, j).pack())
+    });
     let kill = FaultPlan {
         place: PlaceId(1),
         after_fraction: 0.5,
@@ -259,9 +286,18 @@ fn a_cursor_runs_a_row_span_that_stops_at_finished_cells() {
         .with_dist(DistKind::BlockCol)
         .with_cache(0)
         .with_fault(kill);
-    let trace = traced_run_from(pattern, config, Mix(Duration::ZERO), Some(init));
+    let trace = traced_run_from(pattern.clone(), config, Mix(Duration::ZERO), Some(init));
     let starts = epoch_starts(&trace);
-    assert_eq!(starts.len(), 2, "the kill restarts one epoch");
+    assert_eq!(starts.len(), 2, "{what}: the kill restarts one epoch");
+    // A local index's place in its chunk's sweep, on `places` places
+    // (the kill leaves one).
+    let rank = |li: u32, places: u32| {
+        let width = pattern.width() / places;
+        match rows_down {
+            true => (pattern.height() - 1 - li / width, li % width),
+            false => (li / width, li % width),
+        }
+    };
     for place in 0..2 {
         let pops = pops(&trace, place);
         let mut computes: Vec<(u64, VertexId)> = (trace.events.iter())
@@ -277,33 +313,61 @@ fn a_cursor_runs_a_row_span_that_stops_at_finished_cells() {
             // A cell that parked on a pull pops again once it is named
             // ready, right after its first pop.
             order.dedup();
-            let descent = order.windows(2).position(|w| w[0] >= w[1]);
-            assert_eq!(descent, None, "place {place} epoch {k}: {order:?}");
+            let places = 2 - k as u32;
+            let descent = (order.windows(2)).position(|w| rank(w[0], places) >= rank(w[1], places));
+            assert_eq!(descent, None, "{what}: place {place} epoch {k}: {order:?}");
             let ids = computes.iter().filter(|&&(ts, _)| within(ts));
             let ids: Vec<VertexId> = ids.map(|&(_, id)| id).collect();
             // The kill may stop a place while it holds a parked cell.
             let held = usize::from(k + 1 < starts.len());
             assert!(
                 ids.len() <= order.len() && order.len() <= ids.len() + held,
-                "place {place} epoch {k}: {} pops for {} computes",
+                "{what}: place {place} epoch {k}: {} pops for {} computes",
                 order.len(),
                 ids.len()
             );
-            let refinished = ids.iter().find(|id| scattered(id.i, id.j));
-            assert_eq!(refinished, None, "place {place} epoch {k}");
+            for id in &ids {
+                assert!(pattern.contains(id.i, id.j), "{what}: computed hole {id}");
+                assert!(!scattered(id.i, id.j), "{what}: recomputed {id}");
+            }
         }
     }
 }
 
 #[test]
+fn a_cursor_runs_a_row_span_that_stops_at_finished_cells() {
+    // Grid3 over two column blocks of 18 columns, with scattered
+    // interior cells pre-finished: after an interior pop the cursor runs
+    // on along the row, and must stop at each pre-finished cell and step
+    // over it, in the first epoch and again on the restored chunk.
+    let scattered = |i: u32, j: u32| (4..36).contains(&i) && (j % 18) > 2 && (i + 2 * j) % 7 == 0;
+    assert_row_spans("grid", Arc::new(Grid3::new(40, 36)), false, scattered);
+}
+
+#[test]
+fn a_masked_row_span_stops_at_holes_and_finished_cells() {
+    // The triangle (LPS's shape) is swept bottom-up; each of its rows
+    // opens on a diagonal whose neighbours are holes, so a span starts
+    // only past it, and runs on until a pre-finished cell. The band's
+    // rows end in holes before the chunk does, so a span must stop at
+    // the first cell that is a hole or has one among its neighbours.
+    let scattered = |i: u32, j: u32| (i + 2 * j) % 7 == 0 && j % 24 > 2;
+    assert_row_spans(
+        "triangle",
+        Arc::new(IntervalUpper::new(48)),
+        true,
+        scattered,
+    );
+    assert_row_spans("band", Arc::new(BandedGrid3::new(48, 6)), false, scattered);
+}
+
+#[test]
 fn other_shards_pop_fifo() {
-    // A block-row chunk, a cyclic one and an interval pattern's block
-    // column: each pops exactly what a VecDeque replay of the protocol
-    // pops.
-    let cases: [(Arc<dyn DagPattern>, DistKind); 3] = [
+    // A block-row chunk and a cyclic one: each pops exactly what a
+    // VecDeque replay of the protocol pops.
+    let cases: [(Arc<dyn DagPattern>, DistKind); 2] = [
         (Arc::new(Grid3::new(30, 25)), DistKind::BlockRow),
         (Arc::new(Grid3::new(30, 25)), DistKind::CyclicCol),
-        (Arc::new(IntervalUpper::new(30)), DistKind::BlockCol),
     ];
     for (pattern, kind) in cases {
         let name = format!("{} on {kind:?}", pattern.name());
