@@ -481,27 +481,6 @@ fn ablation(opts: &Opts) {
     }
     emit(restore, opts);
 
-    // Ready-list policy (extension; sim::ready): ordering the ready list.
-    let mut policies = Table::new(
-        "Ablation: ready-list policy (SWLAG)",
-        &["policy", "makespan_s", "utilization_pct"],
-    );
-    {
-        use dpx10_sim::ReadyPolicy;
-        for policy in ReadyPolicy::ALL {
-            let report = run_sim_with(&SWLAG, opts.vertices / 5, 4, |c| {
-                c.with_ready_policy(policy)
-            });
-            let util = report.utilization(6).unwrap_or(0.0) * 100.0;
-            policies.row(&[
-                policy.name().to_string(),
-                secs(report.sim_time),
-                format!("{util:.1}"),
-            ]);
-        }
-    }
-    emit(policies, opts);
-
     // Tiled execution (extension; core::tiled): amortising the per-vertex
     // overhead and batching boundary messages.
     let mut tiles = Table::new(

@@ -68,7 +68,6 @@ pub mod msg;
 pub mod protocol;
 pub mod schedule;
 pub mod socket_engine;
-pub mod spill;
 #[doc(hidden)]
 pub mod state;
 pub mod stats;

@@ -8,12 +8,17 @@
 //! [`Shard`] of the slot it acts for by `&mut` (its one owner's), and a
 //! [`Sink`]: `(ctx, shard, sink, …)`. The handlers own all protocol
 //! *state*; everything that differs between the drivers goes through the
-//! five methods of [`Sink`]:
+//! five methods of [`Sink`]. Every host's `ready` is the same: it pushes
+//! onto the shard's [`ReadyList`](crate::state::ReadyList), which on a
+//! `BlockCol` chunk of a stencil with a sweep is a
+//! [cursor](crate::state::ReadyList::Cursor) that runs rows up or down
+//! per its `TileSweep` (a masked chunk's row spans too) and heeds only
+//! its held cell, and FIFO elsewhere; the simulator runs no cursors. The
+//! other four differ:
 //!
 //! | | threads / elastic mesh / socket places / served jobs | simulator |
 //! |---|---|---|
 //! | `send` | the epoch's `Transport` | a priced arrival event |
-//! | `ready` | the shard's [`ReadyList`](crate::state::ReadyList): on a `BlockCol` chunk of a stencil with a sweep a [cursor](crate::state::ReadyList::Cursor) that runs rows up or down per its `TileSweep` (a masked chunk's row spans too), which heeds only its held cell, FIFO elsewhere | the policy ready queue |
 //! | `stamp` | recorder, wall clock | recorder, virtual clock |
 //! | `exec` | compute now, reply `ExecResult` | queue for a worker slot |
 //! | `finished` | checkpoint, exact kills and boundaries (global count only while one is armed) | `tasks_run`, finish count, fault time |

@@ -355,7 +355,7 @@ impl ReadyList {
     /// Local vertex `li` became runnable. A cursor heeds only the news
     /// of the cell it holds.
     #[inline]
-    pub(crate) fn push(&mut self, li: u32) {
+    pub fn push(&mut self, li: u32) {
         match self {
             ReadyList::Fifo(q) => q.push_back(li),
             ReadyList::Cursor(c) => c.held &= li != c.next,

@@ -61,5 +61,5 @@ pub mod prelude {
         builtin::*, BandedGrid3, BuiltinKind, CustomDag, DagPattern, IntervalSplits, KnapsackDag,
         TiledDag, VertexId,
     };
-    pub use dpx10_sim::{CostModel, ReadyPolicy, SimConfig, SimEngine};
+    pub use dpx10_sim::{CostModel, SimConfig, SimEngine};
 }

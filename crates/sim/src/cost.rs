@@ -6,8 +6,6 @@ use std::time::Duration;
 use dpx10_core::{CommsMode, EngineConfig, FaultPlan, ScheduleStrategy};
 use dpx10_distarray::{DistKind, RecoveryCostModel, RestoreManner};
 
-use crate::ready::ReadyPolicy;
-
 /// Virtual-time prices of the simulated machine.
 ///
 /// Defaults are calibrated in EXPERIMENTS.md against the paper's testbed
@@ -46,7 +44,7 @@ impl CostModel {
 }
 
 /// Full simulator configuration: the engines' [`EngineConfig`] (its
-/// fields read through `Deref`) plus the three values only the simulator
+/// fields read through `Deref`) plus the two values only the simulator
 /// reads. The simulator refuses `coalesce`, `chaos` and `checkpoint` with
 /// [`EngineError::Unsupported`] (it has no transport to batch or perturb
 /// and no disk), ignores `stall_limit` (it has no wall clock) and gathers
@@ -63,18 +61,15 @@ pub struct SimConfig {
     /// how many vertices a simulated place computes at once. A real
     /// engine runs one owner thread per place.
     pub workers: u16,
-    /// Ready-list ordering per place (extension; see `sim::ready`).
-    pub ready_policy: ReadyPolicy,
 }
 
 impl From<EngineConfig> for SimConfig {
-    /// One worker per place, the default cost model, FIFO ready lists.
+    /// One worker per place and the default cost model.
     fn from(engine: EngineConfig) -> Self {
         SimConfig {
             engine,
             cost: CostModel::default(),
             workers: 1,
-            ready_policy: ReadyPolicy::Fifo,
         }
     }
 }
@@ -100,12 +95,6 @@ impl SimConfig {
     /// Sets the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Sets the ready-list policy.
-    pub fn with_ready_policy(mut self, policy: ReadyPolicy) -> Self {
-        self.ready_policy = policy;
         self
     }
 
@@ -167,7 +156,7 @@ mod tests {
         let c = SimConfig::from(EngineConfig::flat(3).with_cache(9))
             .with_cost(CostModel::with_compute(120))
             .with_fault(FaultPlan::mid_run(PlaceId(2)));
-        assert_eq!((c.workers, c.ready_policy), (1, ReadyPolicy::Fifo));
+        assert_eq!(c.workers, 1);
         assert_eq!(c.cache_capacity, 9);
         assert_eq!(c.cost.compute, Duration::from_nanos(120));
         assert_eq!(c.fault.unwrap().place, PlaceId(2));

@@ -5,12 +5,13 @@
 //! a virtual clock. What is the simulator's own is below: the event
 //! queue, the cost model (each place has [`SimConfig::workers`] worker
 //! slots, a dispatched vertex occupies one for `framework_overhead +
-//! compute`, messages arrive after the network model's transfer time),
-//! the policy ready queues and the epoch loop — whose steps (pre-flight,
-//! begin, recover, finish) are [`dpx10_core::epoch`]'s, the ones the
-//! real-time engines run. Runs are bit-for-bit deterministic. A run is
-//! observed the way a real one is: through the flight recorder, stamped
-//! on the virtual clock.
+//! compute`, messages arrive after the network model's transfer time)
+//! and the epoch loop — whose steps (pre-flight, begin, recover, finish)
+//! are [`dpx10_core::epoch`]'s, the ones the real-time engines run.
+//! Ready vertices go where every host puts them, the shard's
+//! `ReadyList`; the simulator runs no cursors, so each list is FIFO.
+//! Runs are bit-for-bit deterministic. A run is observed the way a real
+//! one is: through the flight recorder, stamped on the virtual clock.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -26,7 +27,6 @@ use dpx10_obs::{EventKind, Recorder, RUNTIME_WORKER};
 
 use crate::cost::SimConfig;
 use crate::event::{EventQueue, SimTime};
-use crate::ready::ReadyQueue;
 
 /// The simulator engine for one application run.
 pub struct SimEngine<A: DpApp> {
@@ -74,8 +74,6 @@ struct Epoch<'a, A: DpApp> {
     ctx: &'a Ctx<A>,
     /// Virtual time of the event being processed.
     now: SimTime,
-    /// Policy-ordered ready lists (supersede the shards' FIFO queues).
-    ready: Vec<ReadyQueue>,
     /// Remotely shipped vertices waiting for a worker, per slot.
     exec_queue: Vec<VecDeque<ExecTask<A::Value>>>,
     busy: Vec<u16>,
@@ -162,23 +160,9 @@ impl<A: DpApp + 'static> SimEngine<A> {
             let dist = ctx.dist.clone();
             let nslots = dist.num_slots();
             let mut shards = start.build_all(&ctx);
-            // Move the seeded FIFO ready lists (ascending local index)
-            // into policy queues.
-            let ready: Vec<ReadyQueue> = shards
-                .iter_mut()
-                .map(|shard| {
-                    let mut q = ReadyQueue::new(cfg.ready_policy);
-                    while let Some(li) = shard.pop_ready() {
-                        let (i, j) = shard.points.get(li);
-                        q.push(li, i as u64 + j as u64);
-                    }
-                    q
-                })
-                .collect();
             let mut ep = Epoch {
                 ctx: &ctx,
                 now: base,
-                ready,
                 exec_queue: (0..nslots).map(|_| Default::default()).collect(),
                 busy: vec![0; nslots],
                 queue: EventQueue::new(),
@@ -335,7 +319,7 @@ impl<A: DpApp + 'static> SimEngine<A> {
                 ep.queue.push(done_at, ev);
                 continue;
             }
-            let Some(li) = ep.ready[slot].pop() else {
+            let Some(li) = shard.pop_ready() else {
                 break;
             };
             if shard.finished(li) {
@@ -424,8 +408,7 @@ impl<A: DpApp> Sink<A::Value> for Epoch<'_, A> {
     }
 
     fn ready(&mut self, shard: &mut Shard<A::Value>, li: u32) {
-        let (i, j) = shard.points.get(li);
-        self.ready[shard.slot].push(li, i as u64 + j as u64);
+        shard.ready.push(li);
     }
 
     fn stamp(&mut self, place: PlaceId, kind: EventKind, arg: u64) {

@@ -12,7 +12,8 @@
 //! [`SimConfig::workers`] worker slots for a configurable compute time,
 //! and every inter-place message advances by `latency + bytes/bandwidth`
 //! of the modelled interconnect. A [`SimConfig`] is the real engines'
-//! `EngineConfig` plus those slots, the cost model and the ready policy.
+//! `EngineConfig` plus those slots and the cost model. Each place pops
+//! its shard's ready list, as every real host does.
 //!
 //! The simulation computes the real DP values (validated against serial
 //! oracles by the differential test-suite) and reports the **makespan**
@@ -25,8 +26,6 @@
 pub mod cost;
 pub mod engine;
 pub mod event;
-pub mod ready;
 
 pub use cost::{CostModel, SimConfig};
 pub use engine::SimEngine;
-pub use ready::{ReadyPolicy, ReadyQueue};

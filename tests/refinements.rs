@@ -133,32 +133,18 @@ fn init_override_skips_prefinished_work() {
 
 #[test]
 fn spill_store_round_trips_engine_results() {
-    // Future-work extension (§X): spill finished values to disk and
-    // replay them as an init override — a free local snapshot.
-    use dpx10::core::spill::SpillStore;
-
+    // Future-work extension (§X): spill every finished value to the
+    // per-place checkpoint logs and replay them as an init override.
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("dpx10-refine-spill-{}", std::process::id()));
     let app = MtpApp::new(10, 10, 11);
     let pattern = app.pattern();
-    let result = ThreadedEngine::new(app, pattern, EngineConfig::flat(2))
-        .run()
-        .unwrap();
-
-    let mut path = std::env::temp_dir();
-    path.push(format!("dpx10-refine-spill-{}.bin", std::process::id()));
-    let mut store: SpillStore<i64> = SpillStore::create(&path).unwrap();
-    for i in 0..10u32 {
-        for j in 0..10u32 {
-            store.spill(VertexId::new(i, j), &result.get(i, j)).unwrap();
-        }
-    }
-    let replayed = store.replay().unwrap();
-    assert_eq!(replayed.len(), 100);
+    let mut config = EngineConfig::flat(2);
+    config.checkpoint = Some(dpx10::core::CheckpointConfig::new(&dir));
+    let result = ThreadedEngine::new(app, pattern, config).run().unwrap();
 
     // Replay as init override: the engine should compute nothing.
-    let fills: std::collections::HashMap<u64, i64> =
-        replayed.into_iter().map(|(id, v)| (id.pack(), v)).collect();
-    let init: dpx10::core::InitOverride<i64> =
-        Arc::new(move |i, j| fills.get(&VertexId::new(i, j).pack()).copied());
+    let init = dpx10::core::load_checkpoint::<i64>(&dir, 2).unwrap();
     let app = MtpApp::new(10, 10, 11);
     let pattern = app.pattern();
     let resumed = ThreadedEngine::new(app, pattern, EngineConfig::flat(2))
@@ -166,6 +152,10 @@ fn spill_store_round_trips_engine_results() {
         .run()
         .unwrap();
     assert_eq!(resumed.report().vertices_computed, 0);
-    assert_eq!(resumed.get(9, 9), result.get(9, 9));
-    std::fs::remove_file(&path).ok();
+    for i in 0..10 {
+        for j in 0..10 {
+            assert_eq!(resumed.get(i, j), result.get(i, j), "({i}, {j})");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
