@@ -61,6 +61,6 @@ pub use membership::{MemberState, MembershipError, RosterBoard};
 pub use network::NetworkModel;
 pub use place::{PlaceId, Topology};
 pub use socket::launch::{launch_places, local_mesh, PlaceChildren};
-pub use socket::{JoinConfig, SocketChaos, SocketConfig, SocketNode};
+pub use socket::{SocketChaos, SocketConfig, SocketNode};
 pub use stats::{PlaceStats, StatsBoard, StatsSnapshot};
 pub use transport::{LocalTransport, Transport};

@@ -1,10 +1,7 @@
-//! Dynamic place membership: the roster of an elastic mesh.
+//! Dynamic place membership: the roster of a socket mesh.
 //!
-//! The original socket mesh fixes its place set at launch; every table
-//! (outboxes, heartbeat writers, liveness flags) is sized `places` and
-//! every loop runs `0..places`. Elasticity replaces that assumption with
-//! a [`RosterBoard`]: a versioned membership table sized to a fixed
-//! *capacity*, where each slot moves through a small life cycle:
+//! A [`RosterBoard`] is a versioned membership table sized to the mesh's
+//! fixed *capacity*, where each slot moves through a small life cycle:
 //!
 //! ```text
 //!  Vacant ──admit──▶ Joining ──activate──▶ Active ──drain──▶ Draining
@@ -14,11 +11,11 @@
 //!     └────────────(ids are not reused)──── Dead               Left
 //! ```
 //!
-//! A *join* walks Vacant → Joining → Active (the joiner handshakes into
-//! the running mesh: contact place 0, receive the peer roster, dial every
-//! member, announce readiness). A *drain* walks Active → Draining → Left
-//! (the engine above hands the place's finished cells over, then the
-//! place signs off with a `Leave` frame). A crash walks Active → Dead via the ordinary liveness
+//! Founding places start Active. A *join* walks Vacant → Joining →
+//! Active (place 0 admits the joiner, which dials every member). A
+//! *drain* walks Active → Draining → Left (the engine above hands the
+//! place's finished cells over, then the place signs off with a `Leave`
+//! frame). A crash walks Active → Dead via the ordinary liveness
 //! detection path. `Left` is deliberately distinct from `Dead`: a drained
 //! place must never trigger recovery.
 //!
@@ -83,8 +80,8 @@ impl std::error::Error for MembershipError {}
 
 struct Roster {
     states: Vec<MemberState>,
-    /// Listen address of each slot ("" when unknown/vacant) — the
-    /// coordinator's source for `JoinAccept` peer maps.
+    /// Listen address of each slot ("" when unknown/vacant) — place 0's
+    /// source for the addresses a `JoinAccept` carries.
     addrs: Vec<String>,
 }
 
@@ -180,12 +177,6 @@ impl RosterBoard {
         }
     }
 
-    /// The listen address of every slot, "" for vacant ones — the
-    /// payload of a `JoinAccept`.
-    pub fn addrs(&self) -> Vec<String> {
-        self.inner.lock().addrs.clone()
-    }
-
     fn transition(
         &self,
         place: PlaceId,
@@ -199,9 +190,7 @@ impl RosterBoard {
             .get(place.index())
             .copied()
             .unwrap_or(MemberState::Vacant);
-        let legal = allowed.contains(&from)
-            || (place.index() >= inner.states.len() && allowed.contains(&MemberState::Vacant));
-        if !legal || place.index() >= inner.states.len() {
+        if place.index() >= inner.states.len() || !allowed.contains(&from) {
             return Err(MembershipError {
                 place,
                 from,
@@ -410,6 +399,7 @@ mod tests {
         let r = RosterBoard::new(2, 3);
         r.set_addr(PlaceId(0), "127.0.0.1:1");
         r.set_addr(PlaceId(1), "127.0.0.1:2");
-        assert_eq!(r.addrs(), vec!["127.0.0.1:1", "127.0.0.1:2", ""]);
+        let addrs: Vec<String> = (0..3).map(|p| r.addr(PlaceId(p))).collect();
+        assert_eq!(addrs, vec!["127.0.0.1:1", "127.0.0.1:2", ""]);
     }
 }

@@ -16,8 +16,9 @@ use std::io::{self, Read, Write};
 
 use crate::codec::{decode_exact, Codec};
 
-/// Magic prefix of a [`Frame::Hello`], guarding against a stranger (or a
-/// different protocol) dialing the port.
+/// Magic prefix of the frames that open a connection
+/// ([`Frame::JoinReq`], [`Frame::JoinHello`]), guarding against a
+/// stranger (or a different protocol) dialing the port.
 pub const HELLO_MAGIC: u32 = 0x4450_5831; // "DPX1"
 
 /// Hard ceiling on one frame's body, bounding the allocation a hostile
@@ -90,30 +91,49 @@ impl From<io::Error> for FrameError {
 
 /// One unit of the socket protocol.
 ///
-/// `Hello`/`PeerMap`/`Ready`/`Go` form the mesh handshake;
-/// `Data`/`Heartbeat`/`Bye` are the steady state.
+/// `JoinReq`/`JoinAccept`/`JoinReject` are the admission exchange with
+/// place 0 and `JoinHello` the member intro: every place, founder or
+/// later joiner, enters the mesh through them. `Data`/`Heartbeat`/`Bye`
+/// are the steady state and `Leave` a graceful departure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Frame {
-    /// First frame on every dialed connection: who is calling.
-    Hello {
-        /// The dialing place.
+    /// Dialer → place 0: ask to be admitted. A founding place names the
+    /// id its launcher gave it and the founding place count (both
+    /// cross-checked); a probe names `places: 0` and no id (`place` is
+    /// ignored) and is given a free slot past the founders.
+    JoinReq {
+        /// The id asked for (founders only).
         place: u16,
-        /// Total places the dialer believes in (cross-checked).
+        /// The founding place count the dialer believes in; 0 for a
+        /// probe.
         places: u16,
-        /// The dialer's own listen address (empty on peer-to-peer dials,
-        /// where the coordinator already published it).
+        /// The dialer's own listen address, where later members dial it.
         addr: String,
     },
-    /// Coordinator → worker: listen address of every place, indexed by
-    /// place id (entry 0 is unused).
-    PeerMap {
-        /// `addrs[p]` is place `p`'s listen address.
+    /// Place 0 → dialer: admission granted. Carries the place id, the
+    /// mesh capacity (so every member sizes its tables identically), and
+    /// the listen address of every member admitted so far ("" for a
+    /// slot not yet or no longer held) — exactly the places the new
+    /// member dials.
+    JoinAccept {
+        /// The admitted place's id.
+        place: u16,
+        /// Total place capacity of the mesh.
+        capacity: u16,
+        /// `addrs[p]` is member `p`'s listen address ("" if none).
         addrs: Vec<String>,
     },
-    /// Worker → coordinator: fully meshed, ready to start.
-    Ready,
-    /// Coordinator → worker: everyone is ready, start the run.
-    Go,
+    /// Place 0 → dialer: admission refused, and why.
+    JoinReject {
+        /// Why the request was refused.
+        reason: String,
+    },
+    /// Admitted place → member: first frame on a dial to a member named
+    /// in the accept, identifying the dialer.
+    JoinHello {
+        /// The dialer's place id.
+        place: u16,
+    },
     /// An application payload from `src`, opaque to the transport.
     Data {
         /// Originating place.
@@ -127,36 +147,6 @@ pub enum Frame {
     /// Graceful goodbye; the reader exits without declaring the peer
     /// dead.
     Bye,
-    /// Joiner → coordinator: ask to be admitted into a *running* mesh.
-    /// Carries the joiner's own listen address so existing members can
-    /// be told where to find it.
-    JoinReq {
-        /// The joiner's listen address.
-        addr: String,
-    },
-    /// Coordinator → joiner: admission granted. Carries the assigned
-    /// place id, the mesh capacity (so the joiner sizes its tables
-    /// identically), and the listen address of every current member
-    /// (empty string for vacant or address-less slots).
-    JoinAccept {
-        /// The joiner's assigned place id.
-        place: u16,
-        /// Total place capacity of the mesh.
-        capacity: u16,
-        /// `addrs[p]` is member `p`'s listen address ("" if vacant).
-        addrs: Vec<String>,
-    },
-    /// Coordinator → joiner: admission denied (mesh at capacity).
-    JoinReject {
-        /// Why the join was refused.
-        reason: String,
-    },
-    /// Joiner → existing member: first frame on a post-startup dial-in,
-    /// identifying the assigned place joining the roster.
-    JoinHello {
-        /// The joiner's coordinator-assigned place id.
-        place: u16,
-    },
     /// A draining place's sign-off: it handed its state over and is
     /// leaving the roster *voluntarily*. Readers remove it from the
     /// roster without marking it dead — the opposite of a crash.
@@ -166,18 +156,14 @@ pub enum Frame {
     },
 }
 
-const KIND_HELLO: u8 = 0;
-const KIND_PEER_MAP: u8 = 1;
-const KIND_READY: u8 = 2;
-const KIND_GO: u8 = 3;
+const KIND_JOIN_REQ: u8 = 0;
+const KIND_JOIN_ACCEPT: u8 = 1;
+const KIND_JOIN_REJECT: u8 = 2;
+const KIND_JOIN_HELLO: u8 = 3;
 const KIND_DATA: u8 = 4;
 const KIND_HEARTBEAT: u8 = 5;
 const KIND_BYE: u8 = 6;
-const KIND_JOIN_REQ: u8 = 7;
-const KIND_JOIN_ACCEPT: u8 = 8;
-const KIND_JOIN_REJECT: u8 = 9;
-const KIND_JOIN_HELLO: u8 = 10;
-const KIND_LEAVE: u8 = 11;
+const KIND_LEAVE: u8 = 7;
 
 impl Frame {
     /// Encodes the frame to its full wire representation, length prefix
@@ -185,23 +171,6 @@ impl Frame {
     pub fn to_wire(&self) -> Vec<u8> {
         let mut buf = vec![0u8; 4]; // length patched below
         match self {
-            Frame::Hello {
-                place,
-                places,
-                addr,
-            } => {
-                buf.push(KIND_HELLO);
-                HELLO_MAGIC.encode(&mut buf);
-                place.encode(&mut buf);
-                places.encode(&mut buf);
-                addr.encode(&mut buf);
-            }
-            Frame::PeerMap { addrs } => {
-                buf.push(KIND_PEER_MAP);
-                addrs.encode(&mut buf);
-            }
-            Frame::Ready => buf.push(KIND_READY),
-            Frame::Go => buf.push(KIND_GO),
             Frame::Data { src, payload } => {
                 buf.push(KIND_DATA);
                 src.encode(&mut buf);
@@ -209,9 +178,15 @@ impl Frame {
             }
             Frame::Heartbeat => buf.push(KIND_HEARTBEAT),
             Frame::Bye => buf.push(KIND_BYE),
-            Frame::JoinReq { addr } => {
+            Frame::JoinReq {
+                place,
+                places,
+                addr,
+            } => {
                 buf.push(KIND_JOIN_REQ);
                 HELLO_MAGIC.encode(&mut buf);
+                place.encode(&mut buf);
+                places.encode(&mut buf);
                 addr.encode(&mut buf);
             }
             Frame::JoinAccept {
@@ -249,28 +224,6 @@ impl Frame {
             .split_first()
             .ok_or(FrameError::Malformed("empty body"))?;
         match kind {
-            KIND_HELLO => {
-                let magic = u32::decode(&mut rest)
-                    .ok_or(FrameError::Malformed("hello: truncated magic"))?;
-                if magic != HELLO_MAGIC {
-                    return Err(FrameError::Malformed("hello: bad magic"));
-                }
-                let rec: (u16, u16, String) =
-                    decode_exact(rest).ok_or(FrameError::Malformed("hello: bad fields"))?;
-                let (place, places, addr) = rec;
-                Ok(Frame::Hello {
-                    place,
-                    places,
-                    addr,
-                })
-            }
-            KIND_PEER_MAP => {
-                let addrs: Vec<String> =
-                    decode_exact(rest).ok_or(FrameError::Malformed("peer map: bad fields"))?;
-                Ok(Frame::PeerMap { addrs })
-            }
-            KIND_READY => empty(rest, Frame::Ready, "ready"),
-            KIND_GO => empty(rest, Frame::Go, "go"),
             KIND_DATA => {
                 let src =
                     u16::decode(&mut rest).ok_or(FrameError::Malformed("data: truncated src"))?;
@@ -279,17 +232,18 @@ impl Frame {
                     payload: rest.to_vec(),
                 })
             }
-            KIND_HEARTBEAT => empty(rest, Frame::Heartbeat, "heartbeat"),
-            KIND_BYE => empty(rest, Frame::Bye, "bye"),
+            KIND_HEARTBEAT => empty(rest, Frame::Heartbeat, "heartbeat: trailing bytes"),
+            KIND_BYE => empty(rest, Frame::Bye, "bye: trailing bytes"),
             KIND_JOIN_REQ => {
-                let magic = u32::decode(&mut rest)
-                    .ok_or(FrameError::Malformed("join req: truncated magic"))?;
-                if magic != HELLO_MAGIC {
-                    return Err(FrameError::Malformed("join req: bad magic"));
-                }
-                let addr: String =
-                    decode_exact(rest).ok_or(FrameError::Malformed("join req: bad addr"))?;
-                Ok(Frame::JoinReq { addr })
+                magic(&mut rest, "join req: bad magic")?;
+                let rec: (u16, u16, String) =
+                    decode_exact(rest).ok_or(FrameError::Malformed("join req: bad fields"))?;
+                let (place, places, addr) = rec;
+                Ok(Frame::JoinReq {
+                    place,
+                    places,
+                    addr,
+                })
             }
             KIND_JOIN_ACCEPT => {
                 let rec: (u16, u16, Vec<String>) =
@@ -307,11 +261,7 @@ impl Frame {
                 Ok(Frame::JoinReject { reason })
             }
             KIND_JOIN_HELLO => {
-                let magic = u32::decode(&mut rest)
-                    .ok_or(FrameError::Malformed("join hello: truncated magic"))?;
-                if magic != HELLO_MAGIC {
-                    return Err(FrameError::Malformed("join hello: bad magic"));
-                }
+                magic(&mut rest, "join hello: bad magic")?;
                 let place: u16 =
                     decode_exact(rest).ok_or(FrameError::Malformed("join hello: bad place"))?;
                 Ok(Frame::JoinHello { place })
@@ -326,12 +276,22 @@ impl Frame {
     }
 }
 
-fn empty(rest: &[u8], frame: Frame, what: &'static str) -> Result<Frame, FrameError> {
+/// Takes [`HELLO_MAGIC`] off the front of `rest`; `bad` is the error
+/// when it is missing or wrong.
+fn magic(rest: &mut &[u8], bad: &'static str) -> Result<(), FrameError> {
+    match u32::decode(rest) {
+        Some(HELLO_MAGIC) => Ok(()),
+        _ => Err(FrameError::Malformed(bad)),
+    }
+}
+
+/// `frame`, a kind without a body, if `rest` is empty; `trailing`
+/// names the kind in the error otherwise.
+fn empty(rest: &[u8], frame: Frame, trailing: &'static str) -> Result<Frame, FrameError> {
     if rest.is_empty() {
         Ok(frame)
     } else {
-        let _ = what;
-        Err(FrameError::Malformed("trailing bytes on bodyless frame"))
+        Err(FrameError::Malformed(trailing))
     }
 }
 
@@ -395,16 +355,6 @@ mod tests {
 
     #[test]
     fn all_kinds_round_trip() {
-        round_trip(&Frame::Hello {
-            place: 3,
-            places: 8,
-            addr: "127.0.0.1:4821".into(),
-        });
-        round_trip(&Frame::PeerMap {
-            addrs: vec!["".into(), "127.0.0.1:1".into(), "127.0.0.1:2".into()],
-        });
-        round_trip(&Frame::Ready);
-        round_trip(&Frame::Go);
         round_trip(&Frame::Data {
             src: 5,
             payload: vec![1, 2, 3, 255, 0],
@@ -416,6 +366,13 @@ mod tests {
         round_trip(&Frame::Heartbeat);
         round_trip(&Frame::Bye);
         round_trip(&Frame::JoinReq {
+            place: 3,
+            places: 8,
+            addr: "127.0.0.1:4821".into(),
+        });
+        round_trip(&Frame::JoinReq {
+            place: 0,
+            places: 0,
             addr: "127.0.0.1:9000".into(),
         });
         round_trip(&Frame::JoinAccept {
@@ -434,6 +391,8 @@ mod tests {
     fn join_frames_reject_bad_magic_and_truncation() {
         let mut body = vec![KIND_JOIN_REQ];
         0xdead_beefu32.encode(&mut body);
+        3u16.encode(&mut body);
+        8u16.encode(&mut body);
         String::from("x").encode(&mut body);
         assert!(matches!(
             Frame::decode_body(&body),
@@ -518,22 +477,24 @@ mod tests {
             Frame::decode_body(&[42]),
             Err(FrameError::BadKind(42))
         ));
-        let mut body = vec![KIND_HELLO];
+        let mut body = vec![KIND_JOIN_HELLO];
         0xdead_beefu32.encode(&mut body);
         3u16.encode(&mut body);
-        8u16.encode(&mut body);
-        String::new().encode(&mut body);
         assert!(matches!(
             Frame::decode_body(&body),
-            Err(FrameError::Malformed("hello: bad magic"))
+            Err(FrameError::Malformed("join hello: bad magic"))
         ));
     }
 
     #[test]
     fn trailing_bytes_on_bodyless_frames_are_rejected() {
         assert!(matches!(
-            Frame::decode_body(&[KIND_READY, 0]),
-            Err(FrameError::Malformed(_))
+            Frame::decode_body(&[KIND_HEARTBEAT, 0]),
+            Err(FrameError::Malformed("heartbeat: trailing bytes"))
+        ));
+        assert!(matches!(
+            Frame::decode_body(&[KIND_BYE, 0]),
+            Err(FrameError::Malformed("bye: trailing bytes"))
         ));
     }
 }

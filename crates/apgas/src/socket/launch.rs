@@ -50,10 +50,10 @@ impl PlaceChildren {
 /// lines to aim their `SIGKILL`.
 ///
 /// `DPX10_MAX_PLACES` (when greater than `places`) raises the mesh
-/// capacity: the coordinator keeps its listener open after the
-/// handshake and announces its address on stderr so `dpx10 join` can
-/// dial into the running mesh. Children inherit the variable and size
-/// their peer tables to match.
+/// capacity: every member keeps its listener open after formation, and
+/// the coordinator announces its address on stderr so `dpx10 join` can
+/// dial into the running mesh. Children learn the capacity from their
+/// admission. A malformed value is refused before any child starts.
 pub fn launch_places(places: u16, args: &[String]) -> io::Result<(SocketConfig, PlaceChildren)> {
     if places == 0 {
         return Err(io::Error::new(
@@ -63,11 +63,7 @@ pub fn launch_places(places: u16, args: &[String]) -> io::Result<(SocketConfig, 
     }
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let coord_addr = listener.local_addr()?.to_string();
-    let max_places = std::env::var("DPX10_MAX_PLACES")
-        .ok()
-        .and_then(|v| v.parse::<u16>().ok())
-        .unwrap_or(places)
-        .max(places);
+    let max_places = super::capacity_from_env(places)?;
     if max_places > places {
         eprintln!("dpx10: coordinator {coord_addr} accepting joins (capacity {max_places})");
     }

@@ -10,26 +10,35 @@
 //!
 //! # Mesh formation
 //!
-//! Place 0 is the *coordinator* of the handshake (and, in DPX10, of the
-//! whole run — Resilient X10's immortal place). Startup:
+//! Place 0 is the *coordinator* of membership (and, in DPX10, of the
+//! whole run — Resilient X10's immortal place). Every other place enters
+//! the mesh the same way, whether it founds the mesh or joins it mid-run:
 //!
-//! 1. every worker binds its own listener, dials the coordinator and
-//!    sends `Hello { place, places, addr }`;
-//! 2. the coordinator, having heard all `places - 1` hellos, replies to
-//!    each with a `PeerMap` of every listen address;
-//! 3. each worker dials every *lower-numbered* worker (and accepts a
-//!    connection from every higher-numbered one), sends `Ready` to the
-//!    coordinator, and waits for `Go`.
+//! 1. it binds its own listener, dials place 0 and asks for admission
+//!    (`JoinReq`) with its listen address. A founding place names the id
+//!    and the founding place count its launcher (`DPX10_COORD`) or a
+//!    static `DPX10_PEERS` list gave it; a probe (`dpx10 join`) names
+//!    neither and never takes a founder's slot;
+//! 2. place 0 checks the request and answers `JoinAccept` — the place's
+//!    id, the mesh capacity and the listen address of every member
+//!    admitted so far — or `JoinReject` with the reason;
+//! 3. the new member dials each member its accept names with a
+//!    `JoinHello` intro; members admitted after it dial it the same way.
 //!
-//! The coordinator's address comes either from the in-process launcher
-//! ([`launch::launch_places`]) via `DPX10_COORD`, or from a static
-//! `DPX10_PEERS` list (in which case each place binds its listed
-//! address).
+//! [`SocketNode::connect`] returns once this node has a link to every
+//! founding place, so no barrier is needed and arrival order does not
+//! matter. A founder that place 0 refuses (wrong place count, id out of
+//! range or already linked, no listen address) fails formation at once,
+//! on place 0 and on the founder. Every member's listener takes
+//! dial-ins on one acceptor thread; it closes once the founders are
+//! linked, unless the mesh capacity (`DPX10_MAX_PLACES`) leaves room for
+//! joiners, in which case it stays open for the life of the node.
 //!
 //! # Steady state
 //!
-//! Each connection gets a *writer thread* and a *reader thread*, and a
-//! frame crosses one thread hand-off on each side. A sender encodes its
+//! Each link — the admission stream to place 0, or a member intro in
+//! either direction — gets a *writer thread* and a *reader thread*, and
+//! a frame crosses one thread hand-off on each side. A sender encodes its
 //! payload straight behind a reserved `Data` header and queues that one
 //! buffer on the link's bounded outbox. The writer wakes for the first
 //! queued frame, copies every frame already queued behind it into one
@@ -38,11 +47,12 @@
 //! reads through a buffer of the same size, so one `read` returns every
 //! frame of a batch, and calls the node's [`Inbound`] handler with each
 //! payload on its own thread — no further queue or thread stands between
-//! a link and the code the payload is for. A read that sees EOF, a
-//! protocol violation, or silence longer than the peer timeout marks the
-//! peer dead on the shared [`LivenessBoard`] — from there the engine's
-//! ordinary [`DeadPlaceError`] machinery takes over, exactly as with an
-//! injected fault.
+//! a link and the code the payload is for. A `Leave` moves the peer to
+//! `Left` on the roster; a read that sees EOF, a protocol violation, or
+//! silence longer than the peer timeout marks the peer dead on the
+//! shared [`LivenessBoard`] — from there the engine's ordinary
+//! [`DeadPlaceError`] machinery takes over, exactly as with an injected
+//! fault.
 //!
 //! What batching buys, on a 2-vCPU host running a 2-place in-process
 //! mesh shaped like dpxbench's `swlag-sockets-pull` (one 57-byte frame
@@ -55,7 +65,7 @@ pub mod frame;
 pub mod launch;
 
 use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -110,13 +120,13 @@ impl std::fmt::Debug for Inbound {
     }
 }
 
-/// How this process joins the mesh.
+/// How this process enters the mesh.
 #[derive(Debug)]
 pub enum ConnectMode {
-    /// Place 0 with a pre-bound listener the workers will dial.
+    /// Place 0 with a pre-bound listener every other place will dial.
     Coordinator(TcpListener),
-    /// A worker place: dial `coordinator`, optionally binding a fixed
-    /// listen address (static `DPX10_PEERS` deployments).
+    /// Any other place: ask `coordinator` for admission, optionally
+    /// binding a fixed listen address (static `DPX10_PEERS` deployments).
     Worker {
         /// The coordinator's address.
         coordinator: String,
@@ -173,24 +183,26 @@ impl SocketChaos {
 /// Everything needed to bring one place onto the socket mesh.
 #[derive(Debug)]
 pub struct SocketConfig {
-    /// This process's place.
+    /// This process's place (ignored for a probe).
     pub place: PlaceId,
-    /// Total places in the computation.
+    /// Founding places of the computation; 0 makes a worker a *probe*
+    /// (`dpx10 join`), which names no id and is given a free slot past
+    /// the founders.
     pub places: u16,
     /// Mesh capacity: the maximum place count this mesh may ever grow
-    /// to (`DPX10_MAX_PLACES`, default `places`). Every per-peer table
-    /// is sized to this, and a listener is kept open after the
-    /// handshake — only when `max_places > places` — so joiners can
-    /// dial into the running mesh.
+    /// to (`DPX10_MAX_PLACES`, default `places`). Place 0's is the
+    /// mesh's, and every other place takes it from its accept. Every
+    /// per-peer table is sized to it, and only when it exceeds `places`
+    /// do listeners stay open after formation, for joiners.
     pub max_places: u16,
-    /// Handshake role.
+    /// How this node enters the mesh.
     pub mode: ConnectMode,
     /// Idle-writer keep-alive interval (`DPX10_HB_MS`, default 250 ms).
     pub heartbeat: Duration,
     /// Silence after which a peer is declared dead (`DPX10_TIMEOUT_MS`,
     /// default 5 s).
     pub peer_timeout: Duration,
-    /// Budget for the whole handshake (`DPX10_CONNECT_MS`, default 30 s).
+    /// Budget for mesh formation (`DPX10_CONNECT_MS`, default 30 s).
     pub connect_timeout: Duration,
     /// Frame-level chaos injection, off by default.
     pub chaos: Option<SocketChaos>,
@@ -214,32 +226,13 @@ fn bad_input<T>(msg: impl Into<String>) -> io::Result<T> {
 }
 
 impl SocketConfig {
-    /// Coordinator config over an already-bound listener.
-    pub fn coordinator(listener: TcpListener, places: u16) -> Self {
-        SocketConfig {
-            place: PlaceId::ZERO,
-            places,
-            max_places: places,
-            mode: ConnectMode::Coordinator(listener),
-            heartbeat: env_ms("DPX10_HB_MS", 250),
-            peer_timeout: env_ms("DPX10_TIMEOUT_MS", 5_000),
-            connect_timeout: env_ms("DPX10_CONNECT_MS", 30_000),
-            chaos: chaos_from_env(),
-            recorder: Recorder::disabled(),
-            inbound: Inbound::discard(),
-        }
-    }
-
-    /// Worker config dialing `coordinator` from an ephemeral port.
-    pub fn worker(place: PlaceId, places: u16, coordinator: String) -> Self {
+    /// A config with the environment's timing and chaos.
+    fn new(place: PlaceId, places: u16, max_places: u16, mode: ConnectMode) -> Self {
         SocketConfig {
             place,
             places,
-            max_places: places,
-            mode: ConnectMode::Worker {
-                coordinator,
-                bind: None,
-            },
+            max_places,
+            mode,
             heartbeat: env_ms("DPX10_HB_MS", 250),
             peer_timeout: env_ms("DPX10_TIMEOUT_MS", 5_000),
             connect_timeout: env_ms("DPX10_CONNECT_MS", 30_000),
@@ -249,8 +242,24 @@ impl SocketConfig {
         }
     }
 
+    /// Coordinator config over an already-bound listener.
+    pub fn coordinator(listener: TcpListener, places: u16) -> Self {
+        let mode = ConnectMode::Coordinator(listener);
+        SocketConfig::new(PlaceId::ZERO, places, places, mode)
+    }
+
+    /// Worker config dialing `coordinator` from an ephemeral port; with
+    /// `places == 0`, a probe.
+    pub fn worker(place: PlaceId, places: u16, coordinator: String) -> Self {
+        let mode = ConnectMode::Worker {
+            coordinator,
+            bind: None,
+        };
+        SocketConfig::new(place, places, places, mode)
+    }
+
     /// Reads the launcher environment (`DPX10_PLACE`, `DPX10_PLACES`,
-    /// `DPX10_COORD` / `DPX10_PEERS`).
+    /// `DPX10_COORD` / `DPX10_PEERS`, `DPX10_MAX_PLACES`).
     ///
     /// Returns `Ok(None)` when `DPX10_PLACE` is unset — the process is
     /// not a spawned place and should act as launcher/coordinator.
@@ -296,23 +305,30 @@ impl SocketConfig {
                 bind: None,
             }
         };
-        let max_places = std::env::var("DPX10_MAX_PLACES")
-            .ok()
-            .and_then(|v| v.parse::<u16>().ok())
-            .unwrap_or(places)
-            .max(places);
-        Ok(Some(SocketConfig {
-            place: PlaceId(place),
+        let max_places = capacity_from_env(places)?;
+        Ok(Some(SocketConfig::new(
+            PlaceId(place),
             places,
             max_places,
             mode,
-            heartbeat: env_ms("DPX10_HB_MS", 250),
-            peer_timeout: env_ms("DPX10_TIMEOUT_MS", 5_000),
-            connect_timeout: env_ms("DPX10_CONNECT_MS", 30_000),
-            chaos: chaos_from_env(),
-            recorder: Recorder::disabled(),
-            inbound: Inbound::discard(),
-        }))
+        )))
+    }
+}
+
+/// The mesh capacity `DPX10_MAX_PLACES` asks for, at least `places`.
+pub(crate) fn capacity_from_env(places: u16) -> io::Result<u16> {
+    parse_capacity(std::env::var("DPX10_MAX_PLACES").ok().as_deref(), places)
+}
+
+/// The parser behind [`capacity_from_env`]: unset is `places`, and a
+/// value that is not a place count is refused.
+fn parse_capacity(raw: Option<&str>, places: u16) -> io::Result<u16> {
+    let Some(raw) = raw else {
+        return Ok(places);
+    };
+    match raw.parse::<u16>() {
+        Ok(n) => Ok(n.max(places)),
+        Err(_) => bad_input(format!("bad DPX10_MAX_PLACES {raw:?}")),
     }
 }
 
@@ -359,15 +375,27 @@ pub fn parse_chaos(raw: &str) -> Option<SocketChaos> {
 /// link registration, not by a `0..places` loop at startup.
 struct LinkFabric {
     me: PlaceId,
+    /// Founding place count (0 on a probe).
+    places: u16,
     capacity: u16,
     liveness: LivenessBoard,
     roster: RosterBoard,
     outboxes: Mutex<Vec<Option<Sender<Vec<u8>>>>>,
     /// One extra clone of each peer stream, kept so [`SocketNode::crash`]
     /// can tear the sockets down underneath the reader/writer threads.
+    /// A slot is filled once per mesh lifetime (ids are never reused),
+    /// under this lock together with the slot's outbox.
     streams: Mutex<Vec<Option<TcpStream>>>,
     writer_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     inbound: Inbound,
+    /// Tells [`SocketNode::connect`], while it waits for the founders,
+    /// that a link came up or went down (`Ok`) or that place 0 refused
+    /// a founder (`Err`). Sends fail harmlessly once the mesh is formed.
+    forming: Sender<Result<(), String>>,
+    /// Whether the acceptor still takes dial-ins.
+    accepting: AtomicBool,
+    /// Where to dial the listener to wake its acceptor.
+    listen: SocketAddr,
     shutting_down: AtomicBool,
     crashed: AtomicBool,
     heartbeat: Duration,
@@ -377,15 +405,59 @@ struct LinkFabric {
     recorder: Recorder,
 }
 
+impl LinkFabric {
+    /// Closes the listener: the acceptor, woken by a dial of its own,
+    /// exits before handling it.
+    fn stop_accepting(&self) {
+        if self.accepting.swap(false, Ordering::AcqRel) {
+            let _ = TcpStream::connect_timeout(&self.listen, self.connect_timeout);
+        }
+    }
+
+    /// See [`SocketNode::shutdown`].
+    fn shutdown(&self) {
+        self.shutting_down.store(true, Ordering::Release);
+        self.stop_accepting();
+        self.outboxes.lock().iter_mut().for_each(|tx| {
+            tx.take();
+        });
+        let handles: Vec<_> = self.writer_handles.lock().drain(..).collect();
+        for h in handles {
+            let _ = h.join();
+        }
+    }
+
+    /// See [`SocketNode::crash`].
+    fn crash(&self) {
+        self.crashed.store(true, Ordering::Release);
+        self.shutting_down.store(true, Ordering::Release);
+        // Tear the sockets down under every thread cloned onto them —
+        // readers (ours and the peers') see EOF immediately, like the
+        // kernel closing a killed process's descriptors.
+        for stream in self.streams.lock().iter().flatten() {
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
+        self.shutdown();
+    }
+}
+
 /// Sets up one live peer link on the fabric: stores the stream, creates
 /// the bounded outbox, and spawns the writer/reader thread pair. Safe to
-/// call at any time — this is how both the startup handshake and a
-/// mid-run join attach links.
+/// call at any time — this is how every link, founding or joining, is
+/// attached. Refuses this node's own id and a peer whose link is (or
+/// was) up: ids are never reused, so a second link naming one is an
+/// impostor.
 fn register_link(fabric: &Arc<LinkFabric>, peer: PlaceId, stream: TcpStream) -> io::Result<()> {
     stream.set_read_timeout(Some(fabric.peer_timeout))?;
     stream.set_nodelay(true)?;
-    let wstream = stream.try_clone()?;
-    fabric.streams.lock()[peer.index()] = Some(stream.try_clone()?);
+    let (wstream, kept) = (stream.try_clone()?, stream.try_clone()?);
+    let mut streams = fabric.streams.lock();
+    if peer == fabric.me || streams[peer.index()].is_some() {
+        return Err(io::Error::new(
+            io::ErrorKind::AlreadyExists,
+            format!("place {} is already linked", peer.0),
+        ));
+    }
     let (tx, rx) = channel::bounded(OUTBOX_CAP);
     let chaos = fabric.chaos.map(|ch| LinkChaos::new(ch, fabric.me, peer));
     let writer = {
@@ -407,6 +479,9 @@ fn register_link(fabric: &Arc<LinkFabric>, peer: PlaceId, stream: TcpStream) -> 
     // Publish the outbox last: once `send_bytes` can see it, the link's
     // threads are already running.
     fabric.outboxes.lock()[peer.index()] = Some(tx);
+    streams[peer.index()] = Some(kept);
+    drop(streams);
+    let _ = fabric.forming.send(Ok(()));
     Ok(())
 }
 
@@ -415,174 +490,92 @@ fn register_link(fabric: &Arc<LinkFabric>, peer: PlaceId, stream: TcpStream) -> 
 /// process.
 pub struct SocketNode {
     fabric: Arc<LinkFabric>,
-    places: u16,
     stats: StatsBoard,
 }
 
 impl SocketNode {
-    /// Performs the handshake of `cfg` and starts the per-peer reader and
-    /// writer threads, the readers handing every payload to
-    /// `cfg.inbound`. Blocks until the whole mesh is up (`Go` received /
-    /// sent) or the connect timeout expires.
-    ///
-    /// When `cfg.max_places > cfg.places` the node keeps its listener
-    /// open after the handshake and spawns an *acceptor* thread, so the
-    /// mesh can grow: joiners dial the coordinator with a `JoinReq` and
-    /// every existing member with a `JoinHello` (see [`SocketNode::join`]).
+    /// Brings this node into the mesh `cfg` describes (see the module
+    /// docs) and starts the per-peer reader and writer threads, the
+    /// readers handing every payload to `cfg.inbound`. Blocks until this
+    /// node has a link to every founding place — a probe, to every
+    /// member its accept names — or formation fails or the connect
+    /// timeout expires.
     pub fn connect(cfg: SocketConfig) -> io::Result<SocketNode> {
         let places = cfg.places;
-        let capacity = cfg.max_places.max(places);
-        if cfg.place.index() >= places as usize {
+        let probe = places == 0 && matches!(cfg.mode, ConnectMode::Worker { .. });
+        if !probe && cfg.place.index() >= places as usize {
             return bad_input(format!("place {} out of range 0..{places}", cfg.place.0));
         }
-        let me = cfg.place;
-        let (links, listener, mut addrs) = match cfg.mode {
+        let deadline = Instant::now() + cfg.connect_timeout;
+        let (listener, admitted) = match cfg.mode {
             ConnectMode::Coordinator(listener) => {
-                let (links, mut addrs) =
-                    handshake_coordinator(&listener, places, cfg.connect_timeout)?;
-                addrs[0] = listener.local_addr()?.to_string();
-                (links, listener, addrs)
+                let me = Admission {
+                    me: PlaceId::ZERO,
+                    capacity: cfg.max_places.max(places),
+                    addrs: vec![listener.local_addr()?.to_string()],
+                    stream: None,
+                };
+                (listener, me)
             }
             ConnectMode::Worker { coordinator, bind } => {
-                let (links, listener, mut addrs) = handshake_worker(
-                    me,
-                    places,
-                    &coordinator,
-                    bind.as_deref(),
-                    cfg.connect_timeout,
-                )?;
-                addrs[0] = coordinator;
-                (links, listener, addrs)
+                let listener = TcpListener::bind(bind.as_deref().unwrap_or("127.0.0.1:0"))?;
+                let addr = listener.local_addr()?.to_string();
+                let admission =
+                    request_admission(&coordinator, cfg.place, places, addr, cfg.connect_timeout)?;
+                (listener, admission)
             }
         };
-        addrs.resize(capacity as usize, String::new());
-
+        let (me, capacity) = (admitted.me, admitted.capacity);
+        listener.set_nonblocking(false)?;
+        let mut listen = listener.local_addr()?;
+        if listen.ip().is_unspecified() {
+            listen.set_ip(match listen {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let roster = RosterBoard::new(places, capacity);
-        for (i, a) in addrs.iter().enumerate() {
-            if !a.is_empty() {
-                roster.set_addr(PlaceId(i as u16), a.clone());
-            }
-        }
-        let fabric = Arc::new(LinkFabric {
-            me,
-            capacity,
-            liveness: LivenessBoard::new(capacity),
-            roster,
-            outboxes: Mutex::new((0..capacity).map(|_| None).collect()),
-            streams: Mutex::new((0..capacity).map(|_| None).collect()),
-            writer_handles: Mutex::new(Vec::new()),
-            inbound: cfg.inbound,
-            shutting_down: AtomicBool::new(false),
-            crashed: AtomicBool::new(false),
-            heartbeat: cfg.heartbeat,
-            peer_timeout: cfg.peer_timeout,
-            connect_timeout: cfg.connect_timeout,
-            chaos: cfg.chaos,
-            recorder: cfg.recorder,
-        });
-        for (peer_idx, link) in links.into_iter().enumerate() {
-            let Some(stream) = link else { continue };
-            register_link(&fabric, PlaceId(peer_idx as u16), stream)?;
-        }
-        if capacity > places {
-            let fab = fabric.clone();
-            std::thread::Builder::new()
-                .name(format!("sock-a{}", me.0))
-                .spawn(move || acceptor_loop(listener, fab))
-                .expect("spawn acceptor");
-        }
-        Ok(SocketNode {
-            fabric,
-            places,
-            stats: StatsBoard::new(capacity),
-        })
-    }
-
-    /// Joins a *running* elastic mesh post-launch, handing every payload
-    /// to `cfg.inbound`: dials the coordinator with a `JoinReq`, receives
-    /// the assigned place id, mesh capacity and member address map in the
-    /// `JoinAccept`, dials every member with a `JoinHello`, and starts
-    /// its own acceptor so later joiners can reach it. Fails with an error containing the coordinator's
-    /// reason if the mesh is at capacity.
-    pub fn join(cfg: JoinConfig) -> io::Result<SocketNode> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let my_addr = listener.local_addr()?.to_string();
-        let mut coord =
-            TcpStream::connect_timeout(&resolve(&cfg.coordinator)?, cfg.connect_timeout)?;
-        prepare(&coord, cfg.connect_timeout)?;
-        frame::write_frame(
-            &mut coord,
-            &Frame::JoinReq {
-                addr: my_addr.clone(),
-            },
-        )?;
-        let (place, capacity, addrs) = match read_hs(&mut coord)? {
-            Frame::JoinAccept {
-                place,
-                capacity,
-                addrs,
-            } => (place, capacity, addrs),
-            Frame::JoinReject { reason } => {
-                return Err(io::Error::other(format!("join rejected: {reason}")))
-            }
-            other => return hs_err(format!("expected join-accept, got {other:?}")),
-        };
-        if place >= capacity || addrs.len() != capacity as usize {
-            return hs_err(format!(
-                "malformed join-accept: place {place} of {capacity} with {} addrs",
-                addrs.len()
-            ));
-        }
-        let me = PlaceId(place);
-        let roster = RosterBoard::new(0, capacity);
-        for (i, a) in addrs.iter().enumerate() {
-            if a.is_empty() {
-                continue;
-            }
-            let p = PlaceId(i as u16);
-            let _ = roster.observe_join(p);
-            roster.set_addr(p, a.clone());
-        }
-        let _ = roster.observe_join(me);
-        roster.set_addr(me, my_addr);
-        let fabric = Arc::new(LinkFabric {
-            me,
-            capacity,
-            liveness: LivenessBoard::new(capacity),
-            roster,
-            outboxes: Mutex::new((0..capacity).map(|_| None).collect()),
-            streams: Mutex::new((0..capacity).map(|_| None).collect()),
-            writer_handles: Mutex::new(Vec::new()),
-            inbound: cfg.inbound,
-            shutting_down: AtomicBool::new(false),
-            crashed: AtomicBool::new(false),
-            heartbeat: cfg.heartbeat,
-            peer_timeout: cfg.peer_timeout,
-            connect_timeout: cfg.connect_timeout,
-            chaos: cfg.chaos,
-            recorder: cfg.recorder,
-        });
-        register_link(&fabric, PlaceId(0), coord)?;
-        for (i, a) in addrs.iter().enumerate() {
-            let p = PlaceId(i as u16);
-            if p == me || i == 0 || a.is_empty() {
-                continue;
-            }
-            let mut stream = TcpStream::connect_timeout(&resolve(a)?, cfg.connect_timeout)?;
-            prepare(&stream, cfg.connect_timeout)?;
-            frame::write_frame(&mut stream, &Frame::JoinHello { place: me.0 })?;
-            register_link(&fabric, p, stream)?;
-        }
+        for (i, addr) in admitted
+            .addrs
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| !a.is_empty())
         {
-            let fab = fabric.clone();
-            std::thread::Builder::new()
-                .name(format!("sock-a{}", me.0))
-                .spawn(move || acceptor_loop(listener, fab))
-                .expect("spawn acceptor");
+            let p = PlaceId(i as u16);
+            let _ = roster.observe_join(p); // a founder is active already
+            roster.set_addr(p, addr.clone());
+        }
+        let (forming, events) = channel::unbounded();
+        let fabric = Arc::new(LinkFabric {
+            me,
+            places,
+            capacity,
+            liveness: LivenessBoard::new(capacity),
+            roster,
+            outboxes: Mutex::new((0..capacity).map(|_| None).collect()),
+            streams: Mutex::new((0..capacity).map(|_| None).collect()),
+            writer_handles: Mutex::new(Vec::new()),
+            inbound: cfg.inbound,
+            forming,
+            accepting: AtomicBool::new(true),
+            listen,
+            shutting_down: AtomicBool::new(false),
+            crashed: AtomicBool::new(false),
+            heartbeat: cfg.heartbeat,
+            peer_timeout: cfg.peer_timeout,
+            connect_timeout: cfg.connect_timeout,
+            chaos: cfg.chaos,
+            recorder: cfg.recorder,
+        });
+        if let Err(e) = form(&fabric, listener, admitted, &events, deadline) {
+            fabric.crash();
+            return Err(e);
+        }
+        if capacity == places {
+            fabric.stop_accepting();
         }
         Ok(SocketNode {
             fabric,
-            places: capacity,
             stats: StatsBoard::new(capacity),
         })
     }
@@ -592,11 +585,16 @@ impl SocketNode {
         self.fabric.me
     }
 
-    /// Founding place count of the mesh (for a node that joined
-    /// post-launch, the mesh capacity). The *live* place set is on
+    /// Founding place count of the mesh (for a probe, the mesh
+    /// capacity). The *live* place set is on
     /// [`roster`](SocketNode::roster).
     pub fn places(&self) -> u16 {
-        self.places
+        let founders = self.fabric.places;
+        if founders == 0 {
+            self.fabric.capacity
+        } else {
+            founders
+        }
     }
 
     /// Maximum place count this mesh may grow to; every table is sized
@@ -701,16 +699,10 @@ impl SocketNode {
     }
 
     /// Flushes and closes every connection: queued frames drain, each
-    /// writer signs off with `Bye`, writers are joined. Idempotent.
+    /// writer signs off with `Bye`, writers are joined, the listener
+    /// closes. Idempotent.
     pub fn shutdown(&self) {
-        self.fabric.shutting_down.store(true, Ordering::Release);
-        self.fabric.outboxes.lock().iter_mut().for_each(|tx| {
-            tx.take();
-        });
-        let handles: Vec<_> = self.fabric.writer_handles.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.fabric.shutdown();
     }
 
     /// Simulates this process being SIGKILLed mid-run: every connection
@@ -721,15 +713,7 @@ impl SocketNode {
     ///
     /// [`shutdown`]: SocketNode::shutdown
     pub fn crash(&self) {
-        self.fabric.crashed.store(true, Ordering::Release);
-        self.fabric.shutting_down.store(true, Ordering::Release);
-        // Tear the sockets down under every thread cloned onto them —
-        // readers (ours and the peers') see EOF immediately, like the
-        // kernel closing a killed process's descriptors.
-        for stream in self.fabric.streams.lock().iter().flatten() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        self.shutdown();
+        self.fabric.crash();
     }
 }
 
@@ -743,48 +727,9 @@ impl std::fmt::Debug for SocketNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SocketNode")
             .field("me", &self.fabric.me)
-            .field("places", &self.places)
+            .field("places", &self.places())
             .field("capacity", &self.fabric.capacity)
             .finish_non_exhaustive()
-    }
-}
-
-/// Everything needed to dial into a *running* elastic mesh (contrast
-/// [`SocketConfig`], which describes a founding member of the startup
-/// handshake). The timing knobs read the same environment variables.
-#[derive(Debug)]
-pub struct JoinConfig {
-    /// The coordinator's (place 0's) listen address.
-    pub coordinator: String,
-    /// Idle-writer keep-alive interval (`DPX10_HB_MS`, default 250 ms).
-    pub heartbeat: Duration,
-    /// Silence after which a peer is declared dead (`DPX10_TIMEOUT_MS`,
-    /// default 5 s).
-    pub peer_timeout: Duration,
-    /// Budget for the whole join handshake (`DPX10_CONNECT_MS`,
-    /// default 30 s).
-    pub connect_timeout: Duration,
-    /// Frame-level chaos injection, off by default.
-    pub chaos: Option<SocketChaos>,
-    /// Flight recorder for frame-level events; disabled by default.
-    pub recorder: Recorder,
-    /// Where this node's payloads go; dropped by default.
-    pub inbound: Inbound,
-}
-
-impl JoinConfig {
-    /// A join config with environment-default timing, dialing
-    /// `coordinator`.
-    pub fn new(coordinator: impl Into<String>) -> Self {
-        JoinConfig {
-            coordinator: coordinator.into(),
-            heartbeat: env_ms("DPX10_HB_MS", 250),
-            peer_timeout: env_ms("DPX10_TIMEOUT_MS", 5_000),
-            connect_timeout: env_ms("DPX10_CONNECT_MS", 30_000),
-            chaos: chaos_from_env(),
-            recorder: Recorder::disabled(),
-            inbound: Inbound::discard(),
-        }
     }
 }
 
@@ -799,6 +744,7 @@ fn mark_peer(fabric: &LinkFabric, peer: PlaceId) {
     }
     fabric.roster.mark_dead(peer);
     fabric.liveness.mark_dead(peer);
+    let _ = fabric.forming.send(Ok(()));
 }
 
 /// Per-link chaos state for one writer thread: a decision stream forked
@@ -950,8 +896,8 @@ fn writer_loop(
     }
 }
 
-/// Reads `stream` until the peer says `Bye` or is gone. The handshake
-/// read its frames exactly from the bare stream, so the buffer starts on
+/// Reads `stream` until the peer says `Bye` or is gone. Admission read
+/// its frames exactly from the bare stream, so the buffer starts on
 /// a frame boundary; the stream's read timeout still applies to every
 /// refill, so a silent peer is still caught.
 fn reader_loop(stream: TcpStream, peer: PlaceId, fabric: Arc<LinkFabric>) {
@@ -977,9 +923,9 @@ fn reader_loop(stream: TcpStream, peer: PlaceId, fabric: Arc<LinkFabric>) {
                 fabric.outboxes.lock()[peer.index()].take();
             }
             Ok(Frame::Bye) => return,
-            // A handshake frame (or out-of-range src) after `Go`, EOF,
-            // a read timeout, or any decode error: the peer is gone or
-            // talking garbage either way.
+            // An admission frame (or out-of-range src) on a live link,
+            // EOF, a read timeout, or any decode error: the peer is gone
+            // or talking garbage either way.
             Ok(_) | Err(_) => {
                 mark_peer(&fabric, peer);
                 return;
@@ -989,36 +935,237 @@ fn reader_loop(stream: TcpStream, peer: PlaceId, fabric: Arc<LinkFabric>) {
 }
 
 // ---------------------------------------------------------------------
-// Elastic membership: the acceptor
+// Formation and admission
 // ---------------------------------------------------------------------
 
-/// Post-handshake listener thread of an elastic mesh member. Dial-ins
-/// are either a `JoinReq` (a fresh place asking the *coordinator* for
-/// admission) or a `JoinHello` (an admitted joiner introducing itself
-/// to an existing member). Anything else is dropped on the floor.
-fn acceptor_loop(listener: TcpListener, fabric: Arc<LinkFabric>) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
+fn hs_err<T>(what: impl Into<String>) -> io::Result<T> {
+    Err(io::Error::other(format!("handshake: {}", what.into())))
+}
+
+fn prepare(stream: &TcpStream, timeout: Duration) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(timeout))
+}
+
+fn dial(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+    let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidInput, format!("unresolvable {addr}"))
+    })?;
+    let stream = TcpStream::connect_timeout(&resolved, timeout)?;
+    prepare(&stream, timeout)?;
+    Ok(stream)
+}
+
+/// What place 0 granted a place (itself included): its id, the mesh
+/// capacity, every member's listen address, and the admission stream.
+struct Admission {
+    me: PlaceId,
+    capacity: u16,
+    addrs: Vec<String>,
+    stream: Option<TcpStream>,
+}
+
+/// Asks place 0 at `coordinator` to admit this node: as founder `place`
+/// of `places`, or as a probe when `places` is 0.
+fn request_admission(
+    coordinator: &str,
+    place: PlaceId,
+    places: u16,
+    addr: String,
+    timeout: Duration,
+) -> io::Result<Admission> {
+    let mut stream = dial(coordinator, timeout)?;
+    let request = Frame::JoinReq {
+        place: place.0,
+        places,
+        addr: addr.clone(),
+    };
+    frame::write_frame(&mut stream, &request)?;
+    let answer = frame::read_frame(&mut stream).map_err(|e| match e {
+        FrameError::Io(io) => io,
+        other => io::Error::other(format!("handshake: {other}")),
+    })?;
+    match answer {
+        Frame::JoinAccept {
+            place: granted,
+            capacity,
+            mut addrs,
+        } => {
+            let fits = 0 < granted && granted < capacity && addrs.len() == capacity as usize;
+            if !fits || capacity < places || (places > 0 && granted != place.0) {
+                return hs_err(format!(
+                    "malformed join-accept: place {granted} of {capacity} with {} addrs",
+                    addrs.len()
+                ));
+            }
+            addrs[granted as usize] = addr;
+            Ok(Admission {
+                me: PlaceId(granted),
+                capacity,
+                addrs,
+                stream: Some(stream),
+            })
+        }
+        Frame::JoinReject { reason } => hs_err(format!("refused by place 0: {reason}")),
+        other => hs_err(format!("expected join-accept, got {other:?}")),
     }
+}
+
+/// Brings a new node's links up — an acceptor for members that dial in,
+/// the admission stream to place 0, a dial to every other member it was
+/// admitted after — then waits, on `events`, for a link to every founder.
+fn form(
+    fabric: &Arc<LinkFabric>,
+    listener: TcpListener,
+    admitted: Admission,
+    events: &Receiver<Result<(), String>>,
+    deadline: Instant,
+) -> io::Result<()> {
+    {
+        let fab = fabric.clone();
+        std::thread::Builder::new()
+            .name(format!("sock-a{}", fabric.me.0))
+            .spawn(move || acceptor_loop(listener, fab))?;
+    }
+    if let Some(stream) = admitted.stream {
+        register_link(fabric, PlaceId::ZERO, stream)?;
+    }
+    for (i, addr) in admitted.addrs.iter().enumerate().skip(1) {
+        let p = PlaceId(i as u16);
+        if p == fabric.me || addr.is_empty() {
+            continue;
+        }
+        let mut stream = dial(addr, fabric.connect_timeout)?;
+        frame::write_frame(&mut stream, &Frame::JoinHello { place: fabric.me.0 })?;
+        register_link(fabric, p, stream)?;
+    }
+    // A founder that dies once linked is the engine's to recover, like
+    // any death; place 0, which must never die, ends formation.
+    let linked = |p: u16| p == fabric.me.0 || fabric.streams.lock()[p as usize].is_some();
     loop {
-        if fabric.shutting_down.load(Ordering::Acquire) {
+        if (0..fabric.places).all(linked) {
+            return Ok(());
+        }
+        if fabric.me != PlaceId::ZERO && !fabric.liveness.is_alive(PlaceId::ZERO) {
+            return hs_err("place 0 went away during formation");
+        }
+        match events.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(Ok(())) => {}
+            Ok(Err(reason)) => return hs_err(reason),
+            Err(_) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "handshake: timed out waiting for a place to dial in",
+                ))
+            }
+        }
+    }
+}
+
+/// A member's listener thread: takes dial-ins one at a time until the
+/// node stops accepting.
+fn acceptor_loop(listener: TcpListener, fabric: Arc<LinkFabric>) {
+    for stream in listener.incoming() {
+        if !fabric.accepting.load(Ordering::Acquire) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => handle_dial_in(stream, &fabric),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+        match stream {
+            Ok(stream) => handle_dial_in(stream, &fabric),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => return,
         }
     }
 }
 
+/// The one dial-in handler: a member's intro (on any member) or an
+/// admission request (on place 0). An intro naming this node or a place
+/// whose link is already up is refused — an impostor must not take over
+/// a live link — and any other dial-in is dropped.
+fn handle_dial_in(mut stream: TcpStream, fabric: &Arc<LinkFabric>) {
+    if prepare(&stream, fabric.connect_timeout).is_err() {
+        return;
+    }
+    match frame::read_frame(&mut stream) {
+        // Register the link *before* flipping the roster, so a poller
+        // that sees the new member can immediately send to it.
+        Ok(Frame::JoinHello { place }) if place < fabric.capacity => {
+            let peer = PlaceId(place);
+            if register_link(fabric, peer, stream).is_ok() {
+                let _ = fabric.roster.observe_join(peer);
+            }
+        }
+        Ok(Frame::JoinReq {
+            place,
+            places,
+            addr,
+        }) if fabric.me == PlaceId::ZERO => admit(fabric, stream, place, places, addr),
+        _ => {}
+    }
+}
+
+/// Place 0's one admission path, for founders and probes alike: grant a
+/// slot, answer with the members admitted so far, bring the link up. A
+/// refused founder fails formation.
+fn admit(fabric: &Arc<LinkFabric>, mut stream: TcpStream, place: u16, places: u16, addr: String) {
+    let slot = match grant(fabric, place, places, addr) {
+        Ok(slot) => slot,
+        Err(reason) => {
+            let reject = Frame::JoinReject {
+                reason: reason.clone(),
+            };
+            let _ = frame::write_frame(&mut stream, &reject);
+            if places > 0 {
+                let _ = fabric.forming.send(Err(reason));
+            }
+            return;
+        }
+    };
+    let accept = Frame::JoinAccept {
+        place: slot.0,
+        capacity: fabric.capacity,
+        addrs: join_addrs(&fabric.roster, fabric.capacity),
+    };
+    if frame::write_frame(&mut stream, &accept).is_err()
+        || register_link(fabric, slot, stream).is_err()
+    {
+        mark_peer(fabric, slot);
+        return;
+    }
+    let _ = fabric.roster.activate(slot); // a probe; a founder is active
+}
+
+/// The slot place 0 grants an admission request, or why it refuses. A
+/// founder gets the id it names; a probe (`places == 0`) the lowest
+/// slot never held, which is past every founder's.
+fn grant(fabric: &LinkFabric, place: u16, places: u16, addr: String) -> Result<PlaceId, String> {
+    let founders = fabric.places;
+    if places == 0 {
+        if addr.is_empty() {
+            return Err("joiner sent no listen address".into());
+        }
+        return fabric.roster.admit(addr).ok_or("mesh at capacity".into());
+    }
+    if places != founders {
+        return Err(format!(
+            "place {place} expects {places} places, not {founders}"
+        ));
+    }
+    if place == 0 || place >= founders {
+        return Err(format!("hello from out-of-range place {place}"));
+    }
+    if fabric.streams.lock()[place as usize].is_some() {
+        return Err(format!("duplicate hello from place {place}"));
+    }
+    if addr.is_empty() {
+        return Err(format!("place {place} sent no listen address"));
+    }
+    fabric.roster.set_addr(PlaceId(place), addr);
+    Ok(PlaceId(place))
+}
+
 /// The address map a `JoinAccept` carries: one entry per slot, blank
 /// unless the slot holds a member (or an in-flight joiner) whose listen
-/// address the coordinator knows — exactly the places the new joiner
-/// must dial.
+/// address place 0 knows — exactly the places the new member must dial.
 fn join_addrs(roster: &RosterBoard, capacity: u16) -> Vec<String> {
     (0..capacity)
         .map(PlaceId)
@@ -1027,252 +1174,6 @@ fn join_addrs(roster: &RosterBoard, capacity: u16) -> Vec<String> {
             _ => String::new(),
         })
         .collect()
-}
-
-fn handle_dial_in(stream: TcpStream, fabric: &Arc<LinkFabric>) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    if prepare(&stream, fabric.connect_timeout).is_err() {
-        return;
-    }
-    let mut stream = stream;
-    match frame::read_frame(&mut stream) {
-        // An admitted joiner introducing itself. Register the link
-        // *before* flipping the roster, so a poller that sees the new
-        // member can immediately send to it.
-        Ok(Frame::JoinHello { place })
-            if place < fabric.capacity && PlaceId(place) != fabric.me =>
-        {
-            let peer = PlaceId(place);
-            if register_link(fabric, peer, stream).is_ok() {
-                let _ = fabric.roster.observe_join(peer);
-            }
-        }
-        // Admission: coordinator only. Grant the lowest vacant slot,
-        // hand back the roster snapshot, and bring the link up.
-        Ok(Frame::JoinReq { addr }) if fabric.me == PlaceId::ZERO => {
-            match fabric.roster.admit(addr) {
-                Some(place) => {
-                    let accept = Frame::JoinAccept {
-                        place: place.0,
-                        capacity: fabric.capacity,
-                        addrs: join_addrs(&fabric.roster, fabric.capacity),
-                    };
-                    if frame::write_frame(&mut stream, &accept).is_err() {
-                        fabric.roster.mark_dead(place);
-                        return;
-                    }
-                    if register_link(fabric, place, stream).is_ok() {
-                        let _ = fabric.roster.activate(place);
-                    } else {
-                        fabric.roster.mark_dead(place);
-                    }
-                }
-                None => {
-                    let _ = frame::write_frame(
-                        &mut stream,
-                        &Frame::JoinReject {
-                            reason: "mesh at capacity".into(),
-                        },
-                    );
-                }
-            }
-        }
-        _ => {} // garbage dial-in: drop the stream
-    }
-}
-
-// ---------------------------------------------------------------------
-// Handshake
-// ---------------------------------------------------------------------
-
-fn hs_err<T>(what: impl Into<String>) -> io::Result<T> {
-    Err(io::Error::other(format!("handshake: {}", what.into())))
-}
-
-fn read_hs(stream: &mut TcpStream) -> io::Result<Frame> {
-    frame::read_frame(stream).map_err(|e| match e {
-        FrameError::Io(io) => io,
-        other => io::Error::other(format!("handshake: {other}")),
-    })
-}
-
-fn accept_deadline(listener: &TcpListener, deadline: Instant) -> io::Result<TcpStream> {
-    listener.set_nonblocking(true)?;
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                listener.set_nonblocking(false)?;
-                stream.set_nonblocking(false)?;
-                return Ok(stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "handshake: timed out waiting for a place to dial in",
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn prepare(stream: &TcpStream, timeout: Duration) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(timeout))
-}
-
-/// Coordinator side: collect hellos, publish the peer map, collect
-/// readies, fire `Go`. Returns `links[p] = Some(stream)` for `p >= 1`
-/// plus the collected listen addresses (slot 0 left blank — the caller
-/// knows its own listener).
-fn handshake_coordinator(
-    listener: &TcpListener,
-    places: u16,
-    timeout: Duration,
-) -> io::Result<(Vec<Option<TcpStream>>, Vec<String>)> {
-    let deadline = Instant::now() + timeout;
-    let mut links: Vec<Option<TcpStream>> = (0..places).map(|_| None).collect();
-    let mut addrs = vec![String::new(); places as usize];
-    for _ in 1..places {
-        let mut stream = accept_deadline(listener, deadline)?;
-        prepare(&stream, timeout)?;
-        match read_hs(&mut stream)? {
-            Frame::Hello {
-                place,
-                places: claimed,
-                addr,
-            } => {
-                if claimed != places {
-                    return hs_err(format!(
-                        "place {place} expects {claimed} places, not {places}"
-                    ));
-                }
-                if place == 0 || place >= places {
-                    return hs_err(format!("hello from out-of-range place {place}"));
-                }
-                if links[place as usize].is_some() {
-                    return hs_err(format!("duplicate hello from place {place}"));
-                }
-                if addr.is_empty() {
-                    return hs_err(format!("place {place} sent no listen address"));
-                }
-                addrs[place as usize] = addr;
-                links[place as usize] = Some(stream);
-            }
-            other => return hs_err(format!("expected hello, got {other:?}")),
-        }
-    }
-    let map = Frame::PeerMap {
-        addrs: addrs.clone(),
-    };
-    for stream in links.iter_mut().flatten() {
-        frame::write_frame(stream, &map)?;
-    }
-    for (p, stream) in links.iter_mut().enumerate() {
-        let Some(stream) = stream else { continue };
-        match read_hs(stream)? {
-            Frame::Ready => {}
-            other => return hs_err(format!("expected ready from place {p}, got {other:?}")),
-        }
-    }
-    for stream in links.iter_mut().flatten() {
-        frame::write_frame(stream, &Frame::Go)?;
-    }
-    Ok((links, addrs))
-}
-
-fn resolve(addr: &str) -> io::Result<SocketAddr> {
-    addr.to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, format!("unresolvable {addr}")))
-}
-
-/// Worker side of the handshake; see the module docs for the sequence.
-/// Returns the links, this worker's (still-bound) listener — kept so an
-/// elastic mesh can accept joiner dial-ins after the handshake — and
-/// the peer address map (slot 0 left blank).
-fn handshake_worker(
-    me: PlaceId,
-    places: u16,
-    coordinator: &str,
-    bind: Option<&str>,
-    timeout: Duration,
-) -> io::Result<(Vec<Option<TcpStream>>, TcpListener, Vec<String>)> {
-    let deadline = Instant::now() + timeout;
-    let listener = match bind {
-        Some(addr) => TcpListener::bind(addr)?,
-        None => TcpListener::bind("127.0.0.1:0")?,
-    };
-    let my_addr = listener.local_addr()?.to_string();
-
-    let mut coord = TcpStream::connect_timeout(&resolve(coordinator)?, timeout)?;
-    prepare(&coord, timeout)?;
-    frame::write_frame(
-        &mut coord,
-        &Frame::Hello {
-            place: me.0,
-            places,
-            addr: my_addr.clone(),
-        },
-    )?;
-    let addrs = match read_hs(&mut coord)? {
-        Frame::PeerMap { addrs } if addrs.len() == places as usize => addrs,
-        Frame::PeerMap { addrs } => {
-            return hs_err(format!("peer map of {} for {places} places", addrs.len()))
-        }
-        other => return hs_err(format!("expected peer map, got {other:?}")),
-    };
-
-    let mut links: Vec<Option<TcpStream>> = (0..places).map(|_| None).collect();
-    // Dial every lower-numbered worker; their listeners are bound before
-    // they dial the coordinator, so the connections queue in the backlog
-    // even if the peer has not reached `accept` yet.
-    for p in 1..me.0 {
-        let mut stream = TcpStream::connect_timeout(&resolve(&addrs[p as usize])?, timeout)?;
-        prepare(&stream, timeout)?;
-        frame::write_frame(
-            &mut stream,
-            &Frame::Hello {
-                place: me.0,
-                places,
-                addr: String::new(),
-            },
-        )?;
-        links[p as usize] = Some(stream);
-    }
-    // Accept the higher-numbered workers dialing us.
-    for _ in me.0 + 1..places {
-        let mut stream = accept_deadline(&listener, deadline)?;
-        prepare(&stream, timeout)?;
-        match read_hs(&mut stream)? {
-            Frame::Hello { place, .. } => {
-                if place <= me.0 || place >= places {
-                    return hs_err(format!("unexpected dial-in from place {place}"));
-                }
-                if links[place as usize].is_some() {
-                    return hs_err(format!("duplicate dial-in from place {place}"));
-                }
-                links[place as usize] = Some(stream);
-            }
-            other => return hs_err(format!("expected hello, got {other:?}")),
-        }
-    }
-    frame::write_frame(&mut coord, &Frame::Ready)?;
-    match read_hs(&mut coord)? {
-        Frame::Go => {}
-        other => return hs_err(format!("expected go, got {other:?}")),
-    }
-    links[0] = Some(coord);
-    let mut addrs = addrs;
-    addrs[0] = String::new();
-    addrs[me.index()] = my_addr;
-    Ok((links, listener, addrs))
 }
 
 #[cfg(test)]
@@ -1322,17 +1223,17 @@ mod tests {
         })
     }
 
+    /// A probe dialing `coordinator`, as `dpx10 join` does.
     fn join(coordinator: &str) -> io::Result<Node> {
-        let (inbound, inbox) = collector();
-        let mut cfg = JoinConfig::new(coordinator);
-        cfg.inbound = inbound;
-        Ok(Node {
-            node: SocketNode::join(cfg)?,
-            inbox,
-        })
+        connect(SocketConfig::worker(PlaceId::ZERO, 0, coordinator.into()))
     }
 
     fn mesh(n: u16) -> Vec<Node> {
+        elastic_mesh(n, n)
+    }
+
+    /// An `n`-place mesh that may grow to `capacity`.
+    fn elastic_mesh(n: u16, capacity: u16) -> Vec<Node> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let mut handles = Vec::new();
@@ -1342,7 +1243,9 @@ mod tests {
                 connect(SocketConfig::worker(PlaceId(p), n, addr)).unwrap()
             }));
         }
-        let mut nodes = vec![connect(SocketConfig::coordinator(listener, n)).unwrap()];
+        let mut cfg = SocketConfig::coordinator(listener, n);
+        cfg.max_places = capacity;
+        let mut nodes = vec![connect(cfg).unwrap()];
         for h in handles {
             nodes.push(h.join().unwrap());
         }
@@ -1389,7 +1292,7 @@ mod tests {
     #[test]
     fn abrupt_peer_death_is_detected_and_sends_fail() {
         // A 2-place mesh where place 1 is a hand-rolled impostor that
-        // completes the handshake and then vanishes without `Bye` —
+        // is admitted and then vanishes without `Bye` —
         // the coordinator's reader must see the closed stream and mark
         // place 1 dead, exactly as if the process had been SIGKILLed.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1399,7 +1302,7 @@ mod tests {
             let mut coord = TcpStream::connect(addr).unwrap();
             frame::write_frame(
                 &mut coord,
-                &Frame::Hello {
+                &Frame::JoinReq {
                     place: 1,
                     places: 2,
                     addr: own.local_addr().unwrap().to_string(),
@@ -1408,10 +1311,8 @@ mod tests {
             .unwrap();
             assert!(matches!(
                 frame::read_frame(&mut coord).unwrap(),
-                Frame::PeerMap { .. }
+                Frame::JoinAccept { place: 1, .. }
             ));
-            frame::write_frame(&mut coord, &Frame::Ready).unwrap();
-            assert!(matches!(frame::read_frame(&mut coord).unwrap(), Frame::Go));
             // Die abruptly: stream drops, kernel sends FIN, no Bye.
         });
         let node = connect(SocketConfig::coordinator(listener, 2)).unwrap();
@@ -1449,6 +1350,22 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_max_places_is_refused() {
+        assert_eq!(parse_capacity(None, 4).unwrap(), 4);
+        assert_eq!(parse_capacity(Some("6"), 4).unwrap(), 6);
+        assert_eq!(
+            parse_capacity(Some("2"), 4).unwrap(),
+            4,
+            "never below places"
+        );
+        for bad in ["6x", "", "-1", "70000"] {
+            let err = parse_capacity(Some(bad), 4).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert_eq!(err.to_string(), format!("bad DPX10_MAX_PLACES {bad:?}"));
+        }
+    }
+
+    #[test]
     fn parse_chaos_round_trips_and_rejects_garbage() {
         let ch = parse_chaos("seed=7,delay=0.25,delay_ms=3,dup=0.1,drop=0.05,flap_ms=400").unwrap();
         assert_eq!(ch.seed, 7);
@@ -1462,9 +1379,8 @@ mod tests {
         assert!(parse_chaos("seed=notanumber").is_none());
     }
 
-    /// Satellite of the chaos PR: a static `DPX10_PEERS`-style worker
-    /// may list `127.0.0.1:0` — the handshake's `Hello` carries the
-    /// actually-bound ephemeral address, so parallel meshes can never
+    /// A static `DPX10_PEERS`-style worker may list `127.0.0.1:0` — its
+    /// admission request carries the actually-bound ephemeral address, so parallel meshes can never
     /// collide on a fixed port.
     #[test]
     fn static_worker_bind_may_be_an_ephemeral_port() {
@@ -1553,8 +1469,8 @@ mod tests {
         assert_eq!((src, payload), (PlaceId(2), vec![20]));
         let (src, payload) = n1.recv_bytes_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!((src, payload), (PlaceId(2), vec![21]));
-        // ...and the founders learn of it (place 0 from the JoinReq,
-        // place 1 from the JoinHello dial-in) and reach it back.
+        // ...and the founders learn of it (place 0 from its admission,
+        // place 1 from its intro) and reach it back.
         wait_for("founders to see the joiner", || {
             n0.roster().is_member(PlaceId(2)) && n1.roster().is_member(PlaceId(2))
         });
@@ -1618,6 +1534,275 @@ mod tests {
         let err = join(&addr).unwrap_err();
         assert!(err.to_string().contains("mesh at capacity"));
         drop(n1);
+    }
+
+    /// Reads `stream` until place 0 or a member hangs up on it, skipping
+    /// heartbeats for up to 10 s; what it read instead of a hang-up.
+    fn hung_up(stream: &mut TcpStream) -> Result<(), Frame> {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        loop {
+            match frame::read_frame(stream) {
+                Ok(Frame::Heartbeat) if Instant::now() < deadline => {}
+                Ok(other) => return Err(other),
+                Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::WouldBlock => {
+                    panic!("still linked after 10 s")
+                }
+                Err(_) => return Ok(()),
+            }
+        }
+    }
+
+    /// An intro naming a live member (or the member itself) is refused:
+    /// the impostor is hung up on without a heartbeat, what it sends
+    /// never reaches the handler, and the real links keep delivering in
+    /// order. Place 0 likewise refuses an admission request naming a
+    /// live founder.
+    #[test]
+    fn an_impostor_cannot_take_over_a_live_link() {
+        let nodes = elastic_mesh(3, 4);
+        let member = nodes[1].roster().addr(PlaceId(1));
+        for victim in [2u16, 0, 1] {
+            let mut impostor = TcpStream::connect(&member).unwrap();
+            frame::write_frame(&mut impostor, &Frame::JoinHello { place: victim }).unwrap();
+            let data = Frame::Data {
+                src: victim,
+                payload: vec![0xEE],
+            };
+            let _ = frame::write_frame(&mut impostor, &data);
+            assert_eq!(hung_up(&mut impostor), Ok(()), "impostor of place {victim}");
+        }
+        let mut impostor = TcpStream::connect(nodes[0].roster().addr(PlaceId(0))).unwrap();
+        let request = Frame::JoinReq {
+            place: 2,
+            places: 3,
+            addr: "127.0.0.1:9".into(),
+        };
+        frame::write_frame(&mut impostor, &request).unwrap();
+        let refusal = Frame::JoinReject {
+            reason: "duplicate hello from place 2".into(),
+        };
+        assert_eq!(hung_up(&mut impostor), Err(refusal));
+        assert_eq!(hung_up(&mut impostor), Ok(()));
+
+        for v in 0..100u8 {
+            nodes[0].send_bytes(PlaceId(1), vec![v]).unwrap();
+            nodes[2].send_bytes(PlaceId(1), vec![v]).unwrap();
+        }
+        let mut got = [Vec::new(), Vec::new(), Vec::new()];
+        for _ in 0..200 {
+            let (src, payload) = nodes[1]
+                .recv_bytes_timeout(Duration::from_secs(5))
+                .expect("the real member's payloads arrive");
+            got[src.index()].extend(payload);
+        }
+        let sent: Vec<u8> = (0..100).collect();
+        assert_eq!(got, [sent.clone(), Vec::new(), sent]);
+        assert!(nodes[1].recv_bytes_timeout(Duration::ZERO).is_none());
+        for p in [PlaceId(0), PlaceId(2)] {
+            assert!(nodes[1].liveness().is_alive(p));
+            assert_eq!(nodes[1].roster().state(p), MemberState::Active);
+        }
+    }
+
+    /// Place 0 of four founders refuses `bad`, which arrives once founder
+    /// 2 (by hand) and founder 1 (a real worker, still waiting for
+    /// founder 3) are admitted. Place 0 fails with `why`; the refused
+    /// dialer reads a `JoinReject` naming it and is hung up on — no link
+    /// is kept for it — and so is founder 2; the worker's connect fails
+    /// well within its timeout instead of waiting it out.
+    fn formation_refuses(bad: Frame, why: &str) {
+        const TIMEOUT: Duration = Duration::from_secs(20);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let coordinator = std::thread::spawn(move || {
+            let mut cfg = SocketConfig::coordinator(listener, 4);
+            cfg.connect_timeout = TIMEOUT;
+            SocketNode::connect(cfg).map(drop)
+        });
+        let own = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut founder = TcpStream::connect(&addr).unwrap();
+        let request = Frame::JoinReq {
+            place: 2,
+            places: 4,
+            addr: own.local_addr().unwrap().to_string(),
+        };
+        frame::write_frame(&mut founder, &request).unwrap();
+        let accept = frame::read_frame(&mut founder).unwrap();
+        assert!(matches!(accept, Frame::JoinAccept { place: 2, .. }));
+
+        let started = Instant::now();
+        let worker = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut cfg = SocketConfig::worker(PlaceId(1), 4, addr);
+                cfg.connect_timeout = TIMEOUT;
+                SocketNode::connect(cfg).map(drop)
+            })
+        };
+        // Admitted after founder 2, the worker dials it.
+        let (mut intro, _) = own.accept().unwrap();
+        let hello = frame::read_frame(&mut intro).unwrap();
+        assert_eq!(hello, Frame::JoinHello { place: 1 });
+
+        let mut refused = TcpStream::connect(&addr).unwrap();
+        frame::write_frame(&mut refused, &bad).unwrap();
+        let reject = Frame::JoinReject { reason: why.into() };
+        assert_eq!(hung_up(&mut refused), Err(reject));
+        assert_eq!(
+            hung_up(&mut refused),
+            Ok(()),
+            "no link for a refused dialer"
+        );
+
+        let err = coordinator.join().unwrap().unwrap_err();
+        assert_eq!(err.to_string(), format!("handshake: {why}"));
+        assert_eq!(hung_up(&mut founder), Ok(()), "place 0 keeps no link");
+        let err = worker.join().unwrap().unwrap_err();
+        assert!(
+            started.elapsed() < TIMEOUT / 2,
+            "worker waited {:?}",
+            started.elapsed()
+        );
+        assert_eq!(
+            err.to_string(),
+            "handshake: place 0 went away during formation"
+        );
+    }
+
+    #[test]
+    fn formation_refuses_a_founder_expecting_other_places() {
+        let bad = Frame::JoinReq {
+            place: 3,
+            places: 5,
+            addr: "127.0.0.1:9".into(),
+        };
+        formation_refuses(bad, "place 3 expects 5 places, not 4");
+    }
+
+    #[test]
+    fn formation_refuses_an_out_of_range_id() {
+        let bad = Frame::JoinReq {
+            place: 4,
+            places: 4,
+            addr: "127.0.0.1:9".into(),
+        };
+        formation_refuses(bad, "hello from out-of-range place 4");
+    }
+
+    #[test]
+    fn formation_refuses_a_duplicate_id() {
+        let bad = Frame::JoinReq {
+            place: 2,
+            places: 4,
+            addr: "127.0.0.1:9".into(),
+        };
+        formation_refuses(bad, "duplicate hello from place 2");
+    }
+
+    #[test]
+    fn formation_refuses_a_founder_without_a_listen_address() {
+        let bad = Frame::JoinReq {
+            place: 3,
+            places: 4,
+            addr: String::new(),
+        };
+        formation_refuses(bad, "place 3 sent no listen address");
+    }
+
+    /// A founder that dies once linked does not fail the formation of a
+    /// founder still waiting for another dial-in: the death is the
+    /// engine's to recover, as in `chaos` seeds that kill a place at the
+    /// start of the run. Founders 2 and 3 are by hand, founder 1 real.
+    #[test]
+    fn a_founder_lost_after_linking_is_left_to_recovery() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let coordinator =
+            std::thread::spawn(move || connect(SocketConfig::coordinator(listener, 4)).unwrap());
+        let admit = |place: u16, own: &TcpListener| {
+            let mut stream = TcpStream::connect(&addr).unwrap();
+            let request = Frame::JoinReq {
+                place,
+                places: 4,
+                addr: own.local_addr().unwrap().to_string(),
+            };
+            frame::write_frame(&mut stream, &request).unwrap();
+            match frame::read_frame(&mut stream).unwrap() {
+                Frame::JoinAccept { addrs, .. } => (stream, addrs),
+                other => panic!("{other:?}"),
+            }
+        };
+        let own3 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (link3, _) = admit(3, &own3);
+        let worker = {
+            let addr = addr.clone();
+            std::thread::spawn(move || connect(SocketConfig::worker(PlaceId(1), 4, addr)))
+        };
+        let (intro, _) = own3.accept().unwrap();
+        let own2 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (_link2, addrs) = admit(2, &own2);
+        // Founder 3 dies while founder 1 waits for founder 2's intro.
+        drop((link3, intro, own3));
+        let n0 = coordinator.join().unwrap();
+        wait_for("place 0 to see place 3 die", || {
+            !n0.liveness().is_alive(PlaceId(3))
+        });
+        // Place 1's view is not observable before its connect returns;
+        // a pause makes "death before the intro" the likely order there
+        // (the assertions hold in either order).
+        std::thread::sleep(Duration::from_millis(50));
+        let mut to1 = TcpStream::connect(&addrs[1]).unwrap();
+        frame::write_frame(&mut to1, &Frame::JoinHello { place: 2 }).unwrap();
+        let n1 = worker
+            .join()
+            .unwrap()
+            .expect("formation outlives a linked founder");
+        wait_for("place 1 to see place 3 die", || {
+            !n1.liveness().is_alive(PlaceId(3))
+        });
+        assert!(n1.liveness().is_alive(PlaceId(2)));
+    }
+
+    /// A probe that dials while the mesh forms is given the first slot
+    /// past the founders, the founders are admitted after it under their
+    /// own ids, and they dial it like any earlier member.
+    #[test]
+    fn a_probe_during_formation_takes_no_founders_slot() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let coordinator = std::thread::spawn(move || {
+            let mut cfg = SocketConfig::coordinator(listener, 3);
+            cfg.max_places = 4;
+            connect(cfg).unwrap()
+        });
+        let probe = join(&addr).unwrap();
+        assert_eq!(probe.me(), PlaceId(3));
+        let workers: Vec<_> = (1..3u16)
+            .map(|p| {
+                let addr = addr.clone();
+                std::thread::spawn(move || {
+                    connect(SocketConfig::worker(PlaceId(p), 3, addr)).unwrap()
+                })
+            })
+            .collect();
+        let n0 = coordinator.join().unwrap();
+        let founders: Vec<Node> = workers.into_iter().map(|h| h.join().unwrap()).collect();
+        for (p, node) in (1..3u16).zip(&founders) {
+            assert_eq!(
+                (node.me(), node.places(), node.capacity()),
+                (PlaceId(p), 3, 4)
+            );
+            node.send_bytes(PlaceId(3), vec![p as u8]).unwrap();
+        }
+        let mut got: Vec<_> = (0..2)
+            .map(|_| probe.recv_bytes_timeout(Duration::from_secs(5)).unwrap())
+            .collect();
+        got.sort();
+        assert_eq!(got, vec![(PlaceId(1), vec![1]), (PlaceId(2), vec![2])]);
+        assert_eq!(n0.roster().members().len(), 4);
     }
 
     fn chaos_mesh(n: u16, chaos: SocketChaos) -> Vec<Node> {

@@ -5,26 +5,57 @@
 use dpx10_apgas::socket::frame::{framed_len, read_frame, Frame, FrameError};
 use proptest::prelude::*;
 
-/// Deterministically maps fuzz inputs onto every frame kind.
+/// How many kinds of `Frame` there are.
+const KINDS: u8 = 8;
+
+/// Deterministically maps fuzz inputs onto every frame kind: `kind`
+/// selects kind number `kind % KINDS` of [`kind_number`].
 fn build_frame(kind: u8, place: u16, addr: String, payload: Vec<u8>) -> Frame {
-    match kind % 7 {
-        0 => Frame::Hello {
+    match kind % KINDS {
+        0 => Frame::JoinReq {
             place,
             places: place.saturating_add(1),
             addr,
         },
-        1 => {
-            let addrs = vec![String::new(), addr, "127.0.0.1:9".to_string()];
-            Frame::PeerMap { addrs }
-        }
-        2 => Frame::Ready,
-        3 => Frame::Go,
+        1 => Frame::JoinAccept {
+            place,
+            capacity: place.saturating_add(1),
+            addrs: vec![String::new(), addr, "127.0.0.1:9".to_string()],
+        },
+        2 => Frame::JoinReject { reason: addr },
+        3 => Frame::JoinHello { place },
         4 => Frame::Data {
             src: place,
             payload,
         },
         5 => Frame::Heartbeat,
-        _ => Frame::Bye,
+        6 => Frame::Bye,
+        _ => Frame::Leave { place },
+    }
+}
+
+/// Each kind's number. No wildcard arm: a new `Frame` kind does not
+/// compile until it is numbered here (as `KINDS`, which then grows by
+/// one), and `build_frame_covers_every_kind` fails until `build_frame`
+/// builds it.
+fn kind_number(frame: &Frame) -> u8 {
+    match frame {
+        Frame::JoinReq { .. } => 0,
+        Frame::JoinAccept { .. } => 1,
+        Frame::JoinReject { .. } => 2,
+        Frame::JoinHello { .. } => 3,
+        Frame::Data { .. } => 4,
+        Frame::Heartbeat => 5,
+        Frame::Bye => 6,
+        Frame::Leave { .. } => 7,
+    }
+}
+
+#[test]
+fn build_frame_covers_every_kind() {
+    for kind in 0..=u8::MAX {
+        let frame = build_frame(kind, 3, "a".into(), vec![1]);
+        assert_eq!(kind_number(&frame), kind % KINDS, "{frame:?}");
     }
 }
 

@@ -4,8 +4,8 @@ use std::any::Any;
 use std::time::Duration;
 
 use dpx10_apgas::{
-    launch_places, local_mesh, ElasticEvent, ElasticPlan, ElasticVerb, JoinConfig, PlaceId,
-    SocketConfig, SocketNode, Topology,
+    launch_places, local_mesh, ElasticEvent, ElasticPlan, ElasticVerb, PlaceId, SocketConfig,
+    SocketNode, Topology,
 };
 use dpx10_apps::{with_app, AppKind, AppVisitor, CatalogApp};
 use dpx10_bench::{AblationPlan, RatchetSpec};
@@ -1071,12 +1071,13 @@ fn run_serve_elastic(args: &crate::args::ServeArgs) -> Result<String, String> {
     Ok(out)
 }
 
-/// `dpx10 join`: dials a running socket mesh's coordinator, completes
-/// the join handshake, reports the assigned place and live roster, then
-/// drains back out gracefully.
+/// `dpx10 join`: asks a running socket mesh's coordinator for admission
+/// as a probe (no place id of its own), dials the members it names,
+/// reports the assigned place and live roster, then drains back out
+/// gracefully.
 pub fn run_join(coordinator: &str) -> Result<String, String> {
-    let node = SocketNode::join(JoinConfig::new(coordinator))
-        .map_err(|e| format!("join {coordinator}: {e}"))?;
+    let probe = SocketConfig::worker(PlaceId::ZERO, 0, coordinator.to_string());
+    let node = SocketNode::connect(probe).map_err(|e| format!("join {coordinator}: {e}"))?;
     let roster = node.roster();
     let members: Vec<String> = roster.members().iter().map(|p| p.0.to_string()).collect();
     let out = format!(

@@ -218,3 +218,83 @@ fn sigkill_mid_run_recovers_and_matches_fault_free() {
         "no recovery reported in {stdout:?}"
     );
 }
+
+/// `dpx10 join` end to end: a two-place socket run with room for a
+/// third (`DPX10_MAX_PLACES=3`) announces its coordinator on stderr.
+/// Once place 1's workers run — the mesh is formed and the run under
+/// way — a probe is admitted as place 2, drains back out, and the run
+/// still ends with the fault-free answer and no recovery.
+#[cfg(target_os = "linux")]
+#[test]
+fn join_probe_enters_a_running_mesh_and_drains_cleanly() {
+    let args = [
+        "run",
+        "swlag",
+        "--backend",
+        "sockets",
+        "--places",
+        "2",
+        "--vertices",
+        "4000000",
+    ];
+    let clean = run_ok(&args);
+
+    let mut child = dpx10(&args)
+        .env("DPX10_MAX_PLACES", "3")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dpx10");
+    let coordinator_pid = child.id();
+    let watchdog = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_secs(120));
+        let _ = Command::new("kill")
+            .args(["-9", &coordinator_pid.to_string()])
+            .status();
+    });
+
+    // `dpx10: coordinator ADDR accepting joins (capacity 3)`, then
+    // `dpx10: place 1 pid N`.
+    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let (mut coordinator, mut worker_pid) = (None, None);
+    while worker_pid.is_none() {
+        let mut line = String::new();
+        assert_ne!(
+            stderr.read_line(&mut line).expect("read stderr"),
+            0,
+            "stderr closed"
+        );
+        match line.split_whitespace().collect::<Vec<_>>()[..] {
+            ["dpx10:", "coordinator", addr, "accepting", "joins", "(capacity", "3)"] => {
+                coordinator = Some(addr.to_string())
+            }
+            ["dpx10:", "place", "1", "pid", pid] => worker_pid = Some(pid.to_string()),
+            _ => {}
+        }
+    }
+    let coordinator = coordinator.expect("no `accepting joins` line before place 1's");
+    let worker_pid = worker_pid.unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !has_thread(&worker_pid, "dpx10-p1w") && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let joined = run_ok(&["join", "--coordinator", &coordinator]);
+    assert!(
+        joined.contains(&format!("joined mesh at {coordinator} as place 2\n")),
+        "{joined}"
+    );
+    assert!(joined.contains("draining back out"), "{joined}");
+
+    let mut rest = String::new();
+    stderr.read_to_string(&mut rest).expect("drain stderr");
+    let out = child.wait_with_output().expect("wait dpx10");
+    drop(watchdog); // detached; the process tree is gone before it fires
+    assert!(out.status.success(), "run failed after the join:\n{rest}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    assert_eq!(answer_line(&clean), answer_line(&stdout));
+    assert!(
+        !stdout.contains("recovery"),
+        "a drain is not a death: {stdout}"
+    );
+}

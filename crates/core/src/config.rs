@@ -81,11 +81,6 @@ pub struct EngineConfig {
     pub restore_manner: RestoreManner,
     /// Optional injected failure.
     pub fault: Option<FaultPlan>,
-    /// Validate the pattern before running (skipped above
-    /// `validate_limit` vertices).
-    pub validate_pattern: bool,
-    /// Vertex-count ceiling for validation.
-    pub validate_limit: u64,
     /// How long the watchdog tolerates zero progress before declaring
     /// the run stalled (a stall means a broken custom pattern or an
     /// engine bug; see [`crate::EngineError::Stalled`]). The simulator
@@ -132,8 +127,6 @@ impl EngineConfig {
             cache_capacity: 4096,
             restore_manner: RestoreManner::RecomputeRemote,
             fault: None,
-            validate_pattern: cfg!(debug_assertions),
-            validate_limit: 10_000,
             stall_limit: std::time::Duration::from_secs(30),
             checkpoint: None,
             chaos: None,

@@ -42,10 +42,17 @@ use crate::stats::RunReport;
 /// How often a coordinator judges the epoch: kills, liveness, completion.
 pub(crate) const TICK: Duration = Duration::from_millis(2);
 
-/// Validates `pattern` when `cfg` asks for it and the DAG is small
-/// enough (validation enumerates every edge).
-pub fn validate(cfg: &EngineConfig, pattern: &dyn DagPattern) -> Result<(), EngineError> {
-    if cfg.validate_pattern && pattern.vertex_count() <= cfg.validate_limit {
+/// Whether [`validate`] checks patterns: in debug builds only.
+const VALIDATE: bool = cfg!(debug_assertions);
+
+/// The largest pattern, in vertices, that [`validate`] checks
+/// (validation enumerates every edge).
+const VALIDATE_LIMIT: u64 = 10_000;
+
+/// Validates `pattern` in a debug build when the DAG is at most
+/// `VALIDATE_LIMIT` (10,000) vertices.
+pub fn validate(pattern: &dyn DagPattern) -> Result<(), EngineError> {
+    if VALIDATE && pattern.vertex_count() <= VALIDATE_LIMIT {
         validate_pattern(pattern)?;
     }
     Ok(())
@@ -77,7 +84,7 @@ fn planned_kills(cfg: &EngineConfig) -> Vec<(PlaceId, KillTrigger)> {
 
 /// Every engine's pre-flight: a valid pattern and killable victims.
 pub fn preflight(cfg: &EngineConfig, pattern: &dyn DagPattern) -> Result<(), EngineError> {
-    validate(cfg, pattern)?;
+    validate(pattern)?;
     let victims = planned_kills(cfg).into_iter().map(|(p, _)| p);
     killable(cfg.topology.num_places(), victims)
 }

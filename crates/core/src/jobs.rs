@@ -423,7 +423,7 @@ impl<A: DpApp + 'static> JobServer<A> {
                     placement.len()
                 )));
             }
-            validate(&spec.config, spec.pattern.as_ref())?;
+            validate(spec.pattern.as_ref())?;
             placements.push(placement);
         }
         Ok(placements)

@@ -6,8 +6,8 @@
 //! paper's real X10 deployment (§VII ran 2 place processes per node).
 //!
 //! Every process executes [`SocketEngine::run`] with the same
-//! application, pattern and configuration; the mesh handshake assigns
-//! place ids. Each place builds and runs only its own slot's shard, and
+//! application, pattern and configuration; place 0 admits each place
+//! into the mesh under the id its launcher gave it. Each place builds and runs only its own slot's shard, and
 //! exchanges [`Msg`]s over the wire; what every place agrees on without
 //! a word (the distribution, who starts finished) is deterministic.
 //!

@@ -289,17 +289,16 @@ fn interval_pattern_triangular_cells_absent() {
 #[test]
 fn broken_custom_pattern_is_detected_as_stall() {
     // A vertex whose dependency never notifies it: (0,1) depends on
-    // (0,0) but (0,0) lists no dependents. Validation would catch this;
-    // with validation off, the stall watchdog must end the run with an
-    // error instead of hanging.
+    // (0,0) but (0,0) lists no dependents. Validation would catch this,
+    // but skips a pattern of more than 10,000 vertices: the stall
+    // watchdog must end the run with an error instead of hanging.
     use dpx10_dag::CustomDag;
-    let broken = CustomDag::new(1, 2).with_dependencies(|_i, j, out| {
+    let broken = CustomDag::new(1, 10_001).with_dependencies(|_i, j, out| {
         if j == 1 {
             out.push(VertexId::new(0, 0));
         }
     });
     let mut config = EngineConfig::flat(1);
-    config.validate_pattern = false;
     config.stall_limit = std::time::Duration::from_millis(200);
     let err = match ThreadedEngine::new(MixApp, broken, config).run() {
         Err(e) => e,
@@ -307,7 +306,7 @@ fn broken_custom_pattern_is_detected_as_stall() {
     };
     match err {
         dpx10_core::EngineError::Stalled { finished, total } => {
-            assert_eq!((finished, total), (1, 2));
+            assert_eq!((finished, total), (10_000, 10_001));
         }
         other => panic!("expected stall, got {other}"),
     }
@@ -315,6 +314,8 @@ fn broken_custom_pattern_is_detected_as_stall() {
 
 #[test]
 fn validation_catches_the_same_broken_pattern_up_front() {
+    // A debug build validates a pattern this small before running it; a
+    // release build leaves it to the stall watchdog.
     use dpx10_dag::CustomDag;
     let broken = CustomDag::new(1, 2).with_dependencies(|_i, j, out| {
         if j == 1 {
@@ -322,12 +323,16 @@ fn validation_catches_the_same_broken_pattern_up_front() {
         }
     });
     let mut config = EngineConfig::flat(1);
-    config.validate_pattern = true;
+    config.stall_limit = std::time::Duration::from_millis(200);
     let err = match ThreadedEngine::new(MixApp, broken, config).run() {
         Err(e) => e,
-        Ok(_) => panic!("broken pattern must not validate"),
+        Ok(_) => panic!("broken pattern must not complete"),
     };
-    assert!(matches!(err, dpx10_core::EngineError::InvalidPattern(_)));
+    if cfg!(debug_assertions) {
+        assert!(matches!(err, dpx10_core::EngineError::InvalidPattern(_)));
+    } else {
+        assert!(matches!(err, dpx10_core::EngineError::Stalled { .. }));
+    }
 }
 
 #[test]
